@@ -96,6 +96,9 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
                 rng = file_values[key]
                 if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
                     raise UsageError(f"{key} must be a two-element list")
+                if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in rng):
+                    raise UsageError(f"{key} entries must be numbers")
                 values[key] = (float(rng[0]), float(rng[1]))
         # the suite positional is always explicit on the command line,
         # so a "suite" key in the file never overrides it

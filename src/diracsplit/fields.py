@@ -26,7 +26,7 @@ from .errors import (
     OffShell,
     WeylRequiresMassless,
 )
-from .gamma import METRIC_SIGNS, GammaRep, build_rep, conjugation_matrix, intertwiner_pair
+from .gamma import METRIC_SIGNS, GammaRep, build_rep
 from .matrices import Matrix
 from .scalars import EXACT, FLOAT, GaussianRational, coerce_real, coerce_scalar, scalar_abs, scalar_is_zero
 
@@ -275,20 +275,15 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
         raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")
     if f.rep is None:
         raise ValueError("field carries no representation")
-    c = conjugation_matrix(f.rep)
-    if f.backend == FLOAT:
-        c = c.to_float()
-    return conjugate(f).apply(c)
+    return conjugate(f).apply(f.rep.on(f.backend).conjugation)
 
 
 def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
     """gamma^mu p_mu evaluated on one term's momentum eigenvalues."""
+    gammas = rep.on(momentum.backend).gammas
     acc = Matrix.zero(4, momentum.backend)
     for mu in range(4):
-        g = rep.gammas[mu]
-        if momentum.backend == FLOAT:
-            g = g.to_float()
-        acc = acc + g.scale(METRIC_SIGNS[mu] * momentum.p[mu] * freq_sign)
+        acc = acc + gammas[mu].scale(METRIC_SIGNS[mu] * momentum.p[mu] * freq_sign)
     return acc
 
 
@@ -426,8 +421,9 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
     lies in the image of Q-.  In the float backend the amplitude has
     unit norm with its largest component rotated real positive; in the
     exact backend the pivot component is scaled to 1.  For bases other
-    than the spinor one the exact amplitude is transported with the
-    integer intertwiner W (an overall scale, harmless for a solution).
+    than the spinor one the float amplitude is transported with the
+    unitary U and the exact one with the integer intertwiner W (an
+    overall scale, harmless for a solution).
     """
     if chirality not in ("left", "right"):
         raise ValueError("chirality must be 'left' or 'right'")
@@ -443,12 +439,8 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
     else:
         amp = pair + (zero, zero)
     if rep.name != "spinor":
-        w, norm2 = intertwiner_pair(build_rep("spinor"), rep)
-        if p.backend == FLOAT:
-            u = w.to_float().scale(1.0 / norm2**0.5)
-            amp = u.apply(amp)
-        else:
-            amp = w.apply(amp)  # W-scaled: exact, solution up to overall scale
+        link = build_rep("spinor").on(p.backend).intertwiner(rep)
+        amp = (link.u if p.backend == FLOAT else link.w).apply(amp)
     return PlaneWaveTerm(amp, p, 1)
 
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 
 from .errors import ExpDiverged, OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, momentum_op
-from .gamma import METRIC_SIGNS, GammaRep, sigma
+from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator, mat_exp, max_abs_diff
-from .projectors import build_projectors
 from .reports import ResidualReport, entry_from_matrix, entry_from_value
-from .scalars import FLOAT, scalar_is_zero
+from .scalars import EXACT, FLOAT, scalar_is_zero
 
 _CROSSCHECK_TOL = 1e-12
 
@@ -117,7 +116,7 @@ def _metric_defect(a: tuple) -> float:
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
     """exp(-(i/2) omega I sigma) with a mandatory closed-form cross-check."""
     mu, nu = params.plane
-    sig = sigma(rep, mu, nu).to_float()
+    sig = rep.on(FLOAT).sigmas[mu][nu]
     i_val = params.generator_sign
     exponent = sig.scale(complex(0, -0.5 * params.omega * i_val))
     series = mat_exp(exponent)
@@ -146,7 +145,7 @@ def pconditions_residual(rep: GammaRep, s: Matrix, s_inv: Matrix,
     mismatched pair (for example the transform at the flipped parameter)
     and watch the residual blow up.
     """
-    gf = tuple(g.to_float() for g in rep.gammas)
+    gf = rep.on(FLOAT).gammas
     entries = []
     for nu in range(4):
         acc = Matrix.zero(4, FLOAT)
@@ -180,10 +179,10 @@ def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
     report = ResidualReport(tuple(entries)).merged(
         pconditions_residual(rep, s, s_inv, vt)
     )
-    ps = build_projectors(rep)
+    pf = rep.on(FLOAT).p
     prime_entries = []
     for k in range(1, 5):
-        p_prime = s @ ps.p[k - 1].to_float() @ s_inv
+        p_prime = s @ pf[k - 1] @ s_inv
         prime_entries.append(
             entry_from_value(
                 f"Pprime.P{k}.idempotent", "P'", FLOAT,
@@ -199,12 +198,12 @@ def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualRepor
     The generators of the (0,3) boost and (1,2) rotation commute with P1
     and P2, so those transformations act inside each subsolution class.
     """
-    ps = build_projectors(rep)
+    exact, flt = rep.on(EXACT), rep.on(FLOAT)
     entries = []
     for mu, nu in ((0, 3), (1, 2)):
-        sig = sigma(rep, mu, nu)
+        sig = exact.sigmas[mu][nu]
         for i in (1, 2):
-            comm = commutator(sig, ps.p[i - 1])
+            comm = commutator(sig, exact.p[i - 1])
             entries.append(
                 entry_from_matrix(f"commute.sigma{mu}{nu}.P{i}", "S", comm)
             )
@@ -212,7 +211,7 @@ def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualRepor
         for w in omegas:
             s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
             for i in (1, 2):
-                comm = commutator(s, ps.p[i - 1].to_float())
+                comm = commutator(s, flt.p[i - 1])
                 entries.append(
                     entry_from_value(
                         f"commute.S{mu}{nu}.w{w:g}.P{i}", "S", FLOAT, comm.max_abs()
@@ -273,11 +272,9 @@ def reduced_dirac_residual(f: PlaneWaveField, mass, axes=(0, 1)) -> PlaneWaveFie
     """
     if f.rep is None:
         raise ValueError("field carries no representation")
+    gammas = f.rep.on(f.backend).gammas
     acc = None
     for mu in axes:
-        g = f.rep.gammas[mu]
-        if f.backend == FLOAT:
-            g = g.to_float()
-        piece = momentum_op(f, mu).apply(g).scale(METRIC_SIGNS[mu])
+        piece = momentum_op(f, mu).apply(gammas[mu]).scale(METRIC_SIGNS[mu])
         acc = piece if acc is None else acc + piece
     return acc - f.scale(mass)

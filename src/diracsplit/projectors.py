@@ -11,22 +11,20 @@ bispinor.  The four rank-3 projectors
 commute pairwise, sum to 3*Id, and each leaves a three-dimensional
 subspace invariant; in the spinor basis they are diagonal with a single
 zero.  The unitary V = i gamma2 gamma3 swaps P1 and P2 while commuting
-with gamma0 and gamma1.  All of this is verified exactly at build time.
+with gamma0 and gamma1.  The family is built and its algebra verified
+exactly once per representation, by the representation's view
+(``rep.on(backend)``, see ``gamma.RepView``); this module reads it from
+there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .errors import ProjectorAlgebraViolation
 from .gamma import GammaRep
 from .matrices import Matrix, commutator
 from .reports import ResidualReport, entry_from_matrix
-from .scalars import HALF, I
-
-_QUARTER = Fraction(1, 4)
+from .scalars import EXACT
 
 
 @dataclass(frozen=True)
@@ -44,57 +42,16 @@ class ProjectorSet:
         return self.p[k - 1]
 
 
-@lru_cache(maxsize=None)
 def build_projectors(rep: GammaRep) -> ProjectorSet:
-    """Construct and exactly validate the projector family.
+    """The exactly validated projector family of ``rep``.
 
-    Construction is pure and the result immutable, so repeat calls for
-    the same representation share one validated instance.
+    Read from the representation's exact view, which builds and
+    validates the family once, on first use; raises
+    ProjectorAlgebraViolation if the family fails its algebra.
     """
-    ident = Matrix.identity(4)
-    g5 = rep.gamma5
-    q_plus = (ident + g5).scale(HALF)
-    q_minus = (ident - g5).scale(HALF)
-
-    g0g3 = rep.gammas[0] @ rep.gammas[3]
-    ig1g2 = (rep.gammas[1] @ rep.gammas[2]).scale(I)
-    three = ident.scale(3)
-    p1 = (three - g5 - g0g3 + ig1g2).scale(_QUARTER)
-    p2 = (three - g5 + g0g3 - ig1g2).scale(_QUARTER)
-    p3 = (three + g5 + g0g3 + ig1g2).scale(_QUARTER)
-    p4 = (three + g5 - g0g3 - ig1g2).scale(_QUARTER)
-    ps = (p1, p2, p3, p4)
-
-    v = (rep.gammas[2] @ rep.gammas[3]).scale(I)
-
-    _validate(rep, q_plus, q_minus, ps, v)
-    return ProjectorSet(rep=rep, q_plus=q_plus, q_minus=q_minus, p=ps, v=v)
-
-
-def _validate(rep, q_plus, q_minus, ps, v):
-    ident = Matrix.identity(4)
-
-    def demand(m: Matrix, what: str):
-        if not m.is_zero:
-            raise ProjectorAlgebraViolation(f"{what} (rep {rep.name})")
-
-    demand(q_plus @ q_plus - q_plus, "Q+ not idempotent")
-    demand(q_minus @ q_minus - q_minus, "Q- not idempotent")
-    demand(q_plus + q_minus - ident, "Q+ + Q- != 1")
-    demand(q_plus @ q_minus, "Q+ Q- != 0")
-
-    total = Matrix.zero(4)
-    for k, p in enumerate(ps, start=1):
-        demand(p @ p - p, f"P{k} not idempotent")
-        if p.trace() != 3:
-            raise ProjectorAlgebraViolation(f"P{k} trace != 3 (rep {rep.name})")
-        total = total + p
-    demand(total - ident.scale(3), "sum of P_k != 3")
-    for a in range(4):
-        for b in range(a + 1, 4):
-            demand(commutator(ps[a], ps[b]), f"[P{a + 1}, P{b + 1}] != 0")
-
-    demand(v @ v.adjoint() - ident, "V not unitary")
+    view = rep.on(EXACT)
+    return ProjectorSet(rep=rep, q_plus=view.q_plus, q_minus=view.q_minus,
+                        p=view.p, v=view.v)
 
 
 def corson_complement(projectors: ProjectorSet, k: int) -> Matrix:

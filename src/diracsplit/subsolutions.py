@@ -44,11 +44,10 @@ from .fields import (
     momentum_op,
     upper_half,
 )
-from .gamma import PAULI, GammaRep, build_rep, intertwiner_pair
+from .gamma import PAULI, PAULI_FLOAT, GammaRep, build_rep
 from .matrices import Matrix
-from .projectors import ProjectorSet, build_projectors
 from .reports import ResidualEntry, ResidualReport, entry_from_value
-from .scalars import EXACT, FLOAT, GaussianRational, scalar_abs, scalar_is_zero
+from .scalars import EXACT, GaussianRational, scalar_abs, scalar_is_zero
 
 _DEFAULT_TOL = 1e-10
 
@@ -164,7 +163,7 @@ def recombination_residuals(sr: SplitResult) -> ResidualReport:
     comp0 = [t.amplitude[0] for t in diff.terms]
     comp1 = [t.amplitude[1] for t in diff.terms]
 
-    ps = _projectors_for(sr.rep, backend)
+    ps = sr.rep.on(backend).p
     recomb = sr.psi1.apply(ps[0]) + sr.psi2.apply(ps[1]) - sr.psi
     entries = (
         _scalar_entry("recombine.xi1", "def3", backend, comp0),
@@ -178,19 +177,6 @@ def _field_entry(label: str, equation: str, f: PlaneWaveField) -> ResidualEntry:
     if f.backend == EXACT and f.is_zero:
         return ResidualEntry(label, equation, f.backend, None, True)
     return entry_from_value(label, equation, f.backend, f.max_abs())
-
-
-_PROJ_CACHE: dict = {}
-
-
-def _projectors_for(rep: GammaRep, backend: str) -> tuple:
-    """(P1, P2, P3, P4) in the requested backend."""
-    key = (rep.name, backend)
-    if key not in _PROJ_CACHE:
-        ps = build_projectors(rep)
-        mats = ps.p if backend == EXACT else tuple(m.to_float() for m in ps.p)
-        _PROJ_CACHE[key] = mats
-    return _PROJ_CACHE[key]
 
 
 def identity_residuals(sr: SplitResult) -> ResidualReport:
@@ -211,7 +197,7 @@ def identity_residuals(sr: SplitResult) -> ResidualReport:
         a, b = term.amplitude
         id2.append((q0 - q3) * a - _q_complex(q1, q2, backend, conj=True) * b)
 
-    ps = _projectors_for(sr.rep, backend)
+    ps = sr.rep.on(backend).p
     ident = Matrix.identity(4, backend)
     entries = [
         _scalar_entry("identity.id1", "id1", backend, id1),
@@ -267,7 +253,7 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
         _scalar_entry("constituent2-4.line3", "constituent2/4", backend, lines2[3]),
     ]
 
-    ps = _projectors_for(sr.rep, backend)
+    ps = sr.rep.on(backend).p
     for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
         p = ps[i - 1]
         projected = psi_i.apply(p)
@@ -292,11 +278,9 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
     overall scale, so exact zeros stay exact) and the projector forms
     are re-evaluated against rep_to's own gamma matrices and projectors.
     """
-    w, _ = intertwiner_pair(sr.rep, rep_to)
     backend = sr.psi.backend
-    if backend == FLOAT:
-        w = w.to_float()
-    ps = _projectors_for(rep_to, backend)
+    w = sr.rep.on(backend).intertwiner(rep_to).w
+    ps = rep_to.on(backend).p
     ident = Matrix.identity(4, backend)
     entries = []
     for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
@@ -330,8 +314,7 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
 
 
 def _pauli(backend: str, k: int) -> Matrix:
-    m = PAULI[k]
-    return m if backend == EXACT else m.to_float()
+    return PAULI[k] if backend == EXACT else PAULI_FLOAT[k]
 
 
 def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
@@ -353,12 +336,9 @@ def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
     """
     if f.rep is None or f.rep.name == "spinor":
         return f
-    w, _ = intertwiner_pair(f.rep, build_rep("spinor"))
-    if f.backend == FLOAT:
-        w = w.to_float()
-    return PlaneWaveField(
-        f.apply(w).terms, rep=build_rep("spinor"), ncomp=4, backend=f.backend
-    )
+    sp = build_rep("spinor")
+    w = f.rep.on(f.backend).intertwiner(sp).w
+    return PlaneWaveField(f.apply(w).terms, rep=sp, ncomp=4, backend=f.backend)
 
 
 def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
@@ -375,12 +355,9 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
         for t in f.terms:
             if not scalar_is_zero(t.momentum.mass):
                 raise WeylRequiresMassless("field carries a massive term")
-    qset = build_projectors(f.rep) if f.rep is not None else None
-    if qset is None:
+    if f.rep is None:
         raise ValueError("field carries no representation")
-    q_minus, q_plus = qset.q_minus, qset.q_plus
-    if f.backend == FLOAT:
-        q_minus, q_plus = q_minus.to_float(), q_plus.to_float()
+    view = f.rep.on(f.backend)
 
     fs = _to_spinor_basis(f)
     eta = lower_half(fs)
@@ -388,8 +365,8 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
     entries = (
         _field_entry("weyl.eta", "Weyl1", sigma_momentum_op(eta, +1)),
         _field_entry("weyl.xi", "Weyl2", sigma_momentum_op(xi, -1)),
-        _field_entry("weyl.bispinor.Qminus", "DiracNeutrino", dirac_op(f.apply(q_minus))),
-        _field_entry("weyl.bispinor.Qplus", "DiracNeutrino", dirac_op(f.apply(q_plus))),
+        _field_entry("weyl.bispinor.Qminus", "DiracNeutrino", dirac_op(f.apply(view.q_minus))),
+        _field_entry("weyl.bispinor.Qplus", "DiracNeutrino", dirac_op(f.apply(view.q_plus))),
     )
     return ResidualReport(entries)
 

@@ -17,6 +17,7 @@ about its own discriminating power.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .fields import (
     u_spinor,
     weyl_spinor,
 )
-from .gamma import GammaRep, METRIC_SIGNS, REP_NAMES, build_rep, intertwiner, intertwiner_pair
+from .gamma import METRIC_SIGNS, REP_NAMES, build_rep, intertwiner_pair
 from .lorentz import (
     LorentzParams,
     covariance_check,
@@ -95,12 +96,17 @@ class RunConfig:
             raise ValueError(f"unknown rep {self.rep!r}")
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not (0 <= self.seed <= _MASK64):
-            raise ValueError("seed must fit in 64 bits")
+        # an infinite tolerance would pass every float check vacuously
+        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a finite positive number")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError("trials must be an integer of at least 1")
+        if not _is_int(self.seed) or not (0 <= self.seed <= _MASK64):
+            raise ValueError("seed must be an integer that fits in 64 bits")
+        for key in ("mass_range", "momentum_range"):
+            rng = getattr(self, key)
+            if not all(_is_real(x) and math.isfinite(x) for x in rng):
+                raise ValueError(f"{key} entries must be finite numbers")
         lo, hi = self.mass_range
         if not (0 < lo <= hi):
             raise ValueError("mass_range must satisfy 0 < lo <= hi")
@@ -131,6 +137,14 @@ class RunConfig:
     @property
     def run_float(self) -> bool:
         return self.backend in ("float", "both")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _selected_reps(config: RunConfig) -> tuple:
@@ -335,26 +349,6 @@ def _component_block(p: FourMomentum) -> Matrix:
     return Matrix.exact(rows)
 
 
-_FLOAT_PROJ = {}
-
-
-def _p_float(rep: GammaRep) -> tuple:
-    if rep.name not in _FLOAT_PROJ:
-        ps = build_projectors(rep)
-        _FLOAT_PROJ[rep.name] = tuple(m.to_float() for m in ps.p)
-    return _FLOAT_PROJ[rep.name]
-
-
-_UNITARY_FLOAT = {}
-
-
-def _u_float(rep_from: GammaRep, rep_to: GammaRep) -> Matrix:
-    key = (rep_from.name, rep_to.name)
-    if key not in _UNITARY_FLOAT:
-        _UNITARY_FLOAT[key] = intertwiner(rep_from, rep_to).to_float()
-    return _UNITARY_FLOAT[key]
-
-
 # -- clifford suite ---------------------------------------------------------------
 
 
@@ -366,12 +360,9 @@ def _structural_backend(config: RunConfig) -> str:
 def _run_clifford(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
-        gams = rep.gammas
-        g5 = rep.gamma5
+        view = rep.on(backend)
+        gams, g5 = view.gammas, view.gamma5
         ident = Matrix.identity(4, backend)
-        if backend == FLOAT:
-            gams = tuple(g.to_float() for g in gams)
-            g5 = g5.to_float()
 
         def emit(check_id, equation, resid):
             if backend == EXACT:
@@ -432,16 +423,9 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
     use_float = backend == FLOAT
     for rep in _ALL_REPS:
-        ps = build_projectors(rep)
+        view = rep.on(backend)
         ident = Matrix.identity(4, backend)
-        q_plus, q_minus = ps.q_plus, ps.q_minus
-        pmats = ps.p
-        v = ps.v
-        if use_float:
-            q_plus, q_minus = q_plus.to_float(), q_minus.to_float()
-            pmats = tuple(m.to_float() for m in pmats)
-            v = v.to_float()
-        g5 = rep.gamma5.to_float() if use_float else rep.gamma5
+        q_plus, q_minus, pmats, v, g5 = view.q_plus, view.q_minus, view.p, view.v, view.gamma5
 
         def emit(check_id, equation, resid):
             if use_float:
@@ -485,7 +469,7 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
             emit(f"projectors.{rep.name}.complement.p{k}", "PRO", worst)
 
         if not use_float:
-            for e in v_swap_check(ps):
+            for e in v_swap_check(build_projectors(rep)):
                 out.add_entry(f"projectors.{rep.name}.{e.label}", e, config.tol)
         else:
             vinv = v.adjoint()
@@ -621,8 +605,8 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
-        qset = build_projectors(rep)
         if config.run_exact:
+            view = rep.on(EXACT)
             k = FourMomentum.exact(_WEYL_WITNESS_K, 0)
             for ch in ("left", "right"):
                 f = field_of(weyl_spinor(k, rep, ch), rep)
@@ -631,14 +615,14 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
                     out.add_entry(
                         f"weyl.witness.{rep.name}.{ch}.{short}", e, config.strict_tol
                     )
-                proj = qset.q_plus if ch == "left" else qset.q_minus
+                proj = view.q_plus if ch == "left" else view.q_minus
                 image_diff = f.apply(proj) - f
                 out.add_exact_value(
                     f"weyl.witness.{rep.name}.{ch}.chiral-image", "DiracNeutrino",
                     Fraction(0) if image_diff.is_zero else image_diff.max_abs(),
                 )
         if config.run_float:
-            qp, qm = qset.q_plus.to_float(), qset.q_minus.to_float()
+            view = rep.on(FLOAT)
             agg = _MaxAgg()
             for trial in range(config.trials):
                 rng = _rng(config, f"weyl.{rep.name}", trial)
@@ -648,7 +632,7 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
                     for e in weyl_residuals(f):
                         short = e.label.replace("weyl.", "", 1)
                         agg.add(f"{ch}.{short}", e.equation, e.residual or 0.0)
-                    proj = qp if ch == "left" else qm
+                    proj = view.q_plus if ch == "left" else view.q_minus
                     agg.add(
                         f"{ch}.chiral-image", "DiracNeutrino",
                         (f.apply(proj) - f).max_abs(),
@@ -695,19 +679,27 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
                         f"majorana.witness.{rep.name}.s{s}.dirac", "Dirac1",
                         Fraction(0) if dr.is_zero else dr.max_abs(),
                     )
-        if config.run_float and rep.name == "spinor":
+        if config.run_float:
+            # the spinor basis has the component checks; other bases get
+            # the basis-independent ones, as their exact witnesses do
+            spinor = rep.name == "spinor"
             agg = _MaxAgg()
             for trial in range(config.trials):
-                rng = _rng(config, "majorana", trial)
+                rng = _rng(config, "majorana" if spinor else f"majorana.{rep.name}", trial)
                 p = _sample_massive(rng, config)
                 for s in (1, 2):
                     maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
-                    for e in majorana_residuals(maj, p.mass, tol=config.tol):
-                        short = e.label.replace("majorana.", "", 1)
-                        agg.add(short, e.equation, e.residual or 0.0)
+                    if spinor:
+                        for e in majorana_residuals(maj, p.mass, tol=config.tol):
+                            short = e.label.replace("majorana.", "", 1)
+                            agg.add(short, e.equation, e.residual or 0.0)
+                    else:
+                        agg.add("selfconj", "MAJORANA",
+                                (maj - charge_conjugate(maj)).max_abs())
+                        agg.add("dirac", "Dirac1", dirac_residual(maj, p.mass).max_abs())
             # self-conjugacy must cancel term-by-term, not merely within tol
             agg.emit(
-                out, "majorana.fuzz",
+                out, "majorana.fuzz" if spinor else f"majorana.fuzz.{rep.name}",
                 lambda label: 0.0 if label == "selfconj" else config.tol,
             )
 
@@ -736,7 +728,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                     - rep.gammas[1].scale(b)
                     - Matrix.identity(4).scale(mv)
                 )
-                v = build_projectors(rep).v
+                v = rep.on(EXACT).v
                 out.add_exact(
                     f"covariance.{rep.name}.v-reduced-op.{idx}", "V",
                     v @ op @ v.adjoint() - op,
@@ -759,7 +751,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         grid = _grid_params()
         n_trials = min(config.trials, _COV_TRIAL_CAP)
         agg = _MaxAgg()
-        p_float = _p_float(rep)
+        p_float = rep.on(FLOAT).p
         for trial in range(n_trials):
             rng = _rng(config, f"covariance.{rep.name}", trial)
             p = _sample_massive(rng, config)
@@ -769,10 +761,9 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             if rep.name == "spinor":
                 psi, psi1, psi2 = sr.psi, sr.psi1, sr.psi2
             else:
-                u = _u_float(sp, rep)
+                u = sp.on(FLOAT).intertwiner(rep).u
                 psi, psi1, psi2 = (
-                    PlaneWaveField(f.to_float().apply(u).terms, rep=rep, ncomp=4,
-                                   backend=FLOAT)
+                    PlaneWaveField(f.apply(u).terms, rep=rep, ncomp=4, backend=FLOAT)
                     for f in (sr.psi, sr.psi1, sr.psi2)
                 )
             params = grid[trial % len(grid)]
@@ -802,7 +793,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                 bad.max_residual(), _CONTROL_FLOOR,
             )
             s01 = spinor_transform(LorentzParams("boost", (0, 1), 1.0), rep)
-            p1f = _p_float(rep)[0]
+            p1f = rep.on(FLOAT).p[0]
             out.add_control(
                 f"covariance.{rep.name}.control.boost01-noncommute", "S", FLOAT,
                 commutator(s01, p1f).max_abs(), _CONTROL_FLOOR,
@@ -811,8 +802,8 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
-    p1f, p2f = _p_float(sp)[:2]
-    v_float = build_projectors(sp).v.to_float()
+    view = sp.on(FLOAT)
+    p1f, p2f = view.p[:2]
 
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
     rot, boost = special_frame(p_w)
@@ -849,7 +840,7 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
             "P2a", "P2a",
             reduced_dirac_residual(moved2.apply(p2f), p.mass).max_abs(),
         )
-        image = proj1.apply(v_float)
+        image = proj1.apply(view.v)
         v_resid = max(
             reduced_dirac_residual(image, p.mass).max_abs(),
             (image.apply(p2f) - image).max_abs(),

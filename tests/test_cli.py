@@ -43,6 +43,11 @@ def test_invalid_trials_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infinite_tol_is_usage_error(capsys):
+    assert main(["weyl", "--tol", "inf"]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_human_output_marks_exact_and_raise_records(capsys):
     main(["split", "--trials", "2"])
     out = capsys.readouterr().out
@@ -117,7 +122,15 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    ["not json at all", json.dumps([1, 2]), json.dumps({"cadence": 3})],
+    [
+        "not json at all",
+        json.dumps([1, 2]),
+        json.dumps({"cadence": 3}),
+        json.dumps({"tol": float("inf")}),
+        json.dumps({"trials": True}),
+        json.dumps({"trials": 1.5}),
+        json.dumps({"mass_range": ["a", 2]}),
+    ],
 )
 def test_bad_config_files(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

@@ -17,7 +17,7 @@ from diracsplit.gamma import (
     sigma,
 )
 from diracsplit.matrices import Matrix, max_abs_diff
-from diracsplit.scalars import EXACT, GaussianRational
+from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 
 
 def test_rep_names_pinned():
@@ -161,3 +161,56 @@ def test_intertwiner_unknown_pair(spinor):
 
 def test_intertwiner_invalid_is_exported():
     assert issubclass(IntertwinerInvalid, Exception)
+
+
+# -- per-backend views -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_view_is_built_once_per_backend(rep, backend):
+    view = rep.on(backend)
+    assert view is rep.on(backend)
+    assert view.backend == backend and view.rep is rep
+
+
+def _view_matrices(view):
+    """Every matrix a view holds, flattened in a fixed order."""
+    links = [view.intertwiner(build_rep(n)) for n in REP_NAMES]
+    mats = list(view.gammas) + [view.gamma5] + list(view.gammas_lower)
+    mats += [m for row in view.sigmas for m in row]
+    mats += [view.q_plus, view.q_minus, *view.p, view.v, view.conjugation]
+    mats += [link.w for link in links]
+    return mats, links
+
+
+def test_float_view_is_promoted_exact_view(rep):
+    exact, exact_links = _view_matrices(rep.on(EXACT))
+    floated, float_links = _view_matrices(rep.on(FLOAT))
+    assert len(exact) == len(floated)
+    for a, b in zip(exact, floated):
+        assert a.backend == EXACT and b.backend == FLOAT
+        assert b.entries == a.to_float().entries
+    for a, b in zip(exact_links, float_links):
+        assert b.norm2 == a.norm2
+        if a.u is not None:
+            assert b.u.entries == a.u.to_float().entries
+        else:
+            assert b.u.entries == a.w.to_float().scale(1.0 / a.norm2**0.5).entries
+
+
+def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
+    """A rep reusing a pinned name is verified on its own, never served the pinned data."""
+    from diracsplit.gamma import GammaRep
+
+    std = build_rep("standard")
+    fake = GammaRep(name="standard", gammas=(-std.gammas[0],) + std.gammas[1:],
+                    gamma5=std.gamma5)
+    intertwiner_pair(spinor, std)  # the pinned pair is verified and kept
+    with pytest.raises(IntertwinerInvalid):
+        intertwiner_pair(spinor, fake)
+    assert intertwiner_pair(spinor, std)[1] == 2
+
+
+def test_view_rejects_unknown_backend(spinor):
+    with pytest.raises(ValueError):
+        spinor.on("symbolic")

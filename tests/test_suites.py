@@ -3,7 +3,7 @@
 import pytest
 
 from diracsplit import Report, RunConfig, run
-from diracsplit.suites import DEFAULT_SEED, SUITE_NAMES, _sub_seed
+from diracsplit.suites import BACKEND_CHOICES, DEFAULT_SEED, REP_CHOICES, SUITE_NAMES, _sub_seed
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,14 @@ def small_report():
         {"mass_range": (2.0, 1.0)},
         {"momentum_range": (-1.0, 1.0)},
         {"momentum_range": (5.0, 1.0)},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"trials": True},
+        {"trials": 1.5},
+        {"seed": True},
+        {"seed": 7.0},
+        {"mass_range": (0.1, float("inf"))},
+        {"momentum_range": ("a", 1.0)},
     ],
 )
 def test_config_validation(kwargs):
@@ -170,3 +178,13 @@ def test_rep_all_covers_every_basis():
 def test_invalid_config_rejected_by_run():
     with pytest.raises(ValueError):
         run(RunConfig(trials=0))
+
+
+@pytest.mark.parametrize("backend", BACKEND_CHOICES)
+@pytest.mark.parametrize("rep", REP_CHOICES)
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_selection_runs_checks(suite, rep, backend):
+    """No suite x rep x backend selection passes vacuously with zero checks."""
+    report = run(RunConfig(suite=suite, rep=rep, backend=backend, trials=1))
+    assert report.failed == 0
+    assert report.checks
