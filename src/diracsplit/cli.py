@@ -1,7 +1,9 @@
 """Command-line front end: run verification suites, emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-or configuration error, 3 JSON report path unwritable.
+or configuration error, 3 JSON report path unwritable, 4 a library error
+(a :class:`~diracsplit.errors.DiracSplitError`) stopped a suite; its code
+is printed on stderr and no report is written.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .errors import DiracSplitError
 from .reports import Report, format_human
 from .suites import (
     BACKEND_CHOICES,
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_JSON_UNWRITABLE = 3
+EXIT_LIBRARY_ERROR = 4
 
 _CONFIG_KEYS = (
     "suite",
@@ -130,7 +134,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = run(config)
+    try:
+        report = run(config)
+    except DiracSplitError as exc:
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return EXIT_LIBRARY_ERROR
     sys.stdout.write(format_human(report))
 
     if args.json is not None:

@@ -23,18 +23,6 @@ class BackendMismatch(DiracSplitError):
     code = "backend-mismatch"
 
 
-class ExpRequiresFloat(DiracSplitError):
-    """Matrix exponential was requested on an exact-backend matrix."""
-
-    code = "exp-requires-float"
-
-
-class ExpDiverged(DiracSplitError):
-    """Matrix exponential power series failed to converge."""
-
-    code = "exp-diverged"
-
-
 class IntertwinerInvalid(DiracSplitError):
     """A similarity transform failed its construction-time checks."""
 

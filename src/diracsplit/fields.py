@@ -67,11 +67,13 @@ class FourMomentum:
         return self.minkowski_square() - self.mass * self.mass
 
     def is_on_shell(self, tol: float = _SHELL_TOL) -> bool:
-        if self.p[0] <= 0:
+        """p0 > 0 and p^2 = m^2: exactly, or for floats within tol relative to p0^2."""
+        p0 = self.p[0]
+        if p0 <= 0:
             return False
         if self.backend == EXACT:
             return self.shell_defect() == 0
-        return abs(self.shell_defect()) <= tol
+        return abs(self.shell_defect()) <= tol * max(1.0, p0 * p0)
 
     def to_float(self) -> "FourMomentum":
         if self.backend == FLOAT:

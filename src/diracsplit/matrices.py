@@ -3,8 +3,8 @@
 A :class:`Matrix` is an immutable n-by-n array (n is 2 or 4 throughout
 the package) stored as a flat row-major tuple.  Exact matrices hold
 :class:`~diracsplit.scalars.GaussianRational` entries and never round;
-float matrices hold Python ``complex`` and route their hot operations
-through the selected kernel implementation.
+float matrices hold Python ``complex`` and route their products and
+magnitude scans through :mod:`diracsplit.kernels`.
 
 Binary operations require both operands on the same backend; promotion
 is one way, exact to float, via :meth:`Matrix.to_float`.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import BackendMismatch, ExpDiverged, ExpRequiresFloat
+from .errors import BackendMismatch
 from .scalars import (
     EXACT,
     FLOAT,
@@ -24,8 +24,6 @@ from .scalars import (
     scalar_abs,
     scalar_is_zero,
 )
-
-_EXP_SERIES_TOL = 1e-18
 
 
 class Matrix:
@@ -215,17 +213,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b + b @ a
-
-
-def mat_exp(a: Matrix, tol: float = _EXP_SERIES_TOL) -> Matrix:
-    """Matrix exponential; float backend only."""
-    if a.backend != FLOAT:
-        raise ExpRequiresFloat("mat_exp needs a float matrix; promote first")
-    try:
-        flat = kernels.expm(a.n, a.entries, tol)
-    except ValueError as exc:
-        raise ExpDiverged(str(exc)) from None
-    return Matrix(a.n, FLOAT, flat)
 
 
 def max_abs_diff(a: Matrix, b: Matrix) -> float:

@@ -124,17 +124,6 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def record_from_entry(check_id: str, entry: ResidualEntry, tol: float) -> CheckRecord:
-    return CheckRecord(
-        check_id=check_id,
-        equation=entry.equation,
-        backend=entry.backend,
-        residual=entry.residual,
-        exact_zero=entry.exact_zero,
-        ok=entry.within(tol),
-    )
-
-
 def format_human(report: Report) -> str:
     """Fixed-width text rendering of a report."""
     lines = []

@@ -733,6 +733,16 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                     f"covariance.{rep.name}.v-reduced-op.{idx}", "V",
                     v @ op @ v.adjoint() - op,
                 )
+            # the premise of the closed-form spinor transform, plane by plane
+            sigmas = rep.on(EXACT).sigmas
+            for mu in range(4):
+                for nu in range(mu + 1, 4):
+                    sig = sigmas[mu][nu]
+                    out.add_exact(
+                        f"covariance.{rep.name}.sigma-square.{mu}{nu}", "S",
+                        sig @ sig
+                        - Matrix.identity(4).scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu]),
+                    )
 
         if not config.run_float:
             continue

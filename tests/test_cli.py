@@ -6,13 +6,16 @@ import sys
 
 import pytest
 
+from diracsplit import suites
 from diracsplit.cli import (
     EXIT_CHECK_FAILURES,
     EXIT_JSON_UNWRITABLE,
+    EXIT_LIBRARY_ERROR,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from diracsplit.errors import OffShell
 
 
 def test_passing_run(capsys):
@@ -106,6 +109,31 @@ def test_config_file_applies(tmp_path, capsys):
     assert data["config"]["trials"] == 4
     assert data["config"]["seed"] == 99
     assert data["config"]["momentum_range"] == [0.0, 5.0]
+
+
+def test_wide_momentum_range_writes_report(tmp_path, capsys):
+    # float residuals grow with |p| and may exceed their absolute bounds;
+    # the run must still finish with a verdict and a report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"momentum_range": [0, 1000], "trials": 20}))
+    out_json = tmp_path / "out.json"
+    code = main(["all", "--config", str(cfg), "--json", str(out_json)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILURES)
+    capsys.readouterr()
+    data = json.loads(out_json.read_text())
+    assert data["config"]["momentum_range"] == [0.0, 1000.0]
+    assert data["summary"]["passed"] + data["summary"]["failed"] == len(data["checks"])
+
+
+def test_library_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    def broken_suite(config, out):
+        raise OffShell("momentum off the shell")
+
+    monkeypatch.setitem(suites._SUITE_RUNNERS, "weyl", broken_suite)
+    out_json = tmp_path / "out.json"
+    assert main(["weyl", "--json", str(out_json)]) == EXIT_LIBRARY_ERROR
+    assert "error: off-shell: momentum off the shell" in capsys.readouterr().err
+    assert not out_json.exists()
 
 
 def test_flags_override_config_file(tmp_path, capsys):

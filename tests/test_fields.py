@@ -68,6 +68,16 @@ def test_on_shell_constructor(m, sp):
     assert p.is_on_shell(tol=1e-9)
 
 
+def test_float_shell_test_is_relative_to_energy():
+    # |p| ~ 1e3: rounding alone leaves p^2 - m^2 far above an absolute 1e-12
+    p = FourMomentum.on_shell(1.0, (600.0, -500.0, 700.0))
+    assert abs(p.shell_defect()) > 1e-12
+    assert p.is_on_shell()
+    off = FourMomentum.floats((p.p[0] + 1e-3, *p.p[1:]), 1.0)
+    assert abs(off.shell_defect()) > 1.0
+    assert not off.is_on_shell()
+
+
 def test_momentum_to_float():
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     q = p.to_float()

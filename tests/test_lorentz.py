@@ -23,7 +23,8 @@ from diracsplit import (
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import build_rep
-from diracsplit.matrices import max_abs_diff
+from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.scalars import FLOAT
 
 omegas = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 masses = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -117,10 +118,74 @@ def test_boost03_spinor_rep_is_diagonal_exponential(spinor, w):
 
 
 def _float_identity():
-    from diracsplit import Matrix
-    from diracsplit.scalars import FLOAT
-
     return Matrix.identity(4, FLOAT)
+
+
+# -- closed form against the series ----------------------------------------------
+
+
+def _series_exp(a: Matrix) -> Matrix:
+    """exp(a) by scaling and squaring over the Taylor series (test oracle).
+
+    a is halved until its crude norm bound n * max|a_ij| is at most 1/2,
+    where 30 terms leave a truncation error far below rounding, and the
+    sum is squared back up (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    """
+    squarings = 0
+    while a.max_abs() * a.n > 0.5:
+        a = a.scale(0.5)
+        squarings += 1
+    result = term = Matrix.identity(a.n, FLOAT)
+    for k in range(1, 30):
+        term = (term @ a).scale(1.0 / k)
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def test_series_oracle_nilpotent():
+    a = Matrix(2, FLOAT, (0j, 1 + 0j, 0j, 0j))
+    want = Matrix(2, FLOAT, (1 + 0j, 1 + 0j, 0j, 1 + 0j))
+    assert max_abs_diff(_series_exp(a), want) < 1e-15
+
+
+@pytest.mark.parametrize("w", [0.3, 1.0, 2.5, -1.7])
+def test_series_oracle_rotation_generator(w):
+    """exp of [[0, w], [-w, 0]] is the plane rotation by angle w."""
+    a = Matrix(2, FLOAT, (0j, complex(w), complex(-w), 0j))
+    c, s = complex(math.cos(w)), complex(math.sin(w))
+    want = Matrix(2, FLOAT, (c, s, -s, c))
+    assert max_abs_diff(_series_exp(a), want) < 1e-13
+
+
+def test_series_oracle_diagonal():
+    e = _series_exp(Matrix(2, FLOAT, (complex(0.7), 0j, 0j, complex(-1.2))))
+    assert abs(e.entries[0] - math.exp(0.7)) < 1e-14
+    assert abs(e.entries[3] - math.exp(-1.2)) < 1e-14
+    assert abs(e.entries[1]) == 0.0
+
+
+ALL_PLANES = [
+    ("boost", (0, 1)), ("boost", (0, 2)), ("boost", (0, 3)),
+    ("rotation", (1, 2)), ("rotation", (1, 3)), ("rotation", (2, 3)),
+]
+CLOSED_FORM_OMEGAS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.3, -1.3, 3.0, -3.0)
+
+
+@pytest.mark.parametrize(
+    "kind, plane", ALL_PLANES, ids=[f"{k}{p[0]}{p[1]}" for k, p in ALL_PLANES]
+)
+def test_closed_form_matches_series(rep, kind, plane):
+    mu, nu = plane
+    sig = rep.on(FLOAT).sigmas[mu][nu]
+    for w in CLOSED_FORM_OMEGAS:
+        params = LorentzParams(kind, plane, w)
+        s = spinor_transform(params, rep)
+        exponent = sig.scale(complex(0, -0.5 * w * params.generator_sign))
+        assert max_abs_diff(s, _series_exp(exponent)) <= 1e-12
+        s_inv = spinor_transform(params.inverse(), rep)
+        assert max_abs_diff(s @ s_inv, _float_identity()) <= 1e-12
 
 
 def test_rotation_representative_is_unitary(rep):

@@ -1,12 +1,10 @@
-"""Exact/float matrix layer: algebra, promotion, exponential."""
-
-import math
+"""Exact/float matrix layer: algebra and promotion."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracsplit.errors import BackendMismatch, ExpRequiresFloat
-from diracsplit.matrices import Matrix, commutator, mat_exp, max_abs_diff
+from diracsplit.errors import BackendMismatch
+from diracsplit.matrices import Matrix, commutator, max_abs_diff
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 
 
@@ -77,41 +75,6 @@ def test_commutator_antisymmetric():
     assert (commutator(a, b) + commutator(b, a)).is_zero
     # [a, b] = diag(1, -1) for these ladder matrices
     assert (commutator(a, b) - Matrix.diag((1, -1))).is_zero
-
-
-def test_exp_nilpotent():
-    a = Matrix(2, FLOAT, (0j, 1 + 0j, 0j, 0j))
-    e = mat_exp(a)
-    want = Matrix(2, FLOAT, (1 + 0j, 1 + 0j, 0j, 1 + 0j))
-    assert max_abs_diff(e, want) < 1e-15
-
-
-@pytest.mark.parametrize("w", [0.3, 1.0, 2.5, -1.7])
-def test_exp_rotation_generator(w):
-    """exp of [[0, w], [-w, 0]] is the plane rotation by angle w."""
-    a = Matrix(2, FLOAT, (0j, complex(w), complex(-w), 0j))
-    e = mat_exp(a)
-    want = Matrix(
-        2, FLOAT,
-        (
-            complex(math.cos(w)), complex(math.sin(w)),
-            complex(-math.sin(w)), complex(math.cos(w)),
-        ),
-    )
-    assert max_abs_diff(e, want) < 1e-13
-
-
-def test_exp_diagonal_oracle():
-    a = Matrix(2, FLOAT, (complex(0.7), 0j, 0j, complex(-1.2)))
-    e = mat_exp(a)
-    assert abs(e.entries[0] - math.exp(0.7)) < 1e-14
-    assert abs(e.entries[3] - math.exp(-1.2)) < 1e-14
-    assert abs(e.entries[1]) == 0.0
-
-
-def test_exp_requires_float():
-    with pytest.raises(ExpRequiresFloat):
-        mat_exp(Matrix.identity(2, EXACT))
 
 
 def test_apply_vector():
