@@ -103,7 +103,10 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
                 if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in rng):
                     raise UsageError(f"{key} entries must be numbers")
-                values[key] = (float(rng[0]), float(rng[1]))
+                try:
+                    values[key] = (float(rng[0]), float(rng[1]))
+                except OverflowError:
+                    raise UsageError(f"{key} entries must be finite numbers") from None
         # the suite positional is always explicit on the command line,
         # so a "suite" key in the file never overrides it
     for key in ("rep", "backend", "tol", "trials", "seed"):

@@ -21,6 +21,13 @@ intertwiners to the other bases -- is read from ``rep.on(backend)``, a
 :class:`RepView`.  Each piece is built on first use, validated exactly
 once per representation, and kept on the representation object; the
 float view holds the ``to_float()`` of the validated exact matrices.
+
+Each structural relation has one residual function here (``*_residual``,
+``*_residuals``), returning labelled residuals with their paper-equation
+tags in report order.  The residuals a validation demands to vanish --
+the intertwiner's (``Intertwiner.residuals``) and the projector
+family's -- are kept with the validated data, so the verification
+suites record the very residuals that validation checked.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Optional
 
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
+from .reports import ResidualReport, residual_entry
 from .scalars import EXACT, FLOAT, HALF, GaussianRational, I
 
 REP_NAMES = ("spinor", "standard", "majorana")
@@ -39,7 +47,8 @@ REP_NAMES = ("spinor", "standard", "majorana")
 #: signs of the metric diag(1, -1, -1, -1)
 METRIC_SIGNS = (1, -1, -1, -1)
 
-#: index pairs (mu, nu) with mu <= nu, the order used by clifford_residual
+#: index pairs (mu, nu) with mu <= nu: the order of the anticommutator
+#: residuals of clifford_residual (and of the report's clifford checks)
 INDEX_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(mu, 4))
 
 # 2x2 building blocks
@@ -88,12 +97,15 @@ class Intertwiner:
     exactly; U = W / sqrt(norm2) is the unitary change of basis.  The
     exact data has U only where sqrt(norm2) is rational; the float data
     always has it, as to_float(U), or as to_float(W) / sqrt(norm2) where
-    U is irrational.
+    U is irrational.  ``residuals`` are those the exact verification
+    found identically zero: ``unitary`` (Wdag W - norm2 Id) and
+    ``similarity.gamma<mu>`` / ``similarity.gamma5`` (W a Wdag - norm2 b).
     """
 
     w: Matrix
     norm2: int
     u: Optional[Matrix]
+    residuals: ResidualReport
 
 
 def _promote(value):
@@ -163,7 +175,10 @@ class RepView:
 
     @_materialised
     def projectors(self) -> tuple:
-        """(Q+, Q-, (P1, P2, P3, P4), V), validated exactly as a family."""
+        """(Q+, Q-, (P1, P2, P3, P4), V, residuals), validated exactly as a family.
+
+        ``residuals`` are the exact ones of that validation, on either view.
+        """
         return _projector_family(self.rep)
 
     q_plus = property(lambda self: self.projectors[0], doc="Q+ = (1 + gamma5)/2.")
@@ -187,7 +202,7 @@ class RepView:
                 w, u = _promote((exact.w, exact.u))
                 if u is None:
                     u = w.scale(1.0 / exact.norm2**0.5)
-                link = Intertwiner(w, exact.norm2, u)
+                link = Intertwiner(w, exact.norm2, u, exact.residuals)
             self._links[rep_to] = link
         return link
 
@@ -254,35 +269,52 @@ def build_rep(name: str) -> GammaRep:
         ) from None
 
 
-def clifford_residual(rep: GammaRep) -> list:
-    """The ten independent anticommutator residuals.
+def _demand_zero(residuals: ResidualReport, error, where: str) -> None:
+    """Raise ``error`` for the first residual that does not vanish identically."""
+    for e in residuals:
+        if not e.exact_zero:
+            raise error(f"{e.label} residual {e.residual:.3e} is not zero ({where})")
 
-    Entry k is {gamma^mu, gamma^nu} - 2 g^{mu nu} Id for the k-th pair in
-    INDEX_PAIRS; every entry is exactly zero for a valid representation.
+
+def _entries(backend: str, relations) -> ResidualReport:
+    """Measure (label, equation, residual) triples on ``backend``."""
+    return ResidualReport(tuple(residual_entry(label, eq, backend, value)
+                                for label, eq, value in relations))
+
+
+def clifford_residual(view: "RepView") -> ResidualReport:
+    """The ten independent anticommutator residuals, on the view's backend.
+
+    ``anticommute.<mu><nu>`` (equation Dirac1) is {gamma^mu, gamma^nu} -
+    2 g^{mu nu} Id for the pairs of INDEX_PAIRS; each vanishes exactly
+    for a valid representation.
     """
-    out = []
-    ident = Matrix.identity(4)
+    gams = view.gammas
+    ident = Matrix.identity(4, view.backend)
+    relations = []
     for mu, nu in INDEX_PAIRS:
-        anti = rep.gammas[mu] @ rep.gammas[nu] + rep.gammas[nu] @ rep.gammas[mu]
+        anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
         if mu == nu:
             anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
-        out.append(anti)
-    return out
+        relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
+    return _entries(view.backend, relations)
 
 
-def gamma5_residuals(rep: GammaRep) -> list:
-    """Residuals of the gamma5 relations.
+def gamma5_residuals(view: "RepView") -> ResidualReport:
+    """Residuals of the gamma5 relations (equation DiracNeutrino), on the view's backend.
 
-    Returns six matrices: gamma5 + i g0 g1 g2 g3, gamma5^2 - Id, and the
-    four anticommutators {gamma5, gamma^mu}.
+    ``gamma5.definition`` is gamma5 + i g0 g1 g2 g3, ``gamma5.square`` is
+    gamma5^2 - Id and ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.
     """
-    g0, g1, g2, g3 = rep.gammas
-    product = g0 @ g1 @ g2 @ g3
-    out = [rep.gamma5 + product.scale(I)]
-    out.append(rep.gamma5 @ rep.gamma5 - Matrix.identity(4))
-    for mu in range(4):
-        out.append(rep.gamma5 @ rep.gammas[mu] + rep.gammas[mu] @ rep.gamma5)
-    return out
+    g0, g1, g2, g3 = gams = view.gammas
+    g5, backend = view.gamma5, view.backend
+    i_unit = I if backend == EXACT else 1j
+    relations = [
+        ("gamma5.definition", g5 + (g0 @ g1 @ g2 @ g3).scale(i_unit)),
+        ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
+    ]
+    relations += [(f"gamma5.anticommute.{mu}", g5 @ g + g @ g5) for mu, g in enumerate(gams)]
+    return _entries(backend, ((label, "DiracNeutrino", m) for label, m in relations))
 
 
 def sigma(rep: GammaRep, mu: int, nu: int) -> Matrix:
@@ -296,10 +328,9 @@ _QUARTER = Fraction(1, 4)
 
 
 def _projector_family(rep: GammaRep) -> tuple:
-    """Q+-, the rank-3 family P1..P4 and the swap V, validated exactly.
+    """Q+-, P1..P4 and V, validated exactly, with their ``_family_residuals``.
 
-    The formulas and the relations checked are listed in the
-    ``projectors`` module docstring.
+    The formulas are listed in the ``projectors`` module docstring.
     """
     ident = Matrix.identity(4)
     g5 = rep.gamma5
@@ -317,34 +348,104 @@ def _projector_family(rep: GammaRep) -> tuple:
 
     v = (rep.gammas[2] @ rep.gammas[3]).scale(I)
 
-    _validate_family(rep, q_plus, q_minus, ps, v)
-    return q_plus, q_minus, ps, v
+    residuals = _family_residuals(q_plus, q_minus, ps, v)
+    _demand_zero(residuals, ProjectorAlgebraViolation, f"rep {rep.name}")
+    return q_plus, q_minus, ps, v, residuals
 
 
-def _validate_family(rep, q_plus, q_minus, ps, v):
-    ident = Matrix.identity(4)
+_PAIRS_OF_FOUR = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 
-    def demand(m: Matrix, what: str):
-        if not m.is_zero:
-            raise ProjectorAlgebraViolation(f"{what} (rep {rep.name})")
 
-    demand(q_plus @ q_plus - q_plus, "Q+ not idempotent")
-    demand(q_minus @ q_minus - q_minus, "Q- not idempotent")
-    demand(q_plus + q_minus - ident, "Q+ + Q- != 1")
-    demand(q_plus @ q_minus, "Q+ Q- != 0")
+def _family_residuals(q_plus, q_minus, ps, v) -> ResidualReport:
+    """The relations the family is validated against, on the matrices' backend.
 
-    total = Matrix.zero(4)
+    Q+ + Q- = Id, Q+- idempotent, Q+ Q- = 0; each P_k idempotent with
+    trace 3; P1 + P2 + P3 + P4 = 3 Id; [P_a, P_b] = 0; V unitary.
+    """
+    backend = v.backend
+    ident = Matrix.identity(4, backend)
+    relations = [
+        ("q.sum", "DiracNeutrino", q_plus + q_minus - ident),
+        ("q.idempotent-plus", "DiracNeutrino", q_plus @ q_plus - q_plus),
+        ("q.idempotent-minus", "DiracNeutrino", q_minus @ q_minus - q_minus),
+        ("q.orthogonal", "DiracNeutrino", q_plus @ q_minus),
+    ]
     for k, p in enumerate(ps, start=1):
-        demand(p @ p - p, f"P{k} not idempotent")
-        if p.trace() != 3:
-            raise ProjectorAlgebraViolation(f"P{k} trace != 3 (rep {rep.name})")
-        total = total + p
-    demand(total - ident.scale(3), "sum of P_k != 3")
-    for a in range(4):
-        for b in range(a + 1, 4):
-            demand(commutator(ps[a], ps[b]), f"[P{a + 1}, P{b + 1}] != 0")
+        relations += [(f"p{k}.idempotent", f"P{k}", p @ p - p),
+                      (f"p{k}.trace", f"P{k}", p.trace() - 3)]
+    relations.append(("sum", "PRO", ps[0] + ps[1] + ps[2] + ps[3] - ident.scale(3)))
+    relations += [(f"commute.p{a + 1}p{b + 1}", "PRO", commutator(ps[a], ps[b]))
+                  for a, b in _PAIRS_OF_FOUR]
+    relations.append(("v-swap.unitary", "V", v @ v.adjoint() - ident))
+    return _entries(backend, relations)
 
-    demand(v @ v.adjoint() - ident, "V not unitary")
+
+def swap_residuals(view: "RepView", v: Optional[Matrix] = None) -> ResidualReport:
+    """V P1 V^-1 - P2 and V P2 V^-1 - P1; a negative control passes another ``v``."""
+    v = view.v if v is None else v
+    p1, p2 = view.p[:2]
+    vinv = v.adjoint()  # unitary
+    return _entries(view.backend, (("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
+                                   ("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1)))
+
+
+def projector_residuals(view: "RepView") -> ResidualReport:
+    """Every relation of one basis's projector family, in report order.
+
+    Those of ``_family_residuals`` come from the validation on the exact
+    view and are measured afresh on the float view.  The others are
+    [P_k, gamma5], the complement 1 - P_k (idempotent and orthogonal to
+    P_k: the larger residual), the swap and [V, gamma0], [V, gamma1].
+    """
+    q_plus, q_minus, ps, v, checked = view.projectors
+    backend = view.backend
+    if backend != EXACT:
+        checked = _family_residuals(q_plus, q_minus, ps, v)
+    family = {e.label: e for e in checked}
+    ident = Matrix.identity(4, backend)
+
+    out = [family[label] for label in
+           ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
+    for k, p in enumerate(ps, start=1):
+        out += [family[f"p{k}.idempotent"], family[f"p{k}.trace"],
+                residual_entry(f"p{k}.gamma5-commute", "PRO", backend,
+                               commutator(p, view.gamma5))]
+    out.append(family["sum"])
+    out += [e for e in checked if e.label.startswith("commute.")]
+    for k, p in enumerate(ps, start=1):
+        eps = ident - p
+        complement = _entries(backend, (("idempotent", "PRO", eps @ eps - eps),
+                                        ("orthogonal", "PRO", eps @ p)))
+        out.append(complement.worst(f"complement.p{k}", "PRO"))
+    out += swap_residuals(view).entries
+    out += _entries(backend, (("v-swap.commute-gamma0", "V", commutator(v, view.gammas[0])),
+                              ("v-swap.commute-gamma1", "V", commutator(v, view.gammas[1]))))
+    out.append(family["v-swap.unitary"])
+    return ResidualReport(tuple(out))
+
+
+def transport_residuals(rep_from: GammaRep, rep_to: GammaRep) -> ResidualReport:
+    """W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), exactly.
+
+    The family of ``rep_from`` carried by the pinned intertwiner onto
+    that of ``rep_to``.
+    """
+    link = rep_from.on(EXACT).intertwiner(rep_to)
+    wd = link.w.adjoint()
+    pairs = zip(rep_from.on(EXACT).p, rep_to.on(EXACT).p)
+    return _entries(EXACT, ((f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
+                            for k, (a, b) in enumerate(pairs, start=1)))
+
+
+def spinor_diagonal_residuals() -> ResidualReport:
+    """P1..P4 and Q- of the spinor basis minus their pinned diagonals, exactly."""
+    view = _SPINOR.on(EXACT)
+    diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
+    relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d))
+                 for k, (p, d) in enumerate(zip(view.p, diagonals), start=1)]
+    qminus = view.q_minus - Matrix.diag((1, 1, 0, 0))
+    relations.append(("qminus.diagonal", "DiracNeutrino", qminus))
+    return _entries(EXACT, relations)
 
 
 # -- intertwiners ------------------------------------------------------------
@@ -385,17 +486,16 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
             f"no intertwiner for pair ({rep_from.name!r}, {rep_to.name!r})"
         ) from None
     wd = w.adjoint()
-    if not (wd @ w - Matrix.identity(4).scale(norm2)).is_zero:
-        raise IntertwinerInvalid(f"W not proportional-unitary for {rep_to.name}")
-    mats_from = rep_from.gammas + (rep_from.gamma5,)
-    mats_to = rep_to.gammas + (rep_to.gamma5,)
-    for a, b in zip(mats_from, mats_to):
-        if not (w @ a @ wd - b.scale(norm2)).is_zero:
-            raise IntertwinerInvalid(
-                f"similarity check failed for {rep_from.name} -> {rep_to.name}"
-            )
+    relations = [("unitary", "Dirac1", wd @ w - Matrix.identity(4).scale(norm2))]
+    names = [f"gamma{mu}" for mu in range(4)] + ["gamma5"]
+    for name, a, b in zip(names, rep_from.gammas + (rep_from.gamma5,),
+                          rep_to.gammas + (rep_to.gamma5,)):
+        relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
+    residuals = _entries(EXACT, relations)
+    _demand_zero(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
     root = {1: 1, 4: 2}.get(norm2)
-    return Intertwiner(w, norm2, None if root is None else w.scale(Fraction(1, root)))
+    u = None if root is None else w.scale(Fraction(1, root))
+    return Intertwiner(w, norm2, u, residuals)
 
 
 def intertwiner_pair(rep_from: GammaRep, rep_to: GammaRep):

@@ -32,7 +32,7 @@ from .errors import OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, momentum_op
 from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator, max_abs_diff
-from .reports import ResidualReport, entry_from_matrix, entry_from_value
+from .reports import ResidualReport, residual_entry
 from .scalars import EXACT, FLOAT, scalar_is_zero
 
 _BOOST = "boost"
@@ -147,9 +147,7 @@ def pconditions_residual(rep: GammaRep, s: Matrix, s_inv: Matrix,
             if coeff != 0.0:
                 acc = acc + gf[mu].scale(complex(coeff, 0))
         resid = s_inv @ gf[nu] @ s - acc
-        entries.append(
-            entry_from_value(f"Pconditions.nu{nu}", "Pconditions", FLOAT, resid.max_abs())
-        )
+        entries.append(residual_entry(f"Pconditions.nu{nu}", "Pconditions", FLOAT, resid))
     return ResidualReport(tuple(entries))
 
 
@@ -165,24 +163,17 @@ def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
     vt = vector_transform(params)
     ident = Matrix.identity(4, FLOAT)
 
-    entries = [
-        entry_from_value("vector.metric", "Pconditions", FLOAT, vt.metric_residual),
-        entry_from_value("S.inverse", "S", FLOAT, max_abs_diff(s @ s_inv, ident)),
-    ]
-    report = ResidualReport(tuple(entries)).merged(
-        pconditions_residual(rep, s, s_inv, vt)
-    )
-    pf = rep.on(FLOAT).p
-    prime_entries = []
-    for k in range(1, 5):
-        p_prime = s @ pf[k - 1] @ s_inv
-        prime_entries.append(
-            entry_from_value(
-                f"Pprime.P{k}.idempotent", "P'", FLOAT,
-                max_abs_diff(p_prime @ p_prime, p_prime),
-            )
-        )
-    return report.merged(ResidualReport(tuple(prime_entries)))
+    head = ResidualReport((
+        residual_entry("vector.metric", "Pconditions", FLOAT, vt.metric_residual),
+        residual_entry("S.inverse", "S", FLOAT, max_abs_diff(s @ s_inv, ident)),
+    ))
+    primes = []
+    for k, p in enumerate(rep.on(FLOAT).p, start=1):
+        p_prime = s @ p @ s_inv
+        primes.append(residual_entry(f"Pprime.P{k}.idempotent", "P'", FLOAT,
+                                     max_abs_diff(p_prime @ p_prime, p_prime)))
+    tail = ResidualReport(tuple(primes))
+    return head.merged(pconditions_residual(rep, s, s_inv, vt)).merged(tail)
 
 
 def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualReport:
@@ -197,19 +188,14 @@ def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualRepor
         sig = exact.sigmas[mu][nu]
         for i in (1, 2):
             comm = commutator(sig, exact.p[i - 1])
-            entries.append(
-                entry_from_matrix(f"commute.sigma{mu}{nu}.P{i}", "S", comm)
-            )
+            entries.append(residual_entry(f"commute.sigma{mu}{nu}.P{i}", "S", EXACT, comm))
     for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
         for w in omegas:
             s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
             for i in (1, 2):
                 comm = commutator(s, flt.p[i - 1])
-                entries.append(
-                    entry_from_value(
-                        f"commute.S{mu}{nu}.w{w:g}.P{i}", "S", FLOAT, comm.max_abs()
-                    )
-                )
+                label = f"commute.S{mu}{nu}.w{w:g}.P{i}"
+                entries.append(residual_entry(label, "S", FLOAT, comm))
     return ResidualReport(tuple(entries))
 
 

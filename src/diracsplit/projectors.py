@@ -14,7 +14,9 @@ zero.  The unitary V = i gamma2 gamma3 swaps P1 and P2 while commuting
 with gamma0 and gamma1.  The family is built and its algebra verified
 exactly once per representation, by the representation's view
 (``rep.on(backend)``, see ``gamma.RepView``); this module reads it from
-there.
+there.  The residuals of every relation of the family, the V-swap
+relations and those of that validation included, come from
+``gamma.projector_residuals``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gamma import GammaRep
-from .matrices import Matrix, commutator
-from .reports import ResidualReport, entry_from_matrix
+from .matrices import Matrix
 from .scalars import EXACT
 
 
@@ -57,24 +58,3 @@ def build_projectors(rep: GammaRep) -> ProjectorSet:
 def corson_complement(projectors: ProjectorSet, k: int) -> Matrix:
     """The rank-1 complement 1 - P_k."""
     return Matrix.identity(4) - projectors.projector(k)
-
-
-def v_swap_check(projectors: ProjectorSet) -> ResidualReport:
-    """Residuals of the V-swap relations.
-
-    V P1 V^-1 = P2, V P2 V^-1 = P1, [V, gamma0] = [V, gamma1] = 0, and
-    unitarity of V.  All five vanish exactly for a valid family.
-    """
-    rep = projectors.rep
-    v = projectors.v
-    vinv = v.adjoint()  # unitary
-    ident = Matrix.identity(4)
-    p1, p2 = projectors.p[0], projectors.p[1]
-    entries = (
-        entry_from_matrix("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
-        entry_from_matrix("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1),
-        entry_from_matrix("v-swap.commute-gamma0", "V", commutator(v, rep.gammas[0])),
-        entry_from_matrix("v-swap.commute-gamma1", "V", commutator(v, rep.gammas[1])),
-        entry_from_matrix("v-swap.unitary", "V", v @ v.adjoint() - ident),
-    )
-    return ResidualReport(entries)

@@ -1,24 +1,40 @@
 """Residual bookkeeping and the run-report data model.
 
-Check functions return a :class:`ResidualReport`, a flat list of labeled
-residual magnitudes.  Exact-backend residuals that vanish identically
+Every residual becomes a :class:`ResidualEntry` through one constructor,
+:func:`residual_entry`.  Exact-backend residuals that vanish identically
 are recorded with ``exact_zero=True`` and no numeric value; everything
-else carries a float magnitude to compare against a tolerance.
+else carries a float magnitude.  Check functions return their entries
+as a :class:`ResidualReport`, a flat list in report order.
 
-The CLI aggregates reports into :class:`Report`, whose JSON form is
-stable: key order and field names are part of the interface, and two
-runs with the same configuration produce byte-identical output except
-for ``wall_ms``.
+A check judges its entry by its kind and bound:
+
+* ``EXACT_ZERO`` passes only when the residual vanishes identically; an
+  ordinary check on the exact backend is of this kind;
+* ``WITHIN`` passes when the residual is at most the bound, a tolerance;
+  an ordinary check on the float backend is of this kind;
+* ``CONTROL`` is a negative control: it passes when the residual exceeds
+  the bound, its floor;
+* ``RAISES`` is a negative control with no residual: it passes when the
+  expected exception was raised, and its bound is that outcome.
+
+The CLI aggregates the judged checks into :class:`Report`, whose JSON
+form is stable: key order and field names are part of the interface,
+and two runs with the same configuration produce byte-identical output
+except for ``wall_ms``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .matrices import Matrix
-from .scalars import EXACT
+from .scalars import EXACT, scalar_abs, scalar_is_zero
+
+EXACT_ZERO = "exact-zero"
+WITHIN = "within"
+CONTROL = "control"
+RAISES = "raises"
 
 
 @dataclass(frozen=True)
@@ -26,13 +42,46 @@ class ResidualEntry:
     label: str
     equation: str
     backend: str
-    residual: Optional[float]  # None only for exact zeros
+    residual: Optional[float]  # None for exact zeros and raise checks
     exact_zero: bool
 
+    def passes(self, kind: str, bound=0.0) -> bool:
+        """The verdict of a check of ``kind`` against ``bound`` (see the module docstring)."""
+        if kind == EXACT_ZERO:
+            return self.exact_zero
+        if kind == RAISES:
+            return bound is True
+        if self.residual is None:
+            return False
+        if kind == WITHIN:
+            return self.residual <= bound
+        if kind == CONTROL:
+            return self.residual > bound
+        raise ValueError(f"unknown check kind {kind!r}")
+
     def within(self, tol: float) -> bool:
-        if self.exact_zero:
-            return True
-        return self.residual is not None and self.residual <= tol
+        """The verdict of an ordinary check: exact zero if exact, else at most ``tol``."""
+        return self.passes(EXACT_ZERO if self.backend == EXACT else WITHIN, tol)
+
+
+def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEntry:
+    """Measure a residual on ``backend``.
+
+    ``value`` is a Matrix or a PlaneWaveField, a sequence of scalars (one
+    per plane-wave term), one scalar, or None for a check that has no
+    residual.  On the exact backend a residual that vanishes identically
+    is an exact zero; otherwise the entry holds the largest magnitude.
+    """
+    if value is None:
+        return ResidualEntry(label, equation, backend, None, False)
+    if hasattr(value, "max_abs"):  # a Matrix or a PlaneWaveField
+        zero = backend == EXACT and value.is_zero
+        magnitude = None if zero else value.max_abs()
+    else:
+        values = value if isinstance(value, (list, tuple)) else (value,)
+        zero = backend == EXACT and all(scalar_is_zero(v) for v in values)
+        magnitude = None if zero else max((scalar_abs(v) for v in values), default=0.0)
+    return ResidualEntry(label, equation, backend, None if zero else float(magnitude), zero)
 
 
 @dataclass(frozen=True)
@@ -54,19 +103,10 @@ class ResidualReport:
     def merged(self, other: "ResidualReport") -> "ResidualReport":
         return ResidualReport(self.entries + other.entries)
 
-
-def entry_from_matrix(label: str, equation: str, m: Matrix) -> ResidualEntry:
-    """Record a residual matrix (value should be zero)."""
-    if m.backend == EXACT and m.is_zero:
-        return ResidualEntry(label, equation, m.backend, None, True)
-    return ResidualEntry(label, equation, m.backend, m.max_abs(), False)
-
-
-def entry_from_value(label: str, equation: str, backend: str, value: float) -> ResidualEntry:
-    """Record an already-measured residual magnitude."""
-    if backend == EXACT and value == 0:
-        return ResidualEntry(label, equation, backend, None, True)
-    return ResidualEntry(label, equation, backend, float(value), False)
+    def worst(self, label: str, equation: str) -> ResidualEntry:
+        """The entry with the largest residual, relabelled: one check over all of them."""
+        top = max(self.entries, key=lambda e: e.residual or 0.0)
+        return replace(top, label=label, equation=equation)
 
 
 # -- CLI-level records -------------------------------------------------------
@@ -136,7 +176,7 @@ def format_human(report: Report) -> str:
         if c.exact_zero:
             res = "exact-zero"
         elif c.residual is None:
-            res = "raised-as-expected"
+            res = "raised-as-expected" if c.ok else "did-not-raise"
         else:
             res = f"{c.residual:.3e}"
         lines.append(

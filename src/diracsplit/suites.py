@@ -1,18 +1,25 @@
 """Deterministic verification suites: structural checks plus fuzz campaigns.
 
-Each suite emits flat check records.  Exact-backend records pass only
+Each suite turns residual entries (``reports.residual_entry``) into flat
+check records through one ``_Collector.add``, where the check's kind
+decides the verdict (see ``reports``).  Exact-backend records pass only
 when the residual is identically zero; float records compare against the
 run tolerance.  Families whose bounds are pinned two decades tighter
 (massless algebra, metric preservation, generator commutators, frame
-drift) use tol/100 so the default 1e-10 run enforces 1e-12 on them.
+drift, and the float runs of the structural suites) use tol/100 so the
+default 1e-10 run enforces 1e-12 on them.
+
+The structural suites (``clifford``, ``projectors``) hold no algebra of
+their own: they record the residual functions of ``gamma``, which on the
+exact backend hand back the residuals the views already verified.
 
 Fuzz trials derive per-trial sub-seeds from (seed, family tag, index),
 so records are independent of execution order and two runs with the
 same config produce identical reports.
 
 Negative controls are expected-fail checks: they pass when a residual
-is LARGE or when the right error is raised, keeping the suite honest
-about its own discriminating power.
+is LARGE (kind ``CONTROL``) or when the right error is raised (kind
+``RAISES``), keeping the suite honest about its own discriminating power.
 """
 
 from __future__ import annotations
@@ -36,7 +43,17 @@ from .fields import (
     u_spinor,
     weyl_spinor,
 )
-from .gamma import METRIC_SIGNS, REP_NAMES, build_rep, intertwiner_pair
+from .gamma import (
+    METRIC_SIGNS,
+    REP_NAMES,
+    build_rep,
+    clifford_residual,
+    gamma5_residuals,
+    projector_residuals,
+    spinor_diagonal_residuals,
+    swap_residuals,
+    transport_residuals,
+)
 from .lorentz import (
     LorentzParams,
     covariance_check,
@@ -49,9 +66,8 @@ from .lorentz import (
     vector_transform,
 )
 from .matrices import Matrix, commutator
-from .projectors import build_projectors, v_swap_check
-from .reports import CheckRecord, Report, ResidualEntry
-from .scalars import EXACT, FLOAT, GaussianRational, scalar_abs
+from .reports import CONTROL, RAISES, CheckRecord, Report, ResidualEntry, residual_entry
+from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
     constituent_residuals,
     identity_residuals,
@@ -97,7 +113,7 @@ class RunConfig:
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown backend {self.backend!r}")
         # an infinite tolerance would pass every float check vacuously
-        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+        if not (_is_finite(self.tol) and self.tol > 0):
             raise ValueError("tol must be a finite positive number")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be an integer of at least 1")
@@ -105,7 +121,7 @@ class RunConfig:
             raise ValueError("seed must be an integer that fits in 64 bits")
         for key in ("mass_range", "momentum_range"):
             rng = getattr(self, key)
-            if not all(_is_real(x) and math.isfinite(x) for x in rng):
+            if not all(_is_finite(x) for x in rng):
                 raise ValueError(f"{key} entries must be finite numbers")
         lo, hi = self.mass_range
         if not (0 < lo <= hi):
@@ -143,8 +159,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    """A real number, not a bool, that is finite as a float (so no int beyond ~1.8e308)."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _selected_reps(config: RunConfig) -> tuple:
@@ -163,90 +185,24 @@ class _Collector:
     def __init__(self):
         self.records = []
 
-    def add_entry(self, check_id: str, entry: ResidualEntry, tol: float) -> None:
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=entry.equation,
-                backend=entry.backend,
-                residual=entry.residual,
-                exact_zero=entry.exact_zero,
-                ok=entry.within(tol),
-            )
-        )
+    def add(self, check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> None:
+        """Record ``entry`` as check ``check_id``, judged by its kind against ``bound``.
 
-    def add_exact(self, check_id: str, equation: str, resid: Matrix) -> None:
-        zero = resid.is_zero
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=equation,
-                backend=EXACT,
-                residual=None if zero else resid.max_abs(),
-                exact_zero=zero,
-                ok=zero,
-            )
-        )
+        Without a kind the check is an ordinary one: exact zero on the
+        exact backend, within ``bound`` on the float backend.
+        """
+        ok = entry.passes(kind, bound) if kind else entry.within(bound)
+        self.records.append(CheckRecord(check_id, entry.equation, entry.backend,
+                                        entry.residual, entry.exact_zero, ok))
 
-    def add_exact_value(self, check_id: str, equation: str, residual) -> None:
-        """Exact-backend scalar residual; passes only when identically zero."""
-        mag = scalar_abs(residual)
-        zero = mag == 0.0
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=equation,
-                backend=EXACT,
-                residual=None if zero else mag,
-                exact_zero=zero,
-                ok=zero,
-            )
-        )
 
-    def add_float(self, check_id: str, equation: str, residual: float, tol: float) -> None:
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=equation,
-                backend=FLOAT,
-                residual=float(residual),
-                exact_zero=False,
-                ok=residual <= tol,
-            )
-        )
-
-    def add_control(self, check_id: str, equation: str, backend: str,
-                    residual: float, floor: float) -> None:
-        """Expected-fail check: passes when the residual is LARGE."""
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=equation,
-                backend=backend,
-                residual=float(residual),
-                exact_zero=False,
-                ok=residual > floor,
-            )
-        )
-
-    def add_raise(self, check_id: str, equation: str, backend: str,
-                  fn, exc_type) -> None:
-        """Expected-fail check: passes when fn raises exc_type."""
-        try:
-            fn()
-            ok = False
-        except exc_type:
-            ok = True
-        self.records.append(
-            CheckRecord(
-                check_id=check_id,
-                equation=equation,
-                backend=backend,
-                residual=None,
-                exact_zero=False,
-                ok=ok,
-            )
-        )
+def _raises(fn, exc_type) -> bool:
+    """Whether ``fn()`` raises ``exc_type``: the bound of a RAISES check."""
+    try:
+        fn()
+    except exc_type:
+        return True
+    return False
 
 
 class _MaxAgg:
@@ -260,13 +216,10 @@ class _MaxAgg:
         if prev is None or value > prev[1]:
             self.worst[label] = (equation, value)
 
-    def add_entries(self, entries) -> None:
-        for e in entries:
-            self.add(e.label, e.equation, e.residual or 0.0)
-
     def emit(self, out: _Collector, prefix: str, tol_for) -> None:
         for label, (equation, value) in self.worst.items():
-            out.add_float(f"{prefix}.{label}", equation, value, tol_for(label))
+            out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
+                    tol_for(label))
 
 
 # -- seeded sampling -------------------------------------------------------------
@@ -323,13 +276,6 @@ _WITNESS_XI1 = {1: (_GR(6), _GR(4, 4)), 2: (_GR(-3, 3), _GR(-4))}
 _WITNESS_XI2 = {1: (_GR(-4), _GR(-3, -3)), 2: (_GR(4, -4), _GR(6))}
 
 
-def _tuple_residual(got: tuple, want: tuple):
-    return max(
-        (scalar_abs(a - b) for a, b in zip(got, want)),
-        default=0.0,
-    )
-
-
 def _component_block(p: FourMomentum) -> Matrix:
     """The componentwise form of gamma.p in the spinor basis.
 
@@ -357,160 +303,47 @@ def _structural_backend(config: RunConfig) -> str:
     return FLOAT if (config.run_float and not config.run_exact) else EXACT
 
 
+_REP_PAIRS = tuple((a, b) for a in _ALL_REPS for b in _ALL_REPS if a is not b)
+
+
 def _run_clifford(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
         view = rep.on(backend)
-        gams, g5 = view.gammas, view.gamma5
-        ident = Matrix.identity(4, backend)
-
-        def emit(check_id, equation, resid):
-            if backend == EXACT:
-                out.add_exact(check_id, equation, resid)
-            else:
-                out.add_float(check_id, equation, resid.max_abs(), config.strict_tol)
-
-        for mu in range(4):
-            for nu in range(mu, 4):
-                anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
-                if mu == nu:
-                    anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
-                emit(f"clifford.{rep.name}.anticommute.{mu}{nu}", "Dirac1", anti)
-        product = gams[0] @ gams[1] @ gams[2] @ gams[3]
-        i_unit = _GR(0, 1) if backend == EXACT else 1j
-        emit(
-            f"clifford.{rep.name}.gamma5.definition", "DiracNeutrino",
-            g5 + product.scale(i_unit),
-        )
-        emit(f"clifford.{rep.name}.gamma5.square", "DiracNeutrino", g5 @ g5 - ident)
-        for mu in range(4):
-            emit(
-                f"clifford.{rep.name}.gamma5.anticommute.{mu}", "DiracNeutrino",
-                g5 @ gams[mu] + gams[mu] @ g5,
-            )
+        for e in clifford_residual(view).merged(gamma5_residuals(view)):
+            out.add(f"clifford.{rep.name}.{e.label}", e, config.strict_tol)
 
     if config.run_exact:
-        for rep_a in _ALL_REPS:
-            for rep_b in _ALL_REPS:
-                if rep_a.name == rep_b.name:
-                    continue
-                w, norm2 = intertwiner_pair(rep_a, rep_b)
-                wd = w.adjoint()
-                worst = (wd @ w - Matrix.identity(4).scale(norm2)).max_abs()
-                for g_from, g_to in zip(
-                    rep_a.gammas + (rep_a.gamma5,), rep_b.gammas + (rep_b.gamma5,)
-                ):
-                    resid = w @ g_from @ wd - g_to.scale(norm2)
-                    worst = max(worst, resid.max_abs())
-                out.add_exact_value(
-                    f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}", "Dirac1",
-                    worst,
-                )
+        for rep_a, rep_b in _REP_PAIRS:
+            residuals = rep_a.on(EXACT).intertwiner(rep_b).residuals
+            out.add(f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}",
+                    residuals.worst("intertwiner", "Dirac1"))
 
 
 # -- projectors suite -------------------------------------------------------------
 
-
-_SPINOR_DIAGS = {
-    1: (1, 1, 1, 0),
-    2: (1, 1, 0, 1),
-    3: (1, 0, 1, 1),
-    4: (0, 1, 1, 1),
-}
+#: V relations the float structural run leaves to the exact one
+_EXACT_ONLY_V = ("v-swap.commute-gamma0", "v-swap.commute-gamma1", "v-swap.unitary")
 
 
 def _run_projectors(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
-    use_float = backend == FLOAT
     for rep in _ALL_REPS:
-        view = rep.on(backend)
-        ident = Matrix.identity(4, backend)
-        q_plus, q_minus, pmats, v, g5 = view.q_plus, view.q_minus, view.p, view.v, view.gamma5
-
-        def emit(check_id, equation, resid):
-            if use_float:
-                out.add_float(check_id, equation, resid.max_abs(), config.strict_tol)
-            else:
-                out.add_exact(check_id, equation, resid)
-
-        emit(f"projectors.{rep.name}.q.sum", "DiracNeutrino", q_plus + q_minus - ident)
-        emit(f"projectors.{rep.name}.q.idempotent-plus", "DiracNeutrino",
-             q_plus @ q_plus - q_plus)
-        emit(f"projectors.{rep.name}.q.idempotent-minus", "DiracNeutrino",
-             q_minus @ q_minus - q_minus)
-        emit(f"projectors.{rep.name}.q.orthogonal", "DiracNeutrino", q_plus @ q_minus)
-
-        acc = None
-        for k in range(1, 5):
-            pk = pmats[k - 1]
-            emit(f"projectors.{rep.name}.p{k}.idempotent", f"P{k}", pk @ pk - pk)
-            trace_resid = pk.trace() - (3.0 if use_float else Fraction(3))
-            if use_float:
-                out.add_float(
-                    f"projectors.{rep.name}.p{k}.trace", f"P{k}",
-                    abs(trace_resid), config.strict_tol,
-                )
-            else:
-                out.add_exact_value(f"projectors.{rep.name}.p{k}.trace", f"P{k}", trace_resid)
-            emit(f"projectors.{rep.name}.p{k}.gamma5-commute", "PRO", commutator(pk, g5))
-            acc = pk if acc is None else acc + pk
-        emit(f"projectors.{rep.name}.sum", "PRO", acc - ident.scale(3))
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                emit(
-                    f"projectors.{rep.name}.commute.p{i}p{j}", "PRO",
-                    commutator(pmats[i - 1], pmats[j - 1]),
-                )
-        for k in range(1, 5):
-            eps = ident - pmats[k - 1]
-            resid = eps @ eps - eps
-            resid2 = eps @ pmats[k - 1]
-            worst = resid if resid.max_abs() >= resid2.max_abs() else resid2
-            emit(f"projectors.{rep.name}.complement.p{k}", "PRO", worst)
-
-        if not use_float:
-            for e in v_swap_check(build_projectors(rep)):
-                out.add_entry(f"projectors.{rep.name}.{e.label}", e, config.tol)
-        else:
-            vinv = v.adjoint()
-            out.add_float(f"projectors.{rep.name}.v-swap.p1-to-p2", "V",
-                          (v @ pmats[0] @ vinv - pmats[1]).max_abs(), config.strict_tol)
-            out.add_float(f"projectors.{rep.name}.v-swap.p2-to-p1", "V",
-                          (v @ pmats[1] @ vinv - pmats[0]).max_abs(), config.strict_tol)
+        for e in projector_residuals(rep.on(backend)):
+            if backend == EXACT or e.label not in _EXACT_ONLY_V:
+                out.add(f"projectors.{rep.name}.{e.label}", e, config.strict_tol)
 
     if config.run_exact:
-        sp = build_rep("spinor")
-        ps = build_projectors(sp)
-        for k in range(1, 5):
-            want = Matrix.diag(_SPINOR_DIAGS[k])
-            out.add_exact(f"projectors.spinor.p{k}.diagonal", f"P{k}", ps.p[k - 1] - want)
-        out.add_exact(
-            "projectors.spinor.qminus.diagonal", "DiracNeutrino",
-            ps.q_minus - Matrix.diag((1, 1, 0, 0)),
-        )
-        for rep_a in _ALL_REPS:
-            for rep_b in _ALL_REPS:
-                if rep_a.name == rep_b.name:
-                    continue
-                w, norm2 = intertwiner_pair(rep_a, rep_b)
-                pa = build_projectors(rep_a)
-                pb = build_projectors(rep_b)
-                worst = None
-                for k in range(4):
-                    resid = w @ pa.p[k] @ w.adjoint() - pb.p[k].scale(norm2)
-                    if worst is None or resid.max_abs() > worst.max_abs():
-                        worst = resid
-                out.add_exact(
-                    f"projectors.transport.{rep_a.name}-to-{rep_b.name}", "PRO", worst
-                )
+        for e in spinor_diagonal_residuals():
+            out.add(f"projectors.spinor.{e.label}", e)
+        for rep_a, rep_b in _REP_PAIRS:
+            out.add(f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
+                    transport_residuals(rep_a, rep_b).worst("transport", "PRO"))
 
     # negative control: the identity matrix does not swap P1 and P2
-    sp = build_rep("spinor")
-    ps = build_projectors(sp)
-    swap_resid = (ps.p[0] - ps.p[1]).max_abs()
-    out.add_control(
-        "projectors.control.identity-for-v", "V", EXACT, swap_resid, _CONTROL_FLOOR
-    )
+    spinor = build_rep("spinor").on(EXACT)
+    control = swap_residuals(spinor, Matrix.identity(4)).worst("identity-for-v", "V")
+    out.add("projectors.control.identity-for-v", control, _CONTROL_FLOOR, CONTROL)
 
 
 # -- split suite ------------------------------------------------------------------
@@ -531,32 +364,26 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
     if config.run_exact:
         for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
             q = FourMomentum.exact(comps, 1)
-            out.add_exact(
-                f"split.dirac2-block.{tag}", "Dirac2",
-                dirac_matrix(sp, q, 1) - _component_block(q),
-            )
+            block = dirac_matrix(sp, q, 1) - _component_block(q)
+            out.add(f"split.dirac2-block.{tag}",
+                    residual_entry("dirac2-block", "Dirac2", EXACT, block))
         p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
         for s in (1, 2):
             u = u_spinor(p, sp, s)
-            out.add_exact_value(
-                f"split.witness.s{s}.u-amplitude", "Dirac1",
-                _tuple_residual(u.amplitude, _WITNESS_U[s]),
+            sr = split(field_of(u, sp), Fraction(_WITNESS_MASS))
+            witnesses = (
+                ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
+                ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
+                ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
             )
-            psi = field_of(u, sp)
-            sr = split(psi, Fraction(_WITNESS_MASS))
-            out.add_exact_value(
-                f"split.witness.s{s}.xi1-values", "DEF1",
-                _tuple_residual(sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
-            )
-            out.add_exact_value(
-                f"split.witness.s{s}.xi2-values", "DEF1",
-                _tuple_residual(sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
-            )
-            for e in _split_reports(sr):
-                out.add_entry(f"split.witness.s{s}.{e.label}", e, config.tol)
+            for label, eq, got, want in witnesses:
+                diff = [a - b for a, b in zip(got, want)]
+                out.add(f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff))
+            entries = _split_reports(sr).entries
             for rep_to in others:
-                for e in transported_constituent_residuals(sr, rep_to):
-                    out.add_entry(f"split.witness.s{s}.{e.label}", e, config.tol)
+                entries += transported_constituent_residuals(sr, rep_to).entries
+            for e in entries:
+                out.add(f"split.witness.s{s}.{e.label}", e)
 
     if config.run_float:
         agg = _MaxAgg()
@@ -575,7 +402,8 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
                 )
                 agg.add("u-normalization", "Dirac1", norm_defect)
                 sr = split(psi, p.mass, require_solution=False)
-                agg.add_entries(_split_reports(sr))
+                for e in _split_reports(sr):
+                    agg.add(e.label, e.equation, e.residual)
             dot = sum(a.conjugate() * b for a, b in zip(amps[0], amps[1]))
             agg.add("u-orthogonality", "Dirac1", abs(dot))
         agg.emit(out, "split.fuzz", lambda label: config.tol)
@@ -584,20 +412,17 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
         amp = u_spinor(p_on, sp, 1).amplitude
         p_off = FourMomentum((p_on.p[0] + 0.5,) + p_on.p[1:], 1.0, FLOAT)
         f_off = field_of(PlaneWaveTerm(amp, p_off, 1), sp)
-        out.add_control(
-            "split.control.offshell-dirac", "Dirac1", FLOAT,
-            dirac_residual(f_off, 1.0).max_abs(), _OFFSHELL_FLOOR,
-        )
-        out.add_raise(
-            "split.control.offshell-rejected", "Dirac1", FLOAT,
-            lambda: split(f_off, 1.0), NotASolution,
-        )
+        out.add("split.control.offshell-dirac",
+                residual_entry("offshell-dirac", "Dirac1", FLOAT, dirac_residual(f_off, 1.0)),
+                _OFFSHELL_FLOOR, CONTROL)
+        out.add("split.control.offshell-rejected",
+                residual_entry("offshell-rejected", "Dirac1", FLOAT, None),
+                _raises(lambda: split(f_off, 1.0), NotASolution), RAISES)
         k = FourMomentum.floats((1.0, 0.0, 0.0, 1.0), 0)
         wf = field_of(weyl_spinor(k, sp, "left"), sp)
-        out.add_raise(
-            "split.control.massless-rejected", "DEF1", FLOAT,
-            lambda: split(wf, 0.0), SplitRequiresMass,
-        )
+        out.add("split.control.massless-rejected",
+                residual_entry("massless-rejected", "DEF1", FLOAT, None),
+                _raises(lambda: split(wf, 0.0), SplitRequiresMass), RAISES)
 
 
 # -- weyl suite -------------------------------------------------------------------
@@ -612,15 +437,11 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
                 f = field_of(weyl_spinor(k, rep, ch), rep)
                 for e in weyl_residuals(f):
                     short = e.label.replace("weyl.", "", 1)
-                    out.add_entry(
-                        f"weyl.witness.{rep.name}.{ch}.{short}", e, config.strict_tol
-                    )
+                    out.add(f"weyl.witness.{rep.name}.{ch}.{short}", e)
                 proj = view.q_plus if ch == "left" else view.q_minus
-                image_diff = f.apply(proj) - f
-                out.add_exact_value(
-                    f"weyl.witness.{rep.name}.{ch}.chiral-image", "DiracNeutrino",
-                    Fraction(0) if image_diff.is_zero else image_diff.max_abs(),
-                )
+                moved = f.apply(proj) - f
+                out.add(f"weyl.witness.{rep.name}.{ch}.chiral-image",
+                        residual_entry("chiral-image", "DiracNeutrino", EXACT, moved))
         if config.run_float:
             view = rep.on(FLOAT)
             agg = _MaxAgg()
@@ -642,15 +463,12 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
     pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
     massive = field_of(u_spinor(pm, sp, 1), sp)
-    out.add_raise(
-        "weyl.control.massive-rejected", "Weyl1", FLOAT,
-        lambda: weyl_residuals(massive), WeylRequiresMassless,
-    )
+    out.add("weyl.control.massive-rejected",
+            residual_entry("massive-rejected", "Weyl1", FLOAT, None),
+            _raises(lambda: weyl_residuals(massive), WeylRequiresMassless), RAISES)
     forced = weyl_residuals(massive, check_mass=False)
-    out.add_control(
-        "weyl.control.massive-residual", "Weyl1", FLOAT,
-        forced.max_residual(), _CONTROL_FLOOR,
-    )
+    out.add("weyl.control.massive-residual", forced.worst("massive-residual", "Weyl1"),
+            _CONTROL_FLOOR, CONTROL)
 
 
 # -- majorana suite ---------------------------------------------------------------
@@ -665,20 +483,14 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
                 if rep.name == "spinor":
                     for e in majorana_residuals(maj, Fraction(_WITNESS_MASS)):
                         short = e.label.replace("majorana.", "", 1)
-                        out.add_entry(
-                            f"majorana.witness.s{s}.{short}", e, config.tol
-                        )
+                        out.add(f"majorana.witness.s{s}.{short}", e)
                 else:
-                    selfconj = maj - charge_conjugate(maj)
-                    out.add_exact_value(
-                        f"majorana.witness.{rep.name}.s{s}.selfconj", "MAJORANA",
-                        Fraction(0) if selfconj.is_zero else selfconj.max_abs(),
-                    )
-                    dr = dirac_residual(maj, Fraction(_WITNESS_MASS))
-                    out.add_exact_value(
-                        f"majorana.witness.{rep.name}.s{s}.dirac", "Dirac1",
-                        Fraction(0) if dr.is_zero else dr.max_abs(),
-                    )
+                    for label, eq, resid in (
+                        ("selfconj", "MAJORANA", maj - charge_conjugate(maj)),
+                        ("dirac", "Dirac1", dirac_residual(maj, Fraction(_WITNESS_MASS))),
+                    ):
+                        out.add(f"majorana.witness.{rep.name}.s{s}.{label}",
+                                residual_entry(label, eq, EXACT, resid))
         if config.run_float:
             # the spinor basis has the component checks; other bases get
             # the basis-independent ones, as their exact witnesses do
@@ -721,7 +533,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
             for e in pi_commutation_check(rep, omegas=()):
-                out.add_entry(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
+                out.add(f"covariance.{rep.name}.{e.label}", e)
             for idx, (a, b, mv) in enumerate(((3, 2, 1), (5, -7, 2))):
                 op = (
                     rep.gammas[0].scale(a)
@@ -729,20 +541,17 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                     - Matrix.identity(4).scale(mv)
                 )
                 v = rep.on(EXACT).v
-                out.add_exact(
-                    f"covariance.{rep.name}.v-reduced-op.{idx}", "V",
-                    v @ op @ v.adjoint() - op,
-                )
+                out.add(f"covariance.{rep.name}.v-reduced-op.{idx}",
+                        residual_entry("v-reduced-op", "V", EXACT, v @ op @ v.adjoint() - op))
             # the premise of the closed-form spinor transform, plane by plane
             sigmas = rep.on(EXACT).sigmas
             for mu in range(4):
                 for nu in range(mu + 1, 4):
                     sig = sigmas[mu][nu]
-                    out.add_exact(
-                        f"covariance.{rep.name}.sigma-square.{mu}{nu}", "S",
-                        sig @ sig
-                        - Matrix.identity(4).scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu]),
-                    )
+                    square = sig @ sig - Matrix.identity(4).scale(
+                        METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
+                    out.add(f"covariance.{rep.name}.sigma-square.{mu}{nu}",
+                            residual_entry("sigma-square", "S", EXACT, square))
 
         if not config.run_float:
             continue
@@ -753,10 +562,10 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                 prefix = f"covariance.{rep.name}.{kind}{plane[0]}{plane[1]}.w{w:g}"
                 for e in covariance_check(params, rep):
                     tol = config.strict_tol if e.label == "vector.metric" else config.tol
-                    out.add_entry(f"{prefix}.{e.label}", e, tol)
+                    out.add(f"{prefix}.{e.label}", e, tol)
         for e in pi_commutation_check(rep, omegas=(0.5, 1.3, 3.0)):
             if e.backend == FLOAT:
-                out.add_entry(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
+                out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
         grid = _grid_params()
         n_trials = min(config.trials, _COV_TRIAL_CAP)
@@ -798,16 +607,13 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             s_flip = spinor_transform(params.inverse(), rep)
             s_flip_inv = spinor_transform(params, rep)
             bad = pconditions_residual(rep, s_flip, s_flip_inv, vector_transform(params))
-            out.add_control(
-                f"covariance.{rep.name}.control.sign-flip", "Pconditions", FLOAT,
-                bad.max_residual(), _CONTROL_FLOOR,
-            )
+            out.add(f"covariance.{rep.name}.control.sign-flip",
+                    bad.worst("sign-flip", "Pconditions"), _CONTROL_FLOOR, CONTROL)
             s01 = spinor_transform(LorentzParams("boost", (0, 1), 1.0), rep)
             p1f = rep.on(FLOAT).p[0]
-            out.add_control(
-                f"covariance.{rep.name}.control.boost01-noncommute", "S", FLOAT,
-                commutator(s01, p1f).max_abs(), _CONTROL_FLOOR,
-            )
+            noncommute = residual_entry("boost01-noncommute", "S", FLOAT, commutator(s01, p1f))
+            out.add(f"covariance.{rep.name}.control.boost01-noncommute", noncommute,
+                    _CONTROL_FLOOR, CONTROL)
 
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
@@ -818,14 +624,9 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
     rot, boost = special_frame(p_w)
     moved = vector_transform(boost).apply(vector_transform(rot).apply(p_w))
-    target1 = 8.0 ** 0.5
-    witness_resid = max(
-        abs(moved.p[0] - 3.0), abs(moved.p[1] - target1),
-        abs(moved.p[2]), abs(moved.p[3]),
-    )
-    out.add_float(
-        "covariance.special-frame.witness", "P1a", witness_resid, config.strict_tol
-    )
+    offsets = (moved.p[0] - 3.0, moved.p[1] - 8.0 ** 0.5, moved.p[2], moved.p[3])
+    out.add("covariance.special-frame.witness",
+            residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol)
 
     agg = _MaxAgg()
     n_trials = min(config.trials, _COV_TRIAL_CAP)

@@ -16,6 +16,7 @@ from diracsplit.cli import (
     main,
 )
 from diracsplit.errors import OffShell
+from diracsplit.reports import CheckRecord, Report, format_human
 
 
 def test_passing_run(capsys):
@@ -56,6 +57,13 @@ def test_human_output_marks_exact_and_raise_records(capsys):
     out = capsys.readouterr().out
     assert "exact-zero" in out
     assert "raised-as-expected" in out
+
+
+def test_human_output_marks_a_failed_raise_check():
+    record = CheckRecord("x.control.rejected", "Dirac1", "float", None, False, False)
+    out = format_human(Report(config={}, checks=[record]))
+    assert "[FAIL]" in out and "residual=did-not-raise" in out
+    assert "raised-as-expected" not in out
 
 
 def test_json_report_schema(tmp_path, capsys):
@@ -158,6 +166,10 @@ def test_flags_override_config_file(tmp_path, capsys):
         json.dumps({"trials": True}),
         json.dumps({"trials": 1.5}),
         json.dumps({"mass_range": ["a", 2]}),
+        pytest.param('{"tol": 1' + "0" * 400 + "}", id="tol-beyond-float"),
+        pytest.param('{"mass_range": [0.1, 1' + "0" * 400 + "]}", id="mass-beyond-float"),
+        pytest.param('{"momentum_range": [0, 1' + "0" * 400 + "]}",
+                     id="momentum-beyond-float"),
     ],
 )
 def test_bad_config_files(tmp_path, capsys, content):

@@ -30,13 +30,24 @@ def test_unknown_rep_rejected():
 
 
 def test_clifford_residuals_exactly_zero(rep):
-    for resid in clifford_residual(rep):
-        assert resid.is_zero
+    report = clifford_residual(rep.on(EXACT))
+    assert [e.label for e in report] == [f"anticommute.{mu}{nu}" for mu in range(4)
+                                         for nu in range(mu, 4)]
+    assert report.all_exact_zero()
 
 
 def test_gamma5_relations_exactly_zero(rep):
-    for resid in gamma5_residuals(rep):
-        assert resid.is_zero
+    report = gamma5_residuals(rep.on(EXACT))
+    assert [e.label for e in report][:2] == ["gamma5.definition", "gamma5.square"]
+    assert report.all_exact_zero()
+
+
+@pytest.mark.parametrize("residuals", (clifford_residual, gamma5_residuals))
+def test_structural_residuals_on_float_view(rep, residuals):
+    exact, floated = residuals(rep.on(EXACT)), residuals(rep.on(FLOAT))
+    assert [e.label for e in floated] == [e.label for e in exact]
+    assert all(e.backend == FLOAT and not e.exact_zero for e in floated)
+    assert floated.all_within(1e-15)
 
 
 def test_spinor_gamma5_diagonal(spinor):
@@ -88,6 +99,16 @@ def test_intertwiner_pairs(a, b):
     assert (w.adjoint() @ w - Matrix.identity(4).scale(norm2)).is_zero
     for g_from, g_to in zip(ra.gammas, rb.gammas):
         assert (w @ g_from @ w.adjoint() - g_to.scale(norm2)).is_zero
+
+
+def test_intertwiner_keeps_its_verified_residuals(all_reps):
+    for a in all_reps:
+        for b in all_reps:
+            residuals = a.on(EXACT).intertwiner(b).residuals
+            assert [e.label for e in residuals] == ["unitary"] + [
+                f"similarity.gamma{mu}" for mu in (0, 1, 2, 3, 5)]
+            assert residuals.all_exact_zero()
+            assert a.on(FLOAT).intertwiner(b).residuals is residuals
 
 
 def test_intertwiner_unitary_float():

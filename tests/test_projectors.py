@@ -2,10 +2,11 @@
 
 import pytest
 
-from diracsplit import Matrix, build_projectors, corson_complement, v_swap_check
+from diracsplit import Matrix, build_projectors, corson_complement
 from diracsplit.errors import ProjectorAlgebraViolation
-from diracsplit.gamma import GammaRep, intertwiner_pair
+from diracsplit.gamma import GammaRep, intertwiner_pair, projector_residuals
 from diracsplit.matrices import commutator, exact_eq
+from diracsplit.scalars import EXACT
 
 IDENT = Matrix.identity(4)
 
@@ -70,7 +71,7 @@ def test_spinor_chiral_goldens(spinor):
 
 
 def test_v_swap_report(rep):
-    report = v_swap_check(build_projectors(rep))
+    report = [e for e in projector_residuals(rep.on(EXACT)) if e.label.startswith("v-swap.")]
     assert [e.label for e in report] == [
         "v-swap.p1-to-p2",
         "v-swap.p2-to-p1",
@@ -78,7 +79,16 @@ def test_v_swap_report(rep):
         "v-swap.commute-gamma1",
         "v-swap.unitary",
     ]
-    assert report.all_exact_zero()
+    assert all(e.exact_zero for e in report)
+
+
+def test_recorded_residuals_are_the_validated_ones(rep):
+    """The exact family's checks reuse the residuals its validation found zero."""
+    view = rep.on(EXACT)
+    validated = view.projectors[4]
+    recorded = {e.label: e for e in projector_residuals(view)}
+    assert validated.all_exact_zero() and len(validated.entries) == 20
+    assert all(recorded[e.label] is e for e in validated)
 
 
 def test_v_is_involution(rep):

@@ -1,9 +1,20 @@
 """Suite runner behavior: determinism, seeding, gating, controls."""
 
+import hashlib
+import json
+
 import pytest
 
-from diracsplit import Report, RunConfig, run
-from diracsplit.suites import BACKEND_CHOICES, DEFAULT_SEED, REP_CHOICES, SUITE_NAMES, _sub_seed
+from diracsplit import Report, ResidualEntry, RunConfig, run
+from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN
+from diracsplit.suites import (
+    BACKEND_CHOICES,
+    DEFAULT_SEED,
+    REP_CHOICES,
+    SUITE_NAMES,
+    _Collector,
+    _sub_seed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +49,9 @@ def small_report():
         {"seed": 7.0},
         {"mass_range": (0.1, float("inf"))},
         {"momentum_range": ("a", 1.0)},
+        {"tol": 10**400},
+        {"mass_range": (0.1, 10**400)},
+        {"momentum_range": (0.0, 10**400)},
     ],
 )
 def test_config_validation(kwargs):
@@ -188,3 +202,53 @@ def test_every_selection_runs_checks(suite, rep, backend):
     report = run(RunConfig(suite=suite, rep=rep, backend=backend, trials=1))
     assert report.failed == 0
     assert report.checks
+
+
+# -- verdicts by check kind ---------------------------------------------------
+
+
+def _verdict(entry, bound=0.0, kind=None):
+    out = _Collector()
+    out.add("x", entry, bound, kind)
+    (record,) = out.records
+    return record.ok
+
+
+def test_exact_record_passes_only_when_exactly_zero():
+    tiny = ResidualEntry("l", "E", "exact", 1e-12, False)
+    assert not tiny.within(1e-10)
+    assert not _verdict(tiny, 1e-10)
+    assert _verdict(ResidualEntry("l", "E", "exact", None, True), 1e-10)
+
+
+def test_verdicts_follow_the_check_kind():
+    small = ResidualEntry("l", "E", "float", 1e-12, False)
+    large = ResidualEntry("l", "E", "float", 0.5, False)
+    none = ResidualEntry("l", "E", "float", None, False)
+    assert _verdict(small, 1e-10) and not _verdict(large, 1e-10)
+    assert _verdict(small, 1e-10, WITHIN) and not _verdict(small, 1e-13, WITHIN)
+    assert not _verdict(small, 0.0, EXACT_ZERO)
+    assert _verdict(large, 0.1, CONTROL) and not _verdict(small, 0.1, CONTROL)
+    assert _verdict(none, True, RAISES) and not _verdict(none, False, RAISES)
+    with pytest.raises(ValueError):
+        _verdict(small, 0.0, "approximately")
+
+
+# -- record skeleton -------------------------------------------------------------
+
+#: sha256 of the (id, paper_eq, backend, exact_zero, pass) tuples of
+#: run(RunConfig(rep="all", trials=2, backend=b)), in report order
+_SKELETON_DIGESTS = {
+    "exact": (318, "1aaaa97f71e5bf52819557a0865acfad3531db26247156575a08abb3deb290db"),
+    "float": (619, "cd93ec4ea2fb391b78c0e470024ad037eef0ba6cad2d6c1403b9c2183a2e653b"),
+    "both": (799, "77b09bd508006426bb666e2c22fc90a701085cc4fd0a347f05bcf021522b6159"),
+}
+
+
+@pytest.mark.parametrize("backend", BACKEND_CHOICES)
+def test_record_skeleton_is_pinned(backend):
+    """Ids, order, equations, backends and verdicts of every suite on every basis."""
+    report = run(RunConfig(rep="all", trials=2, backend=backend))
+    skeleton = [(c.check_id, c.equation, c.backend, c.exact_zero, c.ok) for c in report.checks]
+    digest = hashlib.sha256(json.dumps(skeleton).encode()).hexdigest()
+    assert (len(skeleton), digest) == _SKELETON_DIGESTS[backend]
