@@ -9,6 +9,7 @@ is printed on stderr and no report is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -29,16 +30,7 @@ EXIT_USAGE = 2
 EXIT_JSON_UNWRITABLE = 3
 EXIT_LIBRARY_ERROR = 4
 
-_CONFIG_KEYS = (
-    "suite",
-    "rep",
-    "backend",
-    "tol",
-    "trials",
-    "seed",
-    "mass_range",
-    "momentum_range",
-)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 class UsageError(Exception):
@@ -88,29 +80,27 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _range_value(key: str, rng) -> tuple:
+    if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
+        raise UsageError(f"{key} must be a two-element list")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in rng):
+        raise UsageError(f"{key} entries must be numbers")
+    try:
+        return (float(rng[0]), float(rng[1]))
+    except OverflowError:
+        raise UsageError(f"{key} entries must be finite numbers") from None
+
+
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
-    values = {"suite": args.suite}
-    if args.config is not None:
-        file_values = _load_config_file(args.config)
-        for key in ("rep", "backend", "tol", "trials", "seed"):
-            if key in file_values:
-                values[key] = file_values[key]
-        for key in ("mass_range", "momentum_range"):
-            if key in file_values:
-                rng = file_values[key]
-                if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-                    raise UsageError(f"{key} must be a two-element list")
-                if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in rng):
-                    raise UsageError(f"{key} entries must be numbers")
-                try:
-                    values[key] = (float(rng[0]), float(rng[1]))
-                except OverflowError:
-                    raise UsageError(f"{key} entries must be finite numbers") from None
+    file_values = {} if args.config is None else _load_config_file(args.config)
+    values = {}
+    for key in _CONFIG_KEYS:
         # the suite positional is always explicit on the command line,
         # so a "suite" key in the file never overrides it
-    for key in ("rep", "backend", "tol", "trials", "seed"):
-        flag = getattr(args, key)
+        if key in file_values and key != "suite":
+            value = file_values[key]
+            values[key] = _range_value(key, value) if key.endswith("_range") else value
+        flag = getattr(args, key, None)  # the ranges have no flag
         if flag is not None:
             values[key] = flag
     try:
@@ -122,9 +112,8 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit_json(report: Report, path: str) -> None:
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.write(report.to_json())
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import kernels
 from .errors import (
     BackendMismatch,
     ChargeConjugationNeedsBispinor,
@@ -208,13 +209,7 @@ class PlaneWaveField:
         return not self.terms
 
     def max_abs(self) -> float:
-        m = 0.0
-        for t in self.terms:
-            for a in t.amplitude:
-                v = scalar_abs(a)
-                if v > m:
-                    m = v
-        return m
+        return kernels.max_abs(scalar_abs(a) for t in self.terms for a in t.amplitude)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneWaveField):

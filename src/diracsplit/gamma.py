@@ -73,9 +73,6 @@ class GammaRep:
     gamma5: Matrix
     _views: dict = field(default_factory=dict, init=False, repr=False)
 
-    def gamma(self, mu: int) -> Matrix:
-        return self.gammas[mu]
-
     def gamma_lower(self, mu: int) -> Matrix:
         return self.on(EXACT).gammas_lower[mu]
 

@@ -1,8 +1,13 @@
-"""Float kernels for small dense complex matrices.
+"""Float kernels for small dense complex matrices, and the magnitude scan.
 
 Matrices are flat row-major tuples of ``complex`` of length n*n with
-n in {2, 4}.  ``matrices.Matrix`` routes its float-backend products and
-magnitude scans through these functions.
+n in {2, 4}.  ``matrices.Matrix`` routes its float-backend products
+through these functions.
+
+``max_abs`` is the package's only largest-magnitude reduction: matrices,
+fields, residual entries and fuzz aggregates all scan through it.  Like
+IEEE 754-2019 ``maximum`` it propagates NaN, so a NaN residual can never
+read as a small one.
 """
 
 from __future__ import annotations
@@ -36,21 +41,18 @@ def mul_vec(n: int, a: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
-def max_abs(a: tuple) -> float:
-    """Largest entry magnitude."""
+def max_abs(values) -> float:
+    """Largest magnitude in ``values`` (any iterable; 0.0 if empty), NaN if any is NaN."""
     m = 0.0
-    for z in a:
+    for z in values:
         v = abs(z)
-        if v > m:
+        if not v <= m:
+            if v != v:
+                return v
             m = v
     return m
 
 
 def max_abs_diff(a: tuple, b: tuple) -> float:
-    """Largest entrywise difference magnitude."""
-    m = 0.0
-    for x, y in zip(a, b):
-        v = abs(x - y)
-        if v > m:
-            m = v
-    return m
+    """Largest entrywise difference magnitude, NaN if any is NaN."""
+    return max_abs(x - y for x, y in zip(a, b))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, momentum_op
 from .gamma import METRIC_SIGNS, GammaRep
@@ -105,15 +106,14 @@ def vector_transform(params: LorentzParams) -> VectorTransform:
 
 
 def _metric_defect(a: tuple) -> float:
-    worst = 0.0
+    defects = []
     for mu in range(4):
         for nu in range(4):
             acc = 0.0
             for al in range(4):
                 acc += a[al][mu] * METRIC_SIGNS[al] * a[al][nu]
-            target = METRIC_SIGNS[mu] if mu == nu else 0.0
-            worst = max(worst, abs(acc - target))
-    return worst
+            defects.append(acc - (METRIC_SIGNS[mu] if mu == nu else 0.0))
+    return kernels.max_abs(defects)
 
 
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
@@ -176,7 +176,7 @@ def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
     return head.merged(pconditions_residual(rep, s, s_inv, vt)).merged(tail)
 
 
-def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualReport:
+def pi_commutation_check(rep: GammaRep) -> ResidualReport:
     """[sigma_03, P_i] and [sigma_12, P_i], exactly and at float group elements.
 
     The generators of the (0,3) boost and (1,2) rotation commute with P1
@@ -190,7 +190,7 @@ def pi_commutation_check(rep: GammaRep, omegas=(0.5, 1.3, 3.0)) -> ResidualRepor
             comm = commutator(sig, exact.p[i - 1])
             entries.append(residual_entry(f"commute.sigma{mu}{nu}.P{i}", "S", EXACT, comm))
     for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
-        for w in omegas:
+        for w in (0.5, 1.3, 3.0):
             s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
             for i in (1, 2):
                 comm = commutator(s, flt.p[i - 1])
@@ -242,18 +242,15 @@ def transform_field(f: PlaneWaveField, params: LorentzParams) -> PlaneWaveField:
     return PlaneWaveField(out, rep=ff.rep, ncomp=4, backend=FLOAT)
 
 
-def reduced_dirac_residual(f: PlaneWaveField, mass, axes=(0, 1)) -> PlaneWaveField:
-    """(sum over axes of gamma^mu p_mu - m) f.
+def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
+    """(gamma^0 p_0 + gamma^1 p_1 - m) f.
 
-    In the special frame the momentum operator components outside
-    ``axes`` annihilate the field, and the Dirac operator collapses to
-    gamma^0 p_0 - gamma^1 p_1; this evaluates that reduced form.
+    In the special frame the momentum operator components p_2 and p_3
+    annihilate the field, and the Dirac operator gamma^mu p_mu collapses
+    to its (0, 1) part; this evaluates that reduced form.
     """
     if f.rep is None:
         raise ValueError("field carries no representation")
     gammas = f.rep.on(f.backend).gammas
-    acc = None
-    for mu in axes:
-        piece = momentum_op(f, mu).apply(gammas[mu]).scale(METRIC_SIGNS[mu])
-        acc = piece if acc is None else acc + piece
-    return acc - f.scale(mass)
+    t0, t1 = (momentum_op(f, mu).apply(gammas[mu]).scale(METRIC_SIGNS[mu]) for mu in (0, 1))
+    return t0 + t1 - f.scale(mass)

@@ -173,7 +173,7 @@ class Matrix:
     def max_abs(self) -> float:
         if self.backend == FLOAT:
             return kernels.max_abs(self.entries)
-        return max(scalar_abs(a) for a in self.entries)
+        return kernels.max_abs(map(scalar_abs, self.entries))
 
     def to_float(self) -> "Matrix":
         """Explicit promotion to the float backend."""
@@ -203,16 +203,8 @@ class Matrix:
 # -- module-level operations -----------------------------------------------
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
-
-
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b + b @ a
 
 
 def max_abs_diff(a: Matrix, b: Matrix) -> float:
@@ -221,12 +213,6 @@ def max_abs_diff(a: Matrix, b: Matrix) -> float:
         return kernels.max_abs_diff(a.entries, b.entries)
     return (a - b).max_abs()
 
-
-def approx_eq(a: Matrix, b: Matrix, tol: float) -> bool:
-    """Entrywise comparison within ``tol``; float backend only."""
-    if a.backend != FLOAT or b.backend != FLOAT:
-        raise BackendMismatch("approx_eq compares float matrices only")
-    return max_abs_diff(a, b) <= tol
 
 def exact_eq(a: Matrix, b: Matrix) -> bool:
     """Entrywise exact equality; exact backend only."""

@@ -3,8 +3,9 @@
 Every residual becomes a :class:`ResidualEntry` through one constructor,
 :func:`residual_entry`.  Exact-backend residuals that vanish identically
 are recorded with ``exact_zero=True`` and no numeric value; everything
-else carries a float magnitude.  Check functions return their entries
-as a :class:`ResidualReport`, a flat list in report order.
+else carries a float magnitude, its largest as scanned by
+``kernels.max_abs``, which propagates NaN.  Check functions return their
+entries as a :class:`ResidualReport`, a flat list in report order.
 
 A check judges its entry by its kind and bound:
 
@@ -16,6 +17,9 @@ A check judges its entry by its kind and bound:
   the bound, its floor;
 * ``RAISES`` is a negative control with no residual: it passes when the
   expected exception was raised, and its bound is that outcome.
+
+A NaN residual compares false with every bound, so it fails every kind
+that has a residual; the JSON report writes it as ``NaN``.
 
 The CLI aggregates the judged checks into :class:`Report`, whose JSON
 form is stable: key order and field names are part of the interface,
@@ -29,6 +33,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from . import kernels
 from .scalars import EXACT, scalar_abs, scalar_is_zero
 
 EXACT_ZERO = "exact-zero"
@@ -70,7 +75,8 @@ def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEn
     ``value`` is a Matrix or a PlaneWaveField, a sequence of scalars (one
     per plane-wave term), one scalar, or None for a check that has no
     residual.  On the exact backend a residual that vanishes identically
-    is an exact zero; otherwise the entry holds the largest magnitude.
+    is an exact zero; otherwise the entry holds the largest magnitude
+    (NaN if any magnitude is NaN).
     """
     if value is None:
         return ResidualEntry(label, equation, backend, None, False)
@@ -80,7 +86,7 @@ def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEn
     else:
         values = value if isinstance(value, (list, tuple)) else (value,)
         zero = backend == EXACT and all(scalar_is_zero(v) for v in values)
-        magnitude = None if zero else max((scalar_abs(v) for v in values), default=0.0)
+        magnitude = None if zero else kernels.max_abs(map(scalar_abs, values))
     return ResidualEntry(label, equation, backend, None if zero else float(magnitude), zero)
 
 
@@ -92,7 +98,7 @@ class ResidualReport:
         return iter(self.entries)
 
     def max_residual(self) -> float:
-        return max((e.residual or 0.0 for e in self.entries), default=0.0)
+        return kernels.max_abs(e.residual or 0.0 for e in self.entries)
 
     def all_exact_zero(self) -> bool:
         return all(e.exact_zero for e in self.entries)
@@ -104,9 +110,14 @@ class ResidualReport:
         return ResidualReport(self.entries + other.entries)
 
     def worst(self, label: str, equation: str) -> ResidualEntry:
-        """The entry with the largest residual, relabelled: one check over all of them."""
-        top = max(self.entries, key=lambda e: e.residual or 0.0)
-        return replace(top, label=label, equation=equation)
+        """The first entry with the largest residual, relabelled: one check over all of them.
+
+        A NaN residual is the largest, so the first NaN entry wins.
+        """
+        top = self.max_residual()
+        first = next(e for e in self.entries
+                     if (e.residual or 0.0) == top or e.residual != e.residual)
+        return replace(first, label=label, equation=equation)
 
 
 # -- CLI-level records -------------------------------------------------------

@@ -2,20 +2,25 @@
 
 Each suite turns residual entries (``reports.residual_entry``) into flat
 check records through one ``_Collector.add``, where the check's kind
-decides the verdict (see ``reports``).  Exact-backend records pass only
-when the residual is identically zero; float records compare against the
-run tolerance.  Families whose bounds are pinned two decades tighter
-(massless algebra, metric preservation, generator commutators, frame
-drift, and the float runs of the structural suites) use tol/100 so the
-default 1e-10 run enforces 1e-12 on them.
+decides the verdict (see ``reports``; a NaN residual fails every kind).
+Exact-backend records pass only when the residual is identically zero;
+float records compare against the run tolerance.  Families whose bounds
+are pinned two decades tighter (massless algebra, metric preservation,
+generator commutators, frame drift, and the float runs of the structural
+suites) use tol/100 so the default 1e-10 run enforces 1e-12 on them.
 
 The structural suites (``clifford``, ``projectors``) hold no algebra of
 their own: they record the residual functions of ``gamma``, which on the
 exact backend hand back the residuals the views already verified.
 
-Fuzz trials derive per-trial sub-seeds from (seed, family tag, index),
-so records are independent of execution order and two runs with the
-same config produce identical reports.
+A claim is checked exactly on a witness and in floats over seeded fuzz
+from the same code: ``_weyl_entries`` and ``_majorana_entries`` state
+their relations once and run on the backend of the momentum they are
+given.  One driver, ``_fuzz``, runs every campaign: trials derive
+per-trial sub-seeds from (seed, family tag, index), so records are
+independent of execution order and two runs with the same config produce
+identical reports, and each label's record holds its largest value over
+the trials, NaN if any trial gave NaN.
 
 Negative controls are expected-fail checks: they pass when a residual
 is LARGE (kind ``CONTROL``) or when the right error is raised (kind
@@ -27,10 +32,11 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from random import Random
 
+from . import kernels
 from .errors import NotASolution, SplitRequiresMass, WeylRequiresMassless
 from .fields import (
     FourMomentum,
@@ -131,16 +137,9 @@ class RunConfig:
             raise ValueError("momentum_range must satisfy 0 <= lo <= hi")
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "rep": self.rep,
-            "backend": self.backend,
-            "tol": self.tol,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mass_range": list(self.mass_range),
-            "momentum_range": list(self.momentum_range),
-        }
+        """Every field in declaration order, the ranges as lists."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, (list, tuple)) else v for k, v in items}
 
     @property
     def strict_tol(self) -> float:
@@ -205,24 +204,33 @@ def _raises(fn, exc_type) -> bool:
     return False
 
 
-class _MaxAgg:
-    """Max-aggregates residuals per label across fuzz trials."""
-
-    def __init__(self):
-        self.worst = {}
-
-    def add(self, label: str, equation: str, value: float) -> None:
-        prev = self.worst.get(label)
-        if prev is None or value > prev[1]:
-            self.worst[label] = (equation, value)
-
-    def emit(self, out: _Collector, prefix: str, tol_for) -> None:
-        for label, (equation, value) in self.worst.items():
-            out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
-                    tol_for(label))
+# -- seeded fuzz -----------------------------------------------------------------
 
 
-# -- seeded sampling -------------------------------------------------------------
+def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int,
+          measure, tol_for) -> None:
+    """Record, per label, the largest value ``measure`` gives over seeded trials.
+
+    ``measure(rng, trial)`` yields ``(label, equation, value)`` with a
+    float magnitude ``value``; trial ``i`` draws from the sub-seed of
+    (seed, ``tag``, i).  Each label becomes one float check
+    ``<prefix>.<label>`` judged within ``tol_for(label)``, in order of
+    first appearance.  The largest is taken by ``kernels.max_abs``, so a
+    NaN from any trial makes the record NaN, and it fails.
+    """
+    worst = {}
+    for trial in range(trials):
+        for label, equation, value in measure(_rng(config, tag, trial), trial):
+            prev = worst.get(label)
+            worst[label] = (equation, kernels.max_abs((prev[1], value)) if prev else value)
+    for label, (equation, value) in worst.items():
+        out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
+                tol_for(label))
+
+
+def _measured(entries):
+    """Fuzz values of residual entries: ``(label, equation, residual)``."""
+    return ((e.label, e.equation, e.residual) for e in entries)
 
 
 def _sub_seed(seed: int, tag: str, trial: int) -> int:
@@ -386,27 +394,21 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
                 out.add(f"split.witness.s{s}.{e.label}", e)
 
     if config.run_float:
-        agg = _MaxAgg()
-        for trial in range(config.trials):
-            rng = _rng(config, "split", trial)
+        def trial_residuals(rng, _):
             p = _sample_massive(rng, config)
             amps = []
             for s in (1, 2):
                 u = u_spinor(p, sp, s)
                 amps.append(u.amplitude)
                 psi = field_of(u, sp)
-                agg.add("input-dirac-residual", "Dirac1",
-                        dirac_residual(psi, p.mass).max_abs())
-                norm_defect = abs(
-                    sum(abs(a) ** 2 for a in u.amplitude) - 2.0 * p.p[0]
-                )
-                agg.add("u-normalization", "Dirac1", norm_defect)
-                sr = split(psi, p.mass, require_solution=False)
-                for e in _split_reports(sr):
-                    agg.add(e.label, e.equation, e.residual)
-            dot = sum(a.conjugate() * b for a, b in zip(amps[0], amps[1]))
-            agg.add("u-orthogonality", "Dirac1", abs(dot))
-        agg.emit(out, "split.fuzz", lambda label: config.tol)
+                yield "input-dirac-residual", "Dirac1", dirac_residual(psi, p.mass).max_abs()
+                norm = sum(abs(a) ** 2 for a in u.amplitude)
+                yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
+                yield from _measured(_split_reports(split(psi, p.mass, require_solution=False)))
+            yield "u-orthogonality", "Dirac1", abs(sum(a.conjugate() * b for a, b in zip(*amps)))
+
+        _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
+              lambda label: config.tol)
 
         p_on = FourMomentum.on_shell(1.0, (2.0, 2.0, 0.0))
         amp = u_spinor(p_on, sp, 1).amplitude
@@ -428,37 +430,25 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 # -- weyl suite -------------------------------------------------------------------
 
 
+def _weyl_entries(rep, p: FourMomentum):
+    """Per chirality, the four Weyl relations and the chiral image, on p's backend."""
+    view = rep.on(p.backend)
+    for ch, proj in (("left", view.q_plus), ("right", view.q_minus)):
+        f = field_of(weyl_spinor(p, rep, ch), rep)
+        for e in weyl_residuals(f):
+            yield replace(e, label=f"{ch}.{e.label.removeprefix('weyl.')}")
+        yield residual_entry(f"{ch}.chiral-image", "DiracNeutrino", p.backend, f.apply(proj) - f)
+
+
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            view = rep.on(EXACT)
-            k = FourMomentum.exact(_WEYL_WITNESS_K, 0)
-            for ch in ("left", "right"):
-                f = field_of(weyl_spinor(k, rep, ch), rep)
-                for e in weyl_residuals(f):
-                    short = e.label.replace("weyl.", "", 1)
-                    out.add(f"weyl.witness.{rep.name}.{ch}.{short}", e)
-                proj = view.q_plus if ch == "left" else view.q_minus
-                moved = f.apply(proj) - f
-                out.add(f"weyl.witness.{rep.name}.{ch}.chiral-image",
-                        residual_entry("chiral-image", "DiracNeutrino", EXACT, moved))
+            for e in _weyl_entries(rep, FourMomentum.exact(_WEYL_WITNESS_K, 0)):
+                out.add(f"weyl.witness.{rep.name}.{e.label}", e)
         if config.run_float:
-            view = rep.on(FLOAT)
-            agg = _MaxAgg()
-            for trial in range(config.trials):
-                rng = _rng(config, f"weyl.{rep.name}", trial)
-                p = _sample_massless(rng, config)
-                for ch in ("left", "right"):
-                    f = field_of(weyl_spinor(p, rep, ch), rep)
-                    for e in weyl_residuals(f):
-                        short = e.label.replace("weyl.", "", 1)
-                        agg.add(f"{ch}.{short}", e.equation, e.residual or 0.0)
-                    proj = view.q_plus if ch == "left" else view.q_minus
-                    agg.add(
-                        f"{ch}.chiral-image", "DiracNeutrino",
-                        (f.apply(proj) - f).max_abs(),
-                    )
-            agg.emit(out, f"weyl.fuzz.{rep.name}", lambda label: config.strict_tol)
+            _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
+                  lambda rng, _: _measured(_weyl_entries(rep, _sample_massless(rng, config))),
+                  lambda label: config.strict_tol)
 
     sp = build_rep("spinor")
     pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
@@ -474,66 +464,62 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
 # -- majorana suite ---------------------------------------------------------------
 
 
+def _majorana_entries(rep, p: FourMomentum, tol: float):
+    """Per spin s, ``(s, entry)`` on p's backend for the Majorana field built from u_s.
+
+    The spinor basis has the component checks; the other bases get the
+    basis-independent ones, self-conjugacy and the Dirac equation.
+    """
+    for s in (1, 2):
+        maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
+        if rep.name == "spinor":
+            for e in majorana_residuals(maj, p.mass, tol=tol):
+                yield s, replace(e, label=e.label.removeprefix("majorana."))
+        else:
+            yield s, residual_entry("selfconj", "MAJORANA", p.backend, maj - charge_conjugate(maj))
+            yield s, residual_entry("dirac", "Dirac1", p.backend, dirac_residual(maj, p.mass))
+
+
 def _run_majorana(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
+        # the spinor basis keeps the suite's bare check ids and sub-seed tag
+        name = "" if rep.name == "spinor" else f".{rep.name}"
         if config.run_exact:
             p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-            for s in (1, 2):
-                maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
-                if rep.name == "spinor":
-                    for e in majorana_residuals(maj, Fraction(_WITNESS_MASS)):
-                        short = e.label.replace("majorana.", "", 1)
-                        out.add(f"majorana.witness.s{s}.{short}", e)
-                else:
-                    for label, eq, resid in (
-                        ("selfconj", "MAJORANA", maj - charge_conjugate(maj)),
-                        ("dirac", "Dirac1", dirac_residual(maj, Fraction(_WITNESS_MASS))),
-                    ):
-                        out.add(f"majorana.witness.{rep.name}.s{s}.{label}",
-                                residual_entry(label, eq, EXACT, resid))
+            for s, e in _majorana_entries(rep, p, config.tol):
+                out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
         if config.run_float:
-            # the spinor basis has the component checks; other bases get
-            # the basis-independent ones, as their exact witnesses do
-            spinor = rep.name == "spinor"
-            agg = _MaxAgg()
-            for trial in range(config.trials):
-                rng = _rng(config, "majorana" if spinor else f"majorana.{rep.name}", trial)
+            def trial_residuals(rng, _):
                 p = _sample_massive(rng, config)
-                for s in (1, 2):
-                    maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
-                    if spinor:
-                        for e in majorana_residuals(maj, p.mass, tol=config.tol):
-                            short = e.label.replace("majorana.", "", 1)
-                            agg.add(short, e.equation, e.residual or 0.0)
-                    else:
-                        agg.add("selfconj", "MAJORANA",
-                                (maj - charge_conjugate(maj)).max_abs())
-                        agg.add("dirac", "Dirac1", dirac_residual(maj, p.mass).max_abs())
+                return _measured(e for _, e in _majorana_entries(rep, p, config.tol))
+
             # self-conjugacy must cancel term-by-term, not merely within tol
-            agg.emit(
-                out, "majorana.fuzz" if spinor else f"majorana.fuzz.{rep.name}",
-                lambda label: 0.0 if label == "selfconj" else config.tol,
-            )
+            _fuzz(config, out, f"majorana.fuzz{name}", f"majorana{name}", config.trials,
+                  trial_residuals, lambda label: 0.0 if label == "selfconj" else config.tol)
 
 
 # -- covariance suite -------------------------------------------------------------
 
 _OMEGA_GRID = (0.5, -0.5, 1.0, -1.0, 3.0, -3.0)
 _PLANES = (("boost", (0, 3)), ("rotation", (1, 2)))
+_GRID = tuple(LorentzParams(kind, plane, w) for kind, plane in _PLANES for w in _OMEGA_GRID)
 
 
-def _grid_params() -> tuple:
-    return tuple(
-        LorentzParams(kind, plane, w) for kind, plane in _PLANES for w in _OMEGA_GRID
-    )
+def _sampled_split(rng: Random, config: RunConfig, trial: int):
+    """A seeded massive momentum and the split of its spinor-basis u, spin alternating by trial."""
+    p = _sample_massive(rng, config)
+    sp = build_rep("spinor")
+    return p, split(field_of(u_spinor(p, sp, 1 + trial % 2), sp), p.mass, require_solution=False)
 
 
 def _run_covariance(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
     for rep in _selected_reps(config):
+        commutes = pi_commutation_check(rep)
         if config.run_exact:
-            for e in pi_commutation_check(rep, omegas=()):
-                out.add(f"covariance.{rep.name}.{e.label}", e)
+            for e in commutes:
+                if e.backend == EXACT:
+                    out.add(f"covariance.{rep.name}.{e.label}", e)
             for idx, (a, b, mv) in enumerate(((3, 2, 1), (5, -7, 2))):
                 op = (
                     rep.gammas[0].scale(a)
@@ -556,49 +542,38 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         if not config.run_float:
             continue
 
-        for kind, plane in _PLANES:
-            for w in _OMEGA_GRID:
-                params = LorentzParams(kind, plane, w)
-                prefix = f"covariance.{rep.name}.{kind}{plane[0]}{plane[1]}.w{w:g}"
-                for e in covariance_check(params, rep):
-                    tol = config.strict_tol if e.label == "vector.metric" else config.tol
-                    out.add(f"{prefix}.{e.label}", e, tol)
-        for e in pi_commutation_check(rep, omegas=(0.5, 1.3, 3.0)):
+        for params in _GRID:
+            mu, nu = params.plane
+            prefix = f"covariance.{rep.name}.{params.kind}{mu}{nu}.w{params.omega:g}"
+            for e in covariance_check(params, rep):
+                tol = config.strict_tol if e.label == "vector.metric" else config.tol
+                out.add(f"{prefix}.{e.label}", e, tol)
+        for e in commutes:
             if e.backend == FLOAT:
                 out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
-        grid = _grid_params()
-        n_trials = min(config.trials, _COV_TRIAL_CAP)
-        agg = _MaxAgg()
         p_float = rep.on(FLOAT).p
-        for trial in range(n_trials):
-            rng = _rng(config, f"covariance.{rep.name}", trial)
-            p = _sample_massive(rng, config)
-            s_label = 1 + trial % 2
-            psi_sp = field_of(u_spinor(p, sp, s_label), sp)
-            sr = split(psi_sp, p.mass, require_solution=False)
-            if rep.name == "spinor":
-                psi, psi1, psi2 = sr.psi, sr.psi1, sr.psi2
-            else:
+
+        def trial_residuals(rng, trial):
+            p, sr = _sampled_split(rng, config, trial)
+            psis = (sr.psi, sr.psi1, sr.psi2)
+            if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
-                psi, psi1, psi2 = (
-                    PlaneWaveField(f.apply(u).terms, rep=rep, ncomp=4, backend=FLOAT)
-                    for f in (sr.psi, sr.psi1, sr.psi2)
-                )
-            params = grid[trial % len(grid)]
-            psi_t = transform_field(psi, params)
-            agg.add("transformed-solution", "Dirac1",
-                    dirac_residual(psi_t, p.mass).max_abs())
+                psis = tuple(PlaneWaveField(f.apply(u).terms, rep=rep, ncomp=4, backend=FLOAT)
+                             for f in psis)
+            params = _GRID[trial % len(_GRID)]
+            psi_t = transform_field(psis[0], params)
+            yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass).max_abs()
             s_mat = spinor_transform(params, rep)
             s_inv = spinor_transform(params.inverse(), rep)
-            for k, psi_k in ((1, psi1), (2, psi2)):
+            for k in (1, 2):
                 p_prime = s_mat @ p_float[k - 1] @ s_inv
-                moved = transform_field(psi_k, params)
-                agg.add(
-                    f"transformed-constituent{k}", "DP2b",
-                    dirac_residual(moved.apply(p_prime), p.mass).max_abs(),
-                )
-        agg.emit(out, f"covariance.{rep.name}.fuzz", lambda label: config.tol)
+                moved = transform_field(psis[k], params)
+                yield (f"transformed-constituent{k}", "DP2b",
+                       dirac_residual(moved.apply(p_prime), p.mass).max_abs())
+
+        _fuzz(config, out, f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
+              min(config.trials, _COV_TRIAL_CAP), trial_residuals, lambda label: config.tol)
 
     if config.run_float:
         _special_frame_checks(config, out)
@@ -617,8 +592,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
 
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
-    sp = build_rep("spinor")
-    view = sp.on(FLOAT)
+    view = build_rep("spinor").on(FLOAT)
     p1f, p2f = view.p[:2]
 
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
@@ -628,42 +602,27 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
     out.add("covariance.special-frame.witness",
             residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol)
 
-    agg = _MaxAgg()
-    n_trials = min(config.trials, _COV_TRIAL_CAP)
-    for trial in range(n_trials):
-        rng = _rng(config, "special-frame", trial)
-        p = _sample_massive(rng, config)
-        s_label = 1 + trial % 2
-        psi = field_of(u_spinor(p, sp, s_label), sp)
-        sr = split(psi, p.mass, require_solution=False)
+    def trial_residuals(rng, trial):
+        p, sr = _sampled_split(rng, config, trial)
         rot, boost = special_frame(p)
         moved1 = transform_field(transform_field(sr.psi1, rot), boost)
         moved2 = transform_field(transform_field(sr.psi2, rot), boost)
-        q = moved1.terms[0].momentum
-        agg.add("transverse-zeroed", "P1a", max(abs(q.p[2]), abs(q.p[3])))
-        inv_mass = (
-            q.p[0] * q.p[0] - q.p[1] * q.p[1] - q.p[2] * q.p[2] - q.p[3] * q.p[3]
-        ) ** 0.5
-        agg.add("mass-drift", "Pconditions", abs(inv_mass - p.mass))
+        q0, q1, q2, q3 = moved1.terms[0].momentum.p
+        yield "transverse-zeroed", "P1a", abs(q2)
+        yield "transverse-zeroed", "P1a", abs(q3)
+        inv_mass = (q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3) ** 0.5
+        yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
         proj1 = moved1.apply(p1f)
-        agg.add("P1a", "P1a", reduced_dirac_residual(proj1, p.mass).max_abs())
-        agg.add(
-            "P2a", "P2a",
-            reduced_dirac_residual(moved2.apply(p2f), p.mass).max_abs(),
-        )
+        yield "P1a", "P1a", reduced_dirac_residual(proj1, p.mass).max_abs()
+        yield "P2a", "P2a", reduced_dirac_residual(moved2.apply(p2f), p.mass).max_abs()
         image = proj1.apply(view.v)
-        v_resid = max(
-            reduced_dirac_residual(image, p.mass).max_abs(),
-            (image.apply(p2f) - image).max_abs(),
-        )
-        agg.add("v-maps-P1a-to-P2a", "V", v_resid)
+        yield "v-maps-P1a-to-P2a", "V", reduced_dirac_residual(image, p.mass).max_abs()
+        yield "v-maps-P1a-to-P2a", "V", (image.apply(p2f) - image).max_abs()
 
-    def tol_for(label):
-        if label in ("transverse-zeroed", "mass-drift"):
-            return config.strict_tol
-        return config.tol
-
-    agg.emit(out, "covariance.special-frame.fuzz", tol_for)
+    strict = ("transverse-zeroed", "mass-drift")
+    _fuzz(config, out, "covariance.special-frame.fuzz", "special-frame",
+          min(config.trials, _COV_TRIAL_CAP), trial_residuals,
+          lambda label: config.strict_tol if label in strict else config.tol)
 
 
 # -- driver ----------------------------------------------------------------------

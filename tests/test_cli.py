@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, JSON emission."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -131,6 +132,29 @@ def test_wide_momentum_range_writes_report(tmp_path, capsys):
     data = json.loads(out_json.read_text())
     assert data["config"]["momentum_range"] == [0.0, 1000.0]
     assert data["summary"]["passed"] + data["summary"]["failed"] == len(data["checks"])
+
+
+def test_nan_residuals_fail_the_fuzz(tmp_path, capsys):
+    # at |p| ~ 1e150 the squares of the momenta overflow, and these
+    # residual fields come out all NaN: they must fail, not read as zero
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"momentum_range": [1e150, 1e153], "trials": 5}))
+    out_json = tmp_path / "out.json"
+    argv = ["split", "--backend", "float", "--config", str(cfg), "--json", str(out_json)]
+    assert main(argv) == EXIT_CHECK_FAILURES
+    capsys.readouterr()
+    text = out_json.read_text()
+    assert '"residual": NaN' in text
+    checks = {c["id"]: c for c in json.loads(text)["checks"]}
+    for check_id in (
+        "split.fuzz.identity.repfree.P1",
+        "split.fuzz.identity.repfree.P2",
+        "split.fuzz.constituents3.P1",
+        "split.fuzz.constituents3.P2",
+        "split.fuzz.constituent2-P.dirac",
+    ):
+        assert math.isnan(checks[check_id]["residual"]), check_id
+        assert checks[check_id]["pass"] is False, check_id
 
 
 def test_library_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,12 @@
 """Float kernels against hand-worked oracles."""
 
+import math
+
+import pytest
+
 from diracsplit import kernels
+
+NAN = float("nan")
 
 
 def test_selected_implementation_exposed():
@@ -24,3 +30,10 @@ def test_pure_max_abs():
     assert kernels.max_abs(()) == 0.0
     assert kernels.max_abs_diff((3 + 4j, 1 + 0j), (0j, 1 + 0j)) == 5.0
 
+
+
+@pytest.mark.parametrize("values", [(1e-12, NAN), (NAN, 1e-12)])
+def test_max_abs_propagates_nan(values):
+    assert math.isnan(kernels.max_abs(values))
+    assert math.isnan(kernels.max_abs(iter(values)))
+    assert math.isnan(kernels.max_abs_diff(values, (0j, 0j)))

@@ -2,19 +2,34 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from diracsplit import Report, ResidualEntry, RunConfig, run
-from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN
+from diracsplit import (
+    FourMomentum,
+    Matrix,
+    PlaneWaveField,
+    PlaneWaveTerm,
+    Report,
+    ResidualEntry,
+    RunConfig,
+    run,
+)
+from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, residual_entry
+from diracsplit.scalars import FLOAT
 from diracsplit.suites import (
     BACKEND_CHOICES,
     DEFAULT_SEED,
     REP_CHOICES,
     SUITE_NAMES,
+    _CONTROL_FLOOR,
     _Collector,
+    _fuzz,
     _sub_seed,
 )
+
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +247,51 @@ def test_verdicts_follow_the_check_kind():
     assert _verdict(none, True, RAISES) and not _verdict(none, False, RAISES)
     with pytest.raises(ValueError):
         _verdict(small, 0.0, "approximately")
+
+
+# -- NaN residuals ---------------------------------------------------------------
+
+
+def _nan_field():
+    term = PlaneWaveTerm((NAN, 0, 0, 0), FourMomentum.floats((1.0, 0.0, 0.0, 0.0), 1.0), 1)
+    return PlaneWaveField((term,), backend=FLOAT)
+
+
+@pytest.mark.parametrize(
+    "make_value",
+    [_nan_field, lambda: Matrix.floats([[NAN, 0], [0, 0]]), lambda: [1e-12, NAN]],
+    ids=["field", "matrix", "list"],
+)
+def test_nan_residual_fails_every_kind(make_value):
+    entry = residual_entry("l", "E", FLOAT, make_value())
+    assert math.isnan(entry.residual)
+    assert not _verdict(entry, 1e-10, WITHIN)
+    assert not _verdict(entry, _CONTROL_FLOOR, CONTROL)
+
+
+@pytest.mark.parametrize("nan_trial", [0, 1, 2])
+def test_fuzz_driver_keeps_a_nan_from_any_trial(nan_trial):
+    def measure(rng, trial):
+        yield "r", "E", NAN if trial == nan_trial else 1e-12
+
+    out = _Collector()
+    _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 1e-10)
+    (record,) = out.records
+    assert record.check_id == "t.r"
+    assert math.isnan(record.residual) and not record.ok
+
+
+def test_fuzz_driver_records_each_labels_largest_value():
+    def measure(rng, trial):
+        yield "a", "E1", 1e-12 * (trial + 1)
+        yield "b", "E2", 1e-11 if trial == 1 else 0.0
+
+    out = _Collector()
+    _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 2e-12)
+    assert [(r.check_id, r.equation, r.residual, r.ok) for r in out.records] == [
+        ("t.a", "E1", 3e-12, False),
+        ("t.b", "E2", 1e-11, False),
+    ]
 
 
 # -- record skeleton -------------------------------------------------------------
