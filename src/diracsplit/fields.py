@@ -7,10 +7,13 @@ this package is linear with constant coefficients, so it holds for a
 field iff it holds term by term; the term algebra therefore checks the
 equations with no discretization error.
 
-The four-momentum operator acts diagonally: applying the contravariant
-component to a term multiplies the amplitude by s * p^mu.  Complex
-conjugation flips the frequency sign, which is what couples a field to
-its conjugate in the charge-conjugation and Majorana relations.
+On a plane wave the momentum operator is multiplication by s p^mu, so
+every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
+momentum and frequency sign, applied term by term by ``apply_symbol``
+(``dirac_matrix`` is the symbol of gamma^mu p_mu).  A symbol keeps each
+term's key, so its result is canonical as built, with no merge, sort or
+coercion.  Complex conjugation flips the frequency sign, which couples a
+field to its conjugate in the charge-conjugation and Majorana relations.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     OffShell,
     WeylRequiresMassless,
 )
-from .gamma import METRIC_SIGNS, GammaRep, build_rep
+from .gamma import GammaRep, build_rep
 from .matrices import Matrix
 from .scalars import EXACT, FLOAT, GaussianRational, coerce_real, coerce_scalar, scalar_abs, scalar_is_zero
 
@@ -117,6 +120,13 @@ class PlaneWaveTerm:
         return (self.freq_sign,) + self.momentum.key()
 
 
+def _term(amplitude: tuple, momentum: FourMomentum, freq_sign: int) -> PlaneWaveTerm:
+    """A term from parts already valid and on one backend: no re-coercion."""
+    t = object.__new__(PlaneWaveTerm)
+    t.__dict__.update(amplitude=amplitude, momentum=momentum, freq_sign=freq_sign)
+    return t
+
+
 class PlaneWaveField:
     """Canonicalized finite sum of plane-wave terms.
 
@@ -135,19 +145,16 @@ class PlaneWaveField:
             if not isinstance(t, PlaneWaveTerm):
                 raise TypeError("terms must be PlaneWaveTerm")
             k = t.key()
-            if k in merged:
-                prev = merged[k]
+            prev = merged.get(k)
+            if prev is None:
+                merged[k] = t
+            else:
                 if prev.ncomp != t.ncomp:
                     raise ValueError("mixed component counts in one field")
                 amp = tuple(a + b for a, b in zip(prev.amplitude, t.amplitude))
-                merged[k] = PlaneWaveTerm(amp, t.momentum, t.freq_sign)
-            else:
-                merged[k] = t
-        kept = [
-            t for t in merged.values()
-            if not all(scalar_is_zero(a) for a in t.amplitude)
-        ]
-        kept.sort(key=lambda t: t.key())
+                merged[k] = _term(amp, t.momentum, t.freq_sign)
+        kept = [merged[k] for k in sorted(merged)
+                if not all(scalar_is_zero(a) for a in merged[k].amplitude)]
 
         if kept:
             ncomp = kept[0].ncomp
@@ -157,25 +164,22 @@ class PlaneWaveField:
                     raise ValueError("mixed component counts in one field")
                 if t.backend != backend:
                     raise BackendMismatch("mixed backends in one field")
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "ncomp", ncomp)
-        object.__setattr__(self, "backend", backend)
+        _fill(self, tuple(kept), rep, ncomp, backend)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneWaveField is immutable")
 
     # -- linear structure ----------------------------------------------
 
-    def _like(self, terms) -> "PlaneWaveField":
-        return PlaneWaveField(terms, rep=self.rep, ncomp=self.ncomp, backend=self.backend)
-
     def __add__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         if not isinstance(other, PlaneWaveField):
             return NotImplemented
         if self.terms and other.terms and self.backend != other.backend:
             raise BackendMismatch("adding fields from different backends")
-        return self._like(self.terms + other.terms)
+        if self.rep is not other.rep:
+            raise ValueError("adding fields from different representations")
+        return PlaneWaveField(self.terms + other.terms, rep=self.rep, ncomp=self.ncomp,
+                              backend=self.backend)
 
     def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         return self.__add__(-other)
@@ -184,23 +188,14 @@ class PlaneWaveField:
         return self.scale(-1)
 
     def scale(self, c) -> "PlaneWaveField":
-        out = []
-        for t in self.terms:
-            cc = coerce_scalar(c, t.backend)
-            amp = tuple(cc * a for a in t.amplitude)
-            out.append(PlaneWaveTerm(amp, t.momentum, t.freq_sign))
-        return self._like(out)
+        if not self.terms:
+            return self
+        c = coerce_scalar(c, self.backend)
+        return _termwise(self, lambda t: tuple(c * a for a in t.amplitude))
 
     def apply(self, m: Matrix) -> "PlaneWaveField":
-        """Apply a constant matrix to every amplitude."""
-        out = []
-        for t in self.terms:
-            if m.n != t.ncomp:
-                raise ValueError(f"matrix size {m.n} vs {t.ncomp}-component field")
-            if m.backend != t.backend:
-                raise BackendMismatch("matrix backend differs from field backend")
-            out.append(PlaneWaveTerm(m.apply(t.amplitude), t.momentum, t.freq_sign))
-        return self._like(out)
+        """Apply a constant matrix to every amplitude: the constant symbol."""
+        return apply_symbol(self, lambda p, s: m)
 
     # -- predicates ------------------------------------------------------
 
@@ -217,11 +212,12 @@ class PlaneWaveField:
         return (
             self.ncomp == other.ncomp
             and self.backend == other.backend
+            and self.rep is other.rep
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ncomp, self.backend, self.terms))
+        return hash((self.ncomp, self.backend, self.rep, self.terms))
 
     def __repr__(self):
         return f"PlaneWaveField({len(self.terms)} terms, n={self.ncomp}, {self.backend})"
@@ -236,6 +232,16 @@ class PlaneWaveField:
         return PlaneWaveField(out, rep=self.rep, ncomp=self.ncomp, backend=FLOAT)
 
 
+def _fill(f: PlaneWaveField, terms: tuple, rep, ncomp: int, backend: str) -> PlaneWaveField:
+    """Set f's slots as given: ``terms`` have distinct sorted keys and none is exactly zero."""
+    setattr_ = object.__setattr__
+    setattr_(f, "terms", terms)
+    setattr_(f, "rep", rep)
+    setattr_(f, "ncomp", ncomp)
+    setattr_(f, "backend", backend)
+    return f
+
+
 def field_of(term: PlaneWaveTerm, rep: Optional[GammaRep] = None) -> PlaneWaveField:
     return PlaneWaveField((term,), rep=rep, ncomp=term.ncomp, backend=term.backend)
 
@@ -243,23 +249,41 @@ def field_of(term: PlaneWaveTerm, rep: Optional[GammaRep] = None) -> PlaneWaveFi
 # -- operators ----------------------------------------------------------------
 
 
-def momentum_op(f: PlaneWaveField, mu: int) -> PlaneWaveField:
-    """Contravariant momentum-operator component: amplitude * (s p^mu)."""
-    out = []
+def _termwise(f: PlaneWaveField, amplitude_of, rep=None, ncomp=None) -> PlaneWaveField:
+    """f's terms with amplitudes ``amplitude_of(term)``: keys kept, exactly-zero terms dropped."""
+    terms = []
     for t in f.terms:
-        c = t.momentum.p[mu] * t.freq_sign
-        amp = tuple(c * a for a in t.amplitude)
-        out.append(PlaneWaveTerm(amp, t.momentum, t.freq_sign))
-    return f._like(out)
+        amp = amplitude_of(t)
+        if not all(scalar_is_zero(a) for a in amp):
+            terms.append(_term(amp, t.momentum, t.freq_sign))
+    return _fill(object.__new__(PlaneWaveField), tuple(terms), f.rep if rep is None else rep,
+                 f.ncomp if ncomp is None else ncomp, f.backend)
+
+
+def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> PlaneWaveField:
+    """Multiply each term's amplitude by the matrix ``symbol(momentum, freq_sign)``.
+
+    The result carries ``rep`` (f's representation by default), so a
+    change of basis relabels the field as it applies the intertwiner.
+    """
+
+    def amplitude_of(t: PlaneWaveTerm) -> tuple:
+        m = symbol(t.momentum, t.freq_sign)
+        if m.n != t.ncomp:
+            raise ValueError(f"symbol size {m.n} vs {t.ncomp}-component field")
+        if m.backend != t.backend:
+            raise BackendMismatch("symbol backend differs from field backend")
+        return m.apply(t.amplitude)
+
+    return _termwise(f, amplitude_of, rep)
 
 
 def conjugate(f: PlaneWaveField) -> PlaneWaveField:
-    """Complex conjugation: conjugated amplitudes, flipped frequency sign."""
-    out = []
-    for t in f.terms:
-        amp = tuple(a.conjugate() for a in t.amplitude)
-        out.append(PlaneWaveTerm(amp, t.momentum, -t.freq_sign))
-    return f._like(out)
+    """Complex conjugation: conjugated amplitudes, flipped frequency sign (a re-sort only)."""
+    terms = [_term(tuple(a.conjugate() for a in t.amplitude), t.momentum, -t.freq_sign)
+             for t in f.terms]
+    terms.sort(key=PlaneWaveTerm.key)
+    return _fill(object.__new__(PlaneWaveField), tuple(terms), f.rep, f.ncomp, f.backend)
 
 
 def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
@@ -276,30 +300,31 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
 
 
 def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
-    """gamma^mu p_mu evaluated on one term's momentum eigenvalues."""
-    gammas = rep.on(momentum.backend).gammas
-    acc = Matrix.zero(4, momentum.backend)
-    for mu in range(4):
-        acc = acc + gammas[mu].scale(METRIC_SIGNS[mu] * momentum.p[mu] * freq_sign)
-    return acc
+    """The symbol of gamma^mu p_mu on one term: the sum of gamma_mu (s p^mu)."""
+    backend = momentum.backend
+    g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
+    c0, c1, c2, c3 = (coerce_scalar(c * freq_sign, backend) for c in momentum.p)
+    return Matrix(4, backend, tuple(c0 * a + c1 * b + c2 * c + c3 * d
+                                    for a, b, c, d in zip(g0, g1, g2, g3)))
+
+
+def _dirac_rep(f: PlaneWaveField) -> GammaRep:
+    if f.ncomp != 4 or f.rep is None:
+        raise ValueError("the Dirac operator acts on 4-component fields with a representation")
+    return f.rep
 
 
 def dirac_op(f: PlaneWaveField) -> PlaneWaveField:
     """gamma^mu p_mu acting term-wise on a bispinor field."""
-    if f.ncomp != 4:
-        raise ValueError("Dirac operator acts on 4-component fields")
-    if f.rep is None:
-        raise ValueError("field carries no representation")
-    out = []
-    for t in f.terms:
-        m = dirac_matrix(f.rep, t.momentum, t.freq_sign)
-        out.append(PlaneWaveTerm(m.apply(t.amplitude), t.momentum, t.freq_sign))
-    return f._like(out)
+    rep = _dirac_rep(f)
+    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s))
 
 
 def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
-    """(gamma^mu p_mu - m) f; the zero field iff f solves the equation."""
-    return dirac_op(f) - f.scale(mass)
+    """(gamma^mu p_mu - m) f in one pass; the zero field iff f solves the equation."""
+    rep = _dirac_rep(f)
+    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s)
+                        - Matrix.diag((mass,) * 4, p.backend))
 
 
 def upper_half(f: PlaneWaveField) -> PlaneWaveField:
@@ -315,31 +340,7 @@ def lower_half(f: PlaneWaveField) -> PlaneWaveField:
 def _half(f: PlaneWaveField, start: int) -> PlaneWaveField:
     if f.ncomp != 4:
         raise ValueError("component split needs a 4-component field")
-    out = [
-        PlaneWaveTerm(t.amplitude[start : start + 2], t.momentum, t.freq_sign)
-        for t in f.terms
-    ]
-    return PlaneWaveField(out, rep=f.rep, ncomp=2, backend=f.backend)
-
-
-def combine_halves(upper: PlaneWaveField, lower: PlaneWaveField,
-                   rep: Optional[GammaRep]) -> PlaneWaveField:
-    """Rebuild a bispinor field from 2-component halves (zero-padding absent terms)."""
-    by_key: dict = {}
-    for t in upper.terms:
-        by_key.setdefault(t.key(), [None, None])[0] = t
-    for t in lower.terms:
-        by_key.setdefault(t.key(), [None, None])[1] = t
-    out = []
-    for _, (tu, tl) in sorted(by_key.items()):
-        some = tu or tl
-        backend = some.backend
-        zero = GaussianRational(0) if backend == EXACT else 0j
-        ua = tu.amplitude if tu else (zero, zero)
-        la = tl.amplitude if tl else (zero, zero)
-        out.append(PlaneWaveTerm(ua + la, some.momentum, some.freq_sign))
-    backend = upper.backend if upper.terms else lower.backend
-    return PlaneWaveField(out, rep=rep, ncomp=4, backend=backend)
+    return _termwise(f, lambda t: t.amplitude[start : start + 2], ncomp=2)
 
 
 # -- solution constructors -----------------------------------------------------
@@ -376,9 +377,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
             for s in seed
         )
     seed = tuple(coerce_scalar(s, p.backend) for s in seed)
-    op = dirac_matrix(rep, p, 1)
-    m_ident = Matrix.identity(4, p.backend).scale(p.mass)
-    raw = (op + m_ident).apply(seed)
+    raw = (dirac_matrix(rep, p, 1) + Matrix.diag((p.mass,) * 4, p.backend)).apply(seed)
     if p.backend == EXACT:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
         return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)

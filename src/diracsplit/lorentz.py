@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
-from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, momentum_op
+from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, apply_symbol
 from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator, max_abs_diff
 from .reports import ResidualReport, residual_entry
@@ -251,6 +251,6 @@ def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     """
     if f.rep is None:
         raise ValueError("field carries no representation")
-    gammas = f.rep.on(f.backend).gammas
-    t0, t1 = (momentum_op(f, mu).apply(gammas[mu]).scale(METRIC_SIGNS[mu]) for mu in (0, 1))
-    return t0 + t1 - f.scale(mass)
+    g0, g1 = f.rep.on(f.backend).gammas_lower[:2]
+    return apply_symbol(f, lambda p, s: g0.scale(s * p.p[0]) + g1.scale(s * p.p[1])
+                        - Matrix.diag((mass,) * 4, p.backend))

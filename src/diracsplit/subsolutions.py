@@ -36,12 +36,12 @@ from .errors import (
 from .fields import (
     PlaneWaveField,
     PlaneWaveTerm,
+    apply_symbol,
     charge_conjugate,
     conjugate,
     dirac_op,
     dirac_residual,
     lower_half,
-    momentum_op,
     upper_half,
 )
 from .gamma import PAULI, PAULI_FLOAT, GammaRep, build_rep
@@ -103,7 +103,7 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
         if not res.within(tol):
             raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {tol})")
 
-    t1, t2, x1, x2 = [], [], [], []
+    t1, t2 = [], []
     for term in psi.terms:
         q0, q1, q2, q3 = _term_q(term)
         eta1, eta2 = term.amplitude[2], term.amplitude[3]
@@ -113,19 +113,11 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
         xi22 = (q0 - q3) * eta2 / mass
         t1.append(PlaneWaveTerm((xi11, xi12, eta1, eta2), term.momentum, term.freq_sign))
         t2.append(PlaneWaveTerm((xi21, xi22, eta1, eta2), term.momentum, term.freq_sign))
-        x1.append(PlaneWaveTerm((xi11, xi12), term.momentum, term.freq_sign))
-        x2.append(PlaneWaveTerm((xi21, xi22), term.momentum, term.freq_sign))
 
-    rep = psi.rep
-    result = SplitResult(
-        psi=psi,
-        psi1=PlaneWaveField(t1, rep=rep, ncomp=4, backend=psi.backend),
-        psi2=PlaneWaveField(t2, rep=rep, ncomp=4, backend=psi.backend),
-        xi1_pair=PlaneWaveField(x1, rep=rep, ncomp=2, backend=psi.backend),
-        xi2_pair=PlaneWaveField(x2, rep=rep, ncomp=2, backend=psi.backend),
-        mass=mass,
-        rep=rep,
-    )
+    psi1, psi2 = (PlaneWaveField(t, rep=psi.rep, ncomp=4, backend=psi.backend) for t in (t1, t2))
+    # the xi(i) pairs are the upper halves of the constituents
+    result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, xi1_pair=upper_half(psi1),
+                         xi2_pair=upper_half(psi2), mass=mass, rep=psi.rep)
     if require_solution:
         rec = recombination_residuals(result)
         if not rec.all_within(tol):
@@ -258,9 +250,7 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
     ident = Matrix.identity(4, backend)
     entries = []
     for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
-        moved = PlaneWaveField(
-            psi_i.apply(w).terms, rep=rep_to, ncomp=4, backend=backend
-        )
+        moved = apply_symbol(psi_i, lambda q, s: w, rep=rep_to)
         p = ps[i - 1]
         projected = moved.apply(p)
         resid3 = dirac_op(projected).apply(p) - projected.scale(sr.mass)
@@ -278,19 +268,23 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
 # -- Weyl ----------------------------------------------------------------------
 
 
-def _pauli(backend: str, k: int) -> Matrix:
-    return PAULI[k] if backend == EXACT else PAULI_FLOAT[k]
-
-
 def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
-    """(p^0 + sign * sigma.p) acting on a 2-component field."""
+    """(p^0 + sign * sigma.p) acting on a 2-component field.
+
+    Its symbol on a term with eigenvalues q = s p is the 2x2 matrix
+    [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]].
+    """
     if f.ncomp != 2:
         raise ValueError("sigma.p acts on 2-component fields")
-    acc = momentum_op(f, 0)
-    for k in (1, 2, 3):
-        piece = momentum_op(f, k).apply(_pauli(f.backend, k - 1))
-        acc = acc + piece if sign > 0 else acc - piece
-    return acc
+
+    def symbol(p, s):
+        b = p.backend
+        q0, q1, q2, q3 = (c * s for c in p.p)
+        q1, q2, q3 = sign * q1, sign * q2, sign * q3
+        return Matrix(2, b, (_q_complex(q0 + q3, 0, b), _q_complex(q1, q2, b, conj=True),
+                             _q_complex(q1, q2, b), _q_complex(q0 - q3, 0, b)))
+
+    return apply_symbol(f, symbol)
 
 
 def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
@@ -303,7 +297,7 @@ def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
         return f
     sp = build_rep("spinor")
     w = f.rep.on(f.backend).intertwiner(sp).w
-    return PlaneWaveField(f.apply(w).terms, rep=sp, ncomp=4, backend=f.backend)
+    return apply_symbol(f, lambda p, s: w, rep=sp)
 
 
 def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
@@ -367,7 +361,7 @@ def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) ->
         raise SplitRequiresSpinorRep(
             "Majorana component checks are pinned to the spinor basis"
         )
-    s2 = _pauli(backend, 1)
+    s2 = (PAULI if backend == EXACT else PAULI_FLOAT)[1]
     i_m = GaussianRational(0, mass) if backend == EXACT else complex(0, mass)
     i_one = GaussianRational(0, 1) if backend == EXACT else 1j
 

@@ -40,8 +40,8 @@ from . import kernels
 from .errors import NotASolution, SplitRequiresMass, WeylRequiresMassless
 from .fields import (
     FourMomentum,
-    PlaneWaveField,
     PlaneWaveTerm,
+    apply_symbol,
     charge_conjugate,
     dirac_matrix,
     dirac_residual,
@@ -559,8 +559,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             psis = (sr.psi, sr.psi1, sr.psi2)
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
-                psis = tuple(PlaneWaveField(f.apply(u).terms, rep=rep, ncomp=4, backend=FLOAT)
-                             for f in psis)
+                psis = tuple(apply_symbol(f, lambda q, s: u, rep=rep) for f in psis)
             params = _GRID[trial % len(_GRID)]
             psi_t = transform_field(psis[0], params)
             yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass).max_abs()

@@ -7,16 +7,15 @@ from diracsplit import (
     FourMomentum,
     PlaneWaveField,
     PlaneWaveTerm,
+    apply_symbol,
     build_projectors,
     charge_conjugate,
-    combine_halves,
     conjugate,
     dirac_matrix,
     dirac_op,
     dirac_residual,
     field_of,
     lower_half,
-    momentum_op,
     u_spinor,
     upper_half,
     weyl_spinor,
@@ -29,6 +28,7 @@ from diracsplit.errors import (
     WeylRequiresMassless,
 )
 from diracsplit.gamma import build_rep
+from diracsplit.matrices import Matrix
 from diracsplit.scalars import GaussianRational
 
 I = GaussianRational(0, 1)
@@ -139,6 +139,18 @@ def test_field_rejects_mixed_backends(spinor):
         PlaneWaveField((term, tf), rep=spinor)
 
 
+def test_fields_of_different_reps_do_not_mix(spinor):
+    p, term = _witness_term()
+    f = field_of(term, rep=spinor)
+    g = field_of(term, rep=build_rep("standard"))
+    for combine in (lambda: f + g, lambda: f - g, lambda: f + field_of(term)):
+        with pytest.raises(ValueError):
+            combine()
+    assert f != g and len({f, g}) == 2
+    same = field_of(term, rep=spinor)
+    assert f == same and hash(f) == hash(same)
+
+
 def test_field_rejects_mixed_component_counts(spinor):
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     t2 = PlaneWaveTerm((1, 0), p, 1)
@@ -170,7 +182,9 @@ def test_momentum_op_eigenvalue(spinor, mu, sign):
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     t = PlaneWaveTerm((1, I, 0, 2), p, sign)
     f = field_of(t, rep=spinor)
-    assert (momentum_op(f, mu) - f.scale(sign * p.p[mu])).is_zero
+    # the momentum operator s p^mu is a scalar symbol: s p^mu times the identity
+    momentum = apply_symbol(f, lambda q, s: Matrix.identity(4).scale(s * q.p[mu]))
+    assert (momentum - f.scale(sign * p.p[mu])).is_zero
 
 
 def test_conjugate_flips_frequency(spinor):
@@ -355,17 +369,10 @@ def test_charge_conjugation_needs_rep():
 def test_halves_roundtrip(spinor):
     p, term = _witness_term()
     f = field_of(term, rep=spinor)
-    rebuilt = combine_halves(upper_half(f), lower_half(f), rep=spinor)
-    assert rebuilt == f
-
-
-def test_combine_halves_zero_pads(spinor):
-    p = FourMomentum.exact((3, 2, 2, 0), 1)
-    up = PlaneWaveField((PlaneWaveTerm((1, I), p, 1),), ncomp=2)
-    empty = PlaneWaveField((), ncomp=2)
-    f = combine_halves(up, empty, rep=spinor)
-    zero, one = GaussianRational(0), GaussianRational(1)
-    assert f.terms[0].amplitude == (one, I, zero, zero)
+    up, low = upper_half(f), lower_half(f)
+    assert up.terms[0].amplitude + low.terms[0].amplitude == term.amplitude
+    assert up.terms[0].key() == low.terms[0].key() == term.key()
+    assert (up.ncomp, low.ncomp, up.rep, low.rep) == (2, 2, spinor, spinor)
 
 
 def test_half_of_two_component_field_rejected(spinor):

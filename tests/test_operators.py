@@ -1,0 +1,213 @@
+"""Operators as symbols applied term by term.
+
+The reference compositions below are how the operators were built
+before they became symbols: from intermediate fields, each made by the
+public constructors.  They are kept here only as oracles.  On the exact
+backend every symbol must reproduce them term for term, and every
+operator's result must already be canonical.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diracsplit import (
+    FourMomentum,
+    PlaneWaveField,
+    PlaneWaveTerm,
+    apply_symbol,
+    charge_conjugate,
+    conjugate,
+    dirac_op,
+    dirac_residual,
+    lower_half,
+    reduced_dirac_residual,
+    sigma_momentum_op,
+    u_spinor,
+    upper_half,
+    weyl_spinor,
+)
+from diracsplit.gamma import METRIC_SIGNS, PAULI, REP_NAMES, build_rep
+from diracsplit.matrices import Matrix
+from diracsplit.scalars import EXACT, FLOAT, GaussianRational, scalar_is_zero
+
+_GR = GaussianRational
+
+# -- reference compositions ------------------------------------------------------
+
+
+def _ref_field(f, terms):
+    return PlaneWaveField(terms, rep=f.rep, ncomp=f.ncomp, backend=f.backend)
+
+
+def _ref_scale(f, c):
+    return _ref_field(f, [PlaneWaveTerm(tuple(c * a for a in t.amplitude), t.momentum, t.freq_sign)
+                          for t in f.terms])
+
+
+def _ref_sub(a, b):
+    return a + _ref_scale(b, -1)
+
+
+def _ref_apply(f, m):
+    return _ref_field(f, [PlaneWaveTerm(m.apply(t.amplitude), t.momentum, t.freq_sign)
+                          for t in f.terms])
+
+
+def _ref_momentum_op(f, mu):
+    return _ref_field(f, [PlaneWaveTerm(tuple(t.momentum.p[mu] * t.freq_sign * a
+                                              for a in t.amplitude), t.momentum, t.freq_sign)
+                          for t in f.terms])
+
+
+def _ref_dirac_op(f):
+    out = []
+    for t in f.terms:
+        acc = Matrix.zero(4)
+        for mu in range(4):
+            acc = acc + f.rep.gammas[mu].scale(METRIC_SIGNS[mu] * t.momentum.p[mu] * t.freq_sign)
+        out.append(PlaneWaveTerm(acc.apply(t.amplitude), t.momentum, t.freq_sign))
+    return _ref_field(f, out)
+
+
+def _ref_dirac_residual(f, mass):
+    return _ref_sub(_ref_dirac_op(f), _ref_scale(f, mass))
+
+
+def _ref_sigma_momentum_op(f, sign):
+    acc = _ref_momentum_op(f, 0)
+    for k in (1, 2, 3):
+        piece = _ref_apply(_ref_momentum_op(f, k), PAULI[k - 1])
+        acc = acc + piece if sign > 0 else _ref_sub(acc, piece)
+    return acc
+
+
+def _ref_reduced_dirac_residual(f, mass):
+    t0, t1 = (_ref_scale(_ref_apply(_ref_momentum_op(f, mu), f.rep.gammas[mu]), METRIC_SIGNS[mu])
+              for mu in (0, 1))
+    return _ref_sub(t0 + t1, _ref_scale(f, mass))
+
+
+# -- fields ----------------------------------------------------------------------
+
+_WITNESS = FourMomentum.exact((3, 2, 2, 0), 1)
+_MOMENTA = (
+    _WITNESS,
+    FourMomentum.exact((5, 3, 2, 1), 2),
+    FourMomentum.exact((Fraction(7, 2), -1, Fraction(1, 3), 2), Fraction(1, 2)),
+    FourMomentum.exact((3, 2, 2, 1), 0),
+)
+_MASSES = (1, Fraction(1, 2), 2, Fraction(-3, 7))
+
+gaussians = st.builds(_GR, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _terms(ncomp):
+    return st.lists(st.builds(PlaneWaveTerm, st.tuples(*(gaussians,) * ncomp),
+                              st.sampled_from(_MOMENTA), st.sampled_from((1, -1))),
+                    max_size=8)
+
+
+def _full_field(rep):
+    """Three massive momenta at both frequency signs, with the solution u(1) at the witness."""
+    terms = [PlaneWaveTerm(tuple(_GR(k + i, s * (i - k)) for i in range(4)), p, s)
+             for k, p in enumerate(_MOMENTA[1:3]) for s in (1, -1)]
+    terms += [u_spinor(_WITNESS, rep, 1),
+              PlaneWaveTerm((1, _GR(0, 2), -1, 3), _WITNESS, -1)]
+    return PlaneWaveField(terms, rep=rep)
+
+
+def _check_against_references(f4, f2, mass):
+    view = f4.rep.on(EXACT)
+    assert dirac_op(f4) == _ref_dirac_op(f4)
+    assert dirac_residual(f4, mass) == _ref_dirac_residual(f4, mass)
+    assert reduced_dirac_residual(f4, mass) == _ref_reduced_dirac_residual(f4, mass)
+    for m in (view.gamma5, view.p[0], view.conjugation, Matrix.zero(4)):
+        assert f4.apply(m) == _ref_apply(f4, m)
+    for sign in (1, -1):
+        assert sigma_momentum_op(f2, sign) == _ref_sigma_momentum_op(f2, sign)
+
+
+@pytest.mark.parametrize("name", REP_NAMES)
+def test_symbols_equal_the_reference_compositions(name):
+    rep = build_rep(name)
+    f4 = _full_field(rep)
+    left = weyl_spinor(_MOMENTA[3], build_rep("spinor"), "left").amplitude[2:]
+    f2 = lower_half(f4) + PlaneWaveField((PlaneWaveTerm(left, _MOMENTA[3], 1),), rep=rep, ncomp=2)
+    assert len(f4.terms) == 6 and len(f2.terms) == 7
+    assert {t.freq_sign for t in f4.terms} == {1, -1}
+    assert len({t.momentum for t in f4.terms}) == 3
+    for mass in _MASSES:
+        _check_against_references(f4, f2, mass)
+    # the solution term and the Weyl term vanish exactly and are dropped
+    assert len(dirac_residual(f4, 1).terms) == 5
+    assert len(sigma_momentum_op(f2, 1).terms) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REP_NAMES), _terms(4), _terms(2), st.sampled_from(_MASSES))
+def test_symbols_equal_the_reference_compositions_on_random_fields(name, t4, t2, mass):
+    rep = build_rep(name)
+    _check_against_references(PlaneWaveField(t4, rep=rep), PlaneWaveField(t2, rep=rep, ncomp=2),
+                              mass)
+
+
+# -- canonical form --------------------------------------------------------------
+
+
+def _assert_canonical(g, ncomp, backend):
+    keys = [t.key() for t in g.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for t in g.terms:
+        assert not all(scalar_is_zero(a) for a in t.amplitude)
+        assert (t.ncomp, t.backend) == (ncomp, backend)
+    assert (g.ncomp, g.backend) == (ncomp, backend)
+
+
+def _operator_results(f4, f2, mass):
+    backend = f4.backend
+    view = f4.rep.on(backend)
+
+    def keep_positive_frequencies(p, s):
+        return Matrix.identity(4, backend).scale(1 if s > 0 else 0)
+
+    yield 4, f4.apply(view.p[0])
+    yield 4, f4.apply(Matrix.zero(4, backend))
+    yield 4, f4.scale(3)
+    yield 4, f4.scale(0)
+    yield 4, f4 - f4.apply(view.q_plus)
+    yield 4, apply_symbol(f4, keep_positive_frequencies)
+    yield 4, dirac_op(f4)
+    yield 4, dirac_residual(f4, mass)
+    yield 4, reduced_dirac_residual(f4, mass)
+    yield 4, conjugate(f4)
+    yield 4, charge_conjugate(f4)
+    yield 2, upper_half(f4)
+    yield 2, lower_half(f4)
+    yield 2, conjugate(f2)
+    yield 2, sigma_momentum_op(f2, 1)
+    yield 2, sigma_momentum_op(f2, -1)
+
+
+def _float_terms(ncomp):
+    small = st.integers(-3, 3)
+    amplitude = st.tuples(*(st.builds(complex, small, small),) * ncomp)
+    momentum = st.sampled_from(tuple(p.to_float() for p in _MOMENTA))
+    return st.lists(st.builds(PlaneWaveTerm, amplitude, momentum, st.sampled_from((1, -1))),
+                    max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.data())
+def test_every_operator_result_is_canonical(name, backend, data):
+    rep = build_rep(name)
+    terms = _terms if backend == EXACT else _float_terms
+    f4 = PlaneWaveField(data.draw(terms(4)), rep=rep, backend=backend)
+    f2 = PlaneWaveField(data.draw(terms(2)), rep=rep, ncomp=2, backend=backend)
+    mass = data.draw(st.sampled_from(_MASSES))
+    if backend == FLOAT:
+        mass = float(mass)
+    for ncomp, g in _operator_results(f4, f2, mass):
+        _assert_canonical(g, ncomp, backend)
+        assert g.rep is rep
