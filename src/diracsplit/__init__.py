@@ -36,16 +36,7 @@ from .fields import (
     upper_half,
     weyl_spinor,
 )
-from .gamma import (
-    GammaRep,
-    build_rep,
-    clifford_residual,
-    conjugation_matrix,
-    gamma5_residuals,
-    intertwiner,
-    intertwiner_pair,
-    sigma,
-)
+from .gamma import GammaRep, build_rep
 from .lorentz import (
     LorentzParams,
     VectorTransform,
@@ -59,7 +50,7 @@ from .lorentz import (
     vector_transform,
 )
 from .matrices import Matrix
-from .projectors import ProjectorSet, build_projectors, corson_complement
+from .projectors import build_projectors
 from .reports import CheckRecord, Report, ResidualEntry, ResidualReport, format_human
 from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
@@ -98,7 +89,6 @@ __all__ = [
     "PlaneWaveField",
     "PlaneWaveTerm",
     "ProjectorAlgebraViolation",
-    "ProjectorSet",
     "Report",
     "ResidualEntry",
     "ResidualReport",
@@ -113,21 +103,15 @@ __all__ = [
     "build_projectors",
     "build_rep",
     "charge_conjugate",
-    "clifford_residual",
     "conjugate",
-    "conjugation_matrix",
     "constituent_residuals",
-    "corson_complement",
     "covariance_check",
     "dirac_matrix",
     "dirac_op",
     "dirac_residual",
     "field_of",
     "format_human",
-    "gamma5_residuals",
     "identity_residuals",
-    "intertwiner",
-    "intertwiner_pair",
     "lower_half",
     "majorana_build",
     "majorana_residuals",
@@ -136,7 +120,6 @@ __all__ = [
     "recombination_residuals",
     "reduced_dirac_residual",
     "run",
-    "sigma",
     "sigma_momentum_op",
     "special_frame",
     "spinor_transform",

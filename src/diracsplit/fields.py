@@ -290,7 +290,7 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
     """C f = M conjugate(f) with M the representation's conjugation matrix.
 
     M is i gamma2 in the spinor and standard bases and the transported
-    equivalent elsewhere; see ``gamma.conjugation_matrix``.
+    equivalent elsewhere; see ``gamma.RepView.conjugation``.
     """
     if f.ncomp != 4:
         raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")

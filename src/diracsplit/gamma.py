@@ -14,20 +14,35 @@ diag(1, -1, -1, -1) and gamma5 = -i gamma0 gamma1 gamma2 gamma3; the
 pairwise intertwiners are pinned integer (or Gaussian-integer) matrices
 W with W Wdag = norm2 * Id, so similarity transforms stay exact.
 
-Everything derived from a representation -- lowered gammas, the spin
-generators sigma_{mu nu}, the chiral projectors Q+-, the rank-3 family
-P1..P4 with the swap V, the charge-conjugation matrix and the
-intertwiners to the other bases -- is read from ``rep.on(backend)``, a
-:class:`RepView`.  Each piece is built on first use, validated exactly
-once per representation, and kept on the representation object; the
-float view holds the ``to_float()`` of the validated exact matrices.
+Q+- = (1 +- gamma5)/2 select the two-component chiral halves of a
+bispinor.  The four rank-3 projectors
 
-Each structural relation has one residual function here (``*_residual``,
-``*_residuals``), returning labelled residuals with their paper-equation
-tags in report order.  The residuals a validation demands to vanish --
-the intertwiner's (``Intertwiner.residuals``) and the projector
-family's -- are kept with the validated data, so the verification
-suites record the very residuals that validation checked.
+    P1 = (3 - gamma5 - gamma0 gamma3 + i gamma1 gamma2) / 4
+    P2 = (3 - gamma5 + gamma0 gamma3 - i gamma1 gamma2) / 4
+    P3 = (3 + gamma5 + gamma0 gamma3 + i gamma1 gamma2) / 4
+    P4 = (3 + gamma5 - gamma0 gamma3 - i gamma1 gamma2) / 4
+
+commute pairwise, sum to 3*Id, and each leaves a three-dimensional
+subspace invariant; in the spinor basis they are diagonal with a single
+zero.  The unitary V = i gamma2 gamma3 swaps P1 and P2 while commuting
+with gamma0 and gamma1.
+
+Everything derived from a representation -- lowered gammas, the spin
+generators sigma_{mu nu}, Q+-, P1..P4 and V, the charge-conjugation
+matrix and the intertwiners to the other bases -- is read from
+``rep.on(backend)``, a :class:`RepView`.  Each piece is built on first
+use, validated exactly once per representation, and kept on the
+representation object; the float view holds the ``to_float()`` of the
+validated exact matrices.
+
+Every structural relation of a basis is a report of labelled residuals
+with their paper-equation tags, in report order, kept on the view: it is
+measured on the view's own backend the first time it is read, and read
+from the view ever after.  The residuals a validation demands to vanish
+-- the intertwiner's (``Intertwiner.residuals``) and the projector
+family's -- are measured by that validation, so the suites record the
+very residuals it checked.  The others are measured only when first
+read, never when a view or the family is built.
 """
 
 from __future__ import annotations
@@ -48,7 +63,7 @@ REP_NAMES = ("spinor", "standard", "majorana")
 METRIC_SIGNS = (1, -1, -1, -1)
 
 #: index pairs (mu, nu) with mu <= nu: the order of the anticommutator
-#: residuals of clifford_residual (and of the report's clifford checks)
+#: residuals of RepView.clifford_residual (and of the report's clifford checks)
 INDEX_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(mu, 4))
 
 # 2x2 building blocks
@@ -72,9 +87,6 @@ class GammaRep:
     gammas: tuple  # (gamma0, gamma1, gamma2, gamma3)
     gamma5: Matrix
     _views: dict = field(default_factory=dict, init=False, repr=False)
-
-    def gamma_lower(self, mu: int) -> Matrix:
-        return self.on(EXACT).gammas_lower[mu]
 
     def on(self, backend: str) -> "RepView":
         """This representation materialised on ``backend`` (one view per backend)."""
@@ -137,12 +149,15 @@ class RepView:
     Obtain it with ``rep.on(backend)``.  Attributes are built lazily, so
     a caller pays only for what it reads, and each validation (projector
     algebra, conjugation relations, intertwiner similarity) runs once per
-    representation.
+    representation.  The structural relations, ``clifford_residual``
+    through ``covariance_residuals``, are measured on this view's backend
+    when first read, then kept.
     """
 
     rep: GammaRep
     backend: str
     _links: dict = field(default_factory=dict, init=False, repr=False)
+    _transports: dict = field(default_factory=dict, init=False, repr=False)
 
     @_materialised
     def gammas(self) -> tuple:
@@ -185,11 +200,25 @@ class RepView:
 
     @_materialised
     def conjugation(self) -> Matrix:
-        """The matrix M of charge conjugation C psi = M conj(psi)."""
+        """The matrix M of charge conjugation C psi = M conj(psi).
+
+        M must anticommute conjugated gammas onto gammas, M conj(gamma^mu)
+        = -gamma^mu M, and satisfy M conj(M) = Id so C is an involution.
+        In bases where gamma2 is the only imaginary gamma this is the usual
+        i gamma2; in general (e.g. when every gamma is imaginary and the
+        role of i gamma2 degenerates to a phase times the identity) it is
+        the exact transport U M_spinor conj(U)^-1 of the spinor-basis
+        matrix.  Both properties are verified exactly, once per
+        representation, when the exact view first builds M.
+        """
         return _conjugation_matrix(self.rep)
 
     def intertwiner(self, rep_to: GammaRep) -> Intertwiner:
-        """Change of basis to ``rep_to``, verified exactly on first use."""
+        """Change of basis to ``rep_to``, verified exactly on first use.
+
+        Raises IntertwinerInvalid if the pinned W fails its checks, and
+        ValueError if no W is pinned for the pair.
+        """
         link = self._links.get(rep_to)
         if link is None:
             if self.backend == EXACT:
@@ -202,6 +231,140 @@ class RepView:
                 link = Intertwiner(w, exact.norm2, u, exact.residuals)
             self._links[rep_to] = link
         return link
+
+    # -- structural relations, measured on this view's backend when first read --
+
+    @cached_property
+    def clifford_residual(self) -> ResidualReport:
+        """The ten independent anticommutator residuals.
+
+        ``anticommute.<mu><nu>`` (equation Dirac1) is {gamma^mu, gamma^nu} -
+        2 g^{mu nu} Id for the pairs of INDEX_PAIRS; each vanishes exactly
+        for a valid representation.
+        """
+        gams = self.gammas
+        ident = Matrix.identity(4, self.backend)
+        relations = []
+        for mu, nu in INDEX_PAIRS:
+            anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
+            if mu == nu:
+                anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
+            relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
+        return _entries(self.backend, relations)
+
+    @cached_property
+    def gamma5_residuals(self) -> ResidualReport:
+        """Residuals of the gamma5 relations (equation DiracNeutrino).
+
+        ``gamma5.definition`` is gamma5 + i g0 g1 g2 g3, ``gamma5.square`` is
+        gamma5^2 - Id and ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.
+        """
+        g0, g1, g2, g3 = gams = self.gammas
+        g5, backend = self.gamma5, self.backend
+        i_unit = I if backend == EXACT else 1j
+        relations = [
+            ("gamma5.definition", g5 + (g0 @ g1 @ g2 @ g3).scale(i_unit)),
+            ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
+        ]
+        relations += [(f"gamma5.anticommute.{mu}", g5 @ g + g @ g5) for mu, g in enumerate(gams)]
+        return _entries(backend, ((label, "DiracNeutrino", m) for label, m in relations))
+
+    @cached_property
+    def projector_residuals(self) -> ResidualReport:
+        """Every relation of the projector family, in report order.
+
+        Those of ``_family_residuals`` come from the validation on the
+        exact view and are measured afresh on the float view.  The others
+        are [P_k, gamma5], the complement 1 - P_k (idempotent and
+        orthogonal to P_k: the larger residual), the swap and [V, gamma0],
+        [V, gamma1].
+        """
+        q_plus, q_minus, ps, v, checked = self.projectors
+        backend = self.backend
+        if backend != EXACT:
+            checked = _family_residuals(q_plus, q_minus, ps, v)
+        family = {e.label: e for e in checked}
+        ident = Matrix.identity(4, backend)
+
+        out = [family[label] for label in
+               ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
+        for k, p in enumerate(ps, start=1):
+            out += [family[f"p{k}.idempotent"], family[f"p{k}.trace"],
+                    residual_entry(f"p{k}.gamma5-commute", "PRO", backend,
+                                   commutator(p, self.gamma5))]
+        out.append(family["sum"])
+        out += [e for e in checked if e.label.startswith("commute.")]
+        for k, p in enumerate(ps, start=1):
+            eps = ident - p
+            complement = _entries(backend, (("idempotent", "PRO", eps @ eps - eps),
+                                            ("orthogonal", "PRO", eps @ p)))
+            out.append(complement.worst(f"complement.p{k}", "PRO"))
+        out += swap_residuals(self).entries
+        out += _entries(backend, (("v-swap.commute-gamma0", "V", commutator(v, self.gammas[0])),
+                                  ("v-swap.commute-gamma1", "V", commutator(v, self.gammas[1]))))
+        out.append(family["v-swap.unitary"])
+        return ResidualReport(tuple(out))
+
+    @cached_property
+    def swap_control(self) -> ResidualReport:
+        """``swap_residuals`` with the identity for V: a negative control, far from zero."""
+        return swap_residuals(self, Matrix.identity(4, self.backend))
+
+    @cached_property
+    def spinor_diagonal_residuals(self) -> ResidualReport:
+        """P1..P4 and Q- minus their pinned spinor-basis diagonals: zero on the spinor basis."""
+        diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
+        relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d, self.backend))
+                     for k, (p, d) in enumerate(zip(self.p, diagonals), start=1)]
+        qminus = self.q_minus - Matrix.diag((1, 1, 0, 0), self.backend)
+        relations.append(("qminus.diagonal", "DiracNeutrino", qminus))
+        return _entries(self.backend, relations)
+
+    def transport_residuals(self, rep_to: GammaRep) -> ResidualReport:
+        """W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), kept per ``rep_to``.
+
+        The family of this basis carried by the pinned intertwiner onto
+        that of ``rep_to``.
+        """
+        report = self._transports.get(rep_to)
+        if report is None:
+            link = self.intertwiner(rep_to)
+            wd = link.w.adjoint()
+            pairs = zip(self.p, rep_to.on(self.backend).p)
+            report = _entries(self.backend, (
+                (f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
+                for k, (a, b) in enumerate(pairs, start=1)))
+            self._transports[rep_to] = report
+        return report
+
+    @cached_property
+    def covariance_residuals(self) -> ResidualReport:
+        """The fixed relations behind the covariance suite, in report order.
+
+        ``commute.sigma<mu><nu>.P<i>`` (equation S) is [sigma_03, P_i] and
+        [sigma_12, P_i] for i = 1, 2: the (0,3) boost and (1,2) rotation
+        act inside each subsolution class.  ``v-reduced-op.<n>`` (equation
+        V) is V op V^-1 - op for op = a gamma0 - b gamma1 - m at two pinned
+        (a, b, m): V keeps the reduced Dirac operator of the special
+        frame.  ``sigma-square.<mu><nu>`` (equation S) is sigma_{mu nu}^2 -
+        g_{mu mu} g_{nu nu} Id, the premise of ``lorentz.spinor_transform``.
+        """
+        backend = self.backend
+        ident = Matrix.identity(4, backend)
+        relations = [(f"commute.sigma{mu}{nu}.P{i}", "S",
+                      commutator(self.sigmas[mu][nu], self.p[i - 1]))
+                     for mu, nu in ((0, 3), (1, 2)) for i in (1, 2)]
+        g0, g1 = self.gammas[:2]
+        vd = self.v.adjoint()
+        for n, (a, b, m) in enumerate(((3, 2, 1), (5, -7, 2))):
+            op = g0.scale(a) - g1.scale(b) - ident.scale(m)
+            relations.append((f"v-reduced-op.{n}", "V", self.v @ op @ vd - op))
+        for mu, nu in INDEX_PAIRS:
+            if mu < nu:
+                sig = self.sigmas[mu][nu]
+                square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
+                relations.append((f"sigma-square.{mu}{nu}", "S", square))
+        return _entries(backend, relations)
 
 
 #: the Pauli matrices on the float backend
@@ -279,46 +442,6 @@ def _entries(backend: str, relations) -> ResidualReport:
                                 for label, eq, value in relations))
 
 
-def clifford_residual(view: "RepView") -> ResidualReport:
-    """The ten independent anticommutator residuals, on the view's backend.
-
-    ``anticommute.<mu><nu>`` (equation Dirac1) is {gamma^mu, gamma^nu} -
-    2 g^{mu nu} Id for the pairs of INDEX_PAIRS; each vanishes exactly
-    for a valid representation.
-    """
-    gams = view.gammas
-    ident = Matrix.identity(4, view.backend)
-    relations = []
-    for mu, nu in INDEX_PAIRS:
-        anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
-        if mu == nu:
-            anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
-        relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
-    return _entries(view.backend, relations)
-
-
-def gamma5_residuals(view: "RepView") -> ResidualReport:
-    """Residuals of the gamma5 relations (equation DiracNeutrino), on the view's backend.
-
-    ``gamma5.definition`` is gamma5 + i g0 g1 g2 g3, ``gamma5.square`` is
-    gamma5^2 - Id and ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.
-    """
-    g0, g1, g2, g3 = gams = view.gammas
-    g5, backend = view.gamma5, view.backend
-    i_unit = I if backend == EXACT else 1j
-    relations = [
-        ("gamma5.definition", g5 + (g0 @ g1 @ g2 @ g3).scale(i_unit)),
-        ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
-    ]
-    relations += [(f"gamma5.anticommute.{mu}", g5 @ g + g @ g5) for mu, g in enumerate(gams)]
-    return _entries(backend, ((label, "DiracNeutrino", m) for label, m in relations))
-
-
-def sigma(rep: GammaRep, mu: int, nu: int) -> Matrix:
-    """Spin generator (i/2)[gamma_mu, gamma_nu] with lowered indices."""
-    return rep.on(EXACT).sigmas[mu][nu]
-
-
 # -- projector family ----------------------------------------------------------
 
 _QUARTER = Fraction(1, 4)
@@ -327,7 +450,7 @@ _QUARTER = Fraction(1, 4)
 def _projector_family(rep: GammaRep) -> tuple:
     """Q+-, P1..P4 and V, validated exactly, with their ``_family_residuals``.
 
-    The formulas are listed in the ``projectors`` module docstring.
+    The formulas are listed in the module docstring.
     """
     ident = Matrix.identity(4)
     g5 = rep.gamma5
@@ -386,65 +509,6 @@ def swap_residuals(view: "RepView", v: Optional[Matrix] = None) -> ResidualRepor
                                    ("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1)))
 
 
-def projector_residuals(view: "RepView") -> ResidualReport:
-    """Every relation of one basis's projector family, in report order.
-
-    Those of ``_family_residuals`` come from the validation on the exact
-    view and are measured afresh on the float view.  The others are
-    [P_k, gamma5], the complement 1 - P_k (idempotent and orthogonal to
-    P_k: the larger residual), the swap and [V, gamma0], [V, gamma1].
-    """
-    q_plus, q_minus, ps, v, checked = view.projectors
-    backend = view.backend
-    if backend != EXACT:
-        checked = _family_residuals(q_plus, q_minus, ps, v)
-    family = {e.label: e for e in checked}
-    ident = Matrix.identity(4, backend)
-
-    out = [family[label] for label in
-           ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
-    for k, p in enumerate(ps, start=1):
-        out += [family[f"p{k}.idempotent"], family[f"p{k}.trace"],
-                residual_entry(f"p{k}.gamma5-commute", "PRO", backend,
-                               commutator(p, view.gamma5))]
-    out.append(family["sum"])
-    out += [e for e in checked if e.label.startswith("commute.")]
-    for k, p in enumerate(ps, start=1):
-        eps = ident - p
-        complement = _entries(backend, (("idempotent", "PRO", eps @ eps - eps),
-                                        ("orthogonal", "PRO", eps @ p)))
-        out.append(complement.worst(f"complement.p{k}", "PRO"))
-    out += swap_residuals(view).entries
-    out += _entries(backend, (("v-swap.commute-gamma0", "V", commutator(v, view.gammas[0])),
-                              ("v-swap.commute-gamma1", "V", commutator(v, view.gammas[1]))))
-    out.append(family["v-swap.unitary"])
-    return ResidualReport(tuple(out))
-
-
-def transport_residuals(rep_from: GammaRep, rep_to: GammaRep) -> ResidualReport:
-    """W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), exactly.
-
-    The family of ``rep_from`` carried by the pinned intertwiner onto
-    that of ``rep_to``.
-    """
-    link = rep_from.on(EXACT).intertwiner(rep_to)
-    wd = link.w.adjoint()
-    pairs = zip(rep_from.on(EXACT).p, rep_to.on(EXACT).p)
-    return _entries(EXACT, ((f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
-                            for k, (a, b) in enumerate(pairs, start=1)))
-
-
-def spinor_diagonal_residuals() -> ResidualReport:
-    """P1..P4 and Q- of the spinor basis minus their pinned diagonals, exactly."""
-    view = _SPINOR.on(EXACT)
-    diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
-    relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d))
-                 for k, (p, d) in enumerate(zip(view.p, diagonals), start=1)]
-    qminus = view.q_minus - Matrix.diag((1, 1, 0, 0))
-    relations.append(("qminus.diagonal", "DiracNeutrino", qminus))
-    return _entries(EXACT, relations)
-
-
 # -- intertwiners ------------------------------------------------------------
 
 # W matrices with W Wdag = norm2 * Id; U = W / sqrt(norm2) is unitary and
@@ -495,27 +559,6 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
     return Intertwiner(w, norm2, u, residuals)
 
 
-def intertwiner_pair(rep_from: GammaRep, rep_to: GammaRep):
-    """Exact intertwiner data (W, norm2) for a pair of representations.
-
-    W gamma_from Wdag = norm2 * gamma_to and Wdag W = norm2 * Id are
-    verified exactly once per pair, when ``rep_from``'s exact view first
-    needs them; U = W / sqrt(norm2) is the unitary change of basis.
-    Raises IntertwinerInvalid if the pinned W fails either check.
-    """
-    link = rep_from.on(EXACT).intertwiner(rep_to)
-    return link.w, link.norm2
-
-
-def intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Matrix:
-    """Unitary change of basis U with U gamma_from U^-1 = gamma_to.
-
-    Exact when norm2 is a perfect square, float otherwise.
-    """
-    u = rep_from.on(EXACT).intertwiner(rep_to).u
-    return u if u is not None else rep_from.on(FLOAT).intertwiner(rep_to).u
-
-
 # -- charge conjugation ------------------------------------------------------
 
 
@@ -541,25 +584,3 @@ def _conjugation_matrix(rep: GammaRep) -> Matrix:
             f"no valid conjugation matrix for rep {rep.name}"
         )
     return m
-
-
-def conjugation_matrix(rep: GammaRep) -> Matrix:
-    """The matrix M of charge conjugation C psi = M conj(psi).
-
-    M must anticommute conjugated gammas onto gammas, M conj(gamma^mu)
-    = -gamma^mu M, and satisfy M conj(M) = Id so C is an involution.
-    In bases where gamma2 is the only imaginary gamma this is the usual
-    i gamma2; in general (e.g. when every gamma is imaginary and the
-    role of i gamma2 degenerates to a phase times the identity) it is
-    the exact transport U M_spinor conj(U)^-1 of the spinor-basis
-    matrix.  Both properties are verified exactly, once per
-    representation, when its exact view first builds M.
-    """
-    return rep.on(EXACT).conjugation
-
-
-def conjugate_by_intertwiner(rep_from: GammaRep, rep_to: GammaRep, m: Matrix) -> Matrix:
-    """Transport a matrix between bases: U m U^-1, exact for exact input."""
-    link = rep_from.on(m.backend).intertwiner(rep_to)
-    inv = Fraction(1, link.norm2) if m.backend == EXACT else 1.0 / link.norm2
-    return (link.w @ m @ link.w.adjoint()).scale(inv)

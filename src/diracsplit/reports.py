@@ -109,15 +109,17 @@ class ResidualReport:
     def merged(self, other: "ResidualReport") -> "ResidualReport":
         return ResidualReport(self.entries + other.entries)
 
-    def worst(self, label: str, equation: str) -> ResidualEntry:
-        """The first entry with the largest residual, relabelled: one check over all of them.
+    def worst(self, label: Optional[str] = None, equation: Optional[str] = None) -> ResidualEntry:
+        """The first entry with the largest residual: one check over all of them.
 
-        A NaN residual is the largest, so the first NaN entry wins.
+        A NaN residual is the largest, so the first NaN entry wins.  Given
+        ``label`` and ``equation``, a relabelled copy is returned; without
+        them, the entry itself.
         """
         top = self.max_residual()
         first = next(e for e in self.entries
                      if (e.residual or 0.0) == top or e.residual != e.residual)
-        return replace(first, label=label, equation=equation)
+        return first if label is None else replace(first, label=label, equation=equation)
 
 
 # -- CLI-level records -------------------------------------------------------
@@ -158,10 +160,6 @@ class Report:
     @property
     def failed(self) -> int:
         return sum(1 for c in self.checks if not c.ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.failed == 0
 
     def to_json_dict(self) -> dict:
         return {

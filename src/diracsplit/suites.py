@@ -9,9 +9,12 @@ are pinned two decades tighter (massless algebra, metric preservation,
 generator commutators, frame drift, and the float runs of the structural
 suites) use tol/100 so the default 1e-10 run enforces 1e-12 on them.
 
-The structural suites (``clifford``, ``projectors``) hold no algebra of
-their own: they record the residual functions of ``gamma``, which on the
-exact backend hand back the residuals the views already verified.
+The structural suites (``clifford``, ``projectors``) and the exact block
+of ``covariance`` hold no algebra of their own: they record the residual
+reports kept on each representation's view (``gamma.RepView``), measured
+once per view on its backend, so a second run in one process repeats no
+matrix product; on the exact backend the validated ones are the very
+residuals the views' validations checked.
 
 A claim is checked exactly on a witness and in floats over seeded fuzz
 from the same code: ``_weyl_entries`` and ``_majorana_entries`` state
@@ -49,17 +52,7 @@ from .fields import (
     u_spinor,
     weyl_spinor,
 )
-from .gamma import (
-    METRIC_SIGNS,
-    REP_NAMES,
-    build_rep,
-    clifford_residual,
-    gamma5_residuals,
-    projector_residuals,
-    spinor_diagonal_residuals,
-    swap_residuals,
-    transport_residuals,
-)
+from .gamma import REP_NAMES, build_rep
 from .lorentz import (
     LorentzParams,
     covariance_check,
@@ -318,14 +311,13 @@ def _run_clifford(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
         view = rep.on(backend)
-        for e in clifford_residual(view).merged(gamma5_residuals(view)):
+        for e in view.clifford_residual.merged(view.gamma5_residuals):
             out.add(f"clifford.{rep.name}.{e.label}", e, config.strict_tol)
 
     if config.run_exact:
         for rep_a, rep_b in _REP_PAIRS:
-            residuals = rep_a.on(EXACT).intertwiner(rep_b).residuals
             out.add(f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}",
-                    residuals.worst("intertwiner", "Dirac1"))
+                    rep_a.on(EXACT).intertwiner(rep_b).residuals.worst())
 
 
 # -- projectors suite -------------------------------------------------------------
@@ -337,21 +329,21 @@ _EXACT_ONLY_V = ("v-swap.commute-gamma0", "v-swap.commute-gamma1", "v-swap.unita
 def _run_projectors(config: RunConfig, out: _Collector) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
-        for e in projector_residuals(rep.on(backend)):
+        for e in rep.on(backend).projector_residuals:
             if backend == EXACT or e.label not in _EXACT_ONLY_V:
                 out.add(f"projectors.{rep.name}.{e.label}", e, config.strict_tol)
 
+    spinor = build_rep("spinor").on(EXACT)
     if config.run_exact:
-        for e in spinor_diagonal_residuals():
+        for e in spinor.spinor_diagonal_residuals:
             out.add(f"projectors.spinor.{e.label}", e)
         for rep_a, rep_b in _REP_PAIRS:
             out.add(f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
-                    transport_residuals(rep_a, rep_b).worst("transport", "PRO"))
+                    rep_a.on(EXACT).transport_residuals(rep_b).worst())
 
     # negative control: the identity matrix does not swap P1 and P2
-    spinor = build_rep("spinor").on(EXACT)
-    control = swap_residuals(spinor, Matrix.identity(4)).worst("identity-for-v", "V")
-    out.add("projectors.control.identity-for-v", control, _CONTROL_FLOOR, CONTROL)
+    out.add("projectors.control.identity-for-v", spinor.swap_control.worst(),
+            _CONTROL_FLOOR, CONTROL)
 
 
 # -- split suite ------------------------------------------------------------------
@@ -515,29 +507,9 @@ def _sampled_split(rng: Random, config: RunConfig, trial: int):
 def _run_covariance(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
     for rep in _selected_reps(config):
-        commutes = pi_commutation_check(rep)
         if config.run_exact:
-            for e in commutes:
-                if e.backend == EXACT:
-                    out.add(f"covariance.{rep.name}.{e.label}", e)
-            for idx, (a, b, mv) in enumerate(((3, 2, 1), (5, -7, 2))):
-                op = (
-                    rep.gammas[0].scale(a)
-                    - rep.gammas[1].scale(b)
-                    - Matrix.identity(4).scale(mv)
-                )
-                v = rep.on(EXACT).v
-                out.add(f"covariance.{rep.name}.v-reduced-op.{idx}",
-                        residual_entry("v-reduced-op", "V", EXACT, v @ op @ v.adjoint() - op))
-            # the premise of the closed-form spinor transform, plane by plane
-            sigmas = rep.on(EXACT).sigmas
-            for mu in range(4):
-                for nu in range(mu + 1, 4):
-                    sig = sigmas[mu][nu]
-                    square = sig @ sig - Matrix.identity(4).scale(
-                        METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
-                    out.add(f"covariance.{rep.name}.sigma-square.{mu}{nu}",
-                            residual_entry("sigma-square", "S", EXACT, square))
+            for e in rep.on(EXACT).covariance_residuals:
+                out.add(f"covariance.{rep.name}.{e.label}", e)
 
         if not config.run_float:
             continue
@@ -548,7 +520,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             for e in covariance_check(params, rep):
                 tol = config.strict_tol if e.label == "vector.metric" else config.tol
                 out.add(f"{prefix}.{e.label}", e, tol)
-        for e in commutes:
+        for e in pi_commutation_check(rep):
             if e.backend == FLOAT:
                 out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 

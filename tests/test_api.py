@@ -14,3 +14,20 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(diracsplit, n)]
     assert missing == []
+
+
+def test_names_the_benchmark_reaches():
+    """perfbench's set-up, workloads and independent oracle call these names."""
+    import importlib
+
+    from diracsplit import cli, kernels
+
+    importlib.import_module("diracsplit.projectors")
+    spinor = diracsplit.build_rep("spinor")
+    assert diracsplit.build_projectors(spinor).p
+    assert isinstance(kernels.IMPLEMENTATION, str)
+    assert callable(cli.main)
+    for name in ("u_spinor", "weyl_spinor", "split", "field_of"):
+        assert callable(getattr(diracsplit, name)), name
+    assert callable(diracsplit.FourMomentum.on_shell)
+    assert callable(diracsplit.FourMomentum.exact)

@@ -8,7 +8,6 @@ from diracsplit import (
     PlaneWaveField,
     PlaneWaveTerm,
     apply_symbol,
-    build_projectors,
     charge_conjugate,
     conjugate,
     dirac_matrix,
@@ -29,7 +28,7 @@ from diracsplit.errors import (
 )
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
-from diracsplit.scalars import GaussianRational
+from diracsplit.scalars import EXACT, GaussianRational
 
 I = GaussianRational(0, 1)
 _SPINOR = build_rep("spinor")
@@ -291,7 +290,7 @@ def test_weyl_solves_massless_dirac(rep, kvec):
 
 def test_weyl_chirality_images(rep):
     k = FourMomentum.exact((3, 2, 2, 1), 0)
-    ps = build_projectors(rep)
+    ps = rep.on(EXACT)
     left = field_of(weyl_spinor(k, rep, "left"), rep=rep)
     right = field_of(weyl_spinor(k, rep, "right"), rep=rep)
     assert (left.apply(ps.q_plus) - left).is_zero

@@ -1,21 +1,10 @@
 """Representation layer: Clifford algebra, gamma5, sigma, intertwiners,
-charge-conjugation matrices."""
+charge-conjugation matrices, all read from a representation's view."""
 
 import pytest
 
 from diracsplit.errors import IntertwinerInvalid
-from diracsplit.gamma import (
-    METRIC_SIGNS,
-    REP_NAMES,
-    build_rep,
-    clifford_residual,
-    conjugate_by_intertwiner,
-    conjugation_matrix,
-    gamma5_residuals,
-    intertwiner,
-    intertwiner_pair,
-    sigma,
-)
+from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep
 from diracsplit.matrices import Matrix, max_abs_diff
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 
@@ -30,21 +19,21 @@ def test_unknown_rep_rejected():
 
 
 def test_clifford_residuals_exactly_zero(rep):
-    report = clifford_residual(rep.on(EXACT))
+    report = rep.on(EXACT).clifford_residual
     assert [e.label for e in report] == [f"anticommute.{mu}{nu}" for mu in range(4)
                                          for nu in range(mu, 4)]
     assert report.all_exact_zero()
 
 
 def test_gamma5_relations_exactly_zero(rep):
-    report = gamma5_residuals(rep.on(EXACT))
+    report = rep.on(EXACT).gamma5_residuals
     assert [e.label for e in report][:2] == ["gamma5.definition", "gamma5.square"]
     assert report.all_exact_zero()
 
 
-@pytest.mark.parametrize("residuals", (clifford_residual, gamma5_residuals))
+@pytest.mark.parametrize("residuals", ("clifford_residual", "gamma5_residuals"))
 def test_structural_residuals_on_float_view(rep, residuals):
-    exact, floated = residuals(rep.on(EXACT)), residuals(rep.on(FLOAT))
+    exact, floated = getattr(rep.on(EXACT), residuals), getattr(rep.on(FLOAT), residuals)
     assert [e.label for e in floated] == [e.label for e in exact]
     assert all(e.backend == FLOAT and not e.exact_zero for e in floated)
     assert floated.all_within(1e-15)
@@ -69,24 +58,25 @@ def test_majorana_gammas_purely_imaginary():
 def test_gamma_lower_signs(rep):
     for mu in range(4):
         want = rep.gammas[mu] if METRIC_SIGNS[mu] == 1 else -rep.gammas[mu]
-        assert (rep.gamma_lower(mu) - want).is_zero
+        assert (rep.on(EXACT).gammas_lower[mu] - want).is_zero
 
 
 def test_sigma_antisymmetric(rep):
+    sigmas = rep.on(EXACT).sigmas
     for mu in range(4):
         for nu in range(4):
-            assert (sigma(rep, mu, nu) + sigma(rep, nu, mu)).is_zero
+            assert (sigmas[mu][nu] + sigmas[nu][mu]).is_zero
 
 
 def test_sigma03_diagonal_golden(spinor):
     """In the spinor basis sigma_03 = diag(-i, i, i, -i)."""
     i = GaussianRational(0, 1)
     want = Matrix.diag((-i, i, i, -i))
-    assert (sigma(spinor, 0, 3) - want).is_zero
+    assert (spinor.on(EXACT).sigmas[0][3] - want).is_zero
 
 
 def test_sigma12_diagonal_golden(spinor):
-    assert (sigma(spinor, 1, 2) - Matrix.diag((1, -1, 1, -1))).is_zero
+    assert (spinor.on(EXACT).sigmas[1][2] - Matrix.diag((1, -1, 1, -1))).is_zero
 
 
 @pytest.mark.parametrize("a", REP_NAMES)
@@ -95,7 +85,8 @@ def test_intertwiner_pairs(a, b):
     if a == b:
         return
     ra, rb = build_rep(a), build_rep(b)
-    w, norm2 = intertwiner_pair(ra, rb)
+    link = ra.on(EXACT).intertwiner(rb)
+    w, norm2 = link.w, link.norm2
     assert (w.adjoint() @ w - Matrix.identity(4).scale(norm2)).is_zero
     for g_from, g_to in zip(ra.gammas, rb.gammas):
         assert (w @ g_from @ w.adjoint() - g_to.scale(norm2)).is_zero
@@ -113,20 +104,21 @@ def test_intertwiner_keeps_its_verified_residuals(all_reps):
 
 def test_intertwiner_unitary_float():
     sp, std = build_rep("spinor"), build_rep("standard")
-    u = intertwiner(sp, std)
-    uf = u.to_float()
-    assert max_abs_diff(uf @ uf.adjoint(), Matrix.identity(4).to_float()) < 1e-15
+    assert sp.on(EXACT).intertwiner(std).u is None  # sqrt(2) is irrational
+    uf = sp.on(FLOAT).intertwiner(std).u
+    assert max_abs_diff(uf @ uf.adjoint(), Matrix.identity(4, FLOAT)) < 1e-15
 
 
 def test_conjugate_by_intertwiner_roundtrip():
     sp, maj = build_rep("spinor"), build_rep("majorana")
-    moved = conjugate_by_intertwiner(sp, maj, sp.gammas[1])
+    link = sp.on(EXACT).intertwiner(maj)
+    moved = (link.w @ sp.gammas[1] @ link.w.adjoint()).scale(GaussianRational(1) / link.norm2)
     assert (moved - maj.gammas[1]).is_zero
 
 
 def test_conjugation_matrix_defining_relations(rep):
     """M conj(gamma) = -gamma M and M conj(M) = Id, exactly."""
-    m = conjugation_matrix(rep)
+    m = rep.on(EXACT).conjugation
     assert (m @ m.conj() - Matrix.identity(4)).is_zero
     for g in rep.gammas:
         assert (m @ g.conj() + g @ m).is_zero
@@ -134,13 +126,13 @@ def test_conjugation_matrix_defining_relations(rep):
 
 def test_conjugation_matrix_spinor_is_i_gamma2(spinor):
     want = spinor.gammas[2].scale(GaussianRational(0, 1))
-    assert (conjugation_matrix(spinor) - want).is_zero
+    assert (spinor.on(EXACT).conjugation - want).is_zero
 
 
 def test_conjugation_matrix_majorana_is_phase():
     """All gammas imaginary: conjugation degenerates to i times identity."""
     maj = build_rep("majorana")
-    m = conjugation_matrix(maj)
+    m = maj.on(EXACT).conjugation
     want = Matrix.identity(4).scale(GaussianRational(0, 1))
     assert (m - want).is_zero
 
@@ -167,17 +159,15 @@ def test_dirac_block_structure_spinor(spinor):
 
 
 def test_intertwiner_identity_pair(spinor):
-    w, norm2 = intertwiner_pair(spinor, spinor)
-    assert norm2 == 1
-    assert (w - Matrix.identity(4)).is_zero
+    link = spinor.on(EXACT).intertwiner(spinor)
+    assert link.norm2 == 1
+    assert (link.w - Matrix.identity(4)).is_zero
 
 
 def test_intertwiner_unknown_pair(spinor):
-    from diracsplit.gamma import GammaRep
-
     fake = GammaRep(name="bogus", gammas=spinor.gammas, gamma5=spinor.gamma5)
     with pytest.raises(ValueError):
-        intertwiner_pair(spinor, fake)
+        spinor.on(EXACT).intertwiner(fake)
 
 
 def test_intertwiner_invalid_is_exported():
@@ -221,15 +211,14 @@ def test_float_view_is_promoted_exact_view(rep):
 
 def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
     """A rep reusing a pinned name is verified on its own, never served the pinned data."""
-    from diracsplit.gamma import GammaRep
-
     std = build_rep("standard")
     fake = GammaRep(name="standard", gammas=(-std.gammas[0],) + std.gammas[1:],
                     gamma5=std.gamma5)
-    intertwiner_pair(spinor, std)  # the pinned pair is verified and kept
+    view = spinor.on(EXACT)
+    link = view.intertwiner(std)  # the pinned pair is verified and kept
     with pytest.raises(IntertwinerInvalid):
-        intertwiner_pair(spinor, fake)
-    assert intertwiner_pair(spinor, std)[1] == 2
+        view.intertwiner(fake)
+    assert view.intertwiner(std) is link and link.norm2 == 2
 
 
 def test_view_rejects_unknown_backend(spinor):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from diracsplit import (
     FourMomentum,
     LorentzParams,
-    build_projectors,
     covariance_check,
     dirac_residual,
     field_of,
@@ -238,7 +237,7 @@ def test_boost_off_axis_does_not_commute(spinor):
     from diracsplit.matrices import commutator
 
     s = spinor_transform(LorentzParams("boost", (0, 1), 1.0), spinor)
-    p1 = build_projectors(spinor).p[0].to_float()
+    p1 = spinor.on(FLOAT).p[0]
     assert commutator(s, p1).max_abs() > 0.1
 
 

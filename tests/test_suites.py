@@ -305,6 +305,25 @@ _SKELETON_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("suite", ("clifford", "projectors"))
+@pytest.mark.parametrize("backend", ("exact", "float"))
+def test_warm_structural_run_makes_no_matrix_products(suite, backend, monkeypatch):
+    """Every structural relation is measured once per view; a second run only reads them."""
+    config = RunConfig(suite=suite, rep="all", backend=backend)
+    first = run(config)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    second = run(config)
+    assert products == []
+    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+
+
 @pytest.mark.parametrize("backend", BACKEND_CHOICES)
 def test_record_skeleton_is_pinned(backend):
     """Ids, order, equations, backends and verdicts of every suite on every basis."""
