@@ -10,10 +10,15 @@ equations with no discretization error.
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
 momentum and frequency sign, applied term by term by ``apply_symbol``
-(``dirac_matrix`` is the symbol of gamma^mu p_mu).  A symbol keeps each
-term's key, so its result is canonical as built, with no merge, sort or
-coercion.  Complex conjugation flips the frequency sign, which couples a
-field to its conjugate in the charge-conjugation and Majorana relations.
+(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).  A symbol keeps
+each term's key, so its result is canonical as built, with no merge,
+sort or coercion.  Since every operand is canonical (terms sorted by
+key, no key twice, none exactly zero), ``+`` merges the two sorted term
+tuples in one pass; the validating constructor is for term lists that
+are not canonical yet.  ``subsolutions.SplitResult`` keeps its projected
+constituents, so the split residuals build each of them once.  Complex
+conjugation flips the frequency sign, which couples a field to its
+conjugate in the charge-conjugation and Majorana relations.
 """
 
 from __future__ import annotations
@@ -178,8 +183,34 @@ class PlaneWaveField:
             raise BackendMismatch("adding fields from different backends")
         if self.rep is not other.rep:
             raise ValueError("adding fields from different representations")
-        return PlaneWaveField(self.terms + other.terms, rep=self.rep, ncomp=self.ncomp,
-                              backend=self.backend)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.ncomp != other.ncomp:
+            raise ValueError("mixed component counts in one field")
+        # both term tuples are sorted with distinct keys: merge them in one pass
+        a, b = self.terms, other.terms
+        ka, kb = [t.key() for t in a], [t.key() for t in b]
+        i = j = 0
+        terms = []
+        while i < len(a) and j < len(b):
+            if ka[i] < kb[j]:
+                terms.append(a[i])
+                i += 1
+            elif kb[j] < ka[i]:
+                terms.append(b[j])
+                j += 1
+            else:
+                t = b[j]
+                amp = tuple(x + y for x, y in zip(a[i].amplitude, t.amplitude))
+                if any(amp):
+                    terms.append(_term(amp, t.momentum, t.freq_sign))
+                i += 1
+                j += 1
+        terms += a[i:] + b[j:]
+        return _fill(object.__new__(PlaneWaveField), tuple(terms), self.rep, self.ncomp,
+                     self.backend)
 
     def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         return self.__add__(-other)
@@ -254,7 +285,7 @@ def _termwise(f: PlaneWaveField, amplitude_of, rep=None, ncomp=None) -> PlaneWav
     terms = []
     for t in f.terms:
         amp = amplitude_of(t)
-        if not all(scalar_is_zero(a) for a in amp):
+        if any(amp):
             terms.append(_term(amp, t.momentum, t.freq_sign))
     return _fill(object.__new__(PlaneWaveField), tuple(terms), f.rep if rep is None else rep,
                  f.ncomp if ncomp is None else ncomp, f.backend)
@@ -299,13 +330,18 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
     return conjugate(f).apply(f.rep.on(f.backend).conjugation)
 
 
-def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
-    """The symbol of gamma^mu p_mu on one term: the sum of gamma_mu (s p^mu)."""
+def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) -> Matrix:
+    """The symbol of gamma^mu p_mu - m on one term: the sum of gamma_mu (s p^mu), less m Id."""
     backend = momentum.backend
     g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-    c0, c1, c2, c3 = (coerce_scalar(c * freq_sign, backend) for c in momentum.p)
-    return Matrix(4, backend, tuple(c0 * a + c1 * b + c2 * c + c3 * d
-                                    for a, b, c, d in zip(g0, g1, g2, g3)))
+    scalar = complex if backend == FLOAT else GaussianRational
+    c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
+    entries = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(g0, g1, g2, g3)]
+    if mass:
+        m = coerce_scalar(mass, backend)
+        for k in (0, 5, 10, 15):
+            entries[k] = entries[k] - m
+    return Matrix(4, backend, tuple(entries))
 
 
 def _dirac_rep(f: PlaneWaveField) -> GammaRep:
@@ -323,8 +359,7 @@ def dirac_op(f: PlaneWaveField) -> PlaneWaveField:
 def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     """(gamma^mu p_mu - m) f in one pass; the zero field iff f solves the equation."""
     rep = _dirac_rep(f)
-    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s)
-                        - Matrix.diag((mass,) * 4, p.backend))
+    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s, mass))
 
 
 def upper_half(f: PlaneWaveField) -> PlaneWaveField:
@@ -377,7 +412,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
             for s in seed
         )
     seed = tuple(coerce_scalar(s, p.backend) for s in seed)
-    raw = (dirac_matrix(rep, p, 1) + Matrix.diag((p.mass,) * 4, p.backend)).apply(seed)
+    raw = dirac_matrix(rep, p, 1, -p.mass).apply(seed)
     if p.backend == EXACT:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
         return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)

@@ -151,7 +151,8 @@ class RepView:
     algebra, conjugation relations, intertwiner similarity) runs once per
     representation.  The structural relations, ``clifford_residual``
     through ``covariance_residuals``, are measured on this view's backend
-    when first read, then kept.
+    when first read, then kept, and so are the float view's
+    ``lorentz_certificates``.
     """
 
     rep: GammaRep
@@ -365,6 +366,15 @@ class RepView:
                 square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
                 relations.append((f"sigma-square.{mu}{nu}", "S", square))
         return _entries(backend, relations)
+
+    @cached_property
+    def lorentz_certificates(self) -> tuple:
+        """``lorentz.float_certificates`` of this basis: (grid, commutators, controls)."""
+        if self.backend != FLOAT:
+            raise ValueError("Lorentz certificates are float records: read them on the float view")
+        from .lorentz import float_certificates  # lorentz builds on this module
+
+        return float_certificates(self.rep)
 
 
 #: the Pauli matrices on the float backend

@@ -21,7 +21,9 @@ rotation planes), the exponential series collapses and
 
 The exact view keeps that premise, plane by plane, among its
 ``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
-once per representation, and the covariance suite records them.
+once per representation, and the covariance suite records them.  The
+float certificates that depend on the basis alone (``float_certificates``)
+are kept the same way, on the float view.
 """
 
 from __future__ import annotations
@@ -195,6 +197,41 @@ def pi_commutation_check(rep: GammaRep) -> ResidualReport:
                 label = f"commute.S{mu}{nu}.w{w:g}.P{i}"
                 entries.append(residual_entry(label, "S", FLOAT, comm))
     return ResidualReport(tuple(entries))
+
+
+#: the transformations of the covariance certificates and of the covariance
+#: fuzz: the (0,3) boost and the (1,2) rotation at six parameters each
+COVARIANCE_GRID = tuple(LorentzParams(kind, plane, w)
+                        for kind, plane in ((_BOOST, (0, 3)), (_ROTATION, (1, 2)))
+                        for w in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0))
+
+
+def float_certificates(rep: GammaRep) -> tuple:
+    """The float covariance records that depend on the basis alone.
+
+    Returns ``(grid, commutators, controls)``: ``covariance_check`` at
+    each transformation of ``COVARIANCE_GRID``, its labels prefixed
+    ``<kind><mu><nu>.w<omega>.``; the float entries of
+    ``pi_commutation_check``; and two negative controls, far from zero:
+    ``sign-flip``, the P-conditions of the (0,3) boost at omega = 1 with
+    S and S^-1 swapped, and ``boost01-noncommute``, [S, P1] for the (0,1)
+    boost at omega = 1, which does not keep the class of P1.  The float
+    view keeps them: read ``rep.on(FLOAT).lorentz_certificates``.
+    """
+    grid = []
+    for params in COVARIANCE_GRID:
+        mu, nu = params.plane
+        tag = f"{params.kind}{mu}{nu}.w{params.omega:g}"
+        grid += [replace(e, label=f"{tag}.{e.label}") for e in covariance_check(params, rep)]
+    commutators = tuple(e for e in pi_commutation_check(rep) if e.backend == FLOAT)
+    flip = LorentzParams(_BOOST, (0, 3), 1.0)
+    sign_flip = pconditions_residual(rep, spinor_transform(flip.inverse(), rep),
+                                     spinor_transform(flip, rep), vector_transform(flip))
+    s01 = spinor_transform(LorentzParams(_BOOST, (0, 1), 1.0), rep)
+    controls = (sign_flip.worst("sign-flip", "Pconditions"),
+                residual_entry("boost01-noncommute", "S", FLOAT,
+                               commutator(s01, rep.on(FLOAT).p[0])))
+    return ResidualReport(tuple(grid)), ResidualReport(commutators), ResidualReport(controls)
 
 
 def special_frame(p: FourMomentum) -> tuple:

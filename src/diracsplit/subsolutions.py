@@ -25,6 +25,7 @@ conventions of the spinor basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     NotASolution,
@@ -36,6 +37,7 @@ from .errors import (
 from .fields import (
     PlaneWaveField,
     PlaneWaveTerm,
+    _termwise,
     apply_symbol,
     charge_conjugate,
     conjugate,
@@ -54,6 +56,8 @@ _DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SplitResult:
+    """A split and its projected constituents, each built once, when first read."""
+
     psi: PlaneWaveField
     psi1: PlaneWaveField
     psi2: PlaneWaveField
@@ -61,6 +65,17 @@ class SplitResult:
     xi2_pair: PlaneWaveField
     mass: object
     rep: GammaRep
+
+    @cached_property
+    def projected(self) -> tuple:
+        """(P1 Psi_(1), P2 Psi_(2))."""
+        ps = self.rep.on(self.psi.backend).p
+        return (self.psi1.apply(ps[0]), self.psi2.apply(ps[1]))
+
+    @cached_property
+    def dirac_projected(self) -> tuple:
+        """(gamma.p P1 Psi_(1), gamma.p P2 Psi_(2))."""
+        return tuple(dirac_op(f) for f in self.projected)
 
 
 def _term_q(term: PlaneWaveTerm) -> tuple:
@@ -103,18 +118,19 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
         if not res.within(tol):
             raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {tol})")
 
-    t1, t2 = [], []
-    for term in psi.terms:
-        q0, q1, q2, q3 = _term_q(term)
-        eta1, eta2 = term.amplitude[2], term.amplitude[3]
-        xi11 = (q0 + q3) * eta1 / mass
-        xi12 = _q_complex(q1, q2, term.backend) * eta1 / mass
-        xi21 = _q_complex(q1, q2, term.backend, conj=True) * eta2 / mass
-        xi22 = (q0 - q3) * eta2 / mass
-        t1.append(PlaneWaveTerm((xi11, xi12, eta1, eta2), term.momentum, term.freq_sign))
-        t2.append(PlaneWaveTerm((xi21, xi22, eta1, eta2), term.momentum, term.freq_sign))
+    def xi1(t):
+        q0, q1, q2, q3 = _term_q(t)
+        eta1 = t.amplitude[2]
+        return ((q0 + q3) * eta1 / mass, _q_complex(q1, q2, t.backend) * eta1 / mass)
 
-    psi1, psi2 = (PlaneWaveField(t, rep=psi.rep, ncomp=4, backend=psi.backend) for t in (t1, t2))
+    def xi2(t):
+        q0, q1, q2, q3 = _term_q(t)
+        eta2 = t.amplitude[3]
+        return (_q_complex(q1, q2, t.backend, conj=True) * eta2 / mass, (q0 - q3) * eta2 / mass)
+
+    # each constituent keeps psi's keys, so it is built term by term
+    psi1 = _termwise(psi, lambda t: xi1(t) + t.amplitude[2:])
+    psi2 = _termwise(psi, lambda t: xi2(t) + t.amplitude[2:])
     # the xi(i) pairs are the upper halves of the constituents
     result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, xi1_pair=upper_half(psi1),
                          xi2_pair=upper_half(psi2), mass=mass, rep=psi.rep)
@@ -141,8 +157,8 @@ def recombination_residuals(sr: SplitResult) -> ResidualReport:
     comp0 = [t.amplitude[0] for t in diff.terms]
     comp1 = [t.amplitude[1] for t in diff.terms]
 
-    ps = sr.rep.on(backend).p
-    recomb = sr.psi1.apply(ps[0]) + sr.psi2.apply(ps[1]) - sr.psi
+    proj1, proj2 = sr.projected
+    recomb = proj1 + proj2 - sr.psi
     entries = (
         residual_entry("recombine.xi1", "def3", backend, comp0),
         residual_entry("recombine.xi2", "def4", backend, comp1),
@@ -175,9 +191,8 @@ def identity_residuals(sr: SplitResult) -> ResidualReport:
         residual_entry("identity.id1", "id1", backend, id1),
         residual_entry("identity.id2", "id2", backend, id2),
     ]
-    for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
-        p = ps[i - 1]
-        resid = dirac_op(psi_i.apply(p)).apply(ident - p)
+    for i, (p, image) in enumerate(zip(ps, sr.dirac_projected), start=1):
+        resid = image.apply(ident - p)
         entries.append(residual_entry(f"identity.repfree.P{i}", "identities", backend, resid))
     return ResidualReport(tuple(entries))
 
@@ -224,15 +239,14 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
     ]
 
     ps = sr.rep.on(backend).p
-    for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
-        p = ps[i - 1]
-        projected = psi_i.apply(p)
+    for i, (p, projected, image) in enumerate(zip(ps, sr.projected, sr.dirac_projected),
+                                              start=1):
         entries.append(
             residual_entry(f"constituent{i}-P.dirac", f"constituent{i}/P", backend,
                            dirac_residual(projected, m))
         )
         # P_i gamma.p P_i Psi_(i) = m P_i Psi_(i)
-        resid = dirac_op(projected).apply(p) - projected.scale(m)
+        resid = image.apply(p) - projected.scale(m)
         entries.append(residual_entry(f"constituents3.P{i}", "constituents/3", backend, resid))
     return ResidualReport(tuple(entries))
 
@@ -253,8 +267,9 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
         moved = apply_symbol(psi_i, lambda q, s: w, rep=rep_to)
         p = ps[i - 1]
         projected = moved.apply(p)
-        resid3 = dirac_op(projected).apply(p) - projected.scale(sr.mass)
-        resid_id = dirac_op(projected).apply(ident - p)
+        image = dirac_op(projected)
+        resid3 = image.apply(p) - projected.scale(sr.mass)
+        resid_id = image.apply(ident - p)
         tag = f"transport.{rep_to.name}"
         entries += [
             residual_entry(f"{tag}.constituent{i}-P", f"constituent{i}/P", backend,
@@ -367,10 +382,12 @@ def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) ->
 
     eta = lower_half(f)
     xi = upper_half(f)
-    r1 = sigma_momentum_op(eta, +1) + conjugate(eta).apply(s2).scale(i_m)
-    r2 = sigma_momentum_op(xi, -1) - conjugate(xi).apply(s2).scale(i_m)
-    rxi = xi + conjugate(eta).apply(s2).scale(i_one)
-    reta = eta - conjugate(xi).apply(s2).scale(i_one)
+    s2_eta = conjugate(eta).apply(s2)  # sigma2 eta*
+    s2_xi = conjugate(xi).apply(s2)  # sigma2 xi*
+    r1 = sigma_momentum_op(eta, +1) + s2_eta.scale(i_m)
+    r2 = sigma_momentum_op(xi, -1) - s2_xi.scale(i_m)
+    rxi = xi + s2_eta.scale(i_one)
+    reta = eta - s2_xi.scale(i_one)
     entries = (
         selfconj,
         residual_entry("majorana.eq1", "Majorana1", backend, r1),

@@ -54,17 +54,14 @@ from .fields import (
 )
 from .gamma import REP_NAMES, build_rep
 from .lorentz import (
-    LorentzParams,
-    covariance_check,
-    pconditions_residual,
-    pi_commutation_check,
+    COVARIANCE_GRID,
     reduced_dirac_residual,
     special_frame,
     spinor_transform,
     transform_field,
     vector_transform,
 )
-from .matrices import Matrix, commutator
+from .matrices import Matrix
 from .reports import CONTROL, RAISES, CheckRecord, Report, ResidualEntry, residual_entry
 from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
@@ -86,6 +83,7 @@ BACKEND_CHOICES = ("exact", "float", "both")
 _STRICT_FACTOR = 1e-2  # families pinned two decades below the run tolerance
 _CONTROL_FLOOR = 0.1  # expected-fail controls must exceed this
 _OFFSHELL_FLOOR = 1e-3
+_MASSLESS_FLOOR = 1e-6  # the Weyl fuzz draws |p| above this
 _COV_TRIAL_CAP = 200
 
 _MIX1 = 0x9E3779B97F4A7C15
@@ -128,6 +126,9 @@ class RunConfig:
         lo, hi = self.momentum_range
         if not (0 <= lo <= hi):
             raise ValueError("momentum_range must satisfy 0 <= lo <= hi")
+        if self.suite in ("all", "weyl") and self.run_float and hi <= _MASSLESS_FLOOR:
+            raise ValueError(f"the Weyl float fuzz draws |p| above {_MASSLESS_FLOOR:g}, "
+                             "so momentum_range must reach above it")
 
     def to_dict(self) -> dict:
         """Every field in declaration order, the ranges as lists."""
@@ -251,11 +252,16 @@ def _sample_massive(rng: Random, config: RunConfig) -> FourMomentum:
 
 
 def _sample_massless(rng: Random, config: RunConfig) -> FourMomentum:
+    """A null momentum with |p| drawn from the momentum range, never below ``_MASSLESS_FLOOR``.
+
+    A draw at or below the floor is redrawn once from the part of the
+    range above it (``RunConfig.validate`` demands that part), so even a
+    range that barely reaches past the floor needs at most two draws.
+    """
     lo, hi = config.momentum_range
-    while True:
-        mag = rng.uniform(lo, hi)
-        if mag > 1e-6:
-            break
+    mag = rng.uniform(lo, hi)
+    if mag <= _MASSLESS_FLOOR:
+        mag = rng.uniform(_MASSLESS_FLOOR, hi)
     d = _sample_direction(rng)
     sp = (mag * d[0], mag * d[1], mag * d[2])
     p0 = (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]) ** 0.5
@@ -492,11 +498,6 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
 
 # -- covariance suite -------------------------------------------------------------
 
-_OMEGA_GRID = (0.5, -0.5, 1.0, -1.0, 3.0, -3.0)
-_PLANES = (("boost", (0, 3)), ("rotation", (1, 2)))
-_GRID = tuple(LorentzParams(kind, plane, w) for kind, plane in _PLANES for w in _OMEGA_GRID)
-
-
 def _sampled_split(rng: Random, config: RunConfig, trial: int):
     """A seeded massive momentum and the split of its spinor-basis u, spin alternating by trial."""
     p = _sample_massive(rng, config)
@@ -514,15 +515,12 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         if not config.run_float:
             continue
 
-        for params in _GRID:
-            mu, nu = params.plane
-            prefix = f"covariance.{rep.name}.{params.kind}{mu}{nu}.w{params.omega:g}"
-            for e in covariance_check(params, rep):
-                tol = config.strict_tol if e.label == "vector.metric" else config.tol
-                out.add(f"{prefix}.{e.label}", e, tol)
-        for e in pi_commutation_check(rep):
-            if e.backend == FLOAT:
-                out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
+        grid, commutators, _ = rep.on(FLOAT).lorentz_certificates
+        for e in grid:
+            tol = config.strict_tol if e.label.endswith(".vector.metric") else config.tol
+            out.add(f"covariance.{rep.name}.{e.label}", e, tol)
+        for e in commutators:
+            out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
         p_float = rep.on(FLOAT).p
 
@@ -532,7 +530,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
                 psis = tuple(apply_symbol(f, lambda q, s: u, rep=rep) for f in psis)
-            params = _GRID[trial % len(_GRID)]
+            params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             psi_t = transform_field(psis[0], params)
             yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass).max_abs()
             s_mat = spinor_transform(params, rep)
@@ -549,17 +547,8 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
     if config.run_float:
         _special_frame_checks(config, out)
         for rep in _selected_reps(config):
-            params = LorentzParams("boost", (0, 3), 1.0)
-            s_flip = spinor_transform(params.inverse(), rep)
-            s_flip_inv = spinor_transform(params, rep)
-            bad = pconditions_residual(rep, s_flip, s_flip_inv, vector_transform(params))
-            out.add(f"covariance.{rep.name}.control.sign-flip",
-                    bad.worst("sign-flip", "Pconditions"), _CONTROL_FLOOR, CONTROL)
-            s01 = spinor_transform(LorentzParams("boost", (0, 1), 1.0), rep)
-            p1f = rep.on(FLOAT).p[0]
-            noncommute = residual_entry("boost01-noncommute", "S", FLOAT, commutator(s01, p1f))
-            out.add(f"covariance.{rep.name}.control.boost01-noncommute", noncommute,
-                    _CONTROL_FLOOR, CONTROL)
+            for e in rep.on(FLOAT).lorentz_certificates[2]:
+                out.add(f"covariance.{rep.name}.control.{e.label}", e, _CONTROL_FLOOR, CONTROL)
 
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:

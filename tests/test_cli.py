@@ -223,3 +223,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+@pytest.mark.parametrize("suite, momentum_range, code", [
+    ("weyl", [0, 0], EXIT_USAGE),
+    ("all", [0, 1e-7], EXIT_USAGE),
+    ("weyl", [0, 1.0000001e-6], EXIT_OK),
+    ("split", [0, 0], EXIT_OK),
+])
+def test_every_valid_momentum_range_ends(tmp_path, suite, momentum_range, code):
+    """A range the Weyl fuzz cannot draw from exits 2; one just above its floor runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"momentum_range": momentum_range, "trials": 20}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsplit", suite, "--backend", "float", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_USAGE:
+        assert "Weyl float fuzz" in proc.stderr

@@ -28,6 +28,7 @@ from diracsplit import (
     upper_half,
     weyl_spinor,
 )
+from diracsplit.errors import BackendMismatch
 from diracsplit.gamma import METRIC_SIGNS, PAULI, REP_NAMES, build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational, scalar_is_zero
@@ -211,3 +212,67 @@ def test_every_operator_result_is_canonical(name, backend, data):
     for ncomp, g in _operator_results(f4, f2, mass):
         _assert_canonical(g, ncomp, backend)
         assert g.rep is rep
+
+
+# -- sums merge canonical operands -----------------------------------------------
+
+
+def _summands(data, name):
+    """A field on a drawn backend and component count; its keys come from eight, so sums overlap."""
+    backend = data.draw(st.sampled_from((EXACT, FLOAT)))
+    ncomp = data.draw(st.sampled_from((4, 2)))
+    terms = (_terms if backend == EXACT else _float_terms)(ncomp)
+    return PlaneWaveField(data.draw(terms), rep=build_rep(name), ncomp=ncomp, backend=backend)
+
+
+def _cancelling(f, data):
+    """f's terms with some negated exactly, merged into a field of their own: sums that cancel."""
+    negated = [PlaneWaveTerm(tuple(-a for a in t.amplitude), t.momentum, t.freq_sign)
+               for t in f.terms if data.draw(st.booleans())]
+    return PlaneWaveField(negated, rep=f.rep, ncomp=f.ncomp, backend=f.backend)
+
+
+def _constructed(a, b_terms):
+    return PlaneWaveField(a.terms + tuple(b_terms), rep=a.rep, ncomp=a.ncomp, backend=a.backend)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REP_NAMES), st.data())
+def test_sum_merges_like_the_constructor(name, data):
+    """a + b, a - b and b + a equal the constructor on the concatenated terms, term for term."""
+    a = _summands(data, name)
+    kind = data.draw(st.sampled_from(("drawn", "cancelling", "empty")))
+    if kind == "drawn":
+        b = _summands(data, name)
+    elif kind == "cancelling":
+        b = _cancelling(a, data)
+    else:
+        b = PlaneWaveField((), rep=a.rep, ncomp=data.draw(st.sampled_from((4, 2))),
+                           backend=data.draw(st.sampled_from((EXACT, FLOAT))))
+    if a.terms and b.terms and a.backend != b.backend:
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(BackendMismatch):
+                op(b)
+        return
+    if a.terms and b.terms and a.ncomp != b.ncomp:
+        for op in (a.__add__, a.__sub__, lambda b: _constructed(a, b.terms)):
+            with pytest.raises(ValueError, match="mixed component counts"):
+                op(b)
+        return
+    for got, want in ((a + b, _constructed(a, b.terms)), (a - b, _constructed(a, (-b).terms)),
+                      (b + a, _constructed(b, a.terms))):
+        assert got.terms == want.terms
+        assert (got.ncomp, got.backend, got.rep) == (want.ncomp, want.backend, want.rep)
+        _assert_canonical(got, want.ncomp, want.backend)
+    assert (a - a).is_zero
+
+
+def test_sum_of_fields_on_different_representations_raises():
+    sp, st_ = build_rep("spinor"), build_rep("standard")
+    a = PlaneWaveField((u_spinor(_WITNESS, sp, 1),), rep=sp)
+    for b in (PlaneWaveField((u_spinor(_WITNESS, st_, 1),), rep=st_),
+              PlaneWaveField((), rep=st_), PlaneWaveField(a.terms)):
+        with pytest.raises(ValueError, match="different representations"):
+            a + b
+        with pytest.raises(ValueError, match="different representations"):
+            a - b

@@ -265,3 +265,43 @@ def test_majorana_float_fuzz(m, sp, spin):
     # conjugation is exact in floating point, so self-conjugacy is literal
     assert entries["majorana.selfconj"].residual == 0.0
     assert report.all_within(1e-10)
+
+
+# -- each intermediate field built once -------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Replace subsolutions.<name> with a wrapper that records its calls."""
+    from diracsplit import subsolutions
+
+    calls = []
+    original = getattr(subsolutions, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subsolutions, name, counted)
+    return calls
+
+
+def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch):
+    from diracsplit.suites import _split_reports
+
+    sp = build_rep("spinor")
+    p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
+    sr = split(field_of(u_spinor(p, sp, 1), sp), p.mass, require_solution=False)
+    calls = _counting(monkeypatch, "dirac_op")
+    report = _split_reports(sr)
+    assert len(calls) == 2
+    assert report.all_within(1e-10)
+
+
+def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
+    sp = build_rep("spinor")
+    p = FourMomentum.on_shell(0.7, (1.1, 0.4, -2.5))
+    maj = majorana_build(field_of(u_spinor(p, sp, 2), sp))
+    calls = _counting(monkeypatch, "conjugate")
+    report = majorana_residuals(maj, p.mass)
+    assert len(calls) == 2
+    assert report.all_within(1e-10)

@@ -78,6 +78,18 @@ def test_config_defaults_are_valid():
     RunConfig().validate()
 
 
+@pytest.mark.parametrize("momentum_range", [(0.0, 0.0), (0.0, 1e-7), (0.0, 1e-6)])
+def test_weyl_float_fuzz_needs_momenta_above_its_floor(momentum_range):
+    """The Weyl fuzz draws |p| above 1e-6; other selections accept any valid range."""
+    for suite in ("all", "weyl"):
+        for backend in ("float", "both"):
+            with pytest.raises(ValueError, match="Weyl float fuzz"):
+                RunConfig(suite=suite, backend=backend, momentum_range=momentum_range).validate()
+    RunConfig(suite="weyl", backend="exact", momentum_range=momentum_range).validate()
+    RunConfig(suite="split", momentum_range=momentum_range).validate()
+    RunConfig(momentum_range=(0.0, 1.0000001e-6)).validate()
+
+
 def test_strict_tol_factor():
     assert RunConfig(tol=1e-8).strict_tol == pytest.approx(1e-10)
 
@@ -305,6 +317,16 @@ _SKELETON_DIGESTS = {
 }
 
 
+#: sha256 of the full records (id, paper_eq, backend, repr of the residual,
+#: exact_zero, pass) of the same runs: any change that moves a float residual,
+#: even at roundoff, has to update this digest on purpose
+_RECORD_DIGESTS = {
+    "exact": (318, "e7960a30f67342d723ea34cf7aafa83f30a4457e015b5ddbe2e0bee43e320e40"),
+    "float": (619, "f4f38f15bd00a92f4b01ce2ebee86090fdae35055e3bcdcf860189fce6ea64a8"),
+    "both": (799, "e4e47d28f8c4d8482a55bd3f8f46ac31cd4828cf32cb7612fb850cc9d57d4022"),
+}
+
+
 @pytest.mark.parametrize("suite", ("clifford", "projectors"))
 @pytest.mark.parametrize("backend", ("exact", "float"))
 def test_warm_structural_run_makes_no_matrix_products(suite, backend, monkeypatch):
@@ -331,3 +353,32 @@ def test_record_skeleton_is_pinned(backend):
     skeleton = [(c.check_id, c.equation, c.backend, c.exact_zero, c.ok) for c in report.checks]
     digest = hashlib.sha256(json.dumps(skeleton).encode()).hexdigest()
     assert (len(skeleton), digest) == _SKELETON_DIGESTS[backend]
+
+
+@pytest.mark.parametrize("backend", BACKEND_CHOICES)
+def test_records_are_pinned(backend):
+    """Every record of every suite on every basis, residuals included, to the last digit."""
+    report = run(RunConfig(rep="all", trials=2, backend=backend))
+    records = [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
+               for c in report.checks]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), digest) == _RECORD_DIGESTS[backend]
+
+
+def test_warm_covariance_run_reads_its_certificates(monkeypatch):
+    """The float covariance certificates depend on the basis alone: measured once per view."""
+    from diracsplit import lorentz
+
+    config = RunConfig(suite="covariance", rep="all", backend="float", trials=2)
+    first = run(config)
+    calls = []
+    check = lorentz.covariance_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(lorentz, "covariance_check", counted)
+    second = run(config)
+    assert calls == []
+    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
