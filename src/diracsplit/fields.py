@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gamma import GammaRep, build_rep
 from .matrices import Matrix
-from .scalars import EXACT, FLOAT, GaussianRational, coerce_real, coerce_scalar, scalar_abs, scalar_is_zero
+from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, coerce_scalar
 
 _SHELL_TOL = 1e-12
 
@@ -158,8 +158,7 @@ class PlaneWaveField:
                     raise ValueError("mixed component counts in one field")
                 amp = tuple(a + b for a, b in zip(prev.amplitude, t.amplitude))
                 merged[k] = _term(amp, t.momentum, t.freq_sign)
-        kept = [merged[k] for k in sorted(merged)
-                if not all(scalar_is_zero(a) for a in merged[k].amplitude)]
+        kept = [merged[k] for k in sorted(merged) if any(merged[k].amplitude)]
 
         if kept:
             ncomp = kept[0].ncomp
@@ -235,7 +234,7 @@ class PlaneWaveField:
         return not self.terms
 
     def max_abs(self) -> float:
-        return kernels.max_abs(scalar_abs(a) for t in self.terms for a in t.amplitude)
+        return kernels.max_abs(a for t in self.terms for a in t.amplitude)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneWaveField):
@@ -334,7 +333,7 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
     """The symbol of gamma^mu p_mu - m on one term: the sum of gamma_mu (s p^mu), less m Id."""
     backend = momentum.backend
     g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-    scalar = complex if backend == FLOAT else GaussianRational
+    scalar = SCALAR_TYPE[backend]
     c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
     entries = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(g0, g1, g2, g3)]
     if mass:
@@ -400,7 +399,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
     """
     if spin_label not in (1, 2):
         raise ValueError("spin_label must be 1 or 2")
-    if scalar_is_zero(p.mass):
+    if not p.mass:
         raise MasslessNeedsWeyl("massive constructor needs m > 0")
     if not p.is_on_shell():
         raise OffShell(f"momentum {p.p} with mass {p.mass} is off the shell")
@@ -424,15 +423,9 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
 def _weyl_pair(p: FourMomentum, chirality: str) -> tuple:
     """Two-component massless solution in the spinor basis (unnormalized)."""
     p0, p1, p2, p3 = p.p
-    if p.backend == EXACT:
-        i = GaussianRational(0, 1)
-        pp = GaussianRational(p1) + i * GaussianRational(p2)  # p1 + i p2
-        pm = pp.conjugate()
-        z = GaussianRational
-    else:
-        pp = complex(p1, p2)
-        pm = pp.conjugate()
-        z = complex
+    z = SCALAR_TYPE[p.backend]
+    pp = z(p1, p2)  # p1 + i p2
+    pm = pp.conjugate()
     if chirality == "left":
         # kernel of (p0 + sigma.p)
         if p3 >= 0:
@@ -458,13 +451,13 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
     """
     if chirality not in ("left", "right"):
         raise ValueError("chirality must be 'left' or 'right'")
-    if not scalar_is_zero(p.mass):
+    if p.mass:
         raise WeylRequiresMassless("chiral constructor needs m = 0")
     if not p.is_on_shell():
         raise OffShell(f"momentum {p.p} is not lightlike")
     pair = _weyl_pair(p, chirality)
     pair = _normalize_pair(pair, p.backend)
-    zero = GaussianRational(0) if p.backend == EXACT else 0j
+    zero = SCALAR_TYPE[p.backend](0)
     if chirality == "left":
         amp = (zero, zero) + pair
     else:
@@ -477,7 +470,7 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
 
 def _normalize_pair(pair: tuple, backend: str) -> tuple:
     if backend == EXACT:
-        pivot = next((a for a in pair if not scalar_is_zero(a)), None)
+        pivot = next((a for a in pair if a), None)
         if pivot is None:
             raise ValueError("zero chiral amplitude")
         return tuple(a / pivot for a in pair)

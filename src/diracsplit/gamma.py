@@ -55,7 +55,7 @@ from typing import Optional
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
 from .reports import ResidualReport, residual_entry
-from .scalars import EXACT, FLOAT, HALF, GaussianRational, I
+from .scalars import EXACT, FLOAT, HALF, SCALAR_TYPE, GaussianRational, I
 
 REP_NAMES = ("spinor", "standard", "majorana")
 
@@ -262,7 +262,7 @@ class RepView:
         """
         g0, g1, g2, g3 = gams = self.gammas
         g5, backend = self.gamma5, self.backend
-        i_unit = I if backend == EXACT else 1j
+        i_unit = SCALAR_TYPE[backend](0, 1)
         relations = [
             ("gamma5.definition", g5 + (g0 @ g1 @ g2 @ g3).scale(i_unit)),
             ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
@@ -375,10 +375,6 @@ class RepView:
         from .lorentz import float_certificates  # lorentz builds on this module
 
         return float_certificates(self.rep)
-
-
-#: the Pauli matrices on the float backend
-PAULI_FLOAT = _promote(PAULI)
 
 
 def _block4(a, b, c, d) -> Matrix:

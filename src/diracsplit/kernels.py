@@ -1,8 +1,10 @@
-"""Float kernels for small dense complex matrices, and the magnitude scan.
+"""Kernels for small dense complex matrices, and the magnitude scan.
 
-Matrices are flat row-major tuples of ``complex`` of length n*n with
-n in {2, 4}.  ``matrices.Matrix`` routes its float-backend products
-through these functions.
+Matrices are flat row-major tuples of length n*n with n in {2, 4}, and
+their entries are the scalars of either backend (``GaussianRational`` or
+``complex``, see ``scalars``): each accumulator starts from its first
+product, so one implementation serves both.  ``matrices.Matrix`` routes
+all its products through these functions.
 
 ``max_abs`` is the package's only largest-magnitude reduction: matrices,
 fields, residual entries and fuzz aggregates all scan through it.  Like
@@ -22,8 +24,8 @@ def mul(n: int, a: tuple, b: tuple) -> tuple:
     for i in range(n):
         row = i * n
         for j in range(n):
-            acc = 0j
-            for k in range(n):
+            acc = a[row] * b[j]
+            for k in range(1, n):
                 acc = acc + a[row + k] * b[k * n + j]
             out.append(acc)
     return tuple(out)
@@ -34,8 +36,8 @@ def mul_vec(n: int, a: tuple, v: tuple) -> tuple:
     out = []
     for i in range(n):
         row = i * n
-        acc = 0j
-        for k in range(n):
+        acc = a[row] * v[0]
+        for k in range(1, n):
             acc = acc + a[row + k] * v[k]
         out.append(acc)
     return tuple(out)

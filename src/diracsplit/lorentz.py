@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
@@ -37,7 +38,7 @@ from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, apply_symbol
 from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator, max_abs_diff
 from .reports import ResidualReport, residual_entry
-from .scalars import EXACT, FLOAT, scalar_is_zero
+from .scalars import EXACT, FLOAT
 
 _BOOST = "boost"
 _ROTATION = "rotation"
@@ -74,10 +75,22 @@ class LorentzParams:
 
 @dataclass(frozen=True)
 class VectorTransform:
-    """4x4 real matrix a^nu_mu together with its metric-preservation certificate."""
+    """4x4 real matrix a^nu_mu; its metric-preservation certificate is measured when read."""
 
     matrix: tuple
-    metric_residual: float
+
+    @cached_property
+    def metric_residual(self) -> float:
+        """Largest entry of a^T g a - g."""
+        a = self.matrix
+        defects = []
+        for mu in range(4):
+            for nu in range(4):
+                acc = 0.0
+                for al in range(4):
+                    acc += a[al][mu] * METRIC_SIGNS[al] * a[al][nu]
+                defects.append(acc - (METRIC_SIGNS[mu] if mu == nu else 0.0))
+        return kernels.max_abs(defects)
 
     def apply(self, p: FourMomentum) -> FourMomentum:
         pf = p.to_float()
@@ -103,20 +116,7 @@ def vector_transform(params: LorentzParams) -> VectorTransform:
         rows[mu][nu] = s
         rows[nu][mu] = -s
         rows[nu][nu] = c
-    matrix = tuple(tuple(r) for r in rows)
-    residual = _metric_defect(matrix)
-    return VectorTransform(matrix, residual)
-
-
-def _metric_defect(a: tuple) -> float:
-    defects = []
-    for mu in range(4):
-        for nu in range(4):
-            acc = 0.0
-            for al in range(4):
-                acc += a[al][mu] * METRIC_SIGNS[al] * a[al][nu]
-            defects.append(acc - (METRIC_SIGNS[mu] if mu == nu else 0.0))
-    return kernels.max_abs(defects)
+    return VectorTransform(tuple(tuple(r) for r in rows))
 
 
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
@@ -244,7 +244,7 @@ def special_frame(p: FourMomentum) -> tuple:
     massive on-shell momentum: for m = 0 with p1 = p2 = 0 the boost
     parameter would be |p3/p0| = 1.
     """
-    if scalar_is_zero(p.mass):
+    if not p.mass:
         raise SpecialFrameRequiresMass("frame-fixing boost needs m > 0")
     if not p.is_on_shell(tol=1e-9 if p.backend == FLOAT else 0.0):
         raise OffShell(f"momentum {p.p} with mass {p.mass} is off the shell")

@@ -3,8 +3,9 @@
 A :class:`Matrix` is an immutable n-by-n array (n is 2 or 4 throughout
 the package) stored as a flat row-major tuple.  Exact matrices hold
 :class:`~diracsplit.scalars.GaussianRational` entries and never round;
-float matrices hold Python ``complex`` and route their products and
-magnitude scans through :mod:`diracsplit.kernels`.
+float matrices hold Python ``complex``.  The backend picks the scalar
+type and nothing else: products, traces, zero tests and magnitude scans
+of either backend run through the same code, :mod:`diracsplit.kernels`.
 
 Binary operations require both operands on the same backend; promotion
 is one way, exact to float, via :meth:`Matrix.to_float`.
@@ -16,14 +17,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import BackendMismatch
-from .scalars import (
-    EXACT,
-    FLOAT,
-    GaussianRational,
-    coerce_scalar,
-    scalar_abs,
-    scalar_is_zero,
-)
+from .scalars import EXACT, FLOAT, SCALAR_TYPE, coerce_scalar
 
 
 class Matrix:
@@ -57,21 +51,19 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
-        one = GaussianRational(1) if backend == EXACT else 1 + 0j
-        zero = GaussianRational(0) if backend == EXACT else 0j
+        one, zero = SCALAR_TYPE[backend](1), SCALAR_TYPE[backend](0)
         flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
         return cls(n, backend, flat)
 
     @classmethod
     def zero(cls, n: int, backend: str = EXACT) -> "Matrix":
-        zero = GaussianRational(0) if backend == EXACT else 0j
-        return cls(n, backend, (zero,) * (n * n))
+        return cls(n, backend, (SCALAR_TYPE[backend](0),) * (n * n))
 
     @classmethod
     def diag(cls, values: Iterable, backend: str = EXACT) -> "Matrix":
         vals = [coerce_scalar(v, backend) for v in values]
         n = len(vals)
-        zero = GaussianRational(0) if backend == EXACT else 0j
+        zero = SCALAR_TYPE[backend](0)
         flat = tuple(vals[i] if i == j else zero for i in range(n) for j in range(n))
         return cls(n, backend, flat)
 
@@ -116,34 +108,14 @@ class Matrix:
 
     def __matmul__(self, other):
         self._check_peer(other)
-        n = self.n
-        if self.backend == FLOAT:
-            return Matrix(n, FLOAT, kernels.mul(n, self.entries, other.entries))
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = GaussianRational(0)
-                for k in range(n):
-                    acc = acc + a[i * n + k] * b[k * n + j]
-                out.append(acc)
-        return Matrix(n, EXACT, tuple(out))
+        return Matrix(self.n, self.backend, kernels.mul(self.n, self.entries, other.entries))
 
     def apply(self, vec: tuple) -> tuple:
         """Matrix-vector product on a component tuple."""
         n = self.n
         if len(vec) != n:
             raise ValueError(f"vector length {len(vec)} does not match n={n}")
-        if self.backend == FLOAT:
-            return kernels.mul_vec(n, self.entries, tuple(vec))
-        a = self.entries
-        out = []
-        for i in range(n):
-            acc = GaussianRational(0)
-            for k in range(n):
-                acc = acc + a[i * n + k] * vec[k]
-            out.append(acc)
-        return tuple(out)
+        return kernels.mul_vec(n, self.entries, tuple(vec))
 
     def transpose(self) -> "Matrix":
         n = self.n
@@ -158,22 +130,21 @@ class Matrix:
         return self.conj().transpose()
 
     def trace(self):
-        n = self.n
-        acc = GaussianRational(0) if self.backend == EXACT else 0j
-        for i in range(n):
-            acc = acc + self.entries[i * n + i]
+        # left to right from the first entry, as in the kernels (``sum`` may compensate floats)
+        diagonal = self.entries[:: self.n + 1]
+        acc = diagonal[0]
+        for a in diagonal[1:]:
+            acc = acc + a
         return acc
 
     # -- predicates and conversions ---------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(a) for a in self.entries)
+        return not any(self.entries)
 
     def max_abs(self) -> float:
-        if self.backend == FLOAT:
-            return kernels.max_abs(self.entries)
-        return kernels.max_abs(map(scalar_abs, self.entries))
+        return kernels.max_abs(self.entries)
 
     def to_float(self) -> "Matrix":
         """Explicit promotion to the float backend."""
@@ -209,9 +180,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def max_abs_diff(a: Matrix, b: Matrix) -> float:
     a._check_peer(b)
-    if a.backend == FLOAT:
-        return kernels.max_abs_diff(a.entries, b.entries)
-    return (a - b).max_abs()
+    return kernels.max_abs_diff(a.entries, b.entries)
 
 
 def exact_eq(a: Matrix, b: Matrix) -> bool:

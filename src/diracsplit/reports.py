@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import kernels
-from .scalars import EXACT, scalar_abs, scalar_is_zero
+from .scalars import EXACT
 
 EXACT_ZERO = "exact-zero"
 WITHIN = "within"
@@ -85,8 +85,8 @@ def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEn
         magnitude = None if zero else value.max_abs()
     else:
         values = value if isinstance(value, (list, tuple)) else (value,)
-        zero = backend == EXACT and all(scalar_is_zero(v) for v in values)
-        magnitude = None if zero else kernels.max_abs(map(scalar_abs, values))
+        zero = backend == EXACT and not any(values)
+        magnitude = None if zero else kernels.max_abs(values)
     return ResidualEntry(label, equation, backend, None if zero else float(magnitude), zero)
 
 

@@ -8,10 +8,17 @@ Two numeric backends run side by side:
 * ``float``  -- ordinary Python ``complex``; residuals are compared
   against tolerances.
 
+``SCALAR_TYPE`` names each backend's scalar type; both are built from
+``(re, im)``.  Their arithmetic, ``conjugate``, truth value (nonzero)
+and ``abs()`` (the magnitude as a float, an estimate for an exact
+scalar) agree, so the matrix kernels and residual scans run unchanged
+on either.
+
 Integers and :class:`fractions.Fraction` are backend-neutral and coerce
 into either side.  ``float``/``complex`` values never coerce into the
-exact backend, and :class:`GaussianRational` values only reach the float
-backend through an explicit promotion.
+exact backend, not even as the parts of a :class:`GaussianRational`, and
+:class:`GaussianRational` values only reach the float backend through an
+explicit promotion.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 _RATIONAL = (int, Fraction)
+_INEXACT = (float, complex)
 
 
 class GaussianRational:
@@ -32,6 +40,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
+            raise BackendMismatch("float part in an exact scalar")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -45,7 +55,7 @@ class GaussianRational:
             return other
         if isinstance(other, _RATIONAL):
             return GaussianRational(other)
-        if isinstance(other, (float, complex)):
+        if isinstance(other, _INEXACT):
             raise BackendMismatch("float operand in exact arithmetic")
         return None
 
@@ -101,6 +111,10 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    def __abs__(self) -> float:
+        """The magnitude as a float (an estimate)."""
+        return abs(self.to_complex())
+
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -114,7 +128,7 @@ class GaussianRational:
         return complex(self.re, self.im)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, (float, complex)) else None
+        o = self._coerce(other) if not isinstance(other, _INEXACT) else None
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
@@ -136,6 +150,9 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re} {sign} {abs(self.im)}*i"
 
+
+#: the scalar type of each backend, built from (re, im)
+SCALAR_TYPE = {EXACT: GaussianRational, FLOAT: complex}
 
 #: exact imaginary unit
 I = GaussianRational(0, 1)
@@ -173,16 +190,3 @@ def coerce_real(value, backend: str):
         raise BackendMismatch(f"cannot use {type(value).__name__} as float real")
     raise ValueError(f"unknown backend {backend!r}")
 
-
-def scalar_is_zero(value) -> bool:
-    """Exact zero test; for floats this means literal 0.0."""
-    if isinstance(value, GaussianRational):
-        return value.is_zero
-    return value == 0
-
-
-def scalar_abs(value) -> float:
-    """Magnitude as a float (an estimate for exact scalars)."""
-    if isinstance(value, GaussianRational):
-        return abs(value.to_complex())
-    return abs(value)

@@ -46,10 +46,10 @@ from .fields import (
     lower_half,
     upper_half,
 )
-from .gamma import PAULI, PAULI_FLOAT, GammaRep, build_rep
+from .gamma import GammaRep, build_rep
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry
-from .scalars import EXACT, GaussianRational, scalar_is_zero
+from .scalars import SCALAR_TYPE
 
 _DEFAULT_TOL = 1e-10
 
@@ -84,13 +84,6 @@ def _term_q(term: PlaneWaveTerm) -> tuple:
     return tuple(c * s for c in term.momentum.p)
 
 
-def _q_complex(q1, q2, backend: str, conj: bool = False):
-    """q1 + i q2 (or q1 - i q2) as a backend scalar."""
-    if backend == EXACT:
-        return GaussianRational(q1, -q2 if conj else q2)
-    return complex(q1, -q2 if conj else q2)
-
-
 def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
           require_solution: bool = True) -> SplitResult:
     """Decompose a Dirac solution into its two constituent fields.
@@ -104,7 +97,7 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
     the recombination checks; it exists so negative controls can push
     off-shell inputs through the same code path.
     """
-    if scalar_is_zero(mass):
+    if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
     if psi.ncomp != 4:
         raise SplitRequiresSpinorRep("split needs a bispinor field")
@@ -118,15 +111,17 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
         if not res.within(tol):
             raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {tol})")
 
+    scalar = SCALAR_TYPE[psi.backend]
+
     def xi1(t):
         q0, q1, q2, q3 = _term_q(t)
         eta1 = t.amplitude[2]
-        return ((q0 + q3) * eta1 / mass, _q_complex(q1, q2, t.backend) * eta1 / mass)
+        return ((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass)
 
     def xi2(t):
         q0, q1, q2, q3 = _term_q(t)
         eta2 = t.amplitude[3]
-        return (_q_complex(q1, q2, t.backend, conj=True) * eta2 / mass, (q0 - q3) * eta2 / mass)
+        return (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass)
 
     # each constituent keeps psi's keys, so it is built term by term
     psi1 = _termwise(psi, lambda t: xi1(t) + t.amplitude[2:])
@@ -175,15 +170,16 @@ def identity_residuals(sr: SplitResult) -> ResidualReport:
     (1 - P_i) gamma.p P_i Psi_(i) = 0   (i = 1, 2)
     """
     backend = sr.psi.backend
+    scalar = SCALAR_TYPE[backend]
     id1, id2 = [], []
     for term in sr.xi1_pair.terms:
         q0, q1, q2, q3 = _term_q(term)
         a, b = term.amplitude
-        id1.append(_q_complex(q1, q2, backend) * a - (q0 + q3) * b)
+        id1.append(scalar(q1, q2) * a - (q0 + q3) * b)
     for term in sr.xi2_pair.terms:
         q0, q1, q2, q3 = _term_q(term)
         a, b = term.amplitude
-        id2.append((q0 - q3) * a - _q_complex(q1, q2, backend, conj=True) * b)
+        id2.append((q0 - q3) * a - scalar(q1, -q2) * b)
 
     ps = sr.rep.on(backend).p
     ident = Matrix.identity(4, backend)
@@ -205,14 +201,14 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
     P_i gamma.p P_i Psi_(i) - m P_i Psi_(i).
     """
     backend = sr.psi.backend
+    scalar = SCALAR_TYPE[backend]
     m = sr.mass
     lines1: dict = {1: [], 2: [], 3: [], 4: []}
     lines2: dict = {1: [], 2: [], 3: [], 4: []}
     for term in sr.psi1.terms:
         q0, q1, q2, q3 = _term_q(term)
         xi1, xi2, eta1, _ = term.amplitude
-        qp = _q_complex(q1, q2, backend)
-        qm = _q_complex(q1, q2, backend, conj=True)
+        qp, qm = scalar(q1, q2), scalar(q1, -q2)
         lines1[1].append((q0 + q3) * eta1 - m * xi1)
         lines1[2].append(qp * eta1 - m * xi2)
         lines1[3].append((q0 - q3) * xi1 - qm * xi2 - m * eta1)
@@ -220,8 +216,7 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
     for term in sr.psi2.terms:
         q0, q1, q2, q3 = _term_q(term)
         xi1, xi2, _, eta2 = term.amplitude
-        qp = _q_complex(q1, q2, backend)
-        qm = _q_complex(q1, q2, backend, conj=True)
+        qp, qm = scalar(q1, q2), scalar(q1, -q2)
         lines2[1].append(qm * eta2 - m * xi1)
         lines2[2].append((q0 - q3) * eta2 - m * xi2)
         lines2[3].append((q0 - q3) * xi1 - qm * xi2)
@@ -293,11 +288,11 @@ def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
         raise ValueError("sigma.p acts on 2-component fields")
 
     def symbol(p, s):
-        b = p.backend
+        scalar = SCALAR_TYPE[p.backend]
         q0, q1, q2, q3 = (c * s for c in p.p)
         q1, q2, q3 = sign * q1, sign * q2, sign * q3
-        return Matrix(2, b, (_q_complex(q0 + q3, 0, b), _q_complex(q1, q2, b, conj=True),
-                             _q_complex(q1, q2, b), _q_complex(q0 - q3, 0, b)))
+        return Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
+                                     scalar(q1, q2), scalar(q0 - q3)))
 
     return apply_symbol(f, symbol)
 
@@ -327,7 +322,7 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
     """
     if check_mass:
         for t in f.terms:
-            if not scalar_is_zero(t.momentum.mass):
+            if t.momentum.mass:
                 raise WeylRequiresMassless("field carries a massive term")
     if f.rep is None:
         raise ValueError("field carries no representation")
@@ -338,11 +333,11 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
     eta = lower_half(fs)
     xi = upper_half(fs)
     entries = (
-        residual_entry("weyl.eta", "Weyl1", backend, sigma_momentum_op(eta, +1)),
-        residual_entry("weyl.xi", "Weyl2", backend, sigma_momentum_op(xi, -1)),
-        residual_entry("weyl.bispinor.Qminus", "DiracNeutrino", backend,
+        residual_entry("eta", "Weyl1", backend, sigma_momentum_op(eta, +1)),
+        residual_entry("xi", "Weyl2", backend, sigma_momentum_op(xi, -1)),
+        residual_entry("bispinor.Qminus", "DiracNeutrino", backend,
                        dirac_op(f.apply(view.q_minus))),
-        residual_entry("weyl.bispinor.Qplus", "DiracNeutrino", backend,
+        residual_entry("bispinor.Qplus", "DiracNeutrino", backend,
                        dirac_op(f.apply(view.q_plus))),
     )
     return ResidualReport(entries)
@@ -367,7 +362,7 @@ def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) ->
     """
     backend = f.backend
     defect = f - charge_conjugate(f)
-    selfconj = residual_entry("majorana.selfconj", "MAJORANA", backend, defect)
+    selfconj = residual_entry("selfconj", "MAJORANA", backend, defect)
     if not selfconj.within(tol):
         raise NotMajorana(
             f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {tol})"
@@ -376,9 +371,9 @@ def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) ->
         raise SplitRequiresSpinorRep(
             "Majorana component checks are pinned to the spinor basis"
         )
-    s2 = (PAULI if backend == EXACT else PAULI_FLOAT)[1]
-    i_m = GaussianRational(0, mass) if backend == EXACT else complex(0, mass)
-    i_one = GaussianRational(0, 1) if backend == EXACT else 1j
+    scalar = SCALAR_TYPE[backend]
+    i_m, i_one, zero = scalar(0, mass), scalar(0, 1), scalar(0)
+    s2 = Matrix(2, backend, (zero, scalar(0, -1), i_one, zero))  # sigma2
 
     eta = lower_half(f)
     xi = upper_half(f)
@@ -390,9 +385,9 @@ def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) ->
     reta = eta - s2_xi.scale(i_one)
     entries = (
         selfconj,
-        residual_entry("majorana.eq1", "Majorana1", backend, r1),
-        residual_entry("majorana.eq2", "Majorana2", backend, r2),
-        residual_entry("majorana.xi-consistency", "MAJORANA", backend, rxi),
-        residual_entry("majorana.eta-consistency", "MAJORANA", backend, reta),
+        residual_entry("eq1", "Majorana1", backend, r1),
+        residual_entry("eq2", "Majorana2", backend, r2),
+        residual_entry("xi-consistency", "MAJORANA", backend, rxi),
+        residual_entry("eta-consistency", "MAJORANA", backend, reta),
     )
     return ResidualReport(entries)

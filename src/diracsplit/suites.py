@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 
@@ -429,24 +429,27 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 
 
 def _weyl_entries(rep, p: FourMomentum):
-    """Per chirality, the four Weyl relations and the chiral image, on p's backend."""
+    """Per chirality ch, ``(ch, entry)`` on p's backend: the Weyl relations and the chiral image."""
     view = rep.on(p.backend)
     for ch, proj in (("left", view.q_plus), ("right", view.q_minus)):
         f = field_of(weyl_spinor(p, rep, ch), rep)
         for e in weyl_residuals(f):
-            yield replace(e, label=f"{ch}.{e.label.removeprefix('weyl.')}")
-        yield residual_entry(f"{ch}.chiral-image", "DiracNeutrino", p.backend, f.apply(proj) - f)
+            yield ch, e
+        yield ch, residual_entry("chiral-image", "DiracNeutrino", p.backend, f.apply(proj) - f)
 
 
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            for e in _weyl_entries(rep, FourMomentum.exact(_WEYL_WITNESS_K, 0)):
-                out.add(f"weyl.witness.{rep.name}.{e.label}", e)
+            for ch, e in _weyl_entries(rep, FourMomentum.exact(_WEYL_WITNESS_K, 0)):
+                out.add(f"weyl.witness.{rep.name}.{ch}.{e.label}", e)
         if config.run_float:
+            def trial_residuals(rng, _):
+                for ch, e in _weyl_entries(rep, _sample_massless(rng, config)):
+                    yield f"{ch}.{e.label}", e.equation, e.residual
+
             _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
-                  lambda rng, _: _measured(_weyl_entries(rep, _sample_massless(rng, config))),
-                  lambda label: config.strict_tol)
+                  trial_residuals, lambda label: config.strict_tol)
 
     sp = build_rep("spinor")
     pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
@@ -472,7 +475,7 @@ def _majorana_entries(rep, p: FourMomentum, tol: float):
         maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
         if rep.name == "spinor":
             for e in majorana_residuals(maj, p.mass, tol=tol):
-                yield s, replace(e, label=e.label.removeprefix("majorana."))
+                yield s, e
         else:
             yield s, residual_entry("selfconj", "MAJORANA", p.backend, maj - charge_conjugate(maj))
             yield s, residual_entry("dirac", "Dirac1", p.backend, dirac_residual(maj, p.mass))

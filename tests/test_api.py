@@ -31,3 +31,17 @@ def test_names_the_benchmark_reaches():
         assert callable(getattr(diracsplit, name)), name
     assert callable(diracsplit.FourMomentum.on_shell)
     assert callable(diracsplit.FourMomentum.exact)
+
+
+def test_names_the_benchmark_traces():
+    """perfbench times these kernels and counts calls of these methods by name.
+
+    A rename would make its per-layer metrics read 0 without failing.
+    """
+    from diracsplit import kernels, matrices, scalars
+
+    for name in ("mul", "mul_vec", "max_abs", "max_abs_diff"):
+        assert callable(getattr(kernels, name)), name
+    for cls, name in ((matrices.Matrix, "__matmul__"), (matrices.Matrix, "to_float"),
+                      (scalars.GaussianRational, "to_complex")):
+        assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"

@@ -1,10 +1,13 @@
-"""Float kernels against hand-worked oracles."""
+"""Kernels against hand-worked oracles, and one kernel for both backends."""
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracsplit import kernels
+from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 
 NAN = float("nan")
 
@@ -37,3 +40,100 @@ def test_max_abs_propagates_nan(values):
     assert math.isnan(kernels.max_abs(values))
     assert math.isnan(kernels.max_abs(iter(values)))
     assert math.isnan(kernels.max_abs_diff(values, (0j, 0j)))
+
+
+# -- one kernel for both backends -------------------------------------------------
+
+_parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_exact_scalars = st.builds(GaussianRational, _parts, _parts)
+_finite_parts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_float_scalars = st.builds(complex, _finite_parts, _finite_parts)
+
+
+def _exact_matrices(n):
+    return st.lists(_exact_scalars, min_size=n * n, max_size=n * n).map(
+        lambda xs: Matrix(n, EXACT, tuple(xs)))
+
+
+def _close(exact, flt):
+    """The float result agrees with the promoted exact one to roundoff."""
+    assert abs(exact.to_complex() - flt) <= 1e-12 * (1.0 + abs(flt))
+
+
+def _mul_seeded(n, a, b):
+    """The float product accumulated from ``0j``: the kernels equal it up to the sign of a zero."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0j
+            for k in range(n):
+                acc = acc + a[i * n + k] * b[k * n + j]
+            out.append(acc)
+    return tuple(out)
+
+
+def _mul_vec_seeded(n, a, v):
+    out = []
+    for i in range(n):
+        acc = 0j
+        for k in range(n):
+            acc = acc + a[i * n + k] * v[k]
+        out.append(acc)
+    return tuple(out)
+
+
+@st.composite
+def _exact_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    a, b = draw(_exact_matrices(n)), draw(_exact_matrices(n))
+    v = tuple(draw(st.lists(_exact_scalars, min_size=n, max_size=n)))
+    return a, b, v
+
+
+@given(_exact_cases())
+@settings(max_examples=60, deadline=None)
+def test_exact_results_stay_exact_and_match_their_promotions(case):
+    a, b, v = case
+    fa, fb = a.to_float(), b.to_float()
+    fv = tuple(x.to_complex() for x in v)
+
+    prod, image, trace = a @ b, a.apply(v), a.trace()
+    assert prod.backend == EXACT
+    for x in prod.entries + image + (trace,):
+        assert isinstance(x, GaussianRational)
+    for x, y in zip(prod.entries, (fa @ fb).entries):
+        _close(x, y)
+    for x, y in zip(image, fa.apply(fv)):
+        _close(x, y)
+    _close(trace, fa.trace())
+
+    # magnitudes: abs() of an exact scalar is the magnitude of its promotion
+    assert isinstance(a.max_abs(), float)
+    assert a.max_abs() == fa.max_abs()
+    scale = 1.0 + a.max_abs() + b.max_abs()
+    assert abs(max_abs_diff(a, b) - max_abs_diff(fa, fb)) <= 1e-12 * scale
+    assert (a - b).is_zero == (a == b) == (fa - fb).is_zero
+    assert (a - a).is_zero and (fa - fa).is_zero
+
+
+@st.composite
+def _float_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    a = tuple(draw(st.lists(_float_scalars, min_size=n * n, max_size=n * n)))
+    b = tuple(draw(st.lists(_float_scalars, min_size=n * n, max_size=n * n)))
+    v = tuple(draw(st.lists(_float_scalars, min_size=n, max_size=n)))
+    return n, a, b, v
+
+
+@given(_float_cases())
+@settings(max_examples=60, deadline=None)
+def test_float_kernels_equal_the_zero_seeded_loops(case):
+    # seeding from the first product changes at most the sign of an exactly-zero part
+    n, a, b, v = case
+    assert kernels.mul(n, a, b) == _mul_seeded(n, a, b)
+    assert kernels.mul_vec(n, a, v) == _mul_vec_seeded(n, a, v)
+    m = Matrix(n, FLOAT, a)
+    seeded_trace = 0j
+    for i in range(n):
+        seeded_trace = seeded_trace + a[i * n + i]
+    assert m.trace() == seeded_trace

@@ -11,10 +11,9 @@ from diracsplit.scalars import (
     FLOAT,
     GaussianRational,
     I,
+    SCALAR_TYPE,
     coerce_real,
     coerce_scalar,
-    scalar_abs,
-    scalar_is_zero,
 )
 
 fractions = st.fractions(
@@ -84,12 +83,27 @@ def test_mixed_int_arithmetic():
 
 
 def test_scalar_helpers():
-    assert scalar_is_zero(GaussianRational(0))
-    assert scalar_is_zero(0.0) and scalar_is_zero(0j)
-    assert not scalar_is_zero(GaussianRational(0, 1))
-    assert scalar_abs(GaussianRational(3, 4)) == 5.0
-    assert scalar_abs(3 + 4j) == 5.0
-    assert scalar_abs(Fraction(-7, 2)) == 3.5
+    assert not GaussianRational(0)
+    assert not 0.0 and not 0j
+    assert GaussianRational(0, 1)
+    assert abs(GaussianRational(3, 4)) == 5.0
+    assert isinstance(abs(GaussianRational(3, 4)), float)
+    assert abs(3 + 4j) == 5.0
+    assert abs(Fraction(-7, 2)) == 3.5
+
+
+@pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), (1 + 0j, 0), (0, 2j), (1.0, 1.0)])
+def test_float_parts_never_enter_the_exact_backend(re, im):
+    with pytest.raises(BackendMismatch):
+        GaussianRational(re, im)
+
+
+def test_each_backend_builds_its_scalar_type_from_parts():
+    assert SCALAR_TYPE[EXACT](Fraction(1, 2), -3) == GaussianRational(Fraction(1, 2), -3)
+    assert SCALAR_TYPE[FLOAT](0.5, -3.0) == 0.5 - 3j
+    for backend, kind in ((EXACT, GaussianRational), (FLOAT, complex)):
+        assert type(SCALAR_TYPE[backend](1, 2)) is kind
+        assert type(SCALAR_TYPE[backend](0)) is kind
 
 
 def test_coercion_backends():

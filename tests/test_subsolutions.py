@@ -193,10 +193,10 @@ def test_weyl_residuals_exact(rep):
         f = field_of(weyl_spinor(k, rep, chirality), rep=rep)
         report = weyl_residuals(f)
         assert [e.label for e in report] == [
-            "weyl.eta",
-            "weyl.xi",
-            "weyl.bispinor.Qminus",
-            "weyl.bispinor.Qplus",
+            "eta",
+            "xi",
+            "bispinor.Qminus",
+            "bispinor.Qplus",
         ]
         assert report.all_exact_zero()
 
@@ -263,7 +263,8 @@ def test_majorana_float_fuzz(m, sp, spin):
     report = majorana_residuals(maj, m)
     entries = {e.label: e for e in report}
     # conjugation is exact in floating point, so self-conjugacy is literal
-    assert entries["majorana.selfconj"].residual == 0.0
+    assert list(entries) == ["selfconj", "eq1", "eq2", "xi-consistency", "eta-consistency"]
+    assert entries["selfconj"].residual == 0.0
     assert report.all_within(1e-10)
 
 
