@@ -19,6 +19,10 @@ are not canonical yet.  ``subsolutions.SplitResult`` keeps its projected
 constituents, so the split residuals build each of them once.  Complex
 conjugation flips the frequency sign, which couples a field to its
 conjugate in the charge-conjugation and Majorana relations.
+
+Components mean something only in a named gamma basis, so every field
+carries its representation: the constructor requires a ``GammaRep``,
+and ``==``, ``hash`` and ``+`` take it into account.
 """
 
 from __future__ import annotations
@@ -143,8 +147,10 @@ class PlaneWaveField:
 
     __slots__ = ("terms", "rep", "ncomp", "backend")
 
-    def __init__(self, terms: Sequence[PlaneWaveTerm], rep: Optional[GammaRep] = None,
+    def __init__(self, terms: Sequence[PlaneWaveTerm], rep: GammaRep,
                  ncomp: int = 4, backend: str = EXACT):
+        if not isinstance(rep, GammaRep):
+            raise TypeError("a field needs a GammaRep: its components mean nothing without one")
         merged: dict = {}
         for t in terms:
             if not isinstance(t, PlaneWaveTerm):
@@ -272,7 +278,7 @@ def _fill(f: PlaneWaveField, terms: tuple, rep, ncomp: int, backend: str) -> Pla
     return f
 
 
-def field_of(term: PlaneWaveTerm, rep: Optional[GammaRep] = None) -> PlaneWaveField:
+def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
     return PlaneWaveField((term,), rep=rep, ncomp=term.ncomp, backend=term.backend)
 
 
@@ -324,8 +330,6 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
     """
     if f.ncomp != 4:
         raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")
-    if f.rep is None:
-        raise ValueError("field carries no representation")
     return conjugate(f).apply(f.rep.on(f.backend).conjugation)
 
 
@@ -344,8 +348,8 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
 
 
 def _dirac_rep(f: PlaneWaveField) -> GammaRep:
-    if f.ncomp != 4 or f.rep is None:
-        raise ValueError("the Dirac operator acts on 4-component fields with a representation")
+    if f.ncomp != 4:
+        raise ValueError("the Dirac operator acts on 4-component fields")
     return f.rep
 
 

@@ -103,12 +103,12 @@ class Intertwiner:
     """Change of basis from one representation to another, on one backend.
 
     W gamma_from Wdag = norm2 * gamma_to and Wdag W = norm2 * Id hold
-    exactly; U = W / sqrt(norm2) is the unitary change of basis.  The
-    exact data has U only where sqrt(norm2) is rational; the float data
-    always has it, as to_float(U), or as to_float(W) / sqrt(norm2) where
-    U is irrational.  ``residuals`` are those the exact verification
-    found identically zero: ``unitary`` (Wdag W - norm2 Id) and
-    ``similarity.gamma<mu>`` / ``similarity.gamma5`` (W a Wdag - norm2 b).
+    exactly; U = W / sqrt(norm2) is the unitary change of basis.  Exact
+    code moves fields with W, so U lives on the float view only, as
+    to_float(W) / sqrt(norm2); it is None on the exact view.
+    ``residuals`` are those the exact verification found identically
+    zero: ``unitary`` (Wdag W - norm2 Id) and ``similarity.gamma<mu>`` /
+    ``similarity.gamma5`` (W a Wdag - norm2 b).
     """
 
     w: Matrix
@@ -226,10 +226,9 @@ class RepView:
                 link = _verified_intertwiner(self.rep, rep_to)
             else:
                 exact = self.rep.on(EXACT).intertwiner(rep_to)
-                w, u = _promote((exact.w, exact.u))
-                if u is None:
-                    u = w.scale(1.0 / exact.norm2**0.5)
-                link = Intertwiner(w, exact.norm2, u, exact.residuals)
+                w = exact.w.to_float()
+                link = Intertwiner(w, exact.norm2, w.scale(1.0 / exact.norm2**0.5),
+                                   exact.residuals)
             self._links[rep_to] = link
         return link
 
@@ -297,9 +296,8 @@ class RepView:
         out += [e for e in checked if e.label.startswith("commute.")]
         for k, p in enumerate(ps, start=1):
             eps = ident - p
-            complement = _entries(backend, (("idempotent", "PRO", eps @ eps - eps),
-                                            ("orthogonal", "PRO", eps @ p)))
-            out.append(complement.worst(f"complement.p{k}", "PRO"))
+            out.append(residual_entry(f"complement.p{k}", "PRO", backend,
+                                      (eps @ eps - eps).entries + (eps @ p).entries))
         out += swap_residuals(self).entries
         out += _entries(backend, (("v-swap.commute-gamma0", "V", commutator(v, self.gammas[0])),
                                   ("v-swap.commute-gamma1", "V", commutator(v, self.gammas[1]))))
@@ -560,9 +558,7 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
         relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
     residuals = _entries(EXACT, relations)
     _demand_zero(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
-    root = {1: 1, 4: 2}.get(norm2)
-    u = None if root is None else w.scale(Fraction(1, root))
-    return Intertwiner(w, norm2, u, residuals)
+    return Intertwiner(w, norm2, None, residuals)
 
 
 # -- charge conjugation ------------------------------------------------------

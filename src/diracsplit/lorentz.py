@@ -38,7 +38,7 @@ from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, apply_symbol
 from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator, max_abs_diff
 from .reports import ResidualReport, residual_entry
-from .scalars import EXACT, FLOAT
+from .scalars import FLOAT
 
 _BOOST = "boost"
 _ROTATION = "rotation"
@@ -180,15 +180,15 @@ def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
 
 
 def pi_commutation_check(rep: GammaRep) -> ResidualReport:
-    """[sigma_03, P_i] and [sigma_12, P_i], exactly and at float group elements.
+    """[S, P_i] for i = 1, 2 at float group elements of the (0,3) boost and (1,2) rotation.
 
-    The generators of the (0,3) boost and (1,2) rotation commute with P1
-    and P2, so those transformations act inside each subsolution class.
-    The exact commutators are those kept on the exact view, among its
-    ``covariance_residuals``.
+    The generators of those transformations commute with P1 and P2, so
+    they act inside each subsolution class.  The exact generator
+    commutators [sigma_03, P_i] and [sigma_12, P_i] are entries of the
+    exact view's ``covariance_residuals``.
     """
     flt = rep.on(FLOAT)
-    entries = [e for e in rep.on(EXACT).covariance_residuals if e.label.startswith("commute.")]
+    entries = []
     for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
         for w in (0.5, 1.3, 3.0):
             s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
@@ -211,27 +211,27 @@ def float_certificates(rep: GammaRep) -> tuple:
 
     Returns ``(grid, commutators, controls)``: ``covariance_check`` at
     each transformation of ``COVARIANCE_GRID``, its labels prefixed
-    ``<kind><mu><nu>.w<omega>.``; the float entries of
-    ``pi_commutation_check``; and two negative controls, far from zero:
-    ``sign-flip``, the P-conditions of the (0,3) boost at omega = 1 with
-    S and S^-1 swapped, and ``boost01-noncommute``, [S, P1] for the (0,1)
-    boost at omega = 1, which does not keep the class of P1.  The float
-    view keeps them: read ``rep.on(FLOAT).lorentz_certificates``.
+    ``<kind><mu><nu>.w<omega>.``; ``pi_commutation_check``; and two
+    negative controls, far from zero: ``sign-flip``, the largest
+    P-condition of the (0,3) boost at omega = 1 with S and S^-1 swapped,
+    and ``boost01-noncommute``, [S, P1] for the (0,1) boost at omega = 1,
+    which does not keep the class of P1.  The float view keeps them:
+    read ``rep.on(FLOAT).lorentz_certificates``.
     """
     grid = []
     for params in COVARIANCE_GRID:
         mu, nu = params.plane
         tag = f"{params.kind}{mu}{nu}.w{params.omega:g}"
         grid += [replace(e, label=f"{tag}.{e.label}") for e in covariance_check(params, rep)]
-    commutators = tuple(e for e in pi_commutation_check(rep) if e.backend == FLOAT)
     flip = LorentzParams(_BOOST, (0, 3), 1.0)
     sign_flip = pconditions_residual(rep, spinor_transform(flip.inverse(), rep),
                                      spinor_transform(flip, rep), vector_transform(flip))
     s01 = spinor_transform(LorentzParams(_BOOST, (0, 1), 1.0), rep)
-    controls = (sign_flip.worst("sign-flip", "Pconditions"),
+    controls = (residual_entry("sign-flip", "Pconditions", FLOAT,
+                               [e.residual for e in sign_flip]),
                 residual_entry("boost01-noncommute", "S", FLOAT,
                                commutator(s01, rep.on(FLOAT).p[0])))
-    return ResidualReport(tuple(grid)), ResidualReport(commutators), ResidualReport(controls)
+    return ResidualReport(tuple(grid)), pi_commutation_check(rep), ResidualReport(controls)
 
 
 def special_frame(p: FourMomentum) -> tuple:
@@ -246,7 +246,7 @@ def special_frame(p: FourMomentum) -> tuple:
     """
     if not p.mass:
         raise SpecialFrameRequiresMass("frame-fixing boost needs m > 0")
-    if not p.is_on_shell(tol=1e-9 if p.backend == FLOAT else 0.0):
+    if not p.is_on_shell(tol=1e-9):
         raise OffShell(f"momentum {p.p} with mass {p.mass} is off the shell")
     pf = p.to_float()
     omega_r = math.atan2(pf.p[2], pf.p[1])
@@ -264,8 +264,6 @@ def transform_field(f: PlaneWaveField, params: LorentzParams) -> PlaneWaveField:
     float-backend operation; promote exact fields with ``to_float``.
     """
     ff = f if f.backend == FLOAT else f.to_float()
-    if f.rep is None:
-        raise ValueError("field carries no representation")
     s = spinor_transform(params, f.rep)
     if ff.ncomp != 4:
         raise ValueError("transformation acts on bispinor fields")
@@ -284,8 +282,6 @@ def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     annihilate the field, and the Dirac operator gamma^mu p_mu collapses
     to its (0, 1) part; this evaluates that reduced form.
     """
-    if f.rep is None:
-        raise ValueError("field carries no representation")
     g0, g1 = f.rep.on(f.backend).gammas_lower[:2]
     return apply_symbol(f, lambda p, s: g0.scale(s * p.p[0]) + g1.scale(s * p.p[1])
                         - Matrix.diag((mass,) * 4, p.backend))

@@ -69,10 +69,6 @@ class Matrix:
 
     # -- structure -----------------------------------------------------
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i * self.n + j]
-
     def rows(self) -> list:
         n = self.n
         return [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
@@ -181,10 +177,3 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 def max_abs_diff(a: Matrix, b: Matrix) -> float:
     a._check_peer(b)
     return kernels.max_abs_diff(a.entries, b.entries)
-
-
-def exact_eq(a: Matrix, b: Matrix) -> bool:
-    """Entrywise exact equality; exact backend only."""
-    if a.backend != EXACT or b.backend != EXACT:
-        raise BackendMismatch("exact_eq compares exact matrices only")
-    return a.entries == b.entries

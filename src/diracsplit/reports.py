@@ -30,7 +30,7 @@ except for ``wall_ms``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernels
@@ -109,17 +109,14 @@ class ResidualReport:
     def merged(self, other: "ResidualReport") -> "ResidualReport":
         return ResidualReport(self.entries + other.entries)
 
-    def worst(self, label: Optional[str] = None, equation: Optional[str] = None) -> ResidualEntry:
+    def worst(self) -> ResidualEntry:
         """The first entry with the largest residual: one check over all of them.
 
-        A NaN residual is the largest, so the first NaN entry wins.  Given
-        ``label`` and ``equation``, a relabelled copy is returned; without
-        them, the entry itself.
+        A NaN residual is the largest, so the first NaN entry wins.
         """
         top = self.max_residual()
-        first = next(e for e in self.entries
-                     if (e.residual or 0.0) == top or e.residual != e.residual)
-        return first if label is None else replace(first, label=label, equation=equation)
+        return next(e for e in self.entries
+                    if (e.residual or 0.0) == top or e.residual != e.residual)
 
 
 # -- CLI-level records -------------------------------------------------------

@@ -51,25 +51,33 @@ from .matrices import Matrix
 from .reports import ResidualReport, residual_entry
 from .scalars import SCALAR_TYPE
 
-_DEFAULT_TOL = 1e-10
+#: the bound of the float preconditions of split and majorana_residuals
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """A split and its projected constituents, each built once, when first read."""
+    """A split; its xi pairs and projected constituents are built once, when first read."""
 
     psi: PlaneWaveField
     psi1: PlaneWaveField
     psi2: PlaneWaveField
-    xi1_pair: PlaneWaveField
-    xi2_pair: PlaneWaveField
     mass: object
-    rep: GammaRep
+
+    @cached_property
+    def xi1_pair(self) -> PlaneWaveField:
+        """The upper half of Psi_(1)."""
+        return upper_half(self.psi1)
+
+    @cached_property
+    def xi2_pair(self) -> PlaneWaveField:
+        """The upper half of Psi_(2)."""
+        return upper_half(self.psi2)
 
     @cached_property
     def projected(self) -> tuple:
         """(P1 Psi_(1), P2 Psi_(2))."""
-        ps = self.rep.on(self.psi.backend).p
+        ps = self.psi.rep.on(self.psi.backend).p
         return (self.psi1.apply(ps[0]), self.psi2.apply(ps[1]))
 
     @cached_property
@@ -84,14 +92,14 @@ def _term_q(term: PlaneWaveTerm) -> tuple:
     return tuple(c * s for c in term.momentum.p)
 
 
-def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
-          require_solution: bool = True) -> SplitResult:
+def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitResult:
     """Decompose a Dirac solution into its two constituent fields.
 
     The xi(i) components are computed term-wise by applying the defining
     momentum operators to the eta components and dividing by the mass.
     The recombination invariants (xi(1)+xi(2) = xi componentwise and
-    P1 Psi_(1) + P2 Psi_(2) = Psi) are verified before returning.
+    P1 Psi_(1) + P2 Psi_(2) = Psi) are verified before returning: exactly
+    on the exact backend, within the constant bound 1e-10 on the float one.
 
     ``require_solution=False`` skips the Dirac-solution precondition and
     the recombination checks; it exists so negative controls can push
@@ -101,15 +109,15 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
         raise SplitRequiresMass("the defining relations divide by m")
     if psi.ncomp != 4:
         raise SplitRequiresSpinorRep("split needs a bispinor field")
-    if psi.rep is None or psi.rep.name != "spinor":
+    if psi.rep.name != "spinor":
         raise SplitRequiresSpinorRep(
             "component formulas are pinned to the spinor basis; "
             "transport the field with the intertwiner first"
         )
     if require_solution:
         res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
-        if not res.within(tol):
-            raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {tol})")
+        if not res.within(_TOL):
+            raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
 
     scalar = SCALAR_TYPE[psi.backend]
 
@@ -126,14 +134,12 @@ def split(psi: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL,
     # each constituent keeps psi's keys, so it is built term by term
     psi1 = _termwise(psi, lambda t: xi1(t) + t.amplitude[2:])
     psi2 = _termwise(psi, lambda t: xi2(t) + t.amplitude[2:])
-    # the xi(i) pairs are the upper halves of the constituents
-    result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, xi1_pair=upper_half(psi1),
-                         xi2_pair=upper_half(psi2), mass=mass, rep=psi.rep)
+    result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, mass=mass)
     if require_solution:
         rec = recombination_residuals(result)
-        if not rec.all_within(tol):
+        if not rec.all_within(_TOL):
             raise NotASolution(
-                f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {tol})"
+                f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {_TOL})"
             )
     return result
 
@@ -181,7 +187,7 @@ def identity_residuals(sr: SplitResult) -> ResidualReport:
         a, b = term.amplitude
         id2.append((q0 - q3) * a - scalar(q1, -q2) * b)
 
-    ps = sr.rep.on(backend).p
+    ps = sr.psi.rep.on(backend).p
     ident = Matrix.identity(4, backend)
     entries = [
         residual_entry("identity.id1", "id1", backend, id1),
@@ -233,7 +239,7 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
         residual_entry("constituent2-4.line3", "constituent2/4", backend, lines2[3]),
     ]
 
-    ps = sr.rep.on(backend).p
+    ps = sr.psi.rep.on(backend).p
     for i, (p, projected, image) in enumerate(zip(ps, sr.projected, sr.dirac_projected),
                                               start=1):
         entries.append(
@@ -254,7 +260,7 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
     are re-evaluated against rep_to's own gamma matrices and projectors.
     """
     backend = sr.psi.backend
-    w = sr.rep.on(backend).intertwiner(rep_to).w
+    w = sr.psi.rep.on(backend).intertwiner(rep_to).w
     ps = rep_to.on(backend).p
     ident = Matrix.identity(4, backend)
     entries = []
@@ -303,7 +309,7 @@ def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
     The transport is W-scaled (norm 2 or 4), not unitary; residual
     magnitudes pick up that bounded factor, exact zeros are unaffected.
     """
-    if f.rep is None or f.rep.name == "spinor":
+    if f.rep.name == "spinor":
         return f
     sp = build_rep("spinor")
     w = f.rep.on(f.backend).intertwiner(sp).w
@@ -324,8 +330,6 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
         for t in f.terms:
             if t.momentum.mass:
                 raise WeylRequiresMassless("field carries a massive term")
-    if f.rep is None:
-        raise ValueError("field carries no representation")
     backend = f.backend
     view = f.rep.on(backend)
 
@@ -351,23 +355,24 @@ def majorana_build(psi: PlaneWaveField) -> PlaneWaveField:
     return psi + charge_conjugate(psi)
 
 
-def majorana_residuals(f: PlaneWaveField, mass, *, tol: float = _DEFAULT_TOL) -> ResidualReport:
+def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     """Residuals of the self-conjugacy condition and the Majorana system.
 
     Verifies f = C f, then in the spinor basis the coupled equations
     (p0 + sigma.p) eta = -i m sigma2 eta*, (p0 - sigma.p) xi = +i m
     sigma2 xi*, and the component relations xi = -i sigma2 eta*,
     eta = +i sigma2 xi*.  Raises "not-majorana" when self-conjugacy
-    fails; the component checks require the spinor basis.
+    fails (exactly on the exact backend, beyond the constant bound 1e-10
+    on the float one); the component checks require the spinor basis.
     """
     backend = f.backend
     defect = f - charge_conjugate(f)
     selfconj = residual_entry("selfconj", "MAJORANA", backend, defect)
-    if not selfconj.within(tol):
+    if not selfconj.within(_TOL):
         raise NotMajorana(
-            f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {tol})"
+            f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {_TOL})"
         )
-    if f.rep is None or f.rep.name != "spinor":
+    if f.rep.name != "spinor":
         raise SplitRequiresSpinorRep(
             "Majorana component checks are pinned to the spinor basis"
         )

@@ -458,14 +458,15 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
             residual_entry("massive-rejected", "Weyl1", FLOAT, None),
             _raises(lambda: weyl_residuals(massive), WeylRequiresMassless), RAISES)
     forced = weyl_residuals(massive, check_mass=False)
-    out.add("weyl.control.massive-residual", forced.worst("massive-residual", "Weyl1"),
+    out.add("weyl.control.massive-residual",
+            residual_entry("massive-residual", "Weyl1", FLOAT, [e.residual for e in forced]),
             _CONTROL_FLOOR, CONTROL)
 
 
 # -- majorana suite ---------------------------------------------------------------
 
 
-def _majorana_entries(rep, p: FourMomentum, tol: float):
+def _majorana_entries(rep, p: FourMomentum):
     """Per spin s, ``(s, entry)`` on p's backend for the Majorana field built from u_s.
 
     The spinor basis has the component checks; the other bases get the
@@ -474,7 +475,7 @@ def _majorana_entries(rep, p: FourMomentum, tol: float):
     for s in (1, 2):
         maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
         if rep.name == "spinor":
-            for e in majorana_residuals(maj, p.mass, tol=tol):
+            for e in majorana_residuals(maj, p.mass):
                 yield s, e
         else:
             yield s, residual_entry("selfconj", "MAJORANA", p.backend, maj - charge_conjugate(maj))
@@ -487,12 +488,12 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
         name = "" if rep.name == "spinor" else f".{rep.name}"
         if config.run_exact:
             p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-            for s, e in _majorana_entries(rep, p, config.tol):
+            for s, e in _majorana_entries(rep, p):
                 out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
         if config.run_float:
             def trial_residuals(rng, _):
                 p = _sample_massive(rng, config)
-                return _measured(e for _, e in _majorana_entries(rep, p, config.tol))
+                return _measured(e for _, e in _majorana_entries(rep, p))
 
             # self-conjugacy must cancel term-by-term, not merely within tol
             _fuzz(config, out, f"majorana.fuzz{name}", f"majorana{name}", config.trials,

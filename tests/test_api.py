@@ -31,6 +31,11 @@ def test_names_the_benchmark_reaches():
         assert callable(getattr(diracsplit, name)), name
     assert callable(diracsplit.FourMomentum.on_shell)
     assert callable(diracsplit.FourMomentum.exact)
+    # the independent oracle reads these attributes of a split
+    p = diracsplit.FourMomentum.exact((3, 2, 2, 0), 1)
+    sr = diracsplit.split(diracsplit.field_of(diracsplit.u_spinor(p, spinor, 1), spinor), p.mass)
+    for f, ncomp in ((sr.psi, 4), (sr.psi1, 4), (sr.psi2, 4), (sr.xi1_pair, 2), (sr.xi2_pair, 2)):
+        assert len(f.terms[0].amplitude) == ncomp
 
 
 def test_names_the_benchmark_traces():

@@ -104,7 +104,7 @@ def test_intertwiner_keeps_its_verified_residuals(all_reps):
 
 def test_intertwiner_unitary_float():
     sp, std = build_rep("spinor"), build_rep("standard")
-    assert sp.on(EXACT).intertwiner(std).u is None  # sqrt(2) is irrational
+    assert sp.on(EXACT).intertwiner(std).u is None  # exact code moves fields with W
     uf = sp.on(FLOAT).intertwiner(std).u
     assert max_abs_diff(uf @ uf.adjoint(), Matrix.identity(4, FLOAT)) < 1e-15
 
@@ -202,11 +202,8 @@ def test_float_view_is_promoted_exact_view(rep):
         assert a.backend == EXACT and b.backend == FLOAT
         assert b.entries == a.to_float().entries
     for a, b in zip(exact_links, float_links):
-        assert b.norm2 == a.norm2
-        if a.u is not None:
-            assert b.u.entries == a.u.to_float().entries
-        else:
-            assert b.u.entries == a.w.to_float().scale(1.0 / a.norm2**0.5).entries
+        assert b.norm2 == a.norm2 and a.u is None
+        assert b.u.entries == a.w.to_float().scale(1.0 / a.norm2**0.5).entries
 
 
 def test_intertwiner_rejects_impostor_of_pinned_name(spinor):

@@ -21,9 +21,9 @@ from diracsplit import (
     vector_transform,
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
-from diracsplit.gamma import build_rep
+from diracsplit.gamma import GammaRep, build_rep
 from diracsplit.matrices import Matrix, max_abs_diff
-from diracsplit.scalars import FLOAT
+from diracsplit.scalars import EXACT, FLOAT
 
 omegas = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 masses = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -228,9 +228,17 @@ def test_covariance_certificate(rep, base):
 def test_pi_commutation(rep):
     report = pi_commutation_check(rep)
     assert report.all_within(1e-12)
-    exact = [e for e in report if e.label.startswith("commute.sigma")]
+    assert len(report.entries) == 12 and {e.backend for e in report} == {FLOAT}
+    exact = [e for e in rep.on(EXACT).covariance_residuals if e.label.startswith("commute.sigma")]
     assert len(exact) == 4
     assert all(e.exact_zero for e in exact)
+
+
+def test_float_certificates_leave_the_exact_relations_unmeasured(spinor):
+    copy = GammaRep(name="spinor", gammas=spinor.gammas, gamma5=spinor.gamma5)
+    grid, commutators, _ = copy.on(FLOAT).lorentz_certificates
+    assert grid.all_within(1e-10) and commutators.all_within(1e-12)
+    assert "covariance_residuals" not in vars(copy.on(EXACT))
 
 
 def test_boost_off_axis_does_not_commute(spinor):
@@ -304,15 +312,6 @@ def test_transform_promotes_exact_fields(spinor):
     g = transform_field(f, LorentzParams("rotation", (1, 2), 0.5))
     assert g.backend == "float"
     assert dirac_residual(g, 1.0).max_abs() <= 1e-12
-
-
-def test_transform_needs_rep():
-    p = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1.0)
-    from diracsplit import PlaneWaveTerm, PlaneWaveField
-
-    f = PlaneWaveField((PlaneWaveTerm((1, 0, 0, 0), p, 1),))
-    with pytest.raises(ValueError):
-        transform_field(f, LorentzParams("boost", (0, 3), 1.0))
 
 
 def test_reduced_operator_in_special_frame(spinor):

@@ -5,7 +5,7 @@ import pytest
 from diracsplit import Matrix, RunConfig, build_projectors, run
 from diracsplit.errors import ProjectorAlgebraViolation
 from diracsplit.gamma import GammaRep, build_rep
-from diracsplit.matrices import commutator, exact_eq
+from diracsplit.matrices import commutator
 from diracsplit.scalars import EXACT, FLOAT
 from diracsplit.suites import _Collector
 
@@ -62,13 +62,13 @@ def test_chiral_products(rep):
 )
 def test_spinor_diagonal_golden(spinor, k, diag):
     ps = spinor.on(EXACT)
-    assert exact_eq(ps.p[k - 1], Matrix.diag(diag))
+    assert ps.p[k - 1] == Matrix.diag(diag)
 
 
 def test_spinor_chiral_goldens(spinor):
     ps = spinor.on(EXACT)
-    assert exact_eq(ps.q_minus, Matrix.diag((1, 1, 0, 0)))
-    assert exact_eq(ps.q_plus, Matrix.diag((0, 0, 1, 1)))
+    assert ps.q_minus == Matrix.diag((1, 1, 0, 0))
+    assert ps.q_plus == Matrix.diag((0, 0, 1, 1))
 
 
 def test_v_swap_report(rep):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from diracsplit import (
     FourMomentum,
     NotMajorana,
-    PlaneWaveField,
     SplitRequiresMass,
     SplitRequiresSpinorRep,
     WeylRequiresMassless,
@@ -141,12 +140,6 @@ def test_split_rejects_other_bases():
     with pytest.raises(SplitRequiresSpinorRep):
         split(psi, WITNESS_MASS)
 
-
-def test_split_rejects_missing_rep():
-    sr = _witness_split(1)
-    bare = PlaneWaveField(sr.psi.terms)
-    with pytest.raises(SplitRequiresSpinorRep):
-        split(bare, WITNESS_MASS)
 
 
 def test_split_rejects_non_solution():

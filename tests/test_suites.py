@@ -16,6 +16,7 @@ from diracsplit import (
     RunConfig,
     run,
 )
+from diracsplit.gamma import build_rep
 from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, residual_entry
 from diracsplit.scalars import FLOAT
 from diracsplit.suites import (
@@ -266,7 +267,7 @@ def test_verdicts_follow_the_check_kind():
 
 def _nan_field():
     term = PlaneWaveTerm((NAN, 0, 0, 0), FourMomentum.floats((1.0, 0.0, 0.0, 0.0), 1.0), 1)
-    return PlaneWaveField((term,), backend=FLOAT)
+    return PlaneWaveField((term,), rep=build_rep("spinor"), backend=FLOAT)
 
 
 @pytest.mark.parametrize(
