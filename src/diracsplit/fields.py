@@ -27,7 +27,7 @@ and ``==``, ``hash`` and ``+`` take it into account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,6 +53,8 @@ class FourMomentum:
     p: tuple
     mass: object
     backend: str
+    # dirac_matrix's symbols at this momentum, per (rep, freq_sign, mass); outside ==, hash, repr
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, components: Sequence, mass) -> "FourMomentum":
@@ -184,41 +186,12 @@ class PlaneWaveField:
     def __add__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         if not isinstance(other, PlaneWaveField):
             return NotImplemented
-        if self.terms and other.terms and self.backend != other.backend:
-            raise BackendMismatch("adding fields from different backends")
-        if self.rep is not other.rep:
-            raise ValueError("adding fields from different representations")
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if self.ncomp != other.ncomp:
-            raise ValueError("mixed component counts in one field")
-        # both term tuples are sorted with distinct keys: merge them in one pass
-        a, b = self.terms, other.terms
-        ka, kb = [t.key() for t in a], [t.key() for t in b]
-        i = j = 0
-        terms = []
-        while i < len(a) and j < len(b):
-            if ka[i] < kb[j]:
-                terms.append(a[i])
-                i += 1
-            elif kb[j] < ka[i]:
-                terms.append(b[j])
-                j += 1
-            else:
-                t = b[j]
-                amp = tuple(x + y for x, y in zip(a[i].amplitude, t.amplitude))
-                if any(amp):
-                    terms.append(_term(amp, t.momentum, t.freq_sign))
-                i += 1
-                j += 1
-        terms += a[i:] + b[j:]
-        return _fill(object.__new__(PlaneWaveField), tuple(terms), self.rep, self.ncomp,
-                     self.backend)
+        return _merge(self, other, None)
 
     def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
-        return self.__add__(-other)
+        if not isinstance(other, PlaneWaveField):
+            return NotImplemented
+        return _merge(self, other, coerce_scalar(-1, other.backend))
 
     def __neg__(self) -> "PlaneWaveField":
         return self.scale(-1)
@@ -278,6 +251,45 @@ def _fill(f: PlaneWaveField, terms: tuple, rep, ncomp: int, backend: str) -> Pla
     return f
 
 
+def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
+    """a + b, or a + (-b) when c is -1, without building -b.
+
+    Both term tuples are sorted with distinct keys, so they merge in one
+    pass.  b's amplitudes are multiplied by c as ``scale`` does, so
+    a - b equals a + (-b) bit for bit, signed zeros, inf and NaN included.
+    """
+    if a.terms and b.terms and a.backend != b.backend:
+        raise BackendMismatch("adding fields from different backends")
+    if a.rep is not b.rep:
+        raise ValueError("adding fields from different representations")
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if c is None else b.scale(c)
+    if a.ncomp != b.ncomp:
+        raise ValueError("mixed component counts in one field")
+    ta, tb = a.terms, b.terms
+    ka, kb = [t.key() for t in ta], [t.key() for t in tb]
+    i = j = 0
+    terms = []
+    while i < len(ta) or j < len(tb):
+        if j == len(tb) or (i < len(ta) and ka[i] < kb[j]):
+            terms.append(ta[i])
+            i += 1
+            continue
+        t = tb[j]
+        amp = t.amplitude if c is None else tuple(c * y for y in t.amplitude)
+        if i < len(ta) and ka[i] == kb[j]:
+            amp = tuple(x + y for x, y in zip(ta[i].amplitude, amp))
+            i += 1
+        j += 1
+        if amp is t.amplitude:
+            terms.append(t)
+        elif any(amp):
+            terms.append(_term(amp, t.momentum, t.freq_sign))
+    return _fill(object.__new__(PlaneWaveField), tuple(terms), a.rep, a.ncomp, a.backend)
+
+
 def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
     return PlaneWaveField((term,), rep=rep, ncomp=term.ncomp, backend=term.backend)
 
@@ -334,17 +346,28 @@ def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
 
 
 def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) -> Matrix:
-    """The symbol of gamma^mu p_mu - m on one term: the sum of gamma_mu (s p^mu), less m Id."""
-    backend = momentum.backend
-    g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-    scalar = SCALAR_TYPE[backend]
-    c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
-    entries = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(g0, g1, g2, g3)]
-    if mass:
-        m = coerce_scalar(mass, backend)
-        for k in (0, 5, 10, 15):
-            entries[k] = entries[k] - m
-    return Matrix(4, backend, tuple(entries))
+    """The symbol of gamma^mu p_mu - m on one term: the sum of gamma_mu (s p^mu), less m Id.
+
+    Kept on ``momentum`` per (rep, freq_sign, mass), so the terms that
+    share a momentum share their symbols: gamma.p is built once per
+    (rep, freq_sign), and each mass is subtracted from its diagonal.
+    """
+    key = (rep, freq_sign, mass)
+    symbol = momentum._symbols.get(key)
+    if symbol is None:
+        backend = momentum.backend
+        if mass:
+            entries = list(dirac_matrix(rep, momentum, freq_sign).entries)
+            m = coerce_scalar(mass, backend)
+            for k in (0, 5, 10, 15):
+                entries[k] = entries[k] - m
+        else:
+            g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
+            scalar = SCALAR_TYPE[backend]
+            c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
+            entries = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(g0, g1, g2, g3)]
+        symbol = momentum._symbols[key] = Matrix(4, backend, tuple(entries))
+    return symbol
 
 
 def _dirac_rep(f: PlaneWaveField) -> GammaRep:

@@ -54,7 +54,7 @@ from typing import Optional
 
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
-from .reports import ResidualReport, residual_entry
+from .reports import ResidualReport, residual_entry, residual_report
 from .scalars import EXACT, FLOAT, HALF, SCALAR_TYPE, GaussianRational, I
 
 REP_NAMES = ("spinor", "standard", "majorana")
@@ -250,7 +250,7 @@ class RepView:
             if mu == nu:
                 anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
             relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
-        return _entries(self.backend, relations)
+        return residual_report(self.backend, relations)
 
     @cached_property
     def gamma5_residuals(self) -> ResidualReport:
@@ -267,7 +267,7 @@ class RepView:
             ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
         ]
         relations += [(f"gamma5.anticommute.{mu}", g5 @ g + g @ g5) for mu, g in enumerate(gams)]
-        return _entries(backend, ((label, "DiracNeutrino", m) for label, m in relations))
+        return residual_report(backend, ((label, "DiracNeutrino", m) for label, m in relations))
 
     @cached_property
     def projector_residuals(self) -> ResidualReport:
@@ -284,7 +284,6 @@ class RepView:
         if backend != EXACT:
             checked = _family_residuals(q_plus, q_minus, ps, v)
         family = {e.label: e for e in checked}
-        ident = Matrix.identity(4, backend)
 
         out = [family[label] for label in
                ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
@@ -294,15 +293,21 @@ class RepView:
                                    commutator(p, self.gamma5))]
         out.append(family["sum"])
         out += [e for e in checked if e.label.startswith("commute.")]
-        for k, p in enumerate(ps, start=1):
-            eps = ident - p
+        for k, (p, eps) in enumerate(zip(ps, self.complements), start=1):
             out.append(residual_entry(f"complement.p{k}", "PRO", backend,
                                       (eps @ eps - eps).entries + (eps @ p).entries))
         out += swap_residuals(self).entries
-        out += _entries(backend, (("v-swap.commute-gamma0", "V", commutator(v, self.gammas[0])),
-                                  ("v-swap.commute-gamma1", "V", commutator(v, self.gammas[1]))))
+        out += residual_report(backend, (
+            ("v-swap.commute-gamma0", "V", commutator(v, self.gammas[0])),
+            ("v-swap.commute-gamma1", "V", commutator(v, self.gammas[1]))))
         out.append(family["v-swap.unitary"])
         return ResidualReport(tuple(out))
+
+    @cached_property
+    def complements(self) -> tuple:
+        """(Id - P1, Id - P2, Id - P3, Id - P4), formed on this view's backend."""
+        ident = Matrix.identity(4, self.backend)
+        return tuple(ident - p for p in self.p)
 
     @cached_property
     def swap_control(self) -> ResidualReport:
@@ -317,7 +322,7 @@ class RepView:
                      for k, (p, d) in enumerate(zip(self.p, diagonals), start=1)]
         qminus = self.q_minus - Matrix.diag((1, 1, 0, 0), self.backend)
         relations.append(("qminus.diagonal", "DiracNeutrino", qminus))
-        return _entries(self.backend, relations)
+        return residual_report(self.backend, relations)
 
     def transport_residuals(self, rep_to: GammaRep) -> ResidualReport:
         """W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), kept per ``rep_to``.
@@ -330,7 +335,7 @@ class RepView:
             link = self.intertwiner(rep_to)
             wd = link.w.adjoint()
             pairs = zip(self.p, rep_to.on(self.backend).p)
-            report = _entries(self.backend, (
+            report = residual_report(self.backend, (
                 (f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
                 for k, (a, b) in enumerate(pairs, start=1)))
             self._transports[rep_to] = report
@@ -363,7 +368,7 @@ class RepView:
                 sig = self.sigmas[mu][nu]
                 square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
                 relations.append((f"sigma-square.{mu}{nu}", "S", square))
-        return _entries(backend, relations)
+        return residual_report(backend, relations)
 
     @cached_property
     def lorentz_certificates(self) -> tuple:
@@ -440,12 +445,6 @@ def _demand_zero(residuals: ResidualReport, error, where: str) -> None:
             raise error(f"{e.label} residual {e.residual:.3e} is not zero ({where})")
 
 
-def _entries(backend: str, relations) -> ResidualReport:
-    """Measure (label, equation, residual) triples on ``backend``."""
-    return ResidualReport(tuple(residual_entry(label, eq, backend, value)
-                                for label, eq, value in relations))
-
-
 # -- projector family ----------------------------------------------------------
 
 _QUARTER = Fraction(1, 4)
@@ -501,7 +500,7 @@ def _family_residuals(q_plus, q_minus, ps, v) -> ResidualReport:
     relations += [(f"commute.p{a + 1}p{b + 1}", "PRO", commutator(ps[a], ps[b]))
                   for a, b in _PAIRS_OF_FOUR]
     relations.append(("v-swap.unitary", "V", v @ v.adjoint() - ident))
-    return _entries(backend, relations)
+    return residual_report(backend, relations)
 
 
 def swap_residuals(view: "RepView", v: Optional[Matrix] = None) -> ResidualReport:
@@ -509,7 +508,7 @@ def swap_residuals(view: "RepView", v: Optional[Matrix] = None) -> ResidualRepor
     v = view.v if v is None else v
     p1, p2 = view.p[:2]
     vinv = v.adjoint()  # unitary
-    return _entries(view.backend, (("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
+    return residual_report(view.backend, (("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
                                    ("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1)))
 
 
@@ -556,7 +555,7 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
     for name, a, b in zip(names, rep_from.gammas + (rep_from.gamma5,),
                           rep_to.gammas + (rep_to.gamma5,)):
         relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
-    residuals = _entries(EXACT, relations)
+    residuals = residual_report(EXACT, relations)
     _demand_zero(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
     return Intertwiner(w, norm2, None, residuals)
 

@@ -29,7 +29,7 @@ are kept the same way, on the float view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import kernels
@@ -51,6 +51,8 @@ class LorentzParams:
     kind: str
     plane: tuple
     omega: float
+    # spinor_transform's matrix per rep; outside ==, hash and repr
+    _spinors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (_BOOST, _ROTATION):
@@ -120,17 +122,20 @@ def vector_transform(params: LorentzParams) -> VectorTransform:
 
 
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
-    """exp(-(i/2) omega I sigma) in closed form: c Id - i I s sigma."""
-    mu, nu = params.plane
-    sig = rep.on(FLOAT).sigmas[mu][nu]
-    half = 0.5 * params.omega
-    if params.kind == _BOOST:
-        c, s = math.cosh(half), math.sinh(half)
-    else:
-        c, s = math.cos(half), math.sin(half)
-    return Matrix.identity(4, FLOAT).scale(complex(c, 0)) + sig.scale(
-        complex(0, -s * params.generator_sign)
-    )
+    """exp(-(i/2) omega I sigma) in closed form: c Id - i I s sigma, built once per (params, rep)."""
+    s_mat = params._spinors.get(rep)
+    if s_mat is None:
+        mu, nu = params.plane
+        sig = rep.on(FLOAT).sigmas[mu][nu]
+        half = 0.5 * params.omega
+        if params.kind == _BOOST:
+            c, s = math.cosh(half), math.sinh(half)
+        else:
+            c, s = math.cos(half), math.sin(half)
+        s_mat = params._spinors[rep] = Matrix.identity(4, FLOAT).scale(complex(c, 0)) + sig.scale(
+            complex(0, -s * params.generator_sign)
+        )
+    return s_mat
 
 
 def pconditions_residual(rep: GammaRep, s: Matrix, s_inv: Matrix,

@@ -1,11 +1,15 @@
 """Residual bookkeeping and the run-report data model.
 
-Every residual becomes a :class:`ResidualEntry` through one constructor,
-:func:`residual_entry`.  Exact-backend residuals that vanish identically
-are recorded with ``exact_zero=True`` and no numeric value; everything
-else carries a float magnitude, its largest as scanned by
-``kernels.max_abs``, which propagates NaN.  Check functions return their
-entries as a :class:`ResidualReport`, a flat list in report order.
+A residual function states its claims as relations, ``(label,
+equation, value)`` triples, and every residual becomes a
+:class:`ResidualEntry` through one constructor, :func:`residual_entry`;
+:func:`residual_report` measures a sequence of relations into a
+:class:`ResidualReport`, a flat list in report order.  Exact-backend
+residuals that vanish identically are recorded with ``exact_zero=True``
+and no numeric value; everything else carries its :func:`magnitude`,
+the largest as scanned by ``kernels.max_abs``, which propagates NaN.
+A caller that needs only that float, like the fuzz driver, reads
+``magnitude`` and builds no entry.
 
 A check judges its entry by its kind and bound:
 
@@ -75,19 +79,31 @@ def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEn
     ``value`` is a Matrix or a PlaneWaveField, a sequence of scalars (one
     per plane-wave term), one scalar, or None for a check that has no
     residual.  On the exact backend a residual that vanishes identically
-    is an exact zero; otherwise the entry holds the largest magnitude
-    (NaN if any magnitude is NaN).
+    is an exact zero; otherwise the entry holds its ``magnitude``.
     """
     if value is None:
         return ResidualEntry(label, equation, backend, None, False)
+    if backend == EXACT and (value.is_zero if hasattr(value, "max_abs")
+                             else not any(_scalars(value))):
+        return ResidualEntry(label, equation, backend, None, True)
+    return ResidualEntry(label, equation, backend, magnitude(value), False)
+
+
+def magnitude(value) -> float:
+    """The largest magnitude in a residual value, NaN if any is NaN: the float an entry records."""
     if hasattr(value, "max_abs"):  # a Matrix or a PlaneWaveField
-        zero = backend == EXACT and value.is_zero
-        magnitude = None if zero else value.max_abs()
-    else:
-        values = value if isinstance(value, (list, tuple)) else (value,)
-        zero = backend == EXACT and not any(values)
-        magnitude = None if zero else kernels.max_abs(values)
-    return ResidualEntry(label, equation, backend, None if zero else float(magnitude), zero)
+        return float(value.max_abs())
+    return float(kernels.max_abs(_scalars(value)))
+
+
+def _scalars(value):
+    return value if isinstance(value, (list, tuple)) else (value,)
+
+
+def residual_report(backend: str, relations) -> "ResidualReport":
+    """Measure ``(label, equation, value)`` relations on ``backend``, in order."""
+    return ResidualReport(tuple(residual_entry(label, equation, backend, value)
+                                for label, equation, value in relations))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ from .fields import (
 )
 from .gamma import GammaRep, build_rep
 from .matrices import Matrix
-from .reports import ResidualReport, residual_entry
-from .scalars import SCALAR_TYPE
+from .reports import ResidualReport, residual_entry, residual_report
+from .scalars import EXACT, SCALAR_TYPE
 
 #: the bound of the float preconditions of split and majorana_residuals
 _TOL = 1e-10
@@ -147,29 +147,28 @@ def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitR
 # -- residual evaluation -------------------------------------------------------
 
 
-def recombination_residuals(sr: SplitResult) -> ResidualReport:
-    """Residuals of the defining recombinations.
+def recombination_relations(sr: SplitResult) -> list:
+    """The defining recombinations as ``(label, equation, value)`` relations.
 
     xi(1)^a + xi(2)^a - xi^a componentwise, and the projector
     recombination P1 Psi_(1) + P2 Psi_(2) - Psi.
     """
-    backend = sr.psi.backend
     diff = sr.xi1_pair + sr.xi2_pair - upper_half(sr.psi)
-    comp0 = [t.amplitude[0] for t in diff.terms]
-    comp1 = [t.amplitude[1] for t in diff.terms]
-
     proj1, proj2 = sr.projected
-    recomb = proj1 + proj2 - sr.psi
-    entries = (
-        residual_entry("recombine.xi1", "def3", backend, comp0),
-        residual_entry("recombine.xi2", "def4", backend, comp1),
-        residual_entry("recombine.psi", "psi", backend, recomb),
-    )
-    return ResidualReport(entries)
+    return [
+        ("recombine.xi1", "def3", [t.amplitude[0] for t in diff.terms]),
+        ("recombine.xi2", "def4", [t.amplitude[1] for t in diff.terms]),
+        ("recombine.psi", "psi", proj1 + proj2 - sr.psi),
+    ]
 
 
-def identity_residuals(sr: SplitResult) -> ResidualReport:
-    """The two scalar identities and their basis-independent form.
+def recombination_residuals(sr: SplitResult) -> ResidualReport:
+    """``recombination_relations`` measured on the split's backend."""
+    return residual_report(sr.psi.backend, recombination_relations(sr))
+
+
+def identity_relations(sr: SplitResult) -> list:
+    """The two scalar identities and their basis-independent form, as relations.
 
     (p1 + i p2) xi(1)^1 = (p0 + p3) xi(1)^2
     (p0 - p3) xi(2)^1 = (p1 - i p2) xi(2)^2
@@ -187,27 +186,26 @@ def identity_residuals(sr: SplitResult) -> ResidualReport:
         a, b = term.amplitude
         id2.append((q0 - q3) * a - scalar(q1, -q2) * b)
 
-    ps = sr.psi.rep.on(backend).p
-    ident = Matrix.identity(4, backend)
-    entries = [
-        residual_entry("identity.id1", "id1", backend, id1),
-        residual_entry("identity.id2", "id2", backend, id2),
-    ]
-    for i, (p, image) in enumerate(zip(ps, sr.dirac_projected), start=1):
-        resid = image.apply(ident - p)
-        entries.append(residual_entry(f"identity.repfree.P{i}", "identities", backend, resid))
-    return ResidualReport(tuple(entries))
+    relations = [("identity.id1", "id1", id1), ("identity.id2", "id2", id2)]
+    complements = sr.psi.rep.on(backend).complements
+    for i, (eps, image) in enumerate(zip(complements, sr.dirac_projected), start=1):
+        relations.append((f"identity.repfree.P{i}", "identities", image.apply(eps)))
+    return relations
 
 
-def constituent_residuals(sr: SplitResult) -> ResidualReport:
-    """Residuals of the constituent systems in all four formulations.
+def identity_residuals(sr: SplitResult) -> ResidualReport:
+    """``identity_relations`` measured on the split's backend."""
+    return residual_report(sr.psi.backend, identity_relations(sr))
+
+
+def constituent_relations(sr: SplitResult) -> list:
+    """The constituent systems in all four formulations, as relations.
 
     Three-line systems, four-line systems, the projector forms
     (gamma.p - m) P_k Psi_(k), and the projected form
     P_i gamma.p P_i Psi_(i) - m P_i Psi_(i).
     """
-    backend = sr.psi.backend
-    scalar = SCALAR_TYPE[backend]
+    scalar = SCALAR_TYPE[sr.psi.backend]
     m = sr.mass
     lines1: dict = {1: [], 2: [], 3: [], 4: []}
     lines2: dict = {1: [], 2: [], 3: [], 4: []}
@@ -228,28 +226,30 @@ def constituent_residuals(sr: SplitResult) -> ResidualReport:
         lines2[3].append((q0 - q3) * xi1 - qm * xi2)
         lines2[4].append(-qp * xi1 + (q0 + q3) * xi2 - m * eta2)
 
-    entries = [
-        residual_entry("constituent1.line1", "constituent1", backend, lines1[1]),
-        residual_entry("constituent1.line2", "constituent1", backend, lines1[2]),
-        residual_entry("constituent1.line3", "constituent1", backend, lines1[3]),
-        residual_entry("constituent2.line1", "constituent2", backend, lines2[1]),
-        residual_entry("constituent2.line2", "constituent2", backend, lines2[2]),
-        residual_entry("constituent2.line4", "constituent2", backend, lines2[4]),
-        residual_entry("constituent1-4.line4", "constituent1/4", backend, lines1[4]),
-        residual_entry("constituent2-4.line3", "constituent2/4", backend, lines2[3]),
+    relations = [
+        ("constituent1.line1", "constituent1", lines1[1]),
+        ("constituent1.line2", "constituent1", lines1[2]),
+        ("constituent1.line3", "constituent1", lines1[3]),
+        ("constituent2.line1", "constituent2", lines2[1]),
+        ("constituent2.line2", "constituent2", lines2[2]),
+        ("constituent2.line4", "constituent2", lines2[4]),
+        ("constituent1-4.line4", "constituent1/4", lines1[4]),
+        ("constituent2-4.line3", "constituent2/4", lines2[3]),
     ]
-
-    ps = sr.psi.rep.on(backend).p
+    ps = sr.psi.rep.on(sr.psi.backend).p
     for i, (p, projected, image) in enumerate(zip(ps, sr.projected, sr.dirac_projected),
                                               start=1):
-        entries.append(
-            residual_entry(f"constituent{i}-P.dirac", f"constituent{i}/P", backend,
-                           dirac_residual(projected, m))
-        )
-        # P_i gamma.p P_i Psi_(i) = m P_i Psi_(i)
-        resid = image.apply(p) - projected.scale(m)
-        entries.append(residual_entry(f"constituents3.P{i}", "constituents/3", backend, resid))
-    return ResidualReport(tuple(entries))
+        relations += [
+            (f"constituent{i}-P.dirac", f"constituent{i}/P", dirac_residual(projected, m)),
+            # P_i gamma.p P_i Psi_(i) = m P_i Psi_(i)
+            (f"constituents3.P{i}", "constituents/3", image.apply(p) - projected.scale(m)),
+        ]
+    return relations
+
+
+def constituent_residuals(sr: SplitResult) -> ResidualReport:
+    """``constituent_relations`` measured on the split's backend."""
+    return residual_report(sr.psi.backend, constituent_relations(sr))
 
 
 def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> ResidualReport:
@@ -261,24 +261,21 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
     """
     backend = sr.psi.backend
     w = sr.psi.rep.on(backend).intertwiner(rep_to).w
-    ps = rep_to.on(backend).p
-    ident = Matrix.identity(4, backend)
-    entries = []
+    view = rep_to.on(backend)
+    tag = f"transport.{rep_to.name}"
+    relations = []
     for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
         moved = apply_symbol(psi_i, lambda q, s: w, rep=rep_to)
-        p = ps[i - 1]
+        p = view.p[i - 1]
         projected = moved.apply(p)
         image = dirac_op(projected)
-        resid3 = image.apply(p) - projected.scale(sr.mass)
-        resid_id = image.apply(ident - p)
-        tag = f"transport.{rep_to.name}"
-        entries += [
-            residual_entry(f"{tag}.constituent{i}-P", f"constituent{i}/P", backend,
-                           dirac_residual(projected, sr.mass)),
-            residual_entry(f"{tag}.constituents3.P{i}", "constituents/3", backend, resid3),
-            residual_entry(f"{tag}.identities.P{i}", "identities", backend, resid_id),
+        relations += [
+            (f"{tag}.constituent{i}-P", f"constituent{i}/P", dirac_residual(projected, sr.mass)),
+            (f"{tag}.constituents3.P{i}", "constituents/3",
+             image.apply(p) - projected.scale(sr.mass)),
+            (f"{tag}.identities.P{i}", "identities", image.apply(view.complements[i - 1])),
         ]
-    return ResidualReport(tuple(entries))
+    return residual_report(backend, relations)
 
 
 # -- Weyl ----------------------------------------------------------------------
@@ -316,12 +313,25 @@ def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
     return apply_symbol(f, lambda p, s: w, rep=sp)
 
 
-def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
-    """Residuals of the massless chiral equations.
+def weyl_relations(f: PlaneWaveField) -> list:
+    """The massless chiral equations as ``(label, equation, value)`` relations.
 
     The two-component forms (p0 + sigma.p) eta = 0, (p0 - sigma.p) xi = 0
     evaluated on the chiral halves (in the spinor basis), plus the
     bispinor forms gamma.p Q-+ f = 0.
+    """
+    view = f.rep.on(f.backend)
+    fs = _to_spinor_basis(f)
+    return [
+        ("eta", "Weyl1", sigma_momentum_op(lower_half(fs), +1)),
+        ("xi", "Weyl2", sigma_momentum_op(upper_half(fs), -1)),
+        ("bispinor.Qminus", "DiracNeutrino", dirac_op(f.apply(view.q_minus))),
+        ("bispinor.Qplus", "DiracNeutrino", dirac_op(f.apply(view.q_plus))),
+    ]
+
+
+def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
+    """``weyl_relations`` measured on f's backend.
 
     ``check_mass=False`` lets a massive field through as a negative
     control; the residuals are then expected to be large.
@@ -330,21 +340,7 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
         for t in f.terms:
             if t.momentum.mass:
                 raise WeylRequiresMassless("field carries a massive term")
-    backend = f.backend
-    view = f.rep.on(backend)
-
-    fs = _to_spinor_basis(f)
-    eta = lower_half(fs)
-    xi = upper_half(fs)
-    entries = (
-        residual_entry("eta", "Weyl1", backend, sigma_momentum_op(eta, +1)),
-        residual_entry("xi", "Weyl2", backend, sigma_momentum_op(xi, -1)),
-        residual_entry("bispinor.Qminus", "DiracNeutrino", backend,
-                       dirac_op(f.apply(view.q_minus))),
-        residual_entry("bispinor.Qplus", "DiracNeutrino", backend,
-                       dirac_op(f.apply(view.q_plus))),
-    )
-    return ResidualReport(entries)
+    return residual_report(f.backend, weyl_relations(f))
 
 
 # -- Majorana --------------------------------------------------------------------
@@ -355,8 +351,8 @@ def majorana_build(psi: PlaneWaveField) -> PlaneWaveField:
     return psi + charge_conjugate(psi)
 
 
-def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
-    """Residuals of the self-conjugacy condition and the Majorana system.
+def majorana_relations(f: PlaneWaveField, mass) -> list:
+    """The self-conjugacy condition and the Majorana system as relations.
 
     Verifies f = C f, then in the spinor basis the coupled equations
     (p0 + sigma.p) eta = -i m sigma2 eta*, (p0 - sigma.p) xi = +i m
@@ -367,10 +363,9 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     """
     backend = f.backend
     defect = f - charge_conjugate(f)
-    selfconj = residual_entry("selfconj", "MAJORANA", backend, defect)
-    if not selfconj.within(_TOL):
+    if not (defect.is_zero if backend == EXACT else defect.max_abs() <= _TOL):
         raise NotMajorana(
-            f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {_TOL})"
+            f"charge-conjugation residual {defect.max_abs():.3e} ({backend}, tol {_TOL})"
         )
     if f.rep.name != "spinor":
         raise SplitRequiresSpinorRep(
@@ -384,15 +379,15 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     xi = upper_half(f)
     s2_eta = conjugate(eta).apply(s2)  # sigma2 eta*
     s2_xi = conjugate(xi).apply(s2)  # sigma2 xi*
-    r1 = sigma_momentum_op(eta, +1) + s2_eta.scale(i_m)
-    r2 = sigma_momentum_op(xi, -1) - s2_xi.scale(i_m)
-    rxi = xi + s2_eta.scale(i_one)
-    reta = eta - s2_xi.scale(i_one)
-    entries = (
-        selfconj,
-        residual_entry("eq1", "Majorana1", backend, r1),
-        residual_entry("eq2", "Majorana2", backend, r2),
-        residual_entry("xi-consistency", "MAJORANA", backend, rxi),
-        residual_entry("eta-consistency", "MAJORANA", backend, reta),
-    )
-    return ResidualReport(entries)
+    return [
+        ("selfconj", "MAJORANA", defect),
+        ("eq1", "Majorana1", sigma_momentum_op(eta, +1) + s2_eta.scale(i_m)),
+        ("eq2", "Majorana2", sigma_momentum_op(xi, -1) - s2_xi.scale(i_m)),
+        ("xi-consistency", "MAJORANA", xi + s2_eta.scale(i_one)),
+        ("eta-consistency", "MAJORANA", eta - s2_xi.scale(i_one)),
+    ]
+
+
+def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
+    """``majorana_relations`` measured on f's backend."""
+    return residual_report(f.backend, majorana_relations(f, mass))

@@ -62,16 +62,26 @@ from .lorentz import (
     vector_transform,
 )
 from .matrices import Matrix
-from .reports import CONTROL, RAISES, CheckRecord, Report, ResidualEntry, residual_entry
+from .reports import (
+    CONTROL,
+    RAISES,
+    CheckRecord,
+    Report,
+    ResidualEntry,
+    magnitude,
+    residual_entry,
+    residual_report,
+)
 from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
-    constituent_residuals,
-    identity_residuals,
+    constituent_relations,
+    identity_relations,
     majorana_build,
-    majorana_residuals,
-    recombination_residuals,
+    majorana_relations,
+    recombination_relations,
     split,
     transported_constituent_residuals,
+    weyl_relations,
     weyl_residuals,
 )
 
@@ -205,26 +215,24 @@ def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int
           measure, tol_for) -> None:
     """Record, per label, the largest value ``measure`` gives over seeded trials.
 
-    ``measure(rng, trial)`` yields ``(label, equation, value)`` with a
-    float magnitude ``value``; trial ``i`` draws from the sub-seed of
-    (seed, ``tag``, i).  Each label becomes one float check
-    ``<prefix>.<label>`` judged within ``tol_for(label)``, in order of
-    first appearance.  The largest is taken by ``kernels.max_abs``, so a
-    NaN from any trial makes the record NaN, and it fails.
+    ``measure(rng, trial)`` yields ``(label, equation, value)`` relations,
+    ``value`` anything ``residual_entry`` measures; trial ``i`` draws from
+    the sub-seed of (seed, ``tag``, i).  Only ``reports.magnitude`` is
+    read of each value, so no entry is built per trial.  Each label
+    becomes one float check ``<prefix>.<label>`` judged within
+    ``tol_for(label)``, in order of first appearance.  The largest is
+    taken by ``kernels.max_abs``, so a NaN from any trial makes the
+    record NaN, and it fails.
     """
     worst = {}
     for trial in range(trials):
         for label, equation, value in measure(_rng(config, tag, trial), trial):
+            value = magnitude(value)
             prev = worst.get(label)
             worst[label] = (equation, kernels.max_abs((prev[1], value)) if prev else value)
     for label, (equation, value) in worst.items():
         out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
                 tol_for(label))
-
-
-def _measured(entries):
-    """Fuzz values of residual entries: ``(label, equation, residual)``."""
-    return ((e.label, e.equation, e.residual) for e in entries)
 
 
 def _sub_seed(seed: int, tag: str, trial: int) -> int:
@@ -355,12 +363,8 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
 # -- split suite ------------------------------------------------------------------
 
 
-def _split_reports(sr):
-    return (
-        recombination_residuals(sr)
-        .merged(identity_residuals(sr))
-        .merged(constituent_residuals(sr))
-    )
+def _split_relations(sr):
+    return recombination_relations(sr) + identity_relations(sr) + constituent_relations(sr)
 
 
 def _run_split(config: RunConfig, out: _Collector) -> None:
@@ -385,7 +389,7 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
             for label, eq, got, want in witnesses:
                 diff = [a - b for a, b in zip(got, want)]
                 out.add(f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff))
-            entries = _split_reports(sr).entries
+            entries = residual_report(EXACT, _split_relations(sr)).entries
             for rep_to in others:
                 entries += transported_constituent_residuals(sr, rep_to).entries
             for e in entries:
@@ -399,10 +403,10 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
                 u = u_spinor(p, sp, s)
                 amps.append(u.amplitude)
                 psi = field_of(u, sp)
-                yield "input-dirac-residual", "Dirac1", dirac_residual(psi, p.mass).max_abs()
+                yield "input-dirac-residual", "Dirac1", dirac_residual(psi, p.mass)
                 norm = sum(abs(a) ** 2 for a in u.amplitude)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
-                yield from _measured(_split_reports(split(psi, p.mass, require_solution=False)))
+                yield from _split_relations(split(psi, p.mass, require_solution=False))
             yield "u-orthogonality", "Dirac1", abs(sum(a.conjugate() * b for a, b in zip(*amps)))
 
         _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
@@ -428,28 +432,26 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 # -- weyl suite -------------------------------------------------------------------
 
 
-def _weyl_entries(rep, p: FourMomentum):
-    """Per chirality ch, ``(ch, entry)`` on p's backend: the Weyl relations and the chiral image."""
+def _weyl_relations(rep, p: FourMomentum):
+    """The Weyl relations and the chiral image on p's backend, labelled ``<chirality>.<label>``."""
     view = rep.on(p.backend)
     for ch, proj in (("left", view.q_plus), ("right", view.q_minus)):
         f = field_of(weyl_spinor(p, rep, ch), rep)
-        for e in weyl_residuals(f):
-            yield ch, e
-        yield ch, residual_entry("chiral-image", "DiracNeutrino", p.backend, f.apply(proj) - f)
+        for label, equation, value in weyl_relations(f):
+            yield f"{ch}.{label}", equation, value
+        yield f"{ch}.chiral-image", "DiracNeutrino", f.apply(proj) - f
 
 
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            for ch, e in _weyl_entries(rep, FourMomentum.exact(_WEYL_WITNESS_K, 0)):
-                out.add(f"weyl.witness.{rep.name}.{ch}.{e.label}", e)
+            witness = FourMomentum.exact(_WEYL_WITNESS_K, 0)
+            for e in residual_report(EXACT, _weyl_relations(rep, witness)):
+                out.add(f"weyl.witness.{rep.name}.{e.label}", e)
         if config.run_float:
-            def trial_residuals(rng, _):
-                for ch, e in _weyl_entries(rep, _sample_massless(rng, config)):
-                    yield f"{ch}.{e.label}", e.equation, e.residual
-
             _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
-                  trial_residuals, lambda label: config.strict_tol)
+                  lambda rng, _: _weyl_relations(rep, _sample_massless(rng, config)),
+                  lambda label: config.strict_tol)
 
     sp = build_rep("spinor")
     pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
@@ -466,20 +468,17 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
 # -- majorana suite ---------------------------------------------------------------
 
 
-def _majorana_entries(rep, p: FourMomentum):
-    """Per spin s, ``(s, entry)`` on p's backend for the Majorana field built from u_s.
+def _majorana_relations(rep, p: FourMomentum, s: int):
+    """The relations on p's backend of the Majorana field built from u_s.
 
     The spinor basis has the component checks; the other bases get the
     basis-independent ones, self-conjugacy and the Dirac equation.
     """
-    for s in (1, 2):
-        maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
-        if rep.name == "spinor":
-            for e in majorana_residuals(maj, p.mass):
-                yield s, e
-        else:
-            yield s, residual_entry("selfconj", "MAJORANA", p.backend, maj - charge_conjugate(maj))
-            yield s, residual_entry("dirac", "Dirac1", p.backend, dirac_residual(maj, p.mass))
+    maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
+    if rep.name == "spinor":
+        return majorana_relations(maj, p.mass)
+    return [("selfconj", "MAJORANA", maj - charge_conjugate(maj)),
+            ("dirac", "Dirac1", dirac_residual(maj, p.mass))]
 
 
 def _run_majorana(config: RunConfig, out: _Collector) -> None:
@@ -488,12 +487,14 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
         name = "" if rep.name == "spinor" else f".{rep.name}"
         if config.run_exact:
             p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-            for s, e in _majorana_entries(rep, p):
-                out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
+            for s in (1, 2):
+                for e in residual_report(EXACT, _majorana_relations(rep, p, s)):
+                    out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
         if config.run_float:
             def trial_residuals(rng, _):
                 p = _sample_massive(rng, config)
-                return _measured(e for _, e in _majorana_entries(rep, p))
+                for s in (1, 2):
+                    yield from _majorana_relations(rep, p, s)
 
             # self-conjugacy must cancel term-by-term, not merely within tol
             _fuzz(config, out, f"majorana.fuzz{name}", f"majorana{name}", config.trials,
@@ -536,14 +537,14 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                 psis = tuple(apply_symbol(f, lambda q, s: u, rep=rep) for f in psis)
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             psi_t = transform_field(psis[0], params)
-            yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass).max_abs()
+            yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass)
             s_mat = spinor_transform(params, rep)
             s_inv = spinor_transform(params.inverse(), rep)
             for k in (1, 2):
                 p_prime = s_mat @ p_float[k - 1] @ s_inv
                 moved = transform_field(psis[k], params)
                 yield (f"transformed-constituent{k}", "DP2b",
-                       dirac_residual(moved.apply(p_prime), p.mass).max_abs())
+                       dirac_residual(moved.apply(p_prime), p.mass))
 
         _fuzz(config, out, f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
               min(config.trials, _COV_TRIAL_CAP), trial_residuals, lambda label: config.tol)
@@ -577,11 +578,11 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
         inv_mass = (q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3) ** 0.5
         yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
         proj1 = moved1.apply(p1f)
-        yield "P1a", "P1a", reduced_dirac_residual(proj1, p.mass).max_abs()
-        yield "P2a", "P2a", reduced_dirac_residual(moved2.apply(p2f), p.mass).max_abs()
+        yield "P1a", "P1a", reduced_dirac_residual(proj1, p.mass)
+        yield "P2a", "P2a", reduced_dirac_residual(moved2.apply(p2f), p.mass)
         image = proj1.apply(view.v)
-        yield "v-maps-P1a-to-P2a", "V", reduced_dirac_residual(image, p.mass).max_abs()
-        yield "v-maps-P1a-to-P2a", "V", (image.apply(p2f) - image).max_abs()
+        yield "v-maps-P1a-to-P2a", "V", reduced_dirac_residual(image, p.mass)
+        yield "v-maps-P1a-to-P2a", "V", image.apply(p2f) - image
 
     strict = ("transverse-zeroed", "mass-drift")
     _fuzz(config, out, "covariance.special-frame.fuzz", "special-frame",

@@ -26,7 +26,7 @@ from diracsplit import (
 )
 from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
-from diracsplit.scalars import GaussianRational
+from diracsplit.scalars import FLOAT, GaussianRational
 
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
@@ -280,13 +280,14 @@ def _counting(monkeypatch, name):
 
 
 def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch):
-    from diracsplit.suites import _split_reports
+    from diracsplit.reports import residual_report
+    from diracsplit.suites import _split_relations
 
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
     sr = split(field_of(u_spinor(p, sp, 1), sp), p.mass, require_solution=False)
     calls = _counting(monkeypatch, "dirac_op")
-    report = _split_reports(sr)
+    report = residual_report(FLOAT, _split_relations(sr))
     assert len(calls) == 2
     assert report.all_within(1e-10)
 
