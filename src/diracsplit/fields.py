@@ -13,9 +13,16 @@ momentum and frequency sign, applied term by term by ``apply_symbol``
 (``dirac_matrix`` is the symbol of gamma^mu p_mu - m).  A symbol keeps
 each term's key, so its result is canonical as built, with no merge,
 sort or coercion.  Since every operand is canonical (terms sorted by
-key, no key twice, none exactly zero), ``+`` merges the two sorted term
-tuples in one pass; the validating constructor is for term lists that
-are not canonical yet.  ``subsolutions.SplitResult`` keeps its projected
+key, no key twice, none exactly zero), ``+`` and ``-`` merge the two
+sorted term tuples in one pass; ``a - b`` scales b's amplitudes by -1
+inside that pass, as ``-b`` would, and builds no ``-b``.  The validating
+constructor is for term lists that are not canonical yet.
+
+The operators keep each term's ``FourMomentum`` object, so the fields
+derived from one field share its momenta, and a momentum keeps the
+symbols ``dirac_matrix`` built on it, per (rep, frequency sign, mass),
+in a field outside ``==``, ``hash`` and ``repr``: gamma.p is built once
+per momentum, sign and basis, and the memo goes when the momentum does.  ``subsolutions.SplitResult`` keeps its projected
 constituents, so the split residuals build each of them once.  Complex
 conjugation flips the frequency sign, which couples a field to its
 conjugate in the charge-conjugation and Majorana relations.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from . import kernels
@@ -280,7 +288,7 @@ def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
         t = tb[j]
         amp = t.amplitude if c is None else tuple(c * y for y in t.amplitude)
         if i < len(ta) and ka[i] == kb[j]:
-            amp = tuple(x + y for x, y in zip(ta[i].amplitude, amp))
+            amp = tuple(map(add, ta[i].amplitude, amp))
             i += 1
         j += 1
         if amp is t.amplitude:
@@ -315,13 +323,15 @@ def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> P
     change of basis relabels the field as it applies the intertwiner.
     """
 
+    ncomp, backend = f.ncomp, f.backend
+
     def amplitude_of(t: PlaneWaveTerm) -> tuple:
         m = symbol(t.momentum, t.freq_sign)
-        if m.n != t.ncomp:
-            raise ValueError(f"symbol size {m.n} vs {t.ncomp}-component field")
-        if m.backend != t.backend:
+        if m.n != ncomp:
+            raise ValueError(f"symbol size {m.n} vs {ncomp}-component field")
+        if m.backend != backend:
             raise BackendMismatch("symbol backend differs from field backend")
-        return m.apply(t.amplitude)
+        return kernels.mul_vec(ncomp, m.entries, t.amplitude)
 
     return _termwise(f, amplitude_of, rep)
 
@@ -355,19 +365,26 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
     key = (rep, freq_sign, mass)
     symbol = momentum._symbols.get(key)
     if symbol is None:
-        backend = momentum.backend
         if mass:
             entries = list(dirac_matrix(rep, momentum, freq_sign).entries)
-            m = coerce_scalar(mass, backend)
+            m = coerce_scalar(mass, momentum.backend)
             for k in (0, 5, 10, 15):
                 entries[k] = entries[k] - m
+            symbol = Matrix(4, momentum.backend, tuple(entries))
         else:
-            g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-            scalar = SCALAR_TYPE[backend]
-            c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
-            entries = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(g0, g1, g2, g3)]
-        symbol = momentum._symbols[key] = Matrix(4, backend, tuple(entries))
+            symbol = _gamma_dot(rep, momentum, freq_sign)
+        momentum._symbols[key] = symbol
     return symbol
+
+
+def _gamma_dot(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
+    """gamma_mu (s p^mu), each entry summed left to right from mu = 0."""
+    backend = momentum.backend
+    g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
+    scalar = SCALAR_TYPE[backend]
+    c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
+    return Matrix(4, backend, tuple(c0 * a + c1 * b + c2 * c + c3 * d
+                                    for a, b, c, d in zip(g0, g1, g2, g3)))
 
 
 def _dirac_rep(f: PlaneWaveField) -> GammaRep:

@@ -19,6 +19,10 @@ rotation planes), the exponential series collapses and
     S = cosh(omega/2) - i I sinh(omega/2) sigma    (boost)
     S = cos(omega/2)  - i I sin(omega/2)  sigma    (rotation)
 
+Each ``LorentzParams`` keeps the matrix ``spinor_transform`` built for
+it, per representation, in a field outside ``==``, ``hash`` and
+``repr``, so the transformations of one trial share their S.
+
 The exact view keeps that premise, plane by plane, among its
 ``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
 once per representation, and the covariance suite records them.  The
@@ -122,20 +126,25 @@ def vector_transform(params: LorentzParams) -> VectorTransform:
 
 
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
-    """exp(-(i/2) omega I sigma) in closed form: c Id - i I s sigma, built once per (params, rep)."""
+    """exp(-(i/2) omega I sigma), built once per (params, rep) and kept on ``params``."""
     s_mat = params._spinors.get(rep)
     if s_mat is None:
-        mu, nu = params.plane
-        sig = rep.on(FLOAT).sigmas[mu][nu]
-        half = 0.5 * params.omega
-        if params.kind == _BOOST:
-            c, s = math.cosh(half), math.sinh(half)
-        else:
-            c, s = math.cos(half), math.sin(half)
-        s_mat = params._spinors[rep] = Matrix.identity(4, FLOAT).scale(complex(c, 0)) + sig.scale(
-            complex(0, -s * params.generator_sign)
-        )
+        s_mat = params._spinors[rep] = _spinor_closed_form(params, rep)
     return s_mat
+
+
+def _spinor_closed_form(params: LorentzParams, rep: GammaRep) -> Matrix:
+    """c Id - i I s sigma, with (c, s) = (cosh, sinh) or (cos, sin) of omega/2."""
+    mu, nu = params.plane
+    sig = rep.on(FLOAT).sigmas[mu][nu]
+    half = 0.5 * params.omega
+    if params.kind == _BOOST:
+        c, s = math.cosh(half), math.sinh(half)
+    else:
+        c, s = math.cos(half), math.sin(half)
+    return Matrix.identity(4, FLOAT).scale(complex(c, 0)) + sig.scale(
+        complex(0, -s * params.generator_sign)
+    )
 
 
 def pconditions_residual(rep: GammaRep, s: Matrix, s_inv: Matrix,

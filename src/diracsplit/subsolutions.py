@@ -13,8 +13,13 @@ with xi(1)^a + xi(2)^a = xi^a.  The two constituent fields
 
 each satisfy a closed three-line system, equivalent four-line forms, and
 the projector forms (gamma.p - m) P_k Psi_(k) = 0, which are basis
-independent.  Residual functions below evaluate every one of these
-systems; for exact inputs on an exact mass shell all residuals vanish
+independent.  Each family of these systems is stated once, as a list
+of ``(label, equation, value)`` relations (``recombination_relations``,
+``identity_relations``, ``constituent_relations``, and below
+``weyl_relations`` and ``majorana_relations``); the matching
+``*_residuals`` function measures the same list into a
+``ResidualReport``, and the float fuzz reads only the magnitudes of the
+values.  For exact inputs on an exact mass shell all residuals vanish
 identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)

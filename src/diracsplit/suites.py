@@ -16,14 +16,18 @@ once per view on its backend, so a second run in one process repeats no
 matrix product; on the exact backend the validated ones are the very
 residuals the views' validations checked.
 
-A claim is checked exactly on a witness and in floats over seeded fuzz
-from the same code: ``_weyl_entries`` and ``_majorana_entries`` state
-their relations once and run on the backend of the momentum they are
-given.  One driver, ``_fuzz``, runs every campaign: trials derive
-per-trial sub-seeds from (seed, family tag, index), so records are
-independent of execution order and two runs with the same config produce
-identical reports, and each label's record holds its largest value over
-the trials, NaN if any trial gave NaN.
+A claim is stated once, as ``(label, equation, value)`` relations (see
+``subsolutions``), and checked from that one statement exactly on a
+witness and in floats over seeded fuzz: ``_split_relations``,
+``_weyl_relations`` and ``_majorana_relations`` run on the backend of
+the momentum they are given.  A witness measures its relations into
+entries with ``reports.residual_report``; a fuzz campaign builds no
+entry per trial.  One driver, ``_fuzz``, runs every campaign: it reads
+``reports.magnitude`` of each value, the float an entry would record,
+and keeps each label's largest, NaN if any trial gave NaN.  Trials
+derive per-trial sub-seeds from (seed, family tag, index), so records
+are independent of execution order and two runs with the same config
+produce identical reports.
 
 Negative controls are expected-fail checks: they pass when a residual
 is LARGE (kind ``CONTROL``) or when the right error is raised (kind
@@ -364,6 +368,7 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
 
 
 def _split_relations(sr):
+    """The recombination, identity and constituent relations of a split, in report order."""
     return recombination_relations(sr) + identity_relations(sr) + constituent_relations(sr)
 
 

@@ -28,7 +28,7 @@ from diracsplit.errors import (
 )
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
-from diracsplit.scalars import EXACT, GaussianRational
+from diracsplit.scalars import EXACT, SCALAR_TYPE, GaussianRational, coerce_scalar
 
 I = GaussianRational(0, 1)
 _SPINOR = build_rep("spinor")
@@ -197,6 +197,47 @@ def test_conjugate_flips_frequency(spinor):
 def test_dirac_matrix_odd_in_frequency(rep):
     p = FourMomentum.exact((5, 3, 2, 1), 1)
     assert (dirac_matrix(rep, p, 1) + dirac_matrix(rep, p, -1)).is_zero
+
+
+def _dirac_formula(rep, p, s, mass):
+    """gamma_mu (s p^mu) - m Id entry by entry, summed from mu = 0: the symbol with no memo."""
+    scalar = SCALAR_TYPE[p.backend]
+    gammas = [g.entries for g in rep.on(p.backend).gammas_lower]
+    coeffs = [scalar(c * s) for c in p.p]
+    entries = []
+    for k in range(16):
+        acc = coeffs[0] * gammas[0][k]
+        for mu in (1, 2, 3):
+            acc = acc + coeffs[mu] * gammas[mu][k]
+        if mass and k in (0, 5, 10, 15):
+            acc = acc - coerce_scalar(mass, p.backend)
+        entries.append(acc)
+    return tuple(entries)
+
+
+_components = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0, 1e300, float("inf"),
+                                                       float("nan")))
+_float_momenta = st.builds(lambda c, m: FourMomentum.floats(c, m),
+                           st.tuples(*(_components,) * 4), _components)
+_exact_momenta = st.builds(lambda c, m: FourMomentum.exact(c, m),
+                           st.tuples(*(st.fractions(-9, 9, max_denominator=7),) * 4),
+                           st.fractions(0, 9, max_denominator=7))
+
+
+@given(st.sampled_from(("spinor", "standard", "majorana")), _float_momenta | _exact_momenta,
+       st.sampled_from((1, -1)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kept_dirac_matrix_equals_the_formula_bit_for_bit(name, p, s, data):
+    """Each (rep, sign, mass) symbol is built once, kept on p, and is the formula exactly."""
+    rep = build_rep(name)
+    fresh = FourMomentum(p.p, p.mass, p.backend)
+    masses = (0, p.mass, data.draw(st.sampled_from((1, 2, -3))))
+    for mass in masses:
+        symbol = dirac_matrix(rep, p, s, mass)
+        assert dirac_matrix(rep, p, s, mass) is symbol
+        assert repr(symbol.entries) == repr(_dirac_formula(rep, p, s, mass))
+    # the kept symbols stay outside ==, hash and repr
+    assert (p == fresh, hash(p) == hash(fresh), repr(p) == repr(fresh)) == (True, True, True)
 
 
 # -- massive solutions ----------------------------------------------------------

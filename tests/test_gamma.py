@@ -221,3 +221,35 @@ def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
 def test_view_rejects_unknown_backend(spinor):
     with pytest.raises(ValueError):
         spinor.on("symbolic")
+
+
+# -- complements ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_complements_are_formed_once_on_the_views_backend(rep, backend):
+    view = rep.on(backend)
+    ident = Matrix.identity(4, backend)
+    assert view.complements is view.complements
+    for eps, p in zip(view.complements, view.p):
+        assert eps.backend == backend
+        assert repr(eps.entries) == repr((ident - p).entries)
+
+
+def test_split_residuals_read_the_kept_complements(monkeypatch):
+    """identity and transported-constituent residuals form no Id - P_k of their own."""
+    from diracsplit import FourMomentum, field_of, split, u_spinor
+    from diracsplit.subsolutions import identity_residuals, transported_constituent_residuals
+
+    sp = build_rep("spinor")
+    p = FourMomentum.exact((3, 2, 2, 0), 1)
+    sr = split(field_of(u_spinor(p, sp, 1), sp), p.mass)
+    others = [build_rep(n) for n in REP_NAMES if n != "spinor"]
+    for r in [sp] + others:  # views, families and intertwiners built before counting
+        r.on(EXACT).complements
+        sp.on(EXACT).intertwiner(r)
+    identities = []
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, *a: identities.append(a)))
+    reports = [identity_residuals(sr)] + [transported_constituent_residuals(sr, r) for r in others]
+    assert identities == []
+    assert all(r.all_exact_zero() for r in reports)

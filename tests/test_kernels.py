@@ -137,3 +137,58 @@ def test_float_kernels_equal_the_zero_seeded_loops(case):
     for i in range(n):
         seeded_trace = seeded_trace + a[i * n + i]
     assert m.trace() == seeded_trace
+
+
+# -- unrolled n = 4 and n = 2 forms -------------------------------------------------
+
+
+def _mul_loop(n, a, b):
+    """The general loop: each entry summed left to right from its first product."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = a[i * n] * b[j]
+            for k in range(1, n):
+                acc = acc + a[i * n + k] * b[k * n + j]
+            out.append(acc)
+    return tuple(out)
+
+
+def _mul_vec_loop(n, a, v):
+    out = []
+    for i in range(n):
+        acc = a[i * n] * v[0]
+        for k in range(1, n):
+            acc = acc + a[i * n + k] * v[k]
+        out.append(acc)
+    return tuple(out)
+
+
+#: parts that make signed zeros, overflow, inf - inf and 0 * inf
+_special_parts = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308,
+                                  float("inf"), float("-inf"), NAN)) | st.floats()
+_special_scalars = st.builds(complex, _special_parts, _special_parts)
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    scalars = draw(st.sampled_from([_special_scalars, _exact_scalars]))
+    a, b = (tuple(draw(st.lists(scalars, min_size=n * n, max_size=n * n))) for _ in range(2))
+    v = tuple(draw(st.lists(scalars, min_size=n, max_size=n)))
+    return n, a, b, v
+
+
+@given(_kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_unrolled_kernels_equal_the_loop_bit_for_bit(case):
+    """Same products, same order: equal reprs, so signed zeros, inf and NaN agree too."""
+    n, a, b, v = case
+    assert repr(kernels.mul(n, a, b)) == repr(_mul_loop(n, a, b))
+    assert repr(kernels.mul_vec(n, a, v)) == repr(_mul_vec_loop(n, a, v))
+
+
+def test_kernels_keep_the_loop_for_other_sizes():
+    a = tuple(complex(k, -k) for k in range(9))
+    assert kernels.mul(3, a, a) == _mul_loop(3, a, a)
+    assert kernels.mul_vec(3, a, a[:3]) == _mul_vec_loop(3, a, a[:3])

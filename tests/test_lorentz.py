@@ -320,3 +320,37 @@ def test_reduced_operator_in_special_frame(spinor):
     rot, boost = special_frame(p)
     g = transform_field(transform_field(f, rot), boost)
     assert reduced_dirac_residual(g, 1.3).max_abs() <= 1e-10
+
+
+# -- each spinor transform built once ------------------------------------------------
+
+
+def test_spinor_transform_is_kept_per_params_and_rep(rep):
+    params = LorentzParams("boost", (0, 3), 0.7)
+    s = spinor_transform(params, rep)
+    assert spinor_transform(params, rep) is s
+    fresh = LorentzParams("boost", (0, 3), 0.7)
+    assert repr(spinor_transform(fresh, rep).entries) == repr(s.entries)
+    # the kept matrices stay outside ==, hash and repr
+    assert (params == fresh, hash(params) == hash(fresh), repr(params) == repr(fresh)) \
+        == (True, True, True)
+    assert params.inverse()._spinors == {}
+
+
+@pytest.mark.parametrize("suite_rep", ("spinor", "all"))
+def test_covariance_fuzz_builds_each_spinor_transform_once(suite_rep, monkeypatch):
+    from diracsplit import lorentz
+    from diracsplit.suites import RunConfig, run
+
+    built = []
+    closed_form = lorentz._spinor_closed_form
+
+    def counted(params, rep):
+        built.append((params, rep))  # keeps every params alive, so no id is reused
+        return closed_form(params, rep)
+
+    monkeypatch.setattr(lorentz, "_spinor_closed_form", counted)
+    report = run(RunConfig(suite="covariance", rep=suite_rep, backend="float", trials=6))
+    assert report.failed == 0
+    keys = [(id(params), rep.name) for params, rep in built]
+    assert keys and len(keys) == len(set(keys))

@@ -239,7 +239,11 @@ def _constructed(a, b_terms):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(REP_NAMES), st.data())
 def test_sum_merges_like_the_constructor(name, data):
-    """a + b, a - b and b + a equal the constructor on the concatenated terms, term for term."""
+    """a + b, a - b and b + a equal the constructor on the concatenated terms, term for term.
+
+    a - b, merged in one pass, is also a + (-b) bit for bit, empty and
+    cancelling operands included, and raises where a + (-b) raises.
+    """
     a = _summands(data, name)
     kind = data.draw(st.sampled_from(("drawn", "cancelling", "empty")))
     if kind == "drawn":
@@ -250,12 +254,12 @@ def test_sum_merges_like_the_constructor(name, data):
         b = PlaneWaveField((), rep=a.rep, ncomp=data.draw(st.sampled_from((4, 2))),
                            backend=data.draw(st.sampled_from((EXACT, FLOAT))))
     if a.terms and b.terms and a.backend != b.backend:
-        for op in (a.__add__, a.__sub__):
+        for op in (a.__add__, a.__sub__, lambda b: a + (-b)):
             with pytest.raises(BackendMismatch):
                 op(b)
         return
     if a.terms and b.terms and a.ncomp != b.ncomp:
-        for op in (a.__add__, a.__sub__, lambda b: _constructed(a, b.terms)):
+        for op in (a.__add__, a.__sub__, lambda b: a + (-b), lambda b: _constructed(a, b.terms)):
             with pytest.raises(ValueError, match="mixed component counts"):
                 op(b)
         return
@@ -264,7 +268,32 @@ def test_sum_merges_like_the_constructor(name, data):
         assert got.terms == want.terms
         assert (got.ncomp, got.backend, got.rep) == (want.ncomp, want.backend, want.rep)
         _assert_canonical(got, want.ncomp, want.backend)
+    _assert_bitwise_equal(a - b, a + (-b))
+    _assert_bitwise_equal(b - a, b + (-a))
     assert (a - a).is_zero
+
+
+def _assert_bitwise_equal(got, want):
+    """Same terms, amplitudes compared by repr (so -0.0 differs from 0.0, and NaN equals NaN)."""
+    assert [(repr(t.amplitude), t.momentum, t.freq_sign) for t in got.terms] == \
+        [(repr(t.amplitude), t.momentum, t.freq_sign) for t in want.terms]
+    assert (got.ncomp, got.backend, got.rep) == (want.ncomp, want.backend, want.rep)
+
+
+#: amplitude parts where x - y and x + (-1) y part ways: signed zeros, inf and NaN
+_edge_parts = st.sampled_from((0.0, -0.0, 1.0, -2.0, float("inf"), float("-inf"), float("nan")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REP_NAMES), st.data())
+def test_difference_is_the_sum_with_the_negation_bit_for_bit(name, data):
+    rep = build_rep(name)
+    amplitude = st.tuples(*(st.builds(complex, _edge_parts, _edge_parts),) * 4)
+    momentum = st.sampled_from(tuple(p.to_float() for p in _MOMENTA[:2]))
+    terms = st.lists(st.builds(PlaneWaveTerm, amplitude, momentum, st.sampled_from((1, -1))),
+                     max_size=4)
+    a, b = (PlaneWaveField(data.draw(terms), rep=rep, backend=FLOAT) for _ in range(2))
+    _assert_bitwise_equal(a - b, a + (-b))
 
 
 def test_sum_of_fields_on_different_representations_raises():

@@ -383,3 +383,50 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
     second = run(config)
     assert calls == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+
+
+# -- the float fuzz builds each operator once and no record per trial --------------
+
+
+def _counted_everywhere(monkeypatch, module, name):
+    """Wrap ``module.<name>`` in every diracsplit module that binds it; return the call list."""
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("diracsplit") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ("split", "weyl", "majorana", "covariance"))
+def test_float_fuzz_builds_no_entry_per_trial(suite, monkeypatch):
+    """The fuzz reads magnitudes: a run's residual_entry calls do not grow with its trials."""
+    from diracsplit import reports
+
+    run(RunConfig(suite=suite, rep="all", backend="float", trials=1))  # fills the views
+    calls = _counted_everywhere(monkeypatch, reports, "residual_entry")
+    counts = []
+    for trials in (2, 5):
+        calls.clear()
+        run(RunConfig(suite=suite, rep="all", backend="float", trials=trials))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_split_fuzz_trial_builds_each_gamma_p_once(monkeypatch):
+    """gamma.p is built once per (rep, momentum, sign); every mass and operator reuses it."""
+    from diracsplit import fields
+
+    built = _counted_everywhere(monkeypatch, fields, "_gamma_dot")
+    report = run(RunConfig(suite="split", backend="float", trials=1))
+    assert report.failed == 0
+    # ``built`` holds every momentum, so no id is reused while it is compared
+    keys = [(rep.name, id(p), s) for rep, p, s in built]
+    assert keys and len(keys) == len(set(keys))
