@@ -299,7 +299,13 @@ def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
 
 
 def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
-    return PlaneWaveField((term,), rep=rep, ncomp=term.ncomp, backend=term.backend)
+    """The field of one term, canonical as it stands: nothing to merge or sort."""
+    if not isinstance(term, PlaneWaveTerm):
+        raise TypeError("terms must be PlaneWaveTerm")
+    if not isinstance(rep, GammaRep):
+        raise TypeError("a field needs a GammaRep: its components mean nothing without one")
+    terms = (term,) if any(term.amplitude) else ()
+    return _fill(object.__new__(PlaneWaveField), terms, rep, term.ncomp, term.backend)
 
 
 # -- operators ----------------------------------------------------------------
