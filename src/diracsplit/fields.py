@@ -22,10 +22,11 @@ The operators keep each term's ``FourMomentum`` object, so the fields
 derived from one field share its momenta, and a momentum keeps the
 symbols ``dirac_matrix`` built on it, per (rep, frequency sign, mass),
 in a field outside ``==``, ``hash`` and ``repr``: gamma.p is built once
-per momentum, sign and basis, and the memo goes when the momentum does.  ``subsolutions.SplitResult`` keeps its projected
-constituents, so the split residuals build each of them once.  Complex
-conjugation flips the frequency sign, which couples a field to its
-conjugate in the charge-conjugation and Majorana relations.
+per momentum, sign and basis, and the memo goes when the momentum does.
+``subsolutions.SplitResult`` keeps its projected constituents, so the
+split residuals build each of them once.  Complex conjugation flips the
+frequency sign, which couples a field to its conjugate in the
+charge-conjugation and Majorana relations.
 
 Components mean something only in a named gamma basis, so every field
 carries its representation: the constructor requires a ``GammaRep``,

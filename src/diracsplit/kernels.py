@@ -27,18 +27,18 @@ def mul(n: int, a: tuple, b: tuple) -> tuple:
     if n == 4:
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
-        return (a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12, a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
-                a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14, a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
-                a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12, a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
-                a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14, a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
-                a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12, a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
-                a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14, a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
-                a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12, a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
-                a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14, a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15)
+        return (a0*b0 + a1*b4 + a2*b8 + a3*b12, a0*b1 + a1*b5 + a2*b9 + a3*b13,
+                a0*b2 + a1*b6 + a2*b10 + a3*b14, a0*b3 + a1*b7 + a2*b11 + a3*b15,
+                a4*b0 + a5*b4 + a6*b8 + a7*b12, a4*b1 + a5*b5 + a6*b9 + a7*b13,
+                a4*b2 + a5*b6 + a6*b10 + a7*b14, a4*b3 + a5*b7 + a6*b11 + a7*b15,
+                a8*b0 + a9*b4 + a10*b8 + a11*b12, a8*b1 + a9*b5 + a10*b9 + a11*b13,
+                a8*b2 + a9*b6 + a10*b10 + a11*b14, a8*b3 + a9*b7 + a10*b11 + a11*b15,
+                a12*b0 + a13*b4 + a14*b8 + a15*b12, a12*b1 + a13*b5 + a14*b9 + a15*b13,
+                a12*b2 + a13*b6 + a14*b10 + a15*b14, a12*b3 + a13*b7 + a14*b11 + a15*b15)
     if n == 2:
         a0, a1, a2, a3 = a
         b0, b1, b2, b3 = b
-        return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+        return (a0*b0 + a1*b2, a0*b1 + a1*b3, a2*b0 + a3*b2, a2*b1 + a3*b3)
     out = []
     for i in range(n):
         row = i * n
@@ -55,12 +55,12 @@ def mul_vec(n: int, a: tuple, v: tuple) -> tuple:
     if n == 4:
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
         v0, v1, v2, v3 = v
-        return (a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3, a4 * v0 + a5 * v1 + a6 * v2 + a7 * v3,
-                a8 * v0 + a9 * v1 + a10 * v2 + a11 * v3, a12 * v0 + a13 * v1 + a14 * v2 + a15 * v3)
+        return (a0*v0 + a1*v1 + a2*v2 + a3*v3, a4*v0 + a5*v1 + a6*v2 + a7*v3,
+                a8*v0 + a9*v1 + a10*v2 + a11*v3, a12*v0 + a13*v1 + a14*v2 + a15*v3)
     if n == 2:
         a0, a1, a2, a3 = a
         v0, v1 = v
-        return (a0 * v0 + a1 * v1, a2 * v0 + a3 * v1)
+        return (a0*v0 + a1*v1, a2*v0 + a3*v1)
     out = []
     for i in range(n):
         row = i * n
