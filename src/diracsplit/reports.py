@@ -100,7 +100,7 @@ def _scalars(value):
     return value if isinstance(value, (list, tuple)) else (value,)
 
 
-def residual_report(backend: str, relations) -> "ResidualReport":
+def residual_report(backend: str, relations) -> ResidualReport:
     """Measure ``(label, equation, value)`` relations on ``backend``, in order."""
     return ResidualReport(tuple(residual_entry(label, equation, backend, value)
                                 for label, equation, value in relations))
