@@ -7,6 +7,12 @@ this package is linear with constant coefficients, so it holds for a
 field iff it holds term by term; the term algebra therefore checks the
 equations with no discretization error.
 
+A term, ``PlaneWaveTerm``, is an immutable tuple ``(amplitude, momentum,
+freq_sign)`` with read-only attributes of those names: one allocation,
+unpacked by the operators as ``amp, p, s = t``.  A field,
+``PlaneWaveField``, is a slotted immutable object holding its sorted
+terms, its representation, its component count and its backend.
+
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
 momentum and frequency sign, applied term by term by ``apply_symbol``
@@ -14,9 +20,19 @@ momentum and frequency sign, applied term by term by ``apply_symbol``
 each term's key, so its result is canonical as built, with no merge,
 sort or coercion.  Since every operand is canonical (terms sorted by
 key, no key twice, none exactly zero), ``+`` and ``-`` merge the two
-sorted term tuples in one pass; ``a - b`` scales b's amplitudes by -1
-inside that pass, as ``-b`` would, and builds no ``-b``.  The validating
-constructor is for term lists that are not canonical yet.
+sorted term tuples in one pass, and operands holding the same momentum
+objects and signs in the same order pair up with no key compared;
+``a - b`` scales b's amplitudes by -1 inside that pass, as ``-b`` would,
+and builds no ``-b``.
+
+The validating constructors coerce every amplitude component
+(``PlaneWaveTerm``) and merge, sort and check the terms
+(``PlaneWaveField``); they are for inputs that are not canonical yet.
+The operators build on the trusted paths ``_term`` (one
+``tuple.__new__``) and ``_field`` (``_fill``: four slot setters), which
+skip that work because their inputs are canonical by construction:
+amplitudes computed from scalars of the field's backend, each term's
+key kept (conjugation re-sorts), and exactly-zero terms dropped.
 
 The operators keep each term's ``FourMomentum`` object, so the fields
 derived from one field share its momenta, and a momentum keeps the
@@ -37,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from . import kernels
@@ -53,6 +69,7 @@ from .matrices import Matrix
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, coerce_scalar
 
 _SHELL_TOL = 1e-12
+_MINUS_ONE = {backend: scalar(-1) for backend, scalar in SCALAR_TYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -110,41 +127,53 @@ class FourMomentum:
         return self.p + (self.mass,)
 
 
-@dataclass(frozen=True)
-class PlaneWaveTerm:
-    """One plane wave: amplitude, four-momentum, frequency sign."""
+class PlaneWaveTerm(tuple):
+    """One plane wave: the immutable tuple (amplitude, momentum, freq_sign).
 
-    amplitude: tuple
-    momentum: FourMomentum
-    freq_sign: int
+    A term is one allocation, and the operators unpack it as
+    ``amp, p, s = t``.  The constructor coerces the amplitude onto the
+    momentum's backend; ``_term`` builds a term from parts that already
+    are.
+    """
 
-    def __post_init__(self):
-        if self.freq_sign not in (1, -1):
+    __slots__ = ()
+
+    def __new__(cls, amplitude: tuple, momentum: FourMomentum, freq_sign: int):
+        if freq_sign not in (1, -1):
             raise ValueError("freq_sign must be +1 or -1")
-        if len(self.amplitude) not in (2, 4):
+        if len(amplitude) not in (2, 4):
             raise ValueError("amplitude must have 2 or 4 components")
-        coerced = tuple(
-            coerce_scalar(a, self.momentum.backend) for a in self.amplitude
-        )
-        object.__setattr__(self, "amplitude", coerced)
+        coerced = tuple(coerce_scalar(a, momentum.backend) for a in amplitude)
+        return tuple.__new__(cls, (coerced, momentum, freq_sign))
+
+    def __getnewargs__(self):
+        """The arguments ``pickle`` and ``copy`` rebuild a term from, through ``__new__``."""
+        return tuple(self)
+
+    amplitude = property(itemgetter(0), doc="The 2- or 4-component spinor.")
+    momentum = property(itemgetter(1), doc="The term's ``FourMomentum``.")
+    freq_sign = property(itemgetter(2), doc="The frequency sign s = +-1.")
 
     @property
     def ncomp(self) -> int:
-        return len(self.amplitude)
+        return len(self[0])
 
     @property
     def backend(self) -> str:
-        return self.momentum.backend
+        return self[1].backend
 
     def key(self):
-        return (self.freq_sign,) + self.momentum.key()
+        return (self[2],) + self[1].key()
+
+    def __repr__(self):
+        amplitude, momentum, freq_sign = self
+        return (f"PlaneWaveTerm(amplitude={amplitude!r}, momentum={momentum!r}, "
+                f"freq_sign={freq_sign!r})")
 
 
 def _term(amplitude: tuple, momentum: FourMomentum, freq_sign: int) -> PlaneWaveTerm:
     """A term from parts already valid and on one backend: no re-coercion."""
-    t = object.__new__(PlaneWaveTerm)
-    t.__dict__.update(amplitude=amplitude, momentum=momentum, freq_sign=freq_sign)
-    return t
+    return tuple.__new__(PlaneWaveTerm, (amplitude, momentum, freq_sign))
 
 
 class PlaneWaveField:
@@ -200,7 +229,7 @@ class PlaneWaveField:
     def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         if not isinstance(other, PlaneWaveField):
             return NotImplemented
-        return _merge(self, other, coerce_scalar(-1, other.backend))
+        return _merge(self, other, _MINUS_ONE[other.backend])
 
     def __neg__(self) -> "PlaneWaveField":
         return self.scale(-1)
@@ -209,7 +238,12 @@ class PlaneWaveField:
         if not self.terms:
             return self
         c = coerce_scalar(c, self.backend)
-        return _termwise(self, lambda t: tuple(c * a for a in t.amplitude))
+        terms = []
+        for amp, p, s in self.terms:
+            amp = tuple(c * a for a in amp)
+            if any(amp):
+                terms.append(_term(amp, p, s))
+        return _field(tuple(terms), self.rep, self.ncomp, self.backend)
 
     def apply(self, m: Matrix) -> "PlaneWaveField":
         """Apply a constant matrix to every amplitude: the constant symbol."""
@@ -222,7 +256,10 @@ class PlaneWaveField:
         return not self.terms
 
     def max_abs(self) -> float:
-        return kernels.max_abs(a for t in self.terms for a in t.amplitude)
+        terms = self.terms
+        if len(terms) == 1:
+            return kernels.max_abs(terms[0][0])
+        return kernels.max_abs(a for t in terms for a in t[0])
 
     def __eq__(self, other):
         if not isinstance(other, PlaneWaveField):
@@ -250,34 +287,58 @@ class PlaneWaveField:
         return PlaneWaveField(out, rep=self.rep, ncomp=self.ncomp, backend=FLOAT)
 
 
+# the slot setters, which get past the __setattr__ that keeps a field immutable
+_set_terms, _set_rep, _set_ncomp, _set_backend = (
+    getattr(PlaneWaveField, name).__set__ for name in PlaneWaveField.__slots__)
+
+
 def _fill(f: PlaneWaveField, terms: tuple, rep, ncomp: int, backend: str) -> PlaneWaveField:
     """Set f's slots as given: ``terms`` have distinct sorted keys and none is exactly zero."""
-    setattr_ = object.__setattr__
-    setattr_(f, "terms", terms)
-    setattr_(f, "rep", rep)
-    setattr_(f, "ncomp", ncomp)
-    setattr_(f, "backend", backend)
+    _set_terms(f, terms)
+    _set_rep(f, rep)
+    _set_ncomp(f, ncomp)
+    _set_backend(f, backend)
     return f
+
+
+def _field(terms: tuple, rep, ncomp: int, backend: str) -> PlaneWaveField:
+    """A new field from canonical ``terms``, as ``_fill`` takes them: nothing merged or checked."""
+    return _fill(object.__new__(PlaneWaveField), terms, rep, ncomp, backend)
 
 
 def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
     """a + b, or a + (-b) when c is -1, without building -b.
 
     Both term tuples are sorted with distinct keys, so they merge in one
-    pass.  b's amplitudes are multiplied by c as ``scale`` does, so
-    a - b equals a + (-b) bit for bit, signed zeros, inf and NaN included.
+    pass.  When the two hold the same momentum objects and signs in the
+    same order, as the fields derived from one field do, the terms pair
+    up with no key compared.  b's amplitudes are multiplied by c as
+    ``scale`` does, so a - b equals a + (-b) bit for bit, signed zeros,
+    inf and NaN included.
     """
     if a.terms and b.terms and a.backend != b.backend:
         raise BackendMismatch("adding fields from different backends")
     if a.rep is not b.rep:
         raise ValueError("adding fields from different representations")
-    if not b.terms:
+    ta, tb = a.terms, b.terms
+    if not tb:
         return a
-    if not a.terms:
+    if not ta:
         return b if c is None else b.scale(c)
     if a.ncomp != b.ncomp:
         raise ValueError("mixed component counts in one field")
-    ta, tb = a.terms, b.terms
+    if len(ta) == len(tb):
+        terms = []
+        for (amp_a, p, s), (amp_b, q, r) in zip(ta, tb):
+            if p is not q or s != r:
+                break
+            if c is not None:
+                amp_b = tuple(c * y for y in amp_b)
+            amp = tuple(map(add, amp_a, amp_b))
+            if any(amp):
+                terms.append(_term(amp, q, r))
+        else:
+            return _field(tuple(terms), a.rep, a.ncomp, a.backend)
     ka, kb = [t.key() for t in ta], [t.key() for t in tb]
     i = j = 0
     terms = []
@@ -296,7 +357,7 @@ def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
             terms.append(t)
         elif any(amp):
             terms.append(_term(amp, t.momentum, t.freq_sign))
-    return _fill(object.__new__(PlaneWaveField), tuple(terms), a.rep, a.ncomp, a.backend)
+    return _field(tuple(terms), a.rep, a.ncomp, a.backend)
 
 
 def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
@@ -305,50 +366,40 @@ def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
         raise TypeError("terms must be PlaneWaveTerm")
     if not isinstance(rep, GammaRep):
         raise TypeError("a field needs a GammaRep: its components mean nothing without one")
-    terms = (term,) if any(term.amplitude) else ()
-    return _fill(object.__new__(PlaneWaveField), terms, rep, term.ncomp, term.backend)
+    amp, p, _ = term
+    return _field((term,) if any(amp) else (), rep, len(amp), p.backend)
 
 
 # -- operators ----------------------------------------------------------------
 
 
-def _termwise(f: PlaneWaveField, amplitude_of, rep=None, ncomp=None) -> PlaneWaveField:
-    """f's terms with amplitudes ``amplitude_of(term)``: keys kept, exactly-zero terms dropped."""
-    terms = []
-    for t in f.terms:
-        amp = amplitude_of(t)
-        if any(amp):
-            terms.append(_term(amp, t.momentum, t.freq_sign))
-    return _fill(object.__new__(PlaneWaveField), tuple(terms), f.rep if rep is None else rep,
-                 f.ncomp if ncomp is None else ncomp, f.backend)
-
-
 def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> PlaneWaveField:
     """Multiply each term's amplitude by the matrix ``symbol(momentum, freq_sign)``.
 
-    The result carries ``rep`` (f's representation by default), so a
-    change of basis relabels the field as it applies the intertwiner.
+    Each term keeps its key, and a term the product makes exactly zero is
+    dropped.  The result carries ``rep`` (f's representation by default),
+    so a change of basis relabels the field as it applies the intertwiner.
     """
-
     ncomp, backend = f.ncomp, f.backend
-
-    def amplitude_of(t: PlaneWaveTerm) -> tuple:
-        m = symbol(t.momentum, t.freq_sign)
+    terms = []
+    for amp, p, s in f.terms:
+        m = symbol(p, s)
         if m.n != ncomp:
             raise ValueError(f"symbol size {m.n} vs {ncomp}-component field")
         if m.backend != backend:
             raise BackendMismatch("symbol backend differs from field backend")
-        return kernels.mul_vec(ncomp, m.entries, t.amplitude)
-
-    return _termwise(f, amplitude_of, rep)
+        amp = kernels.mul_vec(ncomp, m.entries, amp)
+        if any(amp):
+            terms.append(_term(amp, p, s))
+    return _field(tuple(terms), f.rep if rep is None else rep, ncomp, backend)
 
 
 def conjugate(f: PlaneWaveField) -> PlaneWaveField:
     """Complex conjugation: conjugated amplitudes, flipped frequency sign (a re-sort only)."""
-    terms = [_term(tuple(a.conjugate() for a in t.amplitude), t.momentum, -t.freq_sign)
-             for t in f.terms]
-    terms.sort(key=PlaneWaveTerm.key)
-    return _fill(object.__new__(PlaneWaveField), tuple(terms), f.rep, f.ncomp, f.backend)
+    terms = [_term(tuple(a.conjugate() for a in amp), p, -s) for amp, p, s in f.terms]
+    if len(terms) > 1:
+        terms.sort(key=PlaneWaveTerm.key)
+    return _field(tuple(terms), f.rep, f.ncomp, f.backend)
 
 
 def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
@@ -425,16 +476,27 @@ def lower_half(f: PlaneWaveField) -> PlaneWaveField:
 def _half(f: PlaneWaveField, start: int) -> PlaneWaveField:
     if f.ncomp != 4:
         raise ValueError("component split needs a 4-component field")
-    return _termwise(f, lambda t: t.amplitude[start : start + 2], ncomp=2)
+    stop = start + 2
+    terms = []
+    for amp, p, s in f.terms:
+        amp = amp[start:stop]
+        if any(amp):
+            terms.append(_term(amp, p, s))
+    return _field(tuple(terms), f.rep, 2, f.backend)
 
 
 # -- solution constructors -----------------------------------------------------
 
-# rest-frame eigenvectors of gamma0 with eigenvalue +1, one pair per basis
+def _rest_seeds(*pair) -> dict:
+    exact = tuple(tuple(coerce_scalar(c, EXACT) for c in seed) for seed in pair)
+    return {EXACT: exact, FLOAT: tuple(tuple(c.to_complex() for c in seed) for seed in exact)}
+
+
+# rest-frame eigenvectors of gamma0 with eigenvalue +1, one pair per basis, on each backend
 _REST_SEEDS = {
-    "spinor": ((1, 0, 1, 0), (0, 1, 0, 1)),
-    "standard": ((1, 0, 0, 0), (0, 1, 0, 0)),
-    "majorana": ((1, 0, 0, GaussianRational(0, 1)), (0, 1, GaussianRational(0, -1), 0)),
+    "spinor": _rest_seeds((1, 0, 1, 0), (0, 1, 0, 1)),
+    "standard": _rest_seeds((1, 0, 0, 0), (0, 1, 0, 0)),
+    "majorana": _rest_seeds((1, 0, 0, GaussianRational(0, 1)), (0, 1, GaussianRational(0, -1), 0)),
 }
 
 
@@ -454,21 +516,13 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
         raise MasslessNeedsWeyl("massive constructor needs m > 0")
     if not p.is_on_shell():
         raise OffShell(f"momentum {p.p} with mass {p.mass} is off the shell")
-    seed = _REST_SEEDS[rep.name][spin_label - 1]
-    if p.backend == FLOAT:
-        # seeds are written exactly; promote before the strict coercion
-        seed = tuple(
-            s.to_complex() if isinstance(s, GaussianRational) else complex(s)
-            for s in seed
-        )
-    seed = tuple(coerce_scalar(s, p.backend) for s in seed)
+    seed = _REST_SEEDS[rep.name][p.backend][spin_label - 1]
     raw = dirac_matrix(rep, p, 1, -p.mass).apply(seed)
     if p.backend == EXACT:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
-        return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
-    norm2 = sum(abs(a) ** 2 for a in raw)
-    scale = (2.0 * p.p[0] / norm2) ** 0.5
-    return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
+    else:
+        scale = (2.0 * p.p[0] / kernels.ordered_sum(abs(a) ** 2 for a in raw)) ** 0.5
+    return _term(tuple(scale * a for a in raw), p, 1)
 
 
 def _weyl_pair(p: FourMomentum, chirality: str) -> tuple:
@@ -525,7 +579,7 @@ def _normalize_pair(pair: tuple, backend: str) -> tuple:
         if pivot is None:
             raise ValueError("zero chiral amplitude")
         return tuple(a / pivot for a in pair)
-    norm = (sum(abs(a) ** 2 for a in pair)) ** 0.5
+    norm = kernels.ordered_sum(abs(a) ** 2 for a in pair) ** 0.5
     if norm == 0:
         raise ValueError("zero chiral amplitude")
     pivot = max(pair, key=abs)

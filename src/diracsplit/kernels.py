@@ -71,6 +71,19 @@ def mul_vec(n: int, a: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
+def ordered_sum(values, start=0.0):
+    """``start`` plus each of ``values`` in turn, left to right.
+
+    This is ``sum`` as Python 3.11 computes it; from 3.12 ``sum``
+    compensates float roundoff, so results would differ between the
+    interpreters ``requires-python`` admits.  Seed complex sums with 0j.
+    """
+    acc = start
+    for v in values:
+        acc = acc + v
+    return acc
+
+
 def max_abs(values) -> float:
     """Largest magnitude in ``values`` (any iterable; 0.0 if empty), NaN if any is NaN."""
     m = 0.0

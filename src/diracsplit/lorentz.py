@@ -19,9 +19,13 @@ rotation planes), the exponential series collapses and
     S = cosh(omega/2) - i I sinh(omega/2) sigma    (boost)
     S = cos(omega/2)  - i I sin(omega/2)  sigma    (rotation)
 
-Each ``LorentzParams`` keeps the matrix ``spinor_transform`` built for
-it, per representation, in a field outside ``==``, ``hash`` and
-``repr``, so the transformations of one trial share their S.
+Each ``LorentzParams`` keeps, per representation, the matrix
+``spinor_transform`` built for it and the transformed projectors
+S P_k S^-1 of ``transformed_projectors``, and it keeps its
+``inverse()``, all in fields outside ``==``, ``hash`` and ``repr``: the
+transformations of one trial share their S, and the covariance fuzz,
+which cycles through the twelve of ``COVARIANCE_GRID``, builds S^-1 and
+P' once per transformation and basis.
 
 The exact view keeps that premise, plane by plane, among its
 ``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Optional
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
@@ -55,8 +60,12 @@ class LorentzParams:
     kind: str
     plane: tuple
     omega: float
-    # spinor_transform's matrix per rep; outside ==, hash and repr
+    # per rep, spinor_transform's S and transformed_projectors' S P_k S^-1, and the
+    # inverse once built; all outside ==, hash and repr
     _spinors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inverse: Optional["LorentzParams"] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if self.kind not in (_BOOST, _ROTATION):
@@ -76,7 +85,12 @@ class LorentzParams:
         return 1 if self.kind == _BOOST else -1
 
     def inverse(self) -> "LorentzParams":
-        return replace(self, omega=-self.omega)
+        """The transformation at -omega, built once and kept, so its S is built once too."""
+        inv = self._inverse
+        if inv is None:
+            inv = replace(self, omega=-self.omega)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,8 @@ class VectorTransform:
     def apply(self, p: FourMomentum) -> FourMomentum:
         pf = p.to_float()
         comps = tuple(
-            sum(self.matrix[nu][mu] * pf.p[mu] for mu in range(4)) for nu in range(4)
+            kernels.ordered_sum(self.matrix[nu][mu] * pf.p[mu] for mu in range(4))
+            for nu in range(4)
         )
         return FourMomentum(comps, pf.mass, FLOAT)
 
@@ -131,6 +146,16 @@ def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
     if s_mat is None:
         s_mat = params._spinors[rep] = _spinor_closed_form(params, rep)
     return s_mat
+
+
+def transformed_projectors(params: LorentzParams, rep: GammaRep) -> tuple:
+    """S P_k S^-1 for the float view's (P1, P2, P3, P4), built once per (params, rep) and kept."""
+    primes = params._projectors.get(rep)
+    if primes is None:
+        s = spinor_transform(params, rep)
+        s_inv = spinor_transform(params.inverse(), rep)
+        primes = params._projectors[rep] = tuple(s @ p @ s_inv for p in rep.on(FLOAT).p)
+    return primes
 
 
 def _spinor_closed_form(params: LorentzParams, rep: GammaRep) -> Matrix:
@@ -184,12 +209,10 @@ def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
         residual_entry("vector.metric", "Pconditions", FLOAT, vt.metric_residual),
         residual_entry("S.inverse", "S", FLOAT, max_abs_diff(s @ s_inv, ident)),
     ))
-    primes = []
-    for k, p in enumerate(rep.on(FLOAT).p, start=1):
-        p_prime = s @ p @ s_inv
-        primes.append(residual_entry(f"Pprime.P{k}.idempotent", "P'", FLOAT,
-                                     max_abs_diff(p_prime @ p_prime, p_prime)))
-    tail = ResidualReport(tuple(primes))
+    tail = ResidualReport(tuple(
+        residual_entry(f"Pprime.P{k}.idempotent", "P'", FLOAT,
+                       max_abs_diff(p_prime @ p_prime, p_prime))
+        for k, p_prime in enumerate(transformed_projectors(params, rep), start=1)))
     return head.merged(pconditions_residual(rep, s, s_inv, vt)).merged(tail)
 
 

@@ -42,7 +42,8 @@ from .errors import (
 from .fields import (
     PlaneWaveField,
     PlaneWaveTerm,
-    _termwise,
+    _field,
+    _term,
     apply_symbol,
     charge_conjugate,
     conjugate,
@@ -124,21 +125,21 @@ def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitR
         if not res.within(_TOL):
             raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
 
-    scalar = SCALAR_TYPE[psi.backend]
-
-    def xi1(t):
-        q0, q1, q2, q3 = _term_q(t)
-        eta1 = t.amplitude[2]
-        return ((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass)
-
-    def xi2(t):
-        q0, q1, q2, q3 = _term_q(t)
-        eta2 = t.amplitude[3]
-        return (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass)
-
     # each constituent keeps psi's keys, so it is built term by term
-    psi1 = _termwise(psi, lambda t: xi1(t) + t.amplitude[2:])
-    psi2 = _termwise(psi, lambda t: xi2(t) + t.amplitude[2:])
+    scalar = SCALAR_TYPE[psi.backend]
+    terms1, terms2 = [], []
+    for amp, p, s in psi.terms:
+        q0, q1, q2, q3 = (c * s for c in p.p)
+        eta = amp[2:]
+        eta1, eta2 = eta
+        amp1 = ((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass) + eta
+        amp2 = (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass) + eta
+        if any(amp1):
+            terms1.append(_term(amp1, p, s))
+        if any(amp2):
+            terms2.append(_term(amp2, p, s))
+    psi1 = _field(tuple(terms1), psi.rep, 4, psi.backend)
+    psi2 = _field(tuple(terms2), psi.rep, 4, psi.backend)
     result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, mass=mass)
     if require_solution:
         rec = recombination_residuals(result)

@@ -61,8 +61,8 @@ from .lorentz import (
     COVARIANCE_GRID,
     reduced_dirac_residual,
     special_frame,
-    spinor_transform,
     transform_field,
+    transformed_projectors,
     vector_transform,
 )
 from .matrices import Matrix
@@ -224,16 +224,19 @@ def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int
     the sub-seed of (seed, ``tag``, i).  Only ``reports.magnitude`` is
     read of each value, so no entry is built per trial.  Each label
     becomes one float check ``<prefix>.<label>`` judged within
-    ``tol_for(label)``, in order of first appearance.  The largest is
-    taken by ``kernels.max_abs``, so a NaN from any trial makes the
-    record NaN, and it fails.
+    ``tol_for(label)`` and tagged with the label's first equation, in
+    order of first appearance.  As in ``kernels.max_abs``, a NaN from any
+    trial makes the record NaN, and it fails.
     """
     worst = {}
     for trial in range(trials):
         for label, equation, value in measure(_rng(config, tag, trial), trial):
             value = magnitude(value)
             prev = worst.get(label)
-            worst[label] = (equation, kernels.max_abs((prev[1], value)) if prev else value)
+            if prev is None:
+                worst[label] = [equation, value]
+            elif not value <= prev[1] and prev[1] == prev[1]:  # larger or NaN, unless NaN held
+                prev[1] = value
     for label, (equation, value) in worst.items():
         out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
                 tol_for(label))
@@ -409,10 +412,11 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
                 amps.append(u.amplitude)
                 psi = field_of(u, sp)
                 yield "input-dirac-residual", "Dirac1", dirac_residual(psi, p.mass)
-                norm = sum(abs(a) ** 2 for a in u.amplitude)
+                norm = kernels.ordered_sum(abs(a) ** 2 for a in u.amplitude)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
                 yield from _split_relations(split(psi, p.mass, require_solution=False))
-            yield "u-orthogonality", "Dirac1", abs(sum(a.conjugate() * b for a, b in zip(*amps)))
+            yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
+                (a.conjugate() * b for a, b in zip(*amps)), 0j))
 
         _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
               lambda label: config.tol)
@@ -532,8 +536,6 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         for e in commutators:
             out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
-        p_float = rep.on(FLOAT).p
-
         def trial_residuals(rng, trial):
             p, sr = _sampled_split(rng, config, trial)
             psis = (sr.psi, sr.psi1, sr.psi2)
@@ -543,10 +545,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             psi_t = transform_field(psis[0], params)
             yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass)
-            s_mat = spinor_transform(params, rep)
-            s_inv = spinor_transform(params.inverse(), rep)
-            for k in (1, 2):
-                p_prime = s_mat @ p_float[k - 1] @ s_inv
+            for k, p_prime in zip((1, 2), transformed_projectors(params, rep)):
                 moved = transform_field(psis[k], params)
                 yield (f"transformed-constituent{k}", "DP2b",
                        dirac_residual(moved.apply(p_prime), p.mass))

@@ -1,5 +1,8 @@
 """Plane-wave term algebra, solution constructors, charge conjugation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +173,36 @@ def test_field_is_immutable(spinor):
     f = field_of(term, rep=spinor)
     with pytest.raises(AttributeError):
         f.terms = ()
+
+
+def test_term_is_an_immutable_value():
+    p, term = _witness_term()
+    for name in ("amplitude", "momentum", "freq_sign", "other"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, None)
+    assert (term.amplitude, term.momentum, term.freq_sign) == tuple(term)
+    assert (term.ncomp, term.backend, term.key()) == (4, EXACT, (1,) + p.key())
+    same = PlaneWaveTerm(amplitude=term.amplitude, momentum=p, freq_sign=1)
+    assert (same == term, hash(same) == hash(term), repr(same) == repr(term)) == (True,) * 3
+    assert repr(term) == (f"PlaneWaveTerm(amplitude={term.amplitude!r}, momentum={p!r}, "
+                          "freq_sign=1)")
+    float_term = PlaneWaveTerm((1j, 0, 0, 2), p.to_float(), -1)
+    assert pickle.loads(pickle.dumps(float_term)) == float_term
+    assert copy.copy(term) == term
+
+
+def test_term_constructor_errors():
+    p = FourMomentum.exact((3, 2, 2, 0), 1)
+    # the sign is checked first, then the length, then each component's backend
+    with pytest.raises(ValueError, match="freq_sign must be"):
+        PlaneWaveTerm((1, 0, 0), p, 2)
+    with pytest.raises(ValueError, match="2 or 4 components"):
+        PlaneWaveTerm((1, 0, 0), p, 1)
+    with pytest.raises(BackendMismatch):
+        PlaneWaveTerm((0.5, 0, 0, 0), p, 1)
+    with pytest.raises(BackendMismatch):
+        PlaneWaveTerm((I, 0), p.to_float(), -1)
+    assert PlaneWaveTerm((1, 0), p.to_float(), -1).amplitude == (1 + 0j, 0j)
 
 
 # -- operators ----------------------------------------------------------------

@@ -42,6 +42,16 @@ def test_max_abs_propagates_nan(values):
     assert math.isnan(kernels.max_abs_diff(values, (0j, 0j)))
 
 
+def test_ordered_sum_adds_left_to_right():
+    # a compensated sum (``sum`` on Python 3.12 and later) gives 1.0 and 1+0j here
+    assert repr(kernels.ordered_sum((1e16, 1.0, -1e16))) == "0.0"
+    assert repr(kernels.ordered_sum(iter((1e16 + 0j, 1 + 0j, -1e16 + 0j)), 0j)) == "0j"
+    # seeded from 0.0 as ``sum`` is from 0, so a lone -0.0 sums to 0.0
+    assert repr(kernels.ordered_sum((-0.0,))) == "0.0"
+    assert repr(kernels.ordered_sum((complex(-0.0, -0.0),), 0j)) == "0j"
+    assert kernels.ordered_sum(()) == 0.0
+
+
 # -- one kernel for both backends -------------------------------------------------
 
 _parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)

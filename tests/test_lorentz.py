@@ -22,6 +22,7 @@ from diracsplit import (
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import GammaRep, build_rep
+from diracsplit.lorentz import VectorTransform
 from diracsplit.matrices import Matrix, max_abs_diff
 from diracsplit.scalars import EXACT, FLOAT
 
@@ -354,3 +355,55 @@ def test_covariance_fuzz_builds_each_spinor_transform_once(suite_rep, monkeypatc
     assert report.failed == 0
     keys = [(id(params), rep.name) for params, rep in built]
     assert keys and len(keys) == len(set(keys))
+
+
+def test_inverse_and_transformed_projectors_are_kept(rep):
+    from diracsplit.lorentz import transformed_projectors
+
+    params = LorentzParams("rotation", (1, 2), 0.9)
+    assert params.inverse() is params.inverse()
+    primes = transformed_projectors(params, rep)
+    assert transformed_projectors(params, rep) is primes
+    s, s_inv = spinor_transform(params, rep), spinor_transform(params.inverse(), rep)
+    assert [repr(p.entries) for p in primes] == \
+        [repr((s @ p @ s_inv).entries) for p in rep.on(FLOAT).p]
+    fresh = LorentzParams("rotation", (1, 2), 0.9)
+    assert (params == fresh, hash(params) == hash(fresh), repr(params) == repr(fresh)) \
+        == (True, True, True)
+
+
+@pytest.mark.parametrize("suite_rep", ("spinor", "all"))
+def test_a_warm_covariance_run_rebuilds_no_inverse_or_transformed_projector(suite_rep,
+                                                                           monkeypatch):
+    """S^-1 and S P_k S^-1 of the grid's transformations are built once per process.
+
+    Only the special-frame fuzz builds S in a second run: a rotation and a
+    boost for each trial's own momentum.  No matrix product is made.
+    """
+    from diracsplit import kernels, lorentz
+    from diracsplit.suites import RunConfig, run
+
+    config = RunConfig(suite="covariance", rep=suite_rep, backend="float", trials=7)
+    run(config)
+    calls = {"closed-form": 0, "mul": 0}
+    closed_form, mul = lorentz._spinor_closed_form, kernels.mul
+
+    def counted_closed_form(params, rep):
+        calls["closed-form"] += 1
+        return closed_form(params, rep)
+
+    def counted_mul(n, a, b):
+        calls["mul"] += 1
+        return mul(n, a, b)
+
+    monkeypatch.setattr(lorentz, "_spinor_closed_form", counted_closed_form)
+    monkeypatch.setattr(kernels, "mul", counted_mul)
+    assert run(config).failed == 0
+    assert calls == {"closed-form": 2 * 7, "mul": 0}
+
+
+def test_vector_transform_sums_left_to_right():
+    rows = ((1.0, 1.0, 1.0, 0.0),) + ((0.0, 0.0, 0.0, 0.0),) * 3
+    moved = VectorTransform(rows).apply(FourMomentum.floats((1e16, 1.0, -1e16, 0.0), 0))
+    # a compensated sum (``sum`` on Python 3.12 and later) gives 1.0
+    assert repr(moved.p[0]) == "0.0"

@@ -21,6 +21,7 @@ from diracsplit import (
     conjugate,
     dirac_op,
     dirac_residual,
+    field_of,
     lower_half,
     reduced_dirac_residual,
     sigma_momentum_op,
@@ -28,6 +29,7 @@ from diracsplit import (
     upper_half,
     weyl_spinor,
 )
+from diracsplit import fields
 from diracsplit.errors import BackendMismatch
 from diracsplit.gamma import METRIC_SIGNS, PAULI, REP_NAMES, build_rep
 from diracsplit.matrices import Matrix
@@ -305,3 +307,115 @@ def test_sum_of_fields_on_different_representations_raises():
             a + b
         with pytest.raises(ValueError, match="different representations"):
             a - b
+
+
+# -- the trusted paths ------------------------------------------------------------
+
+_FLOAT_MOMENTA = tuple(p.to_float() for p in _MOMENTA)
+
+
+def _edge_amplitudes(backend, ncomp):
+    """Small Gaussian integers, or floats with signed zeros, inf and NaN."""
+    parts = gaussians if backend == EXACT else st.builds(complex, _edge_parts, _edge_parts)
+    return st.tuples(*(parts,) * ncomp)
+
+
+def _edge_terms(backend, ncomp, max_size=6):
+    momenta = _MOMENTA if backend == EXACT else _FLOAT_MOMENTA
+    return st.lists(st.builds(PlaneWaveTerm, _edge_amplitudes(backend, ncomp),
+                              st.sampled_from(momenta), st.sampled_from((1, -1))),
+                    max_size=max_size)
+
+
+def _assert_same_value(got, want):
+    """Equal by repr, == and hash; a field's terms by repr too (so -0.0 and NaN show)."""
+    assert type(got) is type(want)
+    assert (repr(got), got == want, hash(got)) == (repr(want), True, hash(want))
+    if isinstance(got, PlaneWaveField):
+        assert repr(got.terms) == repr(want.terms)
+        assert (got.rep, got.ncomp, got.backend) == (want.rep, want.ncomp, want.backend)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.sampled_from((4, 2)),
+       st.data())
+def test_trusted_paths_equal_the_validating_constructors(name, backend, ncomp, data):
+    rep = build_rep(name)
+    want = PlaneWaveField(data.draw(_edge_terms(backend, ncomp)), rep=rep, ncomp=ncomp,
+                          backend=backend)
+    terms = tuple(fields._term(*t) for t in want.terms)
+    for got, t in zip(terms, want.terms):
+        _assert_same_value(got, t)
+        _assert_same_value(got, PlaneWaveTerm(*t))
+    _assert_same_value(fields._field(terms, rep, ncomp, backend), want)
+    filled = fields._fill(object.__new__(PlaneWaveField), terms, rep, ncomp, backend)
+    _assert_same_value(filled, want)
+    for t in data.draw(_edge_terms(backend, ncomp, max_size=2)):
+        _assert_same_value(field_of(t, rep),
+                           PlaneWaveField((t,), rep=rep, ncomp=ncomp, backend=backend))
+
+
+def _rekeyed(f):
+    """f with every momentum replaced by an equal copy: the same keys, but no momentum shared."""
+    terms = [PlaneWaveTerm(amp, FourMomentum(p.p, p.mass, p.backend), s) for amp, p, s in f.terms]
+    return PlaneWaveField(terms, rep=f.rep, ncomp=f.ncomp, backend=f.backend)
+
+
+def _finite(f):
+    return all(abs(a) < float("inf") for t in f.terms for a in t.amplitude)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.sampled_from((4, 2)),
+       st.booleans(), st.data())
+def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data):
+    """Operands sharing momenta and signs term by term merge as when only their keys agree.
+
+    b takes a's momentum objects and signs in a's order, each amplitude
+    drawn anew or a's negated (so sums cancel exactly); ``_rekeyed(b)``
+    has the same keys on copied momenta, which sends ``_merge`` through
+    its keyed pass.
+    """
+    rep = build_rep(name)
+    a = PlaneWaveField(data.draw(_edge_terms(backend, ncomp, max_size=1 if single else 6)),
+                       rep=rep, ncomp=ncomp, backend=backend)
+    b_terms = []
+    for t in a.terms:
+        if data.draw(st.booleans()):
+            amp = tuple(-x for x in t.amplitude)
+        else:
+            amp = data.draw(_edge_amplitudes(backend, ncomp))
+        if any(amp):
+            b_terms.append(fields._term(amp, t.momentum, t.freq_sign))
+    b = fields._field(tuple(b_terms), rep, ncomp, backend)
+    far = _rekeyed(b)
+    for got, want in ((a + b, a + far), (a - b, a - far), (b + a, far + a), (b - a, far - a)):
+        _assert_bitwise_equal(got, want)
+        _assert_canonical(got, ncomp, backend)
+    if _finite(a):
+        for cancelled in (a - a, a + (-a), a - _rekeyed(a)):
+            assert cancelled.is_zero and cancelled.ncomp == ncomp
+
+
+def test_paired_merge_compares_no_key(monkeypatch):
+    f = _full_field(build_rep("standard"))
+    g, far = f.scale(2), _rekeyed(f.scale(2))
+    calls = []
+    key = PlaneWaveTerm.key
+    monkeypatch.setattr(PlaneWaveTerm, "key", lambda t: calls.append(t) or key(t))
+    assert (f + g) - g == f and (f - f).is_zero
+    assert calls == []
+    assert f + far == f + g and calls
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_apply_symbol_checks_the_symbol_of_every_term(backend):
+    f = _full_field(build_rep("spinor"))
+    if backend == FLOAT:
+        f = f.to_float()
+    other = FLOAT if backend == EXACT else EXACT
+    assert [t.freq_sign for t in f.terms][:2] == [-1, -1]  # the negative frequencies sort first
+    with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
+        apply_symbol(f, lambda p, s: Matrix.identity(4 if s < 0 else 2, backend))
+    with pytest.raises(BackendMismatch, match="symbol backend differs"):
+        apply_symbol(f, lambda p, s: Matrix.identity(4, backend if s < 0 else other))
