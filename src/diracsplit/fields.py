@@ -5,7 +5,8 @@ amplitude is a 2- or 4-component spinor, p is an on- or off-shell four-
 momentum and s = +-1 is the frequency sign.  Every equation verified by
 this package is linear with constant coefficients, so it holds for a
 field iff it holds term by term; the term algebra therefore checks the
-equations with no discretization error.
+equations with no discretization error, and ``subsolutions`` states
+each family of relations on one term.
 
 A term, ``PlaneWaveTerm``, is an immutable tuple ``(amplitude, momentum,
 freq_sign)`` with read-only attributes of those names: one allocation,
@@ -25,6 +26,15 @@ objects and signs in the same order pair up with no key compared;
 ``a - b`` scales b's amplitudes by -1 inside that pass, as ``-b`` would,
 and builds no ``-b``.
 
+What an operator does to the amplitudes of one key is written once, as
+the amplitude algebra of one term: ``_add`` (a + b), ``_sub`` (a +
+(-1) b, component by component), ``_scaled`` (c a) and ``_mul`` (a
+symbol or constant matrix through ``kernels.mul_vec``).  The operators
+use it, and so do the relation statements of ``subsolutions`` and the
+fuzz of ``suites``, which build no field: a relation measured on one
+term equals, bit for bit, the same relation measured on that term's
+field.
+
 The validating constructors coerce every amplitude component
 (``PlaneWaveTerm``) and merge, sort and check the terms
 (``PlaneWaveField``); they are for inputs that are not canonical yet.
@@ -39,10 +49,8 @@ derived from one field share its momenta, and a momentum keeps the
 symbols ``dirac_matrix`` built on it, per (rep, frequency sign, mass),
 in a field outside ``==``, ``hash`` and ``repr``: gamma.p is built once
 per momentum, sign and basis, and the memo goes when the momentum does.
-``subsolutions.SplitResult`` keeps its projected constituents, so the
-split residuals build each of them once.  Complex conjugation flips the
-frequency sign, which couples a field to its conjugate in the
-charge-conjugation and Majorana relations.
+Complex conjugation flips the frequency sign, which couples a field to
+its conjugate in the charge-conjugation and Majorana relations.
 
 Components mean something only in a named gamma basis, so every field
 carries its representation: the constructor requires a ``GammaRep``,
@@ -240,14 +248,24 @@ class PlaneWaveField:
         c = coerce_scalar(c, self.backend)
         terms = []
         for amp, p, s in self.terms:
-            amp = tuple(c * a for a in amp)
+            amp = _scaled(c, amp)
             if any(amp):
                 terms.append(_term(amp, p, s))
         return _field(tuple(terms), self.rep, self.ncomp, self.backend)
 
     def apply(self, m: Matrix) -> "PlaneWaveField":
-        """Apply a constant matrix to every amplitude: the constant symbol."""
-        return apply_symbol(self, lambda p, s: m)
+        """Apply a constant matrix to every amplitude: the constant symbol, checked once."""
+        terms, ncomp, backend = self.terms, self.ncomp, self.backend
+        if not terms:
+            return self
+        _check_symbol(m, ncomp, backend)
+        entries = m.entries
+        out = []
+        for amp, p, s in terms:
+            amp = kernels.mul_vec(ncomp, entries, amp)
+            if any(amp):
+                out.append(_term(amp, p, s))
+        return _field(tuple(out), self.rep, ncomp, backend)
 
     # -- predicates ------------------------------------------------------
 
@@ -333,8 +351,8 @@ def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
             if p is not q or s != r:
                 break
             if c is not None:
-                amp_b = tuple(c * y for y in amp_b)
-            amp = tuple(map(add, amp_a, amp_b))
+                amp_b = _scaled(c, amp_b)
+            amp = _add(amp_a, amp_b)
             if any(amp):
                 terms.append(_term(amp, q, r))
         else:
@@ -348,9 +366,9 @@ def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
             i += 1
             continue
         t = tb[j]
-        amp = t.amplitude if c is None else tuple(c * y for y in t.amplitude)
+        amp = t.amplitude if c is None else _scaled(c, t.amplitude)
         if i < len(ta) and ka[i] == kb[j]:
-            amp = tuple(map(add, ta[i].amplitude, amp))
+            amp = _add(ta[i].amplitude, amp)
             i += 1
         j += 1
         if amp is t.amplitude:
@@ -384,14 +402,41 @@ def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> P
     terms = []
     for amp, p, s in f.terms:
         m = symbol(p, s)
-        if m.n != ncomp:
-            raise ValueError(f"symbol size {m.n} vs {ncomp}-component field")
-        if m.backend != backend:
-            raise BackendMismatch("symbol backend differs from field backend")
+        _check_symbol(m, ncomp, backend)
         amp = kernels.mul_vec(ncomp, m.entries, amp)
         if any(amp):
             terms.append(_term(amp, p, s))
     return _field(tuple(terms), f.rep if rep is None else rep, ncomp, backend)
+
+
+def _check_symbol(m: Matrix, ncomp: int, backend: str) -> None:
+    if m.n != ncomp:
+        raise ValueError(f"symbol size {m.n} vs {ncomp}-component field")
+    if m.backend != backend:
+        raise BackendMismatch("symbol backend differs from field backend")
+
+
+# -- the amplitude algebra of one term (see the module docstring) ------------------
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """a + b, component by component: ``+`` of two fields on one key."""
+    return tuple(map(add, a, b))
+
+
+def _sub(a: tuple, b: tuple, backend: str) -> tuple:
+    """a + (-1) b, component by component: ``-`` of two fields on one key."""
+    return _add(a, _scaled(_MINUS_ONE[backend], b))
+
+
+def _scaled(c, a: tuple) -> tuple:
+    """c a, component by component: ``scale`` of a field on one term (c on a's backend)."""
+    return tuple(c * x for x in a)
+
+
+def _mul(m: Matrix, a: tuple) -> tuple:
+    """m a: a symbol, or ``apply`` of a constant matrix, on one term's amplitude."""
+    return kernels.mul_vec(m.n, m.entries, a)
 
 
 def conjugate(f: PlaneWaveField) -> PlaneWaveField:

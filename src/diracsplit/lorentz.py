@@ -44,7 +44,7 @@ from typing import Optional
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, apply_symbol
-from .gamma import METRIC_SIGNS, GammaRep
+from .gamma import METRIC_SIGNS, GammaRep, RepView
 from .matrices import Matrix, commutator, max_abs_diff
 from .reports import ResidualReport, residual_entry
 from .scalars import FLOAT
@@ -312,6 +312,12 @@ def transform_field(f: PlaneWaveField, params: LorentzParams) -> PlaneWaveField:
     return PlaneWaveField(out, rep=ff.rep, ncomp=4, backend=FLOAT)
 
 
+def reduced_dirac_symbol(view: RepView, p: FourMomentum, s: int, mass) -> Matrix:
+    """gamma_0 (s p^0) + gamma_1 (s p^1) - m: the symbol of ``reduced_dirac_residual``."""
+    g0, g1 = view.gammas_lower[:2]
+    return g0.scale(s * p.p[0]) + g1.scale(s * p.p[1]) - Matrix.diag((mass,) * 4, p.backend)
+
+
 def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     """(gamma^0 p_0 + gamma^1 p_1 - m) f.
 
@@ -319,6 +325,5 @@ def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     annihilate the field, and the Dirac operator gamma^mu p_mu collapses
     to its (0, 1) part; this evaluates that reduced form.
     """
-    g0, g1 = f.rep.on(f.backend).gammas_lower[:2]
-    return apply_symbol(f, lambda p, s: g0.scale(s * p.p[0]) + g1.scale(s * p.p[1])
-                        - Matrix.diag((mass,) * 4, p.backend))
+    view = f.rep.on(f.backend)
+    return apply_symbol(f, lambda p, s: reduced_dirac_symbol(view, p, s, mass))

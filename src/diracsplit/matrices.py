@@ -33,6 +33,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        """``pickle`` and ``copy`` rebuild through the constructor, not by setting slots."""
+        return Matrix, (self.n, self.backend, self.entries)
+
     # -- constructors --------------------------------------------------
 
     @classmethod

@@ -91,9 +91,11 @@ def residual_entry(label: str, equation: str, backend: str, value) -> ResidualEn
 
 def magnitude(value) -> float:
     """The largest magnitude in a residual value, NaN if any is NaN: the float an entry records."""
+    if isinstance(value, (list, tuple)):  # the values of relations stated on terms
+        return float(kernels.max_abs(value))
     if hasattr(value, "max_abs"):  # a Matrix or a PlaneWaveField
         return float(value.max_abs())
-    return float(kernels.max_abs(_scalars(value)))
+    return float(kernels.max_abs((value,)))
 
 
 def _scalars(value):

@@ -48,6 +48,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        """``pickle`` and ``copy`` rebuild through the constructor, not by setting slots."""
+        return GaussianRational, (self.re, self.im)
+
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):

@@ -13,14 +13,26 @@ with xi(1)^a + xi(2)^a = xi^a.  The two constituent fields
 
 each satisfy a closed three-line system, equivalent four-line forms, and
 the projector forms (gamma.p - m) P_k Psi_(k) = 0, which are basis
-independent.  Each family of these systems is stated once, as a list
-of ``(label, equation, value)`` relations (``recombination_relations``,
-``identity_relations``, ``constituent_relations``, and below
-``weyl_relations`` and ``majorana_relations``); the matching
-``*_residuals`` function measures the same list into a
-``ResidualReport``, and the float fuzz reads only the magnitudes of the
-values.  For exact inputs on an exact mass shell all residuals vanish
-identically.
+independent.
+
+Each family of relations is stated once, on one plane-wave term:
+``split_relations`` (the recombination, identity and constituent
+families), ``transported_relations``, ``weyl_relations`` and
+``majorana_relations`` take a term's amplitude, momentum and frequency
+sign, plus the representation view and the mass, and return ``(label,
+equation, value)`` relations whose values are tuples of scalars.  Every
+relation is linear with constant coefficients, so it holds for a field
+iff it holds on each of its terms: the field-level ``*_residuals``
+functions map the statement over a field's terms and concatenate each
+label's values (``termwise``), and ``split``'s preconditions and the
+exact witnesses read those; the float fuzz passes a sampled mode's
+amplitude straight in and builds no field.  The one family that couples
+two terms is Majorana's, where the term at (p, s) meets the conjugate
+of the term at (p, -s), as ``f - charge_conjugate(f)`` pairs them.  The
+statements do to the amplitudes what the field operators would, in the
+same order (see ``fields``), so a field's report is the same to the
+last bit either way.  For exact inputs on an exact mass shell all
+residuals vanish identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
@@ -33,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    ChargeConjugationNeedsBispinor,
     NotASolution,
     NotMajorana,
     SplitRequiresMass,
@@ -40,30 +53,49 @@ from .errors import (
     WeylRequiresMassless,
 )
 from .fields import (
+    FourMomentum,
     PlaneWaveField,
-    PlaneWaveTerm,
+    _add,
     _field,
+    _mul,
+    _scaled,
+    _sub,
     _term,
     apply_symbol,
     charge_conjugate,
-    conjugate,
-    dirac_op,
+    dirac_matrix,
     dirac_residual,
-    lower_half,
     upper_half,
 )
-from .gamma import GammaRep, build_rep
+from .gamma import GammaRep, RepView, build_rep
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
-from .scalars import EXACT, SCALAR_TYPE
+from .scalars import SCALAR_TYPE, coerce_scalar
 
 #: the bound of the float preconditions of split and majorana_residuals
 _TOL = 1e-10
 
 
+def termwise(relation_lists) -> list:
+    """A field's relations from its terms': each label's values concatenated in order.
+
+    ``relation_lists`` yields the relations of each term, values as
+    tuples of scalars.  Every relation here is linear with constant
+    coefficients, so it holds on a field iff it holds on each term, and
+    the field's residual is the largest of its terms'.  Labels keep their
+    order of first appearance; a field with no terms has no relations.
+    """
+    merged: dict = {}
+    for relations in relation_lists:
+        for label, equation, value in relations:
+            held = merged.get(label)
+            merged[label] = (equation, value) if held is None else (equation, held[1] + value)
+    return [(label, equation, value) for label, (equation, value) in merged.items()]
+
+
 @dataclass(frozen=True)
 class SplitResult:
-    """A split; its xi pairs and projected constituents are built once, when first read."""
+    """A split; its xi pairs and its relations are built once, when first read."""
 
     psi: PlaneWaveField
     psi1: PlaneWaveField
@@ -81,31 +113,33 @@ class SplitResult:
         return upper_half(self.psi2)
 
     @cached_property
-    def projected(self) -> tuple:
-        """(P1 Psi_(1), P2 Psi_(2))."""
-        ps = self.psi.rep.on(self.psi.backend).p
-        return (self.psi1.apply(ps[0]), self.psi2.apply(ps[1]))
-
-    @cached_property
-    def dirac_projected(self) -> tuple:
-        """(gamma.p P1 Psi_(1), gamma.p P2 Psi_(2))."""
-        return tuple(dirac_op(f) for f in self.projected)
+    def relations(self) -> tuple:
+        """(recombination, identity, constituent): ``split_relations`` over psi's terms."""
+        view = self.psi.rep.on(self.psi.backend)
+        per_term = [split_relations(view, amp, p, s, self.mass) for amp, p, s in self.psi.terms]
+        return tuple(termwise(families[k] for families in per_term) for k in range(3))
 
 
-def _term_q(term: PlaneWaveTerm) -> tuple:
-    """Momentum-operator eigenvalues (q^0..q^3) on one term."""
-    s = term.freq_sign
-    return tuple(c * s for c in term.momentum.p)
+def split_term(amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
+    """The amplitudes (Psi_(1), Psi_(2)) of one term: the defining relations.
+
+    The momentum operator's eigenvalues on the term are q = s p.
+    """
+    scalar = SCALAR_TYPE[p.backend]
+    q0, q1, q2, q3 = (c * s for c in p.p)
+    eta = amp[2:]
+    eta1, eta2 = eta
+    return (((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass) + eta,
+            (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass) + eta)
 
 
 def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitResult:
     """Decompose a Dirac solution into its two constituent fields.
 
-    The xi(i) components are computed term-wise by applying the defining
-    momentum operators to the eta components and dividing by the mass.
-    The recombination invariants (xi(1)+xi(2) = xi componentwise and
-    P1 Psi_(1) + P2 Psi_(2) = Psi) are verified before returning: exactly
-    on the exact backend, within the constant bound 1e-10 on the float one.
+    Each term is split by ``split_term``.  The recombination invariants
+    (xi(1)+xi(2) = xi componentwise and P1 Psi_(1) + P2 Psi_(2) = Psi)
+    are verified before returning: exactly on the exact backend, within
+    the constant bound 1e-10 on the float one.
 
     ``require_solution=False`` skips the Dirac-solution precondition and
     the recombination checks; it exists so negative controls can push
@@ -126,14 +160,9 @@ def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitR
             raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
 
     # each constituent keeps psi's keys, so it is built term by term
-    scalar = SCALAR_TYPE[psi.backend]
     terms1, terms2 = [], []
     for amp, p, s in psi.terms:
-        q0, q1, q2, q3 = (c * s for c in p.p)
-        eta = amp[2:]
-        eta1, eta2 = eta
-        amp1 = ((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass) + eta
-        amp2 = (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass) + eta
+        amp1, amp2 = split_term(amp, p, s, mass)
         if any(amp1):
             terms1.append(_term(amp1, p, s))
         if any(amp2):
@@ -153,200 +182,180 @@ def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitR
 # -- residual evaluation -------------------------------------------------------
 
 
-def recombination_relations(sr: SplitResult) -> list:
-    """The defining recombinations as ``(label, equation, value)`` relations.
+def _projector_forms(view: RepView, p: FourMomentum, s: int, mass, k: int, psi_k: tuple) -> tuple:
+    """P_k Psi_(k) on one term, and the projector forms of constituent k there.
 
-    xi(1)^a + xi(2)^a - xi^a componentwise, and the projector
-    recombination P1 Psi_(1) + P2 Psi_(2) - Psi.
+    Returns (P_k Psi_(k), (gamma.p - m) P_k Psi_(k), P_k gamma.p P_k
+    Psi_(k) - m P_k Psi_(k), (1 - P_k) gamma.p P_k Psi_(k)), in ``view``'s
+    basis; gamma.p is applied once.
     """
-    diff = sr.xi1_pair + sr.xi2_pair - upper_half(sr.psi)
-    proj1, proj2 = sr.projected
-    return [
-        ("recombine.xi1", "def3", [t.amplitude[0] for t in diff.terms]),
-        ("recombine.xi2", "def4", [t.amplitude[1] for t in diff.terms]),
-        ("recombine.psi", "psi", proj1 + proj2 - sr.psi),
+    backend = view.backend
+    p_k = view.p[k - 1]
+    projected = _mul(p_k, psi_k)
+    image = _mul(dirac_matrix(view.rep, p, s), projected)
+    return (projected,
+            _mul(dirac_matrix(view.rep, p, s, mass), projected),
+            _sub(_mul(p_k, image), _scaled(coerce_scalar(mass, backend), projected), backend),
+            _mul(view.complements[k - 1], image))
+
+
+def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
+    """The split's relations on one term, as (recombination, identity, constituent) lists.
+
+    ``view`` is the spinor basis on the term's backend.  Recombination:
+    xi(1)^a + xi(2)^a - xi^a componentwise, and P1 Psi_(1) + P2 Psi_(2)
+    - Psi.  Identities:
+
+        (p1 + i p2) xi(1)^1 = (p0 + p3) xi(1)^2
+        (p0 - p3) xi(2)^1 = (p1 - i p2) xi(2)^2
+        (1 - P_i) gamma.p P_i Psi_(i) = 0   (i = 1, 2)
+
+    Constituents, in all four formulations: the three-line systems, the
+    four-line systems, the projector forms (gamma.p - m) P_k Psi_(k), and
+    the projected form P_i gamma.p P_i Psi_(i) - m P_i Psi_(i).
+    """
+    backend = view.backend
+    scalar = SCALAR_TYPE[backend]
+    psi1, psi2 = split_term(amp, p, s, mass)
+    proj1, dirac1, projected1, repfree1 = _projector_forms(view, p, s, mass, 1, psi1)
+    proj2, dirac2, projected2, repfree2 = _projector_forms(view, p, s, mass, 2, psi2)
+    xi = _sub(_add(psi1[:2], psi2[:2]), amp[:2], backend)
+    recombination = [
+        ("recombine.xi1", "def3", xi[:1]),
+        ("recombine.xi2", "def4", xi[1:]),
+        ("recombine.psi", "psi", _sub(_add(proj1, proj2), amp, backend)),
+    ]
+
+    q0, q1, q2, q3 = (c * s for c in p.p)
+    qp, qm = scalar(q1, q2), scalar(q1, -q2)
+    xi11, xi12, eta1, _ = psi1
+    xi21, xi22, _, eta2 = psi2
+    identity = [
+        ("identity.id1", "id1", (qp * xi11 - (q0 + q3) * xi12,)),
+        ("identity.id2", "id2", ((q0 - q3) * xi21 - qm * xi22,)),
+        ("identity.repfree.P1", "identities", repfree1),
+        ("identity.repfree.P2", "identities", repfree2),
+    ]
+
+    m = mass
+    return recombination, identity, [
+        ("constituent1.line1", "constituent1", ((q0 + q3) * eta1 - m * xi11,)),
+        ("constituent1.line2", "constituent1", (qp * eta1 - m * xi12,)),
+        ("constituent1.line3", "constituent1", ((q0 - q3) * xi11 - qm * xi12 - m * eta1,)),
+        ("constituent2.line1", "constituent2", (qm * eta2 - m * xi21,)),
+        ("constituent2.line2", "constituent2", ((q0 - q3) * eta2 - m * xi22,)),
+        ("constituent2.line4", "constituent2", (-qp * xi21 + (q0 + q3) * xi22 - m * eta2,)),
+        ("constituent1-4.line4", "constituent1/4", ((q0 + q3) * xi12 - qp * xi11,)),
+        ("constituent2-4.line3", "constituent2/4", ((q0 - q3) * xi21 - qm * xi22,)),
+        ("constituent1-P.dirac", "constituent1/P", dirac1),
+        ("constituents3.P1", "constituents/3", projected1),  # P1 gamma.p P1 Psi_(1) = m P1 Psi_(1)
+        ("constituent2-P.dirac", "constituent2/P", dirac2),
+        ("constituents3.P2", "constituents/3", projected2),
     ]
 
 
 def recombination_residuals(sr: SplitResult) -> ResidualReport:
-    """``recombination_relations`` measured on the split's backend."""
-    return residual_report(sr.psi.backend, recombination_relations(sr))
-
-
-def identity_relations(sr: SplitResult) -> list:
-    """The two scalar identities and their basis-independent form, as relations.
-
-    (p1 + i p2) xi(1)^1 = (p0 + p3) xi(1)^2
-    (p0 - p3) xi(2)^1 = (p1 - i p2) xi(2)^2
-    (1 - P_i) gamma.p P_i Psi_(i) = 0   (i = 1, 2)
-    """
-    backend = sr.psi.backend
-    scalar = SCALAR_TYPE[backend]
-    id1, id2 = [], []
-    for term in sr.xi1_pair.terms:
-        q0, q1, q2, q3 = _term_q(term)
-        a, b = term.amplitude
-        id1.append(scalar(q1, q2) * a - (q0 + q3) * b)
-    for term in sr.xi2_pair.terms:
-        q0, q1, q2, q3 = _term_q(term)
-        a, b = term.amplitude
-        id2.append((q0 - q3) * a - scalar(q1, -q2) * b)
-
-    relations = [("identity.id1", "id1", id1), ("identity.id2", "id2", id2)]
-    complements = sr.psi.rep.on(backend).complements
-    for i, (eps, image) in enumerate(zip(complements, sr.dirac_projected), start=1):
-        relations.append((f"identity.repfree.P{i}", "identities", image.apply(eps)))
-    return relations
+    """The recombination relations of ``split_relations``, over the split's terms."""
+    return residual_report(sr.psi.backend, sr.relations[0])
 
 
 def identity_residuals(sr: SplitResult) -> ResidualReport:
-    """``identity_relations`` measured on the split's backend."""
-    return residual_report(sr.psi.backend, identity_relations(sr))
+    """The identity relations of ``split_relations``, over the split's terms."""
+    return residual_report(sr.psi.backend, sr.relations[1])
 
 
-def constituent_relations(sr: SplitResult) -> list:
-    """The constituent systems in all four formulations, as relations.
+def constituent_residuals(sr: SplitResult) -> ResidualReport:
+    """The constituent relations of ``split_relations``, over the split's terms."""
+    return residual_report(sr.psi.backend, sr.relations[2])
 
-    Three-line systems, four-line systems, the projector forms
-    (gamma.p - m) P_k Psi_(k), and the projected form
-    P_i gamma.p P_i Psi_(i) - m P_i Psi_(i).
+
+def transported_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> list:
+    """The basis-independent constituent checks of one spinor-basis term, in ``view``'s basis.
+
+    Each constituent is transported with the pinned integer intertwiner
+    W (an overall scale, so exact zeros stay exact) and the projector
+    forms are evaluated against the target basis's own gamma matrices
+    and projectors.
     """
-    scalar = SCALAR_TYPE[sr.psi.backend]
-    m = sr.mass
-    lines1: dict = {1: [], 2: [], 3: [], 4: []}
-    lines2: dict = {1: [], 2: [], 3: [], 4: []}
-    for term in sr.psi1.terms:
-        q0, q1, q2, q3 = _term_q(term)
-        xi1, xi2, eta1, _ = term.amplitude
-        qp, qm = scalar(q1, q2), scalar(q1, -q2)
-        lines1[1].append((q0 + q3) * eta1 - m * xi1)
-        lines1[2].append(qp * eta1 - m * xi2)
-        lines1[3].append((q0 - q3) * xi1 - qm * xi2 - m * eta1)
-        lines1[4].append((q0 + q3) * xi2 - qp * xi1)
-    for term in sr.psi2.terms:
-        q0, q1, q2, q3 = _term_q(term)
-        xi1, xi2, _, eta2 = term.amplitude
-        qp, qm = scalar(q1, q2), scalar(q1, -q2)
-        lines2[1].append(qm * eta2 - m * xi1)
-        lines2[2].append((q0 - q3) * eta2 - m * xi2)
-        lines2[3].append((q0 - q3) * xi1 - qm * xi2)
-        lines2[4].append(-qp * xi1 + (q0 + q3) * xi2 - m * eta2)
-
-    relations = [
-        ("constituent1.line1", "constituent1", lines1[1]),
-        ("constituent1.line2", "constituent1", lines1[2]),
-        ("constituent1.line3", "constituent1", lines1[3]),
-        ("constituent2.line1", "constituent2", lines2[1]),
-        ("constituent2.line2", "constituent2", lines2[2]),
-        ("constituent2.line4", "constituent2", lines2[4]),
-        ("constituent1-4.line4", "constituent1/4", lines1[4]),
-        ("constituent2-4.line3", "constituent2/4", lines2[3]),
-    ]
-    ps = sr.psi.rep.on(sr.psi.backend).p
-    for i, (p, projected, image) in enumerate(zip(ps, sr.projected, sr.dirac_projected),
-                                              start=1):
+    w = build_rep("spinor").on(view.backend).intertwiner(view.rep).w
+    tag = f"transport.{view.rep.name}"
+    relations = []
+    for k, psi_k in enumerate(split_term(amp, p, s, mass), start=1):
+        _, dirac, projected, repfree = _projector_forms(view, p, s, mass, k, _mul(w, psi_k))
         relations += [
-            (f"constituent{i}-P.dirac", f"constituent{i}/P", dirac_residual(projected, m)),
-            # P_i gamma.p P_i Psi_(i) = m P_i Psi_(i)
-            (f"constituents3.P{i}", "constituents/3", image.apply(p) - projected.scale(m)),
+            (f"{tag}.constituent{k}-P", f"constituent{k}/P", dirac),
+            (f"{tag}.constituents3.P{k}", "constituents/3", projected),
+            (f"{tag}.identities.P{k}", "identities", repfree),
         ]
     return relations
 
 
-def constituent_residuals(sr: SplitResult) -> ResidualReport:
-    """``constituent_relations`` measured on the split's backend."""
-    return residual_report(sr.psi.backend, constituent_relations(sr))
-
-
 def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> ResidualReport:
-    """Basis-independent constituent checks in another representation.
-
-    Fields are transported with the pinned integer intertwiner W (an
-    overall scale, so exact zeros stay exact) and the projector forms
-    are re-evaluated against rep_to's own gamma matrices and projectors.
-    """
+    """``transported_relations`` in ``rep_to``, over the split's terms."""
     backend = sr.psi.backend
-    w = sr.psi.rep.on(backend).intertwiner(rep_to).w
     view = rep_to.on(backend)
-    tag = f"transport.{rep_to.name}"
-    relations = []
-    for i, psi_i in ((1, sr.psi1), (2, sr.psi2)):
-        moved = apply_symbol(psi_i, lambda q, s: w, rep=rep_to)
-        p = view.p[i - 1]
-        projected = moved.apply(p)
-        image = dirac_op(projected)
-        relations += [
-            (f"{tag}.constituent{i}-P", f"constituent{i}/P", dirac_residual(projected, sr.mass)),
-            (f"{tag}.constituents3.P{i}", "constituents/3",
-             image.apply(p) - projected.scale(sr.mass)),
-            (f"{tag}.identities.P{i}", "identities", image.apply(view.complements[i - 1])),
-        ]
-    return residual_report(backend, relations)
+    return residual_report(backend, termwise(transported_relations(view, amp, p, s, sr.mass)
+                                             for amp, p, s in sr.psi.terms))
 
 
 # -- Weyl ----------------------------------------------------------------------
 
 
-def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
-    """(p^0 + sign * sigma.p) acting on a 2-component field.
+def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
+    """The symbol of (p^0 + sign * sigma.p) on a term with eigenvalues q = s p.
 
-    Its symbol on a term with eigenvalues q = s p is the 2x2 matrix
     [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]].
     """
+    scalar = SCALAR_TYPE[p.backend]
+    q0, q1, q2, q3 = (c * s for c in p.p)
+    q1, q2, q3 = sign * q1, sign * q2, sign * q3
+    return Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
+                                 scalar(q1, q2), scalar(q0 - q3)))
+
+
+def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
+    """(p^0 + sign * sigma.p) acting on a 2-component field."""
     if f.ncomp != 2:
         raise ValueError("sigma.p acts on 2-component fields")
-
-    def symbol(p, s):
-        scalar = SCALAR_TYPE[p.backend]
-        q0, q1, q2, q3 = (c * s for c in p.p)
-        q1, q2, q3 = sign * q1, sign * q2, sign * q3
-        return Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
-                                     scalar(q1, q2), scalar(q0 - q3)))
-
-    return apply_symbol(f, symbol)
+    return apply_symbol(f, lambda p, s: _sigma_symbol(p, s, sign))
 
 
-def _to_spinor_basis(f: PlaneWaveField) -> PlaneWaveField:
-    """Rotate a bispinor field into the spinor basis with the exact W.
-
-    The transport is W-scaled (norm 2 or 4), not unitary; residual
-    magnitudes pick up that bounded factor, exact zeros are unaffected.
-    """
-    if f.rep.name == "spinor":
-        return f
-    sp = build_rep("spinor")
-    w = f.rep.on(f.backend).intertwiner(sp).w
-    return apply_symbol(f, lambda p, s: w, rep=sp)
-
-
-def weyl_relations(f: PlaneWaveField) -> list:
-    """The massless chiral equations as ``(label, equation, value)`` relations.
+def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
+    """The massless chiral equations on one term, in ``view``'s basis.
 
     The two-component forms (p0 + sigma.p) eta = 0, (p0 - sigma.p) xi = 0
-    evaluated on the chiral halves (in the spinor basis), plus the
-    bispinor forms gamma.p Q-+ f = 0.
+    evaluated on the chiral halves in the spinor basis, plus the bispinor
+    forms gamma.p Q-+ psi = 0.  Outside the spinor basis the halves are
+    taken after the exact W, which is W-scaled (norm 2 or 4), not
+    unitary: residual magnitudes pick up that bounded factor, exact zeros
+    are unaffected.
     """
-    view = f.rep.on(f.backend)
-    fs = _to_spinor_basis(f)
+    spinor = build_rep("spinor")
+    chiral = amp if view.rep.name == "spinor" else _mul(view.intertwiner(spinor).w, amp)
+    gamma_p = dirac_matrix(view.rep, p, s)
     return [
-        ("eta", "Weyl1", sigma_momentum_op(lower_half(fs), +1)),
-        ("xi", "Weyl2", sigma_momentum_op(upper_half(fs), -1)),
-        ("bispinor.Qminus", "DiracNeutrino", dirac_op(f.apply(view.q_minus))),
-        ("bispinor.Qplus", "DiracNeutrino", dirac_op(f.apply(view.q_plus))),
+        ("eta", "Weyl1", _mul(_sigma_symbol(p, s, +1), chiral[2:])),
+        ("xi", "Weyl2", _mul(_sigma_symbol(p, s, -1), chiral[:2])),
+        ("bispinor.Qminus", "DiracNeutrino", _mul(gamma_p, _mul(view.q_minus, amp))),
+        ("bispinor.Qplus", "DiracNeutrino", _mul(gamma_p, _mul(view.q_plus, amp))),
     ]
 
 
 def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
-    """``weyl_relations`` measured on f's backend.
+    """``weyl_relations`` over f's terms, on f's backend.
 
     ``check_mass=False`` lets a massive field through as a negative
     control; the residuals are then expected to be large.
     """
+    if f.ncomp != 4:
+        raise ValueError("the Weyl relations act on bispinor fields")
     if check_mass:
         for t in f.terms:
             if t.momentum.mass:
                 raise WeylRequiresMassless("field carries a massive term")
-    return residual_report(f.backend, weyl_relations(f))
+    view = f.rep.on(f.backend)
+    return residual_report(f.backend, termwise(weyl_relations(view, amp, p, s)
+                                               for amp, p, s in f.terms))
 
 
 # -- Majorana --------------------------------------------------------------------
@@ -357,43 +366,67 @@ def majorana_build(psi: PlaneWaveField) -> PlaneWaveField:
     return psi + charge_conjugate(psi)
 
 
-def majorana_relations(f: PlaneWaveField, mass) -> list:
-    """The self-conjugacy condition and the Majorana system as relations.
+def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentum, s: int,
+                       mass) -> list:
+    """Self-conjugacy and, in the spinor basis, the Majorana system on the term at (p, s).
 
-    Verifies f = C f, then in the spinor basis the coupled equations
-    (p0 + sigma.p) eta = -i m sigma2 eta*, (p0 - sigma.p) xi = +i m
-    sigma2 xi*, and the component relations xi = -i sigma2 eta*,
-    eta = +i sigma2 xi*.  Raises "not-majorana" when self-conjugacy
-    fails (exactly on the exact backend, beyond the constant bound 1e-10
-    on the float one); the component checks require the spinor basis.
+    ``partner`` is the amplitude of the term at (p, -s): conjugation flips
+    the frequency sign, so C f at (p, s) is M conj(partner), with M the
+    basis's conjugation matrix, and the coupled equations pair the term
+    with it in the same way.  Self-conjugacy f = C f holds in every basis;
+    the spinor basis adds (p0 + sigma.p) eta = -i m sigma2 eta*,
+    (p0 - sigma.p) xi = +i m sigma2 xi*, and the component relations
+    xi = -i sigma2 eta*, eta = +i sigma2 xi*.
     """
+    backend = view.backend
+    conj = tuple(a.conjugate() for a in partner)
+    relations = [("selfconj", "MAJORANA", _sub(amp, _mul(view.conjugation, conj), backend))]
+    if view.rep.name != "spinor":
+        return relations
+    scalar = SCALAR_TYPE[backend]
+    i_m, i_one, zero = scalar(0, mass), scalar(0, 1), scalar(0)
+    s2 = Matrix(2, backend, (zero, scalar(0, -1), i_one, zero))  # sigma2
+    xi, eta = amp[:2], amp[2:]
+    s2_eta = _mul(s2, conj[2:])  # sigma2 eta*
+    s2_xi = _mul(s2, conj[:2])  # sigma2 xi*
+    return relations + [
+        ("eq1", "Majorana1", _add(_mul(_sigma_symbol(p, s, +1), eta), _scaled(i_m, s2_eta))),
+        ("eq2", "Majorana2", _sub(_mul(_sigma_symbol(p, s, -1), xi), _scaled(i_m, s2_xi),
+                                  backend)),
+        ("xi-consistency", "MAJORANA", _add(xi, _scaled(i_one, s2_eta))),
+        ("eta-consistency", "MAJORANA", _sub(eta, _scaled(i_one, s2_xi), backend)),
+    ]
+
+
+def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
+    """``majorana_relations`` at every key of f or of C f, on f's backend.
+
+    At (p, s) the term of f there meets its partner at (p, -s), exactly
+    as ``f - charge_conjugate(f)`` pairs them; an absent one is zero.
+    Raises "not-majorana" when self-conjugacy fails (exactly on the exact
+    backend, beyond the constant bound 1e-10 on the float one); the
+    component checks require the spinor basis.
+    """
+    if f.ncomp != 4:
+        raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")
     backend = f.backend
-    defect = f - charge_conjugate(f)
-    if not (defect.is_zero if backend == EXACT else defect.max_abs() <= _TOL):
+    view = f.rep.on(backend)
+    zero = (SCALAR_TYPE[backend](0),) * 4
+    at = {t.key(): t for t in f.terms}
+    per_term = []
+    for key in sorted(at.keys() | {(-k[0],) + k[1:] for k in at}):
+        term, partner = at.get(key), at.get((-key[0],) + key[1:])
+        per_term.append(majorana_relations(
+            view, term.amplitude if term else zero, partner.amplitude if partner else zero,
+            (term or partner).momentum, key[0], mass))
+    report = residual_report(backend, termwise(per_term))
+    selfconj = report.entries[:1]  # first in every basis; a field with no terms has none
+    if selfconj and not selfconj[0].within(_TOL):
         raise NotMajorana(
-            f"charge-conjugation residual {defect.max_abs():.3e} ({backend}, tol {_TOL})"
+            f"charge-conjugation residual {selfconj[0].residual:.3e} ({backend}, tol {_TOL})"
         )
     if f.rep.name != "spinor":
         raise SplitRequiresSpinorRep(
             "Majorana component checks are pinned to the spinor basis"
         )
-    scalar = SCALAR_TYPE[backend]
-    i_m, i_one, zero = scalar(0, mass), scalar(0, 1), scalar(0)
-    s2 = Matrix(2, backend, (zero, scalar(0, -1), i_one, zero))  # sigma2
-
-    eta = lower_half(f)
-    xi = upper_half(f)
-    s2_eta = conjugate(eta).apply(s2)  # sigma2 eta*
-    s2_xi = conjugate(xi).apply(s2)  # sigma2 xi*
-    return [
-        ("selfconj", "MAJORANA", defect),
-        ("eq1", "Majorana1", sigma_momentum_op(eta, +1) + s2_eta.scale(i_m)),
-        ("eq2", "Majorana2", sigma_momentum_op(xi, -1) - s2_xi.scale(i_m)),
-        ("xi-consistency", "MAJORANA", xi + s2_eta.scale(i_one)),
-        ("eta-consistency", "MAJORANA", eta - s2_xi.scale(i_one)),
-    ]
-
-
-def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
-    """``majorana_relations`` measured on f's backend."""
-    return residual_report(f.backend, majorana_relations(f, mass))
+    return report

@@ -16,13 +16,18 @@ once per view on its backend, so a second run in one process repeats no
 matrix product; on the exact backend the validated ones are the very
 residuals the views' validations checked.
 
-A claim is stated once, as ``(label, equation, value)`` relations (see
-``subsolutions``), and checked from that one statement exactly on a
-witness and in floats over seeded fuzz: ``_split_relations``,
+A claim is stated once, on one plane-wave term, as ``(label, equation,
+value)`` relations (see ``subsolutions``), and checked from that one
+statement exactly on a witness and in floats over seeded fuzz.  A
+witness measures the relations of its field, concatenated over the
+terms (``subsolutions.termwise``), into entries with
+``reports.residual_report``.  A fuzz trial passes its sampled modes'
+amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
-the momentum they are given.  A witness measures its relations into
-entries with ``reports.residual_report``; a fuzz campaign builds no
-entry per trial.  One driver, ``_fuzz``, runs every campaign: it reads
+the momentum they are given, and a covariance trial moves each
+amplitude through S and its momentum through a once, as
+``lorentz.transform_field`` does to a field.  One driver, ``_fuzz``,
+runs every campaign: it reads
 ``reports.magnitude`` of each value, the float an entry would record,
 and keeps each label's largest, NaN if any trial gave NaN.  Trials
 derive per-trial sub-seeds from (seed, family tag, index), so records
@@ -48,8 +53,8 @@ from .errors import NotASolution, SplitRequiresMass, WeylRequiresMassless
 from .fields import (
     FourMomentum,
     PlaneWaveTerm,
-    apply_symbol,
-    charge_conjugate,
+    _mul,
+    _sub,
     dirac_matrix,
     dirac_residual,
     field_of,
@@ -59,9 +64,9 @@ from .fields import (
 from .gamma import REP_NAMES, build_rep
 from .lorentz import (
     COVARIANCE_GRID,
-    reduced_dirac_residual,
+    reduced_dirac_symbol,
     special_frame,
-    transform_field,
+    spinor_transform,
     transformed_projectors,
     vector_transform,
 )
@@ -78,12 +83,11 @@ from .reports import (
 )
 from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
-    constituent_relations,
-    identity_relations,
-    majorana_build,
     majorana_relations,
-    recombination_relations,
     split,
+    split_relations,
+    split_term,
+    termwise,
     transported_constituent_residuals,
     weyl_relations,
     weyl_residuals,
@@ -370,11 +374,6 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
 # -- split suite ------------------------------------------------------------------
 
 
-def _split_relations(sr):
-    """The recombination, identity and constituent relations of a split, in report order."""
-    return recombination_relations(sr) + identity_relations(sr) + constituent_relations(sr)
-
-
 def _run_split(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
     others = tuple(r for r in _ALL_REPS if r.name != "spinor")
@@ -397,24 +396,27 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
             for label, eq, got, want in witnesses:
                 diff = [a - b for a, b in zip(got, want)]
                 out.add(f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff))
-            entries = residual_report(EXACT, _split_relations(sr)).entries
+            relations = [r for family in sr.relations for r in family]
+            entries = residual_report(EXACT, relations).entries
             for rep_to in others:
                 entries += transported_constituent_residuals(sr, rep_to).entries
             for e in entries:
                 out.add(f"split.witness.s{s}.{e.label}", e)
 
     if config.run_float:
+        view = sp.on(FLOAT)
+
         def trial_residuals(rng, _):
             p = _sample_massive(rng, config)
             amps = []
             for s in (1, 2):
-                u = u_spinor(p, sp, s)
-                amps.append(u.amplitude)
-                psi = field_of(u, sp)
-                yield "input-dirac-residual", "Dirac1", dirac_residual(psi, p.mass)
-                norm = kernels.ordered_sum(abs(a) ** 2 for a in u.amplitude)
+                amp = u_spinor(p, sp, s).amplitude
+                amps.append(amp)
+                yield "input-dirac-residual", "Dirac1", _mul(dirac_matrix(sp, p, 1, p.mass), amp)
+                norm = kernels.ordered_sum(abs(a) ** 2 for a in amp)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
-                yield from _split_relations(split(psi, p.mass, require_solution=False))
+                for family in split_relations(view, amp, p, 1, p.mass):
+                    yield from family
             yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
                 (a.conjugate() * b for a, b in zip(*amps)), 0j))
 
@@ -445,10 +447,10 @@ def _weyl_relations(rep, p: FourMomentum):
     """The Weyl relations and the chiral image on p's backend, labelled ``<chirality>.<label>``."""
     view = rep.on(p.backend)
     for ch, proj in (("left", view.q_plus), ("right", view.q_minus)):
-        f = field_of(weyl_spinor(p, rep, ch), rep)
-        for label, equation, value in weyl_relations(f):
+        amp = weyl_spinor(p, rep, ch).amplitude
+        for label, equation, value in weyl_relations(view, amp, p, 1):
             yield f"{ch}.{label}", equation, value
-        yield f"{ch}.chiral-image", "DiracNeutrino", f.apply(proj) - f
+        yield f"{ch}.chiral-image", "DiracNeutrino", _sub(_mul(proj, amp), amp, p.backend)
 
 
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
@@ -478,16 +480,20 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
 
 
 def _majorana_relations(rep, p: FourMomentum, s: int):
-    """The relations on p's backend of the Majorana field built from u_s.
+    """The relations on p's backend of the Majorana field u_s + C u_s, term by term.
 
-    The spinor basis has the component checks; the other bases get the
-    basis-independent ones, self-conjugacy and the Dirac equation.
+    Its terms are u_s at (p, +1) and C u_s = M conj(u_s) at (p, -1),
+    each the other's partner.  The spinor basis has the component checks;
+    the other bases get the basis-independent ones, self-conjugacy and
+    the Dirac equation.
     """
-    maj = majorana_build(field_of(u_spinor(p, rep, s), rep))
-    if rep.name == "spinor":
-        return majorana_relations(maj, p.mass)
-    return [("selfconj", "MAJORANA", maj - charge_conjugate(maj)),
-            ("dirac", "Dirac1", dirac_residual(maj, p.mass))]
+    view = rep.on(p.backend)
+    u = u_spinor(p, rep, s).amplitude
+    cu = _mul(view.conjugation, tuple(a.conjugate() for a in u))
+    for amp, sign, partner in ((u, 1, cu), (cu, -1, u)):
+        yield from majorana_relations(view, amp, partner, p, sign, p.mass)
+        if rep.name != "spinor":
+            yield "dirac", "Dirac1", _mul(dirac_matrix(rep, p, sign, p.mass), amp)
 
 
 def _run_majorana(config: RunConfig, out: _Collector) -> None:
@@ -497,7 +503,7 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
         if config.run_exact:
             p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
             for s in (1, 2):
-                for e in residual_report(EXACT, _majorana_relations(rep, p, s)):
+                for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])):
                     out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
         if config.run_float:
             def trial_residuals(rng, _):
@@ -513,10 +519,14 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
 # -- covariance suite -------------------------------------------------------------
 
 def _sampled_split(rng: Random, config: RunConfig, trial: int):
-    """A seeded massive momentum and the split of its spinor-basis u, spin alternating by trial."""
+    """A seeded massive momentum p, and the amplitudes (u, Psi_(1), Psi_(2)) of its split.
+
+    u is the spinor-basis u_s(p) at frequency sign +1, the spin
+    alternating by trial.
+    """
     p = _sample_massive(rng, config)
-    sp = build_rep("spinor")
-    return p, split(field_of(u_spinor(p, sp, 1 + trial % 2), sp), p.mass, require_solution=False)
+    u = u_spinor(p, build_rep("spinor"), 1 + trial % 2).amplitude
+    return p, (u,) + split_term(u, p, 1, p.mass)
 
 
 def _run_covariance(config: RunConfig, out: _Collector) -> None:
@@ -537,18 +547,18 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
         def trial_residuals(rng, trial):
-            p, sr = _sampled_split(rng, config, trial)
-            psis = (sr.psi, sr.psi1, sr.psi2)
+            p, amps = _sampled_split(rng, config, trial)
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
-                psis = tuple(apply_symbol(f, lambda q, s: u, rep=rep) for f in psis)
+                amps = tuple(_mul(u, a) for a in amps)
+            # each amplitude through S, the momentum through a, as transform_field does
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
-            psi_t = transform_field(psis[0], params)
-            yield "transformed-solution", "Dirac1", dirac_residual(psi_t, p.mass)
+            s_mat = spinor_transform(params, rep)
+            dirac = dirac_matrix(rep, vector_transform(params).apply(p), 1, p.mass)
+            yield "transformed-solution", "Dirac1", _mul(dirac, _mul(s_mat, amps[0]))
             for k, p_prime in zip((1, 2), transformed_projectors(params, rep)):
-                moved = transform_field(psis[k], params)
                 yield (f"transformed-constituent{k}", "DP2b",
-                       dirac_residual(moved.apply(p_prime), p.mass))
+                       _mul(dirac, _mul(p_prime, _mul(s_mat, amps[k]))))
 
         _fuzz(config, out, f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
               min(config.trials, _COV_TRIAL_CAP), trial_residuals, lambda label: config.tol)
@@ -561,7 +571,8 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
 
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
-    view = build_rep("spinor").on(FLOAT)
+    sp = build_rep("spinor")
+    view = sp.on(FLOAT)
     p1f, p2f = view.p[:2]
 
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
@@ -572,21 +583,25 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
             residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol)
 
     def trial_residuals(rng, trial):
-        p, sr = _sampled_split(rng, config, trial)
+        p, (_, psi1, psi2) = _sampled_split(rng, config, trial)
         rot, boost = special_frame(p)
-        moved1 = transform_field(transform_field(sr.psi1, rot), boost)
-        moved2 = transform_field(transform_field(sr.psi2, rot), boost)
-        q0, q1, q2, q3 = moved1.terms[0].momentum.p
+        # the rotation, then the boost, of each constituent and of p, as transform_field does
+        s_rot, s_boost = spinor_transform(rot, sp), spinor_transform(boost, sp)
+        moved1 = _mul(s_boost, _mul(s_rot, psi1))
+        moved2 = _mul(s_boost, _mul(s_rot, psi2))
+        p_moved = vector_transform(boost).apply(vector_transform(rot).apply(p))
+        q0, q1, q2, q3 = p_moved.p
         yield "transverse-zeroed", "P1a", abs(q2)
         yield "transverse-zeroed", "P1a", abs(q3)
         inv_mass = (q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3) ** 0.5
         yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
-        proj1 = moved1.apply(p1f)
-        yield "P1a", "P1a", reduced_dirac_residual(proj1, p.mass)
-        yield "P2a", "P2a", reduced_dirac_residual(moved2.apply(p2f), p.mass)
-        image = proj1.apply(view.v)
-        yield "v-maps-P1a-to-P2a", "V", reduced_dirac_residual(image, p.mass)
-        yield "v-maps-P1a-to-P2a", "V", image.apply(p2f) - image
+        reduced = reduced_dirac_symbol(view, p_moved, 1, p.mass)
+        proj1 = _mul(p1f, moved1)
+        yield "P1a", "P1a", _mul(reduced, proj1)
+        yield "P2a", "P2a", _mul(reduced, _mul(p2f, moved2))
+        image = _mul(view.v, proj1)
+        yield "v-maps-P1a-to-P2a", "V", _mul(reduced, image)
+        yield "v-maps-P1a-to-P2a", "V", _sub(_mul(p2f, image), image, FLOAT)
 
     strict = ("transverse-zeroed", "mass-drift")
     _fuzz(config, out, "covariance.special-frame.fuzz", "special-frame",

@@ -6,6 +6,7 @@ literals on purpose: if a default ever drifts, this module fails rather
 than following it.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,12 @@ SPLIT_FUZZ_IDS = {
     "split.fuzz.constituents3.P1",
     "split.fuzz.constituents3.P2",
 }
+
+#: (count, sha256) of the full records (id, paper_eq, backend, repr of the
+#: residual, exact_zero, pass) of the default report, in report order, in the
+#: format of ``tests/test_suites.py``'s ``_RECORD_DIGESTS``: any change that
+#: moves a default record, even a float residual at roundoff, updates it on purpose
+DEFAULT_RECORD_DIGEST = (449, "28fede72c25069cadb5149c46351f5b20fc7c12f91f3d85615a6c23c7645c144")
 
 CONTROL_IDS = (
     "split.control.offshell-dirac",
@@ -259,3 +266,11 @@ def test_criterion8_byte_determinism(report):
     b1 = json.dumps(d1, indent=2).encode()
     b2 = json.dumps(d2, indent=2).encode()
     _verdict(8, "byte-identical reports modulo wall_ms", b1 == b2)
+
+
+def test_criterion9_default_records_pinned(report):
+    records = [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
+               for c in report.checks]
+    digest = (len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest())
+    _verdict(9, "default records pinned to the last digit", digest == DEFAULT_RECORD_DIGEST,
+             f"got={digest}")

@@ -1,5 +1,9 @@
 """Exact/float matrix layer: algebra and promotion."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,3 +94,19 @@ def test_max_abs_exact_and_float():
     assert a.max_abs() == 5.0
     f = Matrix(2, FLOAT, (3 + 4j, 0j, 0j, 1 + 0j))
     assert f.max_abs() == 5.0
+
+
+@pytest.mark.parametrize("roundtrip", (lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.copy, copy.deepcopy),
+                         ids=("pickle", "copy", "deepcopy"))
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_pickle_and_copy_rebuild_an_equal_matrix(roundtrip, backend):
+    m = Matrix.exact([[1, GaussianRational(0, 2)], [Fraction(1, 3), -4]])
+    if backend == FLOAT:
+        m = m.to_float()
+    again = roundtrip(m)
+    assert again == m and hash(again) == hash(m)
+    assert (again.n, again.backend) == (2, backend)
+    assert [type(a) for a in again.entries] == [type(a) for a in m.entries]
+    with pytest.raises(AttributeError, match="immutable"):
+        again.n = 3

@@ -419,3 +419,20 @@ def test_apply_symbol_checks_the_symbol_of_every_term(backend):
         apply_symbol(f, lambda p, s: Matrix.identity(4 if s < 0 else 2, backend))
     with pytest.raises(BackendMismatch, match="symbol backend differs"):
         apply_symbol(f, lambda p, s: Matrix.identity(4, backend if s < 0 else other))
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend, monkeypatch):
+    f = _full_field(build_rep("spinor"))
+    if backend == FLOAT:
+        f = f.to_float()
+    other = FLOAT if backend == EXACT else EXACT
+    with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
+        f.apply(Matrix.identity(2, backend))
+    with pytest.raises(BackendMismatch, match="symbol backend differs"):
+        f.apply(Matrix.identity(4, other))
+    empty = f - f
+    assert empty.is_zero and empty.apply(Matrix.identity(2, other)) == empty
+    p = f.rep.on(backend).p[0]
+    monkeypatch.setattr(fields, "apply_symbol", None)  # the constant symbol is not a per-term one
+    assert f.apply(p) == _ref_apply(f, p)

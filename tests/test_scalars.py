@@ -1,5 +1,7 @@
 """Gaussian-rational arithmetic against the complex-number oracle."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,16 @@ def test_immutability():
     a = GaussianRational(1, 2)
     with pytest.raises(AttributeError):
         a.re = Fraction(5)
+
+
+@pytest.mark.parametrize("roundtrip", (lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.copy, copy.deepcopy),
+                         ids=("pickle", "copy", "deepcopy"))
+@pytest.mark.parametrize("value", (GaussianRational(1, 2), GaussianRational(Fraction(-1, 3)), I))
+def test_pickle_and_copy_rebuild_an_equal_exact_scalar(roundtrip, value):
+    again = roundtrip(value)
+    assert again == value and hash(again) == hash(value)
+    assert type(again) is GaussianRational
+    assert (type(again.re), type(again.im)) == (Fraction, Fraction)
+    with pytest.raises(AttributeError, match="immutable"):
+        again.re = Fraction(0)

@@ -11,11 +11,13 @@ from diracsplit import (
     WeylRequiresMassless,
     charge_conjugate,
     constituent_residuals,
+    dirac_matrix,
     dirac_residual,
     field_of,
     identity_residuals,
     majorana_build,
     majorana_residuals,
+    PlaneWaveTerm,
     recombination_residuals,
     sigma_momentum_op,
     split,
@@ -26,7 +28,7 @@ from diracsplit import (
 )
 from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
-from diracsplit.scalars import FLOAT, GaussianRational
+from diracsplit.scalars import GaussianRational
 
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
@@ -261,42 +263,136 @@ def test_majorana_float_fuzz(m, sp, spin):
     assert report.all_within(1e-10)
 
 
-# -- each intermediate field built once -------------------------------------------
+# -- each intermediate amplitude built once ----------------------------------------
 
 
-def _counting(monkeypatch, name):
-    """Replace subsolutions.<name> with a wrapper that records its calls."""
-    from diracsplit import subsolutions
+def _counted_mul_vec(monkeypatch):
+    """Record the (n, matrix entries, vector) of every kernels.mul_vec call."""
+    from diracsplit import kernels
 
     calls = []
-    original = getattr(subsolutions, name)
+    original = kernels.mul_vec
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(n, a, v):
+        calls.append((n, a, v))
+        return original(n, a, v)
 
-    monkeypatch.setattr(subsolutions, name, counted)
+    monkeypatch.setattr(kernels, "mul_vec", counted)
     return calls
 
 
 def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch):
-    from diracsplit.reports import residual_report
-    from diracsplit.suites import _split_relations
+    """Per term, gamma.p is applied once to each projected constituent, shared by every relation.
 
+    Each constituent k takes five products on a term: P_k, gamma.p, gamma.p - m,
+    P_k again and 1 - P_k.  The split keeps its relations, so the three
+    reports of one split make them once.
+    """
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
-    sr = split(field_of(u_spinor(p, sp, 1), sp), p.mass, require_solution=False)
-    calls = _counting(monkeypatch, "dirac_op")
-    report = residual_report(FLOAT, _split_relations(sr))
-    assert len(calls) == 2
-    assert report.all_within(1e-10)
+    psi = field_of(u_spinor(p, sp, 1), sp)
+    psi = psi + charge_conjugate(psi)
+    sr = split(psi, p.mass, require_solution=False)
+    gamma_p = {dirac_matrix(sp, p, s).entries for s in (1, -1)}
+    calls = _counted_mul_vec(monkeypatch)
+    reports = [recombination_residuals(sr), identity_residuals(sr), constituent_residuals(sr)]
+    assert len(sr.psi.terms) == 2
+    assert len(calls) == 2 * 2 * 5
+    assert sum(1 for _, a, _ in calls if a in gamma_p) == 2 * 2
+    assert all(r.all_within(1e-10) for r in reports)
 
 
 def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
+    """Each key's partner is conjugated once, whole: both halves of it, once each.
+
+    Per key that is four scalar conjugations and five products: C on the
+    partner, sigma2 on each conjugated half, and sigma.p on each half.
+    """
     sp = build_rep("spinor")
-    p = FourMomentum.on_shell(0.7, (1.1, 0.4, -2.5))
+    p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     maj = majorana_build(field_of(u_spinor(p, sp, 2), sp))
-    calls = _counting(monkeypatch, "conjugate")
-    report = majorana_residuals(maj, p.mass)
-    assert len(calls) == 2
+    conjugated = []
+    conjugate = GaussianRational.conjugate
+    monkeypatch.setattr(GaussianRational, "conjugate",
+                        lambda a: conjugated.append(a) or conjugate(a))
+    assert majorana_residuals(maj, WITNESS_MASS).all_exact_zero()
+    assert len(maj.terms) == 2 and len(conjugated) == 2 * 4
+
+    q = FourMomentum.on_shell(0.7, (1.1, 0.4, -2.5))
+    maj = majorana_build(field_of(u_spinor(q, sp, 2), sp))
+    calls = _counted_mul_vec(monkeypatch)
+    report = majorana_residuals(maj, q.mass)
+    assert len(calls) == 2 * 5
     assert report.all_within(1e-10)
+
+
+# -- the term-wise law ------------------------------------------------------------
+
+_MASSIVE = ((3, 2, 2, 0), (3, 0, 2, 2), (1, 0, 0, 0), (5, 4, 2, 2))  # on the shell at m = 1
+_NULL = ((3, 2, 2, 1), (1, 0, 0, 1), (5, 3, 4, 0))
+
+_modes = st.lists(st.tuples(st.sampled_from(("u1", "u2", "left", "right")), st.integers(0, 9),
+                            st.booleans(), st.booleans()),
+                  min_size=1, max_size=4)
+
+
+def _mode_field(rep, kind, index, conjugated, junk):
+    """One plane wave: a solution, its charge conjugate (frequency sign -1), junk added or not."""
+    if kind in ("u1", "u2"):
+        p = FourMomentum.exact(_MASSIVE[index % len(_MASSIVE)], 1)
+        term = u_spinor(p, rep, int(kind[1]))
+    else:
+        p = FourMomentum.exact(_NULL[index % len(_NULL)], 0)
+        term = weyl_spinor(p, rep, kind)
+    f = field_of(term, rep)
+    if junk:
+        f = f + field_of(PlaneWaveTerm((1, I, 0, 2), p, 1), rep)
+    return charge_conjugate(f) if conjugated else f
+
+
+def _assert_termwise(whole, parts):
+    """Per label: exact zero iff zero on every part; otherwise the largest of the parts'."""
+    for e in whole:
+        found = [x for r in parts for x in r if x.label == e.label]
+        assert len(found) == len(parts)
+        assert e.exact_zero == all(x.exact_zero for x in found)
+        if not e.exact_zero:
+            assert e.residual == max(x.residual or 0.0 for x in found)
+    if whole.entries:
+        assert [e.label for e in whole] == [e.label for e in parts[0]]
+
+
+@given(st.sampled_from(("spinor", "standard", "majorana")), _modes, st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats):
+    """Each field-level report measures its field term by term.
+
+    Every relation is linear with constant coefficients, so a field's
+    report is exact zero iff each of its single-term fields' is, and in
+    floats each label's magnitude is the largest of theirs.  Majorana
+    pairs the terms at (p, s) and (p, -s), so there the parts are the
+    fields of one momentum.
+    """
+    rep = build_rep(rep_name)
+    f = sum((_mode_field(rep, *mode) for mode in modes[1:]), _mode_field(rep, *modes[0]))
+    maj = majorana_build(f)
+    if floats:
+        f, maj = f.to_float(), maj.to_float()
+    singles = [field_of(t, rep) for t in f.terms]
+    _assert_termwise(weyl_residuals(f, check_mass=False),
+                     [weyl_residuals(g, check_mass=False) for g in singles])
+    if rep_name != "spinor":
+        return
+    by_momentum = {}
+    for t in maj.terms:
+        by_momentum.setdefault(t.momentum.key(), []).append(field_of(t, rep))
+    pairs = [sum(fs[1:], fs[0]) for fs in by_momentum.values()]
+    _assert_termwise(majorana_residuals(maj, 1), [majorana_residuals(g, 1) for g in pairs])
+    whole = split(f, 1, require_solution=False)
+    parts = [split(g, 1, require_solution=False) for g in singles]
+    for residuals in (recombination_residuals, identity_residuals, constituent_residuals):
+        _assert_termwise(residuals(whole), [residuals(sr) for sr in parts])
+    for other in ("standard", "majorana"):
+        to = build_rep(other)
+        _assert_termwise(transported_constituent_residuals(whole, to),
+                         [transported_constituent_residuals(sr, to) for sr in parts])

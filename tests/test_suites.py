@@ -421,12 +421,39 @@ def test_float_fuzz_builds_no_entry_per_trial(suite, monkeypatch):
 
 
 def test_split_fuzz_trial_builds_each_gamma_p_once(monkeypatch):
-    """gamma.p is built once per (rep, momentum, sign); every mass and operator reuses it."""
+    """gamma.p is built once per (rep, momentum, sign); every mass and operator reuses it.
+
+    A trial samples one momentum and splits both spins at frequency sign
+    +1 on the term itself, so each trial builds exactly one gamma.p.
+    """
     from diracsplit import fields
 
     built = _counted_everywhere(monkeypatch, fields, "_gamma_dot")
-    report = run(RunConfig(suite="split", backend="float", trials=1))
-    assert report.failed == 0
-    # ``built`` holds every momentum, so no id is reused while it is compared
-    keys = [(rep.name, id(p), s) for rep, p, s in built]
-    assert keys and len(keys) == len(set(keys))
+    counts = []
+    for trials in (1, 3):
+        built.clear()
+        report = run(RunConfig(suite="split", backend="float", trials=trials))
+        assert report.failed == 0
+        # ``built`` holds every momentum, so no id is reused while it is compared
+        keys = [(rep.name, id(p), s) for rep, p, s in built]
+        assert keys and len(keys) == len(set(keys))
+        counts.append(len(keys))
+    assert counts[1] - counts[0] == 2
+
+
+@pytest.mark.parametrize("suite", ("split", "weyl", "majorana", "covariance"))
+def test_float_fuzz_builds_no_field_per_trial(suite, monkeypatch):
+    """A fuzz trial measures its relations on the sampled terms: no trial builds a field."""
+    from diracsplit import fields
+
+    run(RunConfig(suite=suite, rep="all", backend="float", trials=1))  # fills the views
+    built = _counted_everywhere(monkeypatch, fields, "_field")
+    init = fields.PlaneWaveField.__init__
+    monkeypatch.setattr(fields.PlaneWaveField, "__init__",
+                        lambda *args, **kwargs: built.append(args) or init(*args, **kwargs))
+    counts = []
+    for trials in (2, 5):
+        built.clear()
+        run(RunConfig(suite=suite, rep="all", backend="float", trials=trials))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
