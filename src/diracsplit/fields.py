@@ -28,12 +28,12 @@ and builds no ``-b``.
 
 What an operator does to the amplitudes of one key is written once, as
 the amplitude algebra of one term: ``_add`` (a + b), ``_sub`` (a +
-(-1) b, component by component), ``_scaled`` (c a) and ``_mul`` (a
-symbol or constant matrix through ``kernels.mul_vec``).  The operators
-use it, and so do the relation statements of ``subsolutions`` and the
-fuzz of ``suites``, which build no field: a relation measured on one
-term equals, bit for bit, the same relation measured on that term's
-field.
+(-1) b, component by component) and ``_scaled`` (c a), with a symbol or
+a constant matrix applied by ``Matrix.apply`` (``kernels.mul_vec``).
+The operators use it, and so do the relation statements of
+``subsolutions`` and the fuzz of ``suites``, which build no field: a
+relation measured on one term equals, bit for bit, the same relation
+measured on that term's field.
 
 The validating constructors coerce every amplitude component
 (``PlaneWaveTerm``) and merge, sort and check the terms
@@ -432,11 +432,6 @@ def _sub(a: tuple, b: tuple, backend: str) -> tuple:
 def _scaled(c, a: tuple) -> tuple:
     """c a, component by component: ``scale`` of a field on one term (c on a's backend)."""
     return tuple(c * x for x in a)
-
-
-def _mul(m: Matrix, a: tuple) -> tuple:
-    """m a: a symbol, or ``apply`` of a constant matrix, on one term's amplitude."""
-    return kernels.mul_vec(m.n, m.entries, a)
 
 
 def conjugate(f: PlaneWaveField) -> PlaneWaveField:

@@ -57,7 +57,6 @@ from .fields import (
     PlaneWaveField,
     _add,
     _field,
-    _mul,
     _scaled,
     _sub,
     _term,
@@ -191,12 +190,12 @@ def _projector_forms(view: RepView, p: FourMomentum, s: int, mass, k: int, psi_k
     """
     backend = view.backend
     p_k = view.p[k - 1]
-    projected = _mul(p_k, psi_k)
-    image = _mul(dirac_matrix(view.rep, p, s), projected)
+    projected = p_k.apply(psi_k)
+    image = dirac_matrix(view.rep, p, s).apply(projected)
     return (projected,
-            _mul(dirac_matrix(view.rep, p, s, mass), projected),
-            _sub(_mul(p_k, image), _scaled(coerce_scalar(mass, backend), projected), backend),
-            _mul(view.complements[k - 1], image))
+            dirac_matrix(view.rep, p, s, mass).apply(projected),
+            _sub(p_k.apply(image), _scaled(coerce_scalar(mass, backend), projected), backend),
+            view.complements[k - 1].apply(image))
 
 
 def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
@@ -281,7 +280,7 @@ def transported_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, ma
     tag = f"transport.{view.rep.name}"
     relations = []
     for k, psi_k in enumerate(split_term(amp, p, s, mass), start=1):
-        _, dirac, projected, repfree = _projector_forms(view, p, s, mass, k, _mul(w, psi_k))
+        _, dirac, projected, repfree = _projector_forms(view, p, s, mass, k, w.apply(psi_k))
         relations += [
             (f"{tag}.constituent{k}-P", f"constituent{k}/P", dirac),
             (f"{tag}.constituents3.P{k}", "constituents/3", projected),
@@ -331,13 +330,13 @@ def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     are unaffected.
     """
     spinor = build_rep("spinor")
-    chiral = amp if view.rep.name == "spinor" else _mul(view.intertwiner(spinor).w, amp)
+    chiral = amp if view.rep.name == "spinor" else view.intertwiner(spinor).w.apply(amp)
     gamma_p = dirac_matrix(view.rep, p, s)
     return [
-        ("eta", "Weyl1", _mul(_sigma_symbol(p, s, +1), chiral[2:])),
-        ("xi", "Weyl2", _mul(_sigma_symbol(p, s, -1), chiral[:2])),
-        ("bispinor.Qminus", "DiracNeutrino", _mul(gamma_p, _mul(view.q_minus, amp))),
-        ("bispinor.Qplus", "DiracNeutrino", _mul(gamma_p, _mul(view.q_plus, amp))),
+        ("eta", "Weyl1", _sigma_symbol(p, s, +1).apply(chiral[2:])),
+        ("xi", "Weyl2", _sigma_symbol(p, s, -1).apply(chiral[:2])),
+        ("bispinor.Qminus", "DiracNeutrino", gamma_p.apply(view.q_minus.apply(amp))),
+        ("bispinor.Qplus", "DiracNeutrino", gamma_p.apply(view.q_plus.apply(amp))),
     ]
 
 
@@ -380,18 +379,18 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     """
     backend = view.backend
     conj = tuple(a.conjugate() for a in partner)
-    relations = [("selfconj", "MAJORANA", _sub(amp, _mul(view.conjugation, conj), backend))]
+    relations = [("selfconj", "MAJORANA", _sub(amp, view.conjugation.apply(conj), backend))]
     if view.rep.name != "spinor":
         return relations
     scalar = SCALAR_TYPE[backend]
     i_m, i_one, zero = scalar(0, mass), scalar(0, 1), scalar(0)
     s2 = Matrix(2, backend, (zero, scalar(0, -1), i_one, zero))  # sigma2
     xi, eta = amp[:2], amp[2:]
-    s2_eta = _mul(s2, conj[2:])  # sigma2 eta*
-    s2_xi = _mul(s2, conj[:2])  # sigma2 xi*
+    s2_eta = s2.apply(conj[2:])  # sigma2 eta*
+    s2_xi = s2.apply(conj[:2])  # sigma2 xi*
     return relations + [
-        ("eq1", "Majorana1", _add(_mul(_sigma_symbol(p, s, +1), eta), _scaled(i_m, s2_eta))),
-        ("eq2", "Majorana2", _sub(_mul(_sigma_symbol(p, s, -1), xi), _scaled(i_m, s2_xi),
+        ("eq1", "Majorana1", _add(_sigma_symbol(p, s, +1).apply(eta), _scaled(i_m, s2_eta))),
+        ("eq2", "Majorana2", _sub(_sigma_symbol(p, s, -1).apply(xi), _scaled(i_m, s2_xi),
                                   backend)),
         ("xi-consistency", "MAJORANA", _add(xi, _scaled(i_one, s2_eta))),
         ("eta-consistency", "MAJORANA", _sub(eta, _scaled(i_one, s2_xi), backend)),

@@ -53,7 +53,6 @@ from .errors import NotASolution, SplitRequiresMass, WeylRequiresMassless
 from .fields import (
     FourMomentum,
     PlaneWaveTerm,
-    _mul,
     _sub,
     dirac_matrix,
     dirac_residual,
@@ -412,7 +411,7 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
             for s in (1, 2):
                 amp = u_spinor(p, sp, s).amplitude
                 amps.append(amp)
-                yield "input-dirac-residual", "Dirac1", _mul(dirac_matrix(sp, p, 1, p.mass), amp)
+                yield "input-dirac-residual", "Dirac1", dirac_matrix(sp, p, 1, p.mass).apply(amp)
                 norm = kernels.ordered_sum(abs(a) ** 2 for a in amp)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
                 for family in split_relations(view, amp, p, 1, p.mass):
@@ -450,7 +449,7 @@ def _weyl_relations(rep, p: FourMomentum):
         amp = weyl_spinor(p, rep, ch).amplitude
         for label, equation, value in weyl_relations(view, amp, p, 1):
             yield f"{ch}.{label}", equation, value
-        yield f"{ch}.chiral-image", "DiracNeutrino", _sub(_mul(proj, amp), amp, p.backend)
+        yield f"{ch}.chiral-image", "DiracNeutrino", _sub(proj.apply(amp), amp, p.backend)
 
 
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
@@ -489,11 +488,11 @@ def _majorana_relations(rep, p: FourMomentum, s: int):
     """
     view = rep.on(p.backend)
     u = u_spinor(p, rep, s).amplitude
-    cu = _mul(view.conjugation, tuple(a.conjugate() for a in u))
+    cu = view.conjugation.apply(tuple(a.conjugate() for a in u))
     for amp, sign, partner in ((u, 1, cu), (cu, -1, u)):
         yield from majorana_relations(view, amp, partner, p, sign, p.mass)
         if rep.name != "spinor":
-            yield "dirac", "Dirac1", _mul(dirac_matrix(rep, p, sign, p.mass), amp)
+            yield "dirac", "Dirac1", dirac_matrix(rep, p, sign, p.mass).apply(amp)
 
 
 def _run_majorana(config: RunConfig, out: _Collector) -> None:
@@ -550,15 +549,15 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             p, amps = _sampled_split(rng, config, trial)
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
-                amps = tuple(_mul(u, a) for a in amps)
+                amps = tuple(u.apply(a) for a in amps)
             # each amplitude through S, the momentum through a, as transform_field does
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             s_mat = spinor_transform(params, rep)
             dirac = dirac_matrix(rep, vector_transform(params).apply(p), 1, p.mass)
-            yield "transformed-solution", "Dirac1", _mul(dirac, _mul(s_mat, amps[0]))
+            yield "transformed-solution", "Dirac1", dirac.apply(s_mat.apply(amps[0]))
             for k, p_prime in zip((1, 2), transformed_projectors(params, rep)):
                 yield (f"transformed-constituent{k}", "DP2b",
-                       _mul(dirac, _mul(p_prime, _mul(s_mat, amps[k]))))
+                       dirac.apply(p_prime.apply(s_mat.apply(amps[k]))))
 
         _fuzz(config, out, f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
               min(config.trials, _COV_TRIAL_CAP), trial_residuals, lambda label: config.tol)
@@ -587,8 +586,8 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
         rot, boost = special_frame(p)
         # the rotation, then the boost, of each constituent and of p, as transform_field does
         s_rot, s_boost = spinor_transform(rot, sp), spinor_transform(boost, sp)
-        moved1 = _mul(s_boost, _mul(s_rot, psi1))
-        moved2 = _mul(s_boost, _mul(s_rot, psi2))
+        moved1 = s_boost.apply(s_rot.apply(psi1))
+        moved2 = s_boost.apply(s_rot.apply(psi2))
         p_moved = vector_transform(boost).apply(vector_transform(rot).apply(p))
         q0, q1, q2, q3 = p_moved.p
         yield "transverse-zeroed", "P1a", abs(q2)
@@ -596,12 +595,12 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
         inv_mass = (q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3) ** 0.5
         yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
         reduced = reduced_dirac_symbol(view, p_moved, 1, p.mass)
-        proj1 = _mul(p1f, moved1)
-        yield "P1a", "P1a", _mul(reduced, proj1)
-        yield "P2a", "P2a", _mul(reduced, _mul(p2f, moved2))
-        image = _mul(view.v, proj1)
-        yield "v-maps-P1a-to-P2a", "V", _mul(reduced, image)
-        yield "v-maps-P1a-to-P2a", "V", _sub(_mul(p2f, image), image, FLOAT)
+        proj1 = p1f.apply(moved1)
+        yield "P1a", "P1a", reduced.apply(proj1)
+        yield "P2a", "P2a", reduced.apply(p2f.apply(moved2))
+        image = view.v.apply(proj1)
+        yield "v-maps-P1a-to-P2a", "V", reduced.apply(image)
+        yield "v-maps-P1a-to-P2a", "V", _sub(p2f.apply(image), image, FLOAT)
 
     strict = ("transverse-zeroed", "mass-drift")
     _fuzz(config, out, "covariance.special-frame.fuzz", "special-frame",
