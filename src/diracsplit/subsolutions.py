@@ -23,16 +23,17 @@ sign, plus the representation view and the mass, and return ``(label,
 equation, value)`` relations whose values are tuples of scalars.  Every
 relation is linear with constant coefficients, so it holds for a field
 iff it holds on each of its terms: the field-level ``*_residuals``
-functions map the statement over a field's terms and concatenate each
-label's values (``termwise``), and ``split``'s preconditions and the
-exact witnesses read those; the float fuzz passes a sampled mode's
-amplitude straight in and builds no field.  The one family that couples
-two terms is Majorana's, where the term at (p, s) meets the conjugate
-of the term at (p, -s), as ``f - charge_conjugate(f)`` pairs them.  The
-statements do to the amplitudes what the field operators would, in the
-same order (see ``fields``), so a field's report is the same to the
-last bit either way.  For exact inputs on an exact mass shell all
-residuals vanish identically.
+functions map the statement over a field's terms (the zero field's one
+zero term) and concatenate each label's values (``termwise``), and
+``split``'s preconditions and the exact witnesses read those; the float
+fuzz passes a sampled mode's amplitude straight in and builds no field.
+The one family that couples two terms is Majorana's, where the term at
+(p, s) meets the conjugate of the term at (p, -s), as
+``f - charge_conjugate(f)`` pairs them.  The statements do to the
+amplitudes what the field operators would, in the same order (see
+``fields``), so a field's report is the same to the last bit either
+way.  For exact inputs on an exact mass shell all residuals vanish
+identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
@@ -69,7 +70,7 @@ from .fields import (
 from .gamma import GammaRep, RepView, build_rep
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
-from .scalars import SCALAR_TYPE, coerce_scalar
+from .scalars import SCALAR_TYPE, coerce_real, coerce_scalar
 
 #: the bound of the float preconditions of split and majorana_residuals
 _TOL = 1e-10
@@ -82,7 +83,7 @@ def termwise(relation_lists) -> list:
     tuples of scalars.  Every relation here is linear with constant
     coefficients, so it holds on a field iff it holds on each term, and
     the field's residual is the largest of its terms'.  Labels keep their
-    order of first appearance; a field with no terms has no relations.
+    order of first appearance.
     """
     merged: dict = {}
     for relations in relation_lists:
@@ -90,6 +91,18 @@ def termwise(relation_lists) -> list:
             held = merged.get(label)
             merged[label] = (equation, value) if held is None else (equation, held[1] + value)
     return [(label, equation, value) for label, (equation, value) in merged.items()]
+
+
+def _terms(f: PlaneWaveField) -> tuple:
+    """f's terms, or one zero term for the zero field, so that it still has every relation.
+
+    The zero field is the zero amplitude at any momentum, and every
+    relation is linear in the amplitude, so each measures zero there.
+    """
+    if f.terms:
+        return f.terms
+    zero, origin = SCALAR_TYPE[f.backend](0), coerce_real(0, f.backend)
+    return (((zero,) * f.ncomp, FourMomentum((origin,) * 4, origin, f.backend), 1),)
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,7 @@ class SplitResult:
     def relations(self) -> tuple:
         """(recombination, identity, constituent): ``split_relations`` over psi's terms."""
         view = self.psi.rep.on(self.psi.backend)
-        per_term = [split_relations(view, amp, p, s, self.mass) for amp, p, s in self.psi.terms]
+        per_term = [split_relations(view, amp, p, s, self.mass) for amp, p, s in _terms(self.psi)]
         return tuple(termwise(families[k] for families in per_term) for k in range(3))
 
 
@@ -294,7 +307,7 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
     backend = sr.psi.backend
     view = rep_to.on(backend)
     return residual_report(backend, termwise(transported_relations(view, amp, p, s, sr.mass)
-                                             for amp, p, s in sr.psi.terms))
+                                             for amp, p, s in _terms(sr.psi)))
 
 
 # -- Weyl ----------------------------------------------------------------------
@@ -354,7 +367,7 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
                 raise WeylRequiresMassless("field carries a massive term")
     view = f.rep.on(f.backend)
     return residual_report(f.backend, termwise(weyl_relations(view, amp, p, s)
-                                               for amp, p, s in f.terms))
+                                               for amp, p, s in _terms(f)))
 
 
 # -- Majorana --------------------------------------------------------------------
@@ -411,18 +424,18 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     backend = f.backend
     view = f.rep.on(backend)
     zero = (SCALAR_TYPE[backend](0),) * 4
-    at = {t.key(): t for t in f.terms}
+    at = {(s,) + p.key(): (amp, p) for amp, p, s in _terms(f)}
     per_term = []
     for key in sorted(at.keys() | {(-k[0],) + k[1:] for k in at}):
         term, partner = at.get(key), at.get((-key[0],) + key[1:])
-        per_term.append(majorana_relations(
-            view, term.amplitude if term else zero, partner.amplitude if partner else zero,
-            (term or partner).momentum, key[0], mass))
+        per_term.append(majorana_relations(view, term[0] if term else zero,
+                                           partner[0] if partner else zero,
+                                           (term or partner)[1], key[0], mass))
     report = residual_report(backend, termwise(per_term))
-    selfconj = report.entries[:1]  # first in every basis; a field with no terms has none
-    if selfconj and not selfconj[0].within(_TOL):
+    selfconj = report.entries[0]  # first in every basis
+    if not selfconj.within(_TOL):
         raise NotMajorana(
-            f"charge-conjugation residual {selfconj[0].residual:.3e} ({backend}, tol {_TOL})"
+            f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {_TOL})"
         )
     if f.rep.name != "spinor":
         raise SplitRequiresSpinorRep(

@@ -326,6 +326,35 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     assert report.all_within(1e-10)
 
 
+_FIELD_REPORTS = (
+    lambda f: weyl_residuals(f, check_mass=False),
+    lambda f: majorana_residuals(majorana_build(f), WITNESS_MASS),
+    lambda f: recombination_residuals(split(f, WITNESS_MASS)),
+    lambda f: identity_residuals(split(f, WITNESS_MASS)),
+    lambda f: constituent_residuals(split(f, WITNESS_MASS)),
+    lambda f: transported_constituent_residuals(split(f, WITNESS_MASS), build_rep("standard")),
+)
+
+
+@pytest.mark.parametrize("backend", ("exact", "float"))
+def test_the_zero_field_has_every_relation_at_zero(backend):
+    """With no terms to measure, each relation is still recorded, and vanishes."""
+    spinor = build_rep("spinor")
+    p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
+    psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
+    if backend == "float":
+        psi = psi.to_float()
+    zero = psi - psi
+    assert zero.is_zero
+    for residuals in _FIELD_REPORTS:
+        report = residuals(zero)
+        assert [e.label for e in report] == [e.label for e in residuals(psi)]
+        if backend == "exact":
+            assert report.all_exact_zero()
+        else:
+            assert [e.residual for e in report] == [0.0] * len(report.entries)
+
+
 # -- the term-wise law ------------------------------------------------------------
 
 _MASSIVE = ((3, 2, 2, 0), (3, 0, 2, 2), (1, 0, 0, 0), (5, 4, 2, 2))  # on the shell at m = 1
