@@ -87,7 +87,8 @@ class FourMomentum:
     p: tuple
     mass: object
     backend: str
-    # dirac_matrix's symbols at this momentum, per (rep, freq_sign, mass); outside ==, hash, repr
+    # the symbols at this momentum: dirac_matrix's per (rep, freq_sign, mass), and
+    # subsolutions._sigma_symbol's per ("sigma", freq_sign, sign); outside ==, hash, repr
     _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -426,7 +427,8 @@ def _add(a: tuple, b: tuple) -> tuple:
 
 def _sub(a: tuple, b: tuple, backend: str) -> tuple:
     """a + (-1) b, component by component: ``-`` of two fields on one key."""
-    return _add(a, _scaled(_MINUS_ONE[backend], b))
+    c = _MINUS_ONE[backend]
+    return tuple(x + c * y for x, y in zip(a, b))
 
 
 def _scaled(c, a: tuple) -> tuple:

@@ -115,7 +115,7 @@ class Matrix:
         n = self.n
         if len(vec) != n:
             raise ValueError(f"vector length {len(vec)} does not match n={n}")
-        return kernels.mul_vec(n, self.entries, tuple(vec))
+        return kernels.mul_vec(n, self.entries, vec)
 
     def transpose(self) -> "Matrix":
         n = self.n

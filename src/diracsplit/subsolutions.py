@@ -316,13 +316,19 @@ def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> Resi
 def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
     """The symbol of (p^0 + sign * sigma.p) on a term with eigenvalues q = s p.
 
-    [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]].
+    [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]],
+    kept on p per (s, sign) as ``dirac_matrix`` keeps its symbols.
     """
-    scalar = SCALAR_TYPE[p.backend]
-    q0, q1, q2, q3 = (c * s for c in p.p)
-    q1, q2, q3 = sign * q1, sign * q2, sign * q3
-    return Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
-                                 scalar(q1, q2), scalar(q0 - q3)))
+    key = ("sigma", s, sign)
+    symbol = p._symbols.get(key)
+    if symbol is None:
+        scalar = SCALAR_TYPE[p.backend]
+        q0, q1, q2, q3 = (c * s for c in p.p)
+        q1, q2, q3 = sign * q1, sign * q2, sign * q3
+        symbol = Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
+                                       scalar(q1, q2), scalar(q0 - q3)))
+        p._symbols[key] = symbol
+    return symbol
 
 
 def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
@@ -378,6 +384,10 @@ def majorana_build(psi: PlaneWaveField) -> PlaneWaveField:
     return psi + charge_conjugate(psi)
 
 
+_SIGMA2 = {backend: Matrix(2, backend, (scalar(0), scalar(0, -1), scalar(0, 1), scalar(0)))
+           for backend, scalar in SCALAR_TYPE.items()}
+
+
 def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentum, s: int,
                        mass) -> list:
     """Self-conjugacy and, in the spinor basis, the Majorana system on the term at (p, s).
@@ -396,11 +406,10 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     if view.rep.name != "spinor":
         return relations
     scalar = SCALAR_TYPE[backend]
-    i_m, i_one, zero = scalar(0, mass), scalar(0, 1), scalar(0)
-    s2 = Matrix(2, backend, (zero, scalar(0, -1), i_one, zero))  # sigma2
+    i_m, i_one = scalar(0, mass), scalar(0, 1)
     xi, eta = amp[:2], amp[2:]
-    s2_eta = s2.apply(conj[2:])  # sigma2 eta*
-    s2_xi = s2.apply(conj[:2])  # sigma2 xi*
+    s2_eta = _SIGMA2[backend].apply(conj[2:])  # sigma2 eta*
+    s2_xi = _SIGMA2[backend].apply(conj[:2])  # sigma2 xi*
     return relations + [
         ("eq1", "Majorana1", _add(_sigma_symbol(p, s, +1).apply(eta), _scaled(i_m, s2_eta))),
         ("eq2", "Majorana2", _sub(_sigma_symbol(p, s, -1).apply(xi), _scaled(i_m, s2_xi),

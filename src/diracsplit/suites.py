@@ -34,6 +34,21 @@ derive per-trial sub-seeds from (seed, family tag, index), so records
 are independent of execution order and two runs with the same config
 produce identical reports.
 
+That independence lets a large campaign share its trials between the
+machine's cores (``_shared``).  The trials are cut into contiguous
+chunks, one per usable core; the parent runs the first chunk, and a
+child forked for each other one runs it on a core other than the
+parent's and sends its per-label worst back down a pipe.  The parent
+folds the chunks' worst in chunk order with the rule that folds the
+trials (``_keep_worst``): the maximum, NaN first, does not depend on how
+the trials were grouped, so the report is the serial one to the last
+bit.  A child that fails has its chunk recomputed in the parent, so an
+error is raised as a serial run raises it.  Forking happens only where
+``os.fork`` exists, the process runs one thread, and each worker gets at
+least ``_FORK_FLOOR`` trials (every campaign of the default run, the
+200-trial covariance ones included; none of a 20-trial run).  This cuts
+wall time, not CPU time.
+
 Negative controls are expected-fail checks: they pass when a residual
 is LARGE (kind ``CONTROL``) or when the right error is raised (kind
 ``RAISES``), keeping the suite honest about its own discriminating power.
@@ -41,7 +56,11 @@ is LARGE (kind ``CONTROL``) or when the right error is raised (kind
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
+import threading
 import time
 import zlib
 from dataclasses import dataclass, fields
@@ -102,6 +121,10 @@ _CONTROL_FLOOR = 0.1  # expected-fail controls must exceed this
 _OFFSHELL_FLOOR = 1e-3
 _MASSLESS_FLOOR = 1e-6  # the Weyl fuzz draws |p| above this
 _COV_TRIAL_CAP = 200
+#: the fewest trials a forked worker takes: on a 2-core machine a two-way
+#: fork of a 100-trial split campaign broke even and of a 200-trial one
+#: saved 40% of its wall time
+_FORK_FLOOR = 100
 
 _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9
@@ -229,20 +252,165 @@ def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int
     becomes one float check ``<prefix>.<label>`` judged within
     ``tol_for(label)`` and tagged with the label's first equation, in
     order of first appearance.  As in ``kernels.max_abs``, a NaN from any
-    trial makes the record NaN, and it fails.
+    trial makes the record NaN, and it fails.  A large campaign runs on
+    several cores (``_shared``) with the same records.
     """
-    worst = {}
-    for trial in range(trials):
-        for label, equation, value in measure(_rng(config, tag, trial), trial):
-            value = magnitude(value)
-            prev = worst.get(label)
-            if prev is None:
-                worst[label] = [equation, value]
-            elif not value <= prev[1] and prev[1] == prev[1]:  # larger or NaN, unless NaN held
-                prev[1] = value
-    for label, (equation, value) in worst.items():
+    def worst_of(chunk: range) -> dict:
+        worst = {}
+        for trial in chunk:
+            _keep_worst(worst, ((label, equation, magnitude(value)) for label, equation, value
+                                in measure(_rng(config, tag, trial), trial)))
+        return worst
+
+    for label, (equation, value) in _shared(worst_of, trials).items():
         out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
                 tol_for(label))
+
+
+def _keep_worst(worst: dict, relations) -> dict:
+    """Fold ``(label, equation, magnitude)`` triples into ``worst``: label -> [equation, worst].
+
+    A label keeps its first equation.  A value replaces the one held when
+    it is larger or NaN, unless a NaN is held already.  So a label ends
+    with its first NaN, or else its first largest value, whatever the
+    grouping of the triples: folding the worst of consecutive chunks in
+    chunk order (``_merged``) gives, to the bit, what folding every
+    triple in order does.
+    """
+    for label, equation, value in relations:
+        prev = worst.get(label)
+        if prev is None:
+            worst[label] = [equation, value]
+        elif not value <= prev[1] and prev[1] == prev[1]:  # larger or NaN, unless NaN held
+            prev[1] = value
+    return worst
+
+
+def _merged(parts) -> dict:
+    """The worst of consecutive chunks of trials, folded in chunk order into the worst of all."""
+    worst = {}
+    for part in parts:
+        _keep_worst(worst, ((label, equation, value) for label, (equation, value) in part.items()))
+    return worst
+
+
+def _workers(trials: int) -> int:
+    """How many processes share a campaign of ``trials``: one, unless forking is safe and pays.
+
+    At most one per usable core, each with at least ``_FORK_FLOOR``
+    trials.  A fork copies only the calling thread, so a lock that
+    another thread holds would stay held in the child: with a second
+    thread alive, or without ``os.fork``, the campaign stays serial.
+    """
+    most = trials // _FORK_FLOOR
+    if most < 2 or not hasattr(os, "fork") or _thread_count() != 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, most))
+
+
+def _thread_count() -> int:
+    """The threads of this process: the kernel's count where ``/proc`` lists them, else Python's.
+
+    Native threads (a numerical library's pool, say) count too.
+    """
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _shared(worst_of, trials: int) -> dict:
+    """``worst_of(range(trials))``, computed in contiguous chunks, one per worker (``_workers``).
+
+    The parent computes the first chunk; each other chunk runs in a child
+    forked for it (``_fork``).  A child that fails, or that could not be
+    started, has its chunk recomputed here, so an error is raised exactly
+    as a serial run raises it: the parent meets the chunks in trial
+    order.  However this returns or raises, every child is killed and
+    reaped first.
+    """
+    n = _workers(trials)
+    cuts = [trials * k // n for k in range(n + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    spare = _spare_cores() if n > 1 else []
+    children = []  # [pid, read end of its pipe] per forked chunk, pid None once reaped
+    try:
+        for k, chunk in enumerate(chunks[1:]):
+            children.append(_fork(worst_of, chunk, spare[k % len(spare)] if spare else None))
+        parts = [worst_of(chunks[0])]
+        for chunk, child in zip(chunks[1:], children):
+            part = _collect(child) if child else None
+            parts.append(worst_of(chunk) if part is None else part)
+        return _merged(parts)
+    finally:
+        for child in filter(None, children):
+            pid, pipe = child
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _spare_cores() -> list:
+    """The usable cores but the one this process last ran on; empty where that is unknown.
+
+    A host whose scheduler does not move tasks between cores (a Linux
+    cpuset with ``sched_load_balance`` off) keeps a forked child on its
+    parent's core, where the two take turns, so each child moves itself
+    to one of these.
+    """
+    try:
+        with open("/proc/self/stat", encoding="ascii") as f:
+            here = int(f.read().rpartition(")")[2].split()[36])  # field 39, the last core
+        return sorted(os.sched_getaffinity(0) - {here})
+    except (OSError, AttributeError, ValueError, IndexError):
+        return []
+
+
+def _fork(worst_of, chunk: range, core):
+    """Fork a child that sends ``worst_of(chunk)`` down a pipe with ``marshal``.
+
+    The child runs on ``core`` unless it is None.  Returns ``[pid, read
+    end]``, or None when no process can be forked.  The child leaves
+    with ``os._exit`` on every path, status 0 only once its result is
+    written, so it never runs the parent's code after the fork, its exit
+    handlers or its buffered output.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the parent computes the chunk
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            if core is not None:
+                os.sched_setaffinity(0, (core,))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(worst_of(chunk)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    if pid is None:
+        os.close(read_fd)
+        return None
+    return [pid, open(read_fd, "rb")]
+
+
+def _collect(child: list):
+    """The worst a child sent, or None if it failed; the child is reaped either way."""
+    pid, pipe = child
+    data = pipe.read()
+    pipe.close()
+    _, status = os.waitpid(pid, 0)
+    child[0] = None
+    return marshal.loads(data) if status == 0 else None
 
 
 def _sub_seed(seed: int, tag: str, trial: int) -> int:

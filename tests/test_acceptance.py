@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from diracsplit import RunConfig, run
+from diracsplit import RunConfig, run, suites
 
 TOL = 1e-10
 TOL_STRICT = 1e-12
@@ -268,9 +268,20 @@ def test_criterion8_byte_determinism(report):
     _verdict(8, "byte-identical reports modulo wall_ms", b1 == b2)
 
 
-def test_criterion9_default_records_pinned(report):
+def _record_digest(report):
     records = [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
                for c in report.checks]
-    digest = (len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest())
+    return len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_criterion9_default_records_pinned(report):
+    digest = _record_digest(report)
     _verdict(9, "default records pinned to the last digit", digest == DEFAULT_RECORD_DIGEST,
              f"got={digest}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_criterion9_holds_for_any_worker_count(workers, monkeypatch):
+    """The fuzz campaigns shared between ``workers`` processes give the pinned records."""
+    monkeypatch.setattr(suites, "_workers", lambda trials: workers)
+    assert _record_digest(run(RunConfig())) == DEFAULT_RECORD_DIGEST

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 
@@ -213,6 +215,44 @@ def test_bad_range_shape_in_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"mass_range": [1.0]}))
     assert main(["weyl", "--config", str(cfg)]) == EXIT_USAGE
     assert "two-element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [2, None], ids=["two-workers", "as-found"])
+def test_a_library_error_in_a_shared_campaign_exits_as_a_serial_run(workers, tmp_path,
+                                                                     monkeypatch, capsys):
+    """A mass beyond float range fails in every chunk: exit 4, the serial message, no child."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mass_range": [1e200, 1e200]}))
+    monkeypatch.setattr(suites, "_workers", lambda trials: 1)
+    assert main(["all", "--config", str(cfg)]) == EXIT_LIBRARY_ERROR
+    serial = capsys.readouterr().err
+    assert serial.startswith("error: off-shell: momentum (inf, ")
+    monkeypatch.undo()
+    if workers:
+        monkeypatch.setattr(suites, "_workers", lambda trials: workers)
+    assert main(["all", "--config", str(cfg)]) == EXIT_LIBRARY_ERROR
+    assert capsys.readouterr().err == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_shared_campaign_raises_no_warning_and_leaves_no_process():
+    """With warnings as errors (a fork with threads alive warns from Python 3.12 on)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "diracsplit", "all", "--trials", "600"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == EXIT_OK, err
+    assert err == ""
+    assert out.count("summary:") == 1  # no child went on with the parent's work
+    with pytest.raises(ProcessLookupError):  # nothing is left in the run's process group
+        os.killpg(proc.pid, 0)
 
 
 def test_module_entry_point():

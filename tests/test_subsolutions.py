@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracsplit import (
     FourMomentum,
+    Matrix,
     NotMajorana,
     SplitRequiresMass,
     SplitRequiresSpinorRep,
@@ -18,7 +19,9 @@ from diracsplit import (
     majorana_build,
     majorana_residuals,
     PlaneWaveTerm,
+    RunConfig,
     recombination_residuals,
+    run,
     sigma_momentum_op,
     split,
     transported_constituent_residuals,
@@ -425,3 +428,30 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
         to = build_rep(other)
         _assert_termwise(transported_constituent_residuals(whole, to),
                          [transported_constituent_residuals(sr, to) for sr in parts])
+
+
+def test_a_majorana_trial_builds_each_sigma_symbol_once(monkeypatch):
+    """Eight (p0 +- sigma.p) symbols per trial, at both frequency signs: four built, each once."""
+    from diracsplit import subsolutions
+
+    sigma = subsolutions._sigma_symbol
+    reads, built = [], []
+
+    def read(p, s, sign):
+        reads.append((p, s, sign))
+        return sigma(p, s, sign)
+
+    def build(n, backend, entries):
+        built.append(entries)
+        return Matrix(n, backend, entries)
+
+    monkeypatch.setattr(subsolutions, "_sigma_symbol", read)
+    monkeypatch.setattr(subsolutions, "Matrix", build)
+    for trials in (1, 3):
+        reads.clear()
+        built.clear()
+        assert run(RunConfig(suite="majorana", backend="float", trials=trials)).failed == 0
+        # ``reads`` holds every momentum, so no id is reused while it is compared
+        distinct = {(id(p), s, sign) for p, s, sign in reads}
+        assert len(reads) == 8 * trials
+        assert len(distinct) == len(built) == 4 * trials

@@ -3,8 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import struct
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracsplit import (
     FourMomentum,
@@ -16,6 +21,8 @@ from diracsplit import (
     RunConfig,
     run,
 )
+from diracsplit import suites
+from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
 from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, residual_entry
 from diracsplit.scalars import FLOAT
@@ -27,6 +34,8 @@ from diracsplit.suites import (
     _CONTROL_FLOOR,
     _Collector,
     _fuzz,
+    _keep_worst,
+    _merged,
     _sub_seed,
 )
 
@@ -457,3 +466,143 @@ def test_float_fuzz_builds_no_field_per_trial(suite, monkeypatch):
         run(RunConfig(suite=suite, rep="all", backend="float", trials=trials))
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+# -- a large campaign shares its trials between processes ------------------------------
+
+
+def _records(report):
+    return [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
+            for c in report.checks]
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(suites, "_workers", lambda trials: workers)
+
+
+def test_report_does_not_depend_on_the_worker_count(monkeypatch):
+    """The NaN records of a huge momentum range come out the same from any number of workers."""
+    config = RunConfig(rep="all", trials=500, momentum_range=(1e150, 1e153))
+    natural = _records(run(config))
+    assert any(r[3] == "nan" for r in natural)
+    for workers in (1, 2, 3, 5):
+        _force_workers(monkeypatch, workers)
+        assert _records(run(config)) == natural, workers
+
+
+def _bits(worst):
+    return [(label, equation, struct.pack("<d", value)) for label, (equation, value)
+            in worst.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.floats()), max_size=40), st.data())
+def test_merged_chunk_worst_is_the_serial_worst(items, data):
+    """Any partition into chunks, NaN and signed zeros included: labels, equations, bits."""
+    triples = [(label, f"E{i}", value) for i, (label, value) in enumerate(items)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(triples)), max_size=6)))
+    bounds = [0] + cuts + [len(triples)]
+    parts = [_keep_worst({}, triples[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert _bits(_merged(parts)) == _bits(_keep_worst({}, triples))
+
+
+def _fuzzed(measure, trials=1000):
+    out = _Collector()
+    _fuzz(RunConfig(), out, "t", "tag", trials, measure, lambda label: 1e-10)
+    return [(r.check_id, r.equation, repr(r.residual)) for r in out.records]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_an_error_in_a_childs_chunk_is_raised_as_a_serial_run_raises_it(workers, monkeypatch):
+    def measure(rng, trial):
+        if trial >= 700:
+            raise NotASolution(f"trial {trial}, draw {rng.random()!r}")
+        yield "r", "E", 1e-12 * trial
+
+    _force_workers(monkeypatch, 1)
+    with pytest.raises(NotASolution) as serial:
+        _fuzzed(measure)
+    _force_workers(monkeypatch, workers)
+    with pytest.raises(NotASolution) as shared:
+        _fuzzed(measure)
+    assert str(shared.value) == str(serial.value)
+    _assert_no_child()
+
+
+def test_a_child_that_dies_has_its_chunk_recomputed(monkeypatch):
+    parent = os.getpid()
+
+    def measure(rng, trial):
+        if os.getpid() != parent:
+            os._exit(3)
+        yield "r", f"E{trial % 3}", rng.random()
+
+    _force_workers(monkeypatch, 1)
+    serial = _fuzzed(measure)
+    _force_workers(monkeypatch, 3)
+    assert _fuzzed(measure) == serial
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_raise_in_the_parents_chunk_leaves_no_child(error, monkeypatch):
+    parent = os.getpid()
+
+    def measure(rng, trial):
+        if os.getpid() == parent:
+            raise error("in the parent's chunk")
+        time.sleep(0.01)  # the children are still at work when the parent raises
+        yield "r", "E", 0.0
+
+    _force_workers(monkeypatch, 3)
+    with pytest.raises(error, match="in the parent's chunk"):
+        _fuzzed(measure)
+    _assert_no_child()
+
+
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_a_campaign_stays_serial_while_a_second_thread_runs(monkeypatch):
+    config = RunConfig(suite="weyl", backend="float", trials=600)
+    attempts = []
+
+    def failing_fork():  # a fork that fails leaves its chunk to the parent
+        attempts.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    alone = _records(run(config))
+    assert len(attempts) == suites._workers(config.trials) - 1  # one per Weyl campaign's child
+
+    _forbid_fork(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert suites._workers(config.trials) == 1
+        with_thread = _records(run(config))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert with_thread == alone
+
+
+def test_small_campaigns_stay_serial(monkeypatch):
+    """The allreps shape (20 trials) and the short runs (1 to 9 trials) never fork."""
+    _forbid_fork(monkeypatch)
+    assert run(RunConfig(rep="all", trials=20)).failed == 0
+    for i, suite in enumerate(SUITE_NAMES):
+        for rep in REP_CHOICES:
+            assert run(RunConfig(suite=suite, rep=rep, trials=1 + i % 9)).failed == 0
+    assert run(RunConfig(suite="split", trials=2 * suites._FORK_FLOOR - 1)).failed == 0
