@@ -17,14 +17,9 @@ terms, its representation, its component count and its backend.
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
 momentum and frequency sign, applied term by term by ``apply_symbol``
-(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).  A symbol keeps
-each term's key, so its result is canonical as built, with no merge,
-sort or coercion.  Since every operand is canonical (terms sorted by
-key, no key twice, none exactly zero), ``+`` and ``-`` merge the two
-sorted term tuples in one pass, and operands holding the same momentum
-objects and signs in the same order pair up with no key compared;
-``a - b`` scales b's amplitudes by -1 inside that pass, as ``-b`` would,
-and builds no ``-b``.
+(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).  ``a + b`` hands
+the two term tuples to the constructor, which adds the amplitudes of a
+shared key, and ``a - b`` is ``a + b.scale(-1)``.
 
 What an operator does to the amplitudes of one key is written once, as
 the amplitude algebra of one term: ``_add`` (a + b), ``_sub`` (a +
@@ -35,14 +30,16 @@ The operators use it, and so do the relation statements of
 relation measured on one term equals, bit for bit, the same relation
 measured on that term's field.
 
-The validating constructors coerce every amplitude component
-(``PlaneWaveTerm``) and merge, sort and check the terms
-(``PlaneWaveField``); they are for inputs that are not canonical yet.
-The operators build on the trusted paths ``_term`` (one
-``tuple.__new__``) and ``_field`` (``_fill``: four slot setters), which
-skip that work because their inputs are canonical by construction:
-amplitudes computed from scalars of the field's backend, each term's
-key kept (conjugation re-sorts), and exactly-zero terms dropped.
+Every field, an operator's result included, is built by the one
+constructor, ``PlaneWaveField(terms, rep, ncomp, backend)``: it merges
+terms of one key, drops exactly-zero terms, sorts by key and checks
+that the terms agree on component count and backend, so a field is
+canonical however it was made.  A term has two ways in.  The
+constructor ``PlaneWaveTerm`` coerces every amplitude component onto the
+momentum's backend; ``_term`` is one ``tuple.__new__`` for amplitudes
+already computed from scalars of that backend, as every operator's are.
+``_term`` stays because the float fuzz makes a term per trial
+(``u_spinor`` returns one), where the coercion would be repeated work.
 
 The operators keep each term's ``FourMomentum`` object, so the fields
 derived from one field share its momenta, and a momentum keeps the
@@ -211,8 +208,7 @@ class PlaneWaveField:
             else:
                 if prev.ncomp != t.ncomp:
                     raise ValueError("mixed component counts in one field")
-                amp = tuple(a + b for a, b in zip(prev.amplitude, t.amplitude))
-                merged[k] = _term(amp, t.momentum, t.freq_sign)
+                merged[k] = _term(_add(prev.amplitude, t.amplitude), t.momentum, t.freq_sign)
         kept = [merged[k] for k in sorted(merged) if any(merged[k].amplitude)]
 
         if kept:
@@ -223,7 +219,10 @@ class PlaneWaveField:
                     raise ValueError("mixed component counts in one field")
                 if t.backend != backend:
                     raise BackendMismatch("mixed backends in one field")
-        _fill(self, tuple(kept), rep, ncomp, backend)
+        object.__setattr__(self, "terms", tuple(kept))
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "ncomp", ncomp)
+        object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneWaveField is immutable")
@@ -233,40 +232,28 @@ class PlaneWaveField:
     def __add__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         if not isinstance(other, PlaneWaveField):
             return NotImplemented
-        return _merge(self, other, None)
+        if self.terms and other.terms and self.backend != other.backend:
+            raise BackendMismatch("adding fields from different backends")
+        if self.rep is not other.rep:
+            raise ValueError("adding fields from different representations")
+        return PlaneWaveField(self.terms + other.terms, self.rep, self.ncomp, self.backend)
 
     def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
         if not isinstance(other, PlaneWaveField):
             return NotImplemented
-        return _merge(self, other, _MINUS_ONE[other.backend])
+        return self + other.scale(-1)
 
     def __neg__(self) -> "PlaneWaveField":
         return self.scale(-1)
 
     def scale(self, c) -> "PlaneWaveField":
-        if not self.terms:
-            return self
         c = coerce_scalar(c, self.backend)
-        terms = []
-        for amp, p, s in self.terms:
-            amp = _scaled(c, amp)
-            if any(amp):
-                terms.append(_term(amp, p, s))
-        return _field(tuple(terms), self.rep, self.ncomp, self.backend)
+        return PlaneWaveField([_term(_scaled(c, amp), p, s) for amp, p, s in self.terms],
+                              self.rep, self.ncomp, self.backend)
 
     def apply(self, m: Matrix) -> "PlaneWaveField":
-        """Apply a constant matrix to every amplitude: the constant symbol, checked once."""
-        terms, ncomp, backend = self.terms, self.ncomp, self.backend
-        if not terms:
-            return self
-        _check_symbol(m, ncomp, backend)
-        entries = m.entries
-        out = []
-        for amp, p, s in terms:
-            amp = kernels.mul_vec(ncomp, entries, amp)
-            if any(amp):
-                out.append(_term(amp, p, s))
-        return _field(tuple(out), self.rep, ncomp, backend)
+        """Apply a constant matrix to every amplitude: the constant symbol."""
+        return apply_symbol(self, lambda p, s: m)
 
     # -- predicates ------------------------------------------------------
 
@@ -275,10 +262,7 @@ class PlaneWaveField:
         return not self.terms
 
     def max_abs(self) -> float:
-        terms = self.terms
-        if len(terms) == 1:
-            return kernels.max_abs(terms[0][0])
-        return kernels.max_abs(a for t in terms for a in t[0])
+        return kernels.max_abs(a for t in self.terms for a in t[0])
 
     def __eq__(self, other):
         if not isinstance(other, PlaneWaveField):
@@ -306,87 +290,11 @@ class PlaneWaveField:
         return PlaneWaveField(out, rep=self.rep, ncomp=self.ncomp, backend=FLOAT)
 
 
-# the slot setters, which get past the __setattr__ that keeps a field immutable
-_set_terms, _set_rep, _set_ncomp, _set_backend = (
-    getattr(PlaneWaveField, name).__set__ for name in PlaneWaveField.__slots__)
-
-
-def _fill(f: PlaneWaveField, terms: tuple, rep, ncomp: int, backend: str) -> PlaneWaveField:
-    """Set f's slots as given: ``terms`` have distinct sorted keys and none is exactly zero."""
-    _set_terms(f, terms)
-    _set_rep(f, rep)
-    _set_ncomp(f, ncomp)
-    _set_backend(f, backend)
-    return f
-
-
-def _field(terms: tuple, rep, ncomp: int, backend: str) -> PlaneWaveField:
-    """A new field from canonical ``terms``, as ``_fill`` takes them: nothing merged or checked."""
-    return _fill(object.__new__(PlaneWaveField), terms, rep, ncomp, backend)
-
-
-def _merge(a: PlaneWaveField, b: PlaneWaveField, c) -> PlaneWaveField:
-    """a + b, or a + (-b) when c is -1, without building -b.
-
-    Both term tuples are sorted with distinct keys, so they merge in one
-    pass.  When the two hold the same momentum objects and signs in the
-    same order, as the fields derived from one field do, the terms pair
-    up with no key compared.  b's amplitudes are multiplied by c as
-    ``scale`` does, so a - b equals a + (-b) bit for bit, signed zeros,
-    inf and NaN included.
-    """
-    if a.terms and b.terms and a.backend != b.backend:
-        raise BackendMismatch("adding fields from different backends")
-    if a.rep is not b.rep:
-        raise ValueError("adding fields from different representations")
-    ta, tb = a.terms, b.terms
-    if not tb:
-        return a
-    if not ta:
-        return b if c is None else b.scale(c)
-    if a.ncomp != b.ncomp:
-        raise ValueError("mixed component counts in one field")
-    if len(ta) == len(tb):
-        terms = []
-        for (amp_a, p, s), (amp_b, q, r) in zip(ta, tb):
-            if p is not q or s != r:
-                break
-            if c is not None:
-                amp_b = _scaled(c, amp_b)
-            amp = _add(amp_a, amp_b)
-            if any(amp):
-                terms.append(_term(amp, q, r))
-        else:
-            return _field(tuple(terms), a.rep, a.ncomp, a.backend)
-    ka, kb = [t.key() for t in ta], [t.key() for t in tb]
-    i = j = 0
-    terms = []
-    while i < len(ta) or j < len(tb):
-        if j == len(tb) or (i < len(ta) and ka[i] < kb[j]):
-            terms.append(ta[i])
-            i += 1
-            continue
-        t = tb[j]
-        amp = t.amplitude if c is None else _scaled(c, t.amplitude)
-        if i < len(ta) and ka[i] == kb[j]:
-            amp = _add(ta[i].amplitude, amp)
-            i += 1
-        j += 1
-        if amp is t.amplitude:
-            terms.append(t)
-        elif any(amp):
-            terms.append(_term(amp, t.momentum, t.freq_sign))
-    return _field(tuple(terms), a.rep, a.ncomp, a.backend)
-
-
 def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
-    """The field of one term, canonical as it stands: nothing to merge or sort."""
+    """The field of one term, on the term's own component count and backend."""
     if not isinstance(term, PlaneWaveTerm):
         raise TypeError("terms must be PlaneWaveTerm")
-    if not isinstance(rep, GammaRep):
-        raise TypeError("a field needs a GammaRep: its components mean nothing without one")
-    amp, p, _ = term
-    return _field((term,) if any(amp) else (), rep, len(amp), p.backend)
+    return PlaneWaveField((term,), rep, term.ncomp, term.backend)
 
 
 # -- operators ----------------------------------------------------------------
@@ -404,10 +312,8 @@ def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> P
     for amp, p, s in f.terms:
         m = symbol(p, s)
         _check_symbol(m, ncomp, backend)
-        amp = kernels.mul_vec(ncomp, m.entries, amp)
-        if any(amp):
-            terms.append(_term(amp, p, s))
-    return _field(tuple(terms), f.rep if rep is None else rep, ncomp, backend)
+        terms.append(_term(kernels.mul_vec(ncomp, m.entries, amp), p, s))
+    return PlaneWaveField(terms, f.rep if rep is None else rep, ncomp, backend)
 
 
 def _check_symbol(m: Matrix, ncomp: int, backend: str) -> None:
@@ -437,11 +343,9 @@ def _scaled(c, a: tuple) -> tuple:
 
 
 def conjugate(f: PlaneWaveField) -> PlaneWaveField:
-    """Complex conjugation: conjugated amplitudes, flipped frequency sign (a re-sort only)."""
-    terms = [_term(tuple(a.conjugate() for a in amp), p, -s) for amp, p, s in f.terms]
-    if len(terms) > 1:
-        terms.sort(key=PlaneWaveTerm.key)
-    return _field(tuple(terms), f.rep, f.ncomp, f.backend)
+    """Complex conjugation: conjugated amplitudes, flipped frequency sign."""
+    return PlaneWaveField([_term(tuple(a.conjugate() for a in amp), p, -s)
+                           for amp, p, s in f.terms], f.rep, f.ncomp, f.backend)
 
 
 def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
@@ -519,12 +423,8 @@ def _half(f: PlaneWaveField, start: int) -> PlaneWaveField:
     if f.ncomp != 4:
         raise ValueError("component split needs a 4-component field")
     stop = start + 2
-    terms = []
-    for amp, p, s in f.terms:
-        amp = amp[start:stop]
-        if any(amp):
-            terms.append(_term(amp, p, s))
-    return _field(tuple(terms), f.rep, 2, f.backend)
+    return PlaneWaveField([_term(amp[start:stop], p, s) for amp, p, s in f.terms],
+                          f.rep, 2, f.backend)
 
 
 # -- solution constructors -----------------------------------------------------

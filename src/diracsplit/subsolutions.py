@@ -57,7 +57,6 @@ from .fields import (
     FourMomentum,
     PlaneWaveField,
     _add,
-    _field,
     _scaled,
     _sub,
     _term,
@@ -145,17 +144,13 @@ def split_term(amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
             (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass) + eta)
 
 
-def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitResult:
+def split(psi: PlaneWaveField, mass) -> SplitResult:
     """Decompose a Dirac solution into its two constituent fields.
 
     Each term is split by ``split_term``.  The recombination invariants
     (xi(1)+xi(2) = xi componentwise and P1 Psi_(1) + P2 Psi_(2) = Psi)
     are verified before returning: exactly on the exact backend, within
     the constant bound 1e-10 on the float one.
-
-    ``require_solution=False`` skips the Dirac-solution precondition and
-    the recombination checks; it exists so negative controls can push
-    off-shell inputs through the same code path.
     """
     if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
@@ -166,28 +161,22 @@ def split(psi: PlaneWaveField, mass, *, require_solution: bool = True) -> SplitR
             "component formulas are pinned to the spinor basis; "
             "transport the field with the intertwiner first"
         )
-    if require_solution:
-        res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
-        if not res.within(_TOL):
-            raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
+    res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
+    if not res.within(_TOL):
+        raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
 
-    # each constituent keeps psi's keys, so it is built term by term
     terms1, terms2 = [], []
     for amp, p, s in psi.terms:
         amp1, amp2 = split_term(amp, p, s, mass)
-        if any(amp1):
-            terms1.append(_term(amp1, p, s))
-        if any(amp2):
-            terms2.append(_term(amp2, p, s))
-    psi1 = _field(tuple(terms1), psi.rep, 4, psi.backend)
-    psi2 = _field(tuple(terms2), psi.rep, 4, psi.backend)
-    result = SplitResult(psi=psi, psi1=psi1, psi2=psi2, mass=mass)
-    if require_solution:
-        rec = recombination_residuals(result)
-        if not rec.all_within(_TOL):
-            raise NotASolution(
-                f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {_TOL})"
-            )
+        terms1.append(_term(amp1, p, s))
+        terms2.append(_term(amp2, p, s))
+    result = SplitResult(psi=psi, psi1=PlaneWaveField(terms1, psi.rep, 4, psi.backend),
+                         psi2=PlaneWaveField(terms2, psi.rep, 4, psi.backend), mass=mass)
+    rec = recombination_residuals(result)
+    if not rec.all_within(_TOL):
+        raise NotASolution(
+            f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {_TOL})"
+        )
     return result
 
 

@@ -158,6 +158,8 @@ class RunConfig:
             raise ValueError("seed must be an integer that fits in 64 bits")
         for key in ("mass_range", "momentum_range"):
             rng = getattr(self, key)
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
+                raise ValueError(f"{key} must be a pair (lo, hi)")
             if not all(_is_finite(x) for x in rng):
                 raise ValueError(f"{key} entries must be finite numbers")
         lo, hi = self.mass_range

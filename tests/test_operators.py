@@ -243,8 +243,8 @@ def _constructed(a, b_terms):
 def test_sum_merges_like_the_constructor(name, data):
     """a + b, a - b and b + a equal the constructor on the concatenated terms, term for term.
 
-    a - b, merged in one pass, is also a + (-b) bit for bit, empty and
-    cancelling operands included, and raises where a + (-b) raises.
+    a - b is also a + (-b) bit for bit, empty and cancelling operands
+    included, and raises where a + (-b) raises.
     """
     a = _summands(data, name)
     kind = data.draw(st.sampled_from(("drawn", "cancelling", "empty")))
@@ -309,7 +309,7 @@ def test_sum_of_fields_on_different_representations_raises():
             a - b
 
 
-# -- the trusted paths ------------------------------------------------------------
+# -- the trusted term path and the merge, on edge values ---------------------------
 
 _FLOAT_MOMENTA = tuple(p.to_float() for p in _MOMENTA)
 
@@ -347,9 +347,6 @@ def test_trusted_paths_equal_the_validating_constructors(name, backend, ncomp, d
     for got, t in zip(terms, want.terms):
         _assert_same_value(got, t)
         _assert_same_value(got, PlaneWaveTerm(*t))
-    _assert_same_value(fields._field(terms, rep, ncomp, backend), want)
-    filled = fields._fill(object.__new__(PlaneWaveField), terms, rep, ncomp, backend)
-    _assert_same_value(filled, want)
     for t in data.draw(_edge_terms(backend, ncomp, max_size=2)):
         _assert_same_value(field_of(t, rep),
                            PlaneWaveField((t,), rep=rep, ncomp=ncomp, backend=backend))
@@ -373,8 +370,7 @@ def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data)
 
     b takes a's momentum objects and signs in a's order, each amplitude
     drawn anew or a's negated (so sums cancel exactly); ``_rekeyed(b)``
-    has the same keys on copied momenta, which sends ``_merge`` through
-    its keyed pass.
+    has the same keys on copied momenta.
     """
     rep = build_rep(name)
     a = PlaneWaveField(data.draw(_edge_terms(backend, ncomp, max_size=1 if single else 6)),
@@ -385,9 +381,8 @@ def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data)
             amp = tuple(-x for x in t.amplitude)
         else:
             amp = data.draw(_edge_amplitudes(backend, ncomp))
-        if any(amp):
-            b_terms.append(fields._term(amp, t.momentum, t.freq_sign))
-    b = fields._field(tuple(b_terms), rep, ncomp, backend)
+        b_terms.append(fields._term(amp, t.momentum, t.freq_sign))
+    b = PlaneWaveField(b_terms, rep=rep, ncomp=ncomp, backend=backend)
     far = _rekeyed(b)
     for got, want in ((a + b, a + far), (a - b, a - far), (b + a, far + a), (b - a, far - a)):
         _assert_bitwise_equal(got, want)
@@ -395,17 +390,6 @@ def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data)
     if _finite(a):
         for cancelled in (a - a, a + (-a), a - _rekeyed(a)):
             assert cancelled.is_zero and cancelled.ncomp == ncomp
-
-
-def test_paired_merge_compares_no_key(monkeypatch):
-    f = _full_field(build_rep("standard"))
-    g, far = f.scale(2), _rekeyed(f.scale(2))
-    calls = []
-    key = PlaneWaveTerm.key
-    monkeypatch.setattr(PlaneWaveTerm, "key", lambda t: calls.append(t) or key(t))
-    assert (f + g) - g == f and (f - f).is_zero
-    assert calls == []
-    assert f + far == f + g and calls
 
 
 @pytest.mark.parametrize("backend", (EXACT, FLOAT))
@@ -422,7 +406,7 @@ def test_apply_symbol_checks_the_symbol_of_every_term(backend):
 
 
 @pytest.mark.parametrize("backend", (EXACT, FLOAT))
-def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend, monkeypatch):
+def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend):
     f = _full_field(build_rep("spinor"))
     if backend == FLOAT:
         f = f.to_float()
@@ -434,5 +418,4 @@ def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend, monkeypatch)
     empty = f - f
     assert empty.is_zero and empty.apply(Matrix.identity(2, other)) == empty
     p = f.rep.on(backend).p[0]
-    monkeypatch.setattr(fields, "apply_symbol", None)  # the constant symbol is not a per-term one
     assert f.apply(p) == _ref_apply(f, p)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracsplit import (
+    FLOAT,
     FourMomentum,
     Matrix,
     NotMajorana,
@@ -18,8 +19,10 @@ from diracsplit import (
     identity_residuals,
     majorana_build,
     majorana_residuals,
+    PlaneWaveField,
     PlaneWaveTerm,
     RunConfig,
+    SplitResult,
     recombination_residuals,
     run,
     sigma_momentum_op,
@@ -31,7 +34,9 @@ from diracsplit import (
 )
 from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
+from diracsplit.reports import residual_report
 from diracsplit.scalars import GaussianRational
+from diracsplit.subsolutions import split_relations, split_term
 
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
@@ -158,13 +163,14 @@ def test_split_rejects_non_solution():
 
 
 def test_split_without_solution_check_passes_offshell():
+    """Off the shell, the constituent relations of one term measure far from zero."""
     spinor = build_rep("spinor")
     p = FourMomentum.floats((4.0, 2.0, 2.0, 0.0), 1.0)  # off the shell
-    from diracsplit import PlaneWaveTerm
-
-    f = field_of(PlaneWaveTerm((1.0, 0.5, 0.25, 1.0), p, 1), rep=spinor)
-    sr = split(f, 1.0, require_solution=False)
-    assert constituent_residuals(sr).max_residual() > 1e-3
+    term = PlaneWaveTerm((1.0, 0.5, 0.25, 1.0), p, 1)
+    _, _, constituent = split_relations(spinor.on(FLOAT), *term, 1.0)
+    assert residual_report(FLOAT, constituent).max_residual() > 1e-3
+    with pytest.raises(NotASolution):
+        split(field_of(term, rep=spinor), 1.0)
 
 
 # -- float fuzz -------------------------------------------------------------
@@ -288,19 +294,20 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
     """Per term, gamma.p is applied once to each projected constituent, shared by every relation.
 
     Each constituent k takes five products on a term: P_k, gamma.p, gamma.p - m,
-    P_k again and 1 - P_k.  The split keeps its relations, so the three
-    reports of one split make them once.
+    P_k again and 1 - P_k.  The split keeps its relations, so its own
+    recombination check and the three reports of one split make them
+    once; split's Dirac residual adds one product per term.
     """
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
     psi = field_of(u_spinor(p, sp, 1), sp)
     psi = psi + charge_conjugate(psi)
-    sr = split(psi, p.mass, require_solution=False)
     gamma_p = {dirac_matrix(sp, p, s).entries for s in (1, -1)}
     calls = _counted_mul_vec(monkeypatch)
+    sr = split(psi, p.mass)
     reports = [recombination_residuals(sr), identity_residuals(sr), constituent_residuals(sr)]
     assert len(sr.psi.terms) == 2
-    assert len(calls) == 2 * 2 * 5
+    assert len(calls) == 2 + 2 * 2 * 5
     assert sum(1 for _, a, _ in calls if a in gamma_p) == 2 * 2
     assert all(r.all_within(1e-10) for r in reports)
 
@@ -382,6 +389,14 @@ def _mode_field(rep, kind, index, conjugated, junk):
     return charge_conjugate(f) if conjugated else f
 
 
+def _unchecked_split(f, mass):
+    """What ``split(f, mass)`` builds, without its preconditions: f need solve nothing."""
+    parts = [(split_term(amp, p, s, mass), p, s) for amp, p, s in f.terms]
+    psi1, psi2 = (PlaneWaveField([PlaneWaveTerm(pair[k], p, s) for pair, p, s in parts],
+                                 f.rep, 4, f.backend) for k in (0, 1))
+    return SplitResult(psi=f, psi1=psi1, psi2=psi2, mass=mass)
+
+
 def _assert_termwise(whole, parts):
     """Per label: exact zero iff zero on every part; otherwise the largest of the parts'."""
     for e in whole:
@@ -420,8 +435,8 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
         by_momentum.setdefault(t.momentum.key(), []).append(field_of(t, rep))
     pairs = [sum(fs[1:], fs[0]) for fs in by_momentum.values()]
     _assert_termwise(majorana_residuals(maj, 1), [majorana_residuals(g, 1) for g in pairs])
-    whole = split(f, 1, require_solution=False)
-    parts = [split(g, 1, require_solution=False) for g in singles]
+    whole = _unchecked_split(f, 1)
+    parts = [_unchecked_split(g, 1) for g in singles]
     for residuals in (recombination_residuals, identity_residuals, constituent_residuals):
         _assert_termwise(residuals(whole), [residuals(sr) for sr in parts])
     for other in ("standard", "majorana"):

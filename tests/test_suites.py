@@ -84,6 +84,14 @@ def test_config_validation(kwargs):
         RunConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("key", ["mass_range", "momentum_range"])
+@pytest.mark.parametrize("value", [5, None, (1, 2, 3), (1,), "ab"],
+                         ids=["int", "none", "three", "one", "string"])
+def test_a_malformed_range_is_a_value_error_naming_its_key(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a pair"):
+        run(RunConfig(**{key: value}))
+
+
 def test_config_defaults_are_valid():
     RunConfig().validate()
 
@@ -456,7 +464,7 @@ def test_float_fuzz_builds_no_field_per_trial(suite, monkeypatch):
     from diracsplit import fields
 
     run(RunConfig(suite=suite, rep="all", backend="float", trials=1))  # fills the views
-    built = _counted_everywhere(monkeypatch, fields, "_field")
+    built = []
     init = fields.PlaneWaveField.__init__
     monkeypatch.setattr(fields.PlaneWaveField, "__init__",
                         lambda *args, **kwargs: built.append(args) or init(*args, **kwargs))
