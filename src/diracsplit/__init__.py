@@ -25,13 +25,9 @@ from .fields import (
     PlaneWaveField,
     PlaneWaveTerm,
     apply_symbol,
-    charge_conjugate,
-    conjugate,
     dirac_matrix,
-    dirac_op,
     dirac_residual,
     field_of,
-    lower_half,
     u_spinor,
     upper_half,
     weyl_spinor,
@@ -43,10 +39,8 @@ from .lorentz import (
     covariance_check,
     pconditions_residual,
     pi_commutation_check,
-    reduced_dirac_residual,
     special_frame,
     spinor_transform,
-    transform_field,
     vector_transform,
 )
 from .matrices import Matrix
@@ -55,12 +49,8 @@ from .reports import CheckRecord, Report, ResidualEntry, ResidualReport, format_
 from .scalars import EXACT, FLOAT, GaussianRational
 from .subsolutions import (
     SplitResult,
-    constituent_residuals,
-    identity_residuals,
-    majorana_build,
     majorana_residuals,
     recombination_residuals,
-    sigma_momentum_op,
     split,
     transported_constituent_residuals,
     weyl_residuals,
@@ -102,29 +92,19 @@ __all__ = [
     "apply_symbol",
     "build_projectors",
     "build_rep",
-    "charge_conjugate",
-    "conjugate",
-    "constituent_residuals",
     "covariance_check",
     "dirac_matrix",
-    "dirac_op",
     "dirac_residual",
     "field_of",
     "format_human",
-    "identity_residuals",
-    "lower_half",
-    "majorana_build",
     "majorana_residuals",
     "pconditions_residual",
     "pi_commutation_check",
     "recombination_residuals",
-    "reduced_dirac_residual",
     "run",
-    "sigma_momentum_op",
     "special_frame",
     "spinor_transform",
     "split",
-    "transform_field",
     "transported_constituent_residuals",
     "u_spinor",
     "upper_half",

@@ -17,7 +17,6 @@ from .errors import DiracSplitError
 from .reports import Report, format_human
 from .suites import (
     BACKEND_CHOICES,
-    DEFAULT_SEED,
     REP_CHOICES,
     RunConfig,
     SUITE_NAMES,

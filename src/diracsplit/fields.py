@@ -17,18 +17,16 @@ terms, its representation, its component count and its backend.
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
 momentum and frequency sign, applied term by term by ``apply_symbol``
-(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).  ``a + b`` hands
-the two term tuples to the constructor, which adds the amplitudes of a
-shared key, and ``a - b`` is ``a + b.scale(-1)``.
+(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).
 
-What an operator does to the amplitudes of one key is written once, as
-the amplitude algebra of one term: ``_add`` (a + b), ``_sub`` (a +
-(-1) b, component by component) and ``_scaled`` (c a), with a symbol or
-a constant matrix applied by ``Matrix.apply`` (``kernels.mul_vec``).
-The operators use it, and so do the relation statements of
-``subsolutions`` and the fuzz of ``suites``, which build no field: a
-relation measured on one term equals, bit for bit, the same relation
-measured on that term's field.
+The amplitude algebra of the term relations is written once here:
+``_add`` (a + b), ``_sub`` (a + (-1) b, component by component) and
+``_scaled`` (c a), with a symbol or a constant matrix applied by
+``Matrix.apply`` (``kernels.mul_vec``).  The relation statements of
+``subsolutions`` and the fuzz of ``suites`` use it and build no field,
+and the constructor adds the amplitudes of a shared key with ``_add``,
+so a relation measured on one term equals, bit for bit, the same
+relation measured on that term's field.
 
 Every field, an operator's result included, is built by the one
 constructor, ``PlaneWaveField(terms, rep, ncomp, backend)``: it merges
@@ -46,12 +44,13 @@ derived from one field share its momenta, and a momentum keeps the
 symbols ``dirac_matrix`` built on it, per (rep, frequency sign, mass),
 in a field outside ``==``, ``hash`` and ``repr``: gamma.p is built once
 per momentum, sign and basis, and the memo goes when the momentum does.
-Complex conjugation flips the frequency sign, which couples a field to
-its conjugate in the charge-conjugation and Majorana relations.
+Complex conjugation flips the frequency sign, so the Majorana relations
+pair the term at (p, s) with the conjugate of the term at (p, -s).
 
 Components mean something only in a named gamma basis, so every field
-carries its representation: the constructor requires a ``GammaRep``,
-and ``==``, ``hash`` and ``+`` take it into account.
+carries its representation: the constructor requires a ``GammaRep``.
+A field compares by identity; two fields agree when their ``terms``,
+``rep``, ``ncomp`` and ``backend`` do.
 """
 
 from __future__ import annotations
@@ -59,12 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import kernels
 from .errors import (
     BackendMismatch,
-    ChargeConjugationNeedsBispinor,
     MasslessNeedsWeyl,
     OffShell,
     WeylRequiresMassless,
@@ -187,8 +185,9 @@ class PlaneWaveField:
 
     Terms with identical (momentum, mass, frequency sign) are merged and
     exact zero amplitudes dropped, so structural identities reduce to the
-    empty field.  Term order is sorted by key, making equality and
-    serialization deterministic.
+    empty field.  Term order is sorted by key, making the terms and
+    serialization deterministic.  ``ncomp`` must be 2 or 4 and
+    ``backend`` a known one; a non-empty field takes both from its terms.
     """
 
     __slots__ = ("terms", "rep", "ncomp", "backend")
@@ -197,6 +196,10 @@ class PlaneWaveField:
                  ncomp: int = 4, backend: str = EXACT):
         if not isinstance(rep, GammaRep):
             raise TypeError("a field needs a GammaRep: its components mean nothing without one")
+        if ncomp not in (2, 4):
+            raise ValueError(f"a field has 2 or 4 components, not {ncomp!r}")
+        if backend not in SCALAR_TYPE:
+            raise ValueError(f"unknown backend {backend!r}")
         merged: dict = {}
         for t in terms:
             if not isinstance(t, PlaneWaveTerm):
@@ -227,34 +230,6 @@ class PlaneWaveField:
     def __setattr__(self, name, value):
         raise AttributeError("PlaneWaveField is immutable")
 
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other: "PlaneWaveField") -> "PlaneWaveField":
-        if not isinstance(other, PlaneWaveField):
-            return NotImplemented
-        if self.terms and other.terms and self.backend != other.backend:
-            raise BackendMismatch("adding fields from different backends")
-        if self.rep is not other.rep:
-            raise ValueError("adding fields from different representations")
-        return PlaneWaveField(self.terms + other.terms, self.rep, self.ncomp, self.backend)
-
-    def __sub__(self, other: "PlaneWaveField") -> "PlaneWaveField":
-        if not isinstance(other, PlaneWaveField):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "PlaneWaveField":
-        return self.scale(-1)
-
-    def scale(self, c) -> "PlaneWaveField":
-        c = coerce_scalar(c, self.backend)
-        return PlaneWaveField([_term(_scaled(c, amp), p, s) for amp, p, s in self.terms],
-                              self.rep, self.ncomp, self.backend)
-
-    def apply(self, m: Matrix) -> "PlaneWaveField":
-        """Apply a constant matrix to every amplitude: the constant symbol."""
-        return apply_symbol(self, lambda p, s: m)
-
     # -- predicates ------------------------------------------------------
 
     @property
@@ -264,30 +239,8 @@ class PlaneWaveField:
     def max_abs(self) -> float:
         return kernels.max_abs(a for t in self.terms for a in t[0])
 
-    def __eq__(self, other):
-        if not isinstance(other, PlaneWaveField):
-            return NotImplemented
-        return (
-            self.ncomp == other.ncomp
-            and self.backend == other.backend
-            and self.rep is other.rep
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ncomp, self.backend, self.rep, self.terms))
-
     def __repr__(self):
         return f"PlaneWaveField({len(self.terms)} terms, n={self.ncomp}, {self.backend})"
-
-    def to_float(self) -> "PlaneWaveField":
-        if self.backend == FLOAT:
-            return self
-        out = []
-        for t in self.terms:
-            amp = tuple(a.to_complex() for a in t.amplitude)
-            out.append(PlaneWaveTerm(amp, t.momentum.to_float(), t.freq_sign))
-        return PlaneWaveField(out, rep=self.rep, ncomp=self.ncomp, backend=FLOAT)
 
 
 def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
@@ -300,12 +253,11 @@ def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
 # -- operators ----------------------------------------------------------------
 
 
-def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> PlaneWaveField:
+def apply_symbol(f: PlaneWaveField, symbol) -> PlaneWaveField:
     """Multiply each term's amplitude by the matrix ``symbol(momentum, freq_sign)``.
 
     Each term keeps its key, and a term the product makes exactly zero is
-    dropped.  The result carries ``rep`` (f's representation by default),
-    so a change of basis relabels the field as it applies the intertwiner.
+    dropped.
     """
     ncomp, backend = f.ncomp, f.backend
     terms = []
@@ -313,7 +265,7 @@ def apply_symbol(f: PlaneWaveField, symbol, rep: Optional[GammaRep] = None) -> P
         m = symbol(p, s)
         _check_symbol(m, ncomp, backend)
         terms.append(_term(kernels.mul_vec(ncomp, m.entries, amp), p, s))
-    return PlaneWaveField(terms, f.rep if rep is None else rep, ncomp, backend)
+    return PlaneWaveField(terms, f.rep, ncomp, backend)
 
 
 def _check_symbol(m: Matrix, ncomp: int, backend: str) -> None:
@@ -323,40 +275,23 @@ def _check_symbol(m: Matrix, ncomp: int, backend: str) -> None:
         raise BackendMismatch("symbol backend differs from field backend")
 
 
-# -- the amplitude algebra of one term (see the module docstring) ------------------
+# -- the amplitude algebra of the term relations (see the module docstring) -------
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    """a + b, component by component: ``+`` of two fields on one key."""
+    """a + b, component by component; the constructor merges a shared key's amplitudes with it."""
     return tuple(map(add, a, b))
 
 
 def _sub(a: tuple, b: tuple, backend: str) -> tuple:
-    """a + (-1) b, component by component: ``-`` of two fields on one key."""
+    """a + (-1) b, component by component, on ``backend``."""
     c = _MINUS_ONE[backend]
     return tuple(x + c * y for x, y in zip(a, b))
 
 
 def _scaled(c, a: tuple) -> tuple:
-    """c a, component by component: ``scale`` of a field on one term (c on a's backend)."""
+    """c a, component by component, with c on a's backend."""
     return tuple(c * x for x in a)
-
-
-def conjugate(f: PlaneWaveField) -> PlaneWaveField:
-    """Complex conjugation: conjugated amplitudes, flipped frequency sign."""
-    return PlaneWaveField([_term(tuple(a.conjugate() for a in amp), p, -s)
-                           for amp, p, s in f.terms], f.rep, f.ncomp, f.backend)
-
-
-def charge_conjugate(f: PlaneWaveField) -> PlaneWaveField:
-    """C f = M conjugate(f) with M the representation's conjugation matrix.
-
-    M is i gamma2 in the spinor and standard bases and the transported
-    equivalent elsewhere; see ``gamma.RepView.conjugation``.
-    """
-    if f.ncomp != 4:
-        raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")
-    return conjugate(f).apply(f.rep.on(f.backend).conjugation)
 
 
 def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) -> Matrix:
@@ -391,40 +326,18 @@ def _gamma_dot(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
                                     for a, b, c, d in zip(g0, g1, g2, g3)))
 
 
-def _dirac_rep(f: PlaneWaveField) -> GammaRep:
-    if f.ncomp != 4:
-        raise ValueError("the Dirac operator acts on 4-component fields")
-    return f.rep
-
-
-def dirac_op(f: PlaneWaveField) -> PlaneWaveField:
-    """gamma^mu p_mu acting term-wise on a bispinor field."""
-    rep = _dirac_rep(f)
-    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s))
-
-
 def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     """(gamma^mu p_mu - m) f in one pass; the zero field iff f solves the equation."""
-    rep = _dirac_rep(f)
-    return apply_symbol(f, lambda p, s: dirac_matrix(rep, p, s, mass))
+    if f.ncomp != 4:
+        raise ValueError("the Dirac operator acts on 4-component fields")
+    return apply_symbol(f, lambda p, s: dirac_matrix(f.rep, p, s, mass))
 
 
 def upper_half(f: PlaneWaveField) -> PlaneWaveField:
     """Components (0,1) of a bispinor field (the xi pair in the spinor basis)."""
-    return _half(f, 0)
-
-
-def lower_half(f: PlaneWaveField) -> PlaneWaveField:
-    """Components (2,3) of a bispinor field (the eta pair in the spinor basis)."""
-    return _half(f, 2)
-
-
-def _half(f: PlaneWaveField, start: int) -> PlaneWaveField:
     if f.ncomp != 4:
         raise ValueError("component split needs a 4-component field")
-    stop = start + 2
-    return PlaneWaveField([_term(amp[start:stop], p, s) for amp, p, s in f.terms],
-                          f.rep, 2, f.backend)
+    return PlaneWaveField([_term(amp[:2], p, s) for amp, p, s in f.terms], f.rep, 2, f.backend)
 
 
 # -- solution constructors -----------------------------------------------------

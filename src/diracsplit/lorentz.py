@@ -1,4 +1,4 @@
-"""Lorentz transformations of momenta, amplitudes and fields.
+"""Lorentz transformations of momenta and amplitudes.
 
 A transformation is restricted to a single coordinate plane: a boost in
 (0, k) with rapidity omega or a rotation in (j, k), j < k, by angle
@@ -43,7 +43,7 @@ from typing import Optional
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
-from .fields import FourMomentum, PlaneWaveField, PlaneWaveTerm, apply_symbol
+from .fields import FourMomentum
 from .gamma import METRIC_SIGNS, GammaRep, RepView
 from .matrices import Matrix, commutator, max_abs_diff
 from .reports import ResidualReport, residual_entry
@@ -294,36 +294,11 @@ def special_frame(p: FourMomentum) -> tuple:
     )
 
 
-def transform_field(f: PlaneWaveField, params: LorentzParams) -> PlaneWaveField:
-    """Transformed field: amplitudes through S, momenta through a.
-
-    The entries of S are transcendental in omega, so this is a
-    float-backend operation; promote exact fields with ``to_float``.
-    """
-    ff = f if f.backend == FLOAT else f.to_float()
-    s = spinor_transform(params, f.rep)
-    if ff.ncomp != 4:
-        raise ValueError("transformation acts on bispinor fields")
-    vt = vector_transform(params)
-    out = [
-        PlaneWaveTerm(s.apply(t.amplitude), vt.apply(t.momentum), t.freq_sign)
-        for t in ff.terms
-    ]
-    return PlaneWaveField(out, rep=ff.rep, ncomp=4, backend=FLOAT)
-
-
 def reduced_dirac_symbol(view: RepView, p: FourMomentum, s: int, mass) -> Matrix:
-    """gamma_0 (s p^0) + gamma_1 (s p^1) - m: the symbol of ``reduced_dirac_residual``."""
+    """gamma_0 (s p^0) + gamma_1 (s p^1) - m: the reduced Dirac symbol of the special frame.
+
+    In the special frame of ``special_frame`` p_2 = p_3 = 0, so the
+    symbol gamma^mu p_mu - m of a term collapses to its (0, 1) part.
+    """
     g0, g1 = view.gammas_lower[:2]
     return g0.scale(s * p.p[0]) + g1.scale(s * p.p[1]) - Matrix.diag((mass,) * 4, p.backend)
-
-
-def reduced_dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
-    """(gamma^0 p_0 + gamma^1 p_1 - m) f.
-
-    In the special frame the momentum operator components p_2 and p_3
-    annihilate the field, and the Dirac operator gamma^mu p_mu collapses
-    to its (0, 1) part; this evaluates that reduced form.
-    """
-    view = f.rep.on(f.backend)
-    return apply_symbol(f, lambda p, s: reduced_dirac_symbol(view, p, s, mass))

@@ -47,13 +47,6 @@ class Matrix:
         return cls(n, EXACT, flat)
 
     @classmethod
-    def floats(cls, rows: Sequence[Sequence]) -> "Matrix":
-        """Float matrix from nested rows of numbers."""
-        n = len(rows)
-        flat = tuple(coerce_scalar(x, FLOAT) for row in rows for x in row)
-        return cls(n, FLOAT, flat)
-
-    @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
         one, zero = SCALAR_TYPE[backend](1), SCALAR_TYPE[backend](0)
         flat = tuple(one if i == j else zero for i in range(n) for j in range(n))

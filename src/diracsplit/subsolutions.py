@@ -28,12 +28,11 @@ zero term) and concatenate each label's values (``termwise``), and
 ``split``'s preconditions and the exact witnesses read those; the float
 fuzz passes a sampled mode's amplitude straight in and builds no field.
 The one family that couples two terms is Majorana's, where the term at
-(p, s) meets the conjugate of the term at (p, -s), as
-``f - charge_conjugate(f)`` pairs them.  The statements do to the
-amplitudes what the field operators would, in the same order (see
-``fields``), so a field's report is the same to the last bit either
-way.  For exact inputs on an exact mass shell all residuals vanish
-identically.
+(p, s) meets the conjugate of the term at (p, -s): complex conjugation
+flips the frequency sign.  The statements combine amplitudes with the
+amplitude algebra of ``fields`` (``_add``, ``_sub``, ``_scaled``), so a
+witness field's report and a fuzz trial's agree to the last bit.  For
+exact inputs on an exact mass shell all residuals vanish identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
@@ -60,8 +59,6 @@ from .fields import (
     _scaled,
     _sub,
     _term,
-    apply_symbol,
-    charge_conjugate,
     dirac_matrix,
     dirac_residual,
     upper_half,
@@ -260,16 +257,6 @@ def recombination_residuals(sr: SplitResult) -> ResidualReport:
     return residual_report(sr.psi.backend, sr.relations[0])
 
 
-def identity_residuals(sr: SplitResult) -> ResidualReport:
-    """The identity relations of ``split_relations``, over the split's terms."""
-    return residual_report(sr.psi.backend, sr.relations[1])
-
-
-def constituent_residuals(sr: SplitResult) -> ResidualReport:
-    """The constituent relations of ``split_relations``, over the split's terms."""
-    return residual_report(sr.psi.backend, sr.relations[2])
-
-
 def transported_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> list:
     """The basis-independent constituent checks of one spinor-basis term, in ``view``'s basis.
 
@@ -320,13 +307,6 @@ def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
     return symbol
 
 
-def sigma_momentum_op(f: PlaneWaveField, sign: int) -> PlaneWaveField:
-    """(p^0 + sign * sigma.p) acting on a 2-component field."""
-    if f.ncomp != 2:
-        raise ValueError("sigma.p acts on 2-component fields")
-    return apply_symbol(f, lambda p, s: _sigma_symbol(p, s, sign))
-
-
 def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     """The massless chiral equations on one term, in ``view``'s basis.
 
@@ -368,11 +348,6 @@ def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualRep
 # -- Majorana --------------------------------------------------------------------
 
 
-def majorana_build(psi: PlaneWaveField) -> PlaneWaveField:
-    """Self-conjugate combination Psi + C Psi."""
-    return psi + charge_conjugate(psi)
-
-
 _SIGMA2 = {backend: Matrix(2, backend, (scalar(0), scalar(0, -1), scalar(0, 1), scalar(0)))
            for backend, scalar in SCALAR_TYPE.items()}
 
@@ -411,8 +386,8 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
 def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     """``majorana_relations`` at every key of f or of C f, on f's backend.
 
-    At (p, s) the term of f there meets its partner at (p, -s), exactly
-    as ``f - charge_conjugate(f)`` pairs them; an absent one is zero.
+    At (p, s) the term of f there meets its partner at (p, -s), since
+    conjugation flips the frequency sign; an absent one is zero.
     Raises "not-majorana" when self-conjugacy fails (exactly on the exact
     backend, beyond the constant bound 1e-10 on the float one); the
     component checks require the spinor basis.

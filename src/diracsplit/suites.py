@@ -24,10 +24,9 @@ terms (``subsolutions.termwise``), into entries with
 ``reports.residual_report``.  A fuzz trial passes its sampled modes'
 amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
-the momentum they are given, and a covariance trial moves each
-amplitude through S and its momentum through a once, as
-``lorentz.transform_field`` does to a field.  One driver, ``_fuzz``,
-runs every campaign: it reads
+the momentum they are given, and a covariance trial transforms each
+term once: its amplitude through S and its momentum through a.  One
+driver, ``_fuzz``, runs every campaign: it reads
 ``reports.magnitude`` of each value, the float an entry would record,
 and keeps each label's largest, NaN if any trial gave NaN.  Trials
 derive per-trial sub-seeds from (seed, family tag, index), so records
@@ -720,7 +719,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
                 amps = tuple(u.apply(a) for a in amps)
-            # each amplitude through S, the momentum through a, as transform_field does
+            # a transformed term is its amplitude through S at its momentum through a
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             s_mat = spinor_transform(params, rep)
             dirac = dirac_matrix(rep, vector_transform(params).apply(p), 1, p.mass)
@@ -754,7 +753,7 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
     def trial_residuals(rng, trial):
         p, (_, psi1, psi2) = _sampled_split(rng, config, trial)
         rot, boost = special_frame(p)
-        # the rotation, then the boost, of each constituent and of p, as transform_field does
+        # the rotation, then the boost: each constituent amplitude through S, p through a
         s_rot, s_boost = spinor_transform(rot, sp), spinor_transform(boost, sp)
         moved1 = s_boost.apply(s_rot.apply(psi1))
         moved2 = s_boost.apply(s_rot.apply(psi2))

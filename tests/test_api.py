@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the names its modules import."""
+
+import ast
+from pathlib import Path
 
 import diracsplit
 
@@ -36,6 +39,15 @@ def test_names_the_benchmark_reaches():
     sr = diracsplit.split(diracsplit.field_of(diracsplit.u_spinor(p, spinor, 1), spinor), p.mass)
     for f, ncomp in ((sr.psi, 4), (sr.psi1, 4), (sr.psi2, 4), (sr.xi1_pair, 2), (sr.xi2_pair, 2)):
         assert len(f.terms[0].amplitude) == ncomp
+    # and each basis's gammas and gamma5, entry by entry through Matrix.rows()
+    for name in ("spinor", "standard", "majorana"):
+        rep = diracsplit.build_rep(name)
+        assert len(rep.gammas) == 4
+        for m in rep.gammas + (rep.gamma5,):
+            rows = m.rows()
+            assert len(rows) == 4 and [x for row in rows for x in row] == list(m.entries)
+            for x in m.entries:
+                complex(float(x.re), float(x.im))  # as the oracle converts each entry
 
 
 def test_names_the_benchmark_traces():
@@ -50,3 +62,52 @@ def test_names_the_benchmark_traces():
     for cls, name in ((matrices.Matrix, "__matmul__"), (matrices.Matrix, "to_float"),
                       (scalars.GaussianRational, "to_complex")):
         assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def _imported_names(tree) -> dict:
+    """name -> line of each name a module's import statements bind, ``__future__`` aside."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    """Every name a module of ``src/diracsplit`` imports is read in that module.
+
+    ``__init__.py`` imports to re-export, so it is left out.  A name read
+    only inside a quoted annotation counts as read.
+    """
+    unused = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree).items() if name not in read]
+    assert unused == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    """The README's "Library use" code block runs as written, and its run passes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    passed, failed = capsys.readouterr().out.split()
+    assert int(passed) > 0 and failed == "0"

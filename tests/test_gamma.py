@@ -239,7 +239,8 @@ def test_complements_are_formed_once_on_the_views_backend(rep, backend):
 def test_split_residuals_read_the_kept_complements(monkeypatch):
     """identity and transported-constituent residuals form no Id - P_k of their own."""
     from diracsplit import FourMomentum, field_of, split, u_spinor
-    from diracsplit.subsolutions import identity_residuals, transported_constituent_residuals
+    from diracsplit.reports import residual_report
+    from diracsplit.subsolutions import transported_constituent_residuals
 
     sp = build_rep("spinor")
     p = FourMomentum.exact((3, 2, 2, 0), 1)
@@ -250,6 +251,7 @@ def test_split_residuals_read_the_kept_complements(monkeypatch):
         sp.on(EXACT).intertwiner(r)
     identities = []
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, *a: identities.append(a)))
-    reports = [identity_residuals(sr)] + [transported_constituent_residuals(sr, r) for r in others]
+    reports = [residual_report(EXACT, sr.relations[1])]  # the identity relations
+    reports += [transported_constituent_residuals(sr, r) for r in others]
     assert identities == []
     assert all(r.all_exact_zero() for r in reports)

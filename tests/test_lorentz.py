@@ -8,21 +8,20 @@ from hypothesis import given, settings, strategies as st
 from diracsplit import (
     FourMomentum,
     LorentzParams,
+    PlaneWaveTerm,
     covariance_check,
     dirac_residual,
     field_of,
     pconditions_residual,
     pi_commutation_check,
-    reduced_dirac_residual,
     special_frame,
     spinor_transform,
-    transform_field,
     u_spinor,
     vector_transform,
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
-from diracsplit.gamma import GammaRep, build_rep
-from diracsplit.lorentz import VectorTransform
+from diracsplit.gamma import GammaRep
+from diracsplit.lorentz import VectorTransform, reduced_dirac_symbol
 from diracsplit.matrices import Matrix, max_abs_diff
 from diracsplit.scalars import EXACT, FLOAT
 
@@ -296,31 +295,37 @@ def test_special_frame_needs_shell():
         special_frame(p)
 
 
-# -- fields under transformations ---------------------------------------------------
+# -- terms under transformations ----------------------------------------------------
+
+
+def _transformed(term, params, rep):
+    """The term's amplitude through S at its momentum through a, as the covariance fuzz moves it."""
+    amp = tuple(a.to_complex() if term.backend == EXACT else a for a in term.amplitude)
+    return PlaneWaveTerm(spinor_transform(params, rep).apply(amp),
+                         vector_transform(params).apply(term.momentum), term.freq_sign)
 
 
 def test_transformed_solution_still_solves(rep):
     p = FourMomentum.on_shell(1.0, (2.0, 2.0, 0.0))
-    f = field_of(u_spinor(p, rep, 1), rep=rep)
+    u = u_spinor(p, rep, 1)
     for base in PLANES:
-        g = transform_field(f, base)
+        g = field_of(_transformed(u, base, rep), rep)
         assert dirac_residual(g, 1.0).max_abs() <= 1e-10
 
 
 def test_transform_promotes_exact_fields(spinor):
     p = FourMomentum.exact((3, 2, 2, 0), 1)
-    f = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    g = transform_field(f, LorentzParams("rotation", (1, 2), 0.5))
-    assert g.backend == "float"
-    assert dirac_residual(g, 1.0).max_abs() <= 1e-12
+    moved = _transformed(u_spinor(p, spinor, 1), LorentzParams("rotation", (1, 2), 0.5), spinor)
+    assert (moved.backend, moved.momentum.mass) == (FLOAT, 1.0)
+    assert dirac_residual(field_of(moved, spinor), 1.0).max_abs() <= 1e-12
 
 
 def test_reduced_operator_in_special_frame(spinor):
     p = FourMomentum.on_shell(1.3, (1.0, -2.0, 0.7))
-    f = field_of(u_spinor(p.to_float(), spinor, 2), rep=spinor)
     rot, boost = special_frame(p)
-    g = transform_field(transform_field(f, rot), boost)
-    assert reduced_dirac_residual(g, 1.3).max_abs() <= 1e-10
+    amp, q, s = _transformed(_transformed(u_spinor(p, spinor, 2), rot, spinor), boost, spinor)
+    reduced = reduced_dirac_symbol(spinor.on(FLOAT), q, s, 1.3)
+    assert max(abs(a) for a in reduced.apply(amp)) <= 1e-10
 
 
 # -- each spinor transform built once ------------------------------------------------

@@ -11,13 +11,9 @@ from diracsplit import (
     SplitRequiresMass,
     SplitRequiresSpinorRep,
     WeylRequiresMassless,
-    charge_conjugate,
-    constituent_residuals,
     dirac_matrix,
     dirac_residual,
     field_of,
-    identity_residuals,
-    majorana_build,
     majorana_residuals,
     PlaneWaveField,
     PlaneWaveTerm,
@@ -25,7 +21,6 @@ from diracsplit import (
     SplitResult,
     recombination_residuals,
     run,
-    sigma_momentum_op,
     split,
     transported_constituent_residuals,
     u_spinor,
@@ -46,6 +41,34 @@ WITNESS_MASS = 1
 
 masses = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
 spatial = st.tuples(*(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),) * 3)
+
+
+def _identity_report(sr):
+    """The identity relations of a split, as the split suite records them."""
+    return residual_report(sr.psi.backend, sr.relations[1])
+
+
+def _constituent_report(sr):
+    """The constituent relations of a split, as the split suite records them."""
+    return residual_report(sr.psi.backend, sr.relations[2])
+
+
+def _conjugates(f):
+    """C f: each term's M conj(amplitude) at the flipped frequency sign, M the basis's."""
+    m = f.rep.on(f.backend).conjugation
+    return [PlaneWaveTerm(m.apply(tuple(a.conjugate() for a in amp)), p, -s)
+            for amp, p, s in f.terms]
+
+
+def _with_conjugate(f):
+    """f + C f, built by one constructor call: a Majorana field when f solves the equation."""
+    return PlaneWaveField(f.terms + tuple(_conjugates(f)), f.rep, f.ncomp, f.backend)
+
+
+def _to_float(f):
+    """An exact field's float copy: each amplitude and momentum converted."""
+    return PlaneWaveField([PlaneWaveTerm(tuple(a.to_complex() for a in amp), p.to_float(), s)
+                           for amp, p, s in f.terms], f.rep, f.ncomp, FLOAT)
 
 
 def _witness_split(spin=1):
@@ -86,8 +109,8 @@ def test_witness_residuals_exact_zero(spin):
     sr = _witness_split(spin)
     for report in (
         recombination_residuals(sr),
-        identity_residuals(sr),
-        constituent_residuals(sr),
+        _identity_report(sr),
+        _constituent_report(sr),
     ):
         assert report.all_exact_zero()
 
@@ -112,26 +135,23 @@ def test_split_multiterm_superposition():
     spinor = build_rep("spinor")
     pa = FourMomentum.exact((3, 2, 2, 0), 1)
     pb = FourMomentum.exact((5, 4, 2, 2), 1)
-    psi = (
-        field_of(u_spinor(pa, spinor, 1), rep=spinor)
-        + field_of(u_spinor(pb, spinor, 2), rep=spinor)
-    )
+    psi = PlaneWaveField((u_spinor(pa, spinor, 1), u_spinor(pb, spinor, 2)), rep=spinor)
     sr = split(psi, 1)
     assert len(sr.psi1.terms) == 2
     assert recombination_residuals(sr).all_exact_zero()
-    assert constituent_residuals(sr).all_exact_zero()
-    assert identity_residuals(sr).all_exact_zero()
+    assert _constituent_report(sr).all_exact_zero()
+    assert _identity_report(sr).all_exact_zero()
 
 
 def test_split_handles_negative_frequency_terms():
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    both = psi + charge_conjugate(psi)
+    both = _with_conjugate(psi)
     sr = split(both, WITNESS_MASS)
     signs = sorted(t.freq_sign for t in sr.psi1.terms)
     assert signs == [-1, 1]
-    assert constituent_residuals(sr).all_exact_zero()
+    assert _constituent_report(sr).all_exact_zero()
 
 
 # -- preconditions ---------------------------------------------------------
@@ -184,8 +204,8 @@ def test_split_float_fuzz(m, sp, spin):
     psi = field_of(u_spinor(p, spinor, spin), rep=spinor)
     sr = split(psi, m)
     assert recombination_residuals(sr).all_within(1e-10)
-    assert identity_residuals(sr).all_within(1e-10)
-    assert constituent_residuals(sr).all_within(1e-10)
+    assert _identity_report(sr).all_within(1e-10)
+    assert _constituent_report(sr).all_within(1e-10)
 
 
 # -- Weyl --------------------------------------------------------------------
@@ -221,20 +241,15 @@ def test_weyl_residuals_massive_control():
     assert report.max_residual() > 0.1
 
 
-def test_sigma_momentum_op_needs_two_components():
-    sr = _witness_split(1)
-    with pytest.raises(ValueError):
-        sigma_momentum_op(sr.psi1, +1)
-
-
 # -- Majorana ------------------------------------------------------------------
 
 
 def test_majorana_witness_exact():
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    maj = majorana_build(psi)
+    u = u_spinor(p, spinor, 1)
+    cu = spinor.on(u.backend).conjugation.apply(tuple(a.conjugate() for a in u.amplitude))
+    maj = PlaneWaveField((u, PlaneWaveTerm(cu, p, -1)), rep=spinor)
     assert len(maj.terms) == 2
     report = majorana_residuals(maj, WITNESS_MASS)
     assert report.all_exact_zero()
@@ -252,7 +267,7 @@ def test_majorana_component_checks_need_spinor_basis():
     standard = build_rep("standard")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, standard, 1), rep=standard)
-    maj = majorana_build(psi)
+    maj = _with_conjugate(psi)
     with pytest.raises(SplitRequiresSpinorRep):
         majorana_residuals(maj, WITNESS_MASS)
 
@@ -263,7 +278,7 @@ def test_majorana_float_fuzz(m, sp, spin):
     spinor = build_rep("spinor")
     p = FourMomentum.on_shell(m, sp)
     psi = field_of(u_spinor(p, spinor, spin), rep=spinor)
-    maj = majorana_build(psi).to_float()
+    maj = _with_conjugate(psi)
     report = majorana_residuals(maj, m)
     entries = {e.label: e for e in report}
     # conjugation is exact in floating point, so self-conjugacy is literal
@@ -301,11 +316,11 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
     psi = field_of(u_spinor(p, sp, 1), sp)
-    psi = psi + charge_conjugate(psi)
+    psi = _with_conjugate(psi)
     gamma_p = {dirac_matrix(sp, p, s).entries for s in (1, -1)}
     calls = _counted_mul_vec(monkeypatch)
     sr = split(psi, p.mass)
-    reports = [recombination_residuals(sr), identity_residuals(sr), constituent_residuals(sr)]
+    reports = [recombination_residuals(sr), _identity_report(sr), _constituent_report(sr)]
     assert len(sr.psi.terms) == 2
     assert len(calls) == 2 + 2 * 2 * 5
     assert sum(1 for _, a, _ in calls if a in gamma_p) == 2 * 2
@@ -320,7 +335,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     """
     sp = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    maj = majorana_build(field_of(u_spinor(p, sp, 2), sp))
+    maj = _with_conjugate(field_of(u_spinor(p, sp, 2), sp))
     conjugated = []
     conjugate = GaussianRational.conjugate
     monkeypatch.setattr(GaussianRational, "conjugate",
@@ -329,7 +344,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     assert len(maj.terms) == 2 and len(conjugated) == 2 * 4
 
     q = FourMomentum.on_shell(0.7, (1.1, 0.4, -2.5))
-    maj = majorana_build(field_of(u_spinor(q, sp, 2), sp))
+    maj = _with_conjugate(field_of(u_spinor(q, sp, 2), sp))
     calls = _counted_mul_vec(monkeypatch)
     report = majorana_residuals(maj, q.mass)
     assert len(calls) == 2 * 5
@@ -338,10 +353,10 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
 
 _FIELD_REPORTS = (
     lambda f: weyl_residuals(f, check_mass=False),
-    lambda f: majorana_residuals(majorana_build(f), WITNESS_MASS),
+    lambda f: majorana_residuals(_with_conjugate(f), WITNESS_MASS),
     lambda f: recombination_residuals(split(f, WITNESS_MASS)),
-    lambda f: identity_residuals(split(f, WITNESS_MASS)),
-    lambda f: constituent_residuals(split(f, WITNESS_MASS)),
+    lambda f: _identity_report(split(f, WITNESS_MASS)),
+    lambda f: _constituent_report(split(f, WITNESS_MASS)),
     lambda f: transported_constituent_residuals(split(f, WITNESS_MASS), build_rep("standard")),
 )
 
@@ -353,8 +368,8 @@ def test_the_zero_field_has_every_relation_at_zero(backend):
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
     if backend == "float":
-        psi = psi.to_float()
-    zero = psi - psi
+        psi = _to_float(psi)
+    zero = PlaneWaveField((), spinor, 4, backend)
     assert zero.is_zero
     for residuals in _FIELD_REPORTS:
         report = residuals(zero)
@@ -383,10 +398,8 @@ def _mode_field(rep, kind, index, conjugated, junk):
     else:
         p = FourMomentum.exact(_NULL[index % len(_NULL)], 0)
         term = weyl_spinor(p, rep, kind)
-    f = field_of(term, rep)
-    if junk:
-        f = f + field_of(PlaneWaveTerm((1, I, 0, 2), p, 1), rep)
-    return charge_conjugate(f) if conjugated else f
+    f = PlaneWaveField((term, PlaneWaveTerm((1, I, 0, 2), p, 1)) if junk else (term,), rep)
+    return PlaneWaveField(_conjugates(f), rep) if conjugated else f
 
 
 def _unchecked_split(f, mass):
@@ -421,10 +434,10 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     fields of one momentum.
     """
     rep = build_rep(rep_name)
-    f = sum((_mode_field(rep, *mode) for mode in modes[1:]), _mode_field(rep, *modes[0]))
-    maj = majorana_build(f)
+    f = PlaneWaveField([t for mode in modes for t in _mode_field(rep, *mode).terms], rep)
+    maj = _with_conjugate(f)
     if floats:
-        f, maj = f.to_float(), maj.to_float()
+        f, maj = _to_float(f), _to_float(maj)
     singles = [field_of(t, rep) for t in f.terms]
     _assert_termwise(weyl_residuals(f, check_mass=False),
                      [weyl_residuals(g, check_mass=False) for g in singles])
@@ -433,11 +446,11 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     by_momentum = {}
     for t in maj.terms:
         by_momentum.setdefault(t.momentum.key(), []).append(field_of(t, rep))
-    pairs = [sum(fs[1:], fs[0]) for fs in by_momentum.values()]
+    pairs = [PlaneWaveField([t for g in fs for t in g.terms], rep) for fs in by_momentum.values()]
     _assert_termwise(majorana_residuals(maj, 1), [majorana_residuals(g, 1) for g in pairs])
     whole = _unchecked_split(f, 1)
     parts = [_unchecked_split(g, 1) for g in singles]
-    for residuals in (recombination_residuals, identity_residuals, constituent_residuals):
+    for residuals in (recombination_residuals, _identity_report, _constituent_report):
         _assert_termwise(residuals(whole), [residuals(sr) for sr in parts])
     for other in ("standard", "majorana"):
         to = build_rep(other)

@@ -289,7 +289,7 @@ def _nan_field():
 
 @pytest.mark.parametrize(
     "make_value",
-    [_nan_field, lambda: Matrix.floats([[NAN, 0], [0, 0]]), lambda: [1e-12, NAN]],
+    [_nan_field, lambda: Matrix(2, FLOAT, (complex(NAN), 0j, 0j, 0j)), lambda: [1e-12, NAN]],
     ids=["field", "matrix", "list"],
 )
 def test_nan_residual_fails_every_kind(make_value):
