@@ -30,6 +30,7 @@ from diracsplit.errors import (
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
+from field_helpers import charge_conjugate
 
 I = GaussianRational(0, 1)
 _SPINOR = build_rep("spinor")
@@ -226,7 +227,7 @@ def test_momentum_op_eigenvalue(spinor, mu, sign):
 def test_conjugate_flips_frequency(spinor):
     """u + C u is self-conjugate with C u at the flipped frequency sign, and only there."""
     p, term = _witness_term()
-    cu = _charge_conjugate(spinor, term.amplitude)
+    cu = charge_conjugate(spinor.on(EXACT), term.amplitude)
     majorana = PlaneWaveField((term, PlaneWaveTerm(cu, p, -1)), rep=spinor)
     assert majorana_residuals(majorana, p.mass).all_exact_zero()
     with pytest.raises(NotMajorana):
@@ -412,21 +413,16 @@ def test_weyl_rejects_bad_chirality(spinor):
 # -- charge conjugation ----------------------------------------------------------
 
 
-def _charge_conjugate(rep, amplitude):
-    """M conj(a), M the basis's conjugation matrix: C of a term, whose sign flips."""
-    return rep.on(EXACT).conjugation.apply(tuple(a.conjugate() for a in amplitude))
-
-
 def test_charge_conjugation_involution(rep):
     p = FourMomentum.exact((3, 2, 2, 0), 1)
-    u = u_spinor(p, rep, 1).amplitude
-    assert _charge_conjugate(rep, _charge_conjugate(rep, u)) == u
+    view, u = rep.on(EXACT), u_spinor(p, rep, 1).amplitude
+    assert charge_conjugate(view, charge_conjugate(view, u)) == u
 
 
 def test_charge_conjugation_preserves_solutions(rep):
     p = FourMomentum.exact((5, 4, 2, 2), 1)
     for spin in (1, 2):
-        cu = _charge_conjugate(rep, u_spinor(p, rep, spin).amplitude)
+        cu = charge_conjugate(rep.on(EXACT), u_spinor(p, rep, spin).amplitude)
         assert dirac_residual(field_of(PlaneWaveTerm(cu, p, -1), rep), p.mass).is_zero
         assert not dirac_residual(field_of(PlaneWaveTerm(cu, p, 1), rep), p.mass).is_zero
 

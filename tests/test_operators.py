@@ -1,10 +1,11 @@
 """Operators as symbols applied term by term, and the constructor's merge.
 
-The reference compositions below build the Dirac residual from
-intermediate fields, each made by the public constructors: a sum is the
-constructor on the concatenated terms.  They are kept here only as
-oracles.  On the exact backend every symbol must reproduce them term for
-term, and every operator's result must already be canonical.
+The reference compositions below build the Dirac, reduced Dirac and
+sigma.p operators from intermediate fields, each made by the public
+constructors: a sum is the constructor on the concatenated terms.  They
+are kept here only as oracles.  On the exact backend every symbol must
+reproduce them term for term, and every operator's result must already
+be canonical.
 """
 
 from fractions import Fraction
@@ -26,8 +27,11 @@ from diracsplit import (
 from diracsplit import fields
 from diracsplit.errors import BackendMismatch
 from diracsplit.gamma import METRIC_SIGNS, PAULI, REP_NAMES, build_rep
+from diracsplit.lorentz import reduced_dirac_symbol
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
+from diracsplit.subsolutions import _sigma_symbol
+from field_helpers import to_float
 
 _GR = GaussianRational
 
@@ -43,12 +47,27 @@ def _ref_scale(f, c):
                           for t in f.terms])
 
 
+def _ref_add(a, b):
+    """The constructor on a's terms, then b's."""
+    return _ref_field(a, a.terms + b.terms)
+
+
+def _negated(f):
+    return _ref_field(f, [PlaneWaveTerm(tuple(-x for x in amp), p, s) for amp, p, s in f.terms])
+
+
 def _ref_sub(a, b):
-    return _ref_field(a, a.terms + _ref_scale(b, -1).terms)
+    return _ref_add(a, _negated(b))
 
 
 def _ref_apply(f, m):
     return _ref_field(f, [PlaneWaveTerm(m.apply(t.amplitude), t.momentum, t.freq_sign)
+                          for t in f.terms])
+
+
+def _ref_momentum_op(f, mu):
+    return _ref_field(f, [PlaneWaveTerm(tuple(t.momentum.p[mu] * t.freq_sign * a
+                                              for a in t.amplitude), t.momentum, t.freq_sign)
                           for t in f.terms])
 
 
@@ -64,6 +83,20 @@ def _ref_dirac_op(f):
 
 def _ref_dirac_residual(f, mass):
     return _ref_sub(_ref_dirac_op(f), _ref_scale(f, mass))
+
+
+def _ref_sigma_momentum_op(f, sign):
+    acc = _ref_momentum_op(f, 0)
+    for k in (1, 2, 3):
+        piece = _ref_apply(_ref_momentum_op(f, k), PAULI[k - 1])
+        acc = _ref_add(acc, piece) if sign > 0 else _ref_sub(acc, piece)
+    return acc
+
+
+def _ref_reduced_dirac_residual(f, mass):
+    t0, t1 = (_ref_scale(_ref_apply(_ref_momentum_op(f, mu), f.rep.gammas[mu]), METRIC_SIGNS[mu])
+              for mu in (0, 1))
+    return _ref_sub(_ref_add(t0, t1), _ref_scale(f, mass))
 
 
 # -- fields ----------------------------------------------------------------------
@@ -110,14 +143,26 @@ def _constant(m):
     return lambda p, s: m
 
 
+def _reduced(f, mass):
+    """(gamma^0 p_0 + gamma^1 p_1 - m) f, the special frame's reduced Dirac residual."""
+    view = f.rep.on(f.backend)
+    return apply_symbol(f, lambda p, s: reduced_dirac_symbol(view, p, s, mass))
+
+
+def _sigma_momentum(f, sign):
+    """(p^0 + sign * sigma.p) f on a 2-component field."""
+    return apply_symbol(f, lambda p, s: _sigma_symbol(p, s, sign))
+
+
 def _check_against_references(f4, f2, mass):
     view = f4.rep.on(EXACT)
     _assert_same_field(dirac_residual(f4, mass), _ref_dirac_residual(f4, mass))
     _assert_same_field(dirac_residual(f4, 0), _ref_dirac_op(f4))
+    _assert_same_field(_reduced(f4, mass), _ref_reduced_dirac_residual(f4, mass))
     for m in (view.gamma5, view.p[0], view.conjugation, Matrix.zero(4)):
         _assert_same_field(apply_symbol(f4, _constant(m)), _ref_apply(f4, m))
-    for m in PAULI:
-        _assert_same_field(apply_symbol(f2, _constant(m)), _ref_apply(f2, m))
+    for sign in (1, -1):
+        _assert_same_field(_sigma_momentum(f2, sign), _ref_sigma_momentum_op(f2, sign))
     _assert_same_field(upper_half(f4), PlaneWaveField(
         [PlaneWaveTerm(t.amplitude[:2], t.momentum, t.freq_sign) for t in f4.terms],
         rep=f4.rep, ncomp=2))
@@ -136,8 +181,9 @@ def test_symbols_equal_the_reference_compositions(name):
     assert len({t.momentum for t in f4.terms}) == 3
     for mass in _MASSES:
         _check_against_references(f4, f2, mass)
-    # the solution term vanishes exactly and is dropped
+    # the solution term and the Weyl term vanish exactly and are dropped
     assert len(dirac_residual(f4, 1).terms) == 5
+    assert len(_sigma_momentum(f2, 1).terms) == 6
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,8 +219,10 @@ def _operator_results(f4, f2, mass):
     yield 4, apply_symbol(f4, keep_positive_frequencies)
     yield 4, dirac_residual(f4, 0)
     yield 4, dirac_residual(f4, mass)
+    yield 4, _reduced(f4, mass)
     yield 2, upper_half(f4)
-    yield 2, apply_symbol(f2, _constant(PAULI[0] if backend == EXACT else PAULI[0].to_float()))
+    yield 2, _sigma_momentum(f2, 1)
+    yield 2, _sigma_momentum(f2, -1)
 
 
 def _float_terms(ncomp):
@@ -256,16 +304,6 @@ def _finite(f):
     return all(abs(a) < float("inf") for t in f.terms for a in t.amplitude)
 
 
-def _merged(a, b):
-    """The constructor on a's terms, then b's."""
-    return PlaneWaveField(a.terms + b.terms, rep=a.rep, ncomp=a.ncomp, backend=a.backend)
-
-
-def _negated(f):
-    return PlaneWaveField([PlaneWaveTerm(tuple(-x for x in amp), p, s) for amp, p, s in f.terms],
-                          rep=f.rep, ncomp=f.ncomp, backend=f.backend)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.sampled_from((4, 2)),
        st.booleans(), st.data())
@@ -288,26 +326,21 @@ def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data)
         b_terms.append(fields._term(amp, t.momentum, t.freq_sign))
     b = PlaneWaveField(b_terms, rep=rep, ncomp=ncomp, backend=backend)
     far = _rekeyed(b)
-    for got, want in ((_merged(a, b), _merged(a, far)), (_merged(b, a), _merged(far, a)),
-                      (_merged(a, b), _merged(b, a)),
-                      (_merged(a, _negated(b)), _merged(a, _negated(far)))):
+    for got, want in ((_ref_add(a, b), _ref_add(a, far)), (_ref_add(b, a), _ref_add(far, a)),
+                      (_ref_add(a, b), _ref_add(b, a)),
+                      (_ref_add(a, _negated(b)), _ref_add(a, _negated(far)))):
         _assert_same_field(got, want)
         _assert_canonical(got, ncomp, backend)
     if _finite(a):
-        for cancelled in (_merged(a, _negated(a)), _merged(a, _negated(_rekeyed(a)))):
+        for cancelled in (_ref_add(a, _negated(a)), _ref_add(a, _negated(_rekeyed(a)))):
             assert cancelled.is_zero and cancelled.ncomp == ncomp
-
-
-def _to_float(f):
-    return PlaneWaveField([PlaneWaveTerm(tuple(a.to_complex() for a in amp), p.to_float(), s)
-                           for amp, p, s in f.terms], rep=f.rep, ncomp=f.ncomp, backend=FLOAT)
 
 
 @pytest.mark.parametrize("backend", (EXACT, FLOAT))
 def test_apply_symbol_checks_the_symbol_of_every_term(backend):
     f = _full_field(build_rep("spinor"))
     if backend == FLOAT:
-        f = _to_float(f)
+        f = to_float(f)
     other = FLOAT if backend == EXACT else EXACT
     assert [t.freq_sign for t in f.terms][:2] == [-1, -1]  # the negative frequencies sort first
     with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
@@ -321,7 +354,7 @@ def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend):
     """A constant symbol is checked at the first term; the zero field has none to check."""
     f = _full_field(build_rep("spinor"))
     if backend == FLOAT:
-        f = _to_float(f)
+        f = to_float(f)
     other = FLOAT if backend == EXACT else EXACT
     with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
         apply_symbol(f, _constant(Matrix.identity(2, backend)))

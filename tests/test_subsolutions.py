@@ -32,6 +32,7 @@ from diracsplit.gamma import build_rep
 from diracsplit.reports import residual_report
 from diracsplit.scalars import GaussianRational
 from diracsplit.subsolutions import split_relations, split_term
+from field_helpers import conjugates, to_float, with_conjugate
 
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
@@ -51,24 +52,6 @@ def _identity_report(sr):
 def _constituent_report(sr):
     """The constituent relations of a split, as the split suite records them."""
     return residual_report(sr.psi.backend, sr.relations[2])
-
-
-def _conjugates(f):
-    """C f: each term's M conj(amplitude) at the flipped frequency sign, M the basis's."""
-    m = f.rep.on(f.backend).conjugation
-    return [PlaneWaveTerm(m.apply(tuple(a.conjugate() for a in amp)), p, -s)
-            for amp, p, s in f.terms]
-
-
-def _with_conjugate(f):
-    """f + C f, built by one constructor call: a Majorana field when f solves the equation."""
-    return PlaneWaveField(f.terms + tuple(_conjugates(f)), f.rep, f.ncomp, f.backend)
-
-
-def _to_float(f):
-    """An exact field's float copy: each amplitude and momentum converted."""
-    return PlaneWaveField([PlaneWaveTerm(tuple(a.to_complex() for a in amp), p.to_float(), s)
-                           for amp, p, s in f.terms], f.rep, f.ncomp, FLOAT)
 
 
 def _witness_split(spin=1):
@@ -147,7 +130,7 @@ def test_split_handles_negative_frequency_terms():
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    both = _with_conjugate(psi)
+    both = with_conjugate(psi)
     sr = split(both, WITNESS_MASS)
     signs = sorted(t.freq_sign for t in sr.psi1.terms)
     assert signs == [-1, 1]
@@ -247,9 +230,7 @@ def test_weyl_residuals_massive_control():
 def test_majorana_witness_exact():
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    u = u_spinor(p, spinor, 1)
-    cu = spinor.on(u.backend).conjugation.apply(tuple(a.conjugate() for a in u.amplitude))
-    maj = PlaneWaveField((u, PlaneWaveTerm(cu, p, -1)), rep=spinor)
+    maj = with_conjugate(field_of(u_spinor(p, spinor, 1), rep=spinor))
     assert len(maj.terms) == 2
     report = majorana_residuals(maj, WITNESS_MASS)
     assert report.all_exact_zero()
@@ -267,7 +248,7 @@ def test_majorana_component_checks_need_spinor_basis():
     standard = build_rep("standard")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, standard, 1), rep=standard)
-    maj = _with_conjugate(psi)
+    maj = with_conjugate(psi)
     with pytest.raises(SplitRequiresSpinorRep):
         majorana_residuals(maj, WITNESS_MASS)
 
@@ -278,7 +259,7 @@ def test_majorana_float_fuzz(m, sp, spin):
     spinor = build_rep("spinor")
     p = FourMomentum.on_shell(m, sp)
     psi = field_of(u_spinor(p, spinor, spin), rep=spinor)
-    maj = _with_conjugate(psi)
+    maj = with_conjugate(psi)
     report = majorana_residuals(maj, m)
     entries = {e.label: e for e in report}
     # conjugation is exact in floating point, so self-conjugacy is literal
@@ -316,7 +297,7 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
     psi = field_of(u_spinor(p, sp, 1), sp)
-    psi = _with_conjugate(psi)
+    psi = with_conjugate(psi)
     gamma_p = {dirac_matrix(sp, p, s).entries for s in (1, -1)}
     calls = _counted_mul_vec(monkeypatch)
     sr = split(psi, p.mass)
@@ -335,7 +316,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     """
     sp = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    maj = _with_conjugate(field_of(u_spinor(p, sp, 2), sp))
+    maj = with_conjugate(field_of(u_spinor(p, sp, 2), sp))
     conjugated = []
     conjugate = GaussianRational.conjugate
     monkeypatch.setattr(GaussianRational, "conjugate",
@@ -344,7 +325,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     assert len(maj.terms) == 2 and len(conjugated) == 2 * 4
 
     q = FourMomentum.on_shell(0.7, (1.1, 0.4, -2.5))
-    maj = _with_conjugate(field_of(u_spinor(q, sp, 2), sp))
+    maj = with_conjugate(field_of(u_spinor(q, sp, 2), sp))
     calls = _counted_mul_vec(monkeypatch)
     report = majorana_residuals(maj, q.mass)
     assert len(calls) == 2 * 5
@@ -353,7 +334,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
 
 _FIELD_REPORTS = (
     lambda f: weyl_residuals(f, check_mass=False),
-    lambda f: majorana_residuals(_with_conjugate(f), WITNESS_MASS),
+    lambda f: majorana_residuals(with_conjugate(f), WITNESS_MASS),
     lambda f: recombination_residuals(split(f, WITNESS_MASS)),
     lambda f: _identity_report(split(f, WITNESS_MASS)),
     lambda f: _constituent_report(split(f, WITNESS_MASS)),
@@ -368,7 +349,7 @@ def test_the_zero_field_has_every_relation_at_zero(backend):
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
     if backend == "float":
-        psi = _to_float(psi)
+        psi = to_float(psi)
     zero = PlaneWaveField((), spinor, 4, backend)
     assert zero.is_zero
     for residuals in _FIELD_REPORTS:
@@ -399,7 +380,7 @@ def _mode_field(rep, kind, index, conjugated, junk):
         p = FourMomentum.exact(_NULL[index % len(_NULL)], 0)
         term = weyl_spinor(p, rep, kind)
     f = PlaneWaveField((term, PlaneWaveTerm((1, I, 0, 2), p, 1)) if junk else (term,), rep)
-    return PlaneWaveField(_conjugates(f), rep) if conjugated else f
+    return PlaneWaveField(conjugates(f), rep) if conjugated else f
 
 
 def _unchecked_split(f, mass):
@@ -435,9 +416,9 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     """
     rep = build_rep(rep_name)
     f = PlaneWaveField([t for mode in modes for t in _mode_field(rep, *mode).terms], rep)
-    maj = _with_conjugate(f)
+    maj = with_conjugate(f)
     if floats:
-        f, maj = _to_float(f), _to_float(maj)
+        f, maj = to_float(f), to_float(maj)
     singles = [field_of(t, rep) for t in f.terms]
     _assert_termwise(weyl_residuals(f, check_mass=False),
                      [weyl_residuals(g, check_mass=False) for g in singles])
