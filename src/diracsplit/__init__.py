@@ -24,7 +24,6 @@ from .fields import (
     FourMomentum,
     PlaneWaveField,
     PlaneWaveTerm,
-    apply_symbol,
     dirac_matrix,
     dirac_residual,
     field_of,
@@ -89,7 +88,6 @@ __all__ = [
     "SplitResult",
     "VectorTransform",
     "WeylRequiresMassless",
-    "apply_symbol",
     "build_projectors",
     "build_rep",
     "covariance_check",

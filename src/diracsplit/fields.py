@@ -16,8 +16,9 @@ terms, its representation, its component count and its backend.
 
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
-momentum and frequency sign, applied term by term by ``apply_symbol``
-(``dirac_matrix`` is the symbol of gamma^mu p_mu - m).
+momentum and frequency sign, applied to each term's amplitude
+(``dirac_residual`` applies ``dirac_matrix``, the symbol of
+gamma^mu p_mu - m).
 
 The amplitude algebra of the term relations is written once here:
 ``_add`` (a + b), ``_sub`` (a + (-1) b, component by component) and
@@ -250,31 +251,6 @@ def field_of(term: PlaneWaveTerm, rep: GammaRep) -> PlaneWaveField:
     return PlaneWaveField((term,), rep, term.ncomp, term.backend)
 
 
-# -- operators ----------------------------------------------------------------
-
-
-def apply_symbol(f: PlaneWaveField, symbol) -> PlaneWaveField:
-    """Multiply each term's amplitude by the matrix ``symbol(momentum, freq_sign)``.
-
-    Each term keeps its key, and a term the product makes exactly zero is
-    dropped.
-    """
-    ncomp, backend = f.ncomp, f.backend
-    terms = []
-    for amp, p, s in f.terms:
-        m = symbol(p, s)
-        _check_symbol(m, ncomp, backend)
-        terms.append(_term(kernels.mul_vec(ncomp, m.entries, amp), p, s))
-    return PlaneWaveField(terms, f.rep, ncomp, backend)
-
-
-def _check_symbol(m: Matrix, ncomp: int, backend: str) -> None:
-    if m.n != ncomp:
-        raise ValueError(f"symbol size {m.n} vs {ncomp}-component field")
-    if m.backend != backend:
-        raise BackendMismatch("symbol backend differs from field backend")
-
-
 # -- the amplitude algebra of the term relations (see the module docstring) -------
 
 
@@ -292,6 +268,9 @@ def _sub(a: tuple, b: tuple, backend: str) -> tuple:
 def _scaled(c, a: tuple) -> tuple:
     """c a, component by component, with c on a's backend."""
     return tuple(c * x for x in a)
+
+
+# -- operators ----------------------------------------------------------------
 
 
 def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) -> Matrix:
@@ -330,7 +309,9 @@ def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     """(gamma^mu p_mu - m) f in one pass; the zero field iff f solves the equation."""
     if f.ncomp != 4:
         raise ValueError("the Dirac operator acts on 4-component fields")
-    return apply_symbol(f, lambda p, s: dirac_matrix(f.rep, p, s, mass))
+    rep = f.rep
+    return PlaneWaveField([_term(kernels.mul_vec(4, dirac_matrix(rep, p, s, mass).entries, amp),
+                                 p, s) for amp, p, s in f.terms], rep, 4, f.backend)
 
 
 def upper_half(f: PlaneWaveField) -> PlaneWaveField:

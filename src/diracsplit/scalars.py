@@ -8,6 +8,13 @@ Two numeric backends run side by side:
 * ``float``  -- ordinary Python ``complex``; residuals are compared
   against tolerances.
 
+A :class:`GaussianRational` is three Python ints ``(a, b, d)`` meaning
+(a + b i)/d, always canonical: d > 0 and gcd(a, b, d) = 1, so zero is
+(0, 0, 1) and equal values have equal triples.  Each operation does
+integer arithmetic and normalises its result with one ``math.gcd``
+(none when d = 1); no operation builds a ``Fraction``.  The ``re`` and
+``im`` properties read the parts as ``Fraction``s.
+
 ``SCALAR_TYPE`` names each backend's scalar type; both are built from
 ``(re, im)``.  Their arithmetic, ``conjugate``, truth value (nonzero)
 and ``abs()`` (the magnitude as a float, an estimate for an exact
@@ -24,6 +31,7 @@ explicit promotion.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import BackendMismatch
 
@@ -34,125 +42,198 @@ _RATIONAL = (int, Fraction)
 _INEXACT = (float, complex)
 
 
-class GaussianRational:
-    """Exact complex scalar with Fraction real and imaginary parts."""
+def _ratio(x) -> tuple:
+    """(numerator, denominator > 0) of an exact real part, in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("re", "im")
+
+def _operand(x):
+    """The triple of an int or Fraction operand; None for a type exact arithmetic leaves alone."""
+    if type(x) is GaussianRational:
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    if isinstance(x, _INEXACT):
+        raise BackendMismatch("float operand in exact arithmetic")
+    return None
+
+
+class GaussianRational:
+    """Exact complex scalar (a + b i)/d, held as canonical ints: d > 0, gcd(a, b, d) = 1."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
             raise BackendMismatch("float part in an exact scalar")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        a, d = _ratio(re)
+        b, e = _ratio(im)
+        if d != e:
+            # each part is in lowest terms, so only unequal denominators leave a common factor
+            a, b, d = a * e, b * d, d * e
+            g = gcd(a, b, d)
+            a, b, d = a // g, b // g, d // g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
         """``pickle`` and ``copy`` rebuild through the constructor, not by setting slots."""
         return GaussianRational, (self.re, self.im)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, _RATIONAL):
-            return GaussianRational(other)
-        if isinstance(other, _INEXACT):
-            raise BackendMismatch("float operand in exact arithmetic")
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _difference(self._a, self._b, self._d, *o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _difference(*o, self._a, self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        denom = o.re * o.re + o.im * o.im
-        if denom == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / denom,
-            (self.im * o.re - self.re * o.im) / denom,
-        )
+        c, e, f = o
+        return _quotient(self._a, self._b, self._d, c, e, f)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        a, b, d = o
+        return _quotient(a, b, d, self._a, self._b, self._d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __abs__(self) -> float:
         """The magnitude as a float (an estimate)."""
         return abs(self.to_complex())
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- predicates and conversions -----------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int true division rounds correctly, as float(Fraction) does
+        d = self._d
+        return complex(self._a / d, self._b / d)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, _INEXACT) else None
+        if isinstance(other, _INEXACT):
+            return NotImplemented
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._a, self._b, self._d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals, as complex does
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {abs(im)}*i"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The canonical scalar (a + b i)/d, for d > 0: one gcd, none when d is 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _difference(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """(a + b i)/d - (c + e i)/f."""
+    if d == f:
+        return _make(a - c, b - e, d)
+    return _make(a * f - c * d, b * f - e * d, d * f)
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """((a + b i)/d) / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))."""
+    n = c * c + e * e
+    if n == 0:
+        raise ZeroDivisionError("division by exact zero")
+    return _make(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
 
 #: the scalar type of each backend, built from (re, im)

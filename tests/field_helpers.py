@@ -1,11 +1,19 @@
-"""Field helpers shared by the tests: a float copy and charge conjugation.
+"""Field helpers shared by the tests: a symbol applied term by term, a float copy
+and charge conjugation.
 
-The library converts and conjugates amplitudes only inside its term
-relations, so the tests build these fields from the public constructors.
+The library applies symbols, converts and conjugates amplitudes only
+inside its term relations, so the tests build these fields from the
+public constructors.
 """
 
 from diracsplit import PlaneWaveField, PlaneWaveTerm
 from diracsplit.scalars import FLOAT
+
+
+def apply_symbol(f, symbol):
+    """Each term's amplitude times the matrix ``symbol(momentum, freq_sign)``, by ``Matrix.apply``."""
+    return PlaneWaveField([PlaneWaveTerm(symbol(p, s).apply(amp), p, s) for amp, p, s in f.terms],
+                          f.rep, f.ncomp, f.backend)
 
 
 def to_float(f):

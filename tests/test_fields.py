@@ -10,7 +10,6 @@ from diracsplit import (
     FourMomentum,
     PlaneWaveField,
     PlaneWaveTerm,
-    apply_symbol,
     dirac_matrix,
     dirac_residual,
     field_of,
@@ -30,7 +29,7 @@ from diracsplit.errors import (
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
-from field_helpers import charge_conjugate
+from field_helpers import apply_symbol, charge_conjugate
 
 I = GaussianRational(0, 1)
 _SPINOR = build_rep("spinor")

@@ -17,7 +17,6 @@ from diracsplit import (
     FourMomentum,
     PlaneWaveField,
     PlaneWaveTerm,
-    apply_symbol,
     dirac_residual,
     field_of,
     u_spinor,
@@ -25,13 +24,12 @@ from diracsplit import (
     weyl_spinor,
 )
 from diracsplit import fields
-from diracsplit.errors import BackendMismatch
 from diracsplit.gamma import METRIC_SIGNS, PAULI, REP_NAMES, build_rep
 from diracsplit.lorentz import reduced_dirac_symbol
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 from diracsplit.subsolutions import _sigma_symbol
-from field_helpers import to_float
+from field_helpers import apply_symbol, to_float
 
 _GR = GaussianRational
 
@@ -155,12 +153,9 @@ def _sigma_momentum(f, sign):
 
 
 def _check_against_references(f4, f2, mass):
-    view = f4.rep.on(EXACT)
     _assert_same_field(dirac_residual(f4, mass), _ref_dirac_residual(f4, mass))
     _assert_same_field(dirac_residual(f4, 0), _ref_dirac_op(f4))
     _assert_same_field(_reduced(f4, mass), _ref_reduced_dirac_residual(f4, mass))
-    for m in (view.gamma5, view.p[0], view.conjugation, Matrix.zero(4)):
-        _assert_same_field(apply_symbol(f4, _constant(m)), _ref_apply(f4, m))
     for sign in (1, -1):
         _assert_same_field(_sigma_momentum(f2, sign), _ref_sigma_momentum_op(f2, sign))
     _assert_same_field(upper_half(f4), PlaneWaveField(
@@ -337,30 +332,14 @@ def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data)
 
 
 @pytest.mark.parametrize("backend", (EXACT, FLOAT))
-def test_apply_symbol_checks_the_symbol_of_every_term(backend):
+def test_dirac_residual_applies_its_symbol_term_by_term(backend):
+    """Each term times ``dirac_matrix``; the zero field stays zero, and two components raise."""
     f = _full_field(build_rep("spinor"))
     if backend == FLOAT:
         f = to_float(f)
-    other = FLOAT if backend == EXACT else EXACT
-    assert [t.freq_sign for t in f.terms][:2] == [-1, -1]  # the negative frequencies sort first
-    with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
-        apply_symbol(f, lambda p, s: Matrix.identity(4 if s < 0 else 2, backend))
-    with pytest.raises(BackendMismatch, match="symbol backend differs"):
-        apply_symbol(f, lambda p, s: Matrix.identity(4, backend if s < 0 else other))
-
-
-@pytest.mark.parametrize("backend", (EXACT, FLOAT))
-def test_apply_checks_its_matrix_once_and_keeps_the_errors(backend):
-    """A constant symbol is checked at the first term; the zero field has none to check."""
-    f = _full_field(build_rep("spinor"))
-    if backend == FLOAT:
-        f = to_float(f)
-    other = FLOAT if backend == EXACT else EXACT
-    with pytest.raises(ValueError, match="symbol size 2 vs 4-component field"):
-        apply_symbol(f, _constant(Matrix.identity(2, backend)))
-    with pytest.raises(BackendMismatch, match="symbol backend differs"):
-        apply_symbol(f, _constant(Matrix.identity(4, other)))
+    _assert_same_field(dirac_residual(f, 1),
+                       apply_symbol(f, lambda p, s: fields.dirac_matrix(f.rep, p, s, 1)))
     empty = PlaneWaveField((), rep=f.rep, backend=backend)
-    _assert_same_field(apply_symbol(empty, _constant(Matrix.identity(2, other))), empty)
-    p = f.rep.on(backend).p[0]
-    _assert_same_field(apply_symbol(f, _constant(p)), _ref_apply(f, p))
+    _assert_same_field(dirac_residual(empty, 1), empty)
+    with pytest.raises(ValueError, match="acts on 4-component fields"):
+        dirac_residual(upper_half(f), 1)
