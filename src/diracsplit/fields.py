@@ -29,16 +29,14 @@ and the constructor adds the amplitudes of a shared key with ``_add``,
 so a relation measured on one term equals, bit for bit, the same
 relation measured on that term's field.
 
-Every field, an operator's result included, is built by the one
-constructor, ``PlaneWaveField(terms, rep, ncomp, backend)``: it merges
-terms of one key, drops exactly-zero terms, sorts by key and checks
-that the terms agree on component count and backend, so a field is
-canonical however it was made.  A term has two ways in.  The
-constructor ``PlaneWaveTerm`` coerces every amplitude component onto the
-momentum's backend; ``_term`` is one ``tuple.__new__`` for amplitudes
-already computed from scalars of that backend, as every operator's are.
-``_term`` stays because the float fuzz makes a term per trial
-(``u_spinor`` returns one), where the coercion would be repeated work.
+Every value has one constructor.  ``PlaneWaveTerm(amplitude, momentum,
+freq_sign)`` keeps an amplitude tuple whose components already have the
+momentum's backend scalar type, as every operator's do, and coerces any
+other.  Every field, an operator's result included, is built by
+``PlaneWaveField(terms, rep, ncomp, backend)``: it checks that every
+term agrees with the first on component count and backend, zero terms
+too, then merges terms of one key, drops exactly-zero terms and sorts by
+key, so a field is canonical however it was made.
 
 The operators keep each term's ``FourMomentum`` object, so the fields
 derived from one field share its momenta, and a momentum keeps the
@@ -83,7 +81,7 @@ class FourMomentum:
     p: tuple
     mass: object
     backend: str
-    # the symbols at this momentum: dirac_matrix's per (rep, freq_sign, mass), and
+    # the symbols at this momentum: dirac_matrix's per (rep, freq_sign, mass, mass type), and
     # subsolutions._sigma_symbol's per ("sigma", freq_sign, sign); outside ==, hash, repr
     _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -136,9 +134,8 @@ class PlaneWaveTerm(tuple):
     """One plane wave: the immutable tuple (amplitude, momentum, freq_sign).
 
     A term is one allocation, and the operators unpack it as
-    ``amp, p, s = t``.  The constructor coerces the amplitude onto the
-    momentum's backend; ``_term`` builds a term from parts that already
-    are.
+    ``amp, p, s = t``.  An amplitude tuple of the momentum's backend
+    scalars is kept as given; any other is coerced onto that backend.
     """
 
     __slots__ = ()
@@ -148,8 +145,11 @@ class PlaneWaveTerm(tuple):
             raise ValueError("freq_sign must be +1 or -1")
         if len(amplitude) not in (2, 4):
             raise ValueError("amplitude must have 2 or 4 components")
-        coerced = tuple(coerce_scalar(a, momentum.backend) for a in amplitude)
-        return tuple.__new__(cls, (coerced, momentum, freq_sign))
+        backend = momentum.backend
+        scalar = SCALAR_TYPE.get(backend)
+        if type(amplitude) is not tuple or not all(type(a) is scalar for a in amplitude):
+            amplitude = tuple(coerce_scalar(a, backend) for a in amplitude)
+        return tuple.__new__(cls, (amplitude, momentum, freq_sign))
 
     def __getnewargs__(self):
         """The arguments ``pickle`` and ``copy`` rebuild a term from, through ``__new__``."""
@@ -176,11 +176,6 @@ class PlaneWaveTerm(tuple):
                 f"freq_sign={freq_sign!r})")
 
 
-def _term(amplitude: tuple, momentum: FourMomentum, freq_sign: int) -> PlaneWaveTerm:
-    """A term from parts already valid and on one backend: no re-coercion."""
-    return tuple.__new__(PlaneWaveTerm, (amplitude, momentum, freq_sign))
-
-
 class PlaneWaveField:
     """Canonicalized finite sum of plane-wave terms.
 
@@ -188,7 +183,8 @@ class PlaneWaveField:
     exact zero amplitudes dropped, so structural identities reduce to the
     empty field.  Term order is sorted by key, making the terms and
     serialization deterministic.  ``ncomp`` must be 2 or 4 and
-    ``backend`` a known one; a non-empty field takes both from its terms.
+    ``backend`` a known one; given terms, the field takes both from the
+    first, and every term must agree, even one that is zero or cancels.
     """
 
     __slots__ = ("terms", "rep", "ncomp", "backend")
@@ -205,24 +201,17 @@ class PlaneWaveField:
         for t in terms:
             if not isinstance(t, PlaneWaveTerm):
                 raise TypeError("terms must be PlaneWaveTerm")
+            amp, p, s = t
+            if not merged:
+                ncomp, backend = len(amp), p.backend
+            elif len(amp) != ncomp:
+                raise ValueError("mixed component counts in one field")
+            elif p.backend != backend:
+                raise BackendMismatch("mixed backends in one field")
             k = t.key()
             prev = merged.get(k)
-            if prev is None:
-                merged[k] = t
-            else:
-                if prev.ncomp != t.ncomp:
-                    raise ValueError("mixed component counts in one field")
-                merged[k] = _term(_add(prev.amplitude, t.amplitude), t.momentum, t.freq_sign)
-        kept = [merged[k] for k in sorted(merged) if any(merged[k].amplitude)]
-
-        if kept:
-            ncomp = kept[0].ncomp
-            backend = kept[0].backend
-            for t in kept:
-                if t.ncomp != ncomp:
-                    raise ValueError("mixed component counts in one field")
-                if t.backend != backend:
-                    raise BackendMismatch("mixed backends in one field")
+            merged[k] = t if prev is None else PlaneWaveTerm(_add(prev[0], amp), p, s)
+        kept = [merged[k] for k in sorted(merged) if any(merged[k][0])]
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "ncomp", ncomp)
@@ -278,9 +267,11 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
 
     Kept on ``momentum`` per (rep, freq_sign, mass), so the terms that
     share a momentum share their symbols: gamma.p is built once per
-    (rep, freq_sign), and each mass is subtracted from its diagonal.
+    (rep, freq_sign), and each mass is subtracted from its diagonal.  The
+    key holds the mass's type too, since 1 == 1.0: a float mass on an
+    exact momentum raises ``BackendMismatch`` whatever ran before.
     """
-    key = (rep, freq_sign, mass)
+    key = (rep, freq_sign, mass, type(mass))
     symbol = momentum._symbols.get(key)
     if symbol is None:
         if mass:
@@ -310,15 +301,17 @@ def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
     if f.ncomp != 4:
         raise ValueError("the Dirac operator acts on 4-component fields")
     rep = f.rep
-    return PlaneWaveField([_term(kernels.mul_vec(4, dirac_matrix(rep, p, s, mass).entries, amp),
-                                 p, s) for amp, p, s in f.terms], rep, 4, f.backend)
+    return PlaneWaveField([PlaneWaveTerm(kernels.mul_vec(4, dirac_matrix(rep, p, s, mass).entries,
+                                                         amp), p, s)
+                           for amp, p, s in f.terms], rep, 4, f.backend)
 
 
 def upper_half(f: PlaneWaveField) -> PlaneWaveField:
     """Components (0,1) of a bispinor field (the xi pair in the spinor basis)."""
     if f.ncomp != 4:
         raise ValueError("component split needs a 4-component field")
-    return PlaneWaveField([_term(amp[:2], p, s) for amp, p, s in f.terms], f.rep, 2, f.backend)
+    return PlaneWaveField([PlaneWaveTerm(amp[:2], p, s) for amp, p, s in f.terms], f.rep, 2,
+                          f.backend)
 
 
 # -- solution constructors -----------------------------------------------------
@@ -358,7 +351,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
     else:
         scale = (2.0 * p.p[0] / kernels.ordered_sum(abs(a) ** 2 for a in raw)) ** 0.5
-    return _term(tuple(scale * a for a in raw), p, 1)
+    return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
 
 
 def _weyl_pair(p: FourMomentum, chirality: str) -> tuple:

@@ -5,9 +5,9 @@ their entries are the scalars of either backend (``GaussianRational`` or
 ``complex``, see ``scalars``): each accumulator starts from its first
 product, so one implementation serves both.  ``matrices.Matrix`` routes
 all its products through these functions.  ``mul`` and ``mul_vec`` are
-written out for n = 4 and n = 2 and loop for any other n; every entry
-is summed left to right from its first product in each form, so the
-unrolled results equal the loop's bit for bit, signed zeros, inf and
+written out for n = 4 and n = 2, the only sizes a ``Matrix`` admits;
+every entry is summed left to right from its first product, so the
+results equal the textbook loop's bit for bit, signed zeros, inf and
 NaN included.
 
 ``max_abs`` is the package's only largest-magnitude reduction: matrices,
@@ -23,7 +23,7 @@ IMPLEMENTATION = "pure-python"
 
 
 def mul(n: int, a: tuple, b: tuple) -> tuple:
-    """Matrix product of two flat n*n tuples."""
+    """Matrix product of two flat n*n tuples, n = 4 or 2."""
     if n == 4:
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
@@ -35,40 +35,21 @@ def mul(n: int, a: tuple, b: tuple) -> tuple:
                 a8*b2 + a9*b6 + a10*b10 + a11*b14, a8*b3 + a9*b7 + a10*b11 + a11*b15,
                 a12*b0 + a13*b4 + a14*b8 + a15*b12, a12*b1 + a13*b5 + a14*b9 + a15*b13,
                 a12*b2 + a13*b6 + a14*b10 + a15*b14, a12*b3 + a13*b7 + a14*b11 + a15*b15)
-    if n == 2:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (a0*b0 + a1*b2, a0*b1 + a1*b3, a2*b0 + a3*b2, a2*b1 + a3*b3)
-    out = []
-    for i in range(n):
-        row = i * n
-        for j in range(n):
-            acc = a[row] * b[j]
-            for k in range(1, n):
-                acc = acc + a[row + k] * b[k * n + j]
-            out.append(acc)
-    return tuple(out)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0*b0 + a1*b2, a0*b1 + a1*b3, a2*b0 + a3*b2, a2*b1 + a3*b3)
 
 
 def mul_vec(n: int, a: tuple, v: tuple) -> tuple:
-    """Matrix-vector product."""
+    """Matrix-vector product, n = 4 or 2."""
     if n == 4:
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
         v0, v1, v2, v3 = v
         return (a0*v0 + a1*v1 + a2*v2 + a3*v3, a4*v0 + a5*v1 + a6*v2 + a7*v3,
                 a8*v0 + a9*v1 + a10*v2 + a11*v3, a12*v0 + a13*v1 + a14*v2 + a15*v3)
-    if n == 2:
-        a0, a1, a2, a3 = a
-        v0, v1 = v
-        return (a0*v0 + a1*v1, a2*v0 + a3*v1)
-    out = []
-    for i in range(n):
-        row = i * n
-        acc = a[row] * v[0]
-        for k in range(1, n):
-            acc = acc + a[row + k] * v[k]
-        out.append(acc)
-    return tuple(out)
+    a0, a1, a2, a3 = a
+    v0, v1 = v
+    return (a0*v0 + a1*v1, a2*v0 + a3*v1)
 
 
 def ordered_sum(values, start=0.0):

@@ -21,11 +21,11 @@ rotation planes), the exponential series collapses and
 
 Each ``LorentzParams`` keeps, per representation, the matrix
 ``spinor_transform`` built for it and the transformed projectors
-S P_k S^-1 of ``transformed_projectors``, and it keeps its
-``inverse()``, all in fields outside ``==``, ``hash`` and ``repr``: the
-transformations of one trial share their S, and the covariance fuzz,
-which cycles through the twelve of ``COVARIANCE_GRID``, builds S^-1 and
-P' once per transformation and basis.
+S P_k S^-1 of ``transformed_projectors``, in fields outside ``==``,
+``hash`` and ``repr``: the transformations of one trial share their S,
+and the covariance fuzz, which cycles through the twelve of
+``COVARIANCE_GRID``, builds P' once per transformation and basis; S^-1,
+at a new ``inverse()`` each time, is read only to build what is kept.
 
 The exact view keeps that premise, plane by plane, among its
 ``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Optional
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
@@ -60,12 +58,9 @@ class LorentzParams:
     kind: str
     plane: tuple
     omega: float
-    # per rep, spinor_transform's S and transformed_projectors' S P_k S^-1, and the
-    # inverse once built; all outside ==, hash and repr
+    # per rep, spinor_transform's S and transformed_projectors' S P_k S^-1; outside ==, hash, repr
     _spinors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _inverse: Optional["LorentzParams"] = field(default=None, init=False, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         if self.kind not in (_BOOST, _ROTATION):
@@ -85,12 +80,8 @@ class LorentzParams:
         return 1 if self.kind == _BOOST else -1
 
     def inverse(self) -> "LorentzParams":
-        """The transformation at -omega, built once and kept, so its S is built once too."""
-        inv = self._inverse
-        if inv is None:
-            inv = replace(self, omega=-self.omega)
-            object.__setattr__(self, "_inverse", inv)
-        return inv
+        """The transformation at -omega."""
+        return replace(self, omega=-self.omega)
 
 
 @dataclass(frozen=True)
@@ -99,18 +90,14 @@ class VectorTransform:
 
     matrix: tuple
 
-    @cached_property
+    @property
     def metric_residual(self) -> float:
         """Largest entry of a^T g a - g."""
         a = self.matrix
-        defects = []
-        for mu in range(4):
-            for nu in range(4):
-                acc = 0.0
-                for al in range(4):
-                    acc += a[al][mu] * METRIC_SIGNS[al] * a[al][nu]
-                defects.append(acc - (METRIC_SIGNS[mu] if mu == nu else 0.0))
-        return kernels.max_abs(defects)
+        return kernels.max_abs(
+            kernels.ordered_sum(a[al][mu] * METRIC_SIGNS[al] * a[al][nu] for al in range(4))
+            - (METRIC_SIGNS[mu] if mu == nu else 0.0)
+            for mu in range(4) for nu in range(4))
 
     def apply(self, p: FourMomentum) -> FourMomentum:
         pf = p.to_float()

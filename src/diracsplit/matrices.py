@@ -1,11 +1,12 @@
 """Small dense complex matrices over the exact and float backends.
 
-A :class:`Matrix` is an immutable n-by-n array (n is 2 or 4 throughout
-the package) stored as a flat row-major tuple.  Exact matrices hold
-:class:`~diracsplit.scalars.GaussianRational` entries and never round;
-float matrices hold Python ``complex``.  The backend picks the scalar
-type and nothing else: products, traces, zero tests and magnitude scans
-of either backend run through the same code, :mod:`diracsplit.kernels`.
+A :class:`Matrix` is an immutable n-by-n array, n = 2 or 4 (the
+constructor admits no other size), stored as a flat row-major tuple.
+Exact matrices hold :class:`~diracsplit.scalars.GaussianRational`
+entries and never round; float matrices hold Python ``complex``.  The
+backend picks the scalar type and nothing else: products, traces, zero
+tests and magnitude scans of either backend run through the same code,
+:mod:`diracsplit.kernels`.
 
 Binary operations require both operands on the same backend; promotion
 is one way, exact to float, via :meth:`Matrix.to_float`.
@@ -24,6 +25,8 @@ class Matrix:
     __slots__ = ("n", "backend", "entries")
 
     def __init__(self, n: int, backend: str, entries: tuple):
+        if n != 4 and n != 2:
+            raise ValueError(f"a matrix is 2x2 or 4x4, not {n!r}x{n!r}")
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
         object.__setattr__(self, "n", n)
@@ -123,12 +126,9 @@ class Matrix:
         return self.conj().transpose()
 
     def trace(self):
-        # left to right from the first entry, as in the kernels (``sum`` may compensate floats)
+        # left to right from the first entry, as in the kernels
         diagonal = self.entries[:: self.n + 1]
-        acc = diagonal[0]
-        for a in diagonal[1:]:
-            acc = acc + a
-        return acc
+        return kernels.ordered_sum(diagonal[1:], diagonal[0])
 
     # -- predicates and conversions ---------------------------------------
 

@@ -55,10 +55,10 @@ from .errors import (
 from .fields import (
     FourMomentum,
     PlaneWaveField,
+    PlaneWaveTerm,
     _add,
     _scaled,
     _sub,
-    _term,
     dirac_matrix,
     dirac_residual,
     upper_half,
@@ -165,8 +165,8 @@ def split(psi: PlaneWaveField, mass) -> SplitResult:
     terms1, terms2 = [], []
     for amp, p, s in psi.terms:
         amp1, amp2 = split_term(amp, p, s, mass)
-        terms1.append(_term(amp1, p, s))
-        terms2.append(_term(amp2, p, s))
+        terms1.append(PlaneWaveTerm(amp1, p, s))
+        terms2.append(PlaneWaveTerm(amp2, p, s))
     result = SplitResult(psi=psi, psi1=PlaneWaveField(terms1, psi.rep, 4, psi.backend),
                          psi2=PlaneWaveField(terms2, psi.rep, 4, psi.backend), mass=mass)
     rec = recombination_residuals(result)

@@ -51,16 +51,24 @@ def test_names_the_benchmark_reaches():
 
 
 def test_names_the_benchmark_traces():
-    """perfbench times these kernels and counts calls of these methods by name.
+    """perfbench times these functions and counts calls of these methods by name.
 
     A rename would make its per-layer metrics read 0 without failing.
     """
-    from diracsplit import kernels, matrices, scalars
+    from diracsplit import (cli, fields, kernels, lorentz, matrices, projectors, scalars,
+                            subsolutions, suites)
 
-    for name in ("mul", "mul_vec", "max_abs", "max_abs_diff"):
-        assert callable(getattr(kernels, name)), name
+    functions = {kernels: ("mul", "mul_vec", "max_abs", "max_abs_diff"),
+                 cli: ("main",), fields: ("dirac_matrix",), subsolutions: ("split",),
+                 lorentz: ("spinor_transform",), projectors: ("build_projectors",),
+                 suites: ("run",) + tuple(f"_run_{suite}" for suite in (
+                     "clifford", "projectors", "split", "weyl", "majorana", "covariance"))}
+    for module, names in functions.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     for cls, name in ((matrices.Matrix, "__matmul__"), (matrices.Matrix, "to_float"),
-                      (scalars.GaussianRational, "to_complex")):
+                      (scalars.GaussianRational, "to_complex"),
+                      (fields.PlaneWaveField, "__init__")):
         assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
 
 

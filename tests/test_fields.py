@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from diracsplit import (
     dirac_residual,
     field_of,
     majorana_residuals,
+    split,
     u_spinor,
     upper_half,
     weyl_spinor,
@@ -111,6 +113,7 @@ def test_field_merges_equal_keys(spinor):
     f = PlaneWaveField((term, term), rep=spinor)
     assert len(f.terms) == 1
     assert f.terms[0].amplitude == tuple(a + a for a in term.amplitude)
+    assert PlaneWaveField(iter((term, term)), rep=spinor).terms == f.terms  # any iterable
 
 
 def test_field_drops_exact_zero(spinor):
@@ -118,6 +121,10 @@ def test_field_drops_exact_zero(spinor):
     negated = PlaneWaveTerm(tuple(-a for a in term.amplitude), p, 1)
     assert PlaneWaveField((term, negated), rep=spinor).is_zero
     assert not field_of(term, rep=spinor).is_zero
+    # given terms, the field takes ncomp and backend from them even when they all cancel
+    q = p.to_float()
+    f = PlaneWaveField((PlaneWaveTerm((1, 0), q, 1), PlaneWaveTerm((-1, 0), q, 1)), rep=spinor)
+    assert (f.terms, f.ncomp, f.backend) == ((), 2, FLOAT)
 
 
 def test_field_term_order_is_canonical(spinor):
@@ -134,10 +141,15 @@ def test_field_term_order_is_canonical(spinor):
 
 
 def test_field_rejects_mixed_backends(spinor):
+    """Every term is checked against the first, even one that is zero or cancels."""
     p, term = _witness_term()
-    tf = PlaneWaveTerm((1, 0, 0, 0), FourMomentum.floats((3, 2, 2, 0), 1), 1)
-    with pytest.raises(BackendMismatch):
-        PlaneWaveField((term, tf), rep=spinor)
+    q = FourMomentum.floats((3, 2, 2, 0), 1)
+    tf = PlaneWaveTerm((1, 0, 0, 0), q, 1)
+    zero, negated = PlaneWaveTerm((0, 0, 0, 0), q, -1), PlaneWaveTerm((-1, 0, 0, 0), q, 1)
+    for odd in ((tf,), (zero,), (tf, negated)):
+        for terms in ((term,) + odd, odd + (term,)):
+            with pytest.raises(BackendMismatch, match="mixed backends"):
+                PlaneWaveField(terms, rep=spinor)
 
 
 def test_fields_of_different_reps_do_not_mix(spinor):
@@ -152,11 +164,49 @@ def test_fields_of_different_reps_do_not_mix(spinor):
 
 
 def test_field_rejects_mixed_component_counts(spinor):
+    """Every term is checked against the first, even one that is zero or cancels."""
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     t2 = PlaneWaveTerm((1, 0), p, 1)
     t4 = PlaneWaveTerm((1, 0, 0, 0), p, 1)
-    with pytest.raises(ValueError):
-        PlaneWaveField((t2, t4), rep=spinor)
+    # the vanishing odd terms are at another key than t4, so no merge meets them
+    other = PlaneWaveTerm((1, 0), p, -1)
+    zero, negated = PlaneWaveTerm((0, 0), p, -1), PlaneWaveTerm((-1, 0), p, -1)
+    for odd in ((t2,), (zero,), (other, negated)):
+        for terms in ((t4,) + odd, odd + (t4,)):
+            with pytest.raises(ValueError, match="mixed component counts"):
+                PlaneWaveField(terms, rep=spinor)
+
+
+def test_term_keeps_an_amplitude_of_its_backend_scalars():
+    """A tuple of the momentum's scalar type is kept as given; any other amplitude is coerced."""
+    p = FourMomentum.exact((3, 2, 2, 0), 1)
+    for momentum, amp, others in (
+            (p, (I, GaussianRational(0), GaussianRational(Fraction(1, 2)), GaussianRational(3)),
+             ((I, 0, Fraction(1, 2), 3), [I, 0, Fraction(1, 2), 3])),
+            (p.to_float(), (1j, 0j, 0.5 + 0j, 3 + 0j), ((1j, 0, 0.5, 3), [1j, 0j, 0.5, 3]))):
+        assert PlaneWaveTerm(amp, momentum, 1).amplitude is amp
+        scalar = SCALAR_TYPE[momentum.backend]
+        for other in others:
+            got = PlaneWaveTerm(other, momentum, 1).amplitude
+            assert type(got) is tuple and got == amp
+            assert [type(a) for a in got] == [scalar] * 4
+
+
+def test_a_float_mass_on_an_exact_momentum_raises_whatever_ran_before(spinor):
+    """1 == 1.0, so the kept symbols are keyed by the mass's type too."""
+    for warm in (False, True):
+        p = FourMomentum.exact((3, 2, 2, 0), 1)
+        if warm:
+            dirac_matrix(spinor, p, 1, 1)
+        with pytest.raises(BackendMismatch):
+            dirac_matrix(spinor, p, 1, 1.0)
+    p = FourMomentum.exact((3, 2, 2, 0), 1)
+    f = field_of(u_spinor(p, spinor, 1), rep=spinor)
+    assert split(f, 1).psi is f
+    with pytest.raises(BackendMismatch):
+        dirac_residual(f, 1.0)
+    pf = p.to_float()
+    assert dirac_matrix(spinor, pf, 1, 1).entries == dirac_matrix(spinor, pf, 1, 1.0).entries
 
 
 def test_field_linear_algebra(spinor):

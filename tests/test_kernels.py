@@ -153,7 +153,7 @@ def test_float_kernels_equal_the_zero_seeded_loops(case):
 
 
 def _mul_loop(n, a, b):
-    """The general loop: each entry summed left to right from its first product."""
+    """The reference loop: each entry summed left to right from its first product."""
     out = []
     for i in range(n):
         for j in range(n):
@@ -198,7 +198,13 @@ def test_unrolled_kernels_equal_the_loop_bit_for_bit(case):
     assert repr(kernels.mul_vec(n, a, v)) == repr(_mul_vec_loop(n, a, v))
 
 
-def test_kernels_keep_the_loop_for_other_sizes():
-    a = tuple(complex(k, -k) for k in range(9))
-    assert kernels.mul(3, a, a) == _mul_loop(3, a, a)
-    assert kernels.mul_vec(3, a, a[:3]) == _mul_vec_loop(3, a, a[:3])
+def test_a_matrix_has_only_the_sizes_the_kernels_write_out():
+    """The kernels are written out for n = 4 and n = 2 alone, so no other Matrix is made."""
+    makers = (lambda n: Matrix(n, FLOAT, (0j,) * (n * n)), lambda n: Matrix.exact([[1] * n] * n),
+              Matrix.identity, Matrix.zero, lambda n: Matrix.diag((1,) * n))
+    for n in (1, 3):
+        for make in makers:
+            with pytest.raises(ValueError, match="2x2 or 4x4"):
+                make(n)
+    for n in (2, 4):
+        assert [make(n).n for make in makers] == [n] * len(makers)

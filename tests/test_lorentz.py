@@ -366,7 +366,7 @@ def test_inverse_and_transformed_projectors_are_kept(rep):
     from diracsplit.lorentz import transformed_projectors
 
     params = LorentzParams("rotation", (1, 2), 0.9)
-    assert params.inverse() is params.inverse()
+    assert params.inverse() == params.inverse()
     primes = transformed_projectors(params, rep)
     assert transformed_projectors(params, rep) is primes
     s, s_inv = spinor_transform(params, rep), spinor_transform(params.inverse(), rep)

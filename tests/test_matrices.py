@@ -13,11 +13,12 @@ from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 
 
 def test_identity_and_zero():
-    ident = Matrix.identity(3)
-    zero = Matrix.zero(3)
-    assert (ident @ ident - ident).is_zero
-    assert (ident + zero - ident).is_zero
-    assert ident.trace() == GaussianRational(3)
+    for n in (2, 4):
+        ident = Matrix.identity(n)
+        zero = Matrix.zero(n)
+        assert (ident @ ident - ident).is_zero
+        assert (ident + zero - ident).is_zero
+        assert ident.trace() == GaussianRational(n)
 
 
 def test_exact_matmul_oracle():
@@ -28,8 +29,10 @@ def test_exact_matmul_oracle():
 
 
 def test_diag_and_transpose():
-    d = Matrix.diag((1, -2, 3))
-    assert d.transpose() == d
+    for values in ((1, -2), (1, -2, 3, Fraction(1, 2))):
+        d = Matrix.diag(values)
+        assert d.transpose() == d
+        assert d.entries[:: d.n + 1] == tuple(GaussianRational(v) for v in values)
     a = Matrix.exact([[0, 1], [0, 0]])
     assert a.transpose() == Matrix.exact([[0, 0], [1, 0]])
 
