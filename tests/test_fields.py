@@ -143,7 +143,7 @@ def test_field_term_order_is_canonical(spinor):
 def test_field_rejects_mixed_backends(spinor):
     """Every term is checked against the first, even one that is zero or cancels."""
     p, term = _witness_term()
-    q = FourMomentum.floats((3, 2, 2, 0), 1)
+    q = FourMomentum.floats((5, 3, 0, 4), 3)  # another key, so no merge meets the odd terms
     tf = PlaneWaveTerm((1, 0, 0, 0), q, 1)
     zero, negated = PlaneWaveTerm((0, 0, 0, 0), q, -1), PlaneWaveTerm((-1, 0, 0, 0), q, 1)
     for odd in ((tf,), (zero,), (tf, negated)):
