@@ -35,9 +35,6 @@ from .gamma import GammaRep, build_rep
 from .lorentz import (
     LorentzParams,
     VectorTransform,
-    covariance_check,
-    pconditions_residual,
-    pi_commutation_check,
     special_frame,
     spinor_transform,
     vector_transform,
@@ -90,14 +87,11 @@ __all__ = [
     "WeylRequiresMassless",
     "build_projectors",
     "build_rep",
-    "covariance_check",
     "dirac_matrix",
     "dirac_residual",
     "field_of",
     "format_human",
     "majorana_residuals",
-    "pconditions_residual",
-    "pi_commutation_check",
     "recombination_residuals",
     "run",
     "special_frame",

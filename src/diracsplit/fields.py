@@ -81,8 +81,9 @@ class FourMomentum:
     p: tuple
     mass: object
     backend: str
-    # the symbols at this momentum: dirac_matrix's per (rep, freq_sign, mass, mass type), and
-    # subsolutions._sigma_symbol's per ("sigma", freq_sign, sign); outside ==, hash, repr
+    # the symbols at this momentum, keyed with each sign's and mass's type: dirac_matrix's per
+    # (rep, freq_sign, mass), and subsolutions._sigma_symbol's per ("sigma", freq_sign, sign);
+    # outside ==, hash, repr
     _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -134,15 +135,16 @@ class PlaneWaveTerm(tuple):
     """One plane wave: the immutable tuple (amplitude, momentum, freq_sign).
 
     A term is one allocation, and the operators unpack it as
-    ``amp, p, s = t``.  An amplitude tuple of the momentum's backend
-    scalars is kept as given; any other is coerced onto that backend.
+    ``amp, p, s = t``.  The sign is the int +1 or -1, never a float or a
+    bool.  An amplitude tuple of the momentum's backend scalars is kept as
+    given; any other is coerced onto that backend.
     """
 
     __slots__ = ()
 
     def __new__(cls, amplitude: tuple, momentum: FourMomentum, freq_sign: int):
-        if freq_sign not in (1, -1):
-            raise ValueError("freq_sign must be +1 or -1")
+        if type(freq_sign) is not int or freq_sign not in (1, -1):
+            raise ValueError(f"freq_sign must be the int +1 or -1, not {freq_sign!r}")
         if len(amplitude) not in (2, 4):
             raise ValueError("amplitude must have 2 or 4 components")
         backend = momentum.backend
@@ -268,10 +270,11 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
     Kept on ``momentum`` per (rep, freq_sign, mass), so the terms that
     share a momentum share their symbols: gamma.p is built once per
     (rep, freq_sign), and each mass is subtracted from its diagonal.  The
-    key holds the mass's type too, since 1 == 1.0: a float mass on an
-    exact momentum raises ``BackendMismatch`` whatever ran before.
+    key holds the sign's and the mass's types too, since 1 == 1.0 == True:
+    a float sign or mass on an exact momentum raises ``BackendMismatch``
+    whatever ran before.
     """
-    key = (rep, freq_sign, mass, type(mass))
+    key = (rep, freq_sign, type(freq_sign), mass, type(mass))
     symbol = momentum._symbols.get(key)
     if symbol is None:
         if mass:

@@ -205,12 +205,11 @@ class RepView:
 
         M must anticommute conjugated gammas onto gammas, M conj(gamma^mu)
         = -gamma^mu M, and satisfy M conj(M) = Id so C is an involution.
-        In bases where gamma2 is the only imaginary gamma this is the usual
-        i gamma2; in general (e.g. when every gamma is imaginary and the
-        role of i gamma2 degenerates to a phase times the identity) it is
-        the exact transport U M_spinor conj(U)^-1 of the spinor-basis
-        matrix.  Both properties are verified exactly, once per
-        representation, when the exact view first builds M.
+        It is the spinor basis's i gamma2 moved by the pinned intertwiner,
+        U M conj(U)^-1 = W M W^T / norm2: i gamma2 again in the standard
+        basis, a phase times the identity in the Majorana basis, where
+        every gamma is imaginary.  Both properties are verified exactly,
+        once per representation, when the exact view first builds M.
         """
         return _conjugation_matrix(self.rep)
 
@@ -573,13 +572,10 @@ def _conjugation_valid(rep: GammaRep, m: Matrix) -> bool:
 
 
 def _conjugation_matrix(rep: GammaRep) -> Matrix:
-    m = rep.gammas[2].scale(I)
-    if _conjugation_valid(rep, m):
-        return m
+    """The spinor basis's i gamma2 carried into ``rep``: W M W^T / norm2, then validated."""
     sp = build_rep("spinor")
-    m_sp = sp.gammas[2].scale(I)
     link = sp.on(EXACT).intertwiner(rep)
-    m = (link.w @ m_sp @ link.w.transpose()).scale(Fraction(1, link.norm2))
+    m = (link.w @ sp.gammas[2].scale(I) @ link.w.transpose()).scale(Fraction(1, link.norm2))
     if not _conjugation_valid(rep, m):
         raise IntertwinerInvalid(
             f"no valid conjugation matrix for rep {rep.name}"

@@ -29,9 +29,14 @@ at a new ``inverse()`` each time, is read only to build what is kept.
 
 The exact view keeps that premise, plane by plane, among its
 ``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
-once per representation, and the covariance suite records them.  The
-float certificates that depend on the basis alone (``float_certificates``)
-are kept the same way, on the float view.
+once per representation, and the covariance suite records them.
+
+The float certificates that depend on the basis alone are stated as
+``(label, equation, value)`` relations, like every other family:
+``_pconditions`` states S^-1 gamma^nu S = a^nu_mu gamma^mu on the backend
+of S, and ``float_certificates`` lists the grid, the commutators and the
+controls under their final labels and measures each list once with
+``residual_report``.  The float view keeps the three reports.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum
 from .gamma import METRIC_SIGNS, GammaRep, RepView
-from .matrices import Matrix, commutator, max_abs_diff
-from .reports import ResidualReport, residual_entry
+from .matrices import Matrix, commutator
+from .reports import residual_report
 from .scalars import FLOAT
 
 _BOOST = "boost"
@@ -159,68 +164,21 @@ def _spinor_closed_form(params: LorentzParams, rep: GammaRep) -> Matrix:
     )
 
 
-def pconditions_residual(rep: GammaRep, s: Matrix, s_inv: Matrix,
-                         vt: VectorTransform) -> ResidualReport:
-    """Residuals of S^-1 gamma^nu S - a^nu_mu gamma^mu, one entry per nu.
+def _pconditions(rep: GammaRep, s: Matrix, s_inv: Matrix, a: tuple):
+    """S^-1 gamma^nu S - a^nu_mu gamma^mu on the backend of S, one relation per nu.
 
-    Takes S and its inverse explicitly so negative controls can feed a
-    mismatched pair (for example the transform at the flipped parameter)
-    and watch the residual blow up.
+    Takes S and its inverse explicitly so a negative control can feed a
+    mismatched pair (the transform at the flipped parameter) and watch
+    the residual blow up.
     """
-    gf = rep.on(FLOAT).gammas
-    entries = []
+    gammas = rep.on(s.backend).gammas
     for nu in range(4):
-        acc = Matrix.zero(4, FLOAT)
+        acc = Matrix.zero(4, s.backend)
         for mu in range(4):
-            coeff = vt.matrix[nu][mu]
+            coeff = a[nu][mu]
             if coeff != 0.0:
-                acc = acc + gf[mu].scale(complex(coeff, 0))
-        resid = s_inv @ gf[nu] @ s - acc
-        entries.append(residual_entry(f"Pconditions.nu{nu}", "Pconditions", FLOAT, resid))
-    return ResidualReport(tuple(entries))
-
-
-def covariance_check(params: LorentzParams, rep: GammaRep) -> ResidualReport:
-    """Full covariance certificate for one transformation.
-
-    Metric preservation of a, S S^-1 = 1, the gamma-matrix condition for
-    every nu, and idempotence of each transformed projector
-    P' = S P S^-1.
-    """
-    s = spinor_transform(params, rep)
-    s_inv = spinor_transform(params.inverse(), rep)
-    vt = vector_transform(params)
-    ident = Matrix.identity(4, FLOAT)
-
-    head = ResidualReport((
-        residual_entry("vector.metric", "Pconditions", FLOAT, vt.metric_residual),
-        residual_entry("S.inverse", "S", FLOAT, max_abs_diff(s @ s_inv, ident)),
-    ))
-    tail = ResidualReport(tuple(
-        residual_entry(f"Pprime.P{k}.idempotent", "P'", FLOAT,
-                       max_abs_diff(p_prime @ p_prime, p_prime))
-        for k, p_prime in enumerate(transformed_projectors(params, rep), start=1)))
-    return head.merged(pconditions_residual(rep, s, s_inv, vt)).merged(tail)
-
-
-def pi_commutation_check(rep: GammaRep) -> ResidualReport:
-    """[S, P_i] for i = 1, 2 at float group elements of the (0,3) boost and (1,2) rotation.
-
-    The generators of those transformations commute with P1 and P2, so
-    they act inside each subsolution class.  The exact generator
-    commutators [sigma_03, P_i] and [sigma_12, P_i] are entries of the
-    exact view's ``covariance_residuals``.
-    """
-    flt = rep.on(FLOAT)
-    entries = []
-    for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
-        for w in (0.5, 1.3, 3.0):
-            s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
-            for i in (1, 2):
-                comm = commutator(s, flt.p[i - 1])
-                label = f"commute.S{mu}{nu}.w{w:g}.P{i}"
-                entries.append(residual_entry(label, "S", FLOAT, comm))
-    return ResidualReport(tuple(entries))
+                acc = acc + gammas[mu].scale(coeff)
+        yield f"Pconditions.nu{nu}", "Pconditions", s_inv @ gammas[nu] @ s - acc
 
 
 #: the transformations of the covariance certificates and of the covariance
@@ -230,32 +188,58 @@ COVARIANCE_GRID = tuple(LorentzParams(kind, plane, w)
                         for w in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0))
 
 
+def _certificate(params: LorentzParams, rep: GammaRep):
+    """One transformation's float covariance certificate, labelled ``<kind><mu><nu>.w<omega>.``.
+
+    Metric preservation of a, S S^-1 = 1, the P-conditions and the
+    idempotence of each transformed projector P' = S P S^-1.
+    """
+    mu, nu = params.plane
+    tag = f"{params.kind}{mu}{nu}.w{params.omega:g}"
+    s = spinor_transform(params, rep)
+    s_inv = spinor_transform(params.inverse(), rep)
+    vt = vector_transform(params)
+    yield f"{tag}.vector.metric", "Pconditions", vt.metric_residual
+    yield f"{tag}.S.inverse", "S", s @ s_inv - Matrix.identity(4, FLOAT)
+    for label, equation, value in _pconditions(rep, s, s_inv, vt.matrix):
+        yield f"{tag}.{label}", equation, value
+    for k, p_prime in enumerate(transformed_projectors(params, rep), start=1):
+        yield f"{tag}.Pprime.P{k}.idempotent", "P'", p_prime @ p_prime - p_prime
+
+
 def float_certificates(rep: GammaRep) -> tuple:
     """The float covariance records that depend on the basis alone.
 
-    Returns ``(grid, commutators, controls)``: ``covariance_check`` at
-    each transformation of ``COVARIANCE_GRID``, its labels prefixed
-    ``<kind><mu><nu>.w<omega>.``; ``pi_commutation_check``; and two
-    negative controls, far from zero: ``sign-flip``, the largest
-    P-condition of the (0,3) boost at omega = 1 with S and S^-1 swapped,
-    and ``boost01-noncommute``, [S, P1] for the (0,1) boost at omega = 1,
-    which does not keep the class of P1.  The float view keeps them:
-    read ``rep.on(FLOAT).lorentz_certificates``.
+    Returns three reports, ``(grid, commutators, controls)``:
+
+    * ``_certificate`` at each transformation of ``COVARIANCE_GRID``;
+    * ``commute.S<mu><nu>.w<omega>.P<i>``, [S, P_i] for i = 1, 2 at float
+      group elements of the (0,3) boost and (1,2) rotation.  Their
+      generators commute with P1 and P2, so they act inside each
+      subsolution class; the exact generator commutators are entries of
+      the exact view's ``covariance_residuals``;
+    * two negative controls, far from zero: ``sign-flip``, the largest
+      P-condition entry of the (0,3) boost at omega = 1 with S and S^-1
+      swapped, and ``boost01-noncommute``, [S, P1] for the (0,1) boost at
+      omega = 1, which does not keep the class of P1.
+
+    The float view keeps them: read ``rep.on(FLOAT).lorentz_certificates``.
     """
-    grid = []
-    for params in COVARIANCE_GRID:
-        mu, nu = params.plane
-        tag = f"{params.kind}{mu}{nu}.w{params.omega:g}"
-        grid += [replace(e, label=f"{tag}.{e.label}") for e in covariance_check(params, rep)]
+    ps = rep.on(FLOAT).p
+    commutators = []
+    for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
+        for w in (0.5, 1.3, 3.0):
+            s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
+            commutators += [(f"commute.S{mu}{nu}.w{w:g}.P{i}", "S", commutator(s, ps[i - 1]))
+                            for i in (1, 2)]
     flip = LorentzParams(_BOOST, (0, 3), 1.0)
-    sign_flip = pconditions_residual(rep, spinor_transform(flip.inverse(), rep),
-                                     spinor_transform(flip, rep), vector_transform(flip))
+    swapped = _pconditions(rep, spinor_transform(flip.inverse(), rep),
+                           spinor_transform(flip, rep), vector_transform(flip).matrix)
     s01 = spinor_transform(LorentzParams(_BOOST, (0, 1), 1.0), rep)
-    controls = (residual_entry("sign-flip", "Pconditions", FLOAT,
-                               [e.residual for e in sign_flip]),
-                residual_entry("boost01-noncommute", "S", FLOAT,
-                               commutator(s01, rep.on(FLOAT).p[0])))
-    return ResidualReport(tuple(grid)), pi_commutation_check(rep), ResidualReport(controls)
+    controls = [("sign-flip", "Pconditions", [z for _, _, m in swapped for z in m.entries]),
+                ("boost01-noncommute", "S", commutator(s01, ps[0]))]
+    grid = (r for params in COVARIANCE_GRID for r in _certificate(params, rep))
+    return tuple(residual_report(FLOAT, relations) for relations in (grid, commutators, controls))
 
 
 def special_frame(p: FourMomentum) -> tuple:

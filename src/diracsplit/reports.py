@@ -124,9 +124,6 @@ class ResidualReport:
     def all_within(self, tol: float) -> bool:
         return all(e.within(tol) for e in self.entries)
 
-    def merged(self, other: "ResidualReport") -> "ResidualReport":
-        return ResidualReport(self.entries + other.entries)
-
     def worst(self) -> ResidualEntry:
         """The first entry with the largest residual: one check over all of them.
 

@@ -293,9 +293,9 @@ def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
     """The symbol of (p^0 + sign * sigma.p) on a term with eigenvalues q = s p.
 
     [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]],
-    kept on p per (s, sign) as ``dirac_matrix`` keeps its symbols.
+    kept on p per (s, type of s, sign) as ``dirac_matrix`` keeps its symbols.
     """
-    key = ("sigma", s, sign)
+    key = ("sigma", s, type(s), sign)
     symbol = p._symbols.get(key)
     if symbol is None:
         scalar = SCALAR_TYPE[p.backend]
@@ -328,18 +328,13 @@ def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     ]
 
 
-def weyl_residuals(f: PlaneWaveField, *, check_mass: bool = True) -> ResidualReport:
-    """``weyl_relations`` over f's terms, on f's backend.
-
-    ``check_mass=False`` lets a massive field through as a negative
-    control; the residuals are then expected to be large.
-    """
+def weyl_residuals(f: PlaneWaveField) -> ResidualReport:
+    """``weyl_relations`` over f's terms, on f's backend; every term must be massless."""
     if f.ncomp != 4:
         raise ValueError("the Weyl relations act on bispinor fields")
-    if check_mass:
-        for t in f.terms:
-            if t.momentum.mass:
-                raise WeylRequiresMassless("field carries a massive term")
+    for t in f.terms:
+        if t.momentum.mass:
+            raise WeylRequiresMassless("field carries a massive term")
     view = f.rep.on(f.backend)
     return residual_report(f.backend, termwise(weyl_relations(view, amp, p, s)
                                                for amp, p, s in _terms(f)))

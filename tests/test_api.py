@@ -111,6 +111,33 @@ def test_no_library_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _calls_of(name, node, scope=()):
+    """(scope, line) of each call of ``name`` under ``node``, scope the enclosing def names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_of(name, child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield ".".join(scope), child.lineno
+        yield from _calls_of(name, child, scope)
+
+
+def test_only_reports_and_the_projector_family_build_a_residual_report():
+    """Relations are measured by ``residual_report``; no module assembles a report by hand.
+
+    ``RepView.projector_residuals`` alone builds one outside ``reports.py``:
+    it reuses the entries its family's validation already measured.
+    """
+    built = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.name != "reports.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            built += [(path.stem, scope) for scope, _ in _calls_of("ResidualReport", tree)]
+    assert built == [("gamma", "RepView.projector_residuals")]
+
+
 def test_the_readme_library_example_runs(capsys):
     """The README's "Library use" code block runs as written, and its run passes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

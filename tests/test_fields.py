@@ -31,6 +31,7 @@ from diracsplit.errors import (
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
+from diracsplit.subsolutions import _sigma_symbol
 from field_helpers import apply_symbol, charge_conjugate
 
 I = GaussianRational(0, 1)
@@ -100,6 +101,15 @@ def test_term_rejects_bad_freq_sign():
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     with pytest.raises(ValueError):
         PlaneWaveTerm((1, 0, 0, 0), p, 2)
+
+
+def test_term_rejects_a_sign_that_is_not_the_int_one():
+    """1 == 1.0 == True, but a term's sign is the int +1 or -1: any other type raises."""
+    p = FourMomentum.exact((3, 2, 2, 0), 1)
+    for sign in (1.0, -1.0, True, Fraction(1), 1 + 0j):
+        with pytest.raises(ValueError, match="freq_sign must be"):
+            PlaneWaveTerm((1, 0, 0, 0), p, sign)
+    assert [PlaneWaveTerm((1, 0, 0, 0), p, s).freq_sign for s in (1, -1)] == [1, -1]
 
 
 def test_term_rejects_bad_component_count():
@@ -207,6 +217,21 @@ def test_a_float_mass_on_an_exact_momentum_raises_whatever_ran_before(spinor):
         dirac_residual(f, 1.0)
     pf = p.to_float()
     assert dirac_matrix(spinor, pf, 1, 1).entries == dirac_matrix(spinor, pf, 1, 1.0).entries
+
+
+def test_a_float_sign_on_an_exact_momentum_raises_whatever_ran_before(spinor):
+    """1 == 1.0, so the kept symbols gamma.p - m and p0 +- sigma.p are keyed by the sign's type."""
+    for warm in (False, True):
+        p = FourMomentum.exact((3, 2, 2, 0), 1)
+        if warm:
+            dirac_matrix(spinor, p, 1, 1)
+            _sigma_symbol(p, 1, 1)
+        with pytest.raises(BackendMismatch):
+            dirac_matrix(spinor, p, 1.0, 1)
+        with pytest.raises(BackendMismatch):
+            _sigma_symbol(p, 1.0, 1)
+    pf = p.to_float()
+    assert dirac_matrix(spinor, pf, 1, 1).entries == dirac_matrix(spinor, pf, 1.0, 1).entries
 
 
 def test_field_linear_algebra(spinor):

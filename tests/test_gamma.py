@@ -129,6 +129,13 @@ def test_conjugation_matrix_spinor_is_i_gamma2(spinor):
     assert (spinor.on(EXACT).conjugation - want).is_zero
 
 
+def test_conjugation_matrix_standard_is_i_gamma2():
+    """The transported spinor-basis i gamma2 is the standard basis's own i gamma2."""
+    std = build_rep("standard")
+    want = std.gammas[2].scale(GaussianRational(0, 1))
+    assert (std.on(EXACT).conjugation - want).is_zero
+
+
 def test_conjugation_matrix_majorana_is_phase():
     """All gammas imaginary: conjugation degenerates to i times identity."""
     maj = build_rep("majorana")

@@ -1,6 +1,7 @@
 """Vector and spinor transformations, plane restriction, special frame."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,8 @@ from diracsplit import (
     FourMomentum,
     LorentzParams,
     PlaneWaveTerm,
-    covariance_check,
     dirac_residual,
     field_of,
-    pconditions_residual,
-    pi_commutation_check,
     special_frame,
     spinor_transform,
     u_spinor,
@@ -21,8 +19,9 @@ from diracsplit import (
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import GammaRep
-from diracsplit.lorentz import VectorTransform, reduced_dirac_symbol
+from diracsplit.lorentz import VectorTransform, _certificate, _pconditions, reduced_dirac_symbol
 from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.reports import residual_report
 from diracsplit.scalars import EXACT, FLOAT
 
 omegas = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -199,36 +198,66 @@ def test_boost_inverse_pairs(rep):
     assert max_abs_diff(s @ s_inv, _float_identity()) <= 1e-12
 
 
+def _pconditions_report(rep, s, s_inv, params):
+    return residual_report(FLOAT, _pconditions(rep, s, s_inv, vector_transform(params).matrix))
+
+
 @pytest.mark.parametrize("base", PLANES, ids=lambda p: f"{p.kind}{p.plane}")
 def test_pconditions(rep, base):
     s = spinor_transform(base, rep)
     s_inv = spinor_transform(base.inverse(), rep)
-    report = pconditions_residual(rep, s, s_inv, vector_transform(base))
-    assert len(report.entries) == 4
+    report = _pconditions_report(rep, s, s_inv, base)
+    assert [e.label for e in report] == [f"Pconditions.nu{nu}" for nu in range(4)]
     assert report.all_within(1e-12)
 
 
 def test_pconditions_mismatched_pair_fails(spinor):
     base = LorentzParams("boost", (0, 3), 1.0)
     s = spinor_transform(base, spinor)
-    report = pconditions_residual(spinor, s, s, vector_transform(base))
+    report = _pconditions_report(spinor, s, s, base)
     assert report.max_residual() > 0.1
+
+
+def test_pconditions_hold_exactly_on_an_exact_s(spinor):
+    """On an exact S the P-conditions are measured exactly: a (0,3) boost with e^omega = 4.
+
+    S = blockdiag(A, A^{dagger -1}) with A = diag(1/2, 2) passes; the
+    other sign of omega fails.
+    """
+    c, s = Fraction(17, 8), Fraction(15, 8)
+    a = ((c, 0, 0, -s), (0, 1, 0, 0), (0, 0, 1, 0), (-s, 0, 0, c))
+    for z, holds in ((Fraction(1, 2), True), (Fraction(2), False)):
+        s_mat, s_inv = Matrix.diag((z, 1 / z, 1 / z, z)), Matrix.diag((1 / z, z, z, 1 / z))
+        report = residual_report(EXACT, _pconditions(spinor, s_mat, s_inv, a))
+        assert len(report.entries) == 4 and report.all_exact_zero() is holds
+
+
+def test_sign_flip_is_the_largest_swapped_pcondition(rep):
+    """The control reads every entry of the four swapped P-conditions: their largest residual."""
+    flip = LorentzParams("boost", (0, 3), 1.0)
+    swapped = _pconditions_report(rep, spinor_transform(flip.inverse(), rep),
+                                  spinor_transform(flip, rep), flip)
+    sign_flip, noncommute = rep.on(FLOAT).lorentz_certificates[2]
+    assert (sign_flip.label, noncommute.label) == ("sign-flip", "boost01-noncommute")
+    assert sign_flip.residual == swapped.max_residual() > 0.1
 
 
 @pytest.mark.parametrize("base", PLANES, ids=lambda p: f"{p.kind}{p.plane}")
 def test_covariance_certificate(rep, base):
-    report = covariance_check(base, rep)
+    report = residual_report(FLOAT, _certificate(base, rep))
     assert report.all_within(1e-10)
+    tag = f"{base.kind}{base.plane[0]}{base.plane[1]}.w{base.omega:g}."
     labels = [e.label for e in report]
-    assert labels[:2] == ["vector.metric", "S.inverse"]
-    assert labels[2:6] == [f"Pconditions.nu{nu}" for nu in range(4)]
-    assert labels[6:] == [f"Pprime.P{k}.idempotent" for k in (1, 2, 3, 4)]
+    assert labels[:2] == [tag + "vector.metric", tag + "S.inverse"]
+    assert labels[2:6] == [f"{tag}Pconditions.nu{nu}" for nu in range(4)]
+    assert labels[6:] == [f"{tag}Pprime.P{k}.idempotent" for k in (1, 2, 3, 4)]
 
 
 def test_pi_commutation(rep):
-    report = pi_commutation_check(rep)
+    grid, report, _ = rep.on(FLOAT).lorentz_certificates
     assert report.all_within(1e-12)
     assert len(report.entries) == 12 and {e.backend for e in report} == {FLOAT}
+    assert len(grid.entries) == 12 * 10 and grid.all_within(1e-10)
     exact = [e for e in rep.on(EXACT).covariance_residuals if e.label.startswith("commute.sigma")]
     assert len(exact) == 4
     assert all(e.exact_zero for e in exact)

@@ -243,7 +243,7 @@ def test_every_operator_result_is_canonical(name, backend, data):
         assert g.rep is rep
 
 
-# -- the trusted term path and the merge, on edge values ---------------------------
+# -- rebuilt terms, one-term fields and the merge, on edge values ------------------
 
 _FLOAT_MOMENTA = tuple(p.to_float() for p in _MOMENTA)
 
@@ -267,7 +267,7 @@ def _edge_terms(backend, ncomp, max_size=6):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.sampled_from((4, 2)),
        st.data())
-def test_trusted_paths_equal_the_validating_constructors(name, backend, ncomp, data):
+def test_rebuilt_terms_and_one_term_fields_equal_the_constructors(name, backend, ncomp, data):
     """A term rebuilt from its parts keeps its amplitude; ``field_of`` is the one-term field."""
     rep = build_rep(name)
     for t in data.draw(_edge_terms(backend, ncomp, max_size=2)):
@@ -289,7 +289,7 @@ def _finite(f):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(REP_NAMES), st.sampled_from((EXACT, FLOAT)), st.sampled_from((4, 2)),
        st.booleans(), st.data())
-def test_paired_merge_equals_the_keyed_merge(name, backend, ncomp, single, data):
+def test_terms_sharing_momenta_merge_as_terms_with_equal_keys(name, backend, ncomp, single, data):
     """Terms sharing momenta and signs merge as when only their keys agree, in either order.
 
     b takes a's momentum objects and signs in a's order, each amplitude

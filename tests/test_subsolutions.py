@@ -29,9 +29,9 @@ from diracsplit import (
 )
 from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
-from diracsplit.reports import residual_report
-from diracsplit.scalars import GaussianRational
-from diracsplit.subsolutions import split_relations, split_term
+from diracsplit.reports import magnitude, residual_report
+from diracsplit.scalars import EXACT, GaussianRational
+from diracsplit.subsolutions import _terms, split_relations, split_term, termwise, weyl_relations
 from field_helpers import conjugates, to_float, with_conjugate
 
 I = GaussianRational(0, 1)
@@ -52,6 +52,13 @@ def _identity_report(sr):
 def _constituent_report(sr):
     """The constituent relations of a split, as the split suite records them."""
     return residual_report(sr.psi.backend, sr.relations[2])
+
+
+def _weyl_report(f):
+    """``weyl_residuals`` without its massless precondition: any field's Weyl relations."""
+    view = f.rep.on(f.backend)
+    return residual_report(f.backend, termwise(weyl_relations(view, amp, p, s)
+                                               for amp, p, s in _terms(f)))
 
 
 def _witness_split(spin=1):
@@ -217,11 +224,11 @@ def test_weyl_residuals_reject_massive():
 
 
 def test_weyl_residuals_massive_control():
+    """The Weyl relations measured on a massive u, as the suite's massive-residual control."""
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    f = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    report = weyl_residuals(f, check_mass=False)
-    assert report.max_residual() > 0.1
+    amp = u_spinor(p, spinor, 1).amplitude
+    assert max(magnitude(v) for _, _, v in weyl_relations(spinor.on(EXACT), amp, p, 1)) > 0.1
 
 
 # -- Majorana ------------------------------------------------------------------
@@ -333,7 +340,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
 
 
 _FIELD_REPORTS = (
-    lambda f: weyl_residuals(f, check_mass=False),
+    _weyl_report,
     lambda f: majorana_residuals(with_conjugate(f), WITNESS_MASS),
     lambda f: recombination_residuals(split(f, WITNESS_MASS)),
     lambda f: _identity_report(split(f, WITNESS_MASS)),
@@ -352,6 +359,7 @@ def test_the_zero_field_has_every_relation_at_zero(backend):
         psi = to_float(psi)
     zero = PlaneWaveField((), spinor, 4, backend)
     assert zero.is_zero
+    assert weyl_residuals(zero) == _weyl_report(zero)
     for residuals in _FIELD_REPORTS:
         report = residuals(zero)
         assert [e.label for e in report] == [e.label for e in residuals(psi)]
@@ -420,8 +428,9 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     if floats:
         f, maj = to_float(f), to_float(maj)
     singles = [field_of(t, rep) for t in f.terms]
-    _assert_termwise(weyl_residuals(f, check_mass=False),
-                     [weyl_residuals(g, check_mass=False) for g in singles])
+    _assert_termwise(_weyl_report(f), [_weyl_report(g) for g in singles])
+    if not any(t.momentum.mass for t in f.terms):
+        assert weyl_residuals(f) == _weyl_report(f)
     if rep_name != "spinor":
         return
     by_momentum = {}

@@ -384,22 +384,29 @@ def test_records_are_pinned(backend):
 
 
 def test_warm_covariance_run_reads_its_certificates(monkeypatch):
-    """The float covariance certificates depend on the basis alone: measured once per view."""
-    from diracsplit import lorentz
+    """The float covariance certificates depend on the basis alone: measured once per view.
+
+    Every other product of a float covariance run is kept too, so a warm
+    run multiplies no matrix; one basis's certificates measured afresh do.
+    """
+    from diracsplit.matrices import Matrix
 
     config = RunConfig(suite="covariance", rep="all", backend="float", trials=2)
     first = run(config)
     calls = []
-    check = lorentz.covariance_check
+    matmul = Matrix.__matmul__
 
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
+    def counted(a, b):
+        calls.append(a)
+        return matmul(a, b)
 
-    monkeypatch.setattr(lorentz, "covariance_check", counted)
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
     second = run(config)
     assert calls == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    vars(build_rep("majorana").on(FLOAT)).pop("lorentz_certificates")
+    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert calls
 
 
 # -- the float fuzz builds each operator once and no record per trial --------------
