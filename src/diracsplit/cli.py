@@ -4,6 +4,11 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 or configuration error, 3 JSON report path unwritable, 4 a library error
 (a :class:`~diracsplit.errors.DiracSplitError`) stopped a suite; its code
 is printed on stderr and no report is written.
+
+The argument parser is built once, when the module is imported, and
+every ``main`` call parses with it: ``parse_args`` fills a fresh
+namespace from the declared defaults each time, so nothing of one call
+reaches the next.  The JSON report is ``Report.to_json``.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process: parsing reads it and leaves it as it was
+_PARSER = _build_parser()
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -116,8 +125,7 @@ def _emit_json(report: Report, path: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         config = _assemble_config(args)

@@ -142,6 +142,25 @@ def _materialised(build):
     return cached_property(get)
 
 
+def _witness_records(builder: str):
+    """A RepView attribute: the records ``suites.<builder>`` measures on this basis, kept.
+
+    The suites' witness records are ``(check_id, entry)`` pairs that
+    depend on the basis alone, not on the run's seed, trials, tolerance
+    or ranges.  They are exact, so they are read on the exact view.
+    """
+
+    def get(view):
+        if view.backend != EXACT:
+            raise ValueError("witness records are exact: read them on the exact view")
+        from . import suites  # the suites build on this module
+
+        return getattr(suites, builder)(view.rep)
+
+    get.__doc__ = f"``suites.{builder}`` of this basis, measured on first read and kept."
+    return cached_property(get)
+
+
 @dataclass(frozen=True, eq=False)
 class RepView:
     """One representation materialised on one backend.
@@ -152,7 +171,8 @@ class RepView:
     representation.  The structural relations, ``clifford_residual``
     through ``covariance_residuals``, are measured on this view's backend
     when first read, then kept, and so are the float view's
-    ``lorentz_certificates``.
+    ``lorentz_certificates`` and the exact view's witness records
+    (``split_witness``, ``weyl_witness``, ``majorana_witness``).
     """
 
     rep: GammaRep
@@ -377,6 +397,12 @@ class RepView:
         from .lorentz import float_certificates  # lorentz builds on this module
 
         return float_certificates(self.rep)
+
+    # -- the suites' exact witness records, measured when first read --
+
+    split_witness = _witness_records("_split_witness")
+    weyl_witness = _witness_records("_weyl_witness")
+    majorana_witness = _witness_records("_majorana_witness")
 
 
 def _block4(a, b, c, d) -> Matrix:

@@ -169,8 +169,3 @@ class Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
-
-
-def max_abs_diff(a: Matrix, b: Matrix) -> float:
-    a._check_peer(b)
-    return kernels.max_abs_diff(a.entries, b.entries)

@@ -28,13 +28,17 @@ that has a residual; the JSON report writes it as ``NaN``.
 The CLI aggregates the judged checks into :class:`Report`, whose JSON
 form is stable: key order and field names are part of the interface,
 and two runs with the same configuration produce byte-identical output
-except for ``wall_ms``.
+except for ``wall_ms``.  ``Report.to_json_dict`` is that form as a dict;
+``Report.to_json`` writes it in the layout of ``json.dumps(...,
+indent=2)``, byte for byte, with one format per check record and the
+encoder's own C string escaper, since ``json.dumps`` runs its
+pure-Python encoder whenever it indents.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import kernels
@@ -182,7 +186,70 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2)`` and a newline, to the byte.
+
+        ``json.dumps`` runs its pure-Python encoder whenever it indents;
+        this writes the same layout with one f-string per check record.
+        """
+        j, at = _json, " " * 6  # a record's values are nested three deep
+        records = [f'\n    {{\n      "id": {j(c.check_id, at)},\n'
+                   f'      "paper_eq": {j(c.equation, at)},\n'
+                   f'      "backend": {j(c.backend, at)},\n'
+                   f'      "residual": {j(c.residual, at)},\n'
+                   f'      "exact_zero": {j(c.exact_zero, at)},\n'
+                   f'      "pass": {j(c.ok, at)}\n    }}'
+                   for c in self.checks]
+        checks = "[" + ",".join(records) + "\n  ]" if records else "[]"
+        summary = {"passed": self.passed, "failed": self.failed}
+        return ("{\n"
+                f'  "config": {j(dict(self.config), "  ")},\n'
+                f'  "checks": {checks},\n'
+                f'  "summary": {j(summary, "  ")},\n'
+                f'  "wall_ms": {j(self.wall_ms, "  ")}\n'
+                "}\n")
+
+
+_INF = float("inf")
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when nested at ``indent``.
+
+    Scalars are spelled as ``json`` spells them: strings escaped to ASCII,
+    ``float.__repr__`` or ``NaN`` / ``Infinity`` / ``-Infinity``,
+    ``int.__repr__``, ``true`` / ``false`` / ``null``.  Lists, tuples and
+    dicts with string keys are laid out one item per line; empty ones are
+    ``[]`` and ``{}``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        return "-Infinity" if value == -_INF else float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def format_human(report: Report) -> str:

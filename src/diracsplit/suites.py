@@ -21,7 +21,13 @@ value)`` relations (see ``subsolutions``), and checked from that one
 statement exactly on a witness and in floats over seeded fuzz.  A
 witness measures the relations of its field, concatenated over the
 terms (``subsolutions.termwise``), into entries with
-``reports.residual_report``.  A fuzz trial passes its sampled modes'
+``reports.residual_report``.  Those entries depend on the basis alone,
+not on the seed, trials, tolerance or ranges, so each basis's exact view
+keeps them as ``(check_id, entry)`` pairs (``split_witness``,
+``weyl_witness``, ``majorana_witness``; see ``gamma.RepView``), measured
+by ``_<suite>_witness`` when first read: a warm exact run does no exact
+arithmetic, and ``_Collector.add`` still builds each run's records and
+verdicts.  A fuzz trial passes its sampled modes'
 amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
@@ -543,34 +549,41 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
 # -- split suite ------------------------------------------------------------------
 
 
+def _split_witness(sp) -> tuple:
+    """The split suite's exact records, kept as the spinor basis's ``split_witness``."""
+    out = []
+    for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
+        q = FourMomentum.exact(comps, 1)
+        block = dirac_matrix(sp, q, 1) - _component_block(q)
+        out.append((f"split.dirac2-block.{tag}",
+                    residual_entry("dirac2-block", "Dirac2", EXACT, block)))
+    p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
+    others = tuple(r for r in _ALL_REPS if r is not sp)
+    for s in (1, 2):
+        u = u_spinor(p, sp, s)
+        sr = split(field_of(u, sp), Fraction(_WITNESS_MASS))
+        witnesses = (
+            ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
+            ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
+            ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
+        )
+        for label, eq, got, want in witnesses:
+            diff = [a - b for a, b in zip(got, want)]
+            out.append((f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff)))
+        relations = [r for family in sr.relations for r in family]
+        entries = residual_report(EXACT, relations).entries
+        for rep_to in others:
+            entries += transported_constituent_residuals(sr, rep_to).entries
+        out += [(f"split.witness.s{s}.{e.label}", e) for e in entries]
+    return tuple(out)
+
+
 def _run_split(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
-    others = tuple(r for r in _ALL_REPS if r.name != "spinor")
 
     if config.run_exact:
-        for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
-            q = FourMomentum.exact(comps, 1)
-            block = dirac_matrix(sp, q, 1) - _component_block(q)
-            out.add(f"split.dirac2-block.{tag}",
-                    residual_entry("dirac2-block", "Dirac2", EXACT, block))
-        p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-        for s in (1, 2):
-            u = u_spinor(p, sp, s)
-            sr = split(field_of(u, sp), Fraction(_WITNESS_MASS))
-            witnesses = (
-                ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
-                ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
-                ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
-            )
-            for label, eq, got, want in witnesses:
-                diff = [a - b for a, b in zip(got, want)]
-                out.add(f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff))
-            relations = [r for family in sr.relations for r in family]
-            entries = residual_report(EXACT, relations).entries
-            for rep_to in others:
-                entries += transported_constituent_residuals(sr, rep_to).entries
-            for e in entries:
-                out.add(f"split.witness.s{s}.{e.label}", e)
+        for check_id, e in sp.on(EXACT).split_witness:
+            out.add(check_id, e)
 
     if config.run_float:
         view = sp.on(FLOAT)
@@ -622,12 +635,18 @@ def _weyl_relations(rep, p: FourMomentum):
         yield f"{ch}.chiral-image", "DiracNeutrino", _sub(proj.apply(amp), amp, p.backend)
 
 
+def _weyl_witness(rep) -> tuple:
+    """The Weyl suite's exact records of ``rep`` on its null witness, kept as ``weyl_witness``."""
+    witness = FourMomentum.exact(_WEYL_WITNESS_K, 0)
+    return tuple((f"weyl.witness.{rep.name}.{e.label}", e)
+                 for e in residual_report(EXACT, _weyl_relations(rep, witness)))
+
+
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            witness = FourMomentum.exact(_WEYL_WITNESS_K, 0)
-            for e in residual_report(EXACT, _weyl_relations(rep, witness)):
-                out.add(f"weyl.witness.{rep.name}.{e.label}", e)
+            for check_id, e in rep.on(EXACT).weyl_witness:
+                out.add(check_id, e)
         if config.run_float:
             _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
                   lambda rng, _: _weyl_relations(rep, _sample_massless(rng, config)),
@@ -667,15 +686,24 @@ def _majorana_relations(rep, p: FourMomentum, s: int):
             yield "dirac", "Dirac1", dirac_matrix(rep, p, sign, p.mass).apply(amp)
 
 
+def _majorana_name(rep) -> str:
+    """The basis part of Majorana check ids and sub-seed tags: none for the spinor basis."""
+    return "" if rep.name == "spinor" else f".{rep.name}"
+
+
+def _majorana_witness(rep) -> tuple:
+    """The Majorana suite's exact records of ``rep`` on the witness, kept as ``majorana_witness``."""
+    p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
+    return tuple((f"majorana.witness{_majorana_name(rep)}.s{s}.{e.label}", e) for s in (1, 2)
+                 for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])))
+
+
 def _run_majorana(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
-        # the spinor basis keeps the suite's bare check ids and sub-seed tag
-        name = "" if rep.name == "spinor" else f".{rep.name}"
+        name = _majorana_name(rep)
         if config.run_exact:
-            p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-            for s in (1, 2):
-                for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])):
-                    out.add(f"majorana.witness{name}.s{s}.{e.label}", e)
+            for check_id, e in rep.on(EXACT).majorana_witness:
+                out.add(check_id, e)
         if config.run_float:
             def trial_residuals(rng, _):
                 p = _sample_massive(rng, config)

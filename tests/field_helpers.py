@@ -1,13 +1,19 @@
-"""Field helpers shared by the tests: a symbol applied term by term, a float copy
-and charge conjugation.
+"""Helpers shared by the tests: a symbol applied term by term, a float copy,
+charge conjugation, and the largest difference of two matrices.
 
 The library applies symbols, converts and conjugates amplitudes only
 inside its term relations, so the tests build these fields from the
 public constructors.
 """
 
-from diracsplit import PlaneWaveField, PlaneWaveTerm
+from diracsplit import PlaneWaveField, PlaneWaveTerm, kernels
 from diracsplit.scalars import FLOAT
+
+
+def max_abs_diff(a, b) -> float:
+    """The largest entrywise difference of two matrices on one backend, NaN if any is NaN."""
+    a._check_peer(b)
+    return kernels.max_abs_diff(a.entries, b.entries)
 
 
 def apply_symbol(f, symbol):

@@ -107,6 +107,57 @@ def test_unwritable_json_path(tmp_path, capsys):
     assert "summary:" in captured.out  # report still rendered
 
 
+def _dumped(report):
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_json_writer_matches_json_dumps_on_every_run(suite):
+    """``Report.to_json`` writes ``json.dumps(..., indent=2)`` to the byte, on every rep and backend."""
+    for rep in suites.REP_CHOICES:
+        for backend in suites.BACKEND_CHOICES:
+            report = suites.run(suites.RunConfig(suite=suite, rep=rep, backend=backend, trials=2))
+            assert report.to_json() == _dumped(report), (rep, backend)
+
+
+def test_json_writer_spells_every_value_as_json_does():
+    """NaN, infinities, None, ints and floats, escaped ids, empty and nested containers."""
+    config = dict(suites.RunConfig().to_dict(), mass_range=[1, 2.5], momentum_range=(0, 1e300),
+                  note=None, empty=[], nested={"a": [1, {"b": []}], "c": {}, "d": -0.0})
+    checks = [CheckRecord(f'x.{i}."quoted"\\back-slash.\u00e9\u2603\U0001d11e', "Dirac1",
+                          "float", residual, False, ok)
+              for i, (residual, ok) in enumerate(((math.nan, False), (math.inf, False),
+                                                  (-math.inf, True), (None, True),
+                                                  (5e-324, True), (-0.0, True), (1, True)))]
+    checks.append(CheckRecord("y.exact", "P1", "exact", None, True, True))
+    for report in (Report(config=config, checks=checks, wall_ms=12.5),
+                   Report(config=config, wall_ms=float("nan")),
+                   Report(config={})):
+        text = report.to_json()
+        assert text == _dumped(report)
+        assert text.isascii()
+    assert '"checks": []' in Report(config={}).to_json()
+    with pytest.raises(TypeError):
+        Report(config={"bad": object()}).to_json()
+
+
+def test_the_kept_parser_carries_nothing_between_calls(tmp_path, capsys):
+    """One parser serves every ``main`` call: flags, errors and help leave it as it was."""
+    path = tmp_path / "report.json"
+    assert main(["all", "--rep", "all", "--backend", "exact", "--trials", "3",
+                 "--tol", "1e-8"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--trials", "many"])
+    assert exc.value.code == EXIT_USAGE
+    assert main(["weyl", "--json", str(path)]) == EXIT_OK
+    assert json.loads(path.read_text())["config"] == suites.RunConfig(suite="weyl").to_dict()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: verify ")
+
+
 # -- config files ---------------------------------------------------------------
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from diracsplit.errors import IntertwinerInvalid
 from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep
-from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
+from field_helpers import max_abs_diff
 
 
 def test_rep_names_pinned():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracsplit import kernels
-from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
+from field_helpers import max_abs_diff
 
 NAN = float("nan")
 

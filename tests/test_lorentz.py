@@ -20,9 +20,10 @@ from diracsplit import (
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import GammaRep
 from diracsplit.lorentz import VectorTransform, _certificate, _pconditions, reduced_dirac_symbol
-from diracsplit.matrices import Matrix, max_abs_diff
+from diracsplit.matrices import Matrix
 from diracsplit.reports import residual_report
 from diracsplit.scalars import EXACT, FLOAT
+from field_helpers import max_abs_diff
 
 omegas = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 masses = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracsplit.errors import BackendMismatch
-from diracsplit.matrices import Matrix, commutator, max_abs_diff
+from diracsplit.matrices import Matrix, commutator
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
+from field_helpers import max_abs_diff
 
 
 def test_identity_and_zero():

@@ -409,6 +409,32 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("suite", ("split", "weyl", "majorana"))
+def test_warm_witness_run_reads_its_records(suite, monkeypatch):
+    """The exact witness records depend on the basis alone: measured once per exact view.
+
+    A warm exact run applies no exact matrix (the Weyl suite's controls
+    are float records, measured every run); the spinor basis's records
+    measured afresh apply exact ones again, and give the same records.
+    """
+    from diracsplit import kernels
+    from diracsplit.scalars import EXACT, GaussianRational
+
+    config = RunConfig(suite=suite, rep="all", backend="exact", trials=2)
+    first = run(config)
+    calls = _counted_everywhere(monkeypatch, kernels, "mul_vec")
+    second = run(config)
+    assert [c for c in calls if isinstance(c[1][0], GaussianRational)] == []
+    assert calls == [] or suite == "weyl"
+    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert second.checks[0] is not first.checks[0]  # each run builds its own records
+    vars(build_rep("spinor").on(EXACT)).pop(f"{suite}_witness")
+    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert [c for c in calls if isinstance(c[1][0], GaussianRational)]
+    with pytest.raises(ValueError, match="exact view"):
+        getattr(build_rep("spinor").on(FLOAT), f"{suite}_witness")
+
+
 # -- the float fuzz builds each operator once and no record per trial --------------
 
 
