@@ -142,17 +142,19 @@ def _materialised(build):
     return cached_property(get)
 
 
-def _witness_records(builder: str):
+def _kept_records(builder: str, backend: str):
     """A RepView attribute: the records ``suites.<builder>`` measures on this basis, kept.
 
-    The suites' witness records are ``(check_id, entry)`` pairs that
-    depend on the basis alone, not on the run's seed, trials, tolerance
-    or ranges.  They are exact, so they are read on the exact view.
+    The suites' witness records and controls depend on the basis alone,
+    not on the run's seed, trials, tolerance or ranges.  Each is a tuple
+    of ``_Collector.add`` arguments, read on the view of its ``backend``:
+    the witnesses, ``(check_id, entry)``, on the exact one, and the
+    controls, ``(check_id, entry, bound, kind)``, on the float one.
     """
 
     def get(view):
-        if view.backend != EXACT:
-            raise ValueError("witness records are exact: read them on the exact view")
+        if view.backend != backend:
+            raise ValueError(f"these records are {backend}: read them on the {backend} view")
         from . import suites  # the suites build on this module
 
         return getattr(suites, builder)(view.rep)
@@ -171,7 +173,8 @@ class RepView:
     representation.  The structural relations, ``clifford_residual``
     through ``covariance_residuals``, are measured on this view's backend
     when first read, then kept, and so are the float view's
-    ``lorentz_certificates`` and the exact view's witness records
+    ``lorentz_certificates`` and controls (``split_controls``,
+    ``weyl_controls``) and the exact view's witness records
     (``split_witness``, ``weyl_witness``, ``majorana_witness``).
     """
 
@@ -398,11 +401,13 @@ class RepView:
 
         return float_certificates(self.rep)
 
-    # -- the suites' exact witness records, measured when first read --
+    # -- the suites' witness records and controls, measured when first read --
 
-    split_witness = _witness_records("_split_witness")
-    weyl_witness = _witness_records("_weyl_witness")
-    majorana_witness = _witness_records("_majorana_witness")
+    split_witness = _kept_records("_split_witness", EXACT)
+    weyl_witness = _kept_records("_weyl_witness", EXACT)
+    majorana_witness = _kept_records("_majorana_witness", EXACT)
+    split_controls = _kept_records("_split_controls", FLOAT)
+    weyl_controls = _kept_records("_weyl_controls", FLOAT)
 
 
 def _block4(a, b, c, d) -> Matrix:

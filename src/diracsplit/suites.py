@@ -27,32 +27,40 @@ keeps them as ``(check_id, entry)`` pairs (``split_witness``,
 ``weyl_witness``, ``majorana_witness``; see ``gamma.RepView``), measured
 by ``_<suite>_witness`` when first read: a warm exact run does no exact
 arithmetic, and ``_Collector.add`` still builds each run's records and
-verdicts.  A fuzz trial passes its sampled modes'
-amplitudes straight in and builds no field and no entry:
+verdicts.  The float controls of ``split`` and ``weyl`` depend on no
+config value either, so the spinor basis's float view keeps them
+(``split_controls``, ``weyl_controls``).  A fuzz trial passes its
+sampled modes' amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
-term once: its amplitude through S and its momentum through a.  One
-driver, ``_fuzz``, runs every campaign: it reads
-``reports.magnitude`` of each value, the float an entry would record,
-and keeps each label's largest, NaN if any trial gave NaN.  Trials
-derive per-trial sub-seeds from (seed, family tag, index), so records
-are independent of execution order and two runs with the same config
-produce identical reports.
+term once: its amplitude through S and its momentum through a.  Every
+campaign is registered with ``_fuzz`` and measured by one driver,
+``_measure_campaigns``, once the suites have made all their other
+records; each campaign's records then take the place it was registered
+at, so the report's order is the suites' own.  An error inside a
+campaign is therefore raised after every structural record of the run
+has been made.  The driver reads ``reports.magnitude`` of each value,
+the float an entry would record, and keeps each label's largest, NaN if
+any trial gave NaN.  Trials derive per-trial sub-seeds from (seed,
+family tag, index), so records are independent of execution order and
+two runs with the same config produce identical reports.
 
-That independence lets a large campaign share its trials between the
-machine's cores (``_shared``).  The trials are cut into contiguous
-chunks, one per usable core; the parent runs the first chunk, and a
-child forked for each other one runs it on a core other than the
-parent's and sends its per-label worst back down a pipe.  The parent
-folds the chunks' worst in chunk order with the rule that folds the
-trials (``_keep_worst``): the maximum, NaN first, does not depend on how
-the trials were grouped, so the report is the serial one to the last
-bit.  A child that fails has its chunk recomputed in the parent, so an
-error is raised as a serial run raises it.  Forking happens only where
-``os.fork`` exists, the process runs one thread, and each worker gets at
-least ``_FORK_FLOOR`` trials (every campaign of the default run, the
-200-trial covariance ones included; none of a 20-trial run).  This cuts
-wall time, not CPU time.
+That independence lets a run's campaigns share the machine's cores
+(``_shared``), with one fork per run.  Each campaign's trials are cut
+into contiguous chunks, one per worker; the parent computes the first
+chunk of every campaign, and a child forked for each other worker
+computes its chunk of every campaign, in run order, on a core other
+than the parent's, and sends the per-label worst back down a pipe.  The
+parent folds each campaign's chunks in chunk order with the rule that
+folds the trials (``_keep_worst``): the maximum, NaN first, does not
+depend on how the trials were grouped, so the report is the serial one
+to the last bit.  On any failure the parent kills its children and runs
+every campaign serially, so an error is raised as a serial run raises
+it.  Forking happens only where ``os.fork`` exists, the process runs one
+thread, and each worker gets at least ``_FORK_FLOOR`` trials summed over
+the run's campaigns (the default run, and the 220 trials of ``--rep all
+--trials 20``; no run of fewer than 200 trials).  This cuts wall time,
+not CPU time.
 
 Negative controls are expected-fail checks: they pass when a residual
 is LARGE (kind ``CONTROL``) or when the right error is raised (kind
@@ -126,9 +134,9 @@ _CONTROL_FLOOR = 0.1  # expected-fail controls must exceed this
 _OFFSHELL_FLOOR = 1e-3
 _MASSLESS_FLOOR = 1e-6  # the Weyl fuzz draws |p| above this
 _COV_TRIAL_CAP = 200
-#: the fewest trials a forked worker takes: on a 2-core machine a two-way
-#: fork of a 100-trial split campaign broke even and of a 200-trial one
-#: saved 40% of its wall time
+#: the fewest trials, summed over a run's campaigns, that each worker of a
+#: forked run takes: on a 2-core machine a two-way fork of a 100-trial split
+#: campaign broke even and of a 200-trial one saved 40% of its wall time
 _FORK_FLOOR = 100
 
 _MIX1 = 0x9E3779B97F4A7C15
@@ -224,6 +232,7 @@ _ALL_REPS = tuple(build_rep(n) for n in REP_NAMES)
 class _Collector:
     def __init__(self):
         self.records = []
+        self.campaigns = []  # the fuzz campaigns of the run, measured by _measure_campaigns
 
     def add(self, check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> None:
         """Record ``entry`` as check ``check_id``, judged by its kind against ``bound``.
@@ -250,7 +259,7 @@ def _raises(fn, exc_type) -> bool:
 
 def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int,
           measure, tol_for) -> None:
-    """Record, per label, the largest value ``measure`` gives over seeded trials.
+    """Register a campaign: per label, the largest value ``measure`` gives over seeded trials.
 
     ``measure(rng, trial)`` yields ``(label, equation, value)`` relations,
     ``value`` anything ``residual_entry`` measures; trial ``i`` draws from
@@ -259,19 +268,49 @@ def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int
     becomes one float check ``<prefix>.<label>`` judged within
     ``tol_for(label)`` and tagged with the label's first equation, in
     order of first appearance.  As in ``kernels.max_abs``, a NaN from any
-    trial makes the record NaN, and it fails.  A large campaign runs on
-    several cores (``_shared``) with the same records.
+    trial makes the record NaN, and it fails.  The campaign runs later,
+    with every other campaign of the run (``_measure_campaigns``), and
+    its records take the place in ``out.records`` that it has now.
     """
-    def worst_of(chunk: range) -> dict:
+    out.campaigns.append(_Campaign(len(out.records), prefix, tag, trials, config.seed,
+                                   measure, tol_for))
+
+
+@dataclass(frozen=True)
+class _Campaign:
+    """A fuzz campaign registered by ``_fuzz``; its records go at ``slot`` of the run's records."""
+
+    slot: int
+    prefix: str
+    tag: str
+    trials: int
+    seed: int
+    measure: object
+    tol_for: object
+
+    def worst_of(self, k: int = 0, n: int = 1) -> dict:
+        """The worst per label of chunk ``k`` of ``n``: trials ``trials*k//n`` up to ``trials*(k+1)//n``."""
         worst = {}
-        for trial in chunk:
+        for trial in range(self.trials * k // n, self.trials * (k + 1) // n):
+            rng = Random(_sub_seed(self.seed, self.tag, trial))
             _keep_worst(worst, ((label, equation, magnitude(value)) for label, equation, value
-                                in measure(_rng(config, tag, trial), trial)))
+                                in self.measure(rng, trial)))
         return worst
 
-    for label, (equation, value) in _shared(worst_of, trials).items():
-        out.add(f"{prefix}.{label}", residual_entry(label, equation, FLOAT, value),
-                tol_for(label))
+
+def _measure_campaigns(out: _Collector) -> None:
+    """Run the campaigns registered on ``out`` (``_shared``) and put their records in their slots."""
+    campaigns, out.campaigns = out.campaigns, []
+    worsts = _shared(campaigns)
+    records, out.records = out.records, []
+    start = 0
+    for campaign, worst in zip(campaigns, worsts):
+        out.records += records[start:campaign.slot]
+        start = campaign.slot
+        for label, (equation, value) in worst.items():
+            out.add(f"{campaign.prefix}.{label}", residual_entry(label, equation, FLOAT, value),
+                    campaign.tol_for(label))
+    out.records += records[start:]
 
 
 def _keep_worst(worst: dict, relations) -> dict:
@@ -302,12 +341,13 @@ def _merged(parts) -> dict:
 
 
 def _workers(trials: int) -> int:
-    """How many processes share a campaign of ``trials``: one, unless forking is safe and pays.
+    """How many processes share a run's campaigns of ``trials`` in all: one, unless forking is safe and pays.
 
     At most one per usable core, each with at least ``_FORK_FLOOR``
-    trials.  A fork copies only the calling thread, so a lock that
-    another thread holds would stay held in the child: with a second
-    thread alive, or without ``os.fork``, the campaign stays serial.
+    trials summed over the campaigns.  A fork copies only the calling
+    thread, so a lock that another thread holds would stay held in the
+    child: with a second thread alive, or without ``os.fork``, the
+    campaigns stay serial.
     """
     most = trials // _FORK_FLOOR
     if most < 2 or not hasattr(os, "fork") or _thread_count() != 1:
@@ -330,36 +370,45 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-def _shared(worst_of, trials: int) -> dict:
-    """``worst_of(range(trials))``, computed in contiguous chunks, one per worker (``_workers``).
+def _shared(campaigns) -> list:
+    """Each campaign's worst over all its trials, in order, the campaigns sharing one fork.
 
-    The parent computes the first chunk; each other chunk runs in a child
-    forked for it (``_fork``).  A child that fails, or that could not be
-    started, has its chunk recomputed here, so an error is raised exactly
-    as a serial run raises it: the parent meets the chunks in trial
-    order.  However this returns or raises, every child is killed and
-    reaped first.
+    With ``n = _workers(total trials)`` above one, ``n - 1`` children are
+    forked at once (``_fork``).  Worker k, the parent being worker 0,
+    computes chunk k of every campaign in run order (``_chunk_worst``),
+    and each campaign's chunks are folded in chunk order (``_merged``).
+    On any failure (a fork that fails, a child that fails, an
+    ``Exception`` in the parent's part) every child is killed and reaped,
+    and the parent makes one serial pass over the campaigns, so an error
+    is raised exactly as a serial run raises it.  A ``KeyboardInterrupt``
+    propagates at once.  However this returns or raises, no child is left.
     """
-    n = _workers(trials)
-    cuts = [trials * k // n for k in range(n + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    spare = _spare_cores() if n > 1 else []
-    children = []  # [pid, read end of its pipe] per forked chunk, pid None once reaped
-    try:
-        for k, chunk in enumerate(chunks[1:]):
-            children.append(_fork(worst_of, chunk, spare[k % len(spare)] if spare else None))
-        parts = [worst_of(chunks[0])]
-        for chunk, child in zip(chunks[1:], children):
-            part = _collect(child) if child else None
-            parts.append(worst_of(chunk) if part is None else part)
-        return _merged(parts)
-    finally:
-        for child in filter(None, children):
-            pid, pipe = child
-            pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    n = _workers(sum(c.trials for c in campaigns))
+    if n > 1:
+        spare = _spare_cores()
+        children = []  # [pid, read end of its pipe] per worker but the parent, pid None once reaped
+        try:
+            for k in range(1, n):
+                children.append(_fork(campaigns, k, n, spare[k % len(spare)] if spare else None))
+            if None not in children:
+                parts = [_chunk_worst(campaigns, 0, n)] + [_collect(c) for c in children]
+                if None not in parts:
+                    return [_merged(chunks) for chunks in zip(*parts)]
+        except Exception:
+            pass  # the serial pass below raises the error a serial run raises
+        finally:
+            for child in filter(None, children):
+                pid, pipe = child
+                pipe.close()
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return [c.worst_of() for c in campaigns]
+
+
+def _chunk_worst(campaigns, k: int, n: int) -> list:
+    """Worker ``k`` of ``n``'s part: chunk ``k`` of each campaign, in run order."""
+    return [c.worst_of(k, n) for c in campaigns]
 
 
 def _spare_cores() -> list:
@@ -378,8 +427,8 @@ def _spare_cores() -> list:
         return []
 
 
-def _fork(worst_of, chunk: range, core):
-    """Fork a child that sends ``worst_of(chunk)`` down a pipe with ``marshal``.
+def _fork(campaigns, k: int, n: int, core):
+    """Fork worker ``k`` of ``n``: a child that sends ``_chunk_worst`` down a pipe with ``marshal``.
 
     The child runs on ``core`` unless it is None.  Returns ``[pid, read
     end]``, or None when no process can be forked.  The child leaves
@@ -390,7 +439,7 @@ def _fork(worst_of, chunk: range, core):
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the parent computes the chunk
+    except OSError:  # no process to spare: the parent runs the campaigns serially
         pid = None
     if pid == 0:
         status = 1
@@ -399,7 +448,7 @@ def _fork(worst_of, chunk: range, core):
             if core is not None:
                 os.sched_setaffinity(0, (core,))
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(worst_of(chunk)))
+                pipe.write(marshal.dumps(_chunk_worst(campaigns, k, n)))
             status = 0
         finally:
             os._exit(status)
@@ -411,7 +460,7 @@ def _fork(worst_of, chunk: range, core):
 
 
 def _collect(child: list):
-    """The worst a child sent, or None if it failed; the child is reaped either way."""
+    """The chunk worsts a child sent, or None if it failed; the child is reaped either way."""
     pid, pipe = child
     data = pipe.read()
     pipe.close()
@@ -423,10 +472,6 @@ def _collect(child: list):
 def _sub_seed(seed: int, tag: str, trial: int) -> int:
     base = zlib.crc32(tag.encode("ascii"))
     return (seed ^ (base * _MIX1) ^ ((trial + 1) * _MIX2)) & _MASK64
-
-
-def _rng(config: RunConfig, tag: str, trial: int) -> Random:
-    return Random(_sub_seed(config.seed, tag, trial))
 
 
 def _sample_direction(rng: Random) -> tuple:
@@ -604,22 +649,32 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 
         _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
               lambda label: config.tol)
+        for record in view.split_controls:
+            out.add(*record)
 
-        p_on = FourMomentum.on_shell(1.0, (2.0, 2.0, 0.0))
-        amp = u_spinor(p_on, sp, 1).amplitude
-        p_off = FourMomentum((p_on.p[0] + 0.5,) + p_on.p[1:], 1.0, FLOAT)
-        f_off = field_of(PlaneWaveTerm(amp, p_off, 1), sp)
-        out.add("split.control.offshell-dirac",
-                residual_entry("offshell-dirac", "Dirac1", FLOAT, dirac_residual(f_off, 1.0)),
-                _OFFSHELL_FLOOR, CONTROL)
-        out.add("split.control.offshell-rejected",
-                residual_entry("offshell-rejected", "Dirac1", FLOAT, None),
-                _raises(lambda: split(f_off, 1.0), NotASolution), RAISES)
-        k = FourMomentum.floats((1.0, 0.0, 0.0, 1.0), 0)
-        wf = field_of(weyl_spinor(k, sp, "left"), sp)
-        out.add("split.control.massless-rejected",
-                residual_entry("massless-rejected", "DEF1", FLOAT, None),
-                _raises(lambda: split(wf, 0.0), SplitRequiresMass), RAISES)
+
+def _split_controls(sp) -> tuple:
+    """The split suite's float controls, kept as the spinor basis's ``split_controls``.
+
+    Each is a ``(check_id, entry, bound, kind)`` record.
+    """
+    p_on = FourMomentum.on_shell(1.0, (2.0, 2.0, 0.0))
+    amp = u_spinor(p_on, sp, 1).amplitude
+    p_off = FourMomentum((p_on.p[0] + 0.5,) + p_on.p[1:], 1.0, FLOAT)
+    f_off = field_of(PlaneWaveTerm(amp, p_off, 1), sp)
+    k = FourMomentum.floats((1.0, 0.0, 0.0, 1.0), 0)
+    wf = field_of(weyl_spinor(k, sp, "left"), sp)
+    return (
+        ("split.control.offshell-dirac",
+         residual_entry("offshell-dirac", "Dirac1", FLOAT, dirac_residual(f_off, 1.0)),
+         _OFFSHELL_FLOOR, CONTROL),
+        ("split.control.offshell-rejected",
+         residual_entry("offshell-rejected", "Dirac1", FLOAT, None),
+         _raises(lambda: split(f_off, 1.0), NotASolution), RAISES),
+        ("split.control.massless-rejected",
+         residual_entry("massless-rejected", "DEF1", FLOAT, None),
+         _raises(lambda: split(wf, 0.0), SplitRequiresMass), RAISES),
+    )
 
 
 # -- weyl suite -------------------------------------------------------------------
@@ -648,22 +703,31 @@ def _run_weyl(config: RunConfig, out: _Collector) -> None:
             for check_id, e in rep.on(EXACT).weyl_witness:
                 out.add(check_id, e)
         if config.run_float:
+            # ``rep`` is bound now: the campaign runs after this loop has moved on
             _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
-                  lambda rng, _: _weyl_relations(rep, _sample_massless(rng, config)),
+                  lambda rng, _, rep=rep: _weyl_relations(rep, _sample_massless(rng, config)),
                   lambda label: config.strict_tol)
+    for record in build_rep("spinor").on(FLOAT).weyl_controls:
+        out.add(*record)
 
-    sp = build_rep("spinor")
+
+def _weyl_controls(rep) -> tuple:
+    """The Weyl suite's float controls on a massive u, kept as the spinor basis's ``weyl_controls``.
+
+    Each is a ``(check_id, entry, bound, kind)`` record.
+    """
     pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
-    term = u_spinor(pm, sp, 1)
-    massive = field_of(term, sp)
-    out.add("weyl.control.massive-rejected",
-            residual_entry("massive-rejected", "Weyl1", FLOAT, None),
-            _raises(lambda: weyl_residuals(massive), WeylRequiresMassless), RAISES)
-    forced = weyl_relations(sp.on(FLOAT), term.amplitude, pm, 1)
-    out.add("weyl.control.massive-residual",
-            residual_entry("massive-residual", "Weyl1", FLOAT,
-                           [magnitude(v) for _, _, v in forced]),
-            _CONTROL_FLOOR, CONTROL)
+    term = u_spinor(pm, rep, 1)
+    massive = field_of(term, rep)
+    rejected = _raises(lambda: weyl_residuals(massive), WeylRequiresMassless)
+    forced = weyl_relations(rep.on(FLOAT), term.amplitude, pm, 1)
+    return (
+        ("weyl.control.massive-rejected",
+         residual_entry("massive-rejected", "Weyl1", FLOAT, None), rejected, RAISES),
+        ("weyl.control.massive-residual",
+         residual_entry("massive-residual", "Weyl1", FLOAT, [magnitude(v) for _, _, v in forced]),
+         _CONTROL_FLOOR, CONTROL),
+    )
 
 
 # -- majorana suite ---------------------------------------------------------------
@@ -705,7 +769,7 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
             for check_id, e in rep.on(EXACT).majorana_witness:
                 out.add(check_id, e)
         if config.run_float:
-            def trial_residuals(rng, _):
+            def trial_residuals(rng, _, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
                 p = _sample_massive(rng, config)
                 for s in (1, 2):
                     yield from _majorana_relations(rep, p, s)
@@ -745,7 +809,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         for e in commutators:
             out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
 
-        def trial_residuals(rng, trial):
+        def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
             p, amps = _sampled_split(rng, config, trial)
             if rep.name != "spinor":
                 u = sp.on(FLOAT).intertwiner(rep).u
@@ -828,5 +892,6 @@ def run(config: RunConfig) -> Report:
     names = SUITE_NAMES if config.suite == "all" else (config.suite,)
     for name in names:
         _SUITE_RUNNERS[name](config, out)
+    _measure_campaigns(out)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return Report(config=config.to_dict(), checks=out.records, wall_ms=wall_ms)

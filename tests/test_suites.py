@@ -35,6 +35,7 @@ from diracsplit.suites import (
     _Collector,
     _fuzz,
     _keep_worst,
+    _measure_campaigns,
     _merged,
     _sub_seed,
 )
@@ -306,6 +307,7 @@ def test_fuzz_driver_keeps_a_nan_from_any_trial(nan_trial):
 
     out = _Collector()
     _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 1e-10)
+    _measure_campaigns(out)
     (record,) = out.records
     assert record.check_id == "t.r"
     assert math.isnan(record.residual) and not record.ok
@@ -318,10 +320,29 @@ def test_fuzz_driver_records_each_labels_largest_value():
 
     out = _Collector()
     _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 2e-12)
+    _measure_campaigns(out)
     assert [(r.check_id, r.equation, r.residual, r.ok) for r in out.records] == [
         ("t.a", "E1", 3e-12, False),
         ("t.b", "E2", 1e-11, False),
     ]
+
+
+def test_campaign_records_take_the_place_of_their_registration():
+    """A campaign runs after the run's other records, yet its records sit where it was registered."""
+    def measure(rng, trial):
+        yield "r", "E", 0.0
+
+    entry = ResidualEntry("l", "E", "float", 0.0, False)
+    out = _Collector()
+    out.add("first", entry, 1e-10)
+    _fuzz(RunConfig(), out, "one", "one", 2, measure, lambda label: 1e-10)
+    out.add("second", entry, 1e-10)
+    _fuzz(RunConfig(), out, "two", "two", 2, measure, lambda label: 1e-10)
+    _fuzz(RunConfig(), out, "three", "three", 2, measure, lambda label: 1e-10)
+    assert [r.check_id for r in out.records] == ["first", "second"]
+    _measure_campaigns(out)
+    assert [r.check_id for r in out.records] == ["first", "one.r", "second", "two.r", "three.r"]
+    assert out.campaigns == []
 
 
 # -- record skeleton -------------------------------------------------------------
@@ -413,9 +434,10 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
 def test_warm_witness_run_reads_its_records(suite, monkeypatch):
     """The exact witness records depend on the basis alone: measured once per exact view.
 
-    A warm exact run applies no exact matrix (the Weyl suite's controls
-    are float records, measured every run); the spinor basis's records
-    measured afresh apply exact ones again, and give the same records.
+    A warm exact run applies no matrix at all (the Weyl suite's float
+    controls are kept too, on the float view); the spinor basis's
+    records measured afresh apply exact ones again, and give the same
+    records.
     """
     from diracsplit import kernels
     from diracsplit.scalars import EXACT, GaussianRational
@@ -424,8 +446,7 @@ def test_warm_witness_run_reads_its_records(suite, monkeypatch):
     first = run(config)
     calls = _counted_everywhere(monkeypatch, kernels, "mul_vec")
     second = run(config)
-    assert [c for c in calls if isinstance(c[1][0], GaussianRational)] == []
-    assert calls == [] or suite == "weyl"
+    assert calls == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
     assert second.checks[0] is not first.checks[0]  # each run builds its own records
     vars(build_rep("spinor").on(EXACT)).pop(f"{suite}_witness")
@@ -550,6 +571,7 @@ def test_merged_chunk_worst_is_the_serial_worst(items, data):
 def _fuzzed(measure, trials=1000):
     out = _Collector()
     _fuzz(RunConfig(), out, "t", "tag", trials, measure, lambda label: 1e-10)
+    _measure_campaigns(out)
     return [(r.check_id, r.equation, repr(r.residual)) for r in out.records]
 
 
@@ -576,6 +598,7 @@ def test_an_error_in_a_childs_chunk_is_raised_as_a_serial_run_raises_it(workers,
 
 
 def test_a_child_that_dies_has_its_chunk_recomputed(monkeypatch):
+    """The parent then runs every campaign serially, the dead child's chunk among them."""
     parent = os.getpid()
 
     def measure(rng, trial):
@@ -604,6 +627,57 @@ def test_a_raise_in_the_parents_chunk_leaves_no_child(error, monkeypatch):
     with pytest.raises(error, match="in the parent's chunk"):
         _fuzzed(measure)
     _assert_no_child()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_the_first_campaigns_error_is_raised_whichever_worker_meets_it(workers, monkeypatch):
+    """The first campaign fails in a child's chunk, the second in the parent's: the first's error."""
+    def first(rng, trial):
+        if trial >= 700:
+            raise NotASolution(f"first campaign, trial {trial}")
+        yield "r", "E", 0.0
+
+    def second(rng, trial):
+        raise ValueError(f"second campaign, trial {trial}")
+
+    _force_workers(monkeypatch, workers)
+    out = _Collector()
+    _fuzz(RunConfig(), out, "one", "one", 1000, first, lambda label: 1e-10)
+    _fuzz(RunConfig(), out, "two", "two", 1000, second, lambda label: 1e-10)
+    with pytest.raises(NotASolution, match="first campaign, trial 700$"):
+        _measure_campaigns(out)
+    _assert_no_child()
+
+
+def test_a_run_forks_once_for_all_its_campaigns(monkeypatch):
+    """``verify all`` at the default config: one ``_workers`` call on its 3,400 trials, one fork."""
+    workers = suites._workers
+    asked = []
+    monkeypatch.setattr(suites, "_workers", lambda trials: asked.append(trials) or workers(trials))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    report = run(RunConfig())
+    assert report.failed == 0
+    assert asked == [3 * 1000 + 2 * suites._COV_TRIAL_CAP]
+    assert len(forks) == workers(asked[0]) - 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("suite", ("weyl", "majorana", "covariance"))
+def test_each_basis_fuzz_of_a_rep_all_run_is_its_one_basis_run(suite):
+    """Every basis's campaign measures its own basis, though all of them run after the loop."""
+    def fuzz(rep):
+        report = run(RunConfig(suite=suite, rep=rep, trials=3))
+        return {r[0]: r for r in _records(report) if ".fuzz." in r[0]}
+
+    every = fuzz("all")
+    seen = {}
+    for name in ("spinor", "standard", "majorana"):
+        one = fuzz(name)
+        assert one and all(every.get(check_id) == record for check_id, record in one.items())
+        seen.update(one)
+    assert seen == every
 
 
 def _forbid_fork(monkeypatch):
@@ -640,9 +714,8 @@ def test_a_campaign_stays_serial_while_a_second_thread_runs(monkeypatch):
 
 
 def test_small_campaigns_stay_serial(monkeypatch):
-    """The allreps shape (20 trials) and the short runs (1 to 9 trials) never fork."""
+    """The short runs (1 to 9 trials) never fork, nor does a run of fewer than 200 trials in all."""
     _forbid_fork(monkeypatch)
-    assert run(RunConfig(rep="all", trials=20)).failed == 0
     for i, suite in enumerate(SUITE_NAMES):
         for rep in REP_CHOICES:
             assert run(RunConfig(suite=suite, rep=rep, trials=1 + i % 9)).failed == 0
