@@ -276,17 +276,15 @@ def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int
                                    measure, tol_for))
 
 
-@dataclass(frozen=True)
 class _Campaign:
-    """A fuzz campaign registered by ``_fuzz``; its records go at ``slot`` of the run's records."""
+    """A fuzz campaign registered by ``_fuzz``; its records go at ``slot`` of the run's records.
 
-    slot: int
-    prefix: str
-    tag: str
-    trials: int
-    seed: int
-    measure: object
-    tol_for: object
+    A plain class: a dataclass would cost every import about a millisecond.
+    """
+
+    def __init__(self, slot, prefix, tag, trials, seed, measure, tol_for):
+        self.slot, self.prefix, self.tag, self.trials = slot, prefix, tag, trials
+        self.seed, self.measure, self.tol_for = seed, measure, tol_for
 
     def worst_of(self, k: int = 0, n: int = 1) -> dict:
         """The worst per label of chunk ``k`` of ``n``: trials ``trials*k//n`` up to ``trials*(k+1)//n``."""
