@@ -142,27 +142,6 @@ def _materialised(build):
     return cached_property(get)
 
 
-def _kept_records(builder: str, backend: str):
-    """A RepView attribute: the records ``suites.<builder>`` measures on this basis, kept.
-
-    The suites' witness records and controls depend on the basis alone,
-    not on the run's seed, trials, tolerance or ranges.  Each is a tuple
-    of ``_Collector.add`` arguments, read on the view of its ``backend``:
-    the witnesses, ``(check_id, entry)``, on the exact one, and the
-    controls, ``(check_id, entry, bound, kind)``, on the float one.
-    """
-
-    def get(view):
-        if view.backend != backend:
-            raise ValueError(f"these records are {backend}: read them on the {backend} view")
-        from . import suites  # the suites build on this module
-
-        return getattr(suites, builder)(view.rep)
-
-    get.__doc__ = f"``suites.{builder}`` of this basis, measured on first read and kept."
-    return cached_property(get)
-
-
 @dataclass(frozen=True, eq=False)
 class RepView:
     """One representation materialised on one backend.
@@ -172,10 +151,9 @@ class RepView:
     algebra, conjugation relations, intertwiner similarity) runs once per
     representation.  The structural relations, ``clifford_residual``
     through ``covariance_residuals``, are measured on this view's backend
-    when first read, then kept, and so are the float view's
-    ``lorentz_certificates`` and controls (``split_controls``,
-    ``weyl_controls``) and the exact view's witness records
-    (``split_witness``, ``weyl_witness``, ``majorana_witness``).
+    when first read, then kept.  The records built above this module
+    (the suites' witnesses and controls, the Lorentz certificates) are
+    kept by their builders in ``suites``.
     """
 
     rep: GammaRep
@@ -391,23 +369,6 @@ class RepView:
                 square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
                 relations.append((f"sigma-square.{mu}{nu}", "S", square))
         return residual_report(backend, relations)
-
-    @cached_property
-    def lorentz_certificates(self) -> tuple:
-        """``lorentz.float_certificates`` of this basis: (grid, commutators, controls)."""
-        if self.backend != FLOAT:
-            raise ValueError("Lorentz certificates are float records: read them on the float view")
-        from .lorentz import float_certificates  # lorentz builds on this module
-
-        return float_certificates(self.rep)
-
-    # -- the suites' witness records and controls, measured when first read --
-
-    split_witness = _kept_records("_split_witness", EXACT)
-    weyl_witness = _kept_records("_weyl_witness", EXACT)
-    majorana_witness = _kept_records("_majorana_witness", EXACT)
-    split_controls = _kept_records("_split_controls", FLOAT)
-    weyl_controls = _kept_records("_weyl_controls", FLOAT)
 
 
 def _block4(a, b, c, d) -> Matrix:

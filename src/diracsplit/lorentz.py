@@ -36,7 +36,8 @@ The float certificates that depend on the basis alone are stated as
 ``_pconditions`` states S^-1 gamma^nu S = a^nu_mu gamma^mu on the backend
 of S, and ``float_certificates`` lists the grid, the commutators and the
 controls under their final labels and measures each list once with
-``residual_report``.  The float view keeps the three reports.
+``residual_report``.  It keeps nothing, since it takes any basis; the
+covariance suite keeps the three reports of each pinned one.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def float_certificates(rep: GammaRep) -> tuple:
       swapped, and ``boost01-noncommute``, [S, P1] for the (0,1) boost at
       omega = 1, which does not keep the class of P1.
 
-    The float view keeps them: read ``rep.on(FLOAT).lorentz_certificates``.
+    Each call measures them afresh; ``suites._lorentz_certificates``
+    keeps those of the pinned bases.
     """
     ps = rep.on(FLOAT).p
     commutators = []

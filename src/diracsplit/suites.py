@@ -22,14 +22,15 @@ statement exactly on a witness and in floats over seeded fuzz.  A
 witness measures the relations of its field, concatenated over the
 terms (``subsolutions.termwise``), into entries with
 ``reports.residual_report``.  Those entries depend on the basis alone,
-not on the seed, trials, tolerance or ranges, so each basis's exact view
-keeps them as ``(check_id, entry)`` pairs (``split_witness``,
-``weyl_witness``, ``majorana_witness``; see ``gamma.RepView``), measured
-by ``_<suite>_witness`` when first read: a warm exact run does no exact
-arithmetic, and ``_Collector.add`` still builds each run's records and
-verdicts.  The float controls of ``split`` and ``weyl`` depend on no
-config value either, so the spinor basis's float view keeps them
-(``split_controls``, ``weyl_controls``).  A fuzz trial passes its
+not on the seed, trials, tolerance or ranges, so ``_<suite>_witness``
+keeps them per basis as ``(check_id, entry)`` pairs (``functools.cache``),
+measured on its first call: a warm exact run does no exact arithmetic,
+and ``_Collector.add`` still builds each run's records and verdicts.
+The float controls of ``split`` and ``weyl`` (``_split_controls``,
+``_weyl_controls``) and each basis's Lorentz certificates
+(``_lorentz_certificates``) depend on no config value either, and are
+kept the same way.  Only the pinned bases, which live as long as the
+process, reach these builders.  A fuzz trial passes its
 sampled modes' amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
@@ -78,6 +79,7 @@ import time
 import zlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 from . import kernels
@@ -95,6 +97,7 @@ from .fields import (
 from .gamma import REP_NAMES, build_rep
 from .lorentz import (
     COVARIANCE_GRID,
+    float_certificates,
     reduced_dirac_symbol,
     special_frame,
     spinor_transform,
@@ -375,11 +378,12 @@ def _shared(campaigns) -> list:
     forked at once (``_fork``).  Worker k, the parent being worker 0,
     computes chunk k of every campaign in run order (``_chunk_worst``),
     and each campaign's chunks are folded in chunk order (``_merged``).
-    On any failure (a fork that fails, a child that fails, an
-    ``Exception`` in the parent's part) every child is killed and reaped,
-    and the parent makes one serial pass over the campaigns, so an error
-    is raised exactly as a serial run raises it.  A ``KeyboardInterrupt``
-    propagates at once.  However this returns or raises, no child is left.
+    On any failure (a fork that fails, after which none is tried, a
+    child that fails, an ``Exception`` in the parent's part) every child
+    is killed and reaped, and the parent makes one serial pass over the
+    campaigns, so an error is raised exactly as a serial run raises it.
+    A ``KeyboardInterrupt`` propagates at once.  However this returns or
+    raises, no child is left.
     """
     n = _workers(sum(c.trials for c in campaigns))
     if n > 1:
@@ -387,16 +391,18 @@ def _shared(campaigns) -> list:
         children = []  # [pid, read end of its pipe] per worker but the parent, pid None once reaped
         try:
             for k in range(1, n):
-                children.append(_fork(campaigns, k, n, spare[k % len(spare)] if spare else None))
-            if None not in children:
+                child = _fork(campaigns, k, n, spare[k % len(spare)] if spare else None)
+                if child is None:
+                    break  # no process to spare: fork no more, make the serial pass below
+                children.append(child)
+            else:
                 parts = [_chunk_worst(campaigns, 0, n)] + [_collect(c) for c in children]
                 if None not in parts:
                     return [_merged(chunks) for chunks in zip(*parts)]
         except Exception:
             pass  # the serial pass below raises the error a serial run raises
         finally:
-            for child in filter(None, children):
-                pid, pipe = child
+            for pid, pipe in children:
                 pipe.close()
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
@@ -576,24 +582,25 @@ def _run_projectors(config: RunConfig, out: _Collector) -> None:
             if backend == EXACT or e.label not in _EXACT_ONLY_V:
                 out.add(f"projectors.{rep.name}.{e.label}", e, config.strict_tol)
 
-    spinor = build_rep("spinor").on(EXACT)
+    spinor = build_rep("spinor")
     if config.run_exact:
-        for e in spinor.spinor_diagonal_residuals:
+        for e in spinor.on(EXACT).spinor_diagonal_residuals:
             out.add(f"projectors.spinor.{e.label}", e)
         for rep_a, rep_b in _REP_PAIRS:
             out.add(f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
                     rep_a.on(EXACT).transport_residuals(rep_b).worst())
 
     # negative control: the identity matrix does not swap P1 and P2
-    out.add("projectors.control.identity-for-v", spinor.swap_control.worst(),
+    out.add("projectors.control.identity-for-v", spinor.on(backend).swap_control.worst(),
             _CONTROL_FLOOR, CONTROL)
 
 
 # -- split suite ------------------------------------------------------------------
 
 
+@cache
 def _split_witness(sp) -> tuple:
-    """The split suite's exact records, kept as the spinor basis's ``split_witness``."""
+    """The split suite's exact records of the spinor basis, measured on first call and kept."""
     out = []
     for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
         q = FourMomentum.exact(comps, 1)
@@ -625,8 +632,8 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
     sp = build_rep("spinor")
 
     if config.run_exact:
-        for check_id, e in sp.on(EXACT).split_witness:
-            out.add(check_id, e)
+        for record in _split_witness(sp):
+            out.add(*record)
 
     if config.run_float:
         view = sp.on(FLOAT)
@@ -647,12 +654,13 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
 
         _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
               lambda label: config.tol)
-        for record in view.split_controls:
+        for record in _split_controls(sp):
             out.add(*record)
 
 
+@cache
 def _split_controls(sp) -> tuple:
-    """The split suite's float controls, kept as the spinor basis's ``split_controls``.
+    """The split suite's float controls on the spinor basis, measured on first call and kept.
 
     Each is a ``(check_id, entry, bound, kind)`` record.
     """
@@ -688,8 +696,9 @@ def _weyl_relations(rep, p: FourMomentum):
         yield f"{ch}.chiral-image", "DiracNeutrino", _sub(proj.apply(amp), amp, p.backend)
 
 
+@cache
 def _weyl_witness(rep) -> tuple:
-    """The Weyl suite's exact records of ``rep`` on its null witness, kept as ``weyl_witness``."""
+    """The Weyl suite's exact records of ``rep`` on its null witness, measured once and kept."""
     witness = FourMomentum.exact(_WEYL_WITNESS_K, 0)
     return tuple((f"weyl.witness.{rep.name}.{e.label}", e)
                  for e in residual_report(EXACT, _weyl_relations(rep, witness)))
@@ -698,19 +707,20 @@ def _weyl_witness(rep) -> tuple:
 def _run_weyl(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            for check_id, e in rep.on(EXACT).weyl_witness:
-                out.add(check_id, e)
+            for record in _weyl_witness(rep):
+                out.add(*record)
         if config.run_float:
             # ``rep`` is bound now: the campaign runs after this loop has moved on
             _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
                   lambda rng, _, rep=rep: _weyl_relations(rep, _sample_massless(rng, config)),
                   lambda label: config.strict_tol)
-    for record in build_rep("spinor").on(FLOAT).weyl_controls:
+    for record in _weyl_controls(build_rep("spinor")):
         out.add(*record)
 
 
+@cache
 def _weyl_controls(rep) -> tuple:
-    """The Weyl suite's float controls on a massive u, kept as the spinor basis's ``weyl_controls``.
+    """The Weyl suite's float controls of ``rep`` on a massive u, measured once and kept.
 
     Each is a ``(check_id, entry, bound, kind)`` record.
     """
@@ -753,8 +763,9 @@ def _majorana_name(rep) -> str:
     return "" if rep.name == "spinor" else f".{rep.name}"
 
 
+@cache
 def _majorana_witness(rep) -> tuple:
-    """The Majorana suite's exact records of ``rep`` on the witness, kept as ``majorana_witness``."""
+    """The Majorana suite's exact records of ``rep`` on the witness, measured once and kept."""
     p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
     return tuple((f"majorana.witness{_majorana_name(rep)}.s{s}.{e.label}", e) for s in (1, 2)
                  for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])))
@@ -764,8 +775,8 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
     for rep in _selected_reps(config):
         name = _majorana_name(rep)
         if config.run_exact:
-            for check_id, e in rep.on(EXACT).majorana_witness:
-                out.add(check_id, e)
+            for record in _majorana_witness(rep):
+                out.add(*record)
         if config.run_float:
             def trial_residuals(rng, _, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
                 p = _sample_massive(rng, config)
@@ -800,7 +811,7 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         if not config.run_float:
             continue
 
-        grid, commutators, _ = rep.on(FLOAT).lorentz_certificates
+        grid, commutators, _ = _lorentz_certificates(rep)
         for e in grid:
             tol = config.strict_tol if e.label.endswith(".vector.metric") else config.tol
             out.add(f"covariance.{rep.name}.{e.label}", e, tol)
@@ -827,8 +838,14 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
     if config.run_float:
         _special_frame_checks(config, out)
         for rep in _selected_reps(config):
-            for e in rep.on(FLOAT).lorentz_certificates[2]:
+            for e in _lorentz_certificates(rep)[2]:
                 out.add(f"covariance.{rep.name}.control.{e.label}", e, _CONTROL_FLOOR, CONTROL)
+
+
+@cache
+def _lorentz_certificates(rep) -> tuple:
+    """``lorentz.float_certificates`` of a pinned basis, measured on first call and kept."""
+    return float_certificates(rep)
 
 
 def _special_frame_checks(config: RunConfig, out: _Collector) -> None:

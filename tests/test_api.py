@@ -111,6 +111,28 @@ def test_no_library_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_every_package_import_sits_at_module_level():
+    """No module of ``src/diracsplit`` imports one of the package's modules inside a function.
+
+    Such an import is how a lower layer reaches a module built on it: a
+    cycle the module-level imports would refuse.
+    """
+    nested = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["diracsplit"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if id(node) not in top and any(n.partition(".")[0] == "diracsplit" for n in names):
+                nested.append(f"{path.name}:{node.lineno}")
+    assert nested == []
+
+
 def _calls_of(name, node, scope=()):
     """(scope, line) of each call of ``name`` under ``node``, scope the enclosing def names."""
     for child in ast.iter_child_nodes(node):

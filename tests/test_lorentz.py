@@ -19,7 +19,13 @@ from diracsplit import (
 )
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import GammaRep
-from diracsplit.lorentz import VectorTransform, _certificate, _pconditions, reduced_dirac_symbol
+from diracsplit.lorentz import (
+    VectorTransform,
+    _certificate,
+    _pconditions,
+    float_certificates,
+    reduced_dirac_symbol,
+)
 from diracsplit.matrices import Matrix
 from diracsplit.reports import residual_report
 from diracsplit.scalars import EXACT, FLOAT
@@ -238,7 +244,7 @@ def test_sign_flip_is_the_largest_swapped_pcondition(rep):
     flip = LorentzParams("boost", (0, 3), 1.0)
     swapped = _pconditions_report(rep, spinor_transform(flip.inverse(), rep),
                                   spinor_transform(flip, rep), flip)
-    sign_flip, noncommute = rep.on(FLOAT).lorentz_certificates[2]
+    sign_flip, noncommute = float_certificates(rep)[2]
     assert (sign_flip.label, noncommute.label) == ("sign-flip", "boost01-noncommute")
     assert sign_flip.residual == swapped.max_residual() > 0.1
 
@@ -255,7 +261,7 @@ def test_covariance_certificate(rep, base):
 
 
 def test_pi_commutation(rep):
-    grid, report, _ = rep.on(FLOAT).lorentz_certificates
+    grid, report, _ = float_certificates(rep)
     assert report.all_within(1e-12)
     assert len(report.entries) == 12 and {e.backend for e in report} == {FLOAT}
     assert len(grid.entries) == 12 * 10 and grid.all_within(1e-10)
@@ -266,7 +272,7 @@ def test_pi_commutation(rep):
 
 def test_float_certificates_leave_the_exact_relations_unmeasured(spinor):
     copy = GammaRep(name="spinor", gammas=spinor.gammas, gamma5=spinor.gamma5)
-    grid, commutators, _ = copy.on(FLOAT).lorentz_certificates
+    grid, commutators, _ = float_certificates(copy)
     assert grid.all_within(1e-10) and commutators.all_within(1e-12)
     assert "covariance_residuals" not in vars(copy.on(EXACT))
 

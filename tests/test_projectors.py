@@ -108,7 +108,7 @@ def test_recorded_residuals_are_the_validated_ones(rep, all_reps, monkeypatch):
     assert validated.all_exact_zero() and len(validated.entries) == 20
     assert all(recorded[e.label] is e for e in validated)
 
-    spinor = build_rep("spinor").on(EXACT)
+    spinor = build_rep("spinor")
     pairs = _ids(*(r for b in all_reps if b is not rep
                    for r in (exact.intertwiner(b).residuals, exact.transport_residuals(b))))
     for backend in (EXACT, FLOAT):
@@ -121,7 +121,7 @@ def test_recorded_residuals_are_the_validated_ones(rep, all_reps, monkeypatch):
         assert len(mine) > 20
         assert all(id(e) in own | pairs for e in mine)
         controls = [e for check_id, e in entries if ".control." in check_id]
-        assert len(controls) == 1 and id(controls[0]) in _ids(spinor.swap_control)
+        assert len(controls) == 1 and id(controls[0]) in _ids(spinor.on(backend).swap_control)
 
 
 def test_v_is_involution(rep):

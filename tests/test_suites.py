@@ -223,10 +223,12 @@ def test_exact_only_backend_skips_fuzz():
 
 
 def test_float_only_backend_has_no_exact_zeros():
-    report = run(RunConfig(suite="clifford", backend="float", trials=2))
-    assert report.failed == 0
-    assert report.checks
-    assert all(not c.exact_zero for c in report.checks)
+    """A float-only run makes float records alone, the negative controls included."""
+    for suite in SUITE_NAMES:
+        report = run(RunConfig(suite=suite, backend="float", trials=2))
+        assert report.failed == 0
+        assert report.checks
+        assert all(not c.exact_zero and c.backend == FLOAT for c in report.checks), suite
 
 
 def test_rep_all_covers_every_basis():
@@ -351,7 +353,7 @@ def test_campaign_records_take_the_place_of_their_registration():
 #: run(RunConfig(rep="all", trials=2, backend=b)), in report order
 _SKELETON_DIGESTS = {
     "exact": (318, "1aaaa97f71e5bf52819557a0865acfad3531db26247156575a08abb3deb290db"),
-    "float": (619, "cd93ec4ea2fb391b78c0e470024ad037eef0ba6cad2d6c1403b9c2183a2e653b"),
+    "float": (619, "40e3eb5cfacc50acf97cb77c5dd2411dbceee3d63788ade90789cd893bdf95d9"),
     "both": (799, "77b09bd508006426bb666e2c22fc90a701085cc4fd0a347f05bcf021522b6159"),
 }
 
@@ -361,9 +363,26 @@ _SKELETON_DIGESTS = {
 #: even at roundoff, has to update this digest on purpose
 _RECORD_DIGESTS = {
     "exact": (318, "e7960a30f67342d723ea34cf7aafa83f30a4457e015b5ddbe2e0bee43e320e40"),
-    "float": (619, "f4f38f15bd00a92f4b01ce2ebee86090fdae35055e3bcdcf860189fce6ea64a8"),
+    "float": (619, "d0e74114956b4adee62c4d3ea7b63463e8134dd049c91118c17bc5dc08c1d454"),
     "both": (799, "e4e47d28f8c4d8482a55bd3f8f46ac31cd4828cf32cb7612fb850cc9d57d4022"),
 }
+
+
+#: the paper equations of the ``--rep all`` report that no negative control
+#: (a ``.control.`` record) tests; a new control removes its equation here
+_EQUATIONS_WITHOUT_A_CONTROL = frozenset({
+    "DP2b", "Dirac2", "DiracNeutrino", "MAJORANA", "Majorana1", "Majorana2", "P'", "P1",
+    "P1a", "P2", "P2a", "P3", "P4", "PRO", "Weyl2", "constituent1", "constituent1/4",
+    "constituent1/P", "constituent2", "constituent2/4", "constituent2/P", "constituents/3",
+    "def3", "def4", "id1", "id2", "identities", "psi",
+})
+
+
+def test_equations_without_a_control_are_the_pinned_ones():
+    """The list can only shrink: an equation that loses its control, or a new one without, fails."""
+    report = run(RunConfig(rep="all", trials=2))
+    controlled = {c.equation for c in report.checks if ".control." in c.check_id}
+    assert {c.equation for c in report.checks} - controlled == _EQUATIONS_WITHOUT_A_CONTROL
 
 
 @pytest.mark.parametrize("suite", ("clifford", "projectors"))
@@ -405,10 +424,10 @@ def test_records_are_pinned(backend):
 
 
 def test_warm_covariance_run_reads_its_certificates(monkeypatch):
-    """The float covariance certificates depend on the basis alone: measured once per view.
+    """The float covariance certificates depend on the basis alone: measured once per basis.
 
     Every other product of a float covariance run is kept too, so a warm
-    run multiplies no matrix; one basis's certificates measured afresh do.
+    run multiplies no matrix; the certificates measured afresh do.
     """
     from diracsplit.matrices import Matrix
 
@@ -425,22 +444,22 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
     second = run(config)
     assert calls == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
-    vars(build_rep("majorana").on(FLOAT)).pop("lorentz_certificates")
+    suites._lorentz_certificates.cache_clear()
     assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
     assert calls
 
 
 @pytest.mark.parametrize("suite", ("split", "weyl", "majorana"))
 def test_warm_witness_run_reads_its_records(suite, monkeypatch):
-    """The exact witness records depend on the basis alone: measured once per exact view.
+    """The exact witness records depend on the basis alone: measured once per basis.
 
     A warm exact run applies no matrix at all (the Weyl suite's float
-    controls are kept too, on the float view); the spinor basis's
-    records measured afresh apply exact ones again, and give the same
-    records.
+    controls are kept too); the records measured afresh, once the
+    builder's cache is cleared, apply exact ones again, and give the
+    same records.
     """
     from diracsplit import kernels
-    from diracsplit.scalars import EXACT, GaussianRational
+    from diracsplit.scalars import GaussianRational
 
     config = RunConfig(suite=suite, rep="all", backend="exact", trials=2)
     first = run(config)
@@ -449,11 +468,9 @@ def test_warm_witness_run_reads_its_records(suite, monkeypatch):
     assert calls == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
     assert second.checks[0] is not first.checks[0]  # each run builds its own records
-    vars(build_rep("spinor").on(EXACT)).pop(f"{suite}_witness")
+    getattr(suites, f"_{suite}_witness").cache_clear()
     assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
     assert [c for c in calls if isinstance(c[1][0], GaussianRational)]
-    with pytest.raises(ValueError, match="exact view"):
-        getattr(build_rep("spinor").on(FLOAT), f"{suite}_witness")
 
 
 # -- the float fuzz builds each operator once and no record per trial --------------
@@ -680,6 +697,27 @@ def test_each_basis_fuzz_of_a_rep_all_run_is_its_one_basis_run(suite):
     assert seen == every
 
 
+def test_a_failed_fork_stops_the_forking(monkeypatch):
+    """Three workers, the first fork failing: no second fork is tried; the run is the serial one."""
+    config = RunConfig(suite="weyl", backend="float", trials=30)
+    _force_workers(monkeypatch, 1)
+    serial = _records(run(config))
+    _force_workers(monkeypatch, 3)
+    attempts = []
+    fork = os.fork
+
+    def first_fork_fails():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise OSError("no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", first_fork_fails)
+    assert _records(run(config)) == serial
+    assert len(attempts) == 1
+    _assert_no_child()
+
+
 def _forbid_fork(monkeypatch):
     def fork():
         raise AssertionError("forked")
@@ -697,7 +735,7 @@ def test_a_campaign_stays_serial_while_a_second_thread_runs(monkeypatch):
 
     monkeypatch.setattr(os, "fork", failing_fork)
     alone = _records(run(config))
-    assert len(attempts) == suites._workers(config.trials) - 1  # one per Weyl campaign's child
+    assert len(attempts) == min(1, suites._workers(config.trials) - 1)  # the first fails: no more
 
     _forbid_fork(monkeypatch)
     release = threading.Event()
