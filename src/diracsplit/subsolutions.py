@@ -349,7 +349,7 @@ _SIGMA2 = {backend: Matrix(2, backend, (scalar(0), scalar(0, -1), scalar(0, 1), 
 
 def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentum, s: int,
                        mass) -> list:
-    """Self-conjugacy and, in the spinor basis, the Majorana system on the term at (p, s).
+    """Self-conjugacy and the Majorana system, or the Dirac equation, on the term at (p, s).
 
     ``partner`` is the amplitude of the term at (p, -s): conjugation flips
     the frequency sign, so C f at (p, s) is M conj(partner), with M the
@@ -357,13 +357,14 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     with it in the same way.  Self-conjugacy f = C f holds in every basis;
     the spinor basis adds (p0 + sigma.p) eta = -i m sigma2 eta*,
     (p0 - sigma.p) xi = +i m sigma2 xi*, and the component relations
-    xi = -i sigma2 eta*, eta = +i sigma2 xi*.
+    xi = -i sigma2 eta*, eta = +i sigma2 xi*.  Another basis, which has
+    no components to check, adds the Dirac equation (gamma.p - m) f = 0.
     """
     backend = view.backend
     conj = tuple(a.conjugate() for a in partner)
     relations = [("selfconj", "MAJORANA", _sub(amp, view.conjugation.apply(conj), backend))]
     if view.rep.name != "spinor":
-        return relations
+        return relations + [("dirac", "Dirac1", dirac_matrix(view.rep, p, s, mass).apply(amp))]
     scalar = SCALAR_TYPE[backend]
     i_m, i_one = scalar(0, mass), scalar(0, 1)
     xi, eta = amp[:2], amp[2:]

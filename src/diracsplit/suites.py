@@ -1,13 +1,17 @@
 """Deterministic verification suites: structural checks plus fuzz campaigns.
 
-Each suite turns residual entries (``reports.residual_entry``) into flat
-check records through one ``_Collector.add``, where the check's kind
-decides the verdict (see ``reports``; a NaN residual fails every kind).
-Exact-backend records pass only when the residual is identically zero;
-float records compare against the run tolerance.  Families whose bounds
-are pinned two decades tighter (massless algebra, metric preservation,
-generator commutators, frame drift, and the float runs of the structural
-suites) use tol/100 so the default 1e-10 run enforces 1e-12 on them.
+A run is one list in report order: each suite appends record tuples
+``(check_id, entry[, bound[, kind]])`` of residual entries
+(``reports.residual_entry``) and fuzz campaigns (``_Campaign``), and
+``_measure_campaigns`` turns the list into flat check records.  One
+function, ``_judged``, meets each entry with its bound and kind, and the
+kind decides the verdict (see ``reports``; a NaN residual fails every
+kind).  Exact-backend records pass only when the residual is identically
+zero; float records compare against the run tolerance.  Families whose
+bounds are pinned two decades tighter (massless algebra, metric
+preservation, generator commutators, frame drift, and the float runs of
+the structural suites) use tol/100 so the default 1e-10 run enforces
+1e-12 on them.
 
 The structural suites (``clifford``, ``projectors``) and the exact block
 of ``covariance`` hold no algebra of their own: they record the residual
@@ -25,7 +29,7 @@ terms (``subsolutions.termwise``), into entries with
 not on the seed, trials, tolerance or ranges, so ``_<suite>_witness``
 keeps them per basis as ``(check_id, entry)`` pairs (``functools.cache``),
 measured on its first call: a warm exact run does no exact arithmetic,
-and ``_Collector.add`` still builds each run's records and verdicts.
+and ``_judged`` still builds each run's records and verdicts.
 The float controls of ``split`` and ``weyl`` (``_split_controls``,
 ``_weyl_controls``) and each basis's Lorentz certificates
 (``_lorentz_certificates``) depend on no config value either, and are
@@ -35,16 +39,16 @@ sampled modes' amplitudes straight in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
 term once: its amplitude through S and its momentum through a.  Every
-campaign is registered with ``_fuzz`` and measured by one driver,
-``_measure_campaigns``, once the suites have made all their other
-records; each campaign's records then take the place it was registered
-at, so the report's order is the suites' own.  An error inside a
-campaign is therefore raised after every structural record of the run
-has been made.  The driver reads ``reports.magnitude`` of each value,
-the float an entry would record, and keeps each label's largest, NaN if
-any trial gave NaN.  Trials derive per-trial sub-seeds from (seed,
-family tag, index), so records are independent of execution order and
-two runs with the same config produce identical reports.
+campaign is measured by one driver, ``_measure_campaigns``, once the
+suites have listed all their other records; it then walks the list
+once, so each campaign's records take its place and the report's order
+is the list's.  An error inside a campaign is therefore raised after
+every structural entry of the run has been measured.  The driver reads
+``reports.magnitude`` of each value, the float an entry would record,
+and keeps each label's largest, NaN if any trial gave NaN.  Trials
+derive per-trial sub-seeds from (seed, family tag, index), so records
+are independent of execution order and two runs with the same config
+produce identical reports.
 
 That independence lets a run's campaigns share the machine's cores
 (``_shared``), with one fork per run.  Each campaign's trials are cut
@@ -229,23 +233,18 @@ def _selected_reps(config: RunConfig) -> tuple:
 _ALL_REPS = tuple(build_rep(n) for n in REP_NAMES)
 
 
-# -- record collection ----------------------------------------------------------
+# -- record judging ---------------------------------------------------------------
 
 
-class _Collector:
-    def __init__(self):
-        self.records = []
-        self.campaigns = []  # the fuzz campaigns of the run, measured by _measure_campaigns
+def _judged(check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> CheckRecord:
+    """The record of ``entry`` as check ``check_id``, judged by its kind against ``bound``.
 
-    def add(self, check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> None:
-        """Record ``entry`` as check ``check_id``, judged by its kind against ``bound``.
-
-        Without a kind the check is an ordinary one: exact zero on the
-        exact backend, within ``bound`` on the float backend.
-        """
-        ok = entry.passes(kind, bound) if kind else entry.within(bound)
-        self.records.append(CheckRecord(check_id, entry.equation, entry.backend,
-                                        entry.residual, entry.exact_zero, ok))
+    Without a kind the check is an ordinary one: exact zero on the
+    exact backend, within ``bound`` on the float backend.
+    """
+    ok = entry.passes(kind, bound) if kind else entry.within(bound)
+    return CheckRecord(check_id, entry.equation, entry.backend, entry.residual,
+                       entry.exact_zero, ok)
 
 
 def _raises(fn, exc_type) -> bool:
@@ -260,34 +259,26 @@ def _raises(fn, exc_type) -> bool:
 # -- seeded fuzz -----------------------------------------------------------------
 
 
-def _fuzz(config: RunConfig, out: _Collector, prefix: str, tag: str, trials: int,
-          measure, tol_for) -> None:
-    """Register a campaign: per label, the largest value ``measure`` gives over seeded trials.
+class _Campaign:
+    """A fuzz campaign: per label, the largest value ``measure`` gives over seeded trials.
 
     ``measure(rng, trial)`` yields ``(label, equation, value)`` relations,
     ``value`` anything ``residual_entry`` measures; trial ``i`` draws from
-    the sub-seed of (seed, ``tag``, i).  Only ``reports.magnitude`` is
+    the sub-seed of (``seed``, ``tag``, i).  Only ``reports.magnitude`` is
     read of each value, so no entry is built per trial.  Each label
     becomes one float check ``<prefix>.<label>`` judged within
     ``tol_for(label)`` and tagged with the label's first equation, in
     order of first appearance.  As in ``kernels.max_abs``, a NaN from any
-    trial makes the record NaN, and it fails.  The campaign runs later,
-    with every other campaign of the run (``_measure_campaigns``), and
-    its records take the place in ``out.records`` that it has now.
-    """
-    out.campaigns.append(_Campaign(len(out.records), prefix, tag, trials, config.seed,
-                                   measure, tol_for))
-
-
-class _Campaign:
-    """A fuzz campaign registered by ``_fuzz``; its records go at ``slot`` of the run's records.
-
-    A plain class: a dataclass would cost every import about a millisecond.
+    trial makes the record NaN, and it fails.  A runner appends the
+    campaign to the run's list; it runs later, with every other campaign
+    of the run (``_measure_campaigns``), and its records take its place
+    in the list.  A plain class: a dataclass would cost every import
+    about a millisecond.
     """
 
-    def __init__(self, slot, prefix, tag, trials, seed, measure, tol_for):
-        self.slot, self.prefix, self.tag, self.trials = slot, prefix, tag, trials
-        self.seed, self.measure, self.tol_for = seed, measure, tol_for
+    def __init__(self, prefix, tag, trials, seed, measure, tol_for):
+        self.prefix, self.tag, self.trials, self.seed = prefix, tag, trials, seed
+        self.measure, self.tol_for = measure, tol_for
 
     def worst_of(self, k: int = 0, n: int = 1) -> dict:
         """The worst per label of chunk ``k`` of ``n``: trials ``trials*k//n`` up to ``trials*(k+1)//n``."""
@@ -299,19 +290,24 @@ class _Campaign:
         return worst
 
 
-def _measure_campaigns(out: _Collector) -> None:
-    """Run the campaigns registered on ``out`` (``_shared``) and put their records in their slots."""
-    campaigns, out.campaigns = out.campaigns, []
-    worsts = _shared(campaigns)
-    records, out.records = out.records, []
-    start = 0
-    for campaign, worst in zip(campaigns, worsts):
-        out.records += records[start:campaign.slot]
-        start = campaign.slot
-        for label, (equation, value) in worst.items():
-            out.add(f"{campaign.prefix}.{label}", residual_entry(label, equation, FLOAT, value),
-                    campaign.tol_for(label))
-    out.records += records[start:]
+def _measure_campaigns(out: list) -> list:
+    """The run's records: each tuple of ``out`` judged, each campaign's records in its place.
+
+    ``out`` holds ``(check_id, entry[, bound[, kind]])`` tuples and
+    ``_Campaign``s in report order.  Every campaign is measured first,
+    together (``_shared``).
+    """
+    worsts = iter(_shared([item for item in out if isinstance(item, _Campaign)]))
+    records = []
+    for item in out:
+        if not isinstance(item, _Campaign):
+            records.append(_judged(*item))
+            continue
+        for label, (equation, value) in next(worsts).items():
+            records.append(_judged(f"{item.prefix}.{label}",
+                                   residual_entry(label, equation, FLOAT, value),
+                                   item.tol_for(label)))
+    return records
 
 
 def _keep_worst(worst: dict, relations) -> dict:
@@ -505,9 +501,7 @@ def _sample_massless(rng: Random, config: RunConfig) -> FourMomentum:
     if mag <= _MASSLESS_FLOOR:
         mag = rng.uniform(_MASSLESS_FLOOR, hi)
     d = _sample_direction(rng)
-    sp = (mag * d[0], mag * d[1], mag * d[2])
-    p0 = (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]) ** 0.5
-    return FourMomentum((p0,) + sp, 0.0, FLOAT)
+    return FourMomentum.on_shell(0.0, (mag * d[0], mag * d[1], mag * d[2]))
 
 
 # -- exact witness data ----------------------------------------------------------
@@ -555,18 +549,18 @@ def _structural_backend(config: RunConfig) -> str:
 _REP_PAIRS = tuple((a, b) for a in _ALL_REPS for b in _ALL_REPS if a is not b)
 
 
-def _run_clifford(config: RunConfig, out: _Collector) -> None:
+def _run_clifford(config: RunConfig, out: list) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
         view = rep.on(backend)
         for report in (view.clifford_residual, view.gamma5_residuals):
             for e in report:
-                out.add(f"clifford.{rep.name}.{e.label}", e, config.strict_tol)
+                out.append((f"clifford.{rep.name}.{e.label}", e, config.strict_tol))
 
     if config.run_exact:
         for rep_a, rep_b in _REP_PAIRS:
-            out.add(f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}",
-                    rep_a.on(EXACT).intertwiner(rep_b).residuals.worst())
+            out.append((f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}",
+                        rep_a.on(EXACT).intertwiner(rep_b).residuals.worst()))
 
 
 # -- projectors suite -------------------------------------------------------------
@@ -575,24 +569,24 @@ def _run_clifford(config: RunConfig, out: _Collector) -> None:
 _EXACT_ONLY_V = ("v-swap.commute-gamma0", "v-swap.commute-gamma1", "v-swap.unitary")
 
 
-def _run_projectors(config: RunConfig, out: _Collector) -> None:
+def _run_projectors(config: RunConfig, out: list) -> None:
     backend = _structural_backend(config)
     for rep in _ALL_REPS:
         for e in rep.on(backend).projector_residuals:
             if backend == EXACT or e.label not in _EXACT_ONLY_V:
-                out.add(f"projectors.{rep.name}.{e.label}", e, config.strict_tol)
+                out.append((f"projectors.{rep.name}.{e.label}", e, config.strict_tol))
 
     spinor = build_rep("spinor")
     if config.run_exact:
         for e in spinor.on(EXACT).spinor_diagonal_residuals:
-            out.add(f"projectors.spinor.{e.label}", e)
+            out.append((f"projectors.spinor.{e.label}", e))
         for rep_a, rep_b in _REP_PAIRS:
-            out.add(f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
-                    rep_a.on(EXACT).transport_residuals(rep_b).worst())
+            out.append((f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
+                        rep_a.on(EXACT).transport_residuals(rep_b).worst()))
 
     # negative control: the identity matrix does not swap P1 and P2
-    out.add("projectors.control.identity-for-v", spinor.on(backend).swap_control.worst(),
-            _CONTROL_FLOOR, CONTROL)
+    out.append(("projectors.control.identity-for-v", spinor.on(backend).swap_control.worst(),
+                _CONTROL_FLOOR, CONTROL))
 
 
 # -- split suite ------------------------------------------------------------------
@@ -628,12 +622,11 @@ def _split_witness(sp) -> tuple:
     return tuple(out)
 
 
-def _run_split(config: RunConfig, out: _Collector) -> None:
+def _run_split(config: RunConfig, out: list) -> None:
     sp = build_rep("spinor")
 
     if config.run_exact:
-        for record in _split_witness(sp):
-            out.add(*record)
+        out += _split_witness(sp)
 
     if config.run_float:
         view = sp.on(FLOAT)
@@ -652,10 +645,9 @@ def _run_split(config: RunConfig, out: _Collector) -> None:
             yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
                 (a.conjugate() * b for a, b in zip(*amps)), 0j))
 
-        _fuzz(config, out, "split.fuzz", "split", config.trials, trial_residuals,
-              lambda label: config.tol)
-        for record in _split_controls(sp):
-            out.add(*record)
+        out.append(_Campaign("split.fuzz", "split", config.trials, config.seed,
+                             trial_residuals, lambda label: config.tol))
+        out += _split_controls(sp)
 
 
 @cache
@@ -704,18 +696,18 @@ def _weyl_witness(rep) -> tuple:
                  for e in residual_report(EXACT, _weyl_relations(rep, witness)))
 
 
-def _run_weyl(config: RunConfig, out: _Collector) -> None:
+def _run_weyl(config: RunConfig, out: list) -> None:
     for rep in _selected_reps(config):
         if config.run_exact:
-            for record in _weyl_witness(rep):
-                out.add(*record)
+            out += _weyl_witness(rep)
         if config.run_float:
             # ``rep`` is bound now: the campaign runs after this loop has moved on
-            _fuzz(config, out, f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials,
-                  lambda rng, _, rep=rep: _weyl_relations(rep, _sample_massless(rng, config)),
-                  lambda label: config.strict_tol)
-    for record in _weyl_controls(build_rep("spinor")):
-        out.add(*record)
+            out.append(_Campaign(
+                f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials, config.seed,
+                lambda rng, _, rep=rep: _weyl_relations(rep, _sample_massless(rng, config)),
+                lambda label: config.strict_tol))
+    if config.run_float:
+        out += _weyl_controls(build_rep("spinor"))
 
 
 @cache
@@ -745,17 +737,14 @@ def _majorana_relations(rep, p: FourMomentum, s: int):
     """The relations on p's backend of the Majorana field u_s + C u_s, term by term.
 
     Its terms are u_s at (p, +1) and C u_s = M conj(u_s) at (p, -1),
-    each the other's partner.  The spinor basis has the component checks;
-    the other bases get the basis-independent ones, self-conjugacy and
-    the Dirac equation.
+    each the other's partner; ``subsolutions.majorana_relations`` decides
+    which relations each basis has.
     """
     view = rep.on(p.backend)
     u = u_spinor(p, rep, s).amplitude
     cu = view.conjugation.apply(tuple(a.conjugate() for a in u))
     for amp, sign, partner in ((u, 1, cu), (cu, -1, u)):
         yield from majorana_relations(view, amp, partner, p, sign, p.mass)
-        if rep.name != "spinor":
-            yield "dirac", "Dirac1", dirac_matrix(rep, p, sign, p.mass).apply(amp)
 
 
 def _majorana_name(rep) -> str:
@@ -771,12 +760,11 @@ def _majorana_witness(rep) -> tuple:
                  for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])))
 
 
-def _run_majorana(config: RunConfig, out: _Collector) -> None:
+def _run_majorana(config: RunConfig, out: list) -> None:
     for rep in _selected_reps(config):
         name = _majorana_name(rep)
         if config.run_exact:
-            for record in _majorana_witness(rep):
-                out.add(*record)
+            out += _majorana_witness(rep)
         if config.run_float:
             def trial_residuals(rng, _, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
                 p = _sample_massive(rng, config)
@@ -784,8 +772,9 @@ def _run_majorana(config: RunConfig, out: _Collector) -> None:
                     yield from _majorana_relations(rep, p, s)
 
             # self-conjugacy must cancel term-by-term, not merely within tol
-            _fuzz(config, out, f"majorana.fuzz{name}", f"majorana{name}", config.trials,
-                  trial_residuals, lambda label: 0.0 if label == "selfconj" else config.tol)
+            out.append(_Campaign(f"majorana.fuzz{name}", f"majorana{name}", config.trials,
+                                 config.seed, trial_residuals,
+                                 lambda label: 0.0 if label == "selfconj" else config.tol))
 
 
 # -- covariance suite -------------------------------------------------------------
@@ -801,12 +790,12 @@ def _sampled_split(rng: Random, config: RunConfig, trial: int):
     return p, (u,) + split_term(u, p, 1, p.mass)
 
 
-def _run_covariance(config: RunConfig, out: _Collector) -> None:
+def _run_covariance(config: RunConfig, out: list) -> None:
     sp = build_rep("spinor")
     for rep in _selected_reps(config):
         if config.run_exact:
             for e in rep.on(EXACT).covariance_residuals:
-                out.add(f"covariance.{rep.name}.{e.label}", e)
+                out.append((f"covariance.{rep.name}.{e.label}", e))
 
         if not config.run_float:
             continue
@@ -814,9 +803,9 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
         grid, commutators, _ = _lorentz_certificates(rep)
         for e in grid:
             tol = config.strict_tol if e.label.endswith(".vector.metric") else config.tol
-            out.add(f"covariance.{rep.name}.{e.label}", e, tol)
+            out.append((f"covariance.{rep.name}.{e.label}", e, tol))
         for e in commutators:
-            out.add(f"covariance.{rep.name}.{e.label}", e, config.strict_tol)
+            out.append((f"covariance.{rep.name}.{e.label}", e, config.strict_tol))
 
         def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
             p, amps = _sampled_split(rng, config, trial)
@@ -832,14 +821,16 @@ def _run_covariance(config: RunConfig, out: _Collector) -> None:
                 yield (f"transformed-constituent{k}", "DP2b",
                        dirac.apply(p_prime.apply(s_mat.apply(amps[k]))))
 
-        _fuzz(config, out, f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
-              min(config.trials, _COV_TRIAL_CAP), trial_residuals, lambda label: config.tol)
+        out.append(_Campaign(f"covariance.{rep.name}.fuzz", f"covariance.{rep.name}",
+                             min(config.trials, _COV_TRIAL_CAP), config.seed, trial_residuals,
+                             lambda label: config.tol))
 
     if config.run_float:
         _special_frame_checks(config, out)
         for rep in _selected_reps(config):
             for e in _lorentz_certificates(rep)[2]:
-                out.add(f"covariance.{rep.name}.control.{e.label}", e, _CONTROL_FLOOR, CONTROL)
+                out.append((f"covariance.{rep.name}.control.{e.label}", e, _CONTROL_FLOOR,
+                            CONTROL))
 
 
 @cache
@@ -848,7 +839,7 @@ def _lorentz_certificates(rep) -> tuple:
     return float_certificates(rep)
 
 
-def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
+def _special_frame_checks(config: RunConfig, out: list) -> None:
     sp = build_rep("spinor")
     view = sp.on(FLOAT)
     p1f, p2f = view.p[:2]
@@ -857,8 +848,8 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
     rot, boost = special_frame(p_w)
     moved = vector_transform(boost).apply(vector_transform(rot).apply(p_w))
     offsets = (moved.p[0] - 3.0, moved.p[1] - 8.0 ** 0.5, moved.p[2], moved.p[3])
-    out.add("covariance.special-frame.witness",
-            residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol)
+    out.append(("covariance.special-frame.witness",
+                residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol))
 
     def trial_residuals(rng, trial):
         p, (_, psi1, psi2) = _sampled_split(rng, config, trial)
@@ -882,9 +873,9 @@ def _special_frame_checks(config: RunConfig, out: _Collector) -> None:
         yield "v-maps-P1a-to-P2a", "V", _sub(p2f.apply(image), image, FLOAT)
 
     strict = ("transverse-zeroed", "mass-drift")
-    _fuzz(config, out, "covariance.special-frame.fuzz", "special-frame",
-          min(config.trials, _COV_TRIAL_CAP), trial_residuals,
-          lambda label: config.strict_tol if label in strict else config.tol)
+    out.append(_Campaign("covariance.special-frame.fuzz", "special-frame",
+                         min(config.trials, _COV_TRIAL_CAP), config.seed, trial_residuals,
+                         lambda label: config.strict_tol if label in strict else config.tol))
 
 
 # -- driver ----------------------------------------------------------------------
@@ -903,10 +894,10 @@ def run(config: RunConfig) -> Report:
     """Execute the selected suites and assemble the report."""
     config.validate()
     start = time.perf_counter()
-    out = _Collector()
+    out = []
     names = SUITE_NAMES if config.suite == "all" else (config.suite,)
     for name in names:
         _SUITE_RUNNERS[name](config, out)
-    _measure_campaigns(out)
+    checks = _measure_campaigns(out)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return Report(config=config.to_dict(), checks=out.records, wall_ms=wall_ms)
+    return Report(config=config.to_dict(), checks=checks, wall_ms=wall_ms)

@@ -58,6 +58,11 @@ SPLIT_FUZZ_IDS = {
 #: moves a default record, even a float residual at roundoff, updates it on purpose
 DEFAULT_RECORD_DIGEST = (449, "28fede72c25069cadb5149c46351f5b20fc7c12f91f3d85615a6c23c7645c144")
 
+#: sha256 of the default report's ``to_json()``, the bytes ``verify all --json``
+#: writes, with its ``"wall_ms"`` line removed: config, records and summary
+#: layout pinned to the byte
+DEFAULT_JSON_DIGEST = "7c14a235f38732dbcc0807f6ae87c3bcf4474f53d3a3456f0185fad154b4a937"
+
 CONTROL_IDS = (
     "split.control.offshell-dirac",
     "split.control.massless-rejected",
@@ -277,6 +282,15 @@ def _record_digest(report):
 def test_criterion9_default_records_pinned(report):
     digest = _record_digest(report)
     _verdict(9, "default records pinned to the last digit", digest == DEFAULT_RECORD_DIGEST,
+             f"got={digest}")
+
+
+def test_criterion9_default_json_pinned(report):
+    lines = report.to_json().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith('  "wall_ms": '))
+    assert len(kept) < len(report.to_json())
+    digest = hashlib.sha256(kept.encode()).hexdigest()
+    _verdict(9, "default JSON report pinned to the byte", digest == DEFAULT_JSON_DIGEST,
              f"got={digest}")
 
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from diracsplit import Matrix, RunConfig, build_projectors, run
+from diracsplit import Matrix, RunConfig, build_projectors, suites
 from diracsplit.errors import ProjectorAlgebraViolation
 from diracsplit.gamma import GammaRep, build_rep
 from diracsplit.matrices import commutator
 from diracsplit.scalars import EXACT, FLOAT
-from diracsplit.suites import _Collector
 
 IDENT = Matrix.identity(4)
 
@@ -83,21 +82,19 @@ def test_v_swap_report(rep):
     assert all(e.exact_zero for e in report)
 
 
-def _suite_entries(backend, monkeypatch) -> list:
+def _suite_entries(backend) -> list:
     """(check id, residual entry) of every record of the structural suites on ``backend``."""
-    recorded = []
-    monkeypatch.setattr(_Collector, "add",
-                        lambda self, check_id, entry, *rest: recorded.append((check_id, entry)))
-    for suite in ("clifford", "projectors"):
-        run(RunConfig(suite=suite, backend=backend))
-    return recorded
+    out = []
+    for runner in (suites._run_clifford, suites._run_projectors):
+        runner(RunConfig(backend=backend), out)
+    return [(check_id, entry) for check_id, entry, *_ in out]
 
 
 def _ids(*reports) -> set:
     return {id(e) for report in reports for e in report}
 
 
-def test_recorded_residuals_are_the_validated_ones(rep, all_reps, monkeypatch):
+def test_recorded_residuals_are_the_validated_ones(rep, all_reps):
     """The structural suites record the entries kept on the views, on both backends.
 
     The exact family's checks reuse the residuals its validation found zero.
@@ -115,7 +112,7 @@ def test_recorded_residuals_are_the_validated_ones(rep, all_reps, monkeypatch):
         view = rep.on(backend)
         own = _ids(view.clifford_residual, view.gamma5_residuals, view.projector_residuals,
                    view.spinor_diagonal_residuals)
-        entries = _suite_entries(backend, monkeypatch)
+        entries = _suite_entries(backend)
         mine = [e for check_id, e in entries
                 if check_id.split(".")[1] == rep.name or f".{rep.name}-to-" in check_id]
         assert len(mine) > 20

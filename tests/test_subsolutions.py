@@ -31,7 +31,14 @@ from diracsplit.errors import NotASolution
 from diracsplit.gamma import build_rep
 from diracsplit.reports import magnitude, residual_report
 from diracsplit.scalars import EXACT, GaussianRational
-from diracsplit.subsolutions import _terms, split_relations, split_term, termwise, weyl_relations
+from diracsplit.subsolutions import (
+    _terms,
+    majorana_relations,
+    split_relations,
+    split_term,
+    termwise,
+    weyl_relations,
+)
 from field_helpers import conjugates, to_float, with_conjugate
 
 I = GaussianRational(0, 1)
@@ -258,6 +265,19 @@ def test_majorana_component_checks_need_spinor_basis():
     maj = with_conjugate(psi)
     with pytest.raises(SplitRequiresSpinorRep):
         majorana_residuals(maj, WITNESS_MASS)
+
+
+def test_majorana_relations_of_another_basis_are_selfconj_and_dirac():
+    """Without spinor components, the Majorana statement adds the Dirac equation: exactly zero."""
+    standard = build_rep("standard")
+    view = standard.on(EXACT)
+    p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
+    u = u_spinor(p, standard, 1).amplitude
+    cu = view.conjugation.apply(tuple(a.conjugate() for a in u))
+    relations = majorana_relations(view, u, cu, p, 1, WITNESS_MASS)
+    assert [label for label, _, _ in relations] == ["selfconj", "dirac"]
+    assert [equation for _, equation, _ in relations] == ["MAJORANA", "Dirac1"]
+    assert residual_report(EXACT, relations).all_exact_zero()
 
 
 @given(masses, spatial, st.sampled_from([1, 2]))

@@ -32,8 +32,8 @@ from diracsplit.suites import (
     REP_CHOICES,
     SUITE_NAMES,
     _CONTROL_FLOOR,
-    _Collector,
-    _fuzz,
+    _Campaign,
+    _judged,
     _keep_worst,
     _measure_campaigns,
     _merged,
@@ -214,12 +214,13 @@ def test_single_suite_selection():
 
 
 def test_exact_only_backend_skips_fuzz():
-    report = run(RunConfig(suite="split", backend="exact", trials=2))
-    assert report.failed == 0
-    assert all(".fuzz." not in c.check_id for c in report.checks)
-    assert all(
-        c.backend == "exact" for c in report.checks if ".control." not in c.check_id
-    )
+    """An exact-only run makes exact records alone, the negative controls included."""
+    for suite in SUITE_NAMES:
+        report = run(RunConfig(suite=suite, rep="all", backend="exact", trials=2))
+        assert report.failed == 0
+        assert report.checks
+        assert all(".fuzz." not in c.check_id for c in report.checks), suite
+        assert all(c.backend == "exact" for c in report.checks), suite
 
 
 def test_float_only_backend_has_no_exact_zeros():
@@ -256,10 +257,7 @@ def test_every_selection_runs_checks(suite, rep, backend):
 
 
 def _verdict(entry, bound=0.0, kind=None):
-    out = _Collector()
-    out.add("x", entry, bound, kind)
-    (record,) = out.records
-    return record.ok
+    return _judged("x", entry, bound, kind).ok
 
 
 def test_exact_record_passes_only_when_exactly_zero():
@@ -302,15 +300,17 @@ def test_nan_residual_fails_every_kind(make_value):
     assert not _verdict(entry, _CONTROL_FLOOR, CONTROL)
 
 
+def _campaign(name, trials, measure, tol=1e-10):
+    """A campaign of ``trials`` trials at the default seed, checks ``<name>.<label>`` within ``tol``."""
+    return _Campaign(name, name, trials, DEFAULT_SEED, measure, lambda label: tol)
+
+
 @pytest.mark.parametrize("nan_trial", [0, 1, 2])
 def test_fuzz_driver_keeps_a_nan_from_any_trial(nan_trial):
     def measure(rng, trial):
         yield "r", "E", NAN if trial == nan_trial else 1e-12
 
-    out = _Collector()
-    _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 1e-10)
-    _measure_campaigns(out)
-    (record,) = out.records
+    (record,) = _measure_campaigns([_campaign("t", 3, measure)])
     assert record.check_id == "t.r"
     assert math.isnan(record.residual) and not record.ok
 
@@ -320,31 +320,32 @@ def test_fuzz_driver_records_each_labels_largest_value():
         yield "a", "E1", 1e-12 * (trial + 1)
         yield "b", "E2", 1e-11 if trial == 1 else 0.0
 
-    out = _Collector()
-    _fuzz(RunConfig(), out, "t", "tag", 3, measure, lambda label: 2e-12)
-    _measure_campaigns(out)
-    assert [(r.check_id, r.equation, r.residual, r.ok) for r in out.records] == [
+    records = _measure_campaigns([_campaign("t", 3, measure, 2e-12)])
+    assert [(r.check_id, r.equation, r.residual, r.ok) for r in records] == [
         ("t.a", "E1", 3e-12, False),
         ("t.b", "E2", 1e-11, False),
     ]
 
 
-def test_campaign_records_take_the_place_of_their_registration():
-    """A campaign runs after the run's other records, yet its records sit where it was registered."""
+def test_campaign_records_take_the_place_of_the_campaign():
+    """Campaigns are measured before any record is judged, yet their records sit in list order."""
+    judged = []
+
     def measure(rng, trial):
+        assert judged == []
         yield "r", "E", 0.0
 
-    entry = ResidualEntry("l", "E", "float", 0.0, False)
-    out = _Collector()
-    out.add("first", entry, 1e-10)
-    _fuzz(RunConfig(), out, "one", "one", 2, measure, lambda label: 1e-10)
-    out.add("second", entry, 1e-10)
-    _fuzz(RunConfig(), out, "two", "two", 2, measure, lambda label: 1e-10)
-    _fuzz(RunConfig(), out, "three", "three", 2, measure, lambda label: 1e-10)
-    assert [r.check_id for r in out.records] == ["first", "second"]
-    _measure_campaigns(out)
-    assert [r.check_id for r in out.records] == ["first", "one.r", "second", "two.r", "three.r"]
-    assert out.campaigns == []
+    class Entry(ResidualEntry):
+        def within(self, bound):
+            judged.append(bound)
+            return super().within(bound)
+
+    entry = Entry("l", "E", "float", 0.0, False)
+    out = [("first", entry, 1e-10), _campaign("one", 2, measure), ("second", entry, 1e-10),
+           _campaign("two", 2, measure), _campaign("three", 2, measure)]
+    records = _measure_campaigns(out)
+    assert [r.check_id for r in records] == ["first", "one.r", "second", "two.r", "three.r"]
+    assert judged == [1e-10, 1e-10]
 
 
 # -- record skeleton -------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_campaign_records_take_the_place_of_their_registration():
 #: sha256 of the (id, paper_eq, backend, exact_zero, pass) tuples of
 #: run(RunConfig(rep="all", trials=2, backend=b)), in report order
 _SKELETON_DIGESTS = {
-    "exact": (318, "1aaaa97f71e5bf52819557a0865acfad3531db26247156575a08abb3deb290db"),
+    "exact": (316, "90c3ca93e010a9f3b5f9c054d4f1e10ef095e0b45310762c1250c3eef1381de6"),
     "float": (619, "40e3eb5cfacc50acf97cb77c5dd2411dbceee3d63788ade90789cd893bdf95d9"),
     "both": (799, "77b09bd508006426bb666e2c22fc90a701085cc4fd0a347f05bcf021522b6159"),
 }
@@ -362,7 +363,7 @@ _SKELETON_DIGESTS = {
 #: exact_zero, pass) of the same runs: any change that moves a float residual,
 #: even at roundoff, has to update this digest on purpose
 _RECORD_DIGESTS = {
-    "exact": (318, "e7960a30f67342d723ea34cf7aafa83f30a4457e015b5ddbe2e0bee43e320e40"),
+    "exact": (316, "14bdcaa4e5d400a1af1ee69d19d749fee53e9c7cfe03c0c86a7138474167cf1a"),
     "float": (619, "d0e74114956b4adee62c4d3ea7b63463e8134dd049c91118c17bc5dc08c1d454"),
     "both": (799, "e4e47d28f8c4d8482a55bd3f8f46ac31cd4828cf32cb7612fb850cc9d57d4022"),
 }
@@ -586,10 +587,8 @@ def test_merged_chunk_worst_is_the_serial_worst(items, data):
 
 
 def _fuzzed(measure, trials=1000):
-    out = _Collector()
-    _fuzz(RunConfig(), out, "t", "tag", trials, measure, lambda label: 1e-10)
-    _measure_campaigns(out)
-    return [(r.check_id, r.equation, repr(r.residual)) for r in out.records]
+    return [(r.check_id, r.equation, repr(r.residual))
+            for r in _measure_campaigns([_campaign("t", trials, measure)])]
 
 
 def _assert_no_child():
@@ -658,9 +657,7 @@ def test_the_first_campaigns_error_is_raised_whichever_worker_meets_it(workers, 
         raise ValueError(f"second campaign, trial {trial}")
 
     _force_workers(monkeypatch, workers)
-    out = _Collector()
-    _fuzz(RunConfig(), out, "one", "one", 1000, first, lambda label: 1e-10)
-    _fuzz(RunConfig(), out, "two", "two", 1000, second, lambda label: 1e-10)
+    out = [_campaign("one", 1000, first), _campaign("two", 1000, second)]
     with pytest.raises(NotASolution, match="first campaign, trial 700$"):
         _measure_campaigns(out)
     _assert_no_child()
