@@ -297,10 +297,10 @@ def _measure_campaigns(out: list) -> list:
     ``_Campaign``s in report order.  Every campaign is measured first,
     together (``_shared``).
     """
-    worsts = iter(_shared([item for item in out if isinstance(item, _Campaign)]))
+    worsts = iter(_shared([item for item in out if type(item) is _Campaign]))
     records = []
     for item in out:
-        if not isinstance(item, _Campaign):
+        if type(item) is not _Campaign:
             records.append(_judged(*item))
             continue
         for label, (equation, value) in next(worsts).items():
