@@ -35,14 +35,13 @@ use, validated exactly once per representation, and kept on the
 representation object; the float view holds the ``to_float()`` of the
 validated exact matrices.
 
-Every structural relation of a basis is a report of labelled residuals
-with their paper-equation tags, in report order, kept on the view: it is
-measured on the view's own backend the first time it is read, and read
-from the view ever after.  The residuals a validation demands to vanish
--- the intertwiner's (``Intertwiner.residuals``) and the projector
-family's -- are measured by that validation, so the suites record the
-very residuals it checked.  The others are measured only when first
-read, never when a view or the family is built.
+A view holds matrices and their validations only.  The residuals a
+validation demands to vanish -- the intertwiner's
+(``Intertwiner.residuals``) and the projector family's -- are measured
+by that validation and kept with what it validated, so the suites record
+the very residuals it checked.  Every other structural relation of a
+basis is stated, measured and kept as a record by the suite that
+records it (see ``suites``), never when a view or the family is built.
 """
 
 from __future__ import annotations
@@ -54,16 +53,16 @@ from typing import Optional
 
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
-from .reports import ResidualReport, residual_entry, residual_report
-from .scalars import EXACT, FLOAT, HALF, SCALAR_TYPE, GaussianRational, I
+from .reports import ResidualReport, residual_report
+from .scalars import EXACT, FLOAT, HALF, GaussianRational, I
 
 REP_NAMES = ("spinor", "standard", "majorana")
 
 #: signs of the metric diag(1, -1, -1, -1)
 METRIC_SIGNS = (1, -1, -1, -1)
 
-#: index pairs (mu, nu) with mu <= nu: the order of the anticommutator
-#: residuals of RepView.clifford_residual (and of the report's clifford checks)
+#: index pairs (mu, nu) with mu <= nu: the order of the sigmas built and of
+#: the report's anticommutator checks (``suites._clifford_records``)
 INDEX_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(mu, 4))
 
 # 2x2 building blocks
@@ -149,17 +148,15 @@ class RepView:
     Obtain it with ``rep.on(backend)``.  Attributes are built lazily, so
     a caller pays only for what it reads, and each validation (projector
     algebra, conjugation relations, intertwiner similarity) runs once per
-    representation.  The structural relations, ``clifford_residual``
-    through ``covariance_residuals``, are measured on this view's backend
-    when first read, then kept.  The records built above this module
-    (the suites' witnesses and controls, the Lorentz certificates) are
-    kept by their builders in ``suites``.
+    representation.  It holds matrices and validations only: every
+    record built from them (the structural relations, the witnesses and
+    controls, the Lorentz certificates) is kept by its builder in
+    ``suites``.
     """
 
     rep: GammaRep
     backend: str
     _links: dict = field(default_factory=dict, init=False, repr=False)
-    _transports: dict = field(default_factory=dict, init=False, repr=False)
 
     @_materialised
     def gammas(self) -> tuple:
@@ -232,143 +229,11 @@ class RepView:
             self._links[rep_to] = link
         return link
 
-    # -- structural relations, measured on this view's backend when first read --
-
-    @cached_property
-    def clifford_residual(self) -> ResidualReport:
-        """The ten independent anticommutator residuals.
-
-        ``anticommute.<mu><nu>`` (equation Dirac1) is {gamma^mu, gamma^nu} -
-        2 g^{mu nu} Id for the pairs of INDEX_PAIRS; each vanishes exactly
-        for a valid representation.
-        """
-        gams = self.gammas
-        ident = Matrix.identity(4, self.backend)
-        relations = []
-        for mu, nu in INDEX_PAIRS:
-            anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
-            if mu == nu:
-                anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
-            relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
-        return residual_report(self.backend, relations)
-
-    @cached_property
-    def gamma5_residuals(self) -> ResidualReport:
-        """Residuals of the gamma5 relations (equation DiracNeutrino).
-
-        ``gamma5.definition`` is gamma5 + i g0 g1 g2 g3, ``gamma5.square`` is
-        gamma5^2 - Id and ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.
-        """
-        g0, g1, g2, g3 = gams = self.gammas
-        g5, backend = self.gamma5, self.backend
-        i_unit = SCALAR_TYPE[backend](0, 1)
-        relations = [
-            ("gamma5.definition", g5 + (g0 @ g1 @ g2 @ g3).scale(i_unit)),
-            ("gamma5.square", g5 @ g5 - Matrix.identity(4, backend)),
-        ]
-        relations += [(f"gamma5.anticommute.{mu}", g5 @ g + g @ g5) for mu, g in enumerate(gams)]
-        return residual_report(backend, ((label, "DiracNeutrino", m) for label, m in relations))
-
-    @cached_property
-    def projector_residuals(self) -> ResidualReport:
-        """Every relation of the projector family, in report order.
-
-        Those of ``_family_residuals`` come from the validation on the
-        exact view and are measured afresh on the float view.  The others
-        are [P_k, gamma5], the complement 1 - P_k (idempotent and
-        orthogonal to P_k: the larger residual), the swap and [V, gamma0],
-        [V, gamma1].
-        """
-        q_plus, q_minus, ps, v, checked = self.projectors
-        backend = self.backend
-        if backend != EXACT:
-            checked = _family_residuals(q_plus, q_minus, ps, v)
-        family = {e.label: e for e in checked}
-
-        out = [family[label] for label in
-               ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
-        for k, p in enumerate(ps, start=1):
-            out += [family[f"p{k}.idempotent"], family[f"p{k}.trace"],
-                    residual_entry(f"p{k}.gamma5-commute", "PRO", backend,
-                                   commutator(p, self.gamma5))]
-        out.append(family["sum"])
-        out += [e for e in checked if e.label.startswith("commute.")]
-        for k, (p, eps) in enumerate(zip(ps, self.complements), start=1):
-            out.append(residual_entry(f"complement.p{k}", "PRO", backend,
-                                      (eps @ eps - eps).entries + (eps @ p).entries))
-        out += swap_residuals(self).entries
-        out += residual_report(backend, (
-            ("v-swap.commute-gamma0", "V", commutator(v, self.gammas[0])),
-            ("v-swap.commute-gamma1", "V", commutator(v, self.gammas[1]))))
-        out.append(family["v-swap.unitary"])
-        return ResidualReport(tuple(out))
-
     @cached_property
     def complements(self) -> tuple:
         """(Id - P1, Id - P2, Id - P3, Id - P4), formed on this view's backend."""
         ident = Matrix.identity(4, self.backend)
         return tuple(ident - p for p in self.p)
-
-    @cached_property
-    def swap_control(self) -> ResidualReport:
-        """``swap_residuals`` with the identity for V: a negative control, far from zero."""
-        return swap_residuals(self, Matrix.identity(4, self.backend))
-
-    @cached_property
-    def spinor_diagonal_residuals(self) -> ResidualReport:
-        """P1..P4 and Q- minus their pinned spinor-basis diagonals: zero on the spinor basis."""
-        diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
-        relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d, self.backend))
-                     for k, (p, d) in enumerate(zip(self.p, diagonals), start=1)]
-        qminus = self.q_minus - Matrix.diag((1, 1, 0, 0), self.backend)
-        relations.append(("qminus.diagonal", "DiracNeutrino", qminus))
-        return residual_report(self.backend, relations)
-
-    def transport_residuals(self, rep_to: GammaRep) -> ResidualReport:
-        """W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), kept per ``rep_to``.
-
-        The family of this basis carried by the pinned intertwiner onto
-        that of ``rep_to``.
-        """
-        report = self._transports.get(rep_to)
-        if report is None:
-            link = self.intertwiner(rep_to)
-            wd = link.w.adjoint()
-            pairs = zip(self.p, rep_to.on(self.backend).p)
-            report = residual_report(self.backend, (
-                (f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
-                for k, (a, b) in enumerate(pairs, start=1)))
-            self._transports[rep_to] = report
-        return report
-
-    @cached_property
-    def covariance_residuals(self) -> ResidualReport:
-        """The fixed relations behind the covariance suite, in report order.
-
-        ``commute.sigma<mu><nu>.P<i>`` (equation S) is [sigma_03, P_i] and
-        [sigma_12, P_i] for i = 1, 2: the (0,3) boost and (1,2) rotation
-        act inside each subsolution class.  ``v-reduced-op.<n>`` (equation
-        V) is V op V^-1 - op for op = a gamma0 - b gamma1 - m at two pinned
-        (a, b, m): V keeps the reduced Dirac operator of the special
-        frame.  ``sigma-square.<mu><nu>`` (equation S) is sigma_{mu nu}^2 -
-        g_{mu mu} g_{nu nu} Id, the premise of ``lorentz.spinor_transform``.
-        """
-        backend = self.backend
-        ident = Matrix.identity(4, backend)
-        relations = [(f"commute.sigma{mu}{nu}.P{i}", "S",
-                      commutator(self.sigmas[mu][nu], self.p[i - 1]))
-                     for mu, nu in ((0, 3), (1, 2)) for i in (1, 2)]
-        g0, g1 = self.gammas[:2]
-        vd = self.v.adjoint()
-        for n, (a, b, m) in enumerate(((3, 2, 1), (5, -7, 2))):
-            op = g0.scale(a) - g1.scale(b) - ident.scale(m)
-            relations.append((f"v-reduced-op.{n}", "V", self.v @ op @ vd - op))
-        for mu, nu in INDEX_PAIRS:
-            if mu < nu:
-                sig = self.sigmas[mu][nu]
-                square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
-                relations.append((f"sigma-square.{mu}{nu}", "S", square))
-        return residual_report(backend, relations)
 
 
 def _block4(a, b, c, d) -> Matrix:
@@ -492,15 +357,6 @@ def _family_residuals(q_plus, q_minus, ps, v) -> ResidualReport:
                   for a, b in _PAIRS_OF_FOUR]
     relations.append(("v-swap.unitary", "V", v @ v.adjoint() - ident))
     return residual_report(backend, relations)
-
-
-def swap_residuals(view: "RepView", v: Optional[Matrix] = None) -> ResidualReport:
-    """V P1 V^-1 - P2 and V P2 V^-1 - P1; a negative control passes another ``v``."""
-    v = view.v if v is None else v
-    p1, p2 = view.p[:2]
-    vinv = v.adjoint()  # unitary
-    return residual_report(view.backend, (("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
-                                   ("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1)))
 
 
 # -- intertwiners ------------------------------------------------------------

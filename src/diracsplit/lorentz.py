@@ -27,9 +27,9 @@ and the covariance fuzz, which cycles through the twelve of
 ``COVARIANCE_GRID``, builds P' once per transformation and basis; S^-1,
 at a new ``inverse()`` each time, is read only to build what is kept.
 
-The exact view keeps that premise, plane by plane, among its
-``RepView.covariance_residuals`` (``sigma-square.<mu><nu>``), measured
-once per representation, and the covariance suite records them.
+The covariance suite checks that premise exactly, plane by plane, among
+the exact records it keeps per representation
+(``suites._covariance_records``, ``sigma-square.<mu><nu>``).
 
 The float certificates that depend on the basis alone are stated as
 ``(label, equation, value)`` relations, like every other family:
@@ -217,8 +217,8 @@ def float_certificates(rep: GammaRep) -> tuple:
     * ``commute.S<mu><nu>.w<omega>.P<i>``, [S, P_i] for i = 1, 2 at float
       group elements of the (0,3) boost and (1,2) rotation.  Their
       generators commute with P1 and P2, so they act inside each
-      subsolution class; the exact generator commutators are entries of
-      the exact view's ``covariance_residuals``;
+      subsolution class; the exact generator commutators are records of
+      ``suites._covariance_records``;
     * two negative controls, far from zero: ``sign-flip``, the largest
       P-condition entry of the (0,3) boost at omega = 1 with S and S^-1
       swapped, and ``boost01-noncommute``, [S, P1] for the (0,1) boost at

@@ -384,9 +384,11 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
 
     At (p, s) the term of f there meets its partner at (p, -s), since
     conjugation flips the frequency sign; an absent one is zero.
-    Raises "not-majorana" when self-conjugacy fails (exactly on the exact
-    backend, beyond the constant bound 1e-10 on the float one); the
-    component checks require the spinor basis.
+    The report holds the relations ``majorana_relations`` gives f's basis:
+    ``selfconj`` and the component relations in the spinor basis,
+    ``selfconj`` and ``dirac`` in any other.  Raises "not-majorana" when
+    self-conjugacy fails (exactly on the exact backend, beyond the
+    constant bound 1e-10 on the float one).
     """
     if f.ncomp != 4:
         raise ChargeConjugationNeedsBispinor("charge conjugation acts on bispinors")
@@ -405,9 +407,5 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     if not selfconj.within(_TOL):
         raise NotMajorana(
             f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {_TOL})"
-        )
-    if f.rep.name != "spinor":
-        raise SplitRequiresSpinorRep(
-            "Majorana component checks are pinned to the spinor basis"
         )
     return report

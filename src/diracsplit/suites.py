@@ -13,12 +13,20 @@ preservation, generator commutators, frame drift, and the float runs of
 the structural suites) use tol/100 so the default 1e-10 run enforces
 1e-12 on them.
 
-The structural suites (``clifford``, ``projectors``) and the exact block
-of ``covariance`` hold no algebra of their own: they record the residual
-reports kept on each representation's view (``gamma.RepView``), measured
-once per view on its backend, so a second run in one process repeats no
-matrix product; on the exact backend the validated ones are the very
-residuals the views' validations checked.
+Every record that depends on the basis and the backend alone, not on
+the seed, trials, tolerance or ranges, is built and kept by this
+module, in a ``functools.cache`` builder that returns finished
+``(check_id, entry[, bound, kind])`` records and measures them on its
+first call; a runner reads them and attaches the run's bound where the
+record has none.  A warm run therefore measures none of them again,
+and ``_judged`` still builds each run's records and verdicts.  The
+structural suites state their relations on the matrices of each
+representation's view (``gamma.RepView``), which holds matrices and
+validations only: ``_clifford_records`` and ``_projector_records`` are
+kept per backend, the exact block of ``covariance`` per basis
+(``_covariance_records``).  On the exact backend the residuals a
+validation checked, the projector family's and the intertwiners', are
+recorded as the very entries it measured.
 
 A claim is stated once, on one plane-wave term, as ``(label, equation,
 value)`` relations (see ``subsolutions``), and checked from that one
@@ -26,16 +34,13 @@ statement exactly on a witness and in floats over seeded fuzz.  A
 witness measures the relations of its field, concatenated over the
 terms (``subsolutions.termwise``), into entries with
 ``reports.residual_report``.  Those entries depend on the basis alone,
-not on the seed, trials, tolerance or ranges, so ``_<suite>_witness``
-keeps them per basis as ``(check_id, entry)`` pairs (``functools.cache``),
-measured on its first call: a warm exact run does no exact arithmetic,
-and ``_judged`` still builds each run's records and verdicts.
-The float controls of ``split`` and ``weyl`` (``_split_controls``,
-``_weyl_controls``) and each basis's Lorentz certificates
-(``_lorentz_certificates``) depend on no config value either, and are
-kept the same way.  Only the pinned bases, which live as long as the
-process, reach these builders.  A fuzz trial passes its
-sampled modes' amplitudes straight in and builds no field and no entry:
+so ``_<suite>_witness`` keeps them per basis: a warm exact run does no
+exact arithmetic.  The float controls of ``split`` and ``weyl``
+(``_split_controls``, ``_weyl_controls``) and each basis's Lorentz
+certificates (``_lorentz_certificates``) are kept the same way.  Only
+the pinned bases, which live as long as the process, reach these
+builders.  A fuzz trial passes its sampled modes' amplitudes straight
+in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
 term once: its amplitude through S and its momentum through a.  Every
@@ -98,7 +103,7 @@ from .fields import (
     u_spinor,
     weyl_spinor,
 )
-from .gamma import REP_NAMES, build_rep
+from .gamma import INDEX_PAIRS, METRIC_SIGNS, REP_NAMES, _family_residuals, build_rep
 from .lorentz import (
     COVARIANCE_GRID,
     float_certificates,
@@ -108,7 +113,7 @@ from .lorentz import (
     transformed_projectors,
     vector_transform,
 )
-from .matrices import Matrix
+from .matrices import Matrix, commutator
 from .reports import (
     CONTROL,
     RAISES,
@@ -119,7 +124,7 @@ from .reports import (
     residual_entry,
     residual_report,
 )
-from .scalars import EXACT, FLOAT, GaussianRational
+from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational
 from .subsolutions import (
     majorana_relations,
     split,
@@ -549,44 +554,138 @@ def _structural_backend(config: RunConfig) -> str:
 _REP_PAIRS = tuple((a, b) for a in _ALL_REPS for b in _ALL_REPS if a is not b)
 
 
-def _run_clifford(config: RunConfig, out: list) -> None:
-    backend = _structural_backend(config)
+@cache
+def _clifford_records(backend: str) -> tuple:
+    """The clifford suite's records on ``backend``, measured on first call and kept.
+
+    Per basis, ``anticommute.<mu><nu>`` (equation Dirac1) is {gamma^mu,
+    gamma^nu} - 2 g^{mu nu} Id for the pairs of ``gamma.INDEX_PAIRS``,
+    each zero exactly for a valid representation; then the gamma5
+    relations (equation DiracNeutrino): ``gamma5.definition`` is gamma5 +
+    i g0 g1 g2 g3, ``gamma5.square`` is gamma5^2 - Id and
+    ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.  On the exact
+    backend each ordered pair of bases adds its intertwiner's record: the
+    worst of the residuals its validation found zero.
+    """
+    ident = Matrix.identity(4, backend)
+    out = []
     for rep in _ALL_REPS:
         view = rep.on(backend)
-        for report in (view.clifford_residual, view.gamma5_residuals):
-            for e in report:
-                out.append((f"clifford.{rep.name}.{e.label}", e, config.strict_tol))
+        gams, g5 = view.gammas, view.gamma5
+        relations = []
+        for mu, nu in INDEX_PAIRS:
+            anti = gams[mu] @ gams[nu] + gams[nu] @ gams[mu]
+            if mu == nu:
+                anti = anti - ident.scale(2 * METRIC_SIGNS[mu])
+            relations.append((f"anticommute.{mu}{nu}", "Dirac1", anti))
+        g0, g1, g2, g3 = gams
+        relations += [
+            ("gamma5.definition", "DiracNeutrino",
+             g5 + (g0 @ g1 @ g2 @ g3).scale(SCALAR_TYPE[backend](0, 1))),
+            ("gamma5.square", "DiracNeutrino", g5 @ g5 - ident),
+        ]
+        relations += [(f"gamma5.anticommute.{mu}", "DiracNeutrino", g5 @ g + g @ g5)
+                      for mu, g in enumerate(gams)]
+        out += [(f"clifford.{rep.name}.{e.label}", e) for e in residual_report(backend, relations)]
+    if backend == EXACT:
+        out += [(f"clifford.intertwiner.{a.name}-to-{b.name}",
+                 a.on(EXACT).intertwiner(b).residuals.worst()) for a, b in _REP_PAIRS]
+    return tuple(out)
 
-    if config.run_exact:
-        for rep_a, rep_b in _REP_PAIRS:
-            out.append((f"clifford.intertwiner.{rep_a.name}-to-{rep_b.name}",
-                        rep_a.on(EXACT).intertwiner(rep_b).residuals.worst()))
+
+def _run_clifford(config: RunConfig, out: list) -> None:
+    out += [(check_id, e, config.strict_tol)
+            for check_id, e in _clifford_records(_structural_backend(config))]
 
 
 # -- projectors suite -------------------------------------------------------------
 
-#: V relations the float structural run leaves to the exact one
-_EXACT_ONLY_V = ("v-swap.commute-gamma0", "v-swap.commute-gamma1", "v-swap.unitary")
+_SPINOR_DIAGONALS = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
+
+
+def _swap_relations(view, v: Matrix) -> list:
+    """V P1 V^-1 - P2 and V P2 V^-1 - P1 for a unitary ``v``: zero for the view's own V."""
+    p1, p2 = view.p[:2]
+    vinv = v.adjoint()
+    return [("v-swap.p1-to-p2", "V", v @ p1 @ vinv - p2),
+            ("v-swap.p2-to-p1", "V", v @ p2 @ vinv - p1)]
+
+
+@cache
+def _projector_records(backend: str) -> tuple:
+    """The projectors suite's records on ``backend``, measured on first call and kept.
+
+    For each basis, the relations of its projector family, in report
+    order:
+
+    * those of ``gamma._family_residuals``: on the exact backend the
+      entries its validation measured (``RepView.projectors[4]``), on the
+      float one measured afresh;
+    * [P_k, gamma5], the complement 1 - P_k (idempotent and orthogonal to
+      P_k: the larger residual), and V P1 V^-1 - P2, V P2 V^-1 - P1;
+    * on the exact backend only, [V, gamma0], [V, gamma1] and V's
+      unitarity.
+
+    The exact backend then adds P1..P4 and Q- minus their pinned
+    spinor-basis diagonals, and for each ordered pair of bases the worst
+    of W P_k Wdag - norm2 P'_k (``transport.p<k>``, equation PRO), the
+    family carried by the pinned intertwiner.  Last comes the negative
+    control, a ``(check_id, entry, bound, kind)`` record: the swap
+    relations of the spinor basis with the identity for V, far from zero.
+    """
+    ident = Matrix.identity(4, backend)
+    out = []
+    for rep in _ALL_REPS:
+        view = rep.on(backend)
+        q_plus, q_minus, ps, v, family = view.projectors
+        if backend != EXACT:
+            family = _family_residuals(q_plus, q_minus, ps, v)
+        checked = {e.label: e for e in family}
+        commutes = residual_report(backend, (
+            (f"p{k}.gamma5-commute", "PRO", commutator(p, view.gamma5))
+            for k, p in enumerate(ps, start=1)))
+        relations = [(f"complement.p{k}", "PRO", (eps @ eps - eps).entries + (eps @ p).entries)
+                     for k, (p, eps) in enumerate(zip(ps, view.complements), start=1)]
+        relations += _swap_relations(view, v)
+        if backend == EXACT:
+            relations += [("v-swap.commute-gamma0", "V", commutator(v, view.gammas[0])),
+                          ("v-swap.commute-gamma1", "V", commutator(v, view.gammas[1]))]
+
+        entries = [checked[label] for label in
+                   ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
+        for k, commute in enumerate(commutes, start=1):
+            entries += [checked[f"p{k}.idempotent"], checked[f"p{k}.trace"], commute]
+        entries += [e for e in family if e.label == "sum" or e.label.startswith("commute.")]
+        entries += residual_report(backend, relations).entries
+        if backend == EXACT:
+            entries.append(checked["v-swap.unitary"])
+        out += [(f"projectors.{rep.name}.{e.label}", e) for e in entries]
+
+    spinor = build_rep("spinor").on(backend)
+    if backend == EXACT:
+        relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d))
+                     for k, (p, d) in enumerate(zip(spinor.p, _SPINOR_DIAGONALS), start=1)]
+        relations.append(("qminus.diagonal", "DiracNeutrino",
+                          spinor.q_minus - Matrix.diag((1, 1, 0, 0))))
+        out += [(f"projectors.spinor.{e.label}", e) for e in residual_report(EXACT, relations)]
+        for rep_a, rep_b in _REP_PAIRS:
+            link = rep_a.on(EXACT).intertwiner(rep_b)
+            wd = link.w.adjoint()
+            pairs = zip(rep_a.on(EXACT).p, rep_b.on(EXACT).p)
+            transport = residual_report(EXACT, (
+                (f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
+                for k, (a, b) in enumerate(pairs, start=1)))
+            out.append((f"projectors.transport.{rep_a.name}-to-{rep_b.name}", transport.worst()))
+
+    control = residual_report(backend, _swap_relations(spinor, ident)).worst()
+    out.append(("projectors.control.identity-for-v", control, _CONTROL_FLOOR, CONTROL))
+    return tuple(out)
 
 
 def _run_projectors(config: RunConfig, out: list) -> None:
-    backend = _structural_backend(config)
-    for rep in _ALL_REPS:
-        for e in rep.on(backend).projector_residuals:
-            if backend == EXACT or e.label not in _EXACT_ONLY_V:
-                out.append((f"projectors.{rep.name}.{e.label}", e, config.strict_tol))
-
-    spinor = build_rep("spinor")
-    if config.run_exact:
-        for e in spinor.on(EXACT).spinor_diagonal_residuals:
-            out.append((f"projectors.spinor.{e.label}", e))
-        for rep_a, rep_b in _REP_PAIRS:
-            out.append((f"projectors.transport.{rep_a.name}-to-{rep_b.name}",
-                        rep_a.on(EXACT).transport_residuals(rep_b).worst()))
-
-    # negative control: the identity matrix does not swap P1 and P2
-    out.append(("projectors.control.identity-for-v", spinor.on(backend).swap_control.worst(),
-                _CONTROL_FLOOR, CONTROL))
+    *records, control = _projector_records(_structural_backend(config))
+    out += [(check_id, e, config.strict_tol) for check_id, e in records]
+    out.append(control)
 
 
 # -- split suite ------------------------------------------------------------------
@@ -790,12 +889,41 @@ def _sampled_split(rng: Random, config: RunConfig, trial: int):
     return p, (u,) + split_term(u, p, 1, p.mass)
 
 
+@cache
+def _covariance_records(rep) -> tuple:
+    """The exact covariance records of ``rep``, in report order, measured on first call and kept.
+
+    ``commute.sigma<mu><nu>.P<i>`` (equation S) is [sigma_03, P_i] and
+    [sigma_12, P_i] for i = 1, 2: the (0,3) boost and (1,2) rotation act
+    inside each subsolution class.  ``v-reduced-op.<n>`` (equation V) is
+    V op V^-1 - op for op = a gamma0 - b gamma1 - m at two pinned (a, b,
+    m): V keeps the reduced Dirac operator of the special frame.
+    ``sigma-square.<mu><nu>`` (equation S) is sigma_{mu nu}^2 - g_{mu mu}
+    g_{nu nu} Id, the premise of ``lorentz.spinor_transform``.
+    """
+    view = rep.on(EXACT)
+    sigmas, ps, v = view.sigmas, view.p, view.v
+    ident = Matrix.identity(4)
+    relations = [(f"commute.sigma{mu}{nu}.P{i}", "S", commutator(sigmas[mu][nu], ps[i - 1]))
+                 for mu, nu in ((0, 3), (1, 2)) for i in (1, 2)]
+    g0, g1 = view.gammas[:2]
+    vd = v.adjoint()
+    for n, (a, b, m) in enumerate(((3, 2, 1), (5, -7, 2))):
+        op = g0.scale(a) - g1.scale(b) - ident.scale(m)
+        relations.append((f"v-reduced-op.{n}", "V", v @ op @ vd - op))
+    for mu, nu in INDEX_PAIRS:
+        if mu < nu:
+            sig = sigmas[mu][nu]
+            square = sig @ sig - ident.scale(METRIC_SIGNS[mu] * METRIC_SIGNS[nu])
+            relations.append((f"sigma-square.{mu}{nu}", "S", square))
+    return tuple((f"covariance.{rep.name}.{e.label}", e) for e in residual_report(EXACT, relations))
+
+
 def _run_covariance(config: RunConfig, out: list) -> None:
     sp = build_rep("spinor")
     for rep in _selected_reps(config):
         if config.run_exact:
-            for e in rep.on(EXACT).covariance_residuals:
-                out.append((f"covariance.{rep.name}.{e.label}", e))
+            out += _covariance_records(rep)
 
         if not config.run_float:
             continue

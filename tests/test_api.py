@@ -146,18 +146,22 @@ def _calls_of(name, node, scope=()):
         yield from _calls_of(name, child, scope)
 
 
-def test_only_reports_and_the_projector_family_build_a_residual_report():
-    """Relations are measured by ``residual_report``; no module assembles a report by hand.
-
-    ``RepView.projector_residuals`` alone builds one outside ``reports.py``:
-    it reuses the entries its family's validation already measured.
-    """
+def test_only_reports_builds_a_residual_report():
+    """Relations are measured by ``residual_report``; no module assembles a report by hand."""
     built = []
     for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
         if path.name != "reports.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             built += [(path.stem, scope) for scope, _ in _calls_of("ResidualReport", tree)]
-    assert built == [("gamma", "RepView.projector_residuals")]
+    assert built == []
+
+
+def test_gamma_measures_only_its_validations():
+    """``gamma`` measures residuals only to validate: every other record is built in ``suites``."""
+    tree = ast.parse(Path(diracsplit.gamma.__file__).read_text(encoding="utf-8"))
+    scopes = sorted(scope for name in ("residual_report", "residual_entry")
+                    for scope, _ in _calls_of(name, tree))
+    assert scopes == ["_family_residuals", "_verified_intertwiner"]
 
 
 def test_the_readme_library_example_runs(capsys):

@@ -7,6 +7,7 @@ from diracsplit.errors import IntertwinerInvalid
 from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
+from diracsplit.suites import _clifford_records
 from field_helpers import max_abs_diff
 
 
@@ -19,25 +20,33 @@ def test_unknown_rep_rejected():
         build_rep("dirac-pauli")
 
 
+def _clifford_entries(rep, backend, family):
+    """The entries of ``rep``'s clifford records on ``backend`` whose labels start with ``family``."""
+    prefix = f"clifford.{rep.name}.{family}"
+    return [e for check_id, e in _clifford_records(backend) if check_id.startswith(prefix)]
+
+
 def test_clifford_residuals_exactly_zero(rep):
-    report = rep.on(EXACT).clifford_residual
-    assert [e.label for e in report] == [f"anticommute.{mu}{nu}" for mu in range(4)
-                                         for nu in range(mu, 4)]
-    assert report.all_exact_zero()
+    entries = _clifford_entries(rep, EXACT, "anticommute.")
+    assert [e.label for e in entries] == [f"anticommute.{mu}{nu}" for mu in range(4)
+                                          for nu in range(mu, 4)]
+    assert all(e.exact_zero for e in entries)
 
 
 def test_gamma5_relations_exactly_zero(rep):
-    report = rep.on(EXACT).gamma5_residuals
-    assert [e.label for e in report][:2] == ["gamma5.definition", "gamma5.square"]
-    assert report.all_exact_zero()
+    entries = _clifford_entries(rep, EXACT, "gamma5.")
+    assert [e.label for e in entries] == ["gamma5.definition", "gamma5.square"] + [
+        f"gamma5.anticommute.{mu}" for mu in range(4)]
+    assert all(e.exact_zero for e in entries)
 
 
-@pytest.mark.parametrize("residuals", ("clifford_residual", "gamma5_residuals"))
-def test_structural_residuals_on_float_view(rep, residuals):
-    exact, floated = getattr(rep.on(EXACT), residuals), getattr(rep.on(FLOAT), residuals)
+@pytest.mark.parametrize("family", (pytest.param("anticommute.", id="clifford_residual"),
+                                    pytest.param("gamma5.", id="gamma5_residuals")))
+def test_structural_residuals_on_float_view(rep, family):
+    exact, floated = (_clifford_entries(rep, backend, family) for backend in (EXACT, FLOAT))
     assert [e.label for e in floated] == [e.label for e in exact]
     assert all(e.backend == FLOAT and not e.exact_zero for e in floated)
-    assert floated.all_within(1e-15)
+    assert all(e.within(1e-15) for e in floated)
 
 
 def test_spinor_gamma5_diagonal(spinor):

@@ -71,7 +71,8 @@ def test_spinor_chiral_goldens(spinor):
 
 
 def test_v_swap_report(rep):
-    report = [e for e in rep.on(EXACT).projector_residuals if e.label.startswith("v-swap.")]
+    report = [e for check_id, e, *_ in suites._projector_records(EXACT)
+              if check_id.startswith(f"projectors.{rep.name}.v-swap.")]
     assert [e.label for e in report] == [
         "v-swap.p1-to-p2",
         "v-swap.p2-to-p1",
@@ -90,35 +91,31 @@ def _suite_entries(backend) -> list:
     return [(check_id, entry) for check_id, entry, *_ in out]
 
 
-def _ids(*reports) -> set:
-    return {id(e) for report in reports for e in report}
-
-
 def test_recorded_residuals_are_the_validated_ones(rep, all_reps):
-    """The structural suites record the entries kept on the views, on both backends.
+    """The exact structural records reuse the residuals the validations found zero.
 
-    The exact family's checks reuse the residuals its validation found zero.
+    Every exact family record is an entry of ``RepView.projectors[4]``,
+    and every intertwiner record an entry of ``Intertwiner.residuals``.
     """
     exact = rep.on(EXACT)
     validated = exact.projectors[4]
-    recorded = {e.label: e for e in exact.projector_residuals}
     assert validated.all_exact_zero() and len(validated.entries) == 20
-    assert all(recorded[e.label] is e for e in validated)
+    recorded = dict(_suite_entries(EXACT))
+    assert all(recorded[f"projectors.{rep.name}.{e.label}"] is e for e in validated)
+    for b in all_reps:
+        if b is not rep:
+            entry = recorded[f"clifford.intertwiner.{rep.name}-to-{b.name}"]
+            assert any(entry is e for e in exact.intertwiner(b).residuals)
 
-    spinor = build_rep("spinor")
-    pairs = _ids(*(r for b in all_reps if b is not rep
-                   for r in (exact.intertwiner(b).residuals, exact.transport_residuals(b))))
-    for backend in (EXACT, FLOAT):
-        view = rep.on(backend)
-        own = _ids(view.clifford_residual, view.gamma5_residuals, view.projector_residuals,
-                   view.spinor_diagonal_residuals)
-        entries = _suite_entries(backend)
-        mine = [e for check_id, e in entries
-                if check_id.split(".")[1] == rep.name or f".{rep.name}-to-" in check_id]
-        assert len(mine) > 20
-        assert all(id(e) in own | pairs for e in mine)
-        controls = [e for check_id, e in entries if ".control." in check_id]
-        assert len(controls) == 1 and id(controls[0]) in _ids(spinor.on(backend).swap_control)
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_structural_runs_record_the_kept_entries(backend):
+    """Both structural suites record the very entries their builders keep, in order."""
+    kept = [(check_id, entry) for builder in (suites._clifford_records, suites._projector_records)
+            for check_id, entry, *_ in builder(backend)]
+    recorded = _suite_entries(backend)
+    assert [check_id for check_id, _ in recorded] == [check_id for check_id, _ in kept]
+    assert all(a is b for (_, a), (_, b) in zip(recorded, kept))
 
 
 def test_v_is_involution(rep):
@@ -158,12 +155,13 @@ def test_validation_rejects_flipped_chirality(spinor):
 
 def test_build_projectors_leaves_the_suite_relations_unmeasured(spinor):
     """Set-up builds and validates the family only: the relations wait for a suite."""
+    builders = [f for f in vars(suites).values() if hasattr(f, "cache_info")]
+    assert {suites._clifford_records, suites._projector_records,
+            suites._covariance_records} <= set(builders)
+    kept = [f.cache_info().currsize for f in builders]
     copy = GammaRep(name="spinor-copy", gammas=spinor.gammas, gamma5=spinor.gamma5)
     view = build_projectors(copy)
     assert view is copy.on(EXACT) and "projectors" in vars(view)
-    unmeasured = ("clifford_residual", "gamma5_residuals", "projector_residuals",
-                  "swap_control", "spinor_diagonal_residuals", "covariance_residuals")
-    assert not set(unmeasured) & vars(view).keys()
-    assert view._transports == {} and view._links == {}
+    assert [f.cache_info().currsize for f in builders] == kept
+    assert view._links == {}
     assert list(copy._views) == [EXACT]
-    assert view.projector_residuals is view.projector_residuals  # measured, then kept

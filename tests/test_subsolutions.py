@@ -259,12 +259,16 @@ def test_majorana_rejects_plain_solution():
 
 
 def test_majorana_component_checks_need_spinor_basis():
+    """Outside the spinor basis the report has no component checks: selfconj and dirac, exactly zero."""
     standard = build_rep("standard")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, standard, 1), rep=standard)
     maj = with_conjugate(psi)
-    with pytest.raises(SplitRequiresSpinorRep):
-        majorana_residuals(maj, WITNESS_MASS)
+    report = majorana_residuals(maj, WITNESS_MASS)
+    assert [e.label for e in report] == ["selfconj", "dirac"]
+    assert report.all_exact_zero()
+    with pytest.raises(NotMajorana):
+        majorana_residuals(psi, WITNESS_MASS)
 
 
 def test_majorana_relations_of_another_basis_are_selfconj_and_dirac():

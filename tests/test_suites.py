@@ -377,10 +377,19 @@ def test_equations_without_a_control_are_the_pinned_ones():
     assert {c.equation for c in report.checks} - controlled == _EQUATIONS_WITHOUT_A_CONTROL
 
 
-@pytest.mark.parametrize("suite", ("clifford", "projectors"))
-@pytest.mark.parametrize("backend", ("exact", "float"))
+_STRUCTURAL_BUILDERS = {"clifford": "_clifford_records", "projectors": "_projector_records",
+                        "covariance": "_covariance_records"}
+
+
+@pytest.mark.parametrize("backend, suite", [
+    ("exact", "clifford"), ("exact", "projectors"), ("float", "clifford"),
+    ("float", "projectors"), ("exact", "covariance")])
 def test_warm_structural_run_makes_no_matrix_products(suite, backend, monkeypatch):
-    """Every structural relation is measured once per view; a second run only reads them."""
+    """Every structural relation is measured once per builder key; a second run only reads them.
+
+    Once the builder's cache is cleared, a run multiplies matrices again
+    and gives the same records.
+    """
     config = RunConfig(suite=suite, rep="all", backend=backend)
     first = run(config)
     products = []
@@ -394,6 +403,9 @@ def test_warm_structural_run_makes_no_matrix_products(suite, backend, monkeypatc
     second = run(config)
     assert products == []
     assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    getattr(suites, _STRUCTURAL_BUILDERS[suite]).cache_clear()
+    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert products
 
 
 @pytest.mark.parametrize("backend", BACKEND_CHOICES)
