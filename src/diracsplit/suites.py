@@ -600,9 +600,6 @@ def _run_clifford(config: RunConfig, out: list) -> None:
 
 # -- projectors suite -------------------------------------------------------------
 
-_SPINOR_DIAGONALS = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
-
-
 def _swap_relations(view, v: Matrix) -> list:
     """V P1 V^-1 - P2 and V P2 V^-1 - P1 for a unitary ``v``: zero for the view's own V."""
     p1, p2 = view.p[:2]
@@ -633,7 +630,6 @@ def _projector_records(backend: str) -> tuple:
     control, a ``(check_id, entry, bound, kind)`` record: the swap
     relations of the spinor basis with the identity for V, far from zero.
     """
-    ident = Matrix.identity(4, backend)
     out = []
     for rep in _ALL_REPS:
         view = rep.on(backend)
@@ -663,8 +659,9 @@ def _projector_records(backend: str) -> tuple:
 
     spinor = build_rep("spinor").on(backend)
     if backend == EXACT:
+        diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
         relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d))
-                     for k, (p, d) in enumerate(zip(spinor.p, _SPINOR_DIAGONALS), start=1)]
+                     for k, (p, d) in enumerate(zip(spinor.p, diagonals), start=1)]
         relations.append(("qminus.diagonal", "DiracNeutrino",
                           spinor.q_minus - Matrix.diag((1, 1, 0, 0))))
         out += [(f"projectors.spinor.{e.label}", e) for e in residual_report(EXACT, relations)]
@@ -677,8 +674,8 @@ def _projector_records(backend: str) -> tuple:
                 for k, (a, b) in enumerate(pairs, start=1)))
             out.append((f"projectors.transport.{rep_a.name}-to-{rep_b.name}", transport.worst()))
 
-    control = residual_report(backend, _swap_relations(spinor, ident)).worst()
-    out.append(("projectors.control.identity-for-v", control, _CONTROL_FLOOR, CONTROL))
+    control = residual_report(backend, _swap_relations(spinor, Matrix.identity(4, backend)))
+    out.append(("projectors.control.identity-for-v", control.worst(), _CONTROL_FLOOR, CONTROL))
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ def test_unknown_rep_rejected():
 
 
 def _clifford_entries(rep, backend, family):
-    """The entries of ``rep``'s clifford records on ``backend`` whose labels start with ``family``."""
+    """The entries of ``rep``'s clifford records on ``backend`` labelled ``family<...>``."""
     prefix = f"clifford.{rep.name}.{family}"
     return [e for check_id, e in _clifford_records(backend) if check_id.startswith(prefix)]
 

@@ -4,7 +4,7 @@ import pytest
 
 from diracsplit import Matrix, RunConfig, build_projectors, suites
 from diracsplit.errors import ProjectorAlgebraViolation
-from diracsplit.gamma import GammaRep, build_rep
+from diracsplit.gamma import GammaRep
 from diracsplit.matrices import commutator
 from diracsplit.scalars import EXACT, FLOAT
 

@@ -259,7 +259,7 @@ def test_majorana_rejects_plain_solution():
 
 
 def test_majorana_component_checks_need_spinor_basis():
-    """Outside the spinor basis the report has no component checks: selfconj and dirac, exactly zero."""
+    """Outside the spinor basis the report has no component checks: selfconj and dirac, zero."""
     standard = build_rep("standard")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, standard, 1), rep=standard)
