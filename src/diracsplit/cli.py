@@ -14,7 +14,6 @@ reaches the next.  The JSON report is ``Report.to_json``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -34,7 +33,7 @@ EXIT_USAGE = 2
 EXIT_JSON_UNWRITABLE = 3
 EXIT_LIBRARY_ERROR = 4
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+_CONFIG_KEYS = RunConfig._fields
 
 
 class UsageError(Exception):

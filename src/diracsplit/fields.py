@@ -54,10 +54,9 @@ A field compares by identity; two fields agree when their ``terms``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Sequence
 
 from . import kernels
 from .errors import (
@@ -69,22 +68,26 @@ from .errors import (
 from .gamma import GammaRep, build_rep
 from .matrices import Matrix
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, coerce_scalar
+from .values import Value, store
 
 _SHELL_TOL = 1e-12
 _MINUS_ONE = {backend: scalar(-1) for backend, scalar in SCALAR_TYPE.items()}
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(Value):
     """Contravariant components (p0, p1, p2, p3) plus the mass parameter."""
 
-    p: tuple
-    mass: object
-    backend: str
-    # the symbols at this momentum, keyed with each sign's and mass's type: dirac_matrix's per
-    # (rep, freq_sign, mass), and subsolutions._sigma_symbol's per ("sigma", freq_sign, sign);
-    # outside ==, hash, repr
-    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("p", "mass", "backend")
+    # _symbols: the symbols at this momentum, keyed with each sign's and mass's type:
+    # dirac_matrix's per (rep, freq_sign, mass), and subsolutions._sigma_symbol's per
+    # ("sigma", freq_sign, sign)
+    __slots__ = _fields + ("_symbols",)
+
+    def __init__(self, p: tuple, mass, backend: str):
+        store(self, "p", p)
+        store(self, "mass", mass)
+        store(self, "backend", backend)
+        store(self, "_symbols", {})
 
     @classmethod
     def exact(cls, components: Sequence, mass) -> "FourMomentum":

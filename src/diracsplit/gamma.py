@@ -46,15 +46,14 @@ records it (see ``suites``), never when a view or the family is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
 from .reports import ResidualReport, residual_report
 from .scalars import EXACT, FLOAT, HALF, GaussianRational, I
+from .values import Value, store
 
 REP_NAMES = ("spinor", "standard", "majorana")
 
@@ -74,18 +73,22 @@ PAULI = (
 ID2 = Matrix.identity(2)
 
 
-@dataclass(frozen=True, eq=False)
-class GammaRep:
+class GammaRep(Value):
     """A pinned gamma-matrix basis (all entries exact).
 
     Compared and hashed by identity: an ad-hoc representation that reuses
     a pinned name never shares the pinned one's views.
     """
 
-    name: str
-    gammas: tuple  # (gamma0, gamma1, gamma2, gamma3)
-    gamma5: Matrix
-    _views: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("name", "gammas", "gamma5")
+    __slots__ = _fields + ("_views",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, name: str, gammas: tuple, gamma5: Matrix):
+        store(self, "name", name)
+        store(self, "gammas", gammas)  # (gamma0, gamma1, gamma2, gamma3)
+        store(self, "gamma5", gamma5)
+        store(self, "_views", {})
 
     def on(self, backend: str) -> "RepView":
         """This representation materialised on ``backend`` (one view per backend)."""
@@ -97,8 +100,7 @@ class GammaRep:
         return view
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(Value):
     """Change of basis from one representation to another, on one backend.
 
     W gamma_from Wdag = norm2 * gamma_to and Wdag W = norm2 * Id hold
@@ -110,10 +112,13 @@ class Intertwiner:
     ``similarity.gamma5`` (W a Wdag - norm2 b).
     """
 
-    w: Matrix
-    norm2: int
-    u: Optional[Matrix]
-    residuals: ResidualReport
+    __slots__ = _fields = ("w", "norm2", "u", "residuals")
+
+    def __init__(self, w: Matrix, norm2: int, u: Matrix | None, residuals: ResidualReport):
+        store(self, "w", w)
+        store(self, "norm2", norm2)
+        store(self, "u", u)
+        store(self, "residuals", residuals)
 
 
 def _promote(value):
@@ -141,8 +146,7 @@ def _materialised(build):
     return cached_property(get)
 
 
-@dataclass(frozen=True, eq=False)
-class RepView:
+class RepView(Value):
     """One representation materialised on one backend.
 
     Obtain it with ``rep.on(backend)``.  Attributes are built lazily, so
@@ -154,9 +158,13 @@ class RepView:
     ``suites``.
     """
 
-    rep: GammaRep
-    backend: str
-    _links: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("rep", "backend")  # no __slots__: the cached properties live in __dict__
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, rep: GammaRep, backend: str):
+        store(self, "rep", rep)
+        store(self, "backend", backend)
+        store(self, "_links", {})
 
     @_materialised
     def gammas(self) -> tuple:

@@ -43,7 +43,6 @@ covariance suite keeps the three reports of each pinned one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
@@ -52,33 +51,34 @@ from .gamma import METRIC_SIGNS, GammaRep, RepView
 from .matrices import Matrix, commutator
 from .reports import residual_report
 from .scalars import FLOAT
+from .values import Value, store
 
 _BOOST = "boost"
 _ROTATION = "rotation"
 
 
-@dataclass(frozen=True)
-class LorentzParams:
+class LorentzParams(Value):
     """One-plane transformation: kind, plane indices, parameter."""
 
-    kind: str
-    plane: tuple
-    omega: float
-    # per rep, spinor_transform's S and transformed_projectors' S P_k S^-1; outside ==, hash, repr
-    _spinors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("kind", "plane", "omega")
+    # per rep: _spinors, spinor_transform's S; _projectors, transformed_projectors' S P_k S^-1
+    __slots__ = _fields + ("_spinors", "_projectors")
 
-    def __post_init__(self):
-        if self.kind not in (_BOOST, _ROTATION):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        mu, nu = self.plane
+    def __init__(self, kind: str, plane: tuple, omega: float):
+        if kind not in (_BOOST, _ROTATION):
+            raise ValueError(f"unknown kind {kind!r}")
+        mu, nu = plane
         if not (0 <= mu <= 3 and 0 <= nu <= 3 and mu != nu):
-            raise ValueError(f"invalid plane {self.plane}")
-        if self.kind == _BOOST and mu != 0:
+            raise ValueError(f"invalid plane {plane}")
+        if kind == _BOOST and mu != 0:
             raise ValueError("boost plane must be (0, k)")
-        if self.kind == _ROTATION and not (1 <= mu < nu):
+        if kind == _ROTATION and not (1 <= mu < nu):
             raise ValueError("rotation plane must be spatial with j < k")
-        object.__setattr__(self, "omega", float(self.omega))
+        store(self, "kind", kind)
+        store(self, "plane", plane)
+        store(self, "omega", float(omega))
+        store(self, "_spinors", {})
+        store(self, "_projectors", {})
 
     @property
     def generator_sign(self) -> int:
@@ -87,14 +87,16 @@ class LorentzParams:
 
     def inverse(self) -> "LorentzParams":
         """The transformation at -omega."""
-        return replace(self, omega=-self.omega)
+        return LorentzParams(self.kind, self.plane, -self.omega)
 
 
-@dataclass(frozen=True)
-class VectorTransform:
+class VectorTransform(Value):
     """4x4 real matrix a^nu_mu; its metric-preservation certificate is measured when read."""
 
-    matrix: tuple
+    __slots__ = _fields = ("matrix",)
+
+    def __init__(self, matrix: tuple):
+        store(self, "matrix", matrix)
 
     @property
     def metric_residual(self) -> float:

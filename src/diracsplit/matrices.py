@@ -14,7 +14,7 @@ is one way, exact to float, via :meth:`Matrix.to_float`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import kernels
 from .errors import BackendMismatch

@@ -37,12 +37,11 @@ pure-Python encoder whenever it indents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from . import kernels
 from .scalars import EXACT
+from .values import Record, Value, store
 
 EXACT_ZERO = "exact-zero"
 WITHIN = "within"
@@ -50,13 +49,16 @@ CONTROL = "control"
 RAISES = "raises"
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
-    label: str
-    equation: str
-    backend: str
-    residual: Optional[float]  # None for exact zeros and raise checks
-    exact_zero: bool
+class ResidualEntry(Value):
+    __slots__ = _fields = ("label", "equation", "backend", "residual", "exact_zero")
+
+    def __init__(self, label: str, equation: str, backend: str, residual: float | None,
+                 exact_zero: bool):
+        store(self, "label", label)
+        store(self, "equation", equation)
+        store(self, "backend", backend)
+        store(self, "residual", residual)  # None for exact zeros and raise checks
+        store(self, "exact_zero", exact_zero)
 
     def passes(self, kind: str, bound=0.0) -> bool:
         """The verdict of a check of ``kind`` against ``bound`` (see the module docstring)."""
@@ -112,9 +114,11 @@ def residual_report(backend: str, relations) -> ResidualReport:
                                 for label, equation, value in relations))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    entries: tuple
+class ResidualReport(Value):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple):
+        store(self, "entries", entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -141,16 +145,19 @@ class ResidualReport:
 # -- CLI-level records -------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
     """One line of a verification run."""
 
-    check_id: str
-    equation: str
-    backend: str
-    residual: Optional[float]
-    exact_zero: bool
-    ok: bool
+    __slots__ = _fields = ("check_id", "equation", "backend", "residual", "exact_zero", "ok")
+
+    def __init__(self, check_id: str, equation: str, backend: str, residual: float | None,
+                 exact_zero: bool, ok: bool):
+        self.check_id = check_id
+        self.equation = equation
+        self.backend = backend
+        self.residual = residual
+        self.exact_zero = exact_zero
+        self.ok = ok
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,11 +170,13 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Report:
-    config: dict
-    checks: list = field(default_factory=list)
-    wall_ms: float = 0.0
+class Report(Record):
+    __slots__ = _fields = ("config", "checks", "wall_ms")
+
+    def __init__(self, config: dict, checks: list | None = None, wall_ms: float = 0.0):
+        self.config = config
+        self.checks = [] if checks is None else checks
+        self.wall_ms = wall_ms
 
     @property
     def passed(self) -> int:

@@ -41,7 +41,6 @@ conventions of the spinor basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -67,6 +66,7 @@ from .gamma import GammaRep, RepView, build_rep
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
 from .scalars import SCALAR_TYPE, coerce_real, coerce_scalar
+from .values import Value, store
 
 #: the bound of the float preconditions of split and majorana_residuals
 _TOL = 1e-10
@@ -101,14 +101,16 @@ def _terms(f: PlaneWaveField) -> tuple:
     return (((zero,) * f.ncomp, FourMomentum((origin,) * 4, origin, f.backend), 1),)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(Value):
     """A split; its xi pairs and its relations are built once, when first read."""
 
-    psi: PlaneWaveField
-    psi1: PlaneWaveField
-    psi2: PlaneWaveField
-    mass: object
+    _fields = ("psi", "psi1", "psi2", "mass")  # no __slots__: the cached properties live in __dict__
+
+    def __init__(self, psi: PlaneWaveField, psi1: PlaneWaveField, psi2: PlaneWaveField, mass):
+        store(self, "psi", psi)
+        store(self, "psi1", psi1)
+        store(self, "psi2", psi2)
+        store(self, "mass", mass)
 
     @cached_property
     def xi1_pair(self) -> PlaneWaveField:

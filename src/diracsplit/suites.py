@@ -86,7 +86,6 @@ import signal
 import threading
 import time
 import zlib
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from random import Random
@@ -135,6 +134,7 @@ from .subsolutions import (
     weyl_relations,
     weyl_residuals,
 )
+from .values import Value, store
 
 DEFAULT_SEED = 0xD14AC0DE
 SUITE_NAMES = ("clifford", "projectors", "split", "weyl", "majorana", "covariance")
@@ -156,16 +156,23 @@ _MIX2 = 0xBF58476D1CE4E5B9
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    suite: str = "all"
-    rep: str = "spinor"
-    backend: str = "both"
-    tol: float = 1e-10
-    trials: int = 1000
-    seed: int = DEFAULT_SEED
-    mass_range: tuple = (0.1, 10.0)
-    momentum_range: tuple = (0.0, 10.0)
+class RunConfig(Value):
+    """One run's settings; ``_fields`` names them in declaration order."""
+
+    __slots__ = _fields = ("suite", "rep", "backend", "tol", "trials", "seed", "mass_range",
+                           "momentum_range")
+
+    def __init__(self, suite: str = "all", rep: str = "spinor", backend: str = "both",
+                 tol: float = 1e-10, trials: int = 1000, seed: int = DEFAULT_SEED,
+                 mass_range: tuple = (0.1, 10.0), momentum_range: tuple = (0.0, 10.0)):
+        store(self, "suite", suite)
+        store(self, "rep", rep)
+        store(self, "backend", backend)
+        store(self, "tol", tol)
+        store(self, "trials", trials)
+        store(self, "seed", seed)
+        store(self, "mass_range", mass_range)
+        store(self, "momentum_range", momentum_range)
 
     def validate(self) -> None:
         if self.suite != "all" and self.suite not in SUITE_NAMES:
@@ -199,7 +206,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Every field in declaration order, the ranges as lists."""
-        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        items = ((name, getattr(self, name)) for name in self._fields)
         return {k: list(v) if isinstance(v, (list, tuple)) else v for k, v in items}
 
     @property
@@ -277,8 +284,9 @@ class _Campaign:
     trial makes the record NaN, and it fails.  A runner appends the
     campaign to the run's list; it runs later, with every other campaign
     of the run (``_measure_campaigns``), and its records take its place
-    in the list.  A plain class: a dataclass would cost every import
-    about a millisecond.
+    in the list.  A plain class, with no generated methods: no class of
+    the package is built with ``dataclasses``, whose import and per-class
+    code generation a fresh interpreter would pay for (see ``values``).
     """
 
     def __init__(self, prefix, tag, trials, seed, measure, tol_for):

@@ -1,6 +1,9 @@
 """The package's public names, and the names its modules import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import diracsplit
@@ -131,6 +134,30 @@ def test_every_package_import_sits_at_module_level():
             if id(node) not in top and any(n.partition(".")[0] == "diracsplit" for n in names):
                 nested.append(f"{path.name}:{node.lineno}")
     assert nested == []
+
+
+def test_a_fresh_interpreter_imports_no_dataclasses_inspect_or_typing():
+    """The package and its CLI import none of these modules, which a cold start would pay for.
+
+    ``-S`` keeps ``site`` from importing them first and so hiding an
+    import; no module of ``src/diracsplit`` names them in an import
+    statement, run or not.
+    """
+    banned = {"dataclasses", "inspect", "typing"}
+    code = f"import sys, diracsplit, diracsplit.cli; print(sorted({banned!r} & set(sys.modules)))"
+    src = Path(diracsplit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    named = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            named += [f"{path.name}:{node.lineno}" for m in modules
+                      if (m or "").partition(".")[0] in banned]
+    assert named == []
 
 
 def _calls_of(name, node, scope=()):
