@@ -7,6 +7,7 @@ import pytest
 
 from diracsplit import (
     FourMomentum,
+    GammaRep,
     LorentzParams,
     Report,
     ResidualEntry,
@@ -94,7 +95,7 @@ def test_entries_intertwiners_and_vector_transforms_compare_by_their_fields():
 
 def test_bases_and_views_compare_by_identity():
     spinor = build_rep("spinor")
-    twin = type(spinor)(name=spinor.name, gammas=spinor.gammas, gamma5=spinor.gamma5)
+    twin = GammaRep(name=spinor.name, gammas=spinor.gammas, gamma5=spinor.gamma5)
     assert (twin == spinor, twin.on(EXACT) == spinor.on(EXACT)) == (False, False)
     assert len({spinor, twin, spinor.on(EXACT), twin.on(EXACT)}) == 4
     assert repr(spinor.on(FLOAT)).startswith("RepView(rep=GammaRep(name='spinor', gammas=(")
