@@ -3,7 +3,10 @@ massive Dirac plane waves, with Weyl and Majorana subsolution checks.
 
 Structural identities run over exact Gaussian-rational arithmetic;
 Lorentz-transformation checks run over floats.  The ``verify`` console
-command drives the full suite; the same machinery is importable here.
+command drives the full suite.  The package root exports the library
+alone; the verifier's machinery (``run``, ``RunConfig``,
+``DEFAULT_SEED``) is imported from ``diracsplit.suites``, so
+``import diracsplit`` does not compile it.
 """
 
 from .errors import (
@@ -51,7 +54,6 @@ from .subsolutions import (
     transported_constituent_residuals,
     weyl_residuals,
 )
-from .suites import DEFAULT_SEED, RunConfig, run
 
 __version__ = "0.1.0"
 
@@ -59,7 +61,6 @@ __all__ = [
     "BackendMismatch",
     "ChargeConjugationNeedsBispinor",
     "CheckRecord",
-    "DEFAULT_SEED",
     "DiracSplitError",
     "EXACT",
     "FLOAT",
@@ -78,7 +79,6 @@ __all__ = [
     "Report",
     "ResidualEntry",
     "ResidualReport",
-    "RunConfig",
     "SpecialFrameRequiresMass",
     "SplitRequiresMass",
     "SplitRequiresSpinorRep",
@@ -93,7 +93,6 @@ __all__ = [
     "format_human",
     "majorana_residuals",
     "recombination_residuals",
-    "run",
     "special_frame",
     "spinor_transform",
     "split",

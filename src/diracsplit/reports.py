@@ -28,11 +28,10 @@ that has a residual; the JSON report writes it as ``NaN``.
 The CLI aggregates the judged checks into :class:`Report`, whose JSON
 form is stable: key order and field names are part of the interface,
 and two runs with the same configuration produce byte-identical output
-except for ``wall_ms``.  ``Report.to_json_dict`` is that form as a dict;
-``Report.to_json`` writes it in the layout of ``json.dumps(...,
-indent=2)``, byte for byte, with one format per check record and the
-encoder's own C string escaper, since ``json.dumps`` runs its
-pure-Python encoder whenever it indents.
+except for ``wall_ms``.  ``Report.to_json`` writes it in the layout of
+``json.dumps(..., indent=2)``, byte for byte, with one format per check
+record and the encoder's own C string escaper, since ``json.dumps`` runs
+its pure-Python encoder whenever it indents.
 """
 
 from __future__ import annotations
@@ -159,16 +158,6 @@ class CheckRecord(Record):
         self.exact_zero = exact_zero
         self.ok = ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "paper_eq": self.equation,
-            "backend": self.backend,
-            "residual": self.residual,
-            "exact_zero": self.exact_zero,
-            "pass": self.ok,
-        }
-
 
 class Report(Record):
     __slots__ = _fields = ("config", "checks", "wall_ms")
@@ -186,19 +175,14 @@ class Report(Record):
     def failed(self) -> int:
         return sum(1 for c in self.checks if not c.ok)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "checks": [c.to_json_dict() for c in self.checks],
-            "summary": {"passed": self.passed, "failed": self.failed},
-            "wall_ms": self.wall_ms,
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)`` and a newline, to the byte.
+        """The report's JSON form, as ``json.dumps(..., indent=2)`` lays it out, and a newline.
 
+        The keys, in order: ``config``; ``checks``, each record's ``id``,
+        ``paper_eq``, ``backend``, ``residual``, ``exact_zero`` and
+        ``pass``; ``summary``, ``passed`` and ``failed``; ``wall_ms``.
         ``json.dumps`` runs its pure-Python encoder whenever it indents;
-        this writes the same layout with one f-string per check record.
+        this writes the same bytes with one f-string per check record.
         """
         j, at = _json, " " * 6  # a record's values are nested three deep
         records = [f'\n    {{\n      "id": {j(c.check_id, at)},\n'

@@ -1,5 +1,6 @@
 """Helpers shared by the tests: a symbol applied term by term, a float copy,
-charge conjugation, and the largest difference of two matrices.
+charge conjugation, the largest difference of two matrices, and a
+report's JSON form as a dict.
 
 The library applies symbols, converts and conjugates amplitudes only
 inside its term relations, so the tests build these fields from the
@@ -14,6 +15,18 @@ def max_abs_diff(a, b) -> float:
     """The largest entrywise difference of two matrices on one backend, NaN if any is NaN."""
     a._check_peer(b)
     return kernels.max_abs_diff(a.entries, b.entries)
+
+
+def json_dict(report) -> dict:
+    """A report's JSON form as a dict: ``Report.to_json`` writes ``json.dumps`` of it, indent 2."""
+    return {
+        "config": dict(report.config),
+        "checks": [{"id": c.check_id, "paper_eq": c.equation, "backend": c.backend,
+                    "residual": c.residual, "exact_zero": c.exact_zero, "pass": c.ok}
+                   for c in report.checks],
+        "summary": {"passed": report.passed, "failed": report.failed},
+        "wall_ms": report.wall_ms,
+    }
 
 
 def apply_symbol(f, symbol):

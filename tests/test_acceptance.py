@@ -11,7 +11,9 @@ import json
 
 import pytest
 
-from diracsplit import RunConfig, run, suites
+from diracsplit import suites
+from diracsplit.suites import RunConfig, run
+from field_helpers import json_dict
 
 TOL = 1e-10
 TOL_STRICT = 1e-12
@@ -265,7 +267,7 @@ def test_criterion7_negative_controls(by_id):
 
 def test_criterion8_byte_determinism(report):
     fresh = run(RunConfig())
-    d1, d2 = report.to_json_dict(), fresh.to_json_dict()
+    d1, d2 = json_dict(report), json_dict(fresh)
     d1.pop("wall_ms")
     d2.pop("wall_ms")
     b1 = json.dumps(d1, indent=2).encode()

@@ -160,6 +160,22 @@ def test_a_fresh_interpreter_imports_no_dataclasses_inspect_or_typing():
     assert named == []
 
 
+def test_the_library_import_compiles_no_verifier():
+    """``import diracsplit`` leaves ``suites`` and ``cli`` unimported.
+
+    The verifier's entry points are imported from ``diracsplit.suites``.
+    """
+    code = ("import sys, diracsplit\n"
+            "print(sorted({'diracsplit.suites', 'diracsplit.cli'} & set(sys.modules)))\n"
+            "from diracsplit.suites import DEFAULT_SEED, RunConfig, run")
+    src = Path(diracsplit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    assert not {"DEFAULT_SEED", "RunConfig", "run"} & set(diracsplit.__all__)
+
+
 def _calls_of(name, node, scope=()):
     """(scope, line) of each call of ``name`` under ``node``, scope the enclosing def names."""
     for child in ast.iter_child_nodes(node):

@@ -20,6 +20,7 @@ from diracsplit.cli import (
 )
 from diracsplit.errors import OffShell
 from diracsplit.reports import CheckRecord, Report, format_human
+from field_helpers import json_dict
 
 
 def test_passing_run(capsys):
@@ -108,7 +109,7 @@ def test_unwritable_json_path(tmp_path, capsys):
 
 
 def _dumped(report):
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return json.dumps(json_dict(report), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("suite", suites.SUITE_NAMES)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from diracsplit import Matrix, RunConfig, build_projectors, suites
+from diracsplit import Matrix, build_projectors, suites
 from diracsplit.errors import ProjectorAlgebraViolation
 from diracsplit.gamma import GammaRep
 from diracsplit.matrices import commutator
 from diracsplit.scalars import EXACT, FLOAT
+from diracsplit.suites import RunConfig
 
 IDENT = Matrix.identity(4)
 

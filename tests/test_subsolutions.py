@@ -17,10 +17,8 @@ from diracsplit import (
     majorana_residuals,
     PlaneWaveField,
     PlaneWaveTerm,
-    RunConfig,
     SplitResult,
     recombination_residuals,
-    run,
     split,
     transported_constituent_residuals,
     u_spinor,
@@ -39,6 +37,7 @@ from diracsplit.subsolutions import (
     termwise,
     weyl_relations,
 )
+from diracsplit.suites import RunConfig, run
 from field_helpers import conjugates, to_float, with_conjugate
 
 I = GaussianRational(0, 1)

@@ -18,8 +18,6 @@ from diracsplit import (
     PlaneWaveTerm,
     Report,
     ResidualEntry,
-    RunConfig,
-    run,
 )
 from diracsplit import suites
 from diracsplit.errors import NotASolution
@@ -31,6 +29,7 @@ from diracsplit.suites import (
     DEFAULT_SEED,
     REP_CHOICES,
     SUITE_NAMES,
+    RunConfig,
     _CONTROL_FLOOR,
     _Campaign,
     _judged,
@@ -38,7 +37,9 @@ from diracsplit.suites import (
     _measure_campaigns,
     _merged,
     _sub_seed,
+    run,
 )
+from field_helpers import json_dict
 
 NAN = float("nan")
 
@@ -178,7 +179,7 @@ def test_exact_records_have_null_residual(small_report):
 
 def test_json_schema_keys(small_report):
     _, report = small_report
-    d = report.to_json_dict()
+    d = json.loads(report.to_json())
     assert list(d.keys()) == ["config", "checks", "summary", "wall_ms"]
     assert d["summary"] == {"passed": report.passed, "failed": report.failed}
     for c in d["checks"][:5]:
@@ -189,8 +190,8 @@ def test_json_schema_keys(small_report):
 
 def test_determinism_modulo_wall_ms():
     cfg = RunConfig(trials=3)
-    d1 = run(cfg).to_json_dict()
-    d2 = run(cfg).to_json_dict()
+    d1 = json_dict(run(cfg))
+    d2 = json_dict(run(cfg))
     d1.pop("wall_ms")
     d2.pop("wall_ms")
     assert d1 == d2
@@ -402,9 +403,9 @@ def test_warm_structural_run_makes_no_matrix_products(suite, backend, monkeypatc
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     second = run(config)
     assert products == []
-    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(second)["checks"] == json_dict(first)["checks"]
     getattr(suites, _STRUCTURAL_BUILDERS[suite]).cache_clear()
-    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(run(config))["checks"] == json_dict(first)["checks"]
     assert products
 
 
@@ -447,9 +448,9 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     second = run(config)
     assert calls == []
-    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(second)["checks"] == json_dict(first)["checks"]
     suites._lorentz_certificates.cache_clear()
-    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(run(config))["checks"] == json_dict(first)["checks"]
     assert calls
 
 
@@ -470,10 +471,10 @@ def test_warm_witness_run_reads_its_records(suite, monkeypatch):
     calls = _counted_everywhere(monkeypatch, kernels, "mul_vec")
     second = run(config)
     assert calls == []
-    assert second.to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(second)["checks"] == json_dict(first)["checks"]
     assert second.checks[0] is not first.checks[0]  # each run builds its own records
     getattr(suites, f"_{suite}_witness").cache_clear()
-    assert run(config).to_json_dict()["checks"] == first.to_json_dict()["checks"]
+    assert json_dict(run(config))["checks"] == json_dict(first)["checks"]
     assert [c for c in calls if isinstance(c[1][0], GaussianRational)]
 
 

@@ -12,14 +12,13 @@ from diracsplit import (
     Report,
     ResidualEntry,
     ResidualReport,
-    RunConfig,
     VectorTransform,
     vector_transform,
 )
 from diracsplit.cli import _CONFIG_KEYS
 from diracsplit.gamma import Intertwiner, build_rep
 from diracsplit.scalars import EXACT, FLOAT
-from diracsplit.suites import DEFAULT_SEED
+from diracsplit.suites import DEFAULT_SEED, RunConfig
 
 ROUNDTRIPS = pytest.mark.parametrize(
     "roundtrip", (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy),
