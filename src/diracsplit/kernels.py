@@ -1,22 +1,32 @@
 """Kernels for small dense complex matrices, and the magnitude scan.
 
-Matrices are flat row-major tuples of length n*n with n in {2, 4}, and
-their entries are the scalars of either backend (``GaussianRational`` or
-``complex``, see ``scalars``): each accumulator starts from its first
-product, so one implementation serves both.  ``matrices.Matrix`` routes
-all its products through these functions.  ``mul`` and ``mul_vec`` are
-written out for n = 4 and n = 2, the only sizes a ``Matrix`` admits;
-every entry is summed left to right from its first product, so the
-results equal the textbook loop's bit for bit, signed zeros, inf and
-NaN included.
+Matrices are flat row-major tuples of length n*n with n in {2, 4}, the
+only sizes a ``matrices.Matrix`` admits.  ``mul`` and ``mul_vec`` are
+written out for both sizes and take the scalars of either backend
+(``GaussianRational`` or ``complex``, see ``scalars``): every entry is
+summed left to right from its first product, so the results equal the
+textbook loop's bit for bit, signed zeros, inf and NaN included.
+``Matrix`` routes its float products and all its matrix-vector products
+through them.
+
+Exact matrix products have their own kernel, ``mul_exact``.  Through
+``mul`` each of the n**3 scalar products and n**2 (n - 1) sums would
+build a ``GaussianRational`` and take a gcd, though most entries of a
+gamma matrix or projector are exact zeros.  ``mul_exact`` brings each
+operand to Gaussian-integer numerators over one common denominator,
+skips the zero entries, and builds each of the n*n results with one
+``scalars._make``; exact results are canonical, so they are the ones
+``mul`` gives.  This is what the cold start (building and validating a
+basis) spends its products on; warm runs read kept results.
 
 ``max_abs`` is the package's only largest-magnitude reduction: matrices,
 fields, residual entries and fuzz aggregates all scan through it.  Like
 IEEE 754-2019 ``maximum`` it propagates NaN, so a NaN residual can never
 read as a small one.
 """
-
 from __future__ import annotations
+
+from .scalars import _make, _numerators
 
 # the only implementation; kept because perfbench prints it and traces this module as a layer
 IMPLEMENTATION = "pure-python"
@@ -38,6 +48,30 @@ def mul(n: int, a: tuple, b: tuple) -> tuple:
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (a0*b0 + a1*b2, a0*b1 + a1*b3, a2*b0 + a3*b2, a2*b1 + a3*b3)
+
+
+def mul_exact(n: int, a: tuple, b: tuple) -> tuple:
+    """Matrix product of two flat n*n tuples of ``GaussianRational``, n = 4 or 2."""
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    rows_b = _nonzero_rows(n, nb)
+    d = [da * db] * n
+    out = []
+    for row in _nonzero_rows(n, na):
+        re = [0] * n
+        im = [0] * n
+        for k, x, y in row:
+            for j, u, v in rows_b[k]:
+                re[j] += x * u - y * v
+                im[j] += x * v + y * u
+        out += map(_make, re, im, d)
+    return tuple(out)
+
+
+def _nonzero_rows(n: int, pairs: list) -> list:
+    """Per row, the (column, a, b) of each nonzero entry."""
+    return [[(j, a, b) for j, (a, b) in enumerate(pairs[i : i + n]) if a or b]
+            for i in range(0, n * n, n)]
 
 
 def mul_vec(n: int, a: tuple, v: tuple) -> tuple:

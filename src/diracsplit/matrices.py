@@ -3,10 +3,13 @@
 A :class:`Matrix` is an immutable n-by-n array, n = 2 or 4 (the
 constructor admits no other size), stored as a flat row-major tuple.
 Exact matrices hold :class:`~diracsplit.scalars.GaussianRational`
-entries and never round; float matrices hold Python ``complex``.  The
-backend picks the scalar type and nothing else: products, traces, zero
-tests and magnitude scans of either backend run through the same code,
-:mod:`diracsplit.kernels`.
+entries and never round; float matrices hold Python ``complex``.
+Sums, traces, zero tests, matrix-vector products and magnitude scans of
+either backend run through the same code.  Matrix products are the one
+place the backend picks the kernel: an exact product runs on
+``kernels.mul_exact``, which works on integer numerators and skips exact
+zeros, and a float product on the written-out ``kernels.mul`` (see
+:mod:`diracsplit.kernels` for why).
 
 Binary operations require both operands on the same backend; promotion
 is one way, exact to float, via :meth:`Matrix.to_float`.
@@ -104,6 +107,8 @@ class Matrix:
 
     def __matmul__(self, other):
         self._check_peer(other)
+        if self.backend == EXACT:
+            return Matrix(self.n, EXACT, kernels.mul_exact(self.n, self.entries, other.entries))
         return Matrix(self.n, self.backend, kernels.mul(self.n, self.entries, other.entries))
 
     def apply(self, vec: tuple) -> tuple:

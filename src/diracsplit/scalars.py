@@ -18,8 +18,9 @@ integer arithmetic and normalises its result with one ``math.gcd``
 ``SCALAR_TYPE`` names each backend's scalar type; both are built from
 ``(re, im)``.  Their arithmetic, ``conjugate``, truth value (nonzero)
 and ``abs()`` (the magnitude as a float, an estimate for an exact
-scalar) agree, so the matrix kernels and residual scans run unchanged
-on either.
+scalar) agree, so the written-out kernels and residual scans run
+unchanged on either.  Exact matrix products read the triples instead
+(``_numerators``), see ``kernels.mul_exact``.
 
 Integers and :class:`fractions.Fraction` are backend-neutral and coerce
 into either side.  ``float``/``complex`` values never coerce into the
@@ -31,7 +32,7 @@ explicit promotion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BackendMismatch
 
@@ -219,6 +220,17 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     _set_b(z, b)
     _set_d(z, d)
     return z
+
+
+def _numerators(entries: tuple) -> tuple:
+    """``(pairs, L)``: each scalar of ``entries`` as the ints ``(a, b)`` of (a + b i)/L.
+
+    L is the lcm of the entries' d, the least common denominator.
+    """
+    L = lcm(*[x._d for x in entries])
+    if L == 1:
+        return [(x._a, x._b) for x in entries], 1
+    return [(x._a * (L // x._d), x._b * (L // x._d)) for x in entries], L
 
 
 def _difference(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:

@@ -1,9 +1,10 @@
-"""Kernels against hand-worked oracles, and one kernel for both backends."""
+"""Kernels against hand-worked oracles and the reference loop, on both backends."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diracsplit import kernels
 from diracsplit.matrices import Matrix
@@ -53,7 +54,7 @@ def test_ordered_sum_adds_left_to_right():
     assert kernels.ordered_sum(()) == 0.0
 
 
-# -- one kernel for both backends -------------------------------------------------
+# -- the written-out kernels on both backends -------------------------------------------------
 
 _parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _exact_scalars = st.builds(GaussianRational, _parts, _parts)
@@ -197,6 +198,112 @@ def test_unrolled_kernels_equal_the_loop_bit_for_bit(case):
     n, a, b, v = case
     assert repr(kernels.mul(n, a, b)) == repr(_mul_loop(n, a, b))
     assert repr(kernels.mul_vec(n, a, v)) == repr(_mul_vec_loop(n, a, v))
+
+
+
+# -- the exact product kernel -------------------------------------------------------
+
+_ZERO = GaussianRational(0)
+_small_ints = st.integers(-9, 9)
+_denominators = st.sampled_from((1, 2, 3, 4, 6, 12))
+
+
+@st.composite
+def _sparse_exact_entries(draw, integer: bool):
+    """Three in four entries are exact zeros; the parts of the rest have their own denominators."""
+    if draw(st.integers(0, 3)):
+        return _ZERO
+    if integer:
+        return GaussianRational(draw(_small_ints), draw(_small_ints))
+    re = Fraction(draw(_small_ints), draw(_denominators))
+    return GaussianRational(re, Fraction(draw(_small_ints), draw(_denominators)))
+
+
+@st.composite
+def _sparse_exact_matrix(draw, n: int) -> tuple:
+    shape = draw(st.sampled_from(("sparse", "integer", "zero", "zero-row")))
+    if shape == "zero":
+        return (_ZERO,) * (n * n)
+    entries = draw(st.lists(_sparse_exact_entries(shape == "integer"),
+                            min_size=n * n, max_size=n * n))
+    if shape == "zero-row":
+        row = draw(st.integers(0, n - 1))
+        entries[row * n : (row + 1) * n] = [_ZERO] * n
+    return tuple(entries)
+
+
+@st.composite
+def _exact_product_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    return n, draw(_sparse_exact_matrix(n)), draw(_sparse_exact_matrix(n))
+
+
+def _triple(x):
+    return x._a, x._b, x._d
+
+
+_INTEGER_ROWS = tuple(GaussianRational(k % 5 - 2, k % 3 - 1) for k in range(16))
+_ZERO_ROW = (_ZERO,) * 4 + tuple(GaussianRational(Fraction(k, 6), Fraction(1, k)) for k in range(1, 13))
+
+
+@given(_exact_product_cases())
+@example((4, (_ZERO,) * 16, _INTEGER_ROWS))
+@example((4, _INTEGER_ROWS, _INTEGER_ROWS))
+@example((4, _INTEGER_ROWS, _ZERO_ROW))
+@example((2, _ZERO_ROW[:4], _ZERO_ROW[4:8]))
+@settings(max_examples=150, deadline=None)
+def test_exact_kernel_equals_the_loop_and_is_canonical(case):
+    n, a, b = case
+    product = kernels.mul_exact(n, a, b)
+    assert product == _mul_loop(n, a, b)
+    for x in product:
+        assert type(x) is GaussianRational
+        assert _triple(x) == _triple(GaussianRational(x.re, x.im))
+
+
+def test_exact_kernel_on_every_product_of_view_matrices(all_reps):
+    for rep in all_reps:
+        view = rep.on(EXACT)
+        named = view.gammas + (view.gamma5, view.q_plus, view.q_minus) + view.p + (view.v,)
+        for a in named:
+            for b in named:
+                expected = _mul_loop(4, a.entries, b.entries)
+                assert kernels.mul_exact(4, a.entries, b.entries) == expected
+                assert (a @ b).entries == expected
+
+
+@st.composite
+def _special_float_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    a, b = (tuple(draw(st.lists(_special_scalars, min_size=n * n, max_size=n * n)))
+            for _ in range(2))
+    return n, a, b
+
+
+@given(_special_float_cases())
+@settings(max_examples=60, deadline=None)
+def test_float_matrix_products_stay_on_the_written_out_kernel(case):
+    """Signed zeros, inf and NaN come out of ``Matrix @ Matrix`` as the loop makes them."""
+    n, a, b = case
+    assert repr((Matrix(n, FLOAT, a) @ Matrix(n, FLOAT, b)).entries) == repr(_mul_loop(n, a, b))
+
+
+def test_an_exact_product_of_gaussian_integer_matrices_does_no_scalar_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _original=vars(GaussianRational)[name]):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(GaussianRational, name, counted)
+    a = Matrix(4, EXACT, _INTEGER_ROWS)
+    b = Matrix(4, EXACT, _INTEGER_ROWS[::-1])
+    assert GaussianRational(2) * 3 + 1 == 7 and calls == ["__mul__", "__add__"]  # the count works
+    calls.clear()
+    product = a @ b
+    assert calls == []
+    monkeypatch.undo()
+    assert product.entries == _mul_loop(4, a.entries, b.entries)
 
 
 def test_a_matrix_has_only_the_sizes_the_kernels_write_out():
