@@ -24,6 +24,7 @@ fields, residual entries and fuzz aggregates all scan through it.  Like
 IEEE 754-2019 ``maximum`` it propagates NaN, so a NaN residual can never
 read as a small one.
 """
+
 from __future__ import annotations
 
 from .scalars import _make, _numerators

@@ -54,7 +54,7 @@ def test_ordered_sum_adds_left_to_right():
     assert kernels.ordered_sum(()) == 0.0
 
 
-# -- the written-out kernels on both backends -------------------------------------------------
+# -- the written-out kernels on both backends ----------------------------------------
 
 _parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _exact_scalars = st.builds(GaussianRational, _parts, _parts)
@@ -242,15 +242,16 @@ def _triple(x):
     return x._a, x._b, x._d
 
 
-_INTEGER_ROWS = tuple(GaussianRational(k % 5 - 2, k % 3 - 1) for k in range(16))
-_ZERO_ROW = (_ZERO,) * 4 + tuple(GaussianRational(Fraction(k, 6), Fraction(1, k)) for k in range(1, 13))
+_GAUSSIAN_INTEGERS = tuple(GaussianRational(k % 5 - 2, k % 3 - 1) for k in range(16))
+_FIRST_ROW_ZERO = (_ZERO,) * 4 + tuple(GaussianRational(Fraction(k, 6), Fraction(1, k))
+                                      for k in range(1, 13))
 
 
 @given(_exact_product_cases())
-@example((4, (_ZERO,) * 16, _INTEGER_ROWS))
-@example((4, _INTEGER_ROWS, _INTEGER_ROWS))
-@example((4, _INTEGER_ROWS, _ZERO_ROW))
-@example((2, _ZERO_ROW[:4], _ZERO_ROW[4:8]))
+@example((4, (_ZERO,) * 16, _GAUSSIAN_INTEGERS))
+@example((4, _GAUSSIAN_INTEGERS, _GAUSSIAN_INTEGERS))
+@example((4, _GAUSSIAN_INTEGERS, _FIRST_ROW_ZERO))
+@example((2, _FIRST_ROW_ZERO[:4], _FIRST_ROW_ZERO[4:8]))
 @settings(max_examples=150, deadline=None)
 def test_exact_kernel_equals_the_loop_and_is_canonical(case):
     n, a, b = case
@@ -296,8 +297,8 @@ def test_an_exact_product_of_gaussian_integer_matrices_does_no_scalar_arithmetic
             return _original(self, other)
 
         monkeypatch.setattr(GaussianRational, name, counted)
-    a = Matrix(4, EXACT, _INTEGER_ROWS)
-    b = Matrix(4, EXACT, _INTEGER_ROWS[::-1])
+    a = Matrix(4, EXACT, _GAUSSIAN_INTEGERS)
+    b = Matrix(4, EXACT, _GAUSSIAN_INTEGERS[::-1])
     assert GaussianRational(2) * 3 + 1 == 7 and calls == ["__mul__", "__add__"]  # the count works
     calls.clear()
     product = a @ b
