@@ -51,7 +51,6 @@ from .subsolutions import (
     majorana_residuals,
     recombination_residuals,
     split,
-    transported_constituent_residuals,
     weyl_residuals,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "special_frame",
     "spinor_transform",
     "split",
-    "transported_constituent_residuals",
     "u_spinor",
     "upper_half",
     "vector_transform",

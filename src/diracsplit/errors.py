@@ -66,7 +66,7 @@ class SplitRequiresMass(DiracSplitError):
 
 
 class SplitRequiresSpinorRep(DiracSplitError):
-    """Component formulas of the split are pinned to the spinor basis."""
+    """The split, which acts on bispinors in any basis, was given a two-component field."""
 
     code = "split-requires-spinor-rep"
 

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernels
 from .errors import BackendMismatch
-from .scalars import EXACT, FLOAT, SCALAR_TYPE, coerce_scalar
+from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
 
 
 class Matrix:
@@ -32,6 +32,9 @@ class Matrix:
             raise ValueError(f"a matrix is 2x2 or 4x4, not {n!r}x{n!r}")
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+        # the exact product kernel reads each entry's numerators; float entries go unchecked
+        if backend == EXACT and not all(type(x) is GaussianRational for x in entries):
+            raise TypeError("exact entries must be GaussianRational; Matrix.exact coerces")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "entries", entries)

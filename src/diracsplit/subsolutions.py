@@ -1,38 +1,52 @@
 """The two-system decomposition of a massive Dirac solution.
 
-For a solution Psi = (xi1, xi2, eta1, eta2) of the bispinor system and
-m != 0, four quantities are defined term-wise from the eta pair:
+At a term with momentum eigenvalues q = s p, and m != 0, a solution psi
+splits in every basis into the constituents (``split_term``)
 
-    m xi(1)^1 = (p0 + p3) eta1      m xi(2)^1 = (p1 - i p2) eta2
-    m xi(1)^2 = (p1 + i p2) eta1    m xi(2)^2 = (p0 - p3) eta2
+    Psi_(1) = m^-1 (gamma.q + m)(1 - P2) psi + (1 - P1) psi
+    Psi_(2) = m^-1 (gamma.q + m)(1 - P1) psi + (1 - P2) psi
 
-with xi(1)^a + xi(2)^a = xi^a.  The two constituent fields
+where 1 - P1 and 1 - P2 are orthogonal rank-1 projectors with sum Q+.
+Why it holds, in two lines:
 
-    Psi_(1) = (xi(1)^1, xi(1)^2, eta1, eta2)
-    Psi_(2) = (xi(2)^1, xi(2)^2, eta1, eta2)
+* gamma.q anticommutes with gamma5, so every solution obeys psi = m^-1
+  (gamma.q + m) Q+ psi, and gamma.q maps im Q+ into im Q-.  Hence P1
+  Psi_(1) = m^-1 (gamma.q + m)(1 - P2) psi, P2 Psi_(2) likewise, and
+  the two recombine to psi.
+* (gamma.q - m)(gamma.q + m) = q^2 - m^2, so on the mass shell each
+  P_k Psi_(k) solves the Dirac equation.
 
-each satisfy a closed three-line system, equivalent four-line forms, and
-the projector forms (gamma.p - m) P_k Psi_(k) = 0, which are basis
-independent.
+That is, the split takes the right-chiral half of a solution, splits it
+by its spin along the 3-axis, and rebuilds the unique solution over
+each half.  In the spinor basis, psi = (xi1, xi2, eta1, eta2), it is the
+paper's component definition, Psi_(k) = (xi(k)^1, xi(k)^2, eta1, eta2):
+
+    m xi(1)^1 = (q0 + q3) eta1      m xi(2)^1 = (q1 - i q2) eta2
+    m xi(1)^2 = (q1 + i q2) eta1    m xi(2)^2 = (q0 - q3) eta2
+
+with xi(1)^a + xi(2)^a = xi^a; each constituent satisfies a closed
+three-line system and equivalent four-line forms.  Those component
+statements are made in the spinor basis only; the recombination and
+the projector forms (gamma.q - m) P_k Psi_(k) = 0 in every basis.
 
 Each family of relations is stated once, on one plane-wave term:
 ``split_relations`` (the recombination, identity and constituent
-families), ``transported_relations``, ``weyl_relations`` and
-``majorana_relations`` take a term's amplitude, momentum and frequency
-sign, plus the representation view and the mass, and return ``(label,
-equation, value)`` relations whose values are tuples of scalars.  Every
-relation is linear with constant coefficients, so it holds for a field
-iff it holds on each of its terms: the field-level ``*_residuals``
-functions map the statement over a field's terms (the zero field's one
-zero term) and concatenate each label's values (``termwise``), and
-``split``'s preconditions and the exact witnesses read those; the float
-fuzz passes a sampled mode's amplitude straight in and builds no field.
-The one family that couples two terms is Majorana's, where the term at
-(p, s) meets the conjugate of the term at (p, -s): complex conjugation
-flips the frequency sign.  The statements combine amplitudes with the
-amplitude algebra of ``fields`` (``_add``, ``_sub``, ``_scaled``), so a
-witness field's report and a fuzz trial's agree to the last bit.  For
-exact inputs on an exact mass shell all residuals vanish identically.
+families), ``weyl_relations`` and ``majorana_relations`` take a term's
+amplitude, momentum and frequency sign, plus the representation view and
+the mass, and return ``(label, equation, value)`` relations whose values
+are tuples of scalars.  Every relation is linear with constant
+coefficients, so it holds for a field iff it holds on each of its terms:
+the field-level ``*_residuals`` functions map the statement over a
+field's terms (the zero field's one zero term) and concatenate each
+label's values (``termwise``), and ``split``'s preconditions and the
+exact witnesses read those; the float fuzz passes a sampled mode's
+amplitude straight in and builds no field.  The one family that couples
+two terms is Majorana's, where the term at (p, s) meets the conjugate of
+the term at (p, -s): complex conjugation flips the frequency sign.  The
+statements combine amplitudes with the amplitude algebra of ``fields``
+(``_add``, ``_sub``, ``_scaled``), so a witness field's report and a
+fuzz trial's agree to the last bit.  For exact inputs on an exact mass
+shell all residuals vanish identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
@@ -62,7 +76,7 @@ from .fields import (
     dirac_residual,
     upper_half,
 )
-from .gamma import GammaRep, RepView, build_rep
+from .gamma import RepView, build_rep
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
 from .scalars import SCALAR_TYPE, coerce_real, coerce_scalar
@@ -114,12 +128,12 @@ class SplitResult(Value):
 
     @cached_property
     def xi1_pair(self) -> PlaneWaveField:
-        """The upper half of Psi_(1)."""
+        """The upper half of Psi_(1): its xi pair in the spinor basis only."""
         return upper_half(self.psi1)
 
     @cached_property
     def xi2_pair(self) -> PlaneWaveField:
-        """The upper half of Psi_(2)."""
+        """The upper half of Psi_(2): its xi pair in the spinor basis only."""
         return upper_half(self.psi2)
 
     @cached_property
@@ -130,43 +144,40 @@ class SplitResult(Value):
         return tuple(termwise(families[k] for families in per_term) for k in range(3))
 
 
-def split_term(amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
-    """The amplitudes (Psi_(1), Psi_(2)) of one term: the defining relations.
+def split_term(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
+    """The amplitudes (Psi_(1), Psi_(2)) of one term in ``view``'s basis: the closed form.
 
-    The momentum operator's eigenvalues on the term are q = s p.
+    Psi_(1) = m^-1 (gamma.q + m)(1 - P2) psi + (1 - P1) psi, and Psi_(2)
+    the same with P1 and P2 swapped, where q = s p are the momentum
+    operator's eigenvalues on the term.  gamma.q + m is the symbol
+    ``u_spinor`` keeps on p, and 1 - P_k the view's kept complements.
     """
-    scalar = SCALAR_TYPE[p.backend]
-    q0, q1, q2, q3 = (c * s for c in p.p)
-    eta = amp[2:]
-    eta1, eta2 = eta
-    return (((q0 + q3) * eta1 / mass, scalar(q1, q2) * eta1 / mass) + eta,
-            (scalar(q1, -q2) * eta2 / mass, (q0 - q3) * eta2 / mass) + eta)
+    lift = dirac_matrix(view.rep, p, s, -mass)
+    out1, out2 = view.complements[:2]
+    pi1, pi2 = out2.apply(amp), out1.apply(amp)  # (1 - P2) psi, (1 - P1) psi
+    return (_add(tuple(x / mass for x in lift.apply(pi1)), pi2),
+            _add(tuple(x / mass for x in lift.apply(pi2)), pi1))
 
 
 def split(psi: PlaneWaveField, mass) -> SplitResult:
-    """Decompose a Dirac solution into its two constituent fields.
+    """Decompose a Dirac solution, in any basis, into its two constituent fields.
 
-    Each term is split by ``split_term``.  The recombination invariants
-    (xi(1)+xi(2) = xi componentwise and P1 Psi_(1) + P2 Psi_(2) = Psi)
-    are verified before returning: exactly on the exact backend, within
-    the constant bound 1e-10 on the float one.
+    Each term is split by ``split_term``.  The recombination relations of
+    ``split_relations`` are verified before returning: exactly on the
+    exact backend, within the constant bound 1e-10 on the float one.
     """
     if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
     if psi.ncomp != 4:
         raise SplitRequiresSpinorRep("split needs a bispinor field")
-    if psi.rep.name != "spinor":
-        raise SplitRequiresSpinorRep(
-            "component formulas are pinned to the spinor basis; "
-            "transport the field with the intertwiner first"
-        )
     res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
     if not res.within(_TOL):
         raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
 
+    view = psi.rep.on(psi.backend)
     terms1, terms2 = [], []
     for amp, p, s in psi.terms:
-        amp1, amp2 = split_term(amp, p, s, mass)
+        amp1, amp2 = split_term(view, amp, p, s, mass)
         terms1.append(PlaneWaveTerm(amp1, p, s))
         terms2.append(PlaneWaveTerm(amp2, p, s))
     result = SplitResult(psi=psi, psi1=PlaneWaveField(terms1, psi.rep, 4, psi.backend),
@@ -202,43 +213,51 @@ def _projector_forms(view: RepView, p: FourMomentum, s: int, mass, k: int, psi_k
 def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
     """The split's relations on one term, as (recombination, identity, constituent) lists.
 
-    ``view`` is the spinor basis on the term's backend.  Recombination:
-    xi(1)^a + xi(2)^a - xi^a componentwise, and P1 Psi_(1) + P2 Psi_(2)
-    - Psi.  Identities:
-
-        (p1 + i p2) xi(1)^1 = (p0 + p3) xi(1)^2
-        (p0 - p3) xi(2)^1 = (p1 - i p2) xi(2)^2
-        (1 - P_i) gamma.p P_i Psi_(i) = 0   (i = 1, 2)
-
-    Constituents, in all four formulations: the three-line systems, the
-    four-line systems, the projector forms (gamma.p - m) P_k Psi_(k), and
-    the projected form P_i gamma.p P_i Psi_(i) - m P_i Psi_(i).
+    Every basis states the recombination P1 Psi_(1) + P2 Psi_(2) - Psi,
+    the identities (1 - P_i) gamma.q P_i Psi_(i) (i = 1, 2) and the
+    projector forms (gamma.q - m) P_k Psi_(k) and P_k gamma.q P_k Psi_(k)
+    - m P_k Psi_(k).  The spinor basis puts its component statements
+    first in each family: xi(1)^a + xi(2)^a - xi^a and the component
+    definition minus the closed form (``closed-form``); the identities
+    (q1 + i q2) xi(1)^1 = (q0 + q3) xi(1)^2 and (q0 - q3) xi(2)^1 =
+    (q1 - i q2) xi(2)^2; the three- and four-line systems.
     """
     backend = view.backend
-    scalar = SCALAR_TYPE[backend]
-    psi1, psi2 = split_term(amp, p, s, mass)
+    psi1, psi2 = split_term(view, amp, p, s, mass)
     proj1, dirac1, projected1, repfree1 = _projector_forms(view, p, s, mass, 1, psi1)
     proj2, dirac2, projected2, repfree2 = _projector_forms(view, p, s, mass, 2, psi2)
-    xi = _sub(_add(psi1[:2], psi2[:2]), amp[:2], backend)
-    recombination = [
-        ("recombine.xi1", "def3", xi[:1]),
-        ("recombine.xi2", "def4", xi[1:]),
-        ("recombine.psi", "psi", _sub(_add(proj1, proj2), amp, backend)),
-    ]
-
-    q0, q1, q2, q3 = (c * s for c in p.p)
-    qp, qm = scalar(q1, q2), scalar(q1, -q2)
-    xi11, xi12, eta1, _ = psi1
-    xi21, xi22, _, eta2 = psi2
+    recombination = [("recombine.psi", "psi", _sub(_add(proj1, proj2), amp, backend))]
     identity = [
-        ("identity.id1", "id1", (qp * xi11 - (q0 + q3) * xi12,)),
-        ("identity.id2", "id2", ((q0 - q3) * xi21 - qm * xi22,)),
         ("identity.repfree.P1", "identities", repfree1),
         ("identity.repfree.P2", "identities", repfree2),
     ]
+    constituent = [
+        ("constituent1-P.dirac", "constituent1/P", dirac1),
+        ("constituents3.P1", "constituents/3", projected1),  # P1 gamma.q P1 Psi_(1) = m P1 Psi_(1)
+        ("constituent2-P.dirac", "constituent2/P", dirac2),
+        ("constituents3.P2", "constituents/3", projected2),
+    ]
+    if view.rep.name != "spinor":
+        return recombination, identity, constituent
 
+    scalar = SCALAR_TYPE[backend]
+    q0, q1, q2, q3 = (c * s for c in p.p)
+    qp, qm = scalar(q1, q2), scalar(q1, -q2)
     m = mass
-    return recombination, identity, [
+    eta = amp[2:]
+    definition = (((q0 + q3) * eta[0] / m, qp * eta[0] / m) + eta
+                  + (qm * eta[1] / m, (q0 - q3) * eta[1] / m) + eta)
+    xi = _sub(_add(psi1[:2], psi2[:2]), amp[:2], backend)
+    xi11, xi12, eta1, _ = psi1
+    xi21, xi22, _, eta2 = psi2
+    return [
+        ("recombine.xi1", "def3", xi[:1]),
+        ("recombine.xi2", "def4", xi[1:]),
+        ("closed-form", "DEF1", _sub(definition, psi1 + psi2, backend)),
+    ] + recombination, [
+        ("identity.id1", "id1", (qp * xi11 - (q0 + q3) * xi12,)),
+        ("identity.id2", "id2", ((q0 - q3) * xi21 - qm * xi22,)),
+    ] + identity, [
         ("constituent1.line1", "constituent1", ((q0 + q3) * eta1 - m * xi11,)),
         ("constituent1.line2", "constituent1", (qp * eta1 - m * xi12,)),
         ("constituent1.line3", "constituent1", ((q0 - q3) * xi11 - qm * xi12 - m * eta1,)),
@@ -247,45 +266,12 @@ def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) ->
         ("constituent2.line4", "constituent2", (-qp * xi21 + (q0 + q3) * xi22 - m * eta2,)),
         ("constituent1-4.line4", "constituent1/4", ((q0 + q3) * xi12 - qp * xi11,)),
         ("constituent2-4.line3", "constituent2/4", ((q0 - q3) * xi21 - qm * xi22,)),
-        ("constituent1-P.dirac", "constituent1/P", dirac1),
-        ("constituents3.P1", "constituents/3", projected1),  # P1 gamma.p P1 Psi_(1) = m P1 Psi_(1)
-        ("constituent2-P.dirac", "constituent2/P", dirac2),
-        ("constituents3.P2", "constituents/3", projected2),
-    ]
+    ] + constituent
 
 
 def recombination_residuals(sr: SplitResult) -> ResidualReport:
     """The recombination relations of ``split_relations``, over the split's terms."""
     return residual_report(sr.psi.backend, sr.relations[0])
-
-
-def transported_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> list:
-    """The basis-independent constituent checks of one spinor-basis term, in ``view``'s basis.
-
-    Each constituent is transported with the pinned integer intertwiner
-    W (an overall scale, so exact zeros stay exact) and the projector
-    forms are evaluated against the target basis's own gamma matrices
-    and projectors.
-    """
-    w = build_rep("spinor").on(view.backend).intertwiner(view.rep).w
-    tag = f"transport.{view.rep.name}"
-    relations = []
-    for k, psi_k in enumerate(split_term(amp, p, s, mass), start=1):
-        _, dirac, projected, repfree = _projector_forms(view, p, s, mass, k, w.apply(psi_k))
-        relations += [
-            (f"{tag}.constituent{k}-P", f"constituent{k}/P", dirac),
-            (f"{tag}.constituents3.P{k}", "constituents/3", projected),
-            (f"{tag}.identities.P{k}", "identities", repfree),
-        ]
-    return relations
-
-
-def transported_constituent_residuals(sr: SplitResult, rep_to: GammaRep) -> ResidualReport:
-    """``transported_relations`` in ``rep_to``, over the split's terms."""
-    backend = sr.psi.backend
-    view = rep_to.on(backend)
-    return residual_report(backend, termwise(transported_relations(view, amp, p, s, sr.mass)
-                                             for amp, p, s in _terms(sr.psi)))
 
 
 # -- Weyl ----------------------------------------------------------------------

@@ -43,7 +43,12 @@ builders.  A fuzz trial passes its sampled modes' amplitudes straight
 in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
-term once: its amplitude through S and its momentum through a.  Every
+term once: its amplitude through S and its momentum through a.  The
+split holds in closed form in every basis (see ``subsolutions``), so no
+record moves a field between bases to split it: ``_split_witness``
+splits each basis's own exact u_s at the witness momentum, and a
+covariance trial splits its u in that trial's basis.  The split fuzz
+alone stays in the spinor basis, whatever the run's ``rep``.  Every
 campaign is measured by one driver, ``_measure_campaigns``, once the
 suites have listed all their other records; it then walks the list
 once, so each campaign's records take its place and the report's order
@@ -130,7 +135,6 @@ from .subsolutions import (
     split_relations,
     split_term,
     termwise,
-    transported_constituent_residuals,
     weyl_relations,
     weyl_residuals,
 )
@@ -696,33 +700,46 @@ def _run_projectors(config: RunConfig, out: list) -> None:
 # -- split suite ------------------------------------------------------------------
 
 
+def _basis_part(rep) -> str:
+    """The basis part of split and Majorana check ids and sub-seed tags; none for the spinor."""
+    return "" if rep.name == "spinor" else f".{rep.name}"
+
+
 @cache
-def _split_witness(sp) -> tuple:
-    """The split suite's exact records of the spinor basis, measured on first call and kept."""
+def _split_witness(rep) -> tuple:
+    """The split suite's exact records of ``rep``, measured on first call and kept.
+
+    Each spin's exact u_s at the witness momentum is split in ``rep``
+    itself, and every relation ``split_relations`` gives that basis is
+    recorded.  The spinor basis adds its component records: gamma.p
+    against the componentwise block, and u_s and the xi pairs against
+    their pinned values.
+    """
+    name = _basis_part(rep)
     out = []
-    for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
-        q = FourMomentum.exact(comps, 1)
-        block = dirac_matrix(sp, q, 1) - _component_block(q)
-        out.append((f"split.dirac2-block.{tag}",
-                    residual_entry("dirac2-block", "Dirac2", EXACT, block)))
+    spinor = rep.name == "spinor"
+    if spinor:
+        for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
+            q = FourMomentum.exact(comps, 1)
+            block = dirac_matrix(rep, q, 1) - _component_block(q)
+            out.append((f"split.dirac2-block.{tag}",
+                        residual_entry("dirac2-block", "Dirac2", EXACT, block)))
     p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-    others = tuple(r for r in _ALL_REPS if r is not sp)
     for s in (1, 2):
-        u = u_spinor(p, sp, s)
-        sr = split(field_of(u, sp), Fraction(_WITNESS_MASS))
-        witnesses = (
-            ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
-            ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
-            ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
-        )
-        for label, eq, got, want in witnesses:
-            diff = [a - b for a, b in zip(got, want)]
-            out.append((f"split.witness.s{s}.{label}", residual_entry(label, eq, EXACT, diff)))
+        u = u_spinor(p, rep, s)
+        sr = split(field_of(u, rep), Fraction(_WITNESS_MASS))
+        entries = []
+        if spinor:
+            witnesses = (
+                ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
+                ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
+                ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
+            )
+            entries = [residual_entry(label, eq, EXACT, [a - b for a, b in zip(got, want)])
+                       for label, eq, got, want in witnesses]
         relations = [r for family in sr.relations for r in family]
-        entries = residual_report(EXACT, relations).entries
-        for rep_to in others:
-            entries += transported_constituent_residuals(sr, rep_to).entries
-        out += [(f"split.witness.s{s}.{e.label}", e) for e in entries]
+        entries += residual_report(EXACT, relations).entries
+        out += [(f"split.witness{name}.s{s}.{e.label}", e) for e in entries]
     return tuple(out)
 
 
@@ -730,7 +747,8 @@ def _run_split(config: RunConfig, out: list) -> None:
     sp = build_rep("spinor")
 
     if config.run_exact:
-        out += _split_witness(sp)
+        for rep in _ALL_REPS:
+            out += _split_witness(rep)
 
     if config.run_float:
         view = sp.on(FLOAT)
@@ -851,22 +869,17 @@ def _majorana_relations(rep, p: FourMomentum, s: int):
         yield from majorana_relations(view, amp, partner, p, sign, p.mass)
 
 
-def _majorana_name(rep) -> str:
-    """The basis part of Majorana check ids and sub-seed tags: none for the spinor basis."""
-    return "" if rep.name == "spinor" else f".{rep.name}"
-
-
 @cache
 def _majorana_witness(rep) -> tuple:
     """The Majorana suite's exact records of ``rep`` on the witness, measured once and kept."""
     p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
-    return tuple((f"majorana.witness{_majorana_name(rep)}.s{s}.{e.label}", e) for s in (1, 2)
+    return tuple((f"majorana.witness{_basis_part(rep)}.s{s}.{e.label}", e) for s in (1, 2)
                  for e in residual_report(EXACT, termwise([_majorana_relations(rep, p, s)])))
 
 
 def _run_majorana(config: RunConfig, out: list) -> None:
     for rep in _selected_reps(config):
-        name = _majorana_name(rep)
+        name = _basis_part(rep)
         if config.run_exact:
             out += _majorana_witness(rep)
         if config.run_float:
@@ -883,15 +896,15 @@ def _run_majorana(config: RunConfig, out: list) -> None:
 
 # -- covariance suite -------------------------------------------------------------
 
-def _sampled_split(rng: Random, config: RunConfig, trial: int):
-    """A seeded massive momentum p, and the amplitudes (u, Psi_(1), Psi_(2)) of its split.
+def _sampled_split(rng: Random, config: RunConfig, trial: int, rep):
+    """A seeded massive momentum p, and the amplitudes (u, Psi_(1), Psi_(2)) of u's split in rep.
 
-    u is the spinor-basis u_s(p) at frequency sign +1, the spin
-    alternating by trial.
+    u is ``rep``'s u_s(p) at frequency sign +1, the spin alternating by
+    trial.
     """
     p = _sample_massive(rng, config)
-    u = u_spinor(p, build_rep("spinor"), 1 + trial % 2).amplitude
-    return p, (u,) + split_term(u, p, 1, p.mass)
+    u = u_spinor(p, rep, 1 + trial % 2).amplitude
+    return p, (u,) + split_term(rep.on(FLOAT), u, p, 1, p.mass)
 
 
 @cache
@@ -925,7 +938,6 @@ def _covariance_records(rep) -> tuple:
 
 
 def _run_covariance(config: RunConfig, out: list) -> None:
-    sp = build_rep("spinor")
     for rep in _selected_reps(config):
         if config.run_exact:
             out += _covariance_records(rep)
@@ -941,10 +953,7 @@ def _run_covariance(config: RunConfig, out: list) -> None:
             out.append((f"covariance.{rep.name}.{e.label}", e, config.strict_tol))
 
         def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
-            p, amps = _sampled_split(rng, config, trial)
-            if rep.name != "spinor":
-                u = sp.on(FLOAT).intertwiner(rep).u
-                amps = tuple(u.apply(a) for a in amps)
+            p, amps = _sampled_split(rng, config, trial, rep)
             # a transformed term is its amplitude through S at its momentum through a
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
             s_mat = spinor_transform(params, rep)
@@ -985,7 +994,7 @@ def _special_frame_checks(config: RunConfig, out: list) -> None:
                 residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol))
 
     def trial_residuals(rng, trial):
-        p, (_, psi1, psi2) = _sampled_split(rng, config, trial)
+        p, (_, psi1, psi2) = _sampled_split(rng, config, trial, sp)
         rot, boost = special_frame(p)
         # the rotation, then the boost: each constituent amplitude through S, p through a
         s_rot, s_boost = spinor_transform(rot, sp), spinor_transform(boost, sp)

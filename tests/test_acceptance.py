@@ -35,6 +35,7 @@ SPLIT_FUZZ_IDS = {
     "split.fuzz.u-orthogonality",
     "split.fuzz.recombine.xi1",
     "split.fuzz.recombine.xi2",
+    "split.fuzz.closed-form",
     "split.fuzz.recombine.psi",
     "split.fuzz.identity.id1",
     "split.fuzz.identity.id2",
@@ -58,12 +59,12 @@ SPLIT_FUZZ_IDS = {
 #: residual, exact_zero, pass) of the default report, in report order, in the
 #: format of ``tests/test_suites.py``'s ``_RECORD_DIGESTS``: any change that
 #: moves a default record, even a float residual at roundoff, updates it on purpose
-DEFAULT_RECORD_DIGEST = (449, "28fede72c25069cadb5149c46351f5b20fc7c12f91f3d85615a6c23c7645c144")
+DEFAULT_RECORD_DIGEST = (456, "c2eca1e172416cf999e15a8b8cf173d5a929023038d51ba2f1d2009f7d83f13f")
 
 #: sha256 of the default report's ``to_json()``, the bytes ``verify all --json``
 #: writes, with its ``"wall_ms"`` line removed: config, records and summary
 #: layout pinned to the byte
-DEFAULT_JSON_DIGEST = "7c14a235f38732dbcc0807f6ae87c3bcf4474f53d3a3456f0185fad154b4a937"
+DEFAULT_JSON_DIGEST = "7b5b1c52ce2a2f33719f38b456067b21d92d442f77d8330d62e8d10cff112812"
 
 CONTROL_IDS = (
     "split.control.offshell-dirac",

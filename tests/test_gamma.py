@@ -254,21 +254,29 @@ def test_complements_are_formed_once_on_the_views_backend(rep, backend):
 
 
 def test_split_residuals_read_the_kept_complements(monkeypatch):
-    """identity and transported-constituent residuals form no Id - P_k of their own."""
-    from diracsplit import FourMomentum, field_of, split, u_spinor
-    from diracsplit.reports import residual_report
-    from diracsplit.subsolutions import transported_constituent_residuals
+    """A split in each basis forms no Id - P_k of its own and reads no intertwiner.
 
-    sp = build_rep("spinor")
+    The closed form and the identity relations read the view's kept
+    complements; nothing on the split's path changes basis.
+    """
+    from diracsplit import FourMomentum, field_of, split, u_spinor
+    from diracsplit.gamma import RepView
+    from diracsplit.reports import residual_report
+
     p = FourMomentum.exact((3, 2, 2, 0), 1)
-    sr = split(field_of(u_spinor(p, sp, 1), sp), p.mass)
-    others = [build_rep(n) for n in REP_NAMES if n != "spinor"]
-    for r in [sp] + others:  # views, families and intertwiners built before counting
+    reps = [build_rep(n) for n in REP_NAMES]
+    for r in reps:  # views and families built before counting
         r.on(EXACT).complements
-        sp.on(EXACT).intertwiner(r)
+
+    def no_intertwiner(view, rep_to):
+        raise AssertionError(f"the split read the intertwiner {view.rep.name} -> {rep_to.name}")
+
     identities = []
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, *a: identities.append(a)))
-    reports = [residual_report(EXACT, sr.relations[1])]  # the identity relations
-    reports += [transported_constituent_residuals(sr, r) for r in others]
+    monkeypatch.setattr(RepView, "intertwiner", no_intertwiner)
+    reports = []
+    for r in reps:
+        sr = split(field_of(u_spinor(p, r, 1), r), p.mass)
+        reports += [residual_report(EXACT, family) for family in sr.relations]
     assert identities == []
     assert all(r.all_exact_zero() for r in reports)

@@ -54,6 +54,21 @@ def test_backend_mismatch_rejected():
         a + b
 
 
+def test_an_exact_matrix_holds_gaussian_rationals_only():
+    """The bare constructor refuses any other exact entry, so no product meets an int.
+
+    ``Matrix.exact`` coerces ints and Fractions; float entries go unchecked.
+    """
+    with pytest.raises(TypeError, match="GaussianRational"):
+        Matrix(2, EXACT, (1, 2, 3, 4))
+    one = GaussianRational(1)
+    with pytest.raises(TypeError, match="GaussianRational"):
+        Matrix(2, EXACT, (one, Fraction(1, 2), one, one))
+    coerced = Matrix(2, EXACT, tuple(map(GaussianRational, range(1, 5))))
+    assert Matrix.exact([[1, 2], [3, 4]]) == coerced
+    assert Matrix(2, FLOAT, (1, 2, 3, 4)).entries == (1, 2, 3, 4)
+
+
 def test_to_float_matches_exact():
     a = Matrix.exact([[1, GaussianRational(0, 1)], [GaussianRational(1, 2), 0]])
     f = a.to_float()

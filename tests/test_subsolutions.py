@@ -20,8 +20,8 @@ from diracsplit import (
     SplitResult,
     recombination_residuals,
     split,
-    transported_constituent_residuals,
     u_spinor,
+    upper_half,
     weyl_residuals,
     weyl_spinor,
 )
@@ -67,10 +67,10 @@ def _weyl_report(f):
                                                for amp, p, s in _terms(f)))
 
 
-def _witness_split(spin=1):
-    spinor = build_rep("spinor")
+def _witness_split(spin=1, rep_name="spinor"):
+    rep = build_rep(rep_name)
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    psi = field_of(u_spinor(p, spinor, spin), rep=spinor)
+    psi = field_of(u_spinor(p, rep, spin), rep=rep)
     return split(psi, WITNESS_MASS)
 
 
@@ -114,9 +114,15 @@ def test_witness_residuals_exact_zero(spin):
 @pytest.mark.parametrize("spin", [1, 2])
 @pytest.mark.parametrize("rep_name", ["standard", "majorana"])
 def test_witness_transported_residuals_exact_zero(spin, rep_name):
-    sr = _witness_split(spin)
-    report = transported_constituent_residuals(sr, build_rep(rep_name))
-    assert report.all_exact_zero()
+    """The witness in another basis is that basis's own u_s, split there: basis-free relations only."""
+    sr = _witness_split(spin, rep_name)
+    reports = [recombination_residuals(sr), _identity_report(sr), _constituent_report(sr)]
+    assert [[e.label for e in r] for r in reports] == [
+        ["recombine.psi"],
+        ["identity.repfree.P1", "identity.repfree.P2"],
+        ["constituent1-P.dirac", "constituents3.P1", "constituent2-P.dirac", "constituents3.P2"],
+    ]
+    assert all(r.all_exact_zero() for r in reports)
 
 
 def test_constituent_alone_is_not_a_dirac_solution():
@@ -159,12 +165,52 @@ def test_split_rejects_zero_mass():
         split(sr.psi, 0)
 
 
-def test_split_rejects_other_bases():
-    standard = build_rep("standard")
-    p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    psi = field_of(u_spinor(p, standard, 1), rep=standard)
+def test_split_rejects_a_two_component_field():
     with pytest.raises(SplitRequiresSpinorRep):
-        split(psi, WITNESS_MASS)
+        split(upper_half(_witness_split(1).psi), WITNESS_MASS)
+
+
+#: on-shell (p0, p1, p2, p3, m); at p1 = p2 = 0 a spin eigenstate has one zero constituent
+_GENERIC_POINTS = ((3, 2, 2, 0, 1), (3, 0, 2, 2, 1), (5, 0, 0, 3, 4), (1, 0, 0, 0, 1))
+_CHI = (ONE, I, ONE * 2, -ONE)
+
+
+@pytest.mark.parametrize("point", _GENERIC_POINTS, ids=lambda pt: "-".join(map(str, pt)))
+@pytest.mark.parametrize("rep_name", ["spinor", "standard", "majorana"])
+def test_split_of_a_generic_solution_is_the_closed_form(rep_name, point):
+    """Two keys, both frequency signs, in every basis: exact zeros and the closed form.
+
+    The field is (1+2i) u(p, 1) + (3-i) u(p, 2) at s = +1 plus (gamma.q +
+    m) chi at s = -1, q = -p.  split returns, every relation vanishes
+    identically, and P1 Psi_(1) = m^-1 (gamma.q + m)(1 - P2) psi, P2
+    Psi_(2) = m^-1 (gamma.q + m)(1 - P1) psi, with gamma.q + m and 1 - P_k
+    formed here from the gammas and the projectors.
+    """
+    rep = build_rep(rep_name)
+    view = rep.on(EXACT)
+    *comps, m = point
+    p = FourMomentum.exact(comps, m)
+    ident = Matrix.identity(4)
+
+    def lift(s):  # gamma.q + m at q = s p
+        gamma_q = ident.scale(0)
+        for g, c in zip(view.gammas_lower, p.p):
+            gamma_q = gamma_q + g.scale(s * c)
+        return gamma_q + ident.scale(m)
+
+    u1, u2 = (u_spinor(p, rep, spin).amplitude for spin in (1, 2))
+    plus = tuple(GaussianRational(1, 2) * a + GaussianRational(3, -1) * b for a, b in zip(u1, u2))
+    psi = PlaneWaveField((PlaneWaveTerm(plus, p, 1), PlaneWaveTerm(lift(-1).apply(_CHI), p, -1)),
+                         rep)
+    assert len(psi.terms) == 2
+    sr = split(psi, m)
+    assert all(residual_report(EXACT, family).all_exact_zero() for family in sr.relations)
+    p1, p2 = view.p[:2]
+    for projector, psi_k, other in ((p1, sr.psi1, p2), (p2, sr.psi2, p1)):
+        got = {t.key(): projector.apply(t.amplitude) for t in psi_k.terms}
+        for amp, _, s in psi.terms:
+            want = tuple(x / m for x in lift(s).apply((ident - other).apply(amp)))
+            assert got.get((s,) + p.key(), (GaussianRational(0),) * 4) == want
 
 
 
@@ -322,7 +368,9 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
     Each constituent k takes five products on a term: P_k, gamma.p, gamma.p - m,
     P_k again and 1 - P_k.  The split keeps its relations, so its own
     recombination check and the three reports of one split make them
-    once; split's Dirac residual adds one product per term.
+    once; split's Dirac residual adds one product per term, and the
+    closed form four (two complements, two lifts by gamma.p + m), once
+    for the constituents and once inside the relations.
     """
     sp = build_rep("spinor")
     p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
@@ -333,7 +381,7 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
     sr = split(psi, p.mass)
     reports = [recombination_residuals(sr), _identity_report(sr), _constituent_report(sr)]
     assert len(sr.psi.terms) == 2
-    assert len(calls) == 2 + 2 * 2 * 5
+    assert len(calls) == 2 + 2 * (2 * 5 + 2 * 4)
     assert sum(1 for _, a, _ in calls if a in gamma_p) == 2 * 2
     assert all(r.all_within(1e-10) for r in reports)
 
@@ -368,28 +416,27 @@ _FIELD_REPORTS = (
     lambda f: recombination_residuals(split(f, WITNESS_MASS)),
     lambda f: _identity_report(split(f, WITNESS_MASS)),
     lambda f: _constituent_report(split(f, WITNESS_MASS)),
-    lambda f: transported_constituent_residuals(split(f, WITNESS_MASS), build_rep("standard")),
 )
 
 
 @pytest.mark.parametrize("backend", ("exact", "float"))
 def test_the_zero_field_has_every_relation_at_zero(backend):
-    """With no terms to measure, each relation is still recorded, and vanishes."""
-    spinor = build_rep("spinor")
+    """With no terms to measure, each relation is still recorded, and vanishes, in every basis."""
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
-    psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    if backend == "float":
-        psi = to_float(psi)
-    zero = PlaneWaveField((), spinor, 4, backend)
-    assert zero.is_zero
-    assert weyl_residuals(zero) == _weyl_report(zero)
-    for residuals in _FIELD_REPORTS:
-        report = residuals(zero)
-        assert [e.label for e in report] == [e.label for e in residuals(psi)]
-        if backend == "exact":
-            assert report.all_exact_zero()
-        else:
-            assert [e.residual for e in report] == [0.0] * len(report.entries)
+    for rep in map(build_rep, ("spinor", "standard", "majorana")):
+        psi = field_of(u_spinor(p, rep, 1), rep=rep)
+        if backend == "float":
+            psi = to_float(psi)
+        zero = PlaneWaveField((), rep, 4, backend)
+        assert zero.is_zero
+        assert weyl_residuals(zero) == _weyl_report(zero)
+        for residuals in _FIELD_REPORTS:
+            report = residuals(zero)
+            assert [e.label for e in report] == [e.label for e in residuals(psi)]
+            if backend == "exact":
+                assert report.all_exact_zero()
+            else:
+                assert [e.residual for e in report] == [0.0] * len(report.entries)
 
 
 # -- the term-wise law ------------------------------------------------------------
@@ -416,7 +463,8 @@ def _mode_field(rep, kind, index, conjugated, junk):
 
 def _unchecked_split(f, mass):
     """What ``split(f, mass)`` builds, without its preconditions: f need solve nothing."""
-    parts = [(split_term(amp, p, s, mass), p, s) for amp, p, s in f.terms]
+    view = f.rep.on(f.backend)
+    parts = [(split_term(view, amp, p, s, mass), p, s) for amp, p, s in f.terms]
     psi1, psi2 = (PlaneWaveField([PlaneWaveTerm(pair[k], p, s) for pair, p, s in parts],
                                  f.rep, 4, f.backend) for k in (0, 1))
     return SplitResult(psi=f, psi1=psi1, psi2=psi2, mass=mass)
@@ -437,7 +485,7 @@ def _assert_termwise(whole, parts):
 @given(st.sampled_from(("spinor", "standard", "majorana")), _modes, st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats):
-    """Each field-level report measures its field term by term.
+    """Each field-level report measures its field term by term, in every basis.
 
     Every relation is linear with constant coefficients, so a field's
     report is exact zero iff each of its single-term fields' is, and in
@@ -454,8 +502,6 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     _assert_termwise(_weyl_report(f), [_weyl_report(g) for g in singles])
     if not any(t.momentum.mass for t in f.terms):
         assert weyl_residuals(f) == _weyl_report(f)
-    if rep_name != "spinor":
-        return
     by_momentum = {}
     for t in maj.terms:
         by_momentum.setdefault(t.momentum.key(), []).append(field_of(t, rep))
@@ -465,10 +511,6 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
     parts = [_unchecked_split(g, 1) for g in singles]
     for residuals in (recombination_residuals, _identity_report, _constituent_report):
         _assert_termwise(residuals(whole), [residuals(sr) for sr in parts])
-    for other in ("standard", "majorana"):
-        to = build_rep(other)
-        _assert_termwise(transported_constituent_residuals(whole, to),
-                         [transported_constituent_residuals(sr, to) for sr in parts])
 
 
 def test_a_majorana_trial_builds_each_sigma_symbol_once(monkeypatch):

@@ -345,9 +345,9 @@ def test_campaign_records_take_the_place_of_the_campaign():
 #: sha256 of the (id, paper_eq, backend, exact_zero, pass) tuples of
 #: run(RunConfig(rep="all", trials=2, backend=b)), in report order
 _SKELETON_DIGESTS = {
-    "exact": (316, "90c3ca93e010a9f3b5f9c054d4f1e10ef095e0b45310762c1250c3eef1381de6"),
-    "float": (619, "40e3eb5cfacc50acf97cb77c5dd2411dbceee3d63788ade90789cd893bdf95d9"),
-    "both": (799, "77b09bd508006426bb666e2c22fc90a701085cc4fd0a347f05bcf021522b6159"),
+    "exact": (322, "7c3364fcc730835854b05a4ca92c4cfb84e85295156e78e04832669fca7c8202"),
+    "float": (620, "9989dd5e2e4aeec7e2af1eaf70be85b8ed2dd1c36b339d968c9b3d9a4c6bef82"),
+    "both": (806, "956aef5255bc54ae8eec4d78452609eb3da534c19db33aea6bbf91b8aabf7b75"),
 }
 
 
@@ -355,9 +355,9 @@ _SKELETON_DIGESTS = {
 #: exact_zero, pass) of the same runs: any change that moves a float residual,
 #: even at roundoff, has to update this digest on purpose
 _RECORD_DIGESTS = {
-    "exact": (316, "14bdcaa4e5d400a1af1ee69d19d749fee53e9c7cfe03c0c86a7138474167cf1a"),
-    "float": (619, "d0e74114956b4adee62c4d3ea7b63463e8134dd049c91118c17bc5dc08c1d454"),
-    "both": (799, "e4e47d28f8c4d8482a55bd3f8f46ac31cd4828cf32cb7612fb850cc9d57d4022"),
+    "exact": (322, "f2fa28658ea409ea035c23a2760d6f913b6417b8a2f6ba5565d43bd6f0474671"),
+    "float": (620, "3b36dd2d6e7c039a0a160e3f53a860266942c35e83cc7fd123f299f430bbe364"),
+    "both": (806, "a9789fea073186ae3cca5cc95127f867f4d05220ca3a2959eadf1ed4b95bfcb9"),
 }
 
 
