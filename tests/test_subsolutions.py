@@ -114,7 +114,7 @@ def test_witness_residuals_exact_zero(spin):
 @pytest.mark.parametrize("spin", [1, 2])
 @pytest.mark.parametrize("rep_name", ["standard", "majorana"])
 def test_witness_transported_residuals_exact_zero(spin, rep_name):
-    """The witness in another basis is that basis's own u_s, split there: basis-free relations only."""
+    """The witness in another basis is its own u_s, split there: the basis-free relations only."""
     sr = _witness_split(spin, rep_name)
     reports = [recombination_residuals(sr), _identity_report(sr), _constituent_report(sr)]
     assert [[e.label for e in r] for r in reports] == [
