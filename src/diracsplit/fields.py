@@ -48,6 +48,9 @@ pair the term at (p, s) with the conjugate of the term at (p, -s).
 
 Components mean something only in a named gamma basis, so every field
 carries its representation: the constructor requires a ``GammaRep``.
+The solution constructors ``u_spinor`` and ``weyl_spinor`` apply that
+basis's own symbols and projectors to its own rest seeds, so no field is
+ever moved from one basis to another.
 A field compares by identity; two fields agree when their ``terms``,
 ``rep``, ``ncomp`` and ``backend`` do.
 """
@@ -65,7 +68,7 @@ from .errors import (
     OffShell,
     WeylRequiresMassless,
 )
-from .gamma import GammaRep, build_rep
+from .gamma import GammaRep
 from .matrices import Matrix
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, coerce_scalar
 from .values import Value, store
@@ -360,34 +363,19 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
     return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
 
 
-def _weyl_pair(p: FourMomentum, chirality: str) -> tuple:
-    """Two-component massless solution in the spinor basis (unnormalized)."""
-    p0, p1, p2, p3 = p.p
-    z = SCALAR_TYPE[p.backend]
-    pp = z(p1, p2)  # p1 + i p2
-    pm = pp.conjugate()
-    if chirality == "left":
-        # kernel of (p0 + sigma.p)
-        if p3 >= 0:
-            return (pm, z(-(p0 + p3)))
-        return (z(-(p0 - p3)), pp)
-    # kernel of (p0 - sigma.p)
-    if p3 >= 0:
-        return (z(p0 + p3), pp)
-    return (pm, z(p0 - p3))
-
-
 def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm:
-    """Massless chiral solution embedded as a bispinor.
+    """Massless chiral solution: Q+ gamma.p seed (left) or Q- gamma.p seed (right), normalized.
 
-    The left amplitude solves (p0 + sigma.p) eta = 0 and lies in the
-    image of Q+; the right amplitude solves (p0 - sigma.p) xi = 0 and
-    lies in the image of Q-.  In the float backend the amplitude has
-    unit norm with its largest component rotated real positive; in the
-    exact backend the pivot component is scaled to 1.  For bases other
-    than the spinor one the float amplitude is transported with the
-    unitary U and the exact one with the integer intertwiner W (an
-    overall scale, harmless for a solution).
+    gamma.p anticommutes with gamma5 and squares to p.p = 0, so Q+- gamma.p
+    seed = gamma.p Q-+ seed solves gamma.p psi = 0 in the image of Q+-, in
+    every basis.  The seed is one of the basis's rest seeds (``u_spinor``'s);
+    the image of each vanishes for one direction of k only, along +z or -z,
+    so the left amplitude takes the second seed when p3 >= 0, and the right
+    one when p3 < 0.  In the spinor basis the left amplitude is (0, 0, eta)
+    with (p0 + sigma.p) eta = 0, the right one (xi, 0, 0) with (p0 -
+    sigma.p) xi = 0.  In the float backend the amplitude has unit norm with
+    its largest component rotated real positive; in the exact backend its
+    first nonzero component is 1.
     """
     if chirality not in ("left", "right"):
         raise ValueError("chirality must be 'left' or 'right'")
@@ -395,29 +383,23 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
         raise WeylRequiresMassless("chiral constructor needs m = 0")
     if not p.is_on_shell():
         raise OffShell(f"momentum {p.p} is not lightlike")
-    pair = _weyl_pair(p, chirality)
-    pair = _normalize_pair(pair, p.backend)
-    zero = SCALAR_TYPE[p.backend](0)
-    if chirality == "left":
-        amp = (zero, zero) + pair
-    else:
-        amp = pair + (zero, zero)
-    if rep.name != "spinor":
-        link = build_rep("spinor").on(p.backend).intertwiner(rep)
-        amp = (link.u if p.backend == FLOAT else link.w).apply(amp)
-    return PlaneWaveTerm(amp, p, 1)
+    left = chirality == "left"
+    seed = _REST_SEEDS[rep.name][p.backend][1 if (p.p[3] >= 0) == left else 0]
+    view = rep.on(p.backend)
+    image = (view.q_plus if left else view.q_minus).apply(dirac_matrix(rep, p, 1).apply(seed))
+    return PlaneWaveTerm(_normalized(image, p.backend), p, 1)
 
 
-def _normalize_pair(pair: tuple, backend: str) -> tuple:
+def _normalized(amp: tuple, backend: str) -> tuple:
     if backend == EXACT:
-        pivot = next((a for a in pair if a), None)
+        pivot = next((a for a in amp if a), None)
         if pivot is None:
             raise ValueError("zero chiral amplitude")
-        return tuple(a / pivot for a in pair)
-    norm = kernels.ordered_sum(abs(a) ** 2 for a in pair) ** 0.5
+        return tuple(a / pivot for a in amp)
+    norm = kernels.ordered_sum(abs(a) ** 2 for a in amp) ** 0.5
     if norm == 0:
         raise ValueError("zero chiral amplitude")
-    pivot = max(pair, key=abs)
+    pivot = max(amp, key=abs)
     phase = pivot / abs(pivot)
     factor = phase.conjugate() / norm
-    return tuple(factor * a for a in pair)
+    return tuple(factor * a for a in amp)

@@ -29,11 +29,14 @@ with gamma0 and gamma1.
 
 Everything derived from a representation -- lowered gammas, the spin
 generators sigma_{mu nu}, Q+-, P1..P4 and V, the charge-conjugation
-matrix and the intertwiners to the other bases -- is read from
-``rep.on(backend)``, a :class:`RepView`.  Each piece is built on first
-use, validated exactly once per representation, and kept on the
-representation object; the float view holds the ``to_float()`` of the
-validated exact matrices.
+matrix -- is read from ``rep.on(backend)``, a :class:`RepView`.  Each
+piece is built on first use, validated exactly once per representation,
+and kept on the representation object; the float view holds the
+``to_float()`` of the validated exact matrices.  The intertwiners to the
+other bases are read from the exact view only: every field and every
+relation is built from its own basis's matrices, so no code moves a
+field between bases, and an intertwiner serves to derive the
+conjugation matrix and to be recorded.
 
 A view holds matrices and their validations only.  The residuals a
 validation demands to vanish -- the intertwiner's
@@ -101,23 +104,19 @@ class GammaRep(Value):
 
 
 class Intertwiner(Value):
-    """Change of basis from one representation to another, on one backend.
+    """Exact change of basis from one representation to another.
 
     W gamma_from Wdag = norm2 * gamma_to and Wdag W = norm2 * Id hold
-    exactly; U = W / sqrt(norm2) is the unitary change of basis.  Exact
-    code moves fields with W, so U lives on the float view only, as
-    to_float(W) / sqrt(norm2); it is None on the exact view.
-    ``residuals`` are those the exact verification found identically
-    zero: ``unitary`` (Wdag W - norm2 Id) and ``similarity.gamma<mu>`` /
-    ``similarity.gamma5`` (W a Wdag - norm2 b).
+    exactly.  ``residuals`` are those the exact verification found
+    identically zero: ``unitary`` (Wdag W - norm2 Id) and
+    ``similarity.gamma<mu>`` / ``similarity.gamma5`` (W a Wdag - norm2 b).
     """
 
-    __slots__ = _fields = ("w", "norm2", "u", "residuals")
+    __slots__ = _fields = ("w", "norm2", "residuals")
 
-    def __init__(self, w: Matrix, norm2: int, u: Matrix | None, residuals: ResidualReport):
+    def __init__(self, w: Matrix, norm2: int, residuals: ResidualReport):
         store(self, "w", w)
         store(self, "norm2", norm2)
-        store(self, "u", u)
         store(self, "residuals", residuals)
 
 
@@ -222,19 +221,16 @@ class RepView(Value):
     def intertwiner(self, rep_to: GammaRep) -> Intertwiner:
         """Change of basis to ``rep_to``, verified exactly on first use.
 
-        Raises IntertwinerInvalid if the pinned W fails its checks, and
+        Exact only: the float view raises ValueError.  Raises
+        IntertwinerInvalid if the pinned W fails its checks, and
         ValueError if no W is pinned for the pair.
         """
+        if self.backend != EXACT:
+            raise ValueError(f"intertwiners are exact: read rep.on({EXACT!r}).intertwiner, "
+                             f"not the {self.backend} view's")
         link = self._links.get(rep_to)
         if link is None:
-            if self.backend == EXACT:
-                link = _verified_intertwiner(self.rep, rep_to)
-            else:
-                exact = self.rep.on(EXACT).intertwiner(rep_to)
-                w = exact.w.to_float()
-                link = Intertwiner(w, exact.norm2, w.scale(1.0 / exact.norm2**0.5),
-                                   exact.residuals)
-            self._links[rep_to] = link
+            link = self._links[rep_to] = _verified_intertwiner(self.rep, rep_to)
         return link
 
     @cached_property
@@ -412,7 +408,7 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
         relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
     residuals = residual_report(EXACT, relations)
     _demand_zero(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
-    return Intertwiner(w, norm2, None, residuals)
+    return Intertwiner(w, norm2, residuals)
 
 
 # -- charge conjugation ------------------------------------------------------

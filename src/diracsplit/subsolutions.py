@@ -34,23 +34,27 @@ Each family of relations is stated once, on one plane-wave term:
 families), ``weyl_relations`` and ``majorana_relations`` take a term's
 amplitude, momentum and frequency sign, plus the representation view and
 the mass, and return ``(label, equation, value)`` relations whose values
-are tuples of scalars.  Every relation is linear with constant
-coefficients, so it holds for a field iff it holds on each of its terms:
-the field-level ``*_residuals`` functions map the statement over a
-field's terms (the zero field's one zero term) and concatenate each
-label's values (``termwise``), and ``split``'s preconditions and the
-exact witnesses read those; the float fuzz passes a sampled mode's
-amplitude straight in and builds no field.  The one family that couples
-two terms is Majorana's, where the term at (p, s) meets the conjugate of
-the term at (p, -s): complex conjugation flips the frequency sign.  The
-statements combine amplitudes with the amplitude algebra of ``fields``
-(``_add``, ``_sub``, ``_scaled``), so a witness field's report and a
-fuzz trial's agree to the last bit.  For exact inputs on an exact mass
-shell all residuals vanish identically.
+are tuples of scalars; ``split_relations`` takes the term's constituents
+from ``split_term`` too, so a split computes them once per term.  Every
+relation is linear with constant coefficients, so it holds for a field
+iff it holds on each of its terms: the field-level ``*_residuals``
+functions map the statement over a field's terms (the zero field's one
+zero term) and concatenate each label's values (``termwise``), and
+``split``'s preconditions and the exact witnesses read those; the float
+fuzz passes a sampled mode's amplitude straight in and builds no field.
+The one family that couples two terms is Majorana's, where the term at
+(p, s) meets the conjugate of the term at (p, -s): complex conjugation
+flips the frequency sign.  The statements combine amplitudes with the
+amplitude algebra of ``fields`` (``_add``, ``_sub``, ``_scaled``), so a
+witness field's report and a fuzz trial's agree to the last bit.  For
+exact inputs on an exact mass shell all residuals vanish identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
-conventions of the spinor basis.
+conventions of the spinor basis.  Like the split's component statements,
+their two-component forms are made in the spinor basis only; every basis
+states the bispinor forms with its own matrices, and no relation moves
+an amplitude between bases.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .fields import (
     dirac_residual,
     upper_half,
 )
-from .gamma import RepView, build_rep
+from .gamma import RepView
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
 from .scalars import SCALAR_TYPE, coerce_real, coerce_scalar
@@ -116,15 +120,33 @@ def _terms(f: PlaneWaveField) -> tuple:
 
 
 class SplitResult(Value):
-    """A split; its xi pairs and its relations are built once, when first read."""
+    """The split of psi at ``mass``: its constituents and relations, one closed form per term.
 
-    _fields = ("psi", "psi1", "psi2", "mass")  # no __slots__: the cached properties live in __dict__
+    Per term of psi (the zero field's one zero term), ``split_term`` gives
+    the constituents' amplitudes once, and ``split_relations`` states that
+    term's relations on them: ``psi1`` and ``psi2`` are the constituent
+    fields, ``relations`` the (recombination, identity, constituent)
+    families over psi's terms.  The xi pairs are built when first read.
+    The constructor checks nothing; ``split`` checks the preconditions
+    and the recombination.
+    """
 
-    def __init__(self, psi: PlaneWaveField, psi1: PlaneWaveField, psi2: PlaneWaveField, mass):
+    _fields = ("psi", "mass")  # no __slots__: the cached properties live in __dict__
+
+    def __init__(self, psi: PlaneWaveField, mass):
+        view = psi.rep.on(psi.backend)
+        terms1, terms2, per_term = [], [], []
+        for amp, p, s in _terms(psi):
+            constituents = split_term(view, amp, p, s, mass)
+            terms1.append(PlaneWaveTerm(constituents[0], p, s))
+            terms2.append(PlaneWaveTerm(constituents[1], p, s))
+            per_term.append(split_relations(view, amp, constituents, p, s, mass))
         store(self, "psi", psi)
-        store(self, "psi1", psi1)
-        store(self, "psi2", psi2)
         store(self, "mass", mass)
+        store(self, "psi1", PlaneWaveField(terms1, psi.rep, 4, psi.backend))
+        store(self, "psi2", PlaneWaveField(terms2, psi.rep, 4, psi.backend))
+        store(self, "relations",
+              tuple(termwise(families[k] for families in per_term) for k in range(3)))
 
     @cached_property
     def xi1_pair(self) -> PlaneWaveField:
@@ -135,13 +157,6 @@ class SplitResult(Value):
     def xi2_pair(self) -> PlaneWaveField:
         """The upper half of Psi_(2): its xi pair in the spinor basis only."""
         return upper_half(self.psi2)
-
-    @cached_property
-    def relations(self) -> tuple:
-        """(recombination, identity, constituent): ``split_relations`` over psi's terms."""
-        view = self.psi.rep.on(self.psi.backend)
-        per_term = [split_relations(view, amp, p, s, self.mass) for amp, p, s in _terms(self.psi)]
-        return tuple(termwise(families[k] for families in per_term) for k in range(3))
 
 
 def split_term(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
@@ -162,9 +177,10 @@ def split_term(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tupl
 def split(psi: PlaneWaveField, mass) -> SplitResult:
     """Decompose a Dirac solution, in any basis, into its two constituent fields.
 
-    Each term is split by ``split_term``.  The recombination relations of
-    ``split_relations`` are verified before returning: exactly on the
-    exact backend, within the constant bound 1e-10 on the float one.
+    Each term is split once by ``split_term`` (see ``SplitResult``).  The
+    recombination relations of ``split_relations`` are verified before
+    returning: exactly on the exact backend, within the constant bound
+    1e-10 on the float one.
     """
     if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
@@ -173,15 +189,7 @@ def split(psi: PlaneWaveField, mass) -> SplitResult:
     res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
     if not res.within(_TOL):
         raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
-
-    view = psi.rep.on(psi.backend)
-    terms1, terms2 = [], []
-    for amp, p, s in psi.terms:
-        amp1, amp2 = split_term(view, amp, p, s, mass)
-        terms1.append(PlaneWaveTerm(amp1, p, s))
-        terms2.append(PlaneWaveTerm(amp2, p, s))
-    result = SplitResult(psi=psi, psi1=PlaneWaveField(terms1, psi.rep, 4, psi.backend),
-                         psi2=PlaneWaveField(terms2, psi.rep, 4, psi.backend), mass=mass)
+    result = SplitResult(psi, mass)
     rec = recombination_residuals(result)
     if not rec.all_within(_TOL):
         raise NotASolution(
@@ -210,11 +218,13 @@ def _projector_forms(view: RepView, p: FourMomentum, s: int, mass, k: int, psi_k
             view.complements[k - 1].apply(image))
 
 
-def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tuple:
+def split_relations(view: RepView, amp: tuple, constituents: tuple, p: FourMomentum, s: int,
+                    mass) -> tuple:
     """The split's relations on one term, as (recombination, identity, constituent) lists.
 
-    Every basis states the recombination P1 Psi_(1) + P2 Psi_(2) - Psi,
-    the identities (1 - P_i) gamma.q P_i Psi_(i) (i = 1, 2) and the
+    ``constituents`` are the amplitudes (Psi_(1), Psi_(2)) that
+    ``split_term`` gives the term.  Every basis states the recombination
+    P1 Psi_(1) + P2 Psi_(2) - Psi, the identities (1 - P_i) gamma.q P_i Psi_(i) (i = 1, 2) and the
     projector forms (gamma.q - m) P_k Psi_(k) and P_k gamma.q P_k Psi_(k)
     - m P_k Psi_(k).  The spinor basis puts its component statements
     first in each family: xi(1)^a + xi(2)^a - xi^a and the component
@@ -223,7 +233,7 @@ def split_relations(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) ->
     (q1 - i q2) xi(2)^2; the three- and four-line systems.
     """
     backend = view.backend
-    psi1, psi2 = split_term(view, amp, p, s, mass)
+    psi1, psi2 = constituents
     proj1, dirac1, projected1, repfree1 = _projector_forms(view, p, s, mass, 1, psi1)
     proj2, dirac2, projected2, repfree2 = _projector_forms(view, p, s, mass, 2, psi2)
     recombination = [("recombine.psi", "psi", _sub(_add(proj1, proj2), amp, backend))]
@@ -298,22 +308,22 @@ def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
 def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     """The massless chiral equations on one term, in ``view``'s basis.
 
-    The two-component forms (p0 + sigma.p) eta = 0, (p0 - sigma.p) xi = 0
-    evaluated on the chiral halves in the spinor basis, plus the bispinor
-    forms gamma.p Q-+ psi = 0.  Outside the spinor basis the halves are
-    taken after the exact W, which is W-scaled (norm 2 or 4), not
-    unitary: residual magnitudes pick up that bounded factor, exact zeros
-    are unaffected.
+    Every basis states the bispinor forms gamma.p Q-+ psi = 0.  The spinor
+    basis puts first the two-component forms (p0 + sigma.p) eta = 0 and
+    (p0 - sigma.p) xi = 0 on its chiral halves, psi = (xi, eta); another
+    basis has no such components.
     """
-    spinor = build_rep("spinor")
-    chiral = amp if view.rep.name == "spinor" else view.intertwiner(spinor).w.apply(amp)
     gamma_p = dirac_matrix(view.rep, p, s)
-    return [
-        ("eta", "Weyl1", _sigma_symbol(p, s, +1).apply(chiral[2:])),
-        ("xi", "Weyl2", _sigma_symbol(p, s, -1).apply(chiral[:2])),
+    relations = [
         ("bispinor.Qminus", "DiracNeutrino", gamma_p.apply(view.q_minus.apply(amp))),
         ("bispinor.Qplus", "DiracNeutrino", gamma_p.apply(view.q_plus.apply(amp))),
     ]
+    if view.rep.name != "spinor":
+        return relations
+    return [
+        ("eta", "Weyl1", _sigma_symbol(p, s, +1).apply(amp[2:])),
+        ("xi", "Weyl2", _sigma_symbol(p, s, -1).apply(amp[:2])),
+    ] + relations
 
 
 def weyl_residuals(f: PlaneWaveField) -> ResidualReport:

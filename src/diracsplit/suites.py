@@ -44,15 +44,16 @@ in and builds no field and no entry:
 ``_weyl_relations`` and ``_majorana_relations`` run on the backend of
 the momentum they are given, and a covariance trial transforms each
 term once: its amplitude through S and its momentum through a.  The
-split holds in closed form in every basis (see ``subsolutions``), so no
-record moves a field between bases to split it: ``_split_witness``
-splits each basis's own exact u_s at the witness momentum, and a
-covariance trial splits its u in that trial's basis.  The split fuzz
-alone stays in the spinor basis, whatever the run's ``rep``.  Every
-campaign is measured by one driver, ``_measure_campaigns``, once the
-suites have listed all their other records; it then walks the list
-once, so each campaign's records take its place and the report's order
-is the list's.  An error inside a campaign is therefore raised after
+split holds in closed form in every basis (see ``subsolutions``), and
+``weyl_spinor`` is built from each basis's own matrices, so no record
+moves a field between bases: ``_split_witness`` splits each basis's own
+exact u_s at the witness momentum, a covariance trial splits its u in
+that trial's basis, and the Weyl records state each basis's own chiral
+solutions.  The split fuzz alone stays in the spinor basis, whatever
+the run's ``rep``.  Every campaign is measured by one driver,
+``_measure_campaigns``, once the suites have listed all their other
+records; it then walks the list once, so each campaign's records take
+its place and the report's order is the list's.  An error inside a campaign is therefore raised after
 every structural entry of the run has been measured.  The driver reads
 ``reports.magnitude`` of each value, the float an entry would record,
 and keeps each label's largest, NaN if any trial gave NaN.  Trials
@@ -762,7 +763,8 @@ def _run_split(config: RunConfig, out: list) -> None:
                 yield "input-dirac-residual", "Dirac1", dirac_matrix(sp, p, 1, p.mass).apply(amp)
                 norm = kernels.ordered_sum(abs(a) ** 2 for a in amp)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
-                for family in split_relations(view, amp, p, 1, p.mass):
+                constituents = split_term(view, amp, p, 1, p.mass)
+                for family in split_relations(view, amp, constituents, p, 1, p.mass):
                     yield from family
             yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
                 (a.conjugate() * b for a, b in zip(*amps)), 0j))

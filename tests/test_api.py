@@ -207,6 +207,17 @@ def test_gamma_measures_only_its_validations():
     assert scopes == ["_family_residuals", "_verified_intertwiner"]
 
 
+def test_only_gamma_and_suites_read_an_intertwiner():
+    """No field or relation changes basis: ``gamma`` derives M with an intertwiner, ``suites``
+    records them, and no other module calls ``.intertwiner(``."""
+    outside = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.stem not in ("gamma", "suites"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside += [f"{path.stem}.{scope}" for scope, _ in _calls_of("intertwiner", tree)]
+    assert outside == []
+
+
 def test_the_readme_library_example_runs(capsys):
     """The README's "Library use" code block runs as written, and its run passes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

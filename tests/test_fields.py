@@ -427,15 +427,16 @@ def test_u_spinor_rejects_bad_spin_label(spinor):
 
 
 def test_weyl_goldens_along_axis(spinor):
-    k = FourMomentum.exact((1, 0, 0, 1), 0)
-    left = weyl_spinor(k, spinor, "left")
-    right = weyl_spinor(k, spinor, "right")
+    """Along +z and -z, each chirality takes the seed whose image does not vanish."""
     zero, one = GaussianRational(0), GaussianRational(1)
-    assert left.amplitude == (zero, zero, zero, one)
-    assert right.amplitude == (one, zero, zero, zero)
+    for kvec, left, right in (((1, 0, 0, 1), (zero, zero, zero, one), (one, zero, zero, zero)),
+                              ((1, 0, 0, -1), (zero, zero, one, zero), (zero, one, zero, zero))):
+        k = FourMomentum.exact(kvec, 0)
+        assert weyl_spinor(k, spinor, "left").amplitude == left
+        assert weyl_spinor(k, spinor, "right").amplitude == right
 
 
-@pytest.mark.parametrize("kvec", [(3, 2, 2, 1), (3, 2, 2, -1), (2, 0, 0, -2)])
+@pytest.mark.parametrize("kvec", [(3, 2, 2, 1), (3, 2, 2, -1), (2, 0, 0, -2), (1, 0, 0, 1)])
 def test_weyl_solves_massless_dirac(rep, kvec):
     k = FourMomentum.exact(kvec, 0)
     for chirality in ("left", "right"):
@@ -454,16 +455,17 @@ def test_weyl_chirality_images(rep):
 
 @given(masses, spatial)
 @settings(max_examples=40)
-def test_weyl_float_unit_norm(spinor, scale, sp):
+def test_weyl_float_unit_norm(all_reps, scale, sp):
     norm = (sp[0] ** 2 + sp[1] ** 2 + sp[2] ** 2) ** 0.5
     if norm < 1e-3:
         return
     k = FourMomentum.floats((norm, *sp), 0.0)
-    for chirality in ("left", "right"):
-        w = weyl_spinor(k, spinor, chirality)
-        assert abs(sum(abs(a) ** 2 for a in w.amplitude) - 1.0) <= 1e-12
-        f = field_of(w, rep=spinor)
-        assert dirac_residual(f, 0.0).max_abs() <= 1e-10
+    for rep in all_reps:
+        for chirality in ("left", "right"):
+            w = weyl_spinor(k, rep, chirality)
+            assert abs(sum(abs(a) ** 2 for a in w.amplitude) - 1.0) <= 1e-12
+            f = field_of(w, rep=rep)
+            assert dirac_residual(f, 0.0).max_abs() <= 1e-10
 
 
 def test_weyl_rejects_massive(spinor):

@@ -8,7 +8,6 @@ from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 from diracsplit.suites import _clifford_records
-from field_helpers import max_abs_diff
 
 
 def test_rep_names_pinned():
@@ -109,14 +108,12 @@ def test_intertwiner_keeps_its_verified_residuals(all_reps):
             assert [e.label for e in residuals] == ["unitary"] + [
                 f"similarity.gamma{mu}" for mu in (0, 1, 2, 3, 5)]
             assert residuals.all_exact_zero()
-            assert a.on(FLOAT).intertwiner(b).residuals is residuals
 
 
-def test_intertwiner_unitary_float():
-    sp, std = build_rep("spinor"), build_rep("standard")
-    assert sp.on(EXACT).intertwiner(std).u is None  # exact code moves fields with W
-    uf = sp.on(FLOAT).intertwiner(std).u
-    assert max_abs_diff(uf @ uf.adjoint(), Matrix.identity(4, FLOAT)) < 1e-15
+def test_the_float_view_holds_no_intertwiner(rep):
+    """No field or relation changes basis, so a float view has no intertwiner to give."""
+    with pytest.raises(ValueError, match=r"rep.on\('exact'\).intertwiner"):
+        rep.on(FLOAT).intertwiner(build_rep("standard"))
 
 
 def test_conjugate_by_intertwiner_roundtrip():
@@ -203,24 +200,19 @@ def test_view_is_built_once_per_backend(rep, backend):
 
 def _view_matrices(view):
     """Every matrix a view holds, flattened in a fixed order."""
-    links = [view.intertwiner(build_rep(n)) for n in REP_NAMES]
     mats = list(view.gammas) + [view.gamma5] + list(view.gammas_lower)
     mats += [m for row in view.sigmas for m in row]
     mats += [view.q_plus, view.q_minus, *view.p, view.v, view.conjugation]
-    mats += [link.w for link in links]
-    return mats, links
+    return mats
 
 
 def test_float_view_is_promoted_exact_view(rep):
-    exact, exact_links = _view_matrices(rep.on(EXACT))
-    floated, float_links = _view_matrices(rep.on(FLOAT))
+    exact = _view_matrices(rep.on(EXACT))
+    floated = _view_matrices(rep.on(FLOAT))
     assert len(exact) == len(floated)
     for a, b in zip(exact, floated):
         assert a.backend == EXACT and b.backend == FLOAT
         assert b.entries == a.to_float().entries
-    for a, b in zip(exact_links, float_links):
-        assert b.norm2 == a.norm2 and a.u is None
-        assert b.u.entries == a.w.to_float().scale(1.0 / a.norm2**0.5).entries
 
 
 def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
@@ -254,22 +246,25 @@ def test_complements_are_formed_once_on_the_views_backend(rep, backend):
 
 
 def test_split_residuals_read_the_kept_complements(monkeypatch):
-    """A split in each basis forms no Id - P_k of its own and reads no intertwiner.
+    """A split in each basis forms no Id - P_k of its own; no split or Weyl path reads an intertwiner.
 
     The closed form and the identity relations read the view's kept
-    complements; nothing on the split's path changes basis.
+    complements, and the Weyl spinors and relations each basis's own
+    matrices: nothing on either path changes basis.
     """
-    from diracsplit import FourMomentum, field_of, split, u_spinor
+    from diracsplit import FourMomentum, field_of, split, u_spinor, weyl_residuals, weyl_spinor
+    from diracsplit import suites
     from diracsplit.gamma import RepView
     from diracsplit.reports import residual_report
 
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     reps = [build_rep(n) for n in REP_NAMES]
-    for r in reps:  # views and families built before counting
+    for r in reps:  # views, families and conjugation matrices built before counting
         r.on(EXACT).complements
+        r.on(EXACT).conjugation
 
     def no_intertwiner(view, rep_to):
-        raise AssertionError(f"the split read the intertwiner {view.rep.name} -> {rep_to.name}")
+        raise AssertionError(f"the path read the intertwiner {view.rep.name} -> {rep_to.name}")
 
     identities = []
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, *a: identities.append(a)))
@@ -280,3 +275,11 @@ def test_split_residuals_read_the_kept_complements(monkeypatch):
         reports += [residual_report(EXACT, family) for family in sr.relations]
     assert identities == []
     assert all(r.all_exact_zero() for r in reports)
+
+    null = [FourMomentum.exact(k, 0) for k in ((3, 2, 2, 1), (1, 0, 0, -1))]
+    for r in reps:
+        for k in null + [k.to_float() for k in null]:
+            for chirality in ("left", "right"):
+                assert weyl_residuals(field_of(weyl_spinor(k, r, chirality), r)).all_within(1e-12)
+    suites._weyl_witness.cache_clear()  # the exact witnesses are measured afresh too
+    assert suites.run(suites.RunConfig(suite="weyl", rep="all", trials=2)).failed == 0

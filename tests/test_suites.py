@@ -345,9 +345,9 @@ def test_campaign_records_take_the_place_of_the_campaign():
 #: sha256 of the (id, paper_eq, backend, exact_zero, pass) tuples of
 #: run(RunConfig(rep="all", trials=2, backend=b)), in report order
 _SKELETON_DIGESTS = {
-    "exact": (322, "7c3364fcc730835854b05a4ca92c4cfb84e85295156e78e04832669fca7c8202"),
-    "float": (620, "9989dd5e2e4aeec7e2af1eaf70be85b8ed2dd1c36b339d968c9b3d9a4c6bef82"),
-    "both": (806, "956aef5255bc54ae8eec4d78452609eb3da534c19db33aea6bbf91b8aabf7b75"),
+    "exact": (314, "fde0c947e8f30e794d2cd742e76e73889a44a62e8f5358e77b8f79fdaafcadce"),
+    "float": (612, "0290915dbc03d956ef966af3869ea4702cb638b5b51e0484e567a7198803381d"),
+    "both": (790, "95fa1b6a57fd9f8ad68bd9869e9a5236b7c35911041c246d724661fd5f2962bc"),
 }
 
 
@@ -355,9 +355,9 @@ _SKELETON_DIGESTS = {
 #: exact_zero, pass) of the same runs: any change that moves a float residual,
 #: even at roundoff, has to update this digest on purpose
 _RECORD_DIGESTS = {
-    "exact": (322, "f2fa28658ea409ea035c23a2760d6f913b6417b8a2f6ba5565d43bd6f0474671"),
-    "float": (620, "3b36dd2d6e7c039a0a160e3f53a860266942c35e83cc7fd123f299f430bbe364"),
-    "both": (806, "a9789fea073186ae3cca5cc95127f867f4d05220ca3a2959eadf1ed4b95bfcb9"),
+    "exact": (314, "92eeb48ed768db911bbb21e15503c6318996285cc48486a91329cdfea9740ebf"),
+    "float": (612, "687439511f3e75d6a3b1a6c25075beb5d001406517682359bc011d5961a8423a"),
+    "both": (790, "7a195cab074e9da3d0e1e74c863d0398acecec59cf6cb3264453073326449206"),
 }
 
 
