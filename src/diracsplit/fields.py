@@ -18,7 +18,11 @@ On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
 momentum and frequency sign, applied to each term's amplitude
 (``dirac_residual`` applies ``dirac_matrix``, the symbol of
-gamma^mu p_mu - m).
+gamma^mu p_mu - m).  ``dirac_matrix`` is the package's one Dirac-type
+symbol: in the spinor basis gamma.q = [[0, q0 + sigma.q], [q0 - sigma.q,
+0]], so the two-component Weyl and Majorana forms are the halves of its
+product with (xi, eta), and the special frame's reduced operator is
+``dirac_matrix`` at (q0, q1, 0, 0).
 
 The amplitude algebra of the term relations is written once here:
 ``_add`` (a + b), ``_sub`` (a + (-1) b, component by component) and
@@ -81,9 +85,8 @@ class FourMomentum(Value):
     """Contravariant components (p0, p1, p2, p3) plus the mass parameter."""
 
     _fields = ("p", "mass", "backend")
-    # _symbols: the symbols at this momentum, keyed with each sign's and mass's type:
-    # dirac_matrix's per (rep, freq_sign, mass), and subsolutions._sigma_symbol's per
-    # ("sigma", freq_sign, sign)
+    # _symbols: dirac_matrix's symbols at this momentum, per (rep, freq_sign, mass), keyed
+    # with the sign's and the mass's types too
     __slots__ = _fields + ("_symbols",)
 
     def __init__(self, p: tuple, mass, backend: str):

@@ -110,8 +110,3 @@ def max_abs(values) -> float:
                 return v
             m = v
     return m
-
-
-def max_abs_diff(a: tuple, b: tuple) -> float:
-    """Largest entrywise difference magnitude, NaN if any is NaN."""
-    return max_abs(x - y for x, y in zip(a, b))

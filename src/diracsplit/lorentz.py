@@ -29,7 +29,9 @@ at a new ``inverse()`` each time, is read only to build what is kept.
 
 The covariance suite checks that premise exactly, plane by plane, among
 the exact records it keeps per representation
-(``suites._covariance_records``, ``sigma-square.<mu><nu>``).
+(``suites._covariance_records``, ``sigma-square.<mu><nu>``).  This module
+builds no Dirac symbol: the special frame's reduced operator is
+``fields.dirac_matrix`` at the frame's momentum (see ``special_frame``).
 
 The float certificates that depend on the basis alone are stated as
 ``(label, equation, value)`` relations, like every other family:
@@ -47,7 +49,7 @@ import math
 from . import kernels
 from .errors import OffShell, SpecialFrameRequiresMass
 from .fields import FourMomentum
-from .gamma import METRIC_SIGNS, GammaRep, RepView
+from .gamma import METRIC_SIGNS, GammaRep
 from .matrices import Matrix, commutator
 from .reports import residual_report
 from .scalars import FLOAT
@@ -254,7 +256,9 @@ def special_frame(p: FourMomentum) -> tuple:
     atanh(p3/p0) then removes p3.  The planes are disjoint, so the two
     transformations commute and the order is immaterial.  Requires a
     massive on-shell momentum: for m = 0 with p1 = p2 = 0 the boost
-    parameter would be |p3/p0| = 1.
+    parameter would be |p3/p0| = 1.  In that frame gamma.p - m is
+    ``fields.dirac_matrix`` at (p0', p1', 0, 0), the reduced operator the
+    covariance suite checks there.
     """
     if not p.mass:
         raise SpecialFrameRequiresMass("frame-fixing boost needs m > 0")
@@ -268,12 +272,3 @@ def special_frame(p: FourMomentum) -> tuple:
         LorentzParams(_BOOST, (0, 3), omega_b),
     )
 
-
-def reduced_dirac_symbol(view: RepView, p: FourMomentum, s: int, mass) -> Matrix:
-    """gamma_0 (s p^0) + gamma_1 (s p^1) - m: the reduced Dirac symbol of the special frame.
-
-    In the special frame of ``special_frame`` p_2 = p_3 = 0, so the
-    symbol gamma^mu p_mu - m of a term collapses to its (0, 1) part.
-    """
-    g0, g1 = view.gammas_lower[:2]
-    return g0.scale(s * p.p[0]) + g1.scale(s * p.p[1]) - Matrix.diag((mass,) * 4, p.backend)

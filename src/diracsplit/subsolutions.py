@@ -52,9 +52,11 @@ exact inputs on an exact mass shell all residuals vanish identically.
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
 conventions of the spinor basis.  Like the split's component statements,
-their two-component forms are made in the spinor basis only; every basis
-states the bispinor forms with its own matrices, and no relation moves
-an amplitude between bases.
+their two-component forms are made in the spinor basis only, where
+(p0 + sigma.p) eta and (p0 - sigma.p) xi are the upper and lower halves
+of gamma.p (xi, eta): every operator here is a ``dirac_matrix`` symbol or
+a constant matrix.  Every basis states the bispinor forms with its own
+matrices, and no relation moves an amplitude between bases.
 """
 
 from __future__ import annotations
@@ -287,31 +289,14 @@ def recombination_residuals(sr: SplitResult) -> ResidualReport:
 # -- Weyl ----------------------------------------------------------------------
 
 
-def _sigma_symbol(p: FourMomentum, s: int, sign: int) -> Matrix:
-    """The symbol of (p^0 + sign * sigma.p) on a term with eigenvalues q = s p.
-
-    [[q0 + sign q3, sign (q1 - i q2)], [sign (q1 + i q2), q0 - sign q3]],
-    kept on p per (s, type of s, sign) as ``dirac_matrix`` keeps its symbols.
-    """
-    key = ("sigma", s, type(s), sign)
-    symbol = p._symbols.get(key)
-    if symbol is None:
-        scalar = SCALAR_TYPE[p.backend]
-        q0, q1, q2, q3 = (c * s for c in p.p)
-        q1, q2, q3 = sign * q1, sign * q2, sign * q3
-        symbol = Matrix(2, p.backend, (scalar(q0 + q3), scalar(q1, -q2),
-                                       scalar(q1, q2), scalar(q0 - q3)))
-        p._symbols[key] = symbol
-    return symbol
-
-
 def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     """The massless chiral equations on one term, in ``view``'s basis.
 
     Every basis states the bispinor forms gamma.p Q-+ psi = 0.  The spinor
     basis puts first the two-component forms (p0 + sigma.p) eta = 0 and
-    (p0 - sigma.p) xi = 0 on its chiral halves, psi = (xi, eta); another
-    basis has no such components.
+    (p0 - sigma.p) xi = 0 on its chiral halves, psi = (xi, eta): the upper
+    and lower halves of gamma.p psi there; another basis has no such
+    components.
     """
     gamma_p = dirac_matrix(view.rep, p, s)
     relations = [
@@ -320,10 +305,8 @@ def weyl_relations(view: RepView, amp: tuple, p: FourMomentum, s: int) -> list:
     ]
     if view.rep.name != "spinor":
         return relations
-    return [
-        ("eta", "Weyl1", _sigma_symbol(p, s, +1).apply(amp[2:])),
-        ("xi", "Weyl2", _sigma_symbol(p, s, -1).apply(amp[:2])),
-    ] + relations
+    halves = gamma_p.apply(amp)
+    return [("eta", "Weyl1", halves[:2]), ("xi", "Weyl2", halves[2:])] + relations
 
 
 def weyl_residuals(f: PlaneWaveField) -> ResidualReport:
@@ -354,9 +337,10 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     basis's conjugation matrix, and the coupled equations pair the term
     with it in the same way.  Self-conjugacy f = C f holds in every basis;
     the spinor basis adds (p0 + sigma.p) eta = -i m sigma2 eta*,
-    (p0 - sigma.p) xi = +i m sigma2 xi*, and the component relations
-    xi = -i sigma2 eta*, eta = +i sigma2 xi*.  Another basis, which has
-    no components to check, adds the Dirac equation (gamma.p - m) f = 0.
+    (p0 - sigma.p) xi = +i m sigma2 xi*, whose left sides are the halves
+    of gamma.p f there, and the component relations xi = -i sigma2 eta*,
+    eta = +i sigma2 xi*.  Another basis, which has no components to check,
+    adds the Dirac equation (gamma.p - m) f = 0.
     """
     backend = view.backend
     conj = tuple(a.conjugate() for a in partner)
@@ -366,12 +350,12 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     scalar = SCALAR_TYPE[backend]
     i_m, i_one = scalar(0, mass), scalar(0, 1)
     xi, eta = amp[:2], amp[2:]
+    blocks = dirac_matrix(view.rep, p, s).apply(amp)  # ((p0 + sigma.p) eta, (p0 - sigma.p) xi)
     s2_eta = _SIGMA2[backend].apply(conj[2:])  # sigma2 eta*
     s2_xi = _SIGMA2[backend].apply(conj[:2])  # sigma2 xi*
     return relations + [
-        ("eq1", "Majorana1", _add(_sigma_symbol(p, s, +1).apply(eta), _scaled(i_m, s2_eta))),
-        ("eq2", "Majorana2", _sub(_sigma_symbol(p, s, -1).apply(xi), _scaled(i_m, s2_xi),
-                                  backend)),
+        ("eq1", "Majorana1", _add(blocks[:2], _scaled(i_m, s2_eta))),
+        ("eq2", "Majorana2", _sub(blocks[2:], _scaled(i_m, s2_xi), backend)),
         ("xi-consistency", "MAJORANA", _add(xi, _scaled(i_one, s2_eta))),
         ("eta-consistency", "MAJORANA", _sub(eta, _scaled(i_one, s2_xi), backend)),
     ]

@@ -36,8 +36,9 @@ terms (``subsolutions.termwise``), into entries with
 ``reports.residual_report``.  Those entries depend on the basis alone,
 so ``_<suite>_witness`` keeps them per basis: a warm exact run does no
 exact arithmetic.  The float controls of ``split`` and ``weyl``
-(``_split_controls``, ``_weyl_controls``) and each basis's Lorentz
-certificates (``_lorentz_certificates``) are kept the same way.  Only
+(``_split_controls``, ``_weyl_controls``), each basis's Lorentz
+certificates (``_lorentz_certificates``) and the special frame of the
+witness momentum (``_special_frame_witness``) are kept the same way.  Only
 the pinned bases, which live as long as the process, reach these
 builders.  A fuzz trial passes its sampled modes' amplitudes straight
 in and builds no field and no entry:
@@ -112,7 +113,6 @@ from .gamma import INDEX_PAIRS, METRIC_SIGNS, REP_NAMES, _family_residuals, buil
 from .lorentz import (
     COVARIANCE_GRID,
     float_certificates,
-    reduced_dirac_symbol,
     special_frame,
     spinor_transform,
     transformed_projectors,
@@ -916,8 +916,9 @@ def _covariance_records(rep) -> tuple:
     ``commute.sigma<mu><nu>.P<i>`` (equation S) is [sigma_03, P_i] and
     [sigma_12, P_i] for i = 1, 2: the (0,3) boost and (1,2) rotation act
     inside each subsolution class.  ``v-reduced-op.<n>`` (equation V) is
-    V op V^-1 - op for op = a gamma0 - b gamma1 - m at two pinned (a, b,
-    m): V keeps the reduced Dirac operator of the special frame.
+    V op V^-1 - op for op = a gamma0 - b gamma1 - m, ``dirac_matrix`` at
+    (a, b, 0, 0), at two pinned (a, b, m): V keeps the reduced Dirac
+    operator of the special frame.
     ``sigma-square.<mu><nu>`` (equation S) is sigma_{mu nu}^2 - g_{mu mu}
     g_{nu nu} Id, the premise of ``lorentz.spinor_transform``.
     """
@@ -926,10 +927,9 @@ def _covariance_records(rep) -> tuple:
     ident = Matrix.identity(4)
     relations = [(f"commute.sigma{mu}{nu}.P{i}", "S", commutator(sigmas[mu][nu], ps[i - 1]))
                  for mu, nu in ((0, 3), (1, 2)) for i in (1, 2)]
-    g0, g1 = view.gammas[:2]
     vd = v.adjoint()
     for n, (a, b, m) in enumerate(((3, 2, 1), (5, -7, 2))):
-        op = g0.scale(a) - g1.scale(b) - ident.scale(m)
+        op = dirac_matrix(rep, FourMomentum.exact((a, b, 0, 0), m), 1, m)
         relations.append((f"v-reduced-op.{n}", "V", v @ op @ vd - op))
     for mu, nu in INDEX_PAIRS:
         if mu < nu:
@@ -983,17 +983,22 @@ def _lorentz_certificates(rep) -> tuple:
     return float_certificates(rep)
 
 
-def _special_frame_checks(config: RunConfig, out: list) -> None:
-    sp = build_rep("spinor")
-    view = sp.on(FLOAT)
-    p1f, p2f = view.p[:2]
-
+@cache
+def _special_frame_witness() -> ResidualEntry:
+    """The witness momentum's offsets from (3, 8^(1/2), 0, 0) in its special frame, kept."""
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
     rot, boost = special_frame(p_w)
     moved = vector_transform(boost).apply(vector_transform(rot).apply(p_w))
     offsets = (moved.p[0] - 3.0, moved.p[1] - 8.0 ** 0.5, moved.p[2], moved.p[3])
-    out.append(("covariance.special-frame.witness",
-                residual_entry("witness", "P1a", FLOAT, offsets), config.strict_tol))
+    return residual_entry("witness", "P1a", FLOAT, offsets)
+
+
+def _special_frame_checks(config: RunConfig, out: list) -> None:
+    sp = build_rep("spinor")
+    view = sp.on(FLOAT)
+    p1f, p2f = view.p[:2]
+    out.append(("covariance.special-frame.witness", _special_frame_witness(),
+                config.strict_tol))
 
     def trial_residuals(rng, trial):
         p, (_, psi1, psi2) = _sampled_split(rng, config, trial, sp)
@@ -1008,7 +1013,9 @@ def _special_frame_checks(config: RunConfig, out: list) -> None:
         yield "transverse-zeroed", "P1a", abs(q3)
         inv_mass = (q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3) ** 0.5
         yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
-        reduced = reduced_dirac_symbol(view, p_moved, 1, p.mass)
+        # the frame's reduced operator gamma^0 q0 - gamma^1 q1 - m drops q2 and q3, which
+        # "transverse-zeroed" bounds
+        reduced = dirac_matrix(sp, FourMomentum((q0, q1, 0.0, 0.0), p.mass, FLOAT), 1, p.mass)
         proj1 = p1f.apply(moved1)
         yield "P1a", "P1a", reduced.apply(proj1)
         yield "P2a", "P2a", reduced.apply(p2f.apply(moved2))

@@ -61,7 +61,7 @@ def test_names_the_benchmark_traces():
     from diracsplit import (cli, fields, kernels, lorentz, matrices, projectors, scalars,
                             subsolutions, suites)
 
-    functions = {kernels: ("mul", "mul_vec", "max_abs", "max_abs_diff"),
+    functions = {kernels: ("mul", "mul_vec", "max_abs"),
                  cli: ("main",), fields: ("dirac_matrix",), subsolutions: ("split",),
                  lorentz: ("spinor_transform",), projectors: ("build_projectors",),
                  suites: ("run",) + tuple(f"_run_{suite}" for suite in (
@@ -215,6 +215,18 @@ def test_only_gamma_and_suites_read_an_intertwiner():
         if path.stem not in ("gamma", "suites"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             outside += [f"{path.stem}.{scope}" for scope, _ in _calls_of("intertwiner", tree)]
+    assert outside == []
+
+
+def test_only_gamma_and_fields_read_the_lowered_gammas():
+    """Every gamma.p - m is ``fields.dirac_matrix``: ``gamma`` builds gamma_mu, ``fields``
+    contracts them with a momentum, and no other module reads ``.gammas_lower``."""
+    outside = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.stem not in ("gamma", "fields"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "gammas_lower"]
     assert outside == []
 
 

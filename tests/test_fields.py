@@ -31,7 +31,6 @@ from diracsplit.errors import (
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
-from diracsplit.subsolutions import _sigma_symbol
 from field_helpers import apply_symbol, charge_conjugate
 
 I = GaussianRational(0, 1)
@@ -220,16 +219,13 @@ def test_a_float_mass_on_an_exact_momentum_raises_whatever_ran_before(spinor):
 
 
 def test_a_float_sign_on_an_exact_momentum_raises_whatever_ran_before(spinor):
-    """1 == 1.0, so the kept symbols gamma.p - m and p0 +- sigma.p are keyed by the sign's type."""
+    """1 == 1.0, so the kept symbols gamma.p - m are keyed by the sign's type."""
     for warm in (False, True):
         p = FourMomentum.exact((3, 2, 2, 0), 1)
         if warm:
             dirac_matrix(spinor, p, 1, 1)
-            _sigma_symbol(p, 1, 1)
         with pytest.raises(BackendMismatch):
             dirac_matrix(spinor, p, 1.0, 1)
-        with pytest.raises(BackendMismatch):
-            _sigma_symbol(p, 1.0, 1)
     pf = p.to_float()
     assert dirac_matrix(spinor, pf, 1, 1).entries == dirac_matrix(spinor, pf, 1.0, 1).entries
 

@@ -33,7 +33,8 @@ def test_pure_mul_vec_oracle():
 def test_pure_max_abs():
     assert kernels.max_abs((3 + 4j, 1 + 0j)) == 5.0
     assert kernels.max_abs(()) == 0.0
-    assert kernels.max_abs_diff((3 + 4j, 1 + 0j), (0j, 1 + 0j)) == 5.0
+    assert max_abs_diff(Matrix(2, FLOAT, (3 + 4j, 1 + 0j, 0j, 0j)),
+                        Matrix(2, FLOAT, (0j, 1 + 0j, 0j, 0j))) == 5.0
 
 
 
@@ -41,7 +42,7 @@ def test_pure_max_abs():
 def test_max_abs_propagates_nan(values):
     assert math.isnan(kernels.max_abs(values))
     assert math.isnan(kernels.max_abs(iter(values)))
-    assert math.isnan(kernels.max_abs_diff(values, (0j, 0j)))
+    assert math.isnan(max_abs_diff(Matrix(2, FLOAT, values + (0j, 0j)), Matrix.zero(2, FLOAT)))
 
 
 def test_ordered_sum_adds_left_to_right():

@@ -281,6 +281,29 @@ def test_weyl_residuals_massive_control():
     assert max(magnitude(v) for _, _, v in weyl_relations(spinor.on(EXACT), amp, p, 1)) > 0.1
 
 
+def test_weyl_component_forms_are_p0_plus_minus_sigma_p_on_each_half():
+    """``eta`` is (q0 + sigma.q) eta and ``xi`` is (q0 - sigma.q) xi, on any amplitude.
+
+    Both vanish on a Weyl solution, so the witness cannot tell the halves
+    apart; a generic amplitude at a massive momentum, at both frequency
+    signs, does.
+    """
+    view = build_rep("spinor").on(EXACT)
+    p = FourMomentum.exact((5, 3, 2, 1), 2)
+    amp = (GaussianRational(1), I, GaussianRational(2, -1), GaussianRational(-3))
+    for s in (1, -1):
+        q0, q1, q2, q3 = (c * s for c in p.p)
+
+        def sigma_form(sign, v):  # (q0 + sign sigma.q) v
+            rows = ((GaussianRational(q0 + sign * q3), GaussianRational(sign * q1, -sign * q2)),
+                    (GaussianRational(sign * q1, sign * q2), GaussianRational(q0 - sign * q3)))
+            return tuple(a * v[0] + b * v[1] for a, b in rows)
+
+        got = {label: value for label, _, value in weyl_relations(view, amp, p, s)}
+        assert got["eta"] == sigma_form(1, amp[2:]) != (0, 0)
+        assert got["xi"] == sigma_form(-1, amp[:2]) != (0, 0)
+
+
 # -- Majorana ------------------------------------------------------------------
 
 
@@ -387,8 +410,9 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
 def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     """Each key's partner is conjugated once, whole: both halves of it, once each.
 
-    Per key that is four scalar conjugations and five products: C on the
-    partner, sigma2 on each conjugated half, and sigma.p on each half.
+    Per key that is four scalar conjugations and four products: C on the
+    partner, sigma2 on each conjugated half, and gamma.p on the term,
+    whose halves are (p0 + sigma.p) eta and (p0 - sigma.p) xi.
     """
     sp = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
@@ -404,7 +428,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     maj = with_conjugate(field_of(u_spinor(q, sp, 2), sp))
     calls = _counted_mul_vec(monkeypatch)
     report = majorana_residuals(maj, q.mass)
-    assert len(calls) == 2 * 5
+    assert len(calls) == 2 * 4
     assert report.all_within(1e-10)
 
 
@@ -502,28 +526,21 @@ def test_field_residuals_are_the_largest_of_their_terms(rep_name, modes, floats)
         _assert_termwise(residuals(whole), [residuals(sr) for sr in parts])
 
 
-def test_a_majorana_trial_builds_each_sigma_symbol_once(monkeypatch):
-    """Eight (p0 +- sigma.p) symbols per trial, at both frequency signs: four built, each once."""
-    from diracsplit import subsolutions
+def test_a_majorana_trial_builds_gamma_p_once_per_frequency_sign(monkeypatch):
+    """u_s and both spins' relations at s = +1 share one gamma.p; the partner's s = -1, another."""
+    from diracsplit import fields
 
-    sigma = subsolutions._sigma_symbol
-    reads, built = [], []
+    gamma_dot = fields._gamma_dot
+    built = []
 
-    def read(p, s, sign):
-        reads.append((p, s, sign))
-        return sigma(p, s, sign)
+    def build(rep, p, s):
+        built.append((p, s))
+        return gamma_dot(rep, p, s)
 
-    def build(n, backend, entries):
-        built.append(entries)
-        return Matrix(n, backend, entries)
-
-    monkeypatch.setattr(subsolutions, "_sigma_symbol", read)
-    monkeypatch.setattr(subsolutions, "Matrix", build)
+    monkeypatch.setattr(fields, "_gamma_dot", build)
     for trials in (1, 3):
-        reads.clear()
         built.clear()
         assert run(RunConfig(suite="majorana", backend="float", trials=trials)).failed == 0
-        # ``reads`` holds every momentum, so no id is reused while it is compared
-        distinct = {(id(p), s, sign) for p, s, sign in reads}
-        assert len(reads) == 8 * trials
-        assert len(distinct) == len(built) == 4 * trials
+        # ``built`` holds every momentum, so no id is reused while it is compared
+        assert len({(id(p), s) for p, s in built}) == len(built) == 2 * trials
+        assert sorted(s for _, s in built) == [-1] * trials + [1] * trials

@@ -454,6 +454,18 @@ def test_warm_covariance_run_reads_its_certificates(monkeypatch):
     assert calls
 
 
+def test_warm_covariance_run_keeps_the_special_frame_witness(monkeypatch):
+    """The witness momentum's special frame is found once; a warm run finds one per trial."""
+    config = RunConfig(suite="covariance", backend="float", trials=2)
+    first = run(config)
+    frames = []
+    special_frame = suites.special_frame
+    monkeypatch.setattr(suites, "special_frame", lambda p: frames.append(p) or special_frame(p))
+    second = run(config)
+    assert len(frames) == config.trials
+    assert json_dict(second)["checks"] == json_dict(first)["checks"]
+
+
 @pytest.mark.parametrize("suite", ("split", "weyl", "majorana"))
 def test_warm_witness_run_reads_its_records(suite, monkeypatch):
     """The exact witness records depend on the basis alone: measured once per basis.
