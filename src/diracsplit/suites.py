@@ -30,37 +30,39 @@ recorded as the very entries it measured.
 
 A claim is stated once, on one plane-wave term, as ``(label, equation,
 value)`` relations (see ``subsolutions``), and checked from that one
-statement exactly on a witness and in floats over seeded fuzz.  A
-witness measures the relations of its field, concatenated over the
-terms (``subsolutions.termwise``), into entries with
+statement exactly on a witness and in floats over seeded fuzz: the
+split's through ``_split_relations`` (``split_term``, then
+``split_relations``), the others' through ``_weyl_relations`` and
+``_majorana_relations``, each on the backend of the momentum it is
+given.  A witness measures its terms' relations, concatenated
+(``subsolutions.termwise``), into entries with
 ``reports.residual_report``.  Those entries depend on the basis alone,
 so ``_<suite>_witness`` keeps them per basis: a warm exact run does no
-exact arithmetic.  The float controls of ``split`` and ``weyl``
-(``_split_controls``, ``_weyl_controls``), each basis's Lorentz
-certificates (``_lorentz_certificates``) and the special frame of the
-witness momentum (``_special_frame_witness``) are kept the same way.  Only
-the pinned bases, which live as long as the process, reach these
-builders.  A fuzz trial passes its sampled modes' amplitudes straight
-in and builds no field and no entry:
-``_weyl_relations`` and ``_majorana_relations`` run on the backend of
-the momentum they are given, and a covariance trial transforms each
-term once: its amplitude through S and its momentum through a.  The
-split holds in closed form in every basis (see ``subsolutions``), and
-``weyl_spinor`` is built from each basis's own matrices, so no record
-moves a field between bases: ``_split_witness`` splits each basis's own
-exact u_s at the witness momentum, a covariance trial splits its u in
-that trial's basis, and the Weyl records state each basis's own chiral
-solutions.  The split fuzz alone stays in the spinor basis, whatever
-the run's ``rep``.  Every campaign is measured by one driver,
+exact arithmetic.  The split witness calls no ``split``, so a wrong
+statement fails its records and raises nothing.  The Weyl and Majorana
+suites share one loop (``_per_basis``): per selected basis, its exact
+witness, then its float campaign.  The float controls of ``split`` and
+``weyl`` (one builder, ``_controls``, keyed by suite), each basis's
+Lorentz certificates (``_lorentz_certificates``) and the special frame
+of the witness momentum (``_special_frame_witness``) are kept the same
+way.  Only the pinned bases, which live as long as the process, reach
+these builders.  A fuzz trial passes its sampled modes' amplitudes
+straight in and builds no field and no entry, and a covariance trial
+transforms each term once: its amplitude through S and its momentum
+through a.  No record moves a field between bases: each basis splits
+its own exact u_s at the witness momentum, a covariance trial splits
+its u in that trial's basis, and the Weyl records state each basis's
+own chiral solutions.  The split fuzz alone stays in the spinor basis,
+whatever the run's ``rep``.  Every campaign is measured by one driver,
 ``_measure_campaigns``, once the suites have listed all their other
 records; it then walks the list once, so each campaign's records take
-its place and the report's order is the list's.  An error inside a campaign is therefore raised after
-every structural entry of the run has been measured.  The driver reads
-``reports.magnitude`` of each value, the float an entry would record,
-and keeps each label's largest, NaN if any trial gave NaN.  Trials
-derive per-trial sub-seeds from (seed, family tag, index), so records
-are independent of execution order and two runs with the same config
-produce identical reports.
+its place and the report's order is the list's.  An error inside a
+campaign is therefore raised after every structural entry of the run has
+been measured.  The driver reads ``reports.magnitude`` of each value,
+the float an entry would record, and keeps each label's largest, NaN if
+any trial gave NaN.  Trials derive per-trial sub-seeds from (seed,
+family tag, index), so records are independent of execution order and
+two runs with the same config produce identical reports.
 
 That independence lets a run's campaigns share the machine's cores
 (``_shared``), with one fork per run.  Each campaign's trials are cut
@@ -93,7 +95,6 @@ import signal
 import threading
 import time
 import zlib
-from fractions import Fraction
 from functools import cache
 from random import Random
 
@@ -248,6 +249,7 @@ def _selected_reps(config: RunConfig) -> tuple:
 
 
 _ALL_REPS = tuple(build_rep(n) for n in REP_NAMES)
+_SPINOR = build_rep("spinor")
 
 
 # -- record judging ---------------------------------------------------------------
@@ -670,7 +672,7 @@ def _projector_records(backend: str) -> tuple:
             entries.append(checked["v-swap.unitary"])
         out += [(f"projectors.{rep.name}.{e.label}", e) for e in entries]
 
-    spinor = build_rep("spinor").on(backend)
+    spinor = _SPINOR.on(backend)
     if backend == EXACT:
         diagonals = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
         relations = [(f"p{k}.diagonal", f"P{k}", p - Matrix.diag(d))
@@ -703,7 +705,21 @@ def _run_projectors(config: RunConfig, out: list) -> None:
 
 def _basis_part(rep) -> str:
     """The basis part of split and Majorana check ids and sub-seed tags; none for the spinor."""
-    return "" if rep.name == "spinor" else f".{rep.name}"
+    return "" if rep is _SPINOR else f".{rep.name}"
+
+
+def _split_relations(rep, p: FourMomentum, amp: tuple) -> tuple:
+    """The constituents of the term ``amp`` at (p, +1) in ``rep``, and the split's relations there.
+
+    ``split_term`` gives the constituents once, on p's backend, and
+    ``split_relations`` states the term's recombination, identity and
+    constituent families on them, concatenated: the one statement of the
+    split that its exact witness and its float fuzz both check.
+    """
+    view = rep.on(p.backend)
+    constituents = split_term(view, amp, p, 1, p.mass)
+    families = split_relations(view, amp, constituents, p, 1, p.mass)
+    return constituents, [r for family in families for r in family]
 
 
 @cache
@@ -711,15 +727,14 @@ def _split_witness(rep) -> tuple:
     """The split suite's exact records of ``rep``, measured on first call and kept.
 
     Each spin's exact u_s at the witness momentum is split in ``rep``
-    itself, and every relation ``split_relations`` gives that basis is
-    recorded.  The spinor basis adds its component records: gamma.p
-    against the componentwise block, and u_s and the xi pairs against
+    itself by ``_split_relations``, and every relation it gives that
+    basis is recorded.  The spinor basis adds its component records:
+    gamma.p against the componentwise block, and, ahead of each spin's
+    split relations, u_s and the xi pairs of its constituents against
     their pinned values.
     """
-    name = _basis_part(rep)
     out = []
-    spinor = rep.name == "spinor"
-    if spinor:
+    if rep is _SPINOR:
         for tag, comps in (("witness", _WITNESS_P), ("tilted", (3, 0, 2, 2))):
             q = FourMomentum.exact(comps, 1)
             block = dirac_matrix(rep, q, 1) - _component_block(q)
@@ -727,66 +742,63 @@ def _split_witness(rep) -> tuple:
                         residual_entry("dirac2-block", "Dirac2", EXACT, block)))
     p = FourMomentum.exact(_WITNESS_P, _WITNESS_MASS)
     for s in (1, 2):
-        u = u_spinor(p, rep, s)
-        sr = split(field_of(u, rep), Fraction(_WITNESS_MASS))
-        entries = []
-        if spinor:
-            witnesses = (
-                ("u-amplitude", "Dirac1", u.amplitude, _WITNESS_U[s]),
-                ("xi1-values", "DEF1", sr.xi1_pair.terms[0].amplitude, _WITNESS_XI1[s]),
-                ("xi2-values", "DEF1", sr.xi2_pair.terms[0].amplitude, _WITNESS_XI2[s]),
-            )
-            entries = [residual_entry(label, eq, EXACT, [a - b for a, b in zip(got, want)])
-                       for label, eq, got, want in witnesses]
-        relations = [r for family in sr.relations for r in family]
-        entries += residual_report(EXACT, relations).entries
-        out += [(f"split.witness{name}.s{s}.{e.label}", e) for e in entries]
+        u = u_spinor(p, rep, s).amplitude
+        (psi1, psi2), relations = _split_relations(rep, p, u)
+        if rep is _SPINOR:
+            relations = [
+                ("u-amplitude", "Dirac1", _sub(u, _WITNESS_U[s], EXACT)),
+                ("xi1-values", "DEF1", _sub(psi1[:2], _WITNESS_XI1[s], EXACT)),
+                ("xi2-values", "DEF1", _sub(psi2[:2], _WITNESS_XI2[s], EXACT)),
+            ] + relations
+        out += [(f"split.witness{_basis_part(rep)}.s{s}.{e.label}", e)
+                for e in residual_report(EXACT, relations)]
     return tuple(out)
 
 
 def _run_split(config: RunConfig, out: list) -> None:
-    sp = build_rep("spinor")
-
     if config.run_exact:
         for rep in _ALL_REPS:
             out += _split_witness(rep)
 
     if config.run_float:
-        view = sp.on(FLOAT)
-
         def trial_residuals(rng, _):
             p = _sample_massive(rng, config)
             amps = []
             for s in (1, 2):
-                amp = u_spinor(p, sp, s).amplitude
+                amp = u_spinor(p, _SPINOR, s).amplitude
                 amps.append(amp)
-                yield "input-dirac-residual", "Dirac1", dirac_matrix(sp, p, 1, p.mass).apply(amp)
+                yield ("input-dirac-residual", "Dirac1",
+                       dirac_matrix(_SPINOR, p, 1, p.mass).apply(amp))
                 norm = kernels.ordered_sum(abs(a) ** 2 for a in amp)
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
-                constituents = split_term(view, amp, p, 1, p.mass)
-                for family in split_relations(view, amp, constituents, p, 1, p.mass):
-                    yield from family
+                yield from _split_relations(_SPINOR, p, amp)[1]
             yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
                 (a.conjugate() * b for a, b in zip(*amps)), 0j))
 
         out.append(_Campaign("split.fuzz", "split", config.trials, config.seed,
                              trial_residuals, lambda label: config.tol))
-        out += _split_controls(sp)
+        out += _controls()["split"]
 
 
 @cache
-def _split_controls(sp) -> tuple:
-    """The split suite's float controls on the spinor basis, measured on first call and kept.
+def _controls() -> dict:
+    """The float controls of the split and Weyl suites, keyed by suite, measured once and kept.
 
-    Each is a ``(check_id, entry, bound, kind)`` record.
+    Each is a ``(check_id, entry, bound, kind)`` record on the spinor
+    basis.  Both suites' controls start from the float u_1 at the
+    witness momentum: the split's move it off the shell, and the Weyl
+    suite's hold this massive solution to the massless relations.  The
+    split also refuses a massless Weyl field.
     """
-    p_on = FourMomentum.on_shell(1.0, (2.0, 2.0, 0.0))
-    amp = u_spinor(p_on, sp, 1).amplitude
-    p_off = FourMomentum((p_on.p[0] + 0.5,) + p_on.p[1:], 1.0, FLOAT)
-    f_off = field_of(PlaneWaveTerm(amp, p_off, 1), sp)
+    term = u_spinor(FourMomentum.floats(_WITNESS_P, _WITNESS_MASS), _SPINOR, 1)
+    amp, p = term.amplitude, term.momentum
+    p_off = FourMomentum((p.p[0] + 0.5,) + p.p[1:], 1.0, FLOAT)
+    f_off = field_of(PlaneWaveTerm(amp, p_off, 1), _SPINOR)
     k = FourMomentum.floats((1.0, 0.0, 0.0, 1.0), 0)
-    wf = field_of(weyl_spinor(k, sp, "left"), sp)
-    return (
+    wf = field_of(weyl_spinor(k, _SPINOR, "left"), _SPINOR)
+    massive = field_of(term, _SPINOR)
+    forced = weyl_relations(_SPINOR.on(FLOAT), amp, p, 1)
+    return {"split": (
         ("split.control.offshell-dirac",
          residual_entry("offshell-dirac", "Dirac1", FLOAT, dirac_residual(f_off, 1.0)),
          _OFFSHELL_FLOOR, CONTROL),
@@ -796,10 +808,26 @@ def _split_controls(sp) -> tuple:
         ("split.control.massless-rejected",
          residual_entry("massless-rejected", "DEF1", FLOAT, None),
          _raises(lambda: split(wf, 0.0), SplitRequiresMass), RAISES),
-    )
+    ), "weyl": (
+        ("weyl.control.massive-rejected",
+         residual_entry("massive-rejected", "Weyl1", FLOAT, None),
+         _raises(lambda: weyl_residuals(massive), WeylRequiresMassless), RAISES),
+        ("weyl.control.massive-residual",
+         residual_entry("massive-residual", "Weyl1", FLOAT, [magnitude(v) for _, _, v in forced]),
+         _CONTROL_FLOOR, CONTROL),
+    )}
 
 
-# -- weyl suite -------------------------------------------------------------------
+# -- weyl and majorana suites -----------------------------------------------------
+
+
+def _per_basis(config: RunConfig, out: list, witness, fuzz) -> None:
+    """Per selected basis, its kept exact records ``witness(rep)``, then its campaign ``fuzz(rep)``."""
+    for rep in _selected_reps(config):
+        if config.run_exact:
+            out += witness(rep)
+        if config.run_float:
+            out.append(fuzz(rep))
 
 
 def _weyl_relations(rep, p: FourMomentum):
@@ -821,40 +849,12 @@ def _weyl_witness(rep) -> tuple:
 
 
 def _run_weyl(config: RunConfig, out: list) -> None:
-    for rep in _selected_reps(config):
-        if config.run_exact:
-            out += _weyl_witness(rep)
-        if config.run_float:
-            # ``rep`` is bound now: the campaign runs after this loop has moved on
-            out.append(_Campaign(
-                f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials, config.seed,
-                lambda rng, _, rep=rep: _weyl_relations(rep, _sample_massless(rng, config)),
-                lambda label: config.strict_tol))
+    _per_basis(config, out, _weyl_witness, lambda rep: _Campaign(
+        f"weyl.fuzz.{rep.name}", f"weyl.{rep.name}", config.trials, config.seed,
+        lambda rng, _: _weyl_relations(rep, _sample_massless(rng, config)),
+        lambda label: config.strict_tol))
     if config.run_float:
-        out += _weyl_controls(build_rep("spinor"))
-
-
-@cache
-def _weyl_controls(rep) -> tuple:
-    """The Weyl suite's float controls of ``rep`` on a massive u, measured once and kept.
-
-    Each is a ``(check_id, entry, bound, kind)`` record.
-    """
-    pm = FourMomentum.floats((3.0, 2.0, 2.0, 0.0), 1)
-    term = u_spinor(pm, rep, 1)
-    massive = field_of(term, rep)
-    rejected = _raises(lambda: weyl_residuals(massive), WeylRequiresMassless)
-    forced = weyl_relations(rep.on(FLOAT), term.amplitude, pm, 1)
-    return (
-        ("weyl.control.massive-rejected",
-         residual_entry("massive-rejected", "Weyl1", FLOAT, None), rejected, RAISES),
-        ("weyl.control.massive-residual",
-         residual_entry("massive-residual", "Weyl1", FLOAT, [magnitude(v) for _, _, v in forced]),
-         _CONTROL_FLOOR, CONTROL),
-    )
-
-
-# -- majorana suite ---------------------------------------------------------------
+        out += _controls()["weyl"]
 
 
 def _majorana_relations(rep, p: FourMomentum, s: int):
@@ -880,20 +880,18 @@ def _majorana_witness(rep) -> tuple:
 
 
 def _run_majorana(config: RunConfig, out: list) -> None:
-    for rep in _selected_reps(config):
-        name = _basis_part(rep)
-        if config.run_exact:
-            out += _majorana_witness(rep)
-        if config.run_float:
-            def trial_residuals(rng, _, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
-                p = _sample_massive(rng, config)
-                for s in (1, 2):
-                    yield from _majorana_relations(rep, p, s)
+    def fuzz(rep):
+        def trial_residuals(rng, _):
+            p = _sample_massive(rng, config)
+            for s in (1, 2):
+                yield from _majorana_relations(rep, p, s)
 
-            # self-conjugacy must cancel term-by-term, not merely within tol
-            out.append(_Campaign(f"majorana.fuzz{name}", f"majorana{name}", config.trials,
-                                 config.seed, trial_residuals,
-                                 lambda label: 0.0 if label == "selfconj" else config.tol))
+        name = _basis_part(rep)
+        # self-conjugacy must cancel term-by-term, not merely within tol
+        return _Campaign(f"majorana.fuzz{name}", f"majorana{name}", config.trials, config.seed,
+                         trial_residuals, lambda label: 0.0 if label == "selfconj" else config.tol)
+
+    _per_basis(config, out, _majorana_witness, fuzz)
 
 
 # -- covariance suite -------------------------------------------------------------
@@ -954,7 +952,7 @@ def _run_covariance(config: RunConfig, out: list) -> None:
         for e in commutators:
             out.append((f"covariance.{rep.name}.{e.label}", e, config.strict_tol))
 
-        def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now, as in ``_run_weyl``
+        def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now: the campaign runs later
             p, amps = _sampled_split(rng, config, trial, rep)
             # a transformed term is its amplitude through S at its momentum through a
             params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
@@ -994,17 +992,16 @@ def _special_frame_witness() -> ResidualEntry:
 
 
 def _special_frame_checks(config: RunConfig, out: list) -> None:
-    sp = build_rep("spinor")
-    view = sp.on(FLOAT)
+    view = _SPINOR.on(FLOAT)
     p1f, p2f = view.p[:2]
     out.append(("covariance.special-frame.witness", _special_frame_witness(),
                 config.strict_tol))
 
     def trial_residuals(rng, trial):
-        p, (_, psi1, psi2) = _sampled_split(rng, config, trial, sp)
+        p, (_, psi1, psi2) = _sampled_split(rng, config, trial, _SPINOR)
         rot, boost = special_frame(p)
         # the rotation, then the boost: each constituent amplitude through S, p through a
-        s_rot, s_boost = spinor_transform(rot, sp), spinor_transform(boost, sp)
+        s_rot, s_boost = spinor_transform(rot, _SPINOR), spinor_transform(boost, _SPINOR)
         moved1 = s_boost.apply(s_rot.apply(psi1))
         moved2 = s_boost.apply(s_rot.apply(psi2))
         p_moved = vector_transform(boost).apply(vector_transform(rot).apply(p))
@@ -1015,7 +1012,7 @@ def _special_frame_checks(config: RunConfig, out: list) -> None:
         yield "mass-drift", "Pconditions", abs(inv_mass - p.mass)
         # the frame's reduced operator gamma^0 q0 - gamma^1 q1 - m drops q2 and q3, which
         # "transverse-zeroed" bounds
-        reduced = dirac_matrix(sp, FourMomentum((q0, q1, 0.0, 0.0), p.mass, FLOAT), 1, p.mass)
+        reduced = dirac_matrix(_SPINOR, FourMomentum((q0, q1, 0.0, 0.0), p.mass, FLOAT), 1, p.mass)
         proj1 = p1f.apply(moved1)
         yield "P1a", "P1a", reduced.apply(proj1)
         yield "P2a", "P2a", reduced.apply(p2f.apply(moved2))

@@ -21,7 +21,7 @@ from diracsplit import (
 )
 from diracsplit import suites
 from diracsplit.errors import NotASolution
-from diracsplit.gamma import build_rep
+from diracsplit.gamma import REP_NAMES, build_rep
 from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, residual_entry
 from diracsplit.scalars import FLOAT
 from diracsplit.suites import (
@@ -360,6 +360,18 @@ _RECORD_DIGESTS = {
     "both": (790, "7a195cab074e9da3d0e1e74c863d0398acecec59cf6cb3264453073326449206"),
 }
 
+#: the same sha256 over the records of the 72 single-suite runs, one per suite x
+#: rep x backend at trials=3, concatenated in ``SUITE_NAMES``, ``REP_CHOICES``,
+#: ``BACKEND_CHOICES`` order: the selections of perfbench's ``short_runs``
+_SELECTION_DIGEST = (4792, "ead67b6d9666848f31c771967c9ae8d50f2ad93b55f8cfdc51b5a32b6d0eaeaf")
+
+#: each case's runs and the pinned (count, digest) of their records
+_PINNED_RUNS = {backend: ([RunConfig(rep="all", trials=2, backend=backend)], digest)
+                for backend, digest in _RECORD_DIGESTS.items()}
+_PINNED_RUNS["selections"] = ([RunConfig(suite=suite, rep=rep, backend=backend, trials=3)
+                               for suite in SUITE_NAMES for rep in REP_CHOICES
+                               for backend in BACKEND_CHOICES], _SELECTION_DIGEST)
+
 
 #: the paper equations of the ``--rep all`` report that no negative control
 #: (a ``.control.`` record) tests; a new control removes its equation here
@@ -418,14 +430,65 @@ def test_record_skeleton_is_pinned(backend):
     assert (len(skeleton), digest) == _SKELETON_DIGESTS[backend]
 
 
-@pytest.mark.parametrize("backend", BACKEND_CHOICES)
-def test_records_are_pinned(backend):
-    """Every record of every suite on every basis, residuals included, to the last digit."""
-    report = run(RunConfig(rep="all", trials=2, backend=backend))
-    records = [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
-               for c in report.checks]
+def _records(report) -> list:
+    """(id, paper_eq, backend, repr of the residual, exact_zero, pass) of each record, in order."""
+    return [(c.check_id, c.equation, c.backend, repr(c.residual), c.exact_zero, c.ok)
+            for c in report.checks]
+
+
+@pytest.mark.parametrize("case", _PINNED_RUNS)
+def test_records_are_pinned(case):
+    """Every record of every suite on every basis, residuals included, to the last digit.
+
+    One case per backend pins the ``--rep all`` run; ``selections`` pins
+    the 72 single-suite runs.
+    """
+    configs, pinned = _PINNED_RUNS[case]
+    records = [r for config in configs for r in _records(run(config))]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert (len(records), digest) == _RECORD_DIGESTS[backend]
+    assert (len(records), digest) == pinned
+
+
+@pytest.mark.parametrize("backend", BACKEND_CHOICES)
+@pytest.mark.parametrize("rep", REP_CHOICES)
+def test_a_run_of_every_suite_is_the_single_suite_runs_in_order(rep, backend):
+    """Every suite's records are those of its own run, in ``SUITE_NAMES`` order.
+
+    The kept builders serve several suites (one of them the split and the
+    Weyl controls together), so a suite must neither read nor leave state
+    that changes another suite's records.
+    """
+    whole = _records(run(RunConfig(rep=rep, backend=backend, trials=2)))
+    parts = [r for suite in SUITE_NAMES
+             for r in _records(run(RunConfig(suite=suite, rep=rep, backend=backend, trials=2)))]
+    assert whole == parts
+
+
+def test_a_wrong_split_statement_is_reported_not_raised(monkeypatch):
+    """A split that swaps its constituents fails the witness records; the run still reports.
+
+    Each basis's projector forms fail at both spins, and only witness
+    records fail.  The recombination alone would not tell: P1 Psi_(2) +
+    P2 Psi_(1) is psi as well.
+    """
+    from diracsplit import subsolutions
+
+    split_term = subsolutions.split_term
+
+    def swapped(*args):
+        psi1, psi2 = split_term(*args)
+        return psi2, psi1
+
+    for module in (subsolutions, suites):
+        monkeypatch.setattr(module, "split_term", swapped)
+    suites._split_witness.cache_clear()
+    try:
+        report = run(RunConfig(suite="split", backend="exact"))
+    finally:
+        suites._split_witness.cache_clear()  # no later run may read the wrong records
+    failing = [c.check_id for c in report.checks if not c.ok]
+    assert failing and all(i.startswith("split.witness") for i in failing)
+    assert len([i for i in failing if i.endswith(".constituent1-P.dirac")]) == 2 * len(REP_NAMES)
 
 
 def test_warm_covariance_run_reads_its_certificates(monkeypatch):
