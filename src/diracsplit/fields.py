@@ -11,8 +11,9 @@ each family of relations on one term.
 A term, ``PlaneWaveTerm``, is an immutable tuple ``(amplitude, momentum,
 freq_sign)`` with read-only attributes of those names: one allocation,
 unpacked by the operators as ``amp, p, s = t``.  A field,
-``PlaneWaveField``, is a slotted immutable object holding its sorted
-terms, its representation, its component count and its backend.
+``PlaneWaveField``, is a frozen :class:`~diracsplit.values.Value`
+holding its sorted terms, its representation, its component count and
+its backend; it refuses assignment and deletion.
 
 On a plane wave the momentum operator is multiplication by s p^mu, so
 every operator is a symbol: a matrix ``symbol(p, s)`` of the term's
@@ -56,7 +57,10 @@ The solution constructors ``u_spinor`` and ``weyl_spinor`` apply that
 basis's own symbols and projectors to its own rest seeds, so no field is
 ever moved from one basis to another.
 A field compares by identity; two fields agree when their ``terms``,
-``rep``, ``ncomp`` and ``backend`` do.
+``rep``, ``ncomp`` and ``backend`` do.  ``copy.copy`` rebuilds a field
+through the constructor on the same ``rep`` and terms; ``copy.deepcopy``
+and ``pickle`` rebuild it, with equal terms, on a copy of its
+``GammaRep``, which is not the pinned basis.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .errors import (
 from .gamma import GammaRep
 from .matrices import Matrix
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, coerce_scalar
-from .values import Value, store
+from .values import Record, Value, store
 
 _SHELL_TOL = 1e-12
 _MINUS_ONE = {backend: scalar(-1) for backend, scalar in SCALAR_TYPE.items()}
@@ -150,6 +154,7 @@ class PlaneWaveTerm(tuple):
     """
 
     __slots__ = ()
+    _fields = ("amplitude", "momentum", "freq_sign")
 
     def __new__(cls, amplitude: tuple, momentum: FourMomentum, freq_sign: int):
         if type(freq_sign) is not int or freq_sign not in (1, -1):
@@ -181,13 +186,10 @@ class PlaneWaveTerm(tuple):
     def key(self):
         return (self[2],) + self[1].key()
 
-    def __repr__(self):
-        amplitude, momentum, freq_sign = self
-        return (f"PlaneWaveTerm(amplitude={amplitude!r}, momentum={momentum!r}, "
-                f"freq_sign={freq_sign!r})")
+    __repr__ = Record.__repr__
 
 
-class PlaneWaveField:
+class PlaneWaveField(Value):
     """Canonicalized finite sum of plane-wave terms.
 
     Terms with identical (momentum, mass, frequency sign) are merged and
@@ -198,7 +200,8 @@ class PlaneWaveField:
     first, and every term must agree, even one that is zero or cancels.
     """
 
-    __slots__ = ("terms", "rep", "ncomp", "backend")
+    __slots__ = _fields = ("terms", "rep", "ncomp", "backend")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, terms: Sequence[PlaneWaveTerm], rep: GammaRep,
                  ncomp: int = 4, backend: str = EXACT):
@@ -223,13 +226,10 @@ class PlaneWaveField:
             prev = merged.get(k)
             merged[k] = t if prev is None else PlaneWaveTerm(_add(prev[0], amp), p, s)
         kept = [merged[k] for k in sorted(merged) if any(merged[k][0])]
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "ncomp", ncomp)
-        object.__setattr__(self, "backend", backend)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneWaveField is immutable")
+        store(self, "terms", tuple(kept))
+        store(self, "rep", rep)
+        store(self, "ncomp", ncomp)
+        store(self, "backend", backend)
 
     # -- predicates ------------------------------------------------------
 

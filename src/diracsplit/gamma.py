@@ -366,40 +366,29 @@ def _family_residuals(q_plus, q_minus, ps, v) -> ResidualReport:
 # -- intertwiners ------------------------------------------------------------
 
 # W matrices with W Wdag = norm2 * Id; U = W / sqrt(norm2) is unitary and
-# satisfies U gamma_from U^-1 = gamma_to entry by entry.
+# satisfies U gamma_from U^-1 = gamma_to entry by entry.  Each pair is pinned
+# in one direction: the reverse takes Wdag, and a basis to itself the identity.
 _W_SPINOR_TO_STANDARD = _block4(ID2, ID2, -ID2, ID2)
 _W_STANDARD_TO_MAJORANA = _block4(ID2, PAULI[1], PAULI[1], -ID2)
-
-
-def _intertwiner_table() -> dict:
-    w1 = _W_SPINOR_TO_STANDARD
-    w2 = _W_STANDARD_TO_MAJORANA
-    w21 = w2 @ w1
-    ident = Matrix.identity(4)
-    return {
-        ("spinor", "spinor"): (ident, 1),
-        ("standard", "standard"): (ident, 1),
-        ("majorana", "majorana"): (ident, 1),
-        ("spinor", "standard"): (w1, 2),
-        ("standard", "spinor"): (w1.adjoint(), 2),
-        ("standard", "majorana"): (w2, 2),
-        ("majorana", "standard"): (w2.adjoint(), 2),
-        ("spinor", "majorana"): (w21, 4),
-        ("majorana", "spinor"): (w21.adjoint(), 4),
-    }
-
-
-_INTERTWINERS = _intertwiner_table()
+_INTERTWINERS = {
+    ("spinor", "standard"): (_W_SPINOR_TO_STANDARD, 2),
+    ("standard", "majorana"): (_W_STANDARD_TO_MAJORANA, 2),
+    ("spinor", "majorana"): (_W_STANDARD_TO_MAJORANA @ _W_SPINOR_TO_STANDARD, 4),
+}
 
 
 def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
     """The pinned W for a pair of bases, checked exactly against both."""
-    try:
-        w, norm2 = _INTERTWINERS[(rep_from.name, rep_to.name)]
-    except KeyError:
-        raise ValueError(
-            f"no intertwiner for pair ({rep_from.name!r}, {rep_to.name!r})"
-        ) from None
+    pair = (rep_from.name, rep_to.name)
+    if pair in _INTERTWINERS:
+        w, norm2 = _INTERTWINERS[pair]
+    elif pair[::-1] in _INTERTWINERS:
+        w, norm2 = _INTERTWINERS[pair[::-1]]
+        w = w.adjoint()
+    elif pair[0] == pair[1] and pair[0] in REP_NAMES:
+        w, norm2 = Matrix.identity(4), 1
+    else:
+        raise ValueError(f"no intertwiner for pair ({rep_from.name!r}, {rep_to.name!r})")
     wd = w.adjoint()
     relations = [("unitary", "Dirac1", wd @ w - Matrix.identity(4).scale(norm2))]
     names = [f"gamma{mu}" for mu in range(4)] + ["gamma5"]

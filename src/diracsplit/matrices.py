@@ -1,7 +1,9 @@
 """Small dense complex matrices over the exact and float backends.
 
-A :class:`Matrix` is an immutable n-by-n array, n = 2 or 4 (the
-constructor admits no other size), stored as a flat row-major tuple.
+A :class:`Matrix` is a frozen :class:`~diracsplit.values.Value`, an
+n-by-n array, n = 2 or 4 (the constructor admits no other size), stored
+as a flat row-major tuple; it compares, hashes and pickles by its fields
+``(n, backend, entries)``.
 Exact matrices hold :class:`~diracsplit.scalars.GaussianRational`
 entries and never round; float matrices hold Python ``complex``.
 Sums, traces, zero tests, matrix-vector products and magnitude scans of
@@ -22,10 +24,11 @@ from collections.abc import Iterable, Sequence
 from . import kernels
 from .errors import BackendMismatch
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
+from .values import Value, store
 
 
-class Matrix:
-    __slots__ = ("n", "backend", "entries")
+class Matrix(Value):
+    __slots__ = _fields = ("n", "backend", "entries")
 
     def __init__(self, n: int, backend: str, entries: tuple):
         if n != 4 and n != 2:
@@ -35,16 +38,9 @@ class Matrix:
         # the exact product kernel reads each entry's numerators; float entries go unchecked
         if backend == EXACT and not all(type(x) is GaussianRational for x in entries):
             raise TypeError("exact entries must be GaussianRational; Matrix.exact coerces")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        """``pickle`` and ``copy`` rebuild through the constructor, not by setting slots."""
-        return Matrix, (self.n, self.backend, self.entries)
+        store(self, "n", n)
+        store(self, "backend", backend)
+        store(self, "entries", entries)
 
     # -- constructors --------------------------------------------------
 
@@ -152,18 +148,6 @@ class Matrix:
         if self.backend == FLOAT:
             return self
         return Matrix(self.n, FLOAT, tuple(a.to_complex() for a in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.backend == other.backend
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.backend, self.entries))
 
     def __repr__(self):
         body = "; ".join(

@@ -13,7 +13,9 @@ A :class:`GaussianRational` is three Python ints ``(a, b, d)`` meaning
 (0, 0, 1) and equal values have equal triples.  Each operation does
 integer arithmetic and normalises its result with one ``math.gcd``
 (none when d = 1); no operation builds a ``Fraction``.  The ``re`` and
-``im`` properties read the parts as ``Fraction``s.
+``im`` properties read the parts as ``Fraction``s.  It is a frozen
+:class:`~diracsplit.values.Value` whose fields are ``re`` and ``im``, so
+``pickle`` and ``copy`` rebuild it through the constructor from them.
 
 ``SCALAR_TYPE`` names each backend's scalar type; both are built from
 ``(re, im)``.  Their arithmetic, ``conjugate``, truth value (nonzero)
@@ -35,6 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BackendMismatch
+from .values import Value
 
 EXACT = "exact"
 FLOAT = "float"
@@ -65,10 +68,11 @@ def _operand(x):
     return None
 
 
-class GaussianRational:
+class GaussianRational(Value):
     """Exact complex scalar (a + b i)/d, held as canonical ints: d > 0, gcd(a, b, d) = 1."""
 
     __slots__ = ("_a", "_b", "_d")
+    _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
@@ -83,16 +87,6 @@ class GaussianRational:
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        """``pickle`` and ``copy`` rebuild through the constructor, not by setting slots."""
-        return GaussianRational, (self.re, self.im)
 
     @property
     def re(self) -> Fraction:

@@ -82,10 +82,10 @@ from .fields import (
     dirac_residual,
     upper_half,
 )
-from .gamma import RepView
+from .gamma import RepView, _demand_zero
 from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
-from .scalars import SCALAR_TYPE, coerce_real, coerce_scalar
+from .scalars import EXACT, SCALAR_TYPE, coerce_real, coerce_scalar
 from .values import Value, store
 
 #: the bound of the float preconditions of split and majorana_residuals
@@ -130,7 +130,7 @@ class SplitResult(Value):
     fields, ``relations`` the (recombination, identity, constituent)
     families over psi's terms.  The xi pairs are built when first read.
     The constructor checks nothing; ``split`` checks the preconditions
-    and the recombination.
+    and the relations.
     """
 
     _fields = ("psi", "mass")  # no __slots__: the cached properties live in __dict__
@@ -180,9 +180,9 @@ def split(psi: PlaneWaveField, mass) -> SplitResult:
     """Decompose a Dirac solution, in any basis, into its two constituent fields.
 
     Each term is split once by ``split_term`` (see ``SplitResult``).  The
-    recombination relations of ``split_relations`` are verified before
-    returning: exactly on the exact backend, within the constant bound
-    1e-10 on the float one.
+    relations of ``split_relations`` are verified before returning: on the
+    exact backend every family must vanish identically; on the float one
+    the recombination family must sit within the constant bound 1e-10.
     """
     if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
@@ -197,6 +197,9 @@ def split(psi: PlaneWaveField, mass) -> SplitResult:
         raise NotASolution(
             f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {_TOL})"
         )
+    if psi.backend == EXACT:
+        for family in result.relations[1:]:
+            _demand_zero(residual_report(EXACT, family), NotASolution, "exact split")
     return result
 
 

@@ -10,6 +10,20 @@ record: it refuses assignment, so its ``__init__`` stores with
 list its fields has no ``__dict__``; a slot left out of ``_fields``, such
 as a memo dict, stays outside ``==``, ``hash``, ``repr`` and pickling.
 
+Every frozen class of the package is a :class:`Value`, and refuses
+assignment and deletion by this one mechanism: ``GaussianRational``,
+``Matrix``, ``GammaRep``, ``Intertwiner``, ``RepView``,
+``FourMomentum``, ``PlaneWaveField``, ``ResidualEntry``,
+``ResidualReport``, ``SplitResult``, ``LorentzParams``,
+``VectorTransform`` and ``RunConfig``.  ``GaussianRational`` keeps its
+own ``==``, ``hash`` and ``repr`` (exact arithmetic's hot path, and a
+real value hashes as the number it equals); ``Matrix`` and
+``PlaneWaveField`` keep their own ``repr``.  Three compare and hash by
+identity, with ``__eq__, __hash__ = object.__eq__, object.__hash__``:
+``GammaRep``, ``RepView`` and ``PlaneWaveField``.  ``CheckRecord`` and
+``Report`` are mutable records.  ``PlaneWaveTerm`` is a tuple, so it
+takes only ``_fields`` and :class:`Record`'s ``repr``.
+
 The classes are written by hand rather than with ``dataclasses``: a
 fresh interpreter then neither imports that module (with ``inspect``)
 nor generates and compiles the methods of each class.

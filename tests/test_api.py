@@ -176,6 +176,28 @@ def test_the_library_import_compiles_no_verifier():
     assert not {"DEFAULT_SEED", "RunConfig", "run"} & set(diracsplit.__all__)
 
 
+def test_only_values_defines_immutability():
+    """Every frozen class refuses assignment and deletion through ``values.Value``.
+
+    No other module defines ``__setattr__`` or ``__delattr__``, or reads
+    ``object.__setattr__``: a frozen value's ``__init__`` stores with
+    ``values.store``.
+    """
+    hooks = ("__setattr__", "__delattr__")
+    found = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.name == "values.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in hooks
+                    or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in hooks
+                    or isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _calls_of(name, node, scope=()):
     """(scope, line) of each call of ``name`` under ``node``, scope the enclosing def names."""
     for child in ast.iter_child_nodes(node):

@@ -170,6 +170,20 @@ def test_split_rejects_a_two_component_field():
         split(upper_half(_witness_split(1).psi), WITNESS_MASS)
 
 
+@pytest.mark.parametrize("rep_name", ["spinor", "standard", "majorana"])
+def test_an_exact_split_checks_every_relation_family(monkeypatch, rep_name):
+    """Swapped constituents still recombine to psi outside the spinor basis (``recombine.psi``
+    is symmetric in them), so the exact split names the first other relation that fails;
+    the spinor basis's recombination family holds its component statements too."""
+    from diracsplit import subsolutions
+
+    closed_form = subsolutions.split_term
+    monkeypatch.setattr(subsolutions, "split_term", lambda *args: closed_form(*args)[::-1])
+    failing = "recombination residual" if rep_name == "spinor" else "identity.repfree.P1 residual"
+    with pytest.raises(NotASolution, match=failing):
+        _witness_split(1, rep_name)
+
+
 #: on-shell (p0, p1, p2, p3, m); at p1 = p2 = 0 a spin eigenstate has one zero constituent
 _GENERIC_POINTS = ((3, 2, 2, 0, 1), (3, 0, 2, 2, 1), (5, 0, 0, 3, 4), (1, 0, 0, 0, 1))
 _CHI = (ONE, I, ONE * 2, -ONE)

@@ -8,17 +8,27 @@ import pytest
 from diracsplit import (
     FourMomentum,
     GammaRep,
+    GaussianRational,
     LorentzParams,
+    Matrix,
     Report,
     ResidualEntry,
     ResidualReport,
     VectorTransform,
+    field_of,
+    u_spinor,
     vector_transform,
 )
 from diracsplit.cli import _CONFIG_KEYS
 from diracsplit.gamma import Intertwiner, build_rep
 from diracsplit.scalars import EXACT, FLOAT
 from diracsplit.suites import DEFAULT_SEED, RunConfig
+
+
+def _witness_field():
+    spinor = build_rep("spinor")
+    return field_of(u_spinor(FourMomentum.exact((3, 2, 2, 0), 1), spinor, 1), spinor)
+
 
 ROUNDTRIPS = pytest.mark.parametrize(
     "roundtrip", (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy),
@@ -60,7 +70,8 @@ def test_lorentz_params_validate_on_every_construction():
 @pytest.mark.parametrize("value", (FourMomentum.exact((1, 0, 0, 0), 1),
                                    LorentzParams("boost", (0, 1), 0.1),
                                    ResidualEntry("a", "Dirac1", FLOAT, 0.5, False),
-                                   RunConfig(), build_rep("spinor")),
+                                   RunConfig(), build_rep("spinor"), Matrix.identity(4),
+                                   GaussianRational(1, 2), _witness_field()),
                          ids=lambda v: type(v).__name__)
 def test_a_value_refuses_assignment_and_deletion(value):
     name = value._fields[0]
@@ -70,6 +81,18 @@ def test_a_value_refuses_assignment_and_deletion(value):
         delattr(value, name)
     with pytest.raises(AttributeError, match="immutable"):
         value.other = None
+
+
+def test_a_field_copies_through_its_constructor():
+    """``copy`` keeps the basis and the terms; ``deepcopy`` and ``pickle`` copy the basis too."""
+    field = _witness_field()
+    shallow = copy.copy(field)
+    assert (shallow is not field, shallow.rep is field.rep, shallow.terms == field.terms) \
+        == (True, True, True)
+    assert all(a is b for a, b in zip(shallow.terms, field.terms))
+    for got in (copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert (got.terms == field.terms, got.rep is field.rep, got.rep.name, got.ncomp,
+                got.backend) == (True, False, "spinor", 4, EXACT)
 
 
 def test_entries_intertwiners_and_vector_transforms_compare_by_their_fields():
