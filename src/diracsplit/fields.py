@@ -26,13 +26,17 @@ product with (xi, eta), and the special frame's reduced operator is
 ``dirac_matrix`` at (q0, q1, 0, 0).
 
 The amplitude algebra of the term relations is written once here:
-``_add`` (a + b), ``_sub`` (a + (-1) b, component by component) and
+``_add`` (a + b) and ``_sub`` (a - b), component by component, and
 ``_scaled`` (c a), with a symbol or a constant matrix applied by
 ``Matrix.apply`` (``kernels.mul_vec``).  The relation statements of
 ``subsolutions`` and the fuzz of ``suites`` use it and build no field,
 and the constructor adds the amplitudes of a shared key with ``_add``,
 so a relation measured on one term equals, bit for bit, the same
-relation measured on that term's field.
+relation measured on that term's field.  The algebra, the statements
+and ``dirac_matrix`` name no backend: they take their scalars, the
+mass included, as they come, and ``GaussianRational`` refuses a
+``float`` or ``complex`` operand, so a float mass on an exact term
+raises ``BackendMismatch``.
 
 Every value has one constructor.  ``PlaneWaveTerm(amplitude, momentum,
 freq_sign)`` keeps an amplitude tuple whose components already have the
@@ -67,7 +71,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from . import kernels
 from .errors import (
@@ -82,7 +86,6 @@ from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_real, c
 from .values import Record, Value, store
 
 _SHELL_TOL = 1e-12
-_MINUS_ONE = {backend: scalar(-1) for backend, scalar in SCALAR_TYPE.items()}
 
 
 class FourMomentum(Value):
@@ -259,14 +262,13 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _sub(a: tuple, b: tuple, backend: str) -> tuple:
-    """a + (-1) b, component by component, on ``backend``."""
-    c = _MINUS_ONE[backend]
-    return tuple(x + c * y for x, y in zip(a, b))
+def _sub(a: tuple, b: tuple) -> tuple:
+    """a - b, component by component."""
+    return tuple(map(sub, a, b))
 
 
 def _scaled(c, a: tuple) -> tuple:
-    """c a, component by component, with c on a's backend."""
+    """c a, component by component."""
     return tuple(c * x for x in a)
 
 
@@ -278,19 +280,19 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
 
     Kept on ``momentum`` per (rep, freq_sign, mass), so the terms that
     share a momentum share their symbols: gamma.p is built once per
-    (rep, freq_sign), and each mass is subtracted from its diagonal.  The
-    key holds the sign's and the mass's types too, since 1 == 1.0 == True:
-    a float sign or mass on an exact momentum raises ``BackendMismatch``
-    whatever ran before.
+    (rep, freq_sign), and each mass is subtracted, as given, from its
+    diagonal.  The key holds the sign's and the mass's types too, since
+    1 == 1.0 == True: a float sign or mass on an exact momentum raises
+    ``BackendMismatch`` whatever ran before, from the exact entries it
+    meets.
     """
     key = (rep, freq_sign, type(freq_sign), mass, type(mass))
     symbol = momentum._symbols.get(key)
     if symbol is None:
         if mass:
             entries = list(dirac_matrix(rep, momentum, freq_sign).entries)
-            m = coerce_scalar(mass, momentum.backend)
             for k in (0, 5, 10, 15):
-                entries[k] = entries[k] - m
+                entries[k] = entries[k] - mass
             symbol = Matrix(4, momentum.backend, tuple(entries))
         else:
             symbol = _gamma_dot(rep, momentum, freq_sign)
@@ -302,8 +304,7 @@ def _gamma_dot(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
     """gamma_mu (s p^mu), each entry summed left to right from mu = 0."""
     backend = momentum.backend
     g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-    scalar = SCALAR_TYPE[backend]
-    c0, c1, c2, c3 = (scalar(c * freq_sign) for c in momentum.p)
+    c0, c1, c2, c3 = (c * freq_sign for c in momentum.p)
     return Matrix(4, backend, tuple(c0 * a + c1 * b + c2 * c + c3 * d
                                     for a, b, c, d in zip(g0, g1, g2, g3)))
 

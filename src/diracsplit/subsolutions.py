@@ -46,8 +46,12 @@ The one family that couples two terms is Majorana's, where the term at
 (p, s) meets the conjugate of the term at (p, -s): complex conjugation
 flips the frequency sign.  The statements combine amplitudes with the
 amplitude algebra of ``fields`` (``_add``, ``_sub``, ``_scaled``), so a
-witness field's report and a fuzz trial's agree to the last bit.  For
-exact inputs on an exact mass shell all residuals vanish identically.
+witness field's report and a fuzz trial's agree to the last bit.  They
+name no backend and build no scalar: the mass is used as given, and the
+spinor basis's component statements read q0 +- q3 and q1 -+ i q2 off
+the upper-right block of ``dirac_matrix``'s gamma.q, [[q0 + q3, q1 - i
+q2], [q1 + i q2, q0 - q3]].  For exact inputs on an exact mass shell all
+residuals vanish identically.
 
 The Weyl (massless chiral) and Majorana (charge-conjugation-invariant)
 subsolution checks live here as well, since they share the component
@@ -55,8 +59,9 @@ conventions of the spinor basis.  Like the split's component statements,
 their two-component forms are made in the spinor basis only, where
 (p0 + sigma.p) eta and (p0 - sigma.p) xi are the upper and lower halves
 of gamma.p (xi, eta): every operator here is a ``dirac_matrix`` symbol or
-a constant matrix.  Every basis states the bispinor forms with its own
-matrices, and no relation moves an amplitude between bases.
+a constant matrix, or the real swap i sigma2 (v0, v1) = (v1, -v0).
+Every basis states the bispinor forms with its own matrices, and no
+relation moves an amplitude between bases.
 """
 
 from __future__ import annotations
@@ -83,9 +88,8 @@ from .fields import (
     upper_half,
 )
 from .gamma import RepView, _demand_zero
-from .matrices import Matrix
 from .reports import ResidualReport, residual_entry, residual_report
-from .scalars import EXACT, SCALAR_TYPE, coerce_real, coerce_scalar
+from .scalars import EXACT, SCALAR_TYPE, coerce_real
 from .values import Value, store
 
 #: the bound of the float preconditions of split and majorana_residuals
@@ -213,13 +217,12 @@ def _projector_forms(view: RepView, p: FourMomentum, s: int, mass, k: int, psi_k
     Psi_(k) - m P_k Psi_(k), (1 - P_k) gamma.p P_k Psi_(k)), in ``view``'s
     basis; gamma.p is applied once.
     """
-    backend = view.backend
     p_k = view.p[k - 1]
     projected = p_k.apply(psi_k)
     image = dirac_matrix(view.rep, p, s).apply(projected)
     return (projected,
             dirac_matrix(view.rep, p, s, mass).apply(projected),
-            _sub(p_k.apply(image), _scaled(coerce_scalar(mass, backend), projected), backend),
+            _sub(p_k.apply(image), _scaled(mass, projected)),
             view.complements[k - 1].apply(image))
 
 
@@ -231,17 +234,17 @@ def split_relations(view: RepView, amp: tuple, constituents: tuple, p: FourMomen
     ``split_term`` gives the term.  Every basis states the recombination
     P1 Psi_(1) + P2 Psi_(2) - Psi, the identities (1 - P_i) gamma.q P_i Psi_(i) (i = 1, 2) and the
     projector forms (gamma.q - m) P_k Psi_(k) and P_k gamma.q P_k Psi_(k)
-    - m P_k Psi_(k).  The spinor basis puts its component statements
-    first in each family: xi(1)^a + xi(2)^a - xi^a and the component
+    - m P_k Psi_(k).  The spinor basis puts its component statements,
+    with q0 +- q3 and q1 -+ i q2 read off gamma.q's entries, first in each
+    family: xi(1)^a + xi(2)^a - xi^a and the component
     definition minus the closed form (``closed-form``); the identities
     (q1 + i q2) xi(1)^1 = (q0 + q3) xi(1)^2 and (q0 - q3) xi(2)^1 =
     (q1 - i q2) xi(2)^2; the three- and four-line systems.
     """
-    backend = view.backend
     psi1, psi2 = constituents
     proj1, dirac1, projected1, repfree1 = _projector_forms(view, p, s, mass, 1, psi1)
     proj2, dirac2, projected2, repfree2 = _projector_forms(view, p, s, mass, 2, psi2)
-    recombination = [("recombine.psi", "psi", _sub(_add(proj1, proj2), amp, backend))]
+    recombination = [("recombine.psi", "psi", _sub(_add(proj1, proj2), amp))]
     identity = [
         ("identity.repfree.P1", "identities", repfree1),
         ("identity.repfree.P2", "identities", repfree2),
@@ -255,32 +258,32 @@ def split_relations(view: RepView, amp: tuple, constituents: tuple, p: FourMomen
     if view.rep.name != "spinor":
         return recombination, identity, constituent
 
-    scalar = SCALAR_TYPE[backend]
-    q0, q1, q2, q3 = (c * s for c in p.p)
-    qp, qm = scalar(q1, q2), scalar(q1, -q2)
+    # the upper-right block of gamma.q: [[q0 + q3, q1 - i q2], [q1 + i q2, q0 - q3]]
+    gamma_q = dirac_matrix(view.rep, p, s).entries
+    plus3, qm, qp, minus3 = gamma_q[2], gamma_q[3], gamma_q[6], gamma_q[7]
     m = mass
     eta = amp[2:]
-    definition = (((q0 + q3) * eta[0] / m, qp * eta[0] / m) + eta
-                  + (qm * eta[1] / m, (q0 - q3) * eta[1] / m) + eta)
-    xi = _sub(_add(psi1[:2], psi2[:2]), amp[:2], backend)
+    definition = ((plus3 * eta[0] / m, qp * eta[0] / m) + eta
+                  + (qm * eta[1] / m, minus3 * eta[1] / m) + eta)
+    xi = _sub(_add(psi1[:2], psi2[:2]), amp[:2])
     xi11, xi12, eta1, _ = psi1
     xi21, xi22, _, eta2 = psi2
     return [
         ("recombine.xi1", "def3", xi[:1]),
         ("recombine.xi2", "def4", xi[1:]),
-        ("closed-form", "DEF1", _sub(definition, psi1 + psi2, backend)),
+        ("closed-form", "DEF1", _sub(definition, psi1 + psi2)),
     ] + recombination, [
-        ("identity.id1", "id1", (qp * xi11 - (q0 + q3) * xi12,)),
-        ("identity.id2", "id2", ((q0 - q3) * xi21 - qm * xi22,)),
+        ("identity.id1", "id1", (qp * xi11 - plus3 * xi12,)),
+        ("identity.id2", "id2", (minus3 * xi21 - qm * xi22,)),
     ] + identity, [
-        ("constituent1.line1", "constituent1", ((q0 + q3) * eta1 - m * xi11,)),
+        ("constituent1.line1", "constituent1", (plus3 * eta1 - m * xi11,)),
         ("constituent1.line2", "constituent1", (qp * eta1 - m * xi12,)),
-        ("constituent1.line3", "constituent1", ((q0 - q3) * xi11 - qm * xi12 - m * eta1,)),
+        ("constituent1.line3", "constituent1", (minus3 * xi11 - qm * xi12 - m * eta1,)),
         ("constituent2.line1", "constituent2", (qm * eta2 - m * xi21,)),
-        ("constituent2.line2", "constituent2", ((q0 - q3) * eta2 - m * xi22,)),
-        ("constituent2.line4", "constituent2", (-qp * xi21 + (q0 + q3) * xi22 - m * eta2,)),
-        ("constituent1-4.line4", "constituent1/4", ((q0 + q3) * xi12 - qp * xi11,)),
-        ("constituent2-4.line3", "constituent2/4", ((q0 - q3) * xi21 - qm * xi22,)),
+        ("constituent2.line2", "constituent2", (minus3 * eta2 - m * xi22,)),
+        ("constituent2.line4", "constituent2", (-qp * xi21 + plus3 * xi22 - m * eta2,)),
+        ("constituent1-4.line4", "constituent1/4", (plus3 * xi12 - qp * xi11,)),
+        ("constituent2-4.line3", "constituent2/4", (minus3 * xi21 - qm * xi22,)),
     ] + constituent
 
 
@@ -327,10 +330,6 @@ def weyl_residuals(f: PlaneWaveField) -> ResidualReport:
 # -- Majorana --------------------------------------------------------------------
 
 
-_SIGMA2 = {backend: Matrix(2, backend, (scalar(0), scalar(0, -1), scalar(0, 1), scalar(0)))
-           for backend, scalar in SCALAR_TYPE.items()}
-
-
 def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentum, s: int,
                        mass) -> list:
     """Self-conjugacy and the Majorana system, or the Dirac equation, on the term at (p, s).
@@ -342,25 +341,23 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     the spinor basis adds (p0 + sigma.p) eta = -i m sigma2 eta*,
     (p0 - sigma.p) xi = +i m sigma2 xi*, whose left sides are the halves
     of gamma.p f there, and the component relations xi = -i sigma2 eta*,
-    eta = +i sigma2 xi*.  Another basis, which has no components to check,
-    adds the Dirac equation (gamma.p - m) f = 0.
+    eta = +i sigma2 xi*, with i sigma2 the swap (v0, v1) -> (v1, -v0).
+    Another basis, which has no components to check, adds the Dirac
+    equation (gamma.p - m) f = 0.
     """
-    backend = view.backend
     conj = tuple(a.conjugate() for a in partner)
-    relations = [("selfconj", "MAJORANA", _sub(amp, view.conjugation.apply(conj), backend))]
+    relations = [("selfconj", "MAJORANA", _sub(amp, view.conjugation.apply(conj)))]
     if view.rep.name != "spinor":
         return relations + [("dirac", "Dirac1", dirac_matrix(view.rep, p, s, mass).apply(amp))]
-    scalar = SCALAR_TYPE[backend]
-    i_m, i_one = scalar(0, mass), scalar(0, 1)
     xi, eta = amp[:2], amp[2:]
     blocks = dirac_matrix(view.rep, p, s).apply(amp)  # ((p0 + sigma.p) eta, (p0 - sigma.p) xi)
-    s2_eta = _SIGMA2[backend].apply(conj[2:])  # sigma2 eta*
-    s2_xi = _SIGMA2[backend].apply(conj[:2])  # sigma2 xi*
+    is2_eta = (conj[3], -conj[2])  # i sigma2 eta*
+    is2_xi = (conj[1], -conj[0])  # i sigma2 xi*
     return relations + [
-        ("eq1", "Majorana1", _add(blocks[:2], _scaled(i_m, s2_eta))),
-        ("eq2", "Majorana2", _sub(blocks[2:], _scaled(i_m, s2_xi), backend)),
-        ("xi-consistency", "MAJORANA", _add(xi, _scaled(i_one, s2_eta))),
-        ("eta-consistency", "MAJORANA", _sub(eta, _scaled(i_one, s2_xi), backend)),
+        ("eq1", "Majorana1", _add(blocks[:2], _scaled(mass, is2_eta))),
+        ("eq2", "Majorana2", _sub(blocks[2:], _scaled(mass, is2_xi))),
+        ("xi-consistency", "MAJORANA", _add(xi, is2_eta)),
+        ("eta-consistency", "MAJORANA", _sub(eta, is2_xi)),
     ]
 
 

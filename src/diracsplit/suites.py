@@ -746,9 +746,9 @@ def _split_witness(rep) -> tuple:
         (psi1, psi2), relations = _split_relations(rep, p, u)
         if rep is _SPINOR:
             relations = [
-                ("u-amplitude", "Dirac1", _sub(u, _WITNESS_U[s], EXACT)),
-                ("xi1-values", "DEF1", _sub(psi1[:2], _WITNESS_XI1[s], EXACT)),
-                ("xi2-values", "DEF1", _sub(psi2[:2], _WITNESS_XI2[s], EXACT)),
+                ("u-amplitude", "Dirac1", _sub(u, _WITNESS_U[s])),
+                ("xi1-values", "DEF1", _sub(psi1[:2], _WITNESS_XI1[s])),
+                ("xi2-values", "DEF1", _sub(psi2[:2], _WITNESS_XI2[s])),
             ] + relations
         out += [(f"split.witness{_basis_part(rep)}.s{s}.{e.label}", e)
                 for e in residual_report(EXACT, relations)]
@@ -837,7 +837,7 @@ def _weyl_relations(rep, p: FourMomentum):
         amp = weyl_spinor(p, rep, ch).amplitude
         for label, equation, value in weyl_relations(view, amp, p, 1):
             yield f"{ch}.{label}", equation, value
-        yield f"{ch}.chiral-image", "DiracNeutrino", _sub(proj.apply(amp), amp, p.backend)
+        yield f"{ch}.chiral-image", "DiracNeutrino", _sub(proj.apply(amp), amp)
 
 
 @cache
@@ -1018,7 +1018,7 @@ def _special_frame_checks(config: RunConfig, out: list) -> None:
         yield "P2a", "P2a", reduced.apply(p2f.apply(moved2))
         image = view.v.apply(proj1)
         yield "v-maps-P1a-to-P2a", "V", reduced.apply(image)
-        yield "v-maps-P1a-to-P2a", "V", _sub(p2f.apply(image), image, FLOAT)
+        yield "v-maps-P1a-to-P2a", "V", _sub(p2f.apply(image), image)
 
     strict = ("transverse-zeroed", "mass-drift")
     out.append(_Campaign("covariance.special-frame.fuzz", "special-frame",

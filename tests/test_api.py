@@ -252,6 +252,49 @@ def test_only_gamma_and_fields_read_the_lowered_gammas():
     assert outside == []
 
 
+def _reads(module, functions, names) -> tuple:
+    """(the defs of ``functions`` found at ``module``'s top level, each "def:name" they read).
+
+    A def reads a name of ``names`` as a variable, an attribute or a parameter.
+    """
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    defs, reads = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            defs.add(node.name)
+            for child in ast.walk(node):
+                name = (child.id if isinstance(child, ast.Name)
+                        else child.attr if isinstance(child, ast.Attribute)
+                        else child.arg if isinstance(child, ast.arg) else None)
+                if name in names:
+                    reads.append(f"{node.name}:{name}")
+    return defs, reads
+
+
+def test_no_term_statement_names_a_backend():
+    """The term statements take their scalars as they come.
+
+    ``GaussianRational`` and ``complex`` refuse each other, so no
+    statement needs a backend to keep them apart: the split, Weyl and
+    Majorana statements and the amplitude algebra read no backend, build
+    no backend scalar and coerce nothing, and the Dirac symbol builds no
+    scalar and coerces no mass.
+    """
+    backend_names = {"backend", "EXACT", "FLOAT", "SCALAR_TYPE", "coerce_scalar", "coerce_real"}
+    statements = {"split_term", "split_relations", "_projector_forms", "weyl_relations",
+                  "majorana_relations"}
+    algebra, symbol = {"_add", "_sub", "_scaled"}, {"dirac_matrix", "_gamma_dot"}
+    checks = ((diracsplit.subsolutions, statements, backend_names),
+              (diracsplit.fields, algebra, backend_names),
+              (diracsplit.fields, symbol, {"SCALAR_TYPE", "coerce_scalar"}))
+    missing, found = [], []
+    for module, functions, names in checks:
+        defs, reads = _reads(module, functions, names)
+        missing += sorted(functions - defs)
+        found += reads
+    assert missing == [] and found == []
+
+
 def test_the_readme_library_example_runs(capsys):
     """The README's "Library use" code block runs as written, and its run passes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

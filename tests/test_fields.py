@@ -31,6 +31,7 @@ from diracsplit.errors import (
 from diracsplit.gamma import build_rep
 from diracsplit.matrices import Matrix
 from diracsplit.scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
+from diracsplit.subsolutions import majorana_relations, split_relations, split_term
 from field_helpers import apply_symbol, charge_conjugate
 
 I = GaussianRational(0, 1)
@@ -202,7 +203,12 @@ def test_term_keeps_an_amplitude_of_its_backend_scalars():
 
 
 def test_a_float_mass_on_an_exact_momentum_raises_whatever_ran_before(spinor):
-    """1 == 1.0, so the kept symbols are keyed by the mass's type too."""
+    """1 == 1.0, so the kept symbols are keyed by the mass's type too.
+
+    The statements take the mass as given, so on an exact view a float
+    mass is refused by the exact scalar it meets, in the spinor basis's
+    component statements and in the standard basis's ``dirac`` path.
+    """
     for warm in (False, True):
         p = FourMomentum.exact((3, 2, 2, 0), 1)
         if warm:
@@ -214,6 +220,16 @@ def test_a_float_mass_on_an_exact_momentum_raises_whatever_ran_before(spinor):
     assert split(f, 1).psi is f
     with pytest.raises(BackendMismatch):
         dirac_residual(f, 1.0)
+    for rep in (spinor, build_rep("standard")):
+        view = rep.on(EXACT)
+        amp = u_spinor(p, rep, 1).amplitude
+        constituents = split_term(view, amp, p, 1, 1)
+        with pytest.raises(BackendMismatch):
+            split_term(view, amp, p, 1, 1.0)
+        with pytest.raises(BackendMismatch):
+            split_relations(view, amp, constituents, p, 1, 1.0)
+        with pytest.raises(BackendMismatch):
+            majorana_relations(view, amp, amp, p, 1, 1.0)
     pf = p.to_float()
     assert dirac_matrix(spinor, pf, 1, 1).entries == dirac_matrix(spinor, pf, 1, 1.0).entries
 

@@ -424,9 +424,10 @@ def test_split_reports_apply_the_dirac_operator_once_per_constituent(monkeypatch
 def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     """Each key's partner is conjugated once, whole: both halves of it, once each.
 
-    Per key that is four scalar conjugations and four products: C on the
-    partner, sigma2 on each conjugated half, and gamma.p on the term,
-    whose halves are (p0 + sigma.p) eta and (p0 - sigma.p) xi.
+    Per key that is four scalar conjugations and two products: C on the
+    partner, and gamma.p on the term, whose halves are (p0 + sigma.p) eta
+    and (p0 - sigma.p) xi.  i sigma2 on a conjugated half is a swap, no
+    product.
     """
     sp = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
@@ -442,7 +443,7 @@ def test_majorana_residuals_conjugate_each_half_once(monkeypatch):
     maj = with_conjugate(field_of(u_spinor(q, sp, 2), sp))
     calls = _counted_mul_vec(monkeypatch)
     report = majorana_residuals(maj, q.mass)
-    assert len(calls) == 2 * 4
+    assert len(calls) == 2 * 2
     assert report.all_within(1e-10)
 
 
