@@ -47,6 +47,12 @@ class MasslessNeedsWeyl(DiracSplitError):
     code = "massless-needs-weyl"
 
 
+class NormOverflow(DiracSplitError):
+    """A float amplitude's squared norm is beyond float range, so it cannot be normalized."""
+
+    code = "norm-overflow"
+
+
 class OffShell(DiracSplitError):
     """A momentum does not satisfy the mass-shell constraint."""
 

@@ -71,12 +71,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import inf
 from operator import add, itemgetter, sub
 
 from . import kernels
 from .errors import (
     BackendMismatch,
     MasslessNeedsWeyl,
+    NormOverflow,
     OffShell,
     WeylRequiresMassless,
 )
@@ -363,7 +365,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
     if p.backend == EXACT:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
     else:
-        scale = (2.0 * p.p[0] / kernels.ordered_sum(abs(a) ** 2 for a in raw)) ** 0.5
+        scale = (2.0 * p.p[0] / _norm_squared(raw)) ** 0.5
     return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
 
 
@@ -394,13 +396,30 @@ def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm
     return PlaneWaveTerm(_normalized(image, p.backend), p, 1)
 
 
+def _norm_squared(amp: tuple) -> float:
+    """The sum of |a|^2 over a float amplitude, left to right.
+
+    Past float range it raises NormOverflow: a square that overflows
+    raises, and an infinite sum would scale the amplitude to zero, which
+    solves every relation.
+    """
+    try:
+        total = kernels.ordered_sum(abs(a) ** 2 for a in amp)
+    except OverflowError:
+        total = inf
+    if total == inf:
+        raise NormOverflow(f"the squared norm of an amplitude with a component of magnitude "
+                           f"{max(map(abs, amp)):.3g} is beyond float range")
+    return total
+
+
 def _normalized(amp: tuple, backend: str) -> tuple:
     if backend == EXACT:
         pivot = next((a for a in amp if a), None)
         if pivot is None:
             raise ValueError("zero chiral amplitude")
         return tuple(a / pivot for a in amp)
-    norm = kernels.ordered_sum(abs(a) ** 2 for a in amp) ** 0.5
+    norm = _norm_squared(amp) ** 0.5
     if norm == 0:
         raise ValueError("zero chiral amplitude")
     pivot = max(amp, key=abs)

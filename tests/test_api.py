@@ -1,6 +1,7 @@
 """The package's public names, and the names its modules import."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -114,26 +115,64 @@ def test_no_library_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _package_imports(node, scope=()):
+    """(scope, node, names) of each import under ``node``, scope the enclosing def names.
+
+    A call of ``importlib.import_module`` or ``__import__`` counts as an
+    import of the package: its module name is computed, so it is taken
+    to be one.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _package_imports(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.ImportFrom):
+            yield scope, child, [child.module or ""] if not child.level else ["diracsplit"]
+        elif isinstance(child, ast.Import):
+            yield scope, child, [alias.name for alias in child.names]
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None)) in ("import_module", "__import__"):
+                yield scope, child, ["diracsplit"]
+        yield from _package_imports(child, scope)
+
+
 def test_every_package_import_sits_at_module_level():
     """No module of ``src/diracsplit`` imports one of the package's modules inside a function.
 
     Such an import is how a lower layer reaches a module built on it: a
-    cycle the module-level imports would refuse.
+    cycle the module-level imports would refuse.  The one deferred import
+    is the package root's ``__getattr__``, which imports the module that
+    defines a public name on its first read; no module reads the root's
+    names (the next test), so it closes no cycle.
     """
     nested = []
     for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         top = {id(node) for node in tree.body}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] if not node.level else ["diracsplit"]
+        for scope, node, names in _package_imports(tree):
+            if ((scope or isinstance(node, ast.stmt) and id(node) not in top)
+                    and any(n.partition(".")[0] == "diracsplit" for n in names)):
+                nested.append((path.name, ".".join(scope), node.lineno))
+    assert [(name, scope) for name, scope, _ in nested] == [("__init__.py", "__getattr__")]
+
+
+def test_no_module_reads_the_package_root():
+    """Modules import each other's names from the defining module, never from the root."""
+    package = Path(diracsplit.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "diracsplit" if not node.level else node.module is None):
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name not in modules]
             elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if id(node) not in top and any(n.partition(".")[0] == "diracsplit" for n in names):
-                nested.append(f"{path.name}:{node.lineno}")
-    assert nested == []
+                found += [f"{path.name}:{node.lineno}: import diracsplit"
+                          for alias in node.names if alias.name == "diracsplit"]
+    assert found == []
 
 
 def test_a_fresh_interpreter_imports_no_dataclasses_inspect_or_typing():
@@ -174,6 +213,68 @@ def test_the_library_import_compiles_no_verifier():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
     assert not {"DEFAULT_SEED", "RunConfig", "run"} & set(diracsplit.__all__)
+
+
+#: the modules a fresh interpreter loads to build the three bases and their projectors
+_SET_UP_MODULES = ["errors", "gamma", "kernels", "matrices", "projectors", "reports",
+                   "scalars", "values"]
+
+_COLD_START = """\
+import json, sys
+import diracsplit
+def loaded():
+    return sorted(m.partition(".")[2] for m in sys.modules if m.startswith("diracsplit."))
+out = {"dir": sorted(set(diracsplit.__all__) - set(dir(diracsplit)))}
+reps = [diracsplit.build_rep(n) for n in ("spinor", "standard", "majorana")]
+sets = [diracsplit.build_projectors(r) for r in reps]
+out["set-up"] = loaded()
+diracsplit.split
+out["split"] = sorted(set(loaded()) - set(out["set-up"]))
+from diracsplit import cli
+out["cli"] = [cli.__name__, callable(cli.main)]
+try:
+    diracsplit.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_a_cold_start_imports_the_modules_it_reads():
+    """The root imports a module on the first read of a name it defines, and no other.
+
+    Set-up (``perfbench``'s: import the package, then build the three
+    bases and their projectors) loads the eight modules it runs, not
+    ``fields``, ``lorentz``, ``subsolutions``, ``suites`` or ``cli``.
+    ``-S`` keeps ``site`` from importing modules first.
+    """
+    src = Path(diracsplit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", _COLD_START], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["dir"] == []
+    assert out["set-up"] == _SET_UP_MODULES
+    assert out["split"] == ["fields", "subsolutions"]
+    assert out["cli"] == ["diracsplit.cli", True]
+    assert "'no_such_name'" in out["unknown"]
+
+
+def test_a_resolved_name_is_bound_in_the_root():
+    """After its first read a name is a plain attribute of the root, the defining module's own."""
+    from diracsplit import subsolutions
+
+    assert diracsplit.split is subsolutions.split
+    assert vars(diracsplit)["split"] is subsolutions.split
+
+
+def test_every_library_error_is_public():
+    """Each ``DiracSplitError`` subclass of ``errors`` is a public name, so callers can catch it."""
+    from diracsplit import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.DiracSplitError)}
+    assert classes - set(diracsplit.__all__) == set()
 
 
 def test_only_values_defines_immutability():

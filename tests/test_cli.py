@@ -336,3 +336,30 @@ def test_every_valid_momentum_range_ends(tmp_path, suite, momentum_range, code):
     assert proc.returncode == code, proc.stderr
     if code == EXIT_USAGE:
         assert "Weyl float fuzz" in proc.stderr
+
+
+@pytest.mark.parametrize("suite, backend, config", [
+    ("split", "both", {"mass_range": [1e154, 1e154]}),
+    ("majorana", "both", {"mass_range": [1e154, 1e154]}),
+    ("covariance", "both", {"mass_range": [1e154, 1e154]}),
+    pytest.param("split", "both", {"mass_range": [6e153, 6e153]}, id="split-sum-past-range"),
+    ("weyl", "float", {"momentum_range": [1.1e154, 1.2e154]}),
+])
+def test_a_norm_beyond_float_range_exits_with_its_code(tmp_path, suite, backend, config):
+    """An amplitude whose squared norm overflows stops the run with ``norm-overflow``.
+
+    At a mass of 6e153 each square fits but their sum does not, which
+    would otherwise scale u to zero.
+    """
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "trials": 2}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsplit", suite, "--backend", backend, "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_LIBRARY_ERROR, proc.stderr
+    assert proc.stderr.startswith("error: norm-overflow: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
