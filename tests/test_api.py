@@ -215,10 +215,6 @@ def test_the_library_import_compiles_no_verifier():
     assert not {"DEFAULT_SEED", "RunConfig", "run"} & set(diracsplit.__all__)
 
 
-#: the modules a fresh interpreter loads to build the three bases and their projectors
-_SET_UP_MODULES = ["errors", "gamma", "kernels", "matrices", "projectors", "reports",
-                   "scalars", "values"]
-
 _COLD_START = """\
 import json, sys
 import diracsplit
@@ -254,7 +250,8 @@ def test_a_cold_start_imports_the_modules_it_reads():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["dir"] == []
-    assert out["set-up"] == _SET_UP_MODULES
+    assert out["set-up"] == ["errors", "gamma", "kernels", "matrices", "projectors", "reports",
+                             "scalars", "values"]
     assert out["split"] == ["fields", "subsolutions"]
     assert out["cli"] == ["diracsplit.cli", True]
     assert "'no_such_name'" in out["unknown"]
