@@ -77,8 +77,8 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise UsageError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(_CONFIG_KEYS))

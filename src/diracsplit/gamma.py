@@ -38,13 +38,16 @@ relation is built from its own basis's matrices, so no code moves a
 field between bases, and an intertwiner serves to derive the
 conjugation matrix and to be recorded.
 
-A view holds matrices and their validations only.  The residuals a
-validation demands to vanish -- the intertwiner's
-(``Intertwiner.residuals``) and the projector family's -- are measured
-by that validation and kept with what it validated, so the suites record
-the very residuals it checked.  Every other structural relation of a
-basis is stated, measured and kept as a record by the suite that
-records it (see ``suites``), never when a view or the family is built.
+A view holds matrices and their validations only.  Each validation
+states its relations, measures them with ``reports.residual_report``
+and runs them through ``reports.demand``, which raises the validation's
+error naming the first relation that does not vanish identically.  The
+residuals of the intertwiner (``Intertwiner.residuals``) and of the
+projector family are kept with what they validated, so the suites
+record the very residuals the validation checked.  Every other
+structural relation of a basis is stated, measured and kept as a record
+by the suite that records it (see ``suites``), never when a view or the
+family is built.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from functools import cached_property
 
 from .errors import IntertwinerInvalid, ProjectorAlgebraViolation
 from .matrices import Matrix, commutator
-from .reports import ResidualReport, residual_report
+from .reports import ResidualReport, demand, residual_report
 from .scalars import EXACT, FLOAT, HALF, GaussianRational, I
 from .values import Value, store
 
@@ -298,13 +301,6 @@ def build_rep(name: str) -> GammaRep:
         ) from None
 
 
-def _demand_zero(residuals: ResidualReport, error, where: str) -> None:
-    """Raise ``error`` for the first residual that does not vanish identically."""
-    for e in residuals:
-        if not e.exact_zero:
-            raise error(f"{e.label} residual {e.residual:.3e} is not zero ({where})")
-
-
 # -- projector family ----------------------------------------------------------
 
 _QUARTER = Fraction(1, 4)
@@ -332,7 +328,7 @@ def _projector_family(rep: GammaRep) -> tuple:
     v = (rep.gammas[2] @ rep.gammas[3]).scale(I)
 
     residuals = _family_residuals(q_plus, q_minus, ps, v)
-    _demand_zero(residuals, ProjectorAlgebraViolation, f"rep {rep.name}")
+    demand(residuals, ProjectorAlgebraViolation, f"rep {rep.name}")
     return q_plus, q_minus, ps, v, residuals
 
 
@@ -396,29 +392,25 @@ def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
                           rep_to.gammas + (rep_to.gamma5,)):
         relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
     residuals = residual_report(EXACT, relations)
-    _demand_zero(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
+    demand(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
     return Intertwiner(w, norm2, residuals)
 
 
 # -- charge conjugation ------------------------------------------------------
 
 
-def _conjugation_valid(rep: GammaRep, m: Matrix) -> bool:
-    if not (m @ m.conj() - Matrix.identity(4)).is_zero:
-        return False
-    for g in rep.gammas:
-        if not (m @ g.conj() + g @ m).is_zero:
-            return False
-    return True
-
-
 def _conjugation_matrix(rep: GammaRep) -> Matrix:
-    """The spinor basis's i gamma2 carried into ``rep``: W M W^T / norm2, then validated."""
+    """The spinor basis's i gamma2 carried into ``rep``: W M W^T / norm2, then validated.
+
+    The relations it must meet exactly: ``involution`` (M conj(M) - Id)
+    and ``anticommute.gamma<mu>`` (M conj(gamma^mu) + gamma^mu M).
+    """
     sp = build_rep("spinor")
     link = sp.on(EXACT).intertwiner(rep)
     m = (link.w @ sp.gammas[2].scale(I) @ link.w.transpose()).scale(Fraction(1, link.norm2))
-    if not _conjugation_valid(rep, m):
-        raise IntertwinerInvalid(
-            f"no valid conjugation matrix for rep {rep.name}"
-        )
+    relations = [("involution", "MAJORANA", m @ m.conj() - Matrix.identity(4))]
+    relations += [(f"anticommute.gamma{mu}", "MAJORANA", m @ g.conj() + g @ m)
+                  for mu, g in enumerate(rep.gammas)]
+    demand(residual_report(EXACT, relations), IntertwinerInvalid,
+           f"conjugation matrix of rep {rep.name}")
     return m

@@ -25,6 +25,14 @@ A check judges its entry by its kind and bound:
 A NaN residual compares false with every bound, so it fails every kind
 that has a residual; the JSON report writes it as ``NaN``.
 
+Both judges of the package live here, so one module decides and words
+every verdict.  :func:`judged` turns an entry into a report record with
+its verdict; :func:`demand` holds a library precondition or a basis
+validation to the ordinary rule (an exact residual vanishes identically,
+a float one sits within the bound) and raises an error naming the first
+relation that breaks it.  No other module reads ``exact_zero`` or
+calls ``within``.
+
 The CLI aggregates the judged checks into :class:`Report`, whose JSON
 form is stable: key order and field names are part of the interface,
 and two runs with the same configuration produce byte-identical output
@@ -157,6 +165,29 @@ class CheckRecord(Record):
         self.residual = residual
         self.exact_zero = exact_zero
         self.ok = ok
+
+
+def judged(check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> CheckRecord:
+    """The record of ``entry`` as check ``check_id``, judged by its kind against ``bound``.
+
+    Without a kind the check is an ordinary one: exact zero on the
+    exact backend, within ``bound`` on the float backend.
+    """
+    ok = entry.passes(kind, bound) if kind else entry.within(bound)
+    return CheckRecord(check_id, entry.equation, entry.backend, entry.residual,
+                       entry.exact_zero, ok)
+
+
+def demand(entries, error, where: str, tol: float = 0.0) -> None:
+    """Raise ``error`` for the first of ``entries`` that fails ``within(tol)``.
+
+    The message names the entry's label, its residual (``nan`` for a
+    NaN), its backend, the bound it broke and ``where``.
+    """
+    for e in entries:
+        if not e.within(tol):
+            bound = "is not zero" if e.backend == EXACT else f"exceeds {tol}"
+            raise error(f"{e.label} residual {e.residual:.3e} {bound} ({e.backend}, {where})")
 
 
 class Report(Record):

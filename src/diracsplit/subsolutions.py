@@ -87,8 +87,8 @@ from .fields import (
     dirac_residual,
     upper_half,
 )
-from .gamma import RepView, _demand_zero
-from .reports import ResidualReport, residual_entry, residual_report
+from .gamma import RepView
+from .reports import ResidualReport, demand, residual_entry, residual_report
 from .scalars import EXACT, SCALAR_TYPE, coerce_real
 from .values import Value, store
 
@@ -183,27 +183,23 @@ def split_term(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tupl
 def split(psi: PlaneWaveField, mass) -> SplitResult:
     """Decompose a Dirac solution, in any basis, into its two constituent fields.
 
-    Each term is split once by ``split_term`` (see ``SplitResult``).  The
-    relations of ``split_relations`` are verified before returning: on the
-    exact backend every family must vanish identically; on the float one
-    the recombination family must sit within the constant bound 1e-10.
+    Each term is split once by ``split_term`` (see ``SplitResult``).  psi
+    must solve the Dirac equation (relation ``dirac``), and the relations
+    of ``split_relations`` are verified before returning: on the exact
+    backend every family must vanish identically; on the float one the
+    recombination family must sit within the constant bound 1e-10.  Both
+    go through ``reports.demand``, so a NotASolution names the first
+    relation that fails.
     """
     if not mass:
         raise SplitRequiresMass("the defining relations divide by m")
     if psi.ncomp != 4:
         raise SplitRequiresSpinorRep("split needs a bispinor field")
-    res = residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))
-    if not res.within(_TOL):
-        raise NotASolution(f"Dirac residual {res.residual:.3e} ({res.backend}, tol {_TOL})")
+    demand([residual_entry("dirac", "Dirac1", psi.backend, dirac_residual(psi, mass))],
+           NotASolution, "split", _TOL)
     result = SplitResult(psi, mass)
-    rec = recombination_residuals(result)
-    if not rec.all_within(_TOL):
-        raise NotASolution(
-            f"recombination residual {rec.max_residual():.3e} ({psi.backend}, tol {_TOL})"
-        )
-    if psi.backend == EXACT:
-        for family in result.relations[1:]:
-            _demand_zero(residual_report(EXACT, family), NotASolution, "exact split")
+    for family in result.relations if psi.backend == EXACT else result.relations[:1]:
+        demand(residual_report(psi.backend, family), NotASolution, "split", _TOL)
     return result
 
 
@@ -368,7 +364,8 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
     conjugation flips the frequency sign; an absent one is zero.
     The report holds the relations ``majorana_relations`` gives f's basis:
     ``selfconj`` and the component relations in the spinor basis,
-    ``selfconj`` and ``dirac`` in any other.  Raises "not-majorana" when
+    ``selfconj`` and ``dirac`` in any other.  Raises "not-majorana",
+    through ``reports.demand`` and naming ``selfconj``, when
     self-conjugacy fails (exactly on the exact backend, beyond the
     constant bound 1e-10 on the float one).
     """
@@ -385,9 +382,6 @@ def majorana_residuals(f: PlaneWaveField, mass) -> ResidualReport:
                                            partner[0] if partner else zero,
                                            (term or partner)[1], key[0], mass))
     report = residual_report(backend, termwise(per_term))
-    selfconj = report.entries[0]  # first in every basis
-    if not selfconj.within(_TOL):
-        raise NotMajorana(
-            f"charge-conjugation residual {selfconj.residual:.3e} ({backend}, tol {_TOL})"
-        )
+    # selfconj, first in every basis
+    demand(report.entries[:1], NotMajorana, "majorana_residuals", _TOL)
     return report

@@ -4,14 +4,14 @@ A run is one list in report order: each suite appends record tuples
 ``(check_id, entry[, bound[, kind]])`` of residual entries
 (``reports.residual_entry``) and fuzz campaigns (``_Campaign``), and
 ``_measure_campaigns`` turns the list into flat check records.  One
-function, ``_judged``, meets each entry with its bound and kind, and the
-kind decides the verdict (see ``reports``; a NaN residual fails every
-kind).  Exact-backend records pass only when the residual is identically
-zero; float records compare against the run tolerance.  Families whose
-bounds are pinned two decades tighter (massless algebra, metric
-preservation, generator commutators, frame drift, and the float runs of
-the structural suites) use tol/100 so the default 1e-10 run enforces
-1e-12 on them.
+function, ``reports.judged``, meets each entry with its bound and kind,
+and the kind decides the verdict (a NaN residual fails every kind).
+Exact-backend records pass only when the residual is identically zero;
+float records compare against the run tolerance.  Families whose bounds
+are pinned two decades tighter (massless algebra, metric preservation,
+generator commutators, frame drift, and the float runs of the
+structural suites) use tol/100 so the default 1e-10 run enforces 1e-12
+on them.
 
 Every record that depends on the basis and the backend alone, not on
 the seed, trials, tolerance or ranges, is built and kept by this
@@ -19,8 +19,8 @@ module, in a ``functools.cache`` builder that returns finished
 ``(check_id, entry[, bound, kind])`` records and measures them on its
 first call; a runner reads them and attaches the run's bound where the
 record has none.  A warm run therefore measures none of them again,
-and ``_judged`` still builds each run's records and verdicts.  The
-structural suites state their relations on the matrices of each
+and ``reports.judged`` still builds each run's records and verdicts.
+The structural suites state their relations on the matrices of each
 representation's view (``gamma.RepView``), which holds matrices and
 validations only: ``_clifford_records`` and ``_projector_records`` are
 kept per backend, the exact block of ``covariance`` per basis
@@ -123,9 +123,9 @@ from .matrices import Matrix, commutator
 from .reports import (
     CONTROL,
     RAISES,
-    CheckRecord,
     Report,
     ResidualEntry,
+    judged,
     magnitude,
     residual_entry,
     residual_report,
@@ -252,18 +252,7 @@ _ALL_REPS = tuple(build_rep(n) for n in REP_NAMES)
 _SPINOR = build_rep("spinor")
 
 
-# -- record judging ---------------------------------------------------------------
-
-
-def _judged(check_id: str, entry: ResidualEntry, bound=0.0, kind=None) -> CheckRecord:
-    """The record of ``entry`` as check ``check_id``, judged by its kind against ``bound``.
-
-    Without a kind the check is an ordinary one: exact zero on the
-    exact backend, within ``bound`` on the float backend.
-    """
-    ok = entry.passes(kind, bound) if kind else entry.within(bound)
-    return CheckRecord(check_id, entry.equation, entry.backend, entry.residual,
-                       entry.exact_zero, ok)
+# -- raise checks -----------------------------------------------------------------
 
 
 def _raises(fn, exc_type) -> bool:
@@ -321,12 +310,12 @@ def _measure_campaigns(out: list) -> list:
     records = []
     for item in out:
         if type(item) is not _Campaign:
-            records.append(_judged(*item))
+            records.append(judged(*item))
             continue
         for label, (equation, value) in next(worsts).items():
-            records.append(_judged(f"{item.prefix}.{label}",
-                                   residual_entry(label, equation, FLOAT, value),
-                                   item.tol_for(label)))
+            records.append(judged(f"{item.prefix}.{label}",
+                                  residual_entry(label, equation, FLOAT, value),
+                                  item.tol_for(label)))
     return records
 
 

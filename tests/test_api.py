@@ -319,12 +319,29 @@ def test_only_reports_builds_a_residual_report():
     assert built == []
 
 
+def test_only_reports_judges_a_residual():
+    """One module decides every verdict: outside ``reports`` no module reads whether a residual
+    is zero or calls a judge, so basis validations and preconditions go through
+    ``reports.demand`` and records through ``reports.judged``."""
+    judges = ("within", "all_within", "all_exact_zero", "passes", "max_residual")
+    outside = []
+    for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
+        if path.name != "reports.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and node.attr in ("exact_zero", "is_zero")]
+            outside += [f"{path.stem}.{scope}" for name in judges
+                        for scope, _ in _calls_of(name, tree)]
+    assert outside == []
+
+
 def test_gamma_measures_only_its_validations():
     """``gamma`` measures residuals only to validate: every other record is built in ``suites``."""
     tree = ast.parse(Path(diracsplit.gamma.__file__).read_text(encoding="utf-8"))
     scopes = sorted(scope for name in ("residual_report", "residual_entry")
                     for scope, _ in _calls_of(name, tree))
-    assert scopes == ["_family_residuals", "_verified_intertwiner"]
+    assert scopes == ["_conjugation_matrix", "_family_residuals", "_verified_intertwiner"]
 
 
 def test_only_gamma_and_suites_read_an_intertwiner():

@@ -8,14 +8,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracsplit import suites
 from diracsplit.cli import (
+    _CONFIG_KEYS,
+    _PARSER,
     EXIT_CHECK_FAILURES,
     EXIT_JSON_UNWRITABLE,
     EXIT_LIBRARY_ERROR,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
+    _assemble_config,
     main,
 )
 from diracsplit.errors import OffShell
@@ -255,6 +260,52 @@ def test_bad_config_files(tmp_path, capsys, content):
     cfg.write_text(content)
     assert main(["weyl", "--config", str(cfg)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'\xff\xfe{"trials":2}', id="not-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
+])
+def test_a_malformed_config_file_exits_two_without_a_traceback(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsplit", "weyl", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@given(content=st.binary(max_size=64)
+       | st.text(max_size=64).map(str.encode)
+       | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON, max_size=4)
+       .map(lambda d: json.dumps(d).encode()))
+@settings(max_examples=200, deadline=None)
+def test_any_config_file_is_a_config_or_a_usage_error(config_path, content):
+    """Whatever a --config file holds, assembling the run's config gives one or a UsageError."""
+    config_path.write_bytes(content)
+    try:
+        config = _assemble_config(_PARSER.parse_args(["weyl", "--config", str(config_path)]))
+    except UsageError:
+        return
+    assert isinstance(config, suites.RunConfig)
 
 
 def test_missing_config_file(tmp_path, capsys):

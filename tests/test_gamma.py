@@ -131,6 +131,20 @@ def test_conjugation_matrix_defining_relations(rep):
         assert (m @ g.conj() + g @ m).is_zero
 
 
+def test_a_broken_conjugation_matrix_names_its_relation(monkeypatch, spinor):
+    """With i taken as 2, M = 2 gamma2 and M conj(M) = 4 Id: the involution fails first.
+
+    Read on a copy of the spinor basis, so the pinned basis keeps its M.
+    """
+    from diracsplit import gamma
+
+    monkeypatch.setattr(gamma, "I", GaussianRational(2))
+    copy = GammaRep("spinor", spinor.gammas, spinor.gamma5)
+    with pytest.raises(IntertwinerInvalid, match=r"^involution residual 3\.000e\+00 is not zero "
+                                                  r"\(exact, conjugation matrix of rep spinor\)$"):
+        copy.on(EXACT).conjugation
+
+
 def test_conjugation_matrix_spinor_is_i_gamma2(spinor):
     want = spinor.gammas[2].scale(GaussianRational(0, 1))
     assert (spinor.on(EXACT).conjugation - want).is_zero

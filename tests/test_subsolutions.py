@@ -179,7 +179,7 @@ def test_an_exact_split_checks_every_relation_family(monkeypatch, rep_name):
 
     closed_form = subsolutions.split_term
     monkeypatch.setattr(subsolutions, "split_term", lambda *args: closed_form(*args)[::-1])
-    failing = "recombination residual" if rep_name == "spinor" else "identity.repfree.P1 residual"
+    failing = "closed-form residual" if rep_name == "spinor" else "identity.repfree.P1 residual"
     with pytest.raises(NotASolution, match=failing):
         _witness_split(1, rep_name)
 
@@ -249,6 +249,15 @@ def test_split_without_solution_check_passes_offshell():
     assert residual_report(FLOAT, constituent).max_residual() > 1e-3
     with pytest.raises(NotASolution):
         split(field_of(term, rep=spinor), 1.0)
+
+
+def test_a_float_split_at_the_wrong_mass_names_the_dirac_relation():
+    spinor = build_rep("spinor")
+    p = FourMomentum.on_shell(1.5, (0.3, -1.2, 2.0))
+    psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
+    split(psi, p.mass)
+    with pytest.raises(NotASolution, match=r"^dirac residual \S+ exceeds 1e-10 \(float, split\)$"):
+        split(psi, 2 * p.mass)
 
 
 # -- float fuzz -------------------------------------------------------------
@@ -334,7 +343,8 @@ def test_majorana_rejects_plain_solution():
     spinor = build_rep("spinor")
     p = FourMomentum.exact(WITNESS_P, WITNESS_MASS)
     psi = field_of(u_spinor(p, spinor, 1), rep=spinor)
-    with pytest.raises(NotMajorana):
+    with pytest.raises(NotMajorana,
+                       match=r"^selfconj residual \S+ is not zero \(exact, majorana_residuals\)$"):
         majorana_residuals(psi, WITNESS_MASS)
 
 

@@ -22,7 +22,7 @@ from diracsplit import (
 from diracsplit import suites
 from diracsplit.errors import NotASolution
 from diracsplit.gamma import REP_NAMES, build_rep
-from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, residual_entry
+from diracsplit.reports import CONTROL, EXACT_ZERO, RAISES, WITHIN, demand, judged, residual_entry
 from diracsplit.scalars import FLOAT
 from diracsplit.suites import (
     BACKEND_CHOICES,
@@ -32,7 +32,6 @@ from diracsplit.suites import (
     RunConfig,
     _CONTROL_FLOOR,
     _Campaign,
-    _judged,
     _keep_worst,
     _measure_campaigns,
     _merged,
@@ -258,7 +257,7 @@ def test_every_selection_runs_checks(suite, rep, backend):
 
 
 def _verdict(entry, bound=0.0, kind=None):
-    return _judged("x", entry, bound, kind).ok
+    return judged("x", entry, bound, kind).ok
 
 
 def test_exact_record_passes_only_when_exactly_zero():
@@ -279,6 +278,28 @@ def test_verdicts_follow_the_check_kind():
     assert _verdict(none, True, RAISES) and not _verdict(none, False, RAISES)
     with pytest.raises(ValueError):
         _verdict(small, 0.0, "approximately")
+
+
+def test_demand_names_the_first_entry_that_fails_with_its_bound():
+    zero = ResidualEntry("zero", "E", "exact", None, True)
+    exact = [zero, ResidualEntry("first", "E", "exact", 1e-12, False),
+             ResidualEntry("second", "E", "exact", 2.0, False)]
+    with pytest.raises(NotASolution) as raised:
+        demand(exact, NotASolution, "here", 1e-10)
+    assert str(raised.value) == "first residual 1.000e-12 is not zero (exact, here)"
+    small = ResidualEntry("small", "E", "float", 1e-12, False)
+    large = ResidualEntry("large", "E", "float", 0.5, False)
+    demand([zero, small], NotASolution, "here", 1e-10)
+    with pytest.raises(NotASolution) as raised:
+        demand([small, large], NotASolution, "there", 1e-10)
+    assert str(raised.value) == "large residual 5.000e-01 exceeds 1e-10 (float, there)"
+
+
+def test_demand_raises_on_a_nan_residual():
+    entry = residual_entry("l", "E", FLOAT, [1e-12, NAN])
+    with pytest.raises(NotASolution) as raised:
+        demand([entry], NotASolution, "here", 1e-10)
+    assert str(raised.value) == "l residual nan exceeds 1e-10 (float, here)"
 
 
 # -- NaN residuals ---------------------------------------------------------------
