@@ -25,18 +25,35 @@ symbol: in the spinor basis gamma.q = [[0, q0 + sigma.q], [q0 - sigma.q,
 product with (xi, eta), and the special frame's reduced operator is
 ``dirac_matrix`` at (q0, q1, 0, 0).
 
+gamma.p is built from the basis's nonzero lowered-gamma entries alone,
+which its view keeps per entry (``RepView.symbol_slots``).  Every
+gamma_mu of the pinned bases has one nonzero entry per row and per
+column, so a symbol costs 16 products, not 64, on both backends.  An
+entry that no gamma_mu fills is the view's exact zero at every momentum;
+every other is the sum of its products (s p^mu) gamma_mu, left to right
+in mu from the first.  That equals the dense sum over all four mu bit
+for bit in every nonzero real or imaginary part: only a zero part may
+differ, in its sign.  At a non-finite momentum the dense sum's products
+of zero entries, 0 inf, read NaN; they are left out here, so an entry no
+gamma_mu fills stays 0, and another may be a number where the dense sum
+is NaN.  Each gamma_mu is invertible, so at a non-finite momentum every
+row of the symbol still holds a non-finite entry, and no residual there
+reads as small.
+
 The amplitude algebra of the term relations is written once here:
-``_add`` (a + b) and ``_sub`` (a - b), component by component, and
-``_scaled`` (c a), with a symbol or a constant matrix applied by
-``Matrix.apply`` (``kernels.mul_vec``).  The relation statements of
-``subsolutions`` and the fuzz of ``suites`` use it and build no field,
-and the constructor adds the amplitudes of a shared key with ``_add``,
-so a relation measured on one term equals, bit for bit, the same
-relation measured on that term's field.  The algebra, the statements
-and ``dirac_matrix`` name no backend: they take their scalars, the
-mass included, as they come, and ``GaussianRational`` refuses a
-``float`` or ``complex`` operand, so a float mass on an exact term
-raises ``BackendMismatch``.
+``_add`` (a + b), ``_sub`` (a - b), ``_scaled`` (c a), ``_divided``
+(a / c) and ``_conj`` (conj a), component by component, with a symbol or a
+constant matrix applied by ``Matrix.apply`` (``kernels.mul_vec``).  Each
+maps a built-in operator over the tuples, so the float fuzz, which runs
+them thousands of times a round, pays no generator frame per call.  The
+relation statements of ``subsolutions`` and the fuzz of ``suites`` use
+it and build no field, and the constructor adds the amplitudes of a
+shared key with ``_add``, so a relation measured on one term equals, bit
+for bit, the same relation measured on that term's field.  The algebra,
+the statements and ``dirac_matrix`` name no backend: they take their
+scalars, the mass included, as they come, and ``GaussianRational``
+refuses a ``float`` or ``complex`` operand, so a float mass on an exact
+term raises ``BackendMismatch``.
 
 Every value has one constructor.  ``PlaneWaveTerm(amplitude, momentum,
 freq_sign)`` keeps an amplitude tuple whose components already have the
@@ -71,8 +88,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import inf
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, methodcaller, mul, sub, truediv
 
 from . import kernels
 from .errors import (
@@ -117,7 +135,7 @@ class FourMomentum(Value):
     @classmethod
     def on_shell(cls, mass: float, spatial: Sequence[float]) -> "FourMomentum":
         """Float momentum with p0 computed from the shell condition."""
-        p1, p2, p3 = (float(c) for c in spatial)
+        p1, p2, p3 = map(float, spatial)
         m = float(mass)
         p0 = (m * m + p1 * p1 + p2 * p2 + p3 * p3) ** 0.5
         return cls((p0, p1, p2, p3), m, FLOAT)
@@ -168,7 +186,7 @@ class PlaneWaveTerm(tuple):
             raise ValueError("amplitude must have 2 or 4 components")
         backend = momentum.backend
         scalar = SCALAR_TYPE.get(backend)
-        if type(amplitude) is not tuple or not all(type(a) is scalar for a in amplitude):
+        if type(amplitude) is not tuple or {*map(type, amplitude)} != {scalar}:
             amplitude = tuple(coerce_scalar(a, backend) for a in amplitude)
         return tuple.__new__(cls, (amplitude, momentum, freq_sign))
 
@@ -271,7 +289,20 @@ def _sub(a: tuple, b: tuple) -> tuple:
 
 def _scaled(c, a: tuple) -> tuple:
     """c a, component by component."""
-    return tuple(c * x for x in a)
+    return tuple(map(mul, repeat(c), a))
+
+
+def _divided(a: tuple, c) -> tuple:
+    """a / c, component by component."""
+    return tuple(map(truediv, a, repeat(c)))
+
+
+_conjugate = methodcaller("conjugate")
+
+
+def _conj(a: tuple) -> tuple:
+    """The complex conjugate of a, component by component."""
+    return tuple(map(_conjugate, a))
 
 
 # -- operators ----------------------------------------------------------------
@@ -303,12 +334,29 @@ def dirac_matrix(rep: GammaRep, momentum: FourMomentum, freq_sign: int, mass=0) 
 
 
 def _gamma_dot(rep: GammaRep, momentum: FourMomentum, freq_sign: int) -> Matrix:
-    """gamma_mu (s p^mu), each entry summed left to right from mu = 0."""
+    """gamma_mu (s p^mu) from the basis's nonzero gamma entries only (``RepView.symbol_slots``).
+
+    An entry that no gamma_mu fills is the view's exact zero at every
+    momentum; every other is the sum of its products (s p^mu) gamma_mu,
+    left to right in mu from its first nonzero one.  That is the dense
+    sum over all four mu with the products of zero entries left out, so
+    it equals the dense sum bit for bit in every nonzero real or
+    imaginary part: a zero part may differ in its sign, and at a
+    non-finite momentum no 0 inf product makes an entry NaN.
+    """
     backend = momentum.backend
-    g0, g1, g2, g3 = (g.entries for g in rep.on(backend).gammas_lower)
-    c0, c1, c2, c3 = (c * freq_sign for c in momentum.p)
-    return Matrix(4, backend, tuple(c0 * a + c1 * b + c2 * c + c3 * d
-                                    for a, b, c, d in zip(g0, g1, g2, g3)))
+    p0, p1, p2, p3 = momentum.p
+    c = (p0 * freq_sign, p1 * freq_sign, p2 * freq_sign, p3 * freq_sign)
+    entries = []
+    for mu, g, rest in rep.on(backend).symbol_slots:
+        if mu is None:
+            entries.append(g)
+            continue
+        acc = c[mu] * g
+        for mu, g in rest:
+            acc = acc + c[mu] * g
+        entries.append(acc)
+    return Matrix(4, backend, tuple(entries))
 
 
 def dirac_residual(f: PlaneWaveField, mass) -> PlaneWaveField:
@@ -366,7 +414,7 @@ def u_spinor(p: FourMomentum, rep: GammaRep, spin_label: int) -> PlaneWaveTerm:
         scale = GaussianRational(Fraction(1, 2) / p.mass)
     else:
         scale = (2.0 * p.p[0] / _norm_squared(raw)) ** 0.5
-    return PlaneWaveTerm(tuple(scale * a for a in raw), p, 1)
+    return PlaneWaveTerm(_scaled(scale, raw), p, 1)
 
 
 def weyl_spinor(p: FourMomentum, rep: GammaRep, chirality: str) -> PlaneWaveTerm:
@@ -404,7 +452,7 @@ def _norm_squared(amp: tuple) -> float:
     solves every relation.
     """
     try:
-        total = kernels.ordered_sum(abs(a) ** 2 for a in amp)
+        total = kernels.ordered_sum(map(pow, map(abs, amp), repeat(2)))
     except OverflowError:
         total = inf
     if total == inf:
@@ -418,11 +466,11 @@ def _normalized(amp: tuple, backend: str) -> tuple:
         pivot = next((a for a in amp if a), None)
         if pivot is None:
             raise ValueError("zero chiral amplitude")
-        return tuple(a / pivot for a in amp)
+        return _divided(amp, pivot)
     norm = _norm_squared(amp) ** 0.5
     if norm == 0:
         raise ValueError("zero chiral amplitude")
     pivot = max(amp, key=abs)
     phase = pivot / abs(pivot)
     factor = phase.conjugate() / norm
-    return tuple(factor * a for a in amp)
+    return _scaled(factor, amp)

@@ -36,7 +36,12 @@ and kept on the representation object; the float view holds the
 other bases are read from the exact view only: every field and every
 relation is built from its own basis's matrices, so no code moves a
 field between bases, and an intertwiner serves to derive the
-conjugation matrix and to be recorded.
+conjugation matrix and to be recorded.  An intertwiner between two
+pinned bases is kept on the source view; one to or from a copy of a
+basis is verified on each read and kept nowhere, so no copy stays alive
+as a key of a pinned view.  A view also keeps, per entry of a 4x4
+symbol, the nonzero lowered-gamma entries that fill it
+(``symbol_slots``), from which ``fields`` builds gamma.p in 16 products.
 
 A view holds matrices and their validations only.  Each validation
 states its relations, measures them with ``reports.residual_report``
@@ -224,16 +229,20 @@ class RepView(Value):
     def intertwiner(self, rep_to: GammaRep) -> Intertwiner:
         """Change of basis to ``rep_to``, verified exactly on first use.
 
-        Exact only: the float view raises ValueError.  Raises
-        IntertwinerInvalid if the pinned W fails its checks, and
-        ValueError if no W is pinned for the pair.
+        Kept on this view when both bases are pinned, so a pinned pair is
+        verified once; a copy of a basis is verified again on each read,
+        and a pinned view keeps nothing of it.  Exact only: the float view
+        raises ValueError.  Raises IntertwinerInvalid if the pinned W
+        fails its checks, and ValueError if no W is pinned for the pair.
         """
         if self.backend != EXACT:
             raise ValueError(f"intertwiners are exact: read rep.on({EXACT!r}).intertwiner, "
                              f"not the {self.backend} view's")
         link = self._links.get(rep_to)
         if link is None:
-            link = self._links[rep_to] = _verified_intertwiner(self.rep, rep_to)
+            link = _verified_intertwiner(self.rep, rep_to)
+            if _is_pinned(self.rep) and _is_pinned(rep_to):
+                self._links[rep_to] = link
         return link
 
     @cached_property
@@ -241,6 +250,24 @@ class RepView(Value):
         """(Id - P1, Id - P2, Id - P3, Id - P4), formed on this view's backend."""
         ident = Matrix.identity(4, self.backend)
         return tuple(ident - p for p in self.p)
+
+    @cached_property
+    def symbol_slots(self) -> tuple:
+        """Per entry of a 4x4 symbol, row-major, the lowered gammas that fill it.
+
+        Each slot is ``(mu, entry, rest)``: the first mu whose gamma_mu has
+        a nonzero entry there, that entry, and the ``(mu, entry)`` pairs of
+        the later ones in mu order; a slot no gamma_mu fills is ``(None,
+        zero, ())`` with this view's exact zero.  Every pinned gamma_mu has
+        one nonzero entry per row and per column, so the slots hold 16
+        entries in all, not 64.
+        """
+        lowered = [g.entries for g in self.gammas_lower]
+        slots = []
+        for k in range(16):
+            filled = tuple((mu, g[k]) for mu, g in enumerate(lowered) if g[k])
+            slots.append(filled[0] + (filled[1:],) if filled else (None, lowered[0][k], ()))
+        return tuple(slots)
 
 
 def _block4(a, b, c, d) -> Matrix:
@@ -289,6 +316,11 @@ _MAJORANA = GammaRep(
 )
 
 _REPS = {rep.name: rep for rep in (_SPINOR, _STANDARD, _MAJORANA)}
+
+
+def _is_pinned(rep: GammaRep) -> bool:
+    """Whether ``rep`` is one of the pinned bases itself, not a copy of one."""
+    return _REPS.get(rep.name) is rep
 
 
 def build_rep(name: str) -> GammaRep:

@@ -39,12 +39,12 @@ and two runs with the same configuration produce byte-identical output
 except for ``wall_ms``.  ``Report.to_json`` writes it in the layout of
 ``json.dumps(..., indent=2)``, byte for byte, with one format per check
 record and the encoder's own C string escaper, since ``json.dumps`` runs
-its pure-Python encoder whenever it indents.
+its pure-Python encoder whenever it indents.  It imports ``json`` when
+it is called, not with this module, so building a basis imports no
+``json``.
 """
 
 from __future__ import annotations
-
-from json.encoder import encode_basestring_ascii
 
 from . import kernels
 from .scalars import EXACT
@@ -214,39 +214,44 @@ class Report(Record):
         ``pass``; ``summary``, ``passed`` and ``failed``; ``wall_ms``.
         ``json.dumps`` runs its pure-Python encoder whenever it indents;
         this writes the same bytes with one f-string per check record.
+        ``json`` is imported here, once per call, so that building a basis
+        does not import it.
         """
+        from json.encoder import encode_basestring_ascii as esc
+
         j, at = _json, " " * 6  # a record's values are nested three deep
-        records = [f'\n    {{\n      "id": {j(c.check_id, at)},\n'
-                   f'      "paper_eq": {j(c.equation, at)},\n'
-                   f'      "backend": {j(c.backend, at)},\n'
-                   f'      "residual": {j(c.residual, at)},\n'
-                   f'      "exact_zero": {j(c.exact_zero, at)},\n'
-                   f'      "pass": {j(c.ok, at)}\n    }}'
+        records = [f'\n    {{\n      "id": {j(c.check_id, at, esc)},\n'
+                   f'      "paper_eq": {j(c.equation, at, esc)},\n'
+                   f'      "backend": {j(c.backend, at, esc)},\n'
+                   f'      "residual": {j(c.residual, at, esc)},\n'
+                   f'      "exact_zero": {j(c.exact_zero, at, esc)},\n'
+                   f'      "pass": {j(c.ok, at, esc)}\n    }}'
                    for c in self.checks]
         checks = "[" + ",".join(records) + "\n  ]" if records else "[]"
         summary = {"passed": self.passed, "failed": self.failed}
         return ("{\n"
-                f'  "config": {j(dict(self.config), "  ")},\n'
+                f'  "config": {j(dict(self.config), "  ", esc)},\n'
                 f'  "checks": {checks},\n'
-                f'  "summary": {j(summary, "  ")},\n'
-                f'  "wall_ms": {j(self.wall_ms, "  ")}\n'
+                f'  "summary": {j(summary, "  ", esc)},\n'
+                f'  "wall_ms": {j(self.wall_ms, "  ", esc)}\n'
                 "}\n")
 
 
 _INF = float("inf")
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, escape) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it when nested at ``indent``.
 
-    Scalars are spelled as ``json`` spells them: strings escaped to ASCII,
+    Scalars are spelled as ``json`` spells them: strings escaped to ASCII
+    by ``escape`` (``json.encoder.encode_basestring_ascii``),
     ``float.__repr__`` or ``NaN`` / ``Infinity`` / ``-Infinity``,
     ``int.__repr__``, ``true`` / ``false`` / ``null``.  Lists, tuples and
     dicts with string keys are laid out one item per line; empty ones are
     ``[]`` and ``{}``.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return escape(value)
     if value is None:
         return "null"
     if value is True:
@@ -263,10 +268,10 @@ def _json(value, indent: str) -> str:
         return "-Infinity" if value == -_INF else float.__repr__(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        items = [inner + _json(v, inner) for v in value]
+        items = [inner + _json(v, inner, escape) for v in value]
         brackets = "[]"
     elif isinstance(value, dict):
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+        items = [f"{inner}{escape(k)}: {_json(v, inner, escape)}"
                  for k, v in value.items()]
         brackets = "{}"
     else:

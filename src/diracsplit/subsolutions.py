@@ -81,6 +81,8 @@ from .fields import (
     PlaneWaveField,
     PlaneWaveTerm,
     _add,
+    _conj,
+    _divided,
     _scaled,
     _sub,
     dirac_matrix,
@@ -176,8 +178,8 @@ def split_term(view: RepView, amp: tuple, p: FourMomentum, s: int, mass) -> tupl
     lift = dirac_matrix(view.rep, p, s, -mass)
     out1, out2 = view.complements[:2]
     pi1, pi2 = out2.apply(amp), out1.apply(amp)  # (1 - P2) psi, (1 - P1) psi
-    return (_add(tuple(x / mass for x in lift.apply(pi1)), pi2),
-            _add(tuple(x / mass for x in lift.apply(pi2)), pi1))
+    return (_add(_divided(lift.apply(pi1), mass), pi2),
+            _add(_divided(lift.apply(pi2), mass), pi1))
 
 
 def split(psi: PlaneWaveField, mass) -> SplitResult:
@@ -341,7 +343,7 @@ def majorana_relations(view: RepView, amp: tuple, partner: tuple, p: FourMomentu
     Another basis, which has no components to check, adds the Dirac
     equation (gamma.p - m) f = 0.
     """
-    conj = tuple(a.conjugate() for a in partner)
+    conj = _conj(partner)
     relations = [("selfconj", "MAJORANA", _sub(amp, view.conjugation.apply(conj)))]
     if view.rep.name != "spinor":
         return relations + [("dirac", "Dirac1", dirac_matrix(view.rep, p, s, mass).apply(amp))]

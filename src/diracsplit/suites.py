@@ -96,6 +96,8 @@ import threading
 import time
 import zlib
 from functools import cache
+from itertools import repeat
+from operator import mul
 from random import Random
 
 from . import kernels
@@ -103,6 +105,7 @@ from .errors import NotASolution, SplitRequiresMass, WeylRequiresMassless
 from .fields import (
     FourMomentum,
     PlaneWaveTerm,
+    _conj,
     _sub,
     dirac_matrix,
     dirac_residual,
@@ -293,9 +296,7 @@ class _Campaign:
         """The worst per label of chunk ``k`` of ``n``: trials ``trials*k//n`` up to ``trials*(k+1)//n``."""
         worst = {}
         for trial in range(self.trials * k // n, self.trials * (k + 1) // n):
-            rng = Random(_sub_seed(self.seed, self.tag, trial))
-            _keep_worst(worst, ((label, equation, magnitude(value)) for label, equation, value
-                                in self.measure(rng, trial)))
+            _keep_worst(worst, self.measure(Random(_sub_seed(self.seed, self.tag, trial)), trial))
         return worst
 
 
@@ -320,16 +321,18 @@ def _measure_campaigns(out: list) -> list:
 
 
 def _keep_worst(worst: dict, relations) -> dict:
-    """Fold ``(label, equation, magnitude)`` triples into ``worst``: label -> [equation, worst].
+    """Fold ``(label, equation, value)`` relations into ``worst``: label -> [equation, worst].
 
-    A label keeps its first equation.  A value replaces the one held when
-    it is larger or NaN, unless a NaN is held already.  So a label ends
-    with its first NaN, or else its first largest value, whatever the
-    grouping of the triples: folding the worst of consecutive chunks in
-    chunk order (``_merged``) gives, to the bit, what folding every
-    triple in order does.
+    Each value is read as its ``magnitude``, the magnitude of a magnitude
+    being itself.  A label keeps its first equation.  A magnitude
+    replaces the one held when it is larger or NaN, unless a NaN is held
+    already.  So a label ends with its first NaN, or else its first
+    largest magnitude, whatever the grouping of the relations: folding
+    the worst of consecutive chunks in chunk order (``_merged``) gives,
+    to the bit, what folding every relation in order does.
     """
     for label, equation, value in relations:
+        value = magnitude(value)
         prev = worst.get(label)
         if prev is None:
             worst[label] = [equation, value]
@@ -707,8 +710,8 @@ def _split_relations(rep, p: FourMomentum, amp: tuple) -> tuple:
     """
     view = rep.on(p.backend)
     constituents = split_term(view, amp, p, 1, p.mass)
-    families = split_relations(view, amp, constituents, p, 1, p.mass)
-    return constituents, [r for family in families for r in family]
+    recombination, identity, constituent = split_relations(view, amp, constituents, p, 1, p.mass)
+    return constituents, recombination + identity + constituent
 
 
 @cache
@@ -758,11 +761,11 @@ def _run_split(config: RunConfig, out: list) -> None:
                 amps.append(amp)
                 yield ("input-dirac-residual", "Dirac1",
                        dirac_matrix(_SPINOR, p, 1, p.mass).apply(amp))
-                norm = kernels.ordered_sum(abs(a) ** 2 for a in amp)
+                norm = kernels.ordered_sum(map(pow, map(abs, amp), repeat(2)))
                 yield "u-normalization", "Dirac1", abs(norm - 2.0 * p.p[0])
                 yield from _split_relations(_SPINOR, p, amp)[1]
             yield "u-orthogonality", "Dirac1", abs(kernels.ordered_sum(
-                (a.conjugate() * b for a, b in zip(*amps)), 0j))
+                map(mul, _conj(amps[0]), amps[1]), 0j))
 
         out.append(_Campaign("split.fuzz", "split", config.trials, config.seed,
                              trial_residuals, lambda label: config.tol))
@@ -855,7 +858,7 @@ def _majorana_relations(rep, p: FourMomentum, s: int):
     """
     view = rep.on(p.backend)
     u = u_spinor(p, rep, s).amplitude
-    cu = view.conjugation.apply(tuple(a.conjugate() for a in u))
+    cu = view.conjugation.apply(_conj(u))
     for amp, sign, partner in ((u, 1, cu), (cu, -1, u)):
         yield from majorana_relations(view, amp, partner, p, sign, p.mass)
 

@@ -257,6 +257,27 @@ def test_a_cold_start_imports_the_modules_it_reads():
     assert "'no_such_name'" in out["unknown"]
 
 
+def test_a_cold_set_up_imports_no_json():
+    """Building the three bases and their projectors imports no ``json``; a report does.
+
+    ``Report.to_json`` imports the escaper when it is called, so set-up
+    pays for no ``json`` import.  ``-S`` keeps ``site`` from importing
+    modules first.
+    """
+    code = ("import sys, diracsplit\n"
+            "reps = [diracsplit.build_rep(n) for n in ('spinor', 'standard', 'majorana')]\n"
+            "sets = [diracsplit.build_projectors(r) for r in reps]\n"
+            "print('json' in sys.modules)\n"
+            "from diracsplit.reports import Report\n"
+            "Report({'seed': 0}).to_json()\n"
+            "print('json' in sys.modules)\n")
+    src = Path(diracsplit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_a_resolved_name_is_bound_in_the_root():
     """After its first read a name is a plain attribute of the root, the defining module's own."""
     from diracsplit import subsolutions

@@ -61,6 +61,17 @@ def test_infinite_tol_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_seed_zero_runs_and_seeds_outside_64_bits_are_usage_errors(tmp_path, capsys):
+    """The seed range is [0, 2**64 - 1], both ends included: 0 runs, -1 and 2**64 exit 2."""
+    out_json = tmp_path / "out.json"
+    assert main(["split", "--seed", "0", "--trials", "2", "--json", str(out_json)]) == EXIT_OK
+    assert json.loads(out_json.read_text())["config"]["seed"] == 0
+    assert '\n    "seed": 0,\n' in out_json.read_text()
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["split", "--seed", seed, "--trials", "2"]) == EXIT_USAGE, seed
+    assert "seed must be an integer that fits in 64 bits" in capsys.readouterr().err
+
+
 def test_human_output_marks_exact_and_raise_records(capsys):
     main(["split", "--trials", "2"])
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Plane-wave term algebra, solution constructors, charge conjugation."""
 
+import cmath
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -326,15 +328,23 @@ def test_dirac_matrix_odd_in_frequency(rep):
 
 
 def _dirac_formula(rep, p, s, mass):
-    """gamma_mu (s p^mu) - m Id entry by entry, summed from mu = 0: the symbol with no memo."""
+    """gamma_mu (s p^mu) - m Id entry by entry: the symbol with no memo.
+
+    Each entry is summed left to right in mu from its first nonzero
+    gamma entry, and is the backend's zero where no gamma_mu has one.
+    """
     scalar = SCALAR_TYPE[p.backend]
     gammas = [g.entries for g in rep.on(p.backend).gammas_lower]
     coeffs = [scalar(c * s) for c in p.p]
     entries = []
     for k in range(16):
-        acc = coeffs[0] * gammas[0][k]
-        for mu in (1, 2, 3):
-            acc = acc + coeffs[mu] * gammas[mu][k]
+        acc = None
+        for mu in range(4):
+            if gammas[mu][k]:
+                product = coeffs[mu] * gammas[mu][k]
+                acc = product if acc is None else acc + product
+        if acc is None:
+            acc = scalar(0)
         if mass and k in (0, 5, 10, 15):
             acc = acc - coerce_scalar(mass, p.backend)
         entries.append(acc)
@@ -364,6 +374,63 @@ def test_kept_dirac_matrix_equals_the_formula_bit_for_bit(name, p, s, data):
         assert repr(symbol.entries) == repr(_dirac_formula(rep, p, s, mass))
     # the kept symbols stay outside ==, hash and repr
     assert (p == fresh, hash(p) == hash(fresh), repr(p) == repr(fresh)) == (True, True, True)
+
+
+def _dense_gamma_dot(rep, p, s):
+    """gamma_mu (s p^mu) as the sum of all 64 products, each entry from mu = 0."""
+    gammas = [g.entries for g in rep.on(p.backend).gammas_lower]
+    coeffs = [c * s for c in p.p]
+    return [coeffs[0] * a + coeffs[1] * b + coeffs[2] * c + coeffs[3] * d
+            for a, b, c, d in zip(*gammas)]
+
+
+@given(st.sampled_from(("spinor", "standard", "majorana")), _float_momenta,
+       st.sampled_from((1, -1)))
+@settings(max_examples=120, deadline=None)
+def test_the_symbol_differs_from_the_dense_sum_only_in_zero_signs_and_nan_zero_products(name, p,
+                                                                                         s):
+    """Every nonzero part is the dense sum's, bit for bit; a zero part may differ in its sign.
+
+    A slot no gamma_mu fills is exactly 0j at every momentum; a part
+    where the dense sum reads NaN may differ too, since the dense sum
+    adds 0 inf.
+    """
+    rep = build_rep(name)
+    lowered = [g.entries for g in rep.on(FLOAT).gammas_lower]
+    for k, (new, dense) in enumerate(zip(dirac_matrix(rep, p, s).entries,
+                                         _dense_gamma_dot(rep, p, s))):
+        if not any(g[k] for g in lowered):
+            assert repr(new) == "0j"
+            continue
+        for got, want in ((new.real, dense.real), (new.imag, dense.imag)):
+            if want != want:
+                continue
+            assert got == want if want == 0 else repr(got) == repr(want), (k, new, dense)
+
+
+def test_the_exact_symbol_is_the_dense_sum(rep):
+    p = FourMomentum.exact((Fraction(7, 3), -2, Fraction(1, 5), 3), 1)
+    for s in (1, -1):
+        assert dirac_matrix(rep, p, s).entries == tuple(_dense_gamma_dot(rep, p, s))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("mu", [0, 1, 2, 3])
+def test_a_non_finite_momentum_gives_a_non_finite_residual(rep, mu, bad):
+    """Each gamma_mu has a nonzero entry in every row, so every row of the symbol is non-finite.
+
+    The residual of a field at that momentum is then non-finite too: a
+    non-finite momentum never yields a residual that reads as small.
+    """
+    comps = [3.0, 2.0, 2.0, 0.5]
+    comps[mu] = bad
+    p = FourMomentum.floats(comps, 1.0)
+    for s in (1, -1):
+        rows = dirac_matrix(rep, p, s, p.mass).rows()
+        assert all(any(not cmath.isfinite(x) for x in row) for row in rows)
+        for amp in ((1, 0, 0, 0), (0, 0, 1j, 0), (1, 2, 3, 4)):
+            residual = dirac_residual(field_of(PlaneWaveTerm(amp, p, s), rep), p.mass)
+            assert not math.isfinite(residual.max_abs()), (s, amp)
 
 
 # -- massive solutions ----------------------------------------------------------

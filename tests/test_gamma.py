@@ -1,6 +1,8 @@
 """Representation layer: Clifford algebra, gamma5, sigma, intertwiners,
 charge-conjugation matrices, all read from a representation's view."""
 
+import copy
+
 import pytest
 
 from diracsplit.errors import IntertwinerInvalid
@@ -239,6 +241,49 @@ def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
     with pytest.raises(IntertwinerInvalid):
         view.intertwiner(fake)
     assert view.intertwiner(std) is link and link.norm2 == 2
+
+
+def test_a_copy_of_a_basis_leaves_no_link_on_the_pinned_view(spinor):
+    """The conjugation matrix of a copy reads the spinor intertwiner to it, and keeps none.
+
+    Only a pinned pair is kept: it is verified once, and its second read
+    returns the same object.
+    """
+    view = spinor.on(EXACT)
+    before = dict(view._links)
+    copies = [copy.deepcopy(spinor) for _ in range(3)]
+    for c in copies:
+        assert c.on(EXACT).conjugation.entries == view.conjugation.entries
+    assert view._links == before
+    std = build_rep("standard")
+    assert view.intertwiner(std) is view.intertwiner(std)
+    assert std in view._links and not set(view._links) & set(copies)
+
+
+def test_every_pinned_lowered_gamma_is_monomial(rep):
+    """One nonzero entry per row and per column of each gamma_mu: a symbol has 16 products."""
+    for backend in (EXACT, FLOAT):
+        view = rep.on(backend)
+        for g in view.gammas_lower:
+            nonzero = [[bool(x) for x in row] for row in g.rows()]
+            assert [sum(row) for row in nonzero] == [1, 1, 1, 1]
+            assert [sum(col) for col in zip(*nonzero)] == [1, 1, 1, 1]
+        slots = view.symbol_slots
+        assert len(slots) == 16
+        assert sum(mu is not None for mu, _, _ in slots) + sum(len(r) for _, _, r in slots) == 16
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_symbol_slots_hold_each_nonzero_lowered_gamma_entry_in_mu_order(rep, backend):
+    view = rep.on(backend)
+    lowered = [g.entries for g in view.gammas_lower]
+    zero = {EXACT: GaussianRational(0), FLOAT: 0j}[backend]
+    for k, (mu, g, rest) in enumerate(view.symbol_slots):
+        filled = [(m, e[k]) for m, e in enumerate(lowered) if e[k]]
+        if not filled:
+            assert (mu, rest) == (None, ()) and type(g) is type(zero) and repr(g) == repr(zero)
+        else:
+            assert [(mu, g)] + list(rest) == filled
 
 
 def test_view_rejects_unknown_backend(spinor):
