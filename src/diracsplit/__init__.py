@@ -47,7 +47,6 @@ _SOURCES = {
     "GammaRep": "gamma",
     "build_rep": "gamma",
     "LorentzParams": "lorentz",
-    "VectorTransform": "lorentz",
     "special_frame": "lorentz",
     "spinor_transform": "lorentz",
     "vector_transform": "lorentz",

@@ -19,27 +19,34 @@ rotation planes), the exponential series collapses and
     S = cosh(omega/2) - i I sinh(omega/2) sigma    (boost)
     S = cos(omega/2)  - i I sin(omega/2)  sigma    (rotation)
 
-Each ``LorentzParams`` keeps, per representation, the matrix
-``spinor_transform`` built for it and the transformed projectors
-S P_k S^-1 of ``transformed_projectors``, in fields outside ``==``,
-``hash`` and ``repr``: the transformations of one trial share their S,
-and the covariance fuzz, which cycles through the twelve of
-``COVARIANCE_GRID``, builds P' once per transformation and basis; S^-1,
-at a new ``inverse()`` each time, is read only to build what is kept.
-
 The covariance suite checks that premise exactly, plane by plane, among
 the exact records it keeps per representation
 (``suites._covariance_records``, ``sigma-square.<mu><nu>``).  This module
 builds no Dirac symbol: the special frame's reduced operator is
 ``fields.dirac_matrix`` at the frame's momentum (see ``special_frame``).
 
+``vector_transform`` gives a as its four rows, from the same functions
+at omega (``_cos_sin`` serves both): with (c, s) = (cosh, sinh) or
+(cos, sin) of omega on the plane (mu, nu), a^mu_mu = a^nu_nu = c,
+a^nu_mu = -s, and a^mu_nu = -s on a boost or +s on a rotation.
+``transformed_momentum`` moves a momentum through a, and
+``metric_residual`` measures a^T g a - g; each sums its components left
+to right from 0.0, as ``kernels.ordered_sum`` does.
+
+This module keeps nothing: a ``LorentzParams`` holds its three fields
+alone, and every function builds afresh.  ``grid_transforms`` gives,
+at each transformation of ``COVARIANCE_GRID``, the tuple (S, S^-1, a,
+S P_k S^-1) that the covariance certificates and the covariance fuzz
+read; ``suites._covariance_grid`` keeps it per pinned basis.
+
 The float certificates that depend on the basis alone are stated as
 ``(label, equation, value)`` relations, like every other family:
 ``_pconditions`` states S^-1 gamma^nu S = a^nu_mu gamma^mu on the backend
-of S, and ``float_certificates`` lists the grid, the commutators and the
-controls under their final labels and measures each list once with
-``residual_report``.  It keeps nothing, since it takes any basis; the
-covariance suite keeps the three reports of each pinned one.
+of S, and ``float_certificates`` lists the grid's certificates, the
+commutators and the controls under their final labels and measures each
+list once with ``residual_report``.  It keeps nothing, since it takes
+any basis; the covariance suite keeps the three reports of each pinned
+one.
 """
 
 from __future__ import annotations
@@ -62,9 +69,7 @@ _ROTATION = "rotation"
 class LorentzParams(Value):
     """One-plane transformation: kind, plane indices, parameter."""
 
-    _fields = ("kind", "plane", "omega")
-    # per rep: _spinors, spinor_transform's S; _projectors, transformed_projectors' S P_k S^-1
-    __slots__ = _fields + ("_spinors", "_projectors")
+    __slots__ = _fields = ("kind", "plane", "omega")
 
     def __init__(self, kind: str, plane: tuple, omega: float):
         if kind not in (_BOOST, _ROTATION):
@@ -79,8 +84,6 @@ class LorentzParams(Value):
         store(self, "kind", kind)
         store(self, "plane", plane)
         store(self, "omega", float(omega))
-        store(self, "_spinors", {})
-        store(self, "_projectors", {})
 
     @property
     def generator_sign(self) -> int:
@@ -92,81 +95,46 @@ class LorentzParams(Value):
         return LorentzParams(self.kind, self.plane, -self.omega)
 
 
-class VectorTransform(Value):
-    """4x4 real matrix a^nu_mu; its metric-preservation certificate is measured when read."""
-
-    __slots__ = _fields = ("matrix",)
-
-    def __init__(self, matrix: tuple):
-        store(self, "matrix", matrix)
-
-    @property
-    def metric_residual(self) -> float:
-        """Largest entry of a^T g a - g."""
-        a = self.matrix
-        return kernels.max_abs(
-            kernels.ordered_sum(a[al][mu] * METRIC_SIGNS[al] * a[al][nu] for al in range(4))
-            - (METRIC_SIGNS[mu] if mu == nu else 0.0)
-            for mu in range(4) for nu in range(4))
-
-    def apply(self, p: FourMomentum) -> FourMomentum:
-        pf = p.to_float()
-        comps = tuple(
-            kernels.ordered_sum(self.matrix[nu][mu] * pf.p[mu] for mu in range(4))
-            for nu in range(4)
-        )
-        return FourMomentum(comps, pf.mass, FLOAT)
+def _cos_sin(kind: str, angle: float) -> tuple:
+    """(cosh, sinh) of ``angle`` for a boost, (cos, sin) for a rotation."""
+    if kind == _BOOST:
+        return math.cosh(angle), math.sinh(angle)
+    return math.cos(angle), math.sin(angle)
 
 
-def vector_transform(params: LorentzParams) -> VectorTransform:
-    rows = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+def vector_transform(params: LorentzParams) -> tuple:
+    """The rows of a^nu_mu: four tuples of four floats."""
     mu, nu = params.plane
-    w = params.omega
-    if params.kind == _BOOST:
-        c, s = math.cosh(w), math.sinh(w)
-        rows[0][0] = c
-        rows[0][nu] = -s
-        rows[nu][0] = -s
-        rows[nu][nu] = c
-    else:
-        c, s = math.cos(w), math.sin(w)
-        rows[mu][mu] = c
-        rows[mu][nu] = s
-        rows[nu][mu] = -s
-        rows[nu][nu] = c
-    return VectorTransform(tuple(tuple(r) for r in rows))
+    c, s = _cos_sin(params.kind, params.omega)
+    rows = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    rows[mu][mu] = rows[nu][nu] = c
+    rows[nu][mu] = -s
+    rows[mu][nu] = -params.generator_sign * s
+    return tuple(map(tuple, rows))
+
+
+def metric_residual(a: tuple) -> float:
+    """Largest entry of a^T g a - g, for the rows ``a`` of a vector transformation."""
+    (g0, g1, g2, g3), (r0, r1, r2, r3) = METRIC_SIGNS, a
+    return kernels.max_abs([0.0 + r0[m] * g0 * r0[n] + r1[m] * g1 * r1[n] + r2[m] * g2 * r2[n]
+                            + r3[m] * g3 * r3[n] - (METRIC_SIGNS[m] if m == n else 0.0)
+                            for m in range(4) for n in range(4)])
+
+
+def transformed_momentum(a: tuple, p: FourMomentum) -> FourMomentum:
+    """The float momentum a^nu_mu p^mu at p's mass, for the rows ``a`` of a transformation."""
+    pf = p.to_float()
+    p0, p1, p2, p3 = pf.p
+    moved = [0.0 + r[0] * p0 + r[1] * p1 + r[2] * p2 + r[3] * p3 for r in a]
+    return FourMomentum(tuple(moved), pf.mass, FLOAT)
 
 
 def spinor_transform(params: LorentzParams, rep: GammaRep) -> Matrix:
-    """exp(-(i/2) omega I sigma), built once per (params, rep) and kept on ``params``."""
-    s_mat = params._spinors.get(rep)
-    if s_mat is None:
-        s_mat = params._spinors[rep] = _spinor_closed_form(params, rep)
-    return s_mat
-
-
-def transformed_projectors(params: LorentzParams, rep: GammaRep) -> tuple:
-    """S P_k S^-1 for the float view's (P1, P2, P3, P4), built once per (params, rep) and kept."""
-    primes = params._projectors.get(rep)
-    if primes is None:
-        s = spinor_transform(params, rep)
-        s_inv = spinor_transform(params.inverse(), rep)
-        primes = params._projectors[rep] = tuple(s @ p @ s_inv for p in rep.on(FLOAT).p)
-    return primes
-
-
-def _spinor_closed_form(params: LorentzParams, rep: GammaRep) -> Matrix:
-    """c Id - i I s sigma, with (c, s) = (cosh, sinh) or (cos, sin) of omega/2."""
+    """S = exp(-(i/2) omega I sigma) = c Id - i I s sigma, with (c, s) of omega/2."""
     mu, nu = params.plane
-    sig = rep.on(FLOAT).sigmas[mu][nu]
-    half = 0.5 * params.omega
-    if params.kind == _BOOST:
-        c, s = math.cosh(half), math.sinh(half)
-    else:
-        c, s = math.cos(half), math.sin(half)
-    return Matrix.identity(4, FLOAT).scale(complex(c, 0)) + sig.scale(
-        complex(0, -s * params.generator_sign)
-    )
+    c, s = _cos_sin(params.kind, 0.5 * params.omega)
+    return Matrix.identity(4, FLOAT).scale(complex(c, 0)) + rep.on(FLOAT).sigmas[mu][nu].scale(
+        complex(0, -s * params.generator_sign))
 
 
 def _pconditions(rep: GammaRep, s: Matrix, s_inv: Matrix, a: tuple):
@@ -193,29 +161,40 @@ COVARIANCE_GRID = tuple(LorentzParams(kind, plane, w)
                         for w in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0))
 
 
-def _certificate(params: LorentzParams, rep: GammaRep):
+def _transforms(params: LorentzParams, rep: GammaRep) -> tuple:
+    """(S, S^-1, a, S P_k S^-1 for the float view's P1..P4) of one transformation."""
+    s, s_inv = spinor_transform(params, rep), spinor_transform(params.inverse(), rep)
+    return s, s_inv, vector_transform(params), tuple(s @ p @ s_inv for p in rep.on(FLOAT).p)
+
+
+def grid_transforms(rep: GammaRep) -> tuple:
+    """``(S, S^-1, a, P')`` at each transformation of ``COVARIANCE_GRID``, in its order."""
+    return tuple(_transforms(params, rep) for params in COVARIANCE_GRID)
+
+
+def _certificate(rep: GammaRep, params: LorentzParams, transforms: tuple):
     """One transformation's float covariance certificate, labelled ``<kind><mu><nu>.w<omega>.``.
 
     Metric preservation of a, S S^-1 = 1, the P-conditions and the
-    idempotence of each transformed projector P' = S P S^-1.
+    idempotence of each transformed projector P' = S P S^-1, read off
+    ``transforms``, the transformation's ``(S, S^-1, a, P')``.
     """
     mu, nu = params.plane
     tag = f"{params.kind}{mu}{nu}.w{params.omega:g}"
-    s = spinor_transform(params, rep)
-    s_inv = spinor_transform(params.inverse(), rep)
-    vt = vector_transform(params)
-    yield f"{tag}.vector.metric", "Pconditions", vt.metric_residual
+    s, s_inv, a, primes = transforms
+    yield f"{tag}.vector.metric", "Pconditions", metric_residual(a)
     yield f"{tag}.S.inverse", "S", s @ s_inv - Matrix.identity(4, FLOAT)
-    for label, equation, value in _pconditions(rep, s, s_inv, vt.matrix):
+    for label, equation, value in _pconditions(rep, s, s_inv, a):
         yield f"{tag}.{label}", equation, value
-    for k, p_prime in enumerate(transformed_projectors(params, rep), start=1):
+    for k, p_prime in enumerate(primes, start=1):
         yield f"{tag}.Pprime.P{k}.idempotent", "P'", p_prime @ p_prime - p_prime
 
 
-def float_certificates(rep: GammaRep) -> tuple:
+def float_certificates(rep: GammaRep, grid: tuple) -> tuple:
     """The float covariance records that depend on the basis alone.
 
-    Returns three reports, ``(grid, commutators, controls)``:
+    ``grid`` is ``grid_transforms(rep)``.  Returns three reports,
+    ``(grid, commutators, controls)``:
 
     * ``_certificate`` at each transformation of ``COVARIANCE_GRID``;
     * ``commute.S<mu><nu>.w<omega>.P<i>``, [S, P_i] for i = 1, 2 at float
@@ -236,16 +215,18 @@ def float_certificates(rep: GammaRep) -> tuple:
     for mu, nu, kind in ((0, 3, _BOOST), (1, 2, _ROTATION)):
         for w in (0.5, 1.3, 3.0):
             s = spinor_transform(LorentzParams(kind, (mu, nu), w), rep)
-            commutators += [(f"commute.S{mu}{nu}.w{w:g}.P{i}", "S", commutator(s, ps[i - 1]))
-                            for i in (1, 2)]
+            commutators += [(f"commute.S{mu}{nu}.w{w:g}.P{i}", "S", commutator(s, p))
+                            for i, p in enumerate(ps[:2], start=1)]
     flip = LorentzParams(_BOOST, (0, 3), 1.0)
     swapped = _pconditions(rep, spinor_transform(flip.inverse(), rep),
-                           spinor_transform(flip, rep), vector_transform(flip).matrix)
+                           spinor_transform(flip, rep), vector_transform(flip))
     s01 = spinor_transform(LorentzParams(_BOOST, (0, 1), 1.0), rep)
     controls = [("sign-flip", "Pconditions", [z for _, _, m in swapped for z in m.entries]),
                 ("boost01-noncommute", "S", commutator(s01, ps[0]))]
-    grid = (r for params in COVARIANCE_GRID for r in _certificate(params, rep))
-    return tuple(residual_report(FLOAT, relations) for relations in (grid, commutators, controls))
+    certificates = (r for params, transforms in zip(COVARIANCE_GRID, grid)
+                    for r in _certificate(rep, params, transforms))
+    return tuple(residual_report(FLOAT, relations)
+                 for relations in (certificates, commutators, controls))
 
 
 def special_frame(p: FourMomentum) -> tuple:

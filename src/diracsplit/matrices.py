@@ -7,7 +7,10 @@ as a flat row-major tuple; it compares, hashes and pickles by its fields
 Exact matrices hold :class:`~diracsplit.scalars.GaussianRational`
 entries and never round; float matrices hold Python ``complex``.
 Sums, traces, zero tests, matrix-vector products and magnitude scans of
-either backend run through the same code.  Matrix products are the one
+either backend run through the same code; the entrywise operations
+(sum, difference, negation, scaling, conjugation) map built-in operators
+over the entries, as the amplitude algebra of ``fields`` does, so they
+run no Python frame per entry.  Matrix products are the one
 place the backend picks the kernel: an exact product runs on
 ``kernels.mul_exact``, which works on integer numerators and skips exact
 zeros, and a float product on the written-out ``kernels.mul`` (see
@@ -20,11 +23,16 @@ is one way, exact to float, via :meth:`Matrix.to_float`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import add, methodcaller, mul, neg, sub
 
 from . import kernels
 from .errors import BackendMismatch
 from .scalars import EXACT, FLOAT, SCALAR_TYPE, GaussianRational, coerce_scalar
 from .values import Value, store
+
+
+_conjugate = methodcaller("conjugate")
 
 
 class Matrix(Value):
@@ -54,8 +62,8 @@ class Matrix(Value):
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
         one, zero = SCALAR_TYPE[backend](1), SCALAR_TYPE[backend](0)
-        flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(n, backend, flat)
+        # n zeros between each two ones of the diagonal
+        return cls(n, backend, ((one,) + (zero,) * n) * (n - 1) + (one,))
 
     @classmethod
     def zero(cls, n: int, backend: str = EXACT) -> "Matrix":
@@ -89,20 +97,18 @@ class Matrix(Value):
 
     def __add__(self, other):
         self._check_peer(other)
-        flat = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.n, self.backend, flat)
+        return Matrix(self.n, self.backend, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other):
         self._check_peer(other)
-        flat = tuple(a - b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.n, self.backend, flat)
+        return Matrix(self.n, self.backend, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self):
-        return Matrix(self.n, self.backend, tuple(-a for a in self.entries))
+        return Matrix(self.n, self.backend, tuple(map(neg, self.entries)))
 
     def scale(self, c) -> "Matrix":
         c = coerce_scalar(c, self.backend)
-        return Matrix(self.n, self.backend, tuple(c * a for a in self.entries))
+        return Matrix(self.n, self.backend, tuple(map(mul, repeat(c), self.entries)))
 
     def __matmul__(self, other):
         self._check_peer(other)
@@ -123,8 +129,7 @@ class Matrix(Value):
         return Matrix(n, self.backend, flat)
 
     def conj(self) -> "Matrix":
-        flat = tuple(a.conjugate() for a in self.entries)
-        return Matrix(self.n, self.backend, flat)
+        return Matrix(self.n, self.backend, tuple(map(_conjugate, self.entries)))
 
     def adjoint(self) -> "Matrix":
         return self.conj().transpose()

@@ -45,20 +45,23 @@ witness, then its float campaign.  The float controls of ``split`` and
 ``weyl`` (one builder, ``_controls``, keyed by suite), each basis's
 Lorentz certificates (``_lorentz_certificates``) and the special frame
 of the witness momentum (``_special_frame_witness``) are kept the same
-way.  Only the pinned bases, which live as long as the process, reach
-these builders.  A fuzz trial passes its sampled modes' amplitudes
-straight in and builds no field and no entry, and a covariance trial
-transforms each term once: its amplitude through S and its momentum
-through a.  No record moves a field between bases: each basis splits
-its own exact u_s at the witness momentum, a covariance trial splits
-its u in that trial's basis, and the Weyl records state each basis's
-own chiral solutions.  The split fuzz alone stays in the spinor basis,
-whatever the run's ``rep``.  Every campaign is measured by one driver,
-``_measure_campaigns``, once the suites have listed all their other
-records; it then walks the list once, so each campaign's records take
-its place and the report's order is the list's.  An error inside a
-campaign is therefore raised after every structural entry of the run has
-been measured.  The driver reads ``reports.magnitude`` of each value,
+way, and so is each basis's covariance grid (``_covariance_grid``):
+(S, S^-1, a, S P_k S^-1) at each transformation of
+``lorentz.COVARIANCE_GRID``, which the certificates and the covariance
+fuzz both read, since ``lorentz`` keeps nothing.  Only the pinned bases,
+which live as long as the process, reach these builders.  A fuzz trial
+passes its sampled modes' amplitudes straight in and builds no field and
+no entry, and a covariance trial transforms each term once, through its
+grid transformation's kept S and a, with no matrix product.  No record
+moves a field between bases: each basis splits its own exact u_s at the
+witness momentum, a covariance trial splits its u in that trial's basis,
+and the Weyl records state each basis's own chiral solutions.  The
+split fuzz alone stays in the spinor basis, whatever the run's ``rep``.
+Every campaign is measured by one driver, ``_measure_campaigns``, once
+the suites have listed all their other records; it then walks the list
+once, so each campaign's records take its place and the report's order
+is the list's.  An error inside a campaign is therefore raised after
+every structural entry of the run has been measured.  The driver reads ``reports.magnitude`` of each value,
 the float an entry would record, and keeps each label's largest, NaN if
 any trial gave NaN.  Trials derive per-trial sub-seeds from (seed,
 family tag, index), so records are independent of execution order and
@@ -115,11 +118,11 @@ from .fields import (
 )
 from .gamma import INDEX_PAIRS, METRIC_SIGNS, REP_NAMES, _family_residuals, build_rep
 from .lorentz import (
-    COVARIANCE_GRID,
     float_certificates,
+    grid_transforms,
     special_frame,
     spinor_transform,
-    transformed_projectors,
+    transformed_momentum,
     vector_transform,
 )
 from .matrices import Matrix, commutator
@@ -651,8 +654,8 @@ def _projector_records(backend: str) -> tuple:
                      for k, (p, eps) in enumerate(zip(ps, view.complements), start=1)]
         relations += _swap_relations(view, v)
         if backend == EXACT:
-            relations += [("v-swap.commute-gamma0", "V", commutator(v, view.gammas[0])),
-                          ("v-swap.commute-gamma1", "V", commutator(v, view.gammas[1]))]
+            relations += [(f"v-swap.commute-gamma{mu}", "V", commutator(v, g))
+                          for mu, g in enumerate(view.gammas[:2])]
 
         entries = [checked[label] for label in
                    ("q.sum", "q.idempotent-plus", "q.idempotent-minus", "q.orthogonal")]
@@ -915,8 +918,8 @@ def _covariance_records(rep) -> tuple:
     view = rep.on(EXACT)
     sigmas, ps, v = view.sigmas, view.p, view.v
     ident = Matrix.identity(4)
-    relations = [(f"commute.sigma{mu}{nu}.P{i}", "S", commutator(sigmas[mu][nu], ps[i - 1]))
-                 for mu, nu in ((0, 3), (1, 2)) for i in (1, 2)]
+    relations = [(f"commute.sigma{mu}{nu}.P{i}", "S", commutator(sigmas[mu][nu], p))
+                 for mu, nu in ((0, 3), (1, 2)) for i, p in enumerate(ps[:2], start=1)]
     vd = v.adjoint()
     for n, (a, b, m) in enumerate(((3, 2, 1), (5, -7, 2))):
         op = dirac_matrix(rep, FourMomentum.exact((a, b, 0, 0), m), 1, m)
@@ -937,21 +940,21 @@ def _run_covariance(config: RunConfig, out: list) -> None:
         if not config.run_float:
             continue
 
-        grid, commutators, _ = _lorentz_certificates(rep)
-        for e in grid:
+        certificates, commutators, _ = _lorentz_certificates(rep)
+        for e in certificates:
             tol = config.strict_tol if e.label.endswith(".vector.metric") else config.tol
             out.append((f"covariance.{rep.name}.{e.label}", e, tol))
         for e in commutators:
             out.append((f"covariance.{rep.name}.{e.label}", e, config.strict_tol))
 
-        def trial_residuals(rng, trial, rep=rep):  # ``rep`` bound now: the campaign runs later
+        # ``rep`` and its grid bound now: the campaign runs later
+        def trial_residuals(rng, trial, rep=rep, grid=_covariance_grid(rep)):
             p, amps = _sampled_split(rng, config, trial, rep)
             # a transformed term is its amplitude through S at its momentum through a
-            params = COVARIANCE_GRID[trial % len(COVARIANCE_GRID)]
-            s_mat = spinor_transform(params, rep)
-            dirac = dirac_matrix(rep, vector_transform(params).apply(p), 1, p.mass)
+            s_mat, _, a, primes = grid[trial % len(grid)]
+            dirac = dirac_matrix(rep, transformed_momentum(a, p), 1, p.mass)
             yield "transformed-solution", "Dirac1", dirac.apply(s_mat.apply(amps[0]))
-            for k, p_prime in zip((1, 2), transformed_projectors(params, rep)):
+            for k, p_prime in zip((1, 2), primes):
                 yield (f"transformed-constituent{k}", "DP2b",
                        dirac.apply(p_prime.apply(s_mat.apply(amps[k]))))
 
@@ -968,9 +971,19 @@ def _run_covariance(config: RunConfig, out: list) -> None:
 
 
 @cache
+def _covariance_grid(rep) -> tuple:
+    """``lorentz.grid_transforms`` of a pinned basis: each grid transformation's (S, S^-1, a, P').
+
+    Built on first call and kept; the basis's certificates and its
+    covariance fuzz both read it.
+    """
+    return grid_transforms(rep)
+
+
+@cache
 def _lorentz_certificates(rep) -> tuple:
-    """``lorentz.float_certificates`` of a pinned basis, measured on first call and kept."""
-    return float_certificates(rep)
+    """``lorentz.float_certificates`` of a pinned basis on its kept grid, measured and kept."""
+    return float_certificates(rep, _covariance_grid(rep))
 
 
 @cache
@@ -978,7 +991,8 @@ def _special_frame_witness() -> ResidualEntry:
     """The witness momentum's offsets from (3, 8^(1/2), 0, 0) in its special frame, kept."""
     p_w = FourMomentum.floats(_WITNESS_P, _WITNESS_MASS)
     rot, boost = special_frame(p_w)
-    moved = vector_transform(boost).apply(vector_transform(rot).apply(p_w))
+    moved = transformed_momentum(vector_transform(boost),
+                                 transformed_momentum(vector_transform(rot), p_w))
     offsets = (moved.p[0] - 3.0, moved.p[1] - 8.0 ** 0.5, moved.p[2], moved.p[3])
     return residual_entry("witness", "P1a", FLOAT, offsets)
 
@@ -996,7 +1010,8 @@ def _special_frame_checks(config: RunConfig, out: list) -> None:
         s_rot, s_boost = spinor_transform(rot, _SPINOR), spinor_transform(boost, _SPINOR)
         moved1 = s_boost.apply(s_rot.apply(psi1))
         moved2 = s_boost.apply(s_rot.apply(psi2))
-        p_moved = vector_transform(boost).apply(vector_transform(rot).apply(p))
+        p_moved = transformed_momentum(vector_transform(boost),
+                                       transformed_momentum(vector_transform(rot), p))
         q0, q1, q2, q3 = p_moved.p
         yield "transverse-zeroed", "P1a", abs(q2)
         yield "transverse-zeroed", "P1a", abs(q3)

@@ -14,10 +14,10 @@ Every frozen class of the package is a :class:`Value`, and refuses
 assignment and deletion by this one mechanism: ``GaussianRational``,
 ``Matrix``, ``GammaRep``, ``Intertwiner``, ``RepView``,
 ``FourMomentum``, ``PlaneWaveField``, ``ResidualEntry``,
-``ResidualReport``, ``SplitResult``, ``LorentzParams``,
-``VectorTransform`` and ``RunConfig``.  ``GaussianRational`` keeps its
-own ``==``, ``hash`` and ``repr`` (exact arithmetic's hot path, and a
-real value hashes as the number it equals); ``Matrix`` and
+``ResidualReport``, ``SplitResult``, ``LorentzParams`` and
+``RunConfig``.  ``GaussianRational`` keeps its own ``==``, ``hash`` and
+``repr`` (exact arithmetic's hot path, and a real value hashes as the
+number it equals); ``Matrix`` and
 ``PlaneWaveField`` keep their own ``repr``.  Three compare and hash by
 identity, with ``__eq__, __hash__ = object.__eq__, object.__hash__``:
 ``GammaRep``, ``RepView`` and ``PlaneWaveField``.  ``CheckRecord`` and

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -439,3 +440,11 @@ def test_the_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     passed, failed = capsys.readouterr().out.split()
     assert int(passed) > 0 and failed == "0"
+
+
+def test_the_readme_library_section_names_every_public_name():
+    """README "Library use" is the contract of ``__all__``: it names each public name as code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", section))))
+    assert [name for name in diracsplit.__all__ if name not in named] == []

@@ -21,10 +21,14 @@ from diracsplit import (
 from diracsplit.errors import OffShell, SpecialFrameRequiresMass
 from diracsplit.gamma import GammaRep
 from diracsplit.lorentz import (
-    VectorTransform,
+    COVARIANCE_GRID,
     _certificate,
     _pconditions,
+    _transforms,
     float_certificates,
+    grid_transforms,
+    metric_residual,
+    transformed_momentum,
 )
 from diracsplit.matrices import Matrix
 from diracsplit.reports import residual_report
@@ -78,8 +82,8 @@ def test_inverse_flips_parameter():
 
 
 def test_rotation_quarter_turn_golden():
-    vt = vector_transform(LorentzParams("rotation", (1, 2), math.pi / 2))
-    p = vt.apply(FourMomentum.floats((5, 2, 0, 1), 1))
+    a = vector_transform(LorentzParams("rotation", (1, 2), math.pi / 2))
+    p = transformed_momentum(a, FourMomentum.floats((5, 2, 0, 1), 1))
     assert abs(p.p[0] - 5) <= 1e-15
     assert abs(p.p[1] - 0) <= 1e-15
     assert abs(p.p[2] + 2) <= 1e-15
@@ -87,24 +91,23 @@ def test_rotation_quarter_turn_golden():
 
 
 def test_boost_of_rest_frame_golden():
-    vt = vector_transform(LorentzParams("boost", (0, 3), 1.0))
-    p = vt.apply(FourMomentum.floats((1, 0, 0, 0), 1))
+    a = vector_transform(LorentzParams("boost", (0, 3), 1.0))
+    p = transformed_momentum(a, FourMomentum.floats((1, 0, 0, 0), 1))
     assert abs(p.p[0] - math.cosh(1.0)) <= 1e-15
     assert abs(p.p[3] + math.sinh(1.0)) <= 1e-15
 
 
 @given(st.sampled_from(PLANES), omegas)
 def test_metric_preserved(base, w):
-    vt = vector_transform(LorentzParams(base.kind, base.plane, w))
-    assert vt.metric_residual <= 1e-13
+    assert metric_residual(vector_transform(LorentzParams(base.kind, base.plane, w))) <= 1e-13
 
 
 @given(st.sampled_from(PLANES), omegas, masses, spatial)
 @settings(max_examples=60)
 def test_invariant_mass_preserved(base, w, m, sp):
-    vt = vector_transform(LorentzParams(base.kind, base.plane, w))
+    a = vector_transform(LorentzParams(base.kind, base.plane, w))
     p = FourMomentum.on_shell(m, sp)
-    q = vt.apply(p)
+    q = transformed_momentum(a, p)
     scale = 1.0 + abs(p.minkowski_square())
     assert abs(q.minkowski_square() - p.minkowski_square()) <= 1e-9 * scale
 
@@ -207,7 +210,7 @@ def test_boost_inverse_pairs(rep):
 
 
 def _pconditions_report(rep, s, s_inv, params):
-    return residual_report(FLOAT, _pconditions(rep, s, s_inv, vector_transform(params).matrix))
+    return residual_report(FLOAT, _pconditions(rep, s, s_inv, vector_transform(params)))
 
 
 @pytest.mark.parametrize("base", PLANES, ids=lambda p: f"{p.kind}{p.plane}")
@@ -245,14 +248,14 @@ def test_sign_flip_is_the_largest_swapped_pcondition(rep):
     flip = LorentzParams("boost", (0, 3), 1.0)
     swapped = _pconditions_report(rep, spinor_transform(flip.inverse(), rep),
                                   spinor_transform(flip, rep), flip)
-    sign_flip, noncommute = float_certificates(rep)[2]
+    sign_flip, noncommute = float_certificates(rep, grid_transforms(rep))[2]
     assert (sign_flip.label, noncommute.label) == ("sign-flip", "boost01-noncommute")
     assert sign_flip.residual == swapped.max_residual() > 0.1
 
 
 @pytest.mark.parametrize("base", PLANES, ids=lambda p: f"{p.kind}{p.plane}")
 def test_covariance_certificate(rep, base):
-    report = residual_report(FLOAT, _certificate(base, rep))
+    report = residual_report(FLOAT, _certificate(rep, base, _transforms(base, rep)))
     assert report.all_within(1e-10)
     tag = f"{base.kind}{base.plane[0]}{base.plane[1]}.w{base.omega:g}."
     labels = [e.label for e in report]
@@ -262,7 +265,7 @@ def test_covariance_certificate(rep, base):
 
 
 def test_pi_commutation(rep):
-    grid, report, _ = float_certificates(rep)
+    grid, report, _ = float_certificates(rep, grid_transforms(rep))
     assert report.all_within(1e-12)
     assert len(report.entries) == 12 and {e.backend for e in report} == {FLOAT}
     assert len(grid.entries) == 12 * 10 and grid.all_within(1e-10)
@@ -274,7 +277,7 @@ def test_pi_commutation(rep):
 def test_float_certificates_leave_the_exact_relations_unmeasured(spinor):
     copy = GammaRep(name="spinor", gammas=spinor.gammas, gamma5=spinor.gamma5)
     kept = _covariance_records.cache_info().currsize
-    grid, commutators, _ = float_certificates(copy)
+    grid, commutators, _ = float_certificates(copy, grid_transforms(copy))
     assert grid.all_within(1e-10) and commutators.all_within(1e-12)
     assert _covariance_records.cache_info().currsize == kept
 
@@ -296,7 +299,8 @@ def test_special_frame_witness():
     assert rot.plane == (1, 2) and boost.plane == (0, 3)
     assert abs(rot.omega - math.pi / 4) <= 1e-15
     assert boost.omega == 0.0
-    q = vector_transform(boost).apply(vector_transform(rot).apply(p))
+    q = transformed_momentum(vector_transform(boost),
+                             transformed_momentum(vector_transform(rot), p))
     assert abs(q.p[1] - math.sqrt(8)) <= 1e-12
     assert abs(q.p[2]) <= 1e-12
     assert abs(q.p[3]) <= 1e-12
@@ -305,8 +309,9 @@ def test_special_frame_witness():
 def test_special_frame_transform_order_immaterial():
     p = FourMomentum.on_shell(1.7, (0.3, -2.5, 4.0))
     rot, boost = special_frame(p)
-    q1 = vector_transform(boost).apply(vector_transform(rot).apply(p))
-    q2 = vector_transform(rot).apply(vector_transform(boost).apply(p))
+    a_rot, a_boost = vector_transform(rot), vector_transform(boost)
+    q1 = transformed_momentum(a_boost, transformed_momentum(a_rot, p))
+    q2 = transformed_momentum(a_rot, transformed_momentum(a_boost, p))
     assert max(abs(a - b) for a, b in zip(q1.p, q2.p)) <= 1e-12
 
 
@@ -315,7 +320,8 @@ def test_special_frame_transform_order_immaterial():
 def test_special_frame_fuzz(m, sp):
     p = FourMomentum.on_shell(m, sp)
     rot, boost = special_frame(p)
-    q = vector_transform(boost).apply(vector_transform(rot).apply(p))
+    q = transformed_momentum(vector_transform(boost),
+                             transformed_momentum(vector_transform(rot), p))
     assert abs(q.p[2]) <= 1e-10
     assert abs(q.p[3]) <= 1e-10
     assert abs(q.minkowski_square() - m * m) <= 1e-10 * (1.0 + m * m)
@@ -340,7 +346,8 @@ def _transformed(term, params, rep):
     """The term's amplitude through S at its momentum through a, as the covariance fuzz moves it."""
     amp = tuple(a.to_complex() if term.backend == EXACT else a for a in term.amplitude)
     return PlaneWaveTerm(spinor_transform(params, rep).apply(amp),
-                         vector_transform(params).apply(term.momentum), term.freq_sign)
+                         transformed_momentum(vector_transform(params), term.momentum),
+                         term.freq_sign)
 
 
 def test_transformed_solution_still_solves(rep):
@@ -367,87 +374,104 @@ def test_reduced_operator_in_special_frame(spinor):
     assert max(abs(a) for a in reduced.apply(amp)) <= 1e-10
 
 
-# -- each spinor transform built once ------------------------------------------------
+# -- nothing kept on a transformation; the grid built once per basis ------------------
 
 
-def test_spinor_transform_is_kept_per_params_and_rep(rep):
+def test_a_transformation_keeps_nothing(rep):
+    """A ``LorentzParams`` holds its three fields alone; each S is built afresh, bit for bit."""
     params = LorentzParams("boost", (0, 3), 0.7)
+    assert LorentzParams.__slots__ == ("kind", "plane", "omega")
     s = spinor_transform(params, rep)
-    assert spinor_transform(params, rep) is s
-    fresh = LorentzParams("boost", (0, 3), 0.7)
-    assert repr(spinor_transform(fresh, rep).entries) == repr(s.entries)
-    # the kept matrices stay outside ==, hash and repr
-    assert (params == fresh, hash(params) == hash(fresh), repr(params) == repr(fresh)) \
-        == (True, True, True)
-    assert params.inverse()._spinors == {}
+    again = spinor_transform(LorentzParams("boost", (0, 3), 0.7), rep)
+    assert again is not s and repr(again.entries) == repr(s.entries)
+    assert vector_transform(params) == vector_transform(params)
+
+
+def test_inverse_and_transformed_projectors_are_kept(rep):
+    """The grid of a basis is each transformation's (S, S^-1, a, S P_k S^-1); the suites keep it."""
+    from diracsplit import suites
+
+    grid = grid_transforms(rep)
+    assert len(grid) == len(COVARIANCE_GRID) == 12
+    for params, (s, s_inv, a, primes) in zip(COVARIANCE_GRID, grid):
+        assert repr(s.entries) == repr(spinor_transform(params, rep).entries)
+        assert repr(s_inv.entries) == repr(spinor_transform(params.inverse(), rep).entries)
+        assert a == vector_transform(params)
+        assert [repr(p.entries) for p in primes] == \
+            [repr((s @ p @ s_inv).entries) for p in rep.on(FLOAT).p]
+    kept = suites._covariance_grid(rep)
+    assert suites._covariance_grid(rep) is kept and repr(kept) == repr(grid)
+
+
+def _count_grid_builds(monkeypatch) -> list:
+    """Record (params, basis name) of every ``lorentz._transforms`` call."""
+    from diracsplit import lorentz
+
+    built = []
+    transforms = lorentz._transforms
+
+    def counted(params, rep):
+        built.append((params, rep.name))
+        return transforms(params, rep)
+
+    monkeypatch.setattr(lorentz, "_transforms", counted)
+    return built
 
 
 @pytest.mark.parametrize("suite_rep", ("spinor", "all"))
 def test_covariance_fuzz_builds_each_spinor_transform_once(suite_rep, monkeypatch):
-    from diracsplit import lorentz
+    """Each grid transformation's S, S^-1, a and P' are built once per basis and process.
+
+    The certificates and the covariance fuzz of a basis read one kept
+    grid, however many runs and trials read it.
+    """
+    from diracsplit import suites
     from diracsplit.suites import RunConfig, run
 
-    built = []
-    closed_form = lorentz._spinor_closed_form
-
-    def counted(params, rep):
-        built.append((params, rep))  # keeps every params alive, so no id is reused
-        return closed_form(params, rep)
-
-    monkeypatch.setattr(lorentz, "_spinor_closed_form", counted)
-    report = run(RunConfig(suite="covariance", rep=suite_rep, backend="float", trials=6))
-    assert report.failed == 0
-    keys = [(id(params), rep.name) for params, rep in built]
-    assert keys and len(keys) == len(set(keys))
-
-
-def test_inverse_and_transformed_projectors_are_kept(rep):
-    from diracsplit.lorentz import transformed_projectors
-
-    params = LorentzParams("rotation", (1, 2), 0.9)
-    assert params.inverse() == params.inverse()
-    primes = transformed_projectors(params, rep)
-    assert transformed_projectors(params, rep) is primes
-    s, s_inv = spinor_transform(params, rep), spinor_transform(params.inverse(), rep)
-    assert [repr(p.entries) for p in primes] == \
-        [repr((s @ p @ s_inv).entries) for p in rep.on(FLOAT).p]
-    fresh = LorentzParams("rotation", (1, 2), 0.9)
-    assert (params == fresh, hash(params) == hash(fresh), repr(params) == repr(fresh)) \
-        == (True, True, True)
+    suites._covariance_grid.cache_clear()
+    suites._lorentz_certificates.cache_clear()
+    built = _count_grid_builds(monkeypatch)
+    config = RunConfig(suite="covariance", rep=suite_rep, backend="float", trials=13)
+    assert run(config).failed == 0 and run(config).failed == 0
+    names = ("spinor", "standard", "majorana") if suite_rep == "all" else (suite_rep,)
+    assert sorted(built, key=repr) == sorted(
+        ((params, name) for name in names for params in COVARIANCE_GRID), key=repr)
 
 
 @pytest.mark.parametrize("suite_rep", ("spinor", "all"))
 def test_a_warm_covariance_run_rebuilds_no_inverse_or_transformed_projector(suite_rep,
                                                                            monkeypatch):
-    """S^-1 and S P_k S^-1 of the grid's transformations are built once per process.
+    """S, S^-1, a and S P_k S^-1 of the grid's transformations are built once per process.
 
     Only the special-frame fuzz builds S in a second run: a rotation and a
-    boost for each trial's own momentum.  No matrix product is made.
+    boost for each trial's own momentum.  No float matrix product is made.
     """
-    from diracsplit import kernels, lorentz
+    from diracsplit import kernels, lorentz, suites
     from diracsplit.suites import RunConfig, run
 
     config = RunConfig(suite="covariance", rep=suite_rep, backend="float", trials=7)
     run(config)
-    calls = {"closed-form": 0, "mul": 0}
-    closed_form, mul = lorentz._spinor_closed_form, kernels.mul
+    built = _count_grid_builds(monkeypatch)
+    calls = {"S": 0, "mul": 0}
+    spinor, mul = lorentz.spinor_transform, kernels.mul
 
-    def counted_closed_form(params, rep):
-        calls["closed-form"] += 1
-        return closed_form(params, rep)
+    def counted_spinor(params, rep):
+        calls["S"] += 1
+        return spinor(params, rep)
 
     def counted_mul(n, a, b):
         calls["mul"] += 1
         return mul(n, a, b)
 
-    monkeypatch.setattr(lorentz, "_spinor_closed_form", counted_closed_form)
+    for module in (lorentz, suites):
+        monkeypatch.setattr(module, "spinor_transform", counted_spinor)
     monkeypatch.setattr(kernels, "mul", counted_mul)
     assert run(config).failed == 0
-    assert calls == {"closed-form": 2 * 7, "mul": 0}
+    assert (calls, built) == ({"S": 2 * 7, "mul": 0}, [])
 
 
 def test_vector_transform_sums_left_to_right():
     rows = ((1.0, 1.0, 1.0, 0.0),) + ((0.0, 0.0, 0.0, 0.0),) * 3
-    moved = VectorTransform(rows).apply(FourMomentum.floats((1e16, 1.0, -1e16, 0.0), 0))
+    moved = transformed_momentum(rows, FourMomentum.floats((1e16, 1.0, -1e16, 0.0), 0))
     # a compensated sum (``sum`` on Python 3.12 and later) gives 1.0
     assert repr(moved.p[0]) == "0.0"

@@ -389,6 +389,21 @@ def test_majorana_float_fuzz(m, sp, spin):
     assert report.all_within(1e-10)
 
 
+
+def test_majorana_residuals_pair_a_partner_without_a_term():
+    """A key whose term is absent still meets its partner: (q, -1) sees the stray term at (q, +1).
+
+    Only that key gives eta-consistency its 1e-13: there eta = 0 and the
+    partner's conjugate is (1e-13, 0, 0, 0), so eta - i sigma2 xi* is (0, 1e-13).
+    """
+    spinor = build_rep("spinor")
+    p = FourMomentum.on_shell(50.0, (1.0, 2.0, 0.5))
+    q = FourMomentum.on_shell(50.0, (0.5, -1.0, 2.0))
+    maj = with_conjugate(field_of(u_spinor(p, spinor, 1), rep=spinor))
+    stray = PlaneWaveTerm((1e-13 + 0j, 0j, 0j, 0j), q, 1)
+    report = majorana_residuals(PlaneWaveField(maj.terms + (stray,), spinor), p.mass)
+    assert {e.label: e.residual for e in report}["eta-consistency"] == 1e-13
+
 # -- each intermediate amplitude built once ----------------------------------------
 
 
