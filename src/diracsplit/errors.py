@@ -24,7 +24,7 @@ class BackendMismatch(DiracSplitError):
 
 
 class IntertwinerInvalid(DiracSplitError):
-    """A similarity transform failed its construction-time checks."""
+    """The charge-conjugation matrix carried by a pinned intertwiner failed its validation."""
 
     code = "intertwiner-invalid"
 

@@ -32,14 +32,13 @@ generators sigma_{mu nu}, Q+-, P1..P4 and V, the charge-conjugation
 matrix -- is read from ``rep.on(backend)``, a :class:`RepView`.  Each
 piece is built on first use, validated exactly once per representation,
 and kept on the representation object; the float view holds the
-``to_float()`` of the validated exact matrices.  The intertwiners to the
-other bases are read from the exact view only: every field and every
+``to_float()`` of the validated exact matrices.  Every field and every
 relation is built from its own basis's matrices, so no code moves a
-field between bases, and an intertwiner serves to derive the
-conjugation matrix and to be recorded.  An intertwiner between two
-pinned bases is kept on the source view; one to or from a copy of a
-basis is verified on each read and kept nowhere, so no copy stays alive
-as a key of a pinned view.  A view also keeps, per entry of a 4x4
+field between bases.  The pinned intertwiners are plain data:
+``intertwiner`` looks up a pair's exact ``(W, norm2)`` by the bases'
+names, keeps nothing and checks nothing.  It serves to derive the
+conjugation matrix, which is validated on its own, and the suites
+state and record W's relations.  A view also keeps, per entry of a 4x4
 symbol, the nonzero lowered-gamma entries that fill it
 (``symbol_slots``), from which ``fields`` builds gamma.p in 16 products.
 
@@ -47,12 +46,11 @@ A view holds matrices and their validations only.  Each validation
 states its relations, measures them with ``reports.residual_report``
 and runs them through ``reports.demand``, which raises the validation's
 error naming the first relation that does not vanish identically.  The
-residuals of the intertwiner (``Intertwiner.residuals``) and of the
-projector family are kept with what they validated, so the suites
-record the very residuals the validation checked.  Every other
-structural relation of a basis is stated, measured and kept as a record
-by the suite that records it (see ``suites``), never when a view or the
-family is built.
+residuals of the projector family are kept with what they validated,
+so the suites record the very residuals the validation checked.  Every
+other structural relation of a basis, the intertwiners' among them, is
+stated, measured and kept as a record by the suite that records it
+(see ``suites``), never when a view or the family is built.
 """
 
 from __future__ import annotations
@@ -111,23 +109,6 @@ class GammaRep(Value):
         return view
 
 
-class Intertwiner(Value):
-    """Exact change of basis from one representation to another.
-
-    W gamma_from Wdag = norm2 * gamma_to and Wdag W = norm2 * Id hold
-    exactly.  ``residuals`` are those the exact verification found
-    identically zero: ``unitary`` (Wdag W - norm2 Id) and
-    ``similarity.gamma<mu>`` / ``similarity.gamma5`` (W a Wdag - norm2 b).
-    """
-
-    __slots__ = _fields = ("w", "norm2", "residuals")
-
-    def __init__(self, w: Matrix, norm2: int, residuals: ResidualReport):
-        store(self, "w", w)
-        store(self, "norm2", norm2)
-        store(self, "residuals", residuals)
-
-
 def _promote(value):
     """Exact matrices, also inside tuples, promoted to the float backend."""
     if isinstance(value, Matrix):
@@ -158,11 +139,10 @@ class RepView(Value):
 
     Obtain it with ``rep.on(backend)``.  Attributes are built lazily, so
     a caller pays only for what it reads, and each validation (projector
-    algebra, conjugation relations, intertwiner similarity) runs once per
-    representation.  It holds matrices and validations only: every
-    record built from them (the structural relations, the witnesses and
-    controls, the Lorentz certificates) is kept by its builder in
-    ``suites``.
+    algebra, conjugation relations) runs once per representation.  It
+    holds matrices and validations only: every record built from them
+    (the structural relations, the witnesses and controls, the Lorentz
+    certificates) is kept by its builder in ``suites``.
     """
 
     _fields = ("rep", "backend")  # no __slots__: the cached properties live in __dict__
@@ -171,7 +151,6 @@ class RepView(Value):
     def __init__(self, rep: GammaRep, backend: str):
         store(self, "rep", rep)
         store(self, "backend", backend)
-        store(self, "_links", {})
 
     @_materialised
     def gammas(self) -> tuple:
@@ -222,28 +201,11 @@ class RepView(Value):
         U M conj(U)^-1 = W M W^T / norm2: i gamma2 again in the standard
         basis, a phase times the identity in the Majorana basis, where
         every gamma is imaginary.  Both properties are verified exactly,
-        once per representation, when the exact view first builds M.
+        once per representation, when the exact view first builds M;
+        IntertwinerInvalid names the first that fails, so a wrong W or a
+        basis that reuses a pinned name is caught here.
         """
         return _conjugation_matrix(self.rep)
-
-    def intertwiner(self, rep_to: GammaRep) -> Intertwiner:
-        """Change of basis to ``rep_to``, verified exactly on first use.
-
-        Kept on this view when both bases are pinned, so a pinned pair is
-        verified once; a copy of a basis is verified again on each read,
-        and a pinned view keeps nothing of it.  Exact only: the float view
-        raises ValueError.  Raises IntertwinerInvalid if the pinned W
-        fails its checks, and ValueError if no W is pinned for the pair.
-        """
-        if self.backend != EXACT:
-            raise ValueError(f"intertwiners are exact: read rep.on({EXACT!r}).intertwiner, "
-                             f"not the {self.backend} view's")
-        link = self._links.get(rep_to)
-        if link is None:
-            link = _verified_intertwiner(self.rep, rep_to)
-            if _is_pinned(self.rep) and _is_pinned(rep_to):
-                self._links[rep_to] = link
-        return link
 
     @cached_property
     def complements(self) -> tuple:
@@ -316,11 +278,6 @@ _MAJORANA = GammaRep(
 )
 
 _REPS = {rep.name: rep for rep in (_SPINOR, _STANDARD, _MAJORANA)}
-
-
-def _is_pinned(rep: GammaRep) -> bool:
-    """Whether ``rep`` is one of the pinned bases itself, not a copy of one."""
-    return _REPS.get(rep.name) is rep
 
 
 def build_rep(name: str) -> GammaRep:
@@ -405,27 +362,22 @@ _INTERTWINERS = {
 }
 
 
-def _verified_intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> Intertwiner:
-    """The pinned W for a pair of bases, checked exactly against both."""
+def intertwiner(rep_from: GammaRep, rep_to: GammaRep) -> tuple:
+    """The pinned change of basis ``(W, norm2)`` from ``rep_from`` to ``rep_to``, by name.
+
+    A plain lookup that checks nothing: the clifford suite states and
+    records W's relations (``suites._clifford_records``).  Raises
+    ValueError if no W is pinned for the pair.
+    """
     pair = (rep_from.name, rep_to.name)
     if pair in _INTERTWINERS:
-        w, norm2 = _INTERTWINERS[pair]
-    elif pair[::-1] in _INTERTWINERS:
+        return _INTERTWINERS[pair]
+    if pair[::-1] in _INTERTWINERS:
         w, norm2 = _INTERTWINERS[pair[::-1]]
-        w = w.adjoint()
-    elif pair[0] == pair[1] and pair[0] in REP_NAMES:
-        w, norm2 = Matrix.identity(4), 1
-    else:
-        raise ValueError(f"no intertwiner for pair ({rep_from.name!r}, {rep_to.name!r})")
-    wd = w.adjoint()
-    relations = [("unitary", "Dirac1", wd @ w - Matrix.identity(4).scale(norm2))]
-    names = [f"gamma{mu}" for mu in range(4)] + ["gamma5"]
-    for name, a, b in zip(names, rep_from.gammas + (rep_from.gamma5,),
-                          rep_to.gammas + (rep_to.gamma5,)):
-        relations.append((f"similarity.{name}", "Dirac1", w @ a @ wd - b.scale(norm2)))
-    residuals = residual_report(EXACT, relations)
-    demand(residuals, IntertwinerInvalid, f"{rep_from.name} -> {rep_to.name}")
-    return Intertwiner(w, norm2, residuals)
+        return w.adjoint(), norm2
+    if pair[0] == pair[1] and pair[0] in REP_NAMES:
+        return Matrix.identity(4), 1
+    raise ValueError(f"no intertwiner for pair ({rep_from.name!r}, {rep_to.name!r})")
 
 
 # -- charge conjugation ------------------------------------------------------
@@ -438,8 +390,8 @@ def _conjugation_matrix(rep: GammaRep) -> Matrix:
     and ``anticommute.gamma<mu>`` (M conj(gamma^mu) + gamma^mu M).
     """
     sp = build_rep("spinor")
-    link = sp.on(EXACT).intertwiner(rep)
-    m = (link.w @ sp.gammas[2].scale(I) @ link.w.transpose()).scale(Fraction(1, link.norm2))
+    w, norm2 = intertwiner(sp, rep)
+    m = (w @ sp.gammas[2].scale(I) @ w.transpose()).scale(Fraction(1, norm2))
     relations = [("involution", "MAJORANA", m @ m.conj() - Matrix.identity(4))]
     relations += [(f"anticommute.gamma{mu}", "MAJORANA", m @ g.conj() + g @ m)
                   for mu, g in enumerate(rep.gammas)]

@@ -155,21 +155,27 @@ def _pconditions(rep: GammaRep, s: Matrix, s_inv: Matrix, a: tuple):
 
 
 #: the transformations of the covariance certificates and of the covariance
-#: fuzz: the (0,3) boost and the (1,2) rotation at six parameters each
+#: fuzz: the (0,3) boost and the (1,2) rotation at six parameters each, each
+#: omega next to its negative (``grid_transforms`` reads S^-1 there)
 COVARIANCE_GRID = tuple(LorentzParams(kind, plane, w)
                         for kind, plane in ((_BOOST, (0, 3)), (_ROTATION, (1, 2)))
                         for w in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0))
 
 
-def _transforms(params: LorentzParams, rep: GammaRep) -> tuple:
+def _transforms(params: LorentzParams, rep: GammaRep, s: Matrix, s_inv: Matrix) -> tuple:
     """(S, S^-1, a, S P_k S^-1 for the float view's P1..P4) of one transformation."""
-    s, s_inv = spinor_transform(params, rep), spinor_transform(params.inverse(), rep)
     return s, s_inv, vector_transform(params), tuple(s @ p @ s_inv for p in rep.on(FLOAT).p)
 
 
 def grid_transforms(rep: GammaRep) -> tuple:
-    """``(S, S^-1, a, P')`` at each transformation of ``COVARIANCE_GRID``, in its order."""
-    return tuple(_transforms(params, rep) for params in COVARIANCE_GRID)
+    """``(S, S^-1, a, P')`` at each transformation of ``COVARIANCE_GRID``, in its order.
+
+    Each S is built once: the grid lists each omega next to its negative,
+    which is ``params.inverse()``, so S^-1 is that neighbour's S.
+    """
+    s = [spinor_transform(params, rep) for params in COVARIANCE_GRID]
+    return tuple(_transforms(params, rep, s[i], s[i ^ 1])
+                 for i, params in enumerate(COVARIANCE_GRID))
 
 
 def _certificate(rep: GammaRep, params: LorentzParams, transforms: tuple):

@@ -24,9 +24,11 @@ The structural suites state their relations on the matrices of each
 representation's view (``gamma.RepView``), which holds matrices and
 validations only: ``_clifford_records`` and ``_projector_records`` are
 kept per backend, the exact block of ``covariance`` per basis
-(``_covariance_records``).  On the exact backend the residuals a
-validation checked, the projector family's and the intertwiners', are
-recorded as the very entries it measured.
+(``_covariance_records``).  On the exact backend the residuals the
+projector family's validation checked are recorded as the very entries
+it measured.  The pinned intertwiners (``gamma.intertwiner``) are
+checked nowhere else: ``_clifford_records`` states each ordered pair's
+relations, and ``_projector_records`` carries the family by each W.
 
 A claim is stated once, on one plane-wave term, as ``(label, equation,
 value)`` relations (see ``subsolutions``), and checked from that one
@@ -116,7 +118,7 @@ from .fields import (
     u_spinor,
     weyl_spinor,
 )
-from .gamma import INDEX_PAIRS, METRIC_SIGNS, REP_NAMES, _family_residuals, build_rep
+from .gamma import INDEX_PAIRS, METRIC_SIGNS, REP_NAMES, _family_residuals, build_rep, intertwiner
 from .lorentz import (
     float_certificates,
     grid_transforms,
@@ -574,8 +576,10 @@ def _clifford_records(backend: str) -> tuple:
     relations (equation DiracNeutrino): ``gamma5.definition`` is gamma5 +
     i g0 g1 g2 g3, ``gamma5.square`` is gamma5^2 - Id and
     ``gamma5.anticommute.<mu>`` is {gamma5, gamma^mu}.  On the exact
-    backend each ordered pair of bases adds its intertwiner's record: the
-    worst of the residuals its validation found zero.
+    backend each ordered pair of bases (a, b) adds its pinned
+    intertwiner's record, the worst of Wdag W - norm2 Id (``unitary``)
+    and W g Wdag - norm2 g' for each gamma and gamma5 of a against b's
+    (``similarity.gamma<mu>``, ``similarity.gamma5``), equation Dirac1.
     """
     ident = Matrix.identity(4, backend)
     out = []
@@ -598,8 +602,16 @@ def _clifford_records(backend: str) -> tuple:
                       for mu, g in enumerate(gams)]
         out += [(f"clifford.{rep.name}.{e.label}", e) for e in residual_report(backend, relations)]
     if backend == EXACT:
-        out += [(f"clifford.intertwiner.{a.name}-to-{b.name}",
-                 a.on(EXACT).intertwiner(b).residuals.worst()) for a, b in _REP_PAIRS]
+        names = [f"gamma{mu}" for mu in range(4)] + ["gamma5"]
+        for a, b in _REP_PAIRS:
+            w, norm2 = intertwiner(a, b)
+            wd = w.adjoint()
+            relations = [("unitary", "Dirac1", wd @ w - ident.scale(norm2))]
+            relations += [(f"similarity.{name}", "Dirac1", w @ g @ wd - h.scale(norm2))
+                          for name, g, h in zip(names, a.gammas + (a.gamma5,),
+                                                b.gammas + (b.gamma5,))]
+            out.append((f"clifford.intertwiner.{a.name}-to-{b.name}",
+                        residual_report(EXACT, relations).worst()))
     return tuple(out)
 
 
@@ -676,11 +688,11 @@ def _projector_records(backend: str) -> tuple:
                           spinor.q_minus - Matrix.diag((1, 1, 0, 0))))
         out += [(f"projectors.spinor.{e.label}", e) for e in residual_report(EXACT, relations)]
         for rep_a, rep_b in _REP_PAIRS:
-            link = rep_a.on(EXACT).intertwiner(rep_b)
-            wd = link.w.adjoint()
+            w, norm2 = intertwiner(rep_a, rep_b)
+            wd = w.adjoint()
             pairs = zip(rep_a.on(EXACT).p, rep_b.on(EXACT).p)
             transport = residual_report(EXACT, (
-                (f"transport.p{k}", "PRO", link.w @ a @ wd - b.scale(link.norm2))
+                (f"transport.p{k}", "PRO", w @ a @ wd - b.scale(norm2))
                 for k, (a, b) in enumerate(pairs, start=1)))
             out.append((f"projectors.transport.{rep_a.name}-to-{rep_b.name}", transport.worst()))
 

@@ -12,10 +12,9 @@ as a memo dict, stays outside ``==``, ``hash``, ``repr`` and pickling.
 
 Every frozen class of the package is a :class:`Value`, and refuses
 assignment and deletion by this one mechanism: ``GaussianRational``,
-``Matrix``, ``GammaRep``, ``Intertwiner``, ``RepView``,
-``FourMomentum``, ``PlaneWaveField``, ``ResidualEntry``,
-``ResidualReport``, ``SplitResult``, ``LorentzParams`` and
-``RunConfig``.  ``GaussianRational`` keeps its own ``==``, ``hash`` and
+``Matrix``, ``GammaRep``, ``RepView``, ``FourMomentum``,
+``PlaneWaveField``, ``ResidualEntry``, ``ResidualReport``,
+``SplitResult``, ``LorentzParams`` and ``RunConfig``.  ``GaussianRational`` keeps its own ``==``, ``hash`` and
 ``repr`` (exact arithmetic's hot path, and a real value hashes as the
 number it equals); ``Matrix`` and
 ``PlaneWaveField`` keep their own ``repr``.  Three compare and hash by

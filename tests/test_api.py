@@ -363,12 +363,12 @@ def test_gamma_measures_only_its_validations():
     tree = ast.parse(Path(diracsplit.gamma.__file__).read_text(encoding="utf-8"))
     scopes = sorted(scope for name in ("residual_report", "residual_entry")
                     for scope, _ in _calls_of(name, tree))
-    assert scopes == ["_conjugation_matrix", "_family_residuals", "_verified_intertwiner"]
+    assert scopes == ["_conjugation_matrix", "_family_residuals"]
 
 
 def test_only_gamma_and_suites_read_an_intertwiner():
     """No field or relation changes basis: ``gamma`` derives M with an intertwiner, ``suites``
-    records them, and no other module calls ``.intertwiner(``."""
+    states and records their relations, and no other module calls ``intertwiner(``."""
     outside = []
     for path in sorted(Path(diracsplit.__file__).parent.glob("*.py")):
         if path.stem not in ("gamma", "suites"):

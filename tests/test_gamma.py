@@ -6,8 +6,9 @@ import copy
 import pytest
 
 from diracsplit.errors import IntertwinerInvalid
-from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep
+from diracsplit.gamma import METRIC_SIGNS, REP_NAMES, GammaRep, build_rep, intertwiner
 from diracsplit.matrices import Matrix
+from diracsplit.reports import residual_report
 from diracsplit.scalars import EXACT, FLOAT, GaussianRational
 from diracsplit.suites import _clifford_records
 
@@ -90,38 +91,58 @@ def test_sigma12_diagonal_golden(spinor):
     assert (spinor.on(EXACT).sigmas[1][2] - Matrix.diag((1, -1, 1, -1))).is_zero
 
 
+def _similarity_relations(ra, rb, w, norm2) -> list:
+    """Wdag W - norm2 Id, then W g Wdag - norm2 g' for gamma0..3 and gamma5: the oracle."""
+    wd = w.adjoint()
+    relations = [("unitary", "Dirac1", wd @ w - Matrix.identity(4).scale(norm2))]
+    for name, g, h in zip([f"gamma{mu}" for mu in range(4)] + ["gamma5"],
+                          ra.gammas + (ra.gamma5,), rb.gammas + (rb.gamma5,)):
+        relations.append((f"similarity.{name}", "Dirac1", w @ g @ wd - h.scale(norm2)))
+    return relations
+
+
 @pytest.mark.parametrize("a", REP_NAMES)
 @pytest.mark.parametrize("b", REP_NAMES)
 def test_intertwiner_pairs(a, b):
-    if a == b:
-        return
+    """Every ordered pinned pair's W: Wdag W = norm2 Id and W gamma Wdag = norm2 gamma', exactly."""
     ra, rb = build_rep(a), build_rep(b)
-    link = ra.on(EXACT).intertwiner(rb)
-    w, norm2 = link.w, link.norm2
-    assert (w.adjoint() @ w - Matrix.identity(4).scale(norm2)).is_zero
-    for g_from, g_to in zip(ra.gammas, rb.gammas):
-        assert (w @ g_from @ w.adjoint() - g_to.scale(norm2)).is_zero
+    w, norm2 = intertwiner(ra, rb)
+    assert w.backend == EXACT and norm2 == (1 if a == b else 4 if {a, b} == {"spinor", "majorana"}
+                                            else 2)
+    assert all(value.is_zero for _, _, value in _similarity_relations(ra, rb, w, norm2))
 
 
 def test_intertwiner_keeps_its_verified_residuals(all_reps):
+    """Each pair's clifford record is the worst of its relations, stated here as the oracle.
+
+    Labels, equations and order are those of ``_similarity_relations``,
+    and every relation vanishes identically.
+    """
+    recorded = dict(_clifford_records(EXACT))
     for a in all_reps:
         for b in all_reps:
-            residuals = a.on(EXACT).intertwiner(b).residuals
-            assert [e.label for e in residuals] == ["unitary"] + [
+            if a is b:
+                continue
+            oracle = residual_report(EXACT, _similarity_relations(a, b, *intertwiner(a, b)))
+            assert [e.label for e in oracle] == ["unitary"] + [
                 f"similarity.gamma{mu}" for mu in (0, 1, 2, 3, 5)]
-            assert residuals.all_exact_zero()
+            assert oracle.all_exact_zero()
+            assert recorded[f"clifford.intertwiner.{a.name}-to-{b.name}"] == oracle.worst()
 
 
 def test_the_float_view_holds_no_intertwiner(rep):
-    """No field or relation changes basis, so a float view has no intertwiner to give."""
-    with pytest.raises(ValueError, match=r"rep.on\('exact'\).intertwiner"):
-        rep.on(FLOAT).intertwiner(build_rep("standard"))
+    """No field or relation changes basis: no view holds an intertwiner, and each W is exact."""
+    for backend in (EXACT, FLOAT):
+        assert not hasattr(rep.on(backend), "intertwiner")
+    for b in REP_NAMES:
+        w, _ = intertwiner(rep, build_rep(b))
+        assert w.backend == EXACT
 
 
 def test_conjugate_by_intertwiner_roundtrip():
     sp, maj = build_rep("spinor"), build_rep("majorana")
-    link = sp.on(EXACT).intertwiner(maj)
-    moved = (link.w @ sp.gammas[1] @ link.w.adjoint()).scale(GaussianRational(1) / link.norm2)
+    w, norm2 = intertwiner(sp, maj)
+    moved = (w @ sp.gammas[1] @ w.adjoint()).scale(GaussianRational(1) / norm2)
     assert (moved - maj.gammas[1]).is_zero
 
 
@@ -189,15 +210,47 @@ def test_dirac_block_structure_spinor(spinor):
 
 
 def test_intertwiner_identity_pair(spinor):
-    link = spinor.on(EXACT).intertwiner(spinor)
-    assert link.norm2 == 1
-    assert (link.w - Matrix.identity(4)).is_zero
+    w, norm2 = intertwiner(spinor, spinor)
+    assert norm2 == 1
+    assert (w - Matrix.identity(4)).is_zero
 
 
 def test_intertwiner_unknown_pair(spinor):
     fake = GammaRep(name="bogus", gammas=spinor.gammas, gamma5=spinor.gamma5)
-    with pytest.raises(ValueError):
-        spinor.on(EXACT).intertwiner(fake)
+    with pytest.raises(ValueError, match="no intertwiner for pair"):
+        intertwiner(spinor, fake)
+    with pytest.raises(ValueError, match="no intertwiner for pair"):
+        fake.on(EXACT).conjugation
+
+
+def test_a_wrong_pinned_intertwiner_fails_its_records_and_raises_nothing():
+    """W is checked where it is recorded: a wrong pinned W fails the records that read it.
+
+    The pinned spinor-to-standard W is replaced by its adjoint, still
+    unitary up to norm2 but carrying the gammas the other way.  The kept
+    builders are cleared before and after, so no wrong record outlives
+    the test.
+    """
+    from diracsplit import gamma, suites
+    from diracsplit.suites import RunConfig, run
+
+    builders = (suites._clifford_records, suites._projector_records)
+    pair = ("spinor", "standard")
+    pinned = gamma._INTERTWINERS[pair]
+    for builder in builders:
+        builder.cache_clear()
+    gamma._INTERTWINERS[pair] = (pinned[0].adjoint(), pinned[1])
+    try:
+        reports = [run(RunConfig(suite=suite, backend="exact"))
+                   for suite in ("clifford", "projectors")]
+    finally:
+        gamma._INTERTWINERS[pair] = pinned
+        for builder in builders:
+            builder.cache_clear()
+    failed = [c.check_id for r in reports for c in r.checks if not c.ok]
+    assert failed == [f"{suite}.{a}-to-{b}"
+                      for suite in ("clifford.intertwiner", "projectors.transport")
+                      for a, b in (pair, pair[::-1])]
 
 
 def test_intertwiner_invalid_is_exported():
@@ -231,33 +284,37 @@ def test_float_view_is_promoted_exact_view(rep):
         assert b.entries == a.to_float().entries
 
 
-def test_intertwiner_rejects_impostor_of_pinned_name(spinor):
-    """A rep reusing a pinned name is verified on its own, never served the pinned data."""
-    std = build_rep("standard")
-    fake = GammaRep(name="standard", gammas=(-std.gammas[0],) + std.gammas[1:],
-                    gamma5=std.gamma5)
-    view = spinor.on(EXACT)
-    link = view.intertwiner(std)  # the pinned pair is verified and kept
-    with pytest.raises(IntertwinerInvalid):
-        view.intertwiner(fake)
-    assert view.intertwiner(std) is link and link.norm2 == 2
+def test_intertwiner_rejects_impostor_of_pinned_name():
+    """A rep reusing a pinned name is served the pinned W, and its conjugation matrix fails.
+
+    The impostor named ``standard`` carries the Majorana basis's gammas,
+    a valid Clifford basis, which the standard basis's i gamma2 does not
+    anticommute: its own validation raises, and the pinned basis's M stands.
+    """
+    std, maj = build_rep("standard"), build_rep("majorana")
+    fake = GammaRep(name="standard", gammas=maj.gammas, gamma5=maj.gamma5)
+    with pytest.raises(IntertwinerInvalid, match=r"\(exact, conjugation matrix of rep standard\)$"):
+        fake.on(EXACT).conjugation
+    assert (std.on(EXACT).conjugation - std.gammas[2].scale(GaussianRational(0, 1))).is_zero
 
 
 def test_a_copy_of_a_basis_leaves_no_link_on_the_pinned_view(spinor):
-    """The conjugation matrix of a copy reads the spinor intertwiner to it, and keeps none.
+    """A copy of a basis whose conjugation matrix was read is freed: nothing pinned keeps it.
 
-    Only a pinned pair is kept: it is verified once, and its second read
-    returns the same object.
+    A copy's view holds the copy and the copy its views, so a freed view
+    is a freed copy.
     """
-    view = spinor.on(EXACT)
-    before = dict(view._links)
-    copies = [copy.deepcopy(spinor) for _ in range(3)]
-    for c in copies:
-        assert c.on(EXACT).conjugation.entries == view.conjugation.entries
-    assert view._links == before
-    std = build_rep("standard")
-    assert view.intertwiner(std) is view.intertwiner(std)
-    assert std in view._links and not set(view._links) & set(copies)
+    import gc
+    import weakref
+
+    views = []
+    for _ in range(3):
+        c = copy.deepcopy(spinor)
+        assert c.on(EXACT).conjugation.entries == spinor.on(EXACT).conjugation.entries
+        views.append(weakref.ref(c.on(EXACT)))
+    del c
+    gc.collect()
+    assert [v() for v in views] == [None, None, None]
 
 
 def test_every_pinned_lowered_gamma_is_monomial(rep):
@@ -312,9 +369,7 @@ def test_split_residuals_read_the_kept_complements(monkeypatch):
     matrices: nothing on either path changes basis.
     """
     from diracsplit import FourMomentum, field_of, split, u_spinor, weyl_residuals, weyl_spinor
-    from diracsplit import suites
-    from diracsplit.gamma import RepView
-    from diracsplit.reports import residual_report
+    from diracsplit import gamma, suites
 
     p = FourMomentum.exact((3, 2, 2, 0), 1)
     reps = [build_rep(n) for n in REP_NAMES]
@@ -322,12 +377,13 @@ def test_split_residuals_read_the_kept_complements(monkeypatch):
         r.on(EXACT).complements
         r.on(EXACT).conjugation
 
-    def no_intertwiner(view, rep_to):
-        raise AssertionError(f"the path read the intertwiner {view.rep.name} -> {rep_to.name}")
+    def no_intertwiner(rep_from, rep_to):
+        raise AssertionError(f"the path read the intertwiner {rep_from.name} -> {rep_to.name}")
 
     identities = []
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, *a: identities.append(a)))
-    monkeypatch.setattr(RepView, "intertwiner", no_intertwiner)
+    for module in (gamma, suites):
+        monkeypatch.setattr(module, "intertwiner", no_intertwiner)
     reports = []
     for r in reps:
         sr = split(field_of(u_spinor(p, r, 1), r), p.mass)

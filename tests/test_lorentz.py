@@ -255,7 +255,8 @@ def test_sign_flip_is_the_largest_swapped_pcondition(rep):
 
 @pytest.mark.parametrize("base", PLANES, ids=lambda p: f"{p.kind}{p.plane}")
 def test_covariance_certificate(rep, base):
-    report = residual_report(FLOAT, _certificate(rep, base, _transforms(base, rep)))
+    s, s_inv = spinor_transform(base, rep), spinor_transform(base.inverse(), rep)
+    report = residual_report(FLOAT, _certificate(rep, base, _transforms(base, rep, s, s_inv)))
     assert report.all_within(1e-10)
     tag = f"{base.kind}{base.plane[0]}{base.plane[1]}.w{base.omega:g}."
     labels = [e.label for e in report]
@@ -403,6 +404,23 @@ def test_inverse_and_transformed_projectors_are_kept(rep):
     assert suites._covariance_grid(rep) is kept and repr(kept) == repr(grid)
 
 
+def test_a_cold_grid_builds_each_spinor_transform_once(rep, monkeypatch):
+    """Twelve S for the twelve grid transformations: each S^-1 is the S at -omega beside it."""
+    from diracsplit import lorentz
+
+    built = []
+    spinor = lorentz.spinor_transform
+
+    def counted(params, rep):
+        built.append(params)
+        return spinor(params, rep)
+
+    monkeypatch.setattr(lorentz, "spinor_transform", counted)
+    grid_transforms(rep)
+    assert built == list(COVARIANCE_GRID)
+    assert [COVARIANCE_GRID[i ^ 1] for i in range(12)] == [p.inverse() for p in COVARIANCE_GRID]
+
+
 def _count_grid_builds(monkeypatch) -> list:
     """Record (params, basis name) of every ``lorentz._transforms`` call."""
     from diracsplit import lorentz
@@ -410,9 +428,9 @@ def _count_grid_builds(monkeypatch) -> list:
     built = []
     transforms = lorentz._transforms
 
-    def counted(params, rep):
+    def counted(params, rep, s, s_inv):
         built.append((params, rep.name))
-        return transforms(params, rep)
+        return transforms(params, rep, s, s_inv)
 
     monkeypatch.setattr(lorentz, "_transforms", counted)
     return built

@@ -4,7 +4,7 @@ import pytest
 
 from diracsplit import Matrix, build_projectors, suites
 from diracsplit.errors import ProjectorAlgebraViolation
-from diracsplit.gamma import GammaRep
+from diracsplit.gamma import GammaRep, intertwiner
 from diracsplit.matrices import commutator
 from diracsplit.scalars import EXACT, FLOAT
 from diracsplit.suites import RunConfig
@@ -92,21 +92,16 @@ def _suite_entries(backend) -> list:
     return [(check_id, entry) for check_id, entry, *_ in out]
 
 
-def test_recorded_residuals_are_the_validated_ones(rep, all_reps):
-    """The exact structural records reuse the residuals the validations found zero.
+def test_recorded_residuals_are_the_validated_ones(rep):
+    """The exact family records reuse the residuals the validation found zero.
 
-    Every exact family record is an entry of ``RepView.projectors[4]``,
-    and every intertwiner record an entry of ``Intertwiner.residuals``.
+    Every exact family record is an entry of ``RepView.projectors[4]``.
     """
     exact = rep.on(EXACT)
     validated = exact.projectors[4]
     assert validated.all_exact_zero() and len(validated.entries) == 20
     recorded = dict(_suite_entries(EXACT))
     assert all(recorded[f"projectors.{rep.name}.{e.label}"] is e for e in validated)
-    for b in all_reps:
-        if b is not rep:
-            entry = recorded[f"clifford.intertwiner.{rep.name}-to-{b.name}"]
-            assert any(entry is e for e in exact.intertwiner(b).residuals)
 
 
 @pytest.mark.parametrize("backend", (EXACT, FLOAT))
@@ -142,10 +137,10 @@ def test_complement_is_rank_one(rep, k):
 def test_family_transports_between_reps(all_reps):
     for rep_a in all_reps:
         for rep_b in all_reps:
-            link = rep_a.on(EXACT).intertwiner(rep_b)
+            w, norm2 = intertwiner(rep_a, rep_b)
             for p_a, p_b in zip(rep_a.on(EXACT).p, rep_b.on(EXACT).p):
-                moved = link.w @ p_a @ link.w.adjoint()
-                assert (moved - p_b.scale(link.norm2)).is_zero
+                moved = w @ p_a @ w.adjoint()
+                assert (moved - p_b.scale(norm2)).is_zero
 
 
 def test_validation_rejects_flipped_chirality(spinor):
@@ -164,5 +159,4 @@ def test_build_projectors_leaves_the_suite_relations_unmeasured(spinor):
     view = build_projectors(copy)
     assert view is copy.on(EXACT) and "projectors" in vars(view)
     assert [f.cache_info().currsize for f in builders] == kept
-    assert view._links == {}
     assert list(copy._views) == [EXACT]

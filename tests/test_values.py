@@ -13,13 +13,12 @@ from diracsplit import (
     Matrix,
     Report,
     ResidualEntry,
-    ResidualReport,
     field_of,
     u_spinor,
     vector_transform,
 )
 from diracsplit.cli import _CONFIG_KEYS
-from diracsplit.gamma import Intertwiner, build_rep
+from diracsplit.gamma import build_rep, intertwiner
 from diracsplit.scalars import EXACT, FLOAT
 from diracsplit.suites import DEFAULT_SEED, RunConfig
 
@@ -103,11 +102,10 @@ def test_entries_intertwiners_and_vector_transforms_compare_by_their_fields():
     assert entry != ("a", "Dirac1", FLOAT, 0.5, False)
     assert repr(entry) == ("ResidualEntry(label='a', equation='Dirac1', backend='float', "
                            "residual=0.5, exact_zero=False)")
-    spinor, standard = build_rep("spinor"), build_rep("standard")
-    link = spinor.on(EXACT).intertwiner(standard)
-    again = Intertwiner(link.w, link.norm2, ResidualReport(tuple(link.residuals)))
-    assert (again == link, hash(again) == hash(link)) == (True, True)
-    assert again != Intertwiner(link.w, 4, link.residuals)
+    standard, spinor = build_rep("standard"), build_rep("spinor")
+    link, again = intertwiner(standard, spinor), intertwiner(standard, spinor)
+    assert (again == link, hash(again) == hash(link), again[0] is not link[0]) == (True, True, True)
+    assert again != (link[0], 4)
     params = LorentzParams("boost", (0, 3), 0.7)
     a, b = vector_transform(params), vector_transform(LorentzParams("boost", (0, 3), 0.7))
     assert (a == b, hash(a) == hash(b), a is not b) == (True, True, True)
